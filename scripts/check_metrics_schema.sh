@@ -43,8 +43,9 @@ for name in $doc_names; do
     *.) continue ;;
     *.md|*.hpp|*.cpp|*.sh|*.json|*.yml|*.flow) continue ;;
     span.*|process.*|jobs.*|queue.*|store.*.entries) continue ;;
-    selection.step*|session.*|flow.parse|interleave.build|\
-    interleave.graph|interleave.weights|interleave.cross_check|\
+    selection.step*|selection.search.*|session.*|flow.parse|\
+    interleave.build|interleave.graph|interleave.weights|\
+    interleave.cross_check|\
     kernel.compile|kernel.exec|debug.workbench|debug.simulate|\
     debug.capture|debug.root_cause|debug.localize|selection.dist.run|\
     dist.unit|svc.job)

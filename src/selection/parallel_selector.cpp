@@ -335,8 +335,12 @@ ParallelSelector::SearchOutcome ParallelSelector::search_sharded(
       break;
     }
   }
-  OBS_COUNT("selection.combinations",
-            emitted.load(std::memory_order_relaxed) - emitted_start);
+  const std::size_t scored =
+      emitted.load(std::memory_order_relaxed) - emitted_start;
+  OBS_COUNT("selection.combinations", scored);
+  // The compiled walk scores through GainCursor, past info_gain's own
+  // counter: one evaluation per scored combination, as on the serial path.
+  if (compiled) OBS_COUNT("selection.gain.evals", scored);
 
   SearchOutcome out;
   out.partial = stopped_early;
@@ -358,8 +362,7 @@ ParallelSelector::SearchOutcome ParallelSelector::search_sharded(
 
 SelectionResult ParallelSelector::select(const SelectorConfig& config,
                                          util::ThreadPool* pool) const {
-  if (config.mode == SearchMode::kGreedy ||
-      config.mode == SearchMode::kKnapsack) {
+  if (!is_sharded(config.mode)) {
     // Greedy ascent and the knapsack DP are sequential by nature (each
     // step/row depends on the previous) and already near-linear; run them
     // on the serial path.
@@ -460,6 +463,10 @@ ParallelSelector::UnitOutcome ParallelSelector::run_unit(
       break;
     }
   }
+  // The emission that crossed the cap was counted but not scored.
+  if (compiled)
+    OBS_COUNT("selection.gain.evals",
+              out.emitted - (out.cap_exceeded ? 1 : 0));
   out.valid = best.valid;
   out.gain = best.gain;
   out.combo = std::move(best.combo);

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "selection/gain_memo.hpp"
+#include "selection/knapsack.hpp"
 #include "selection/parallel_selector.hpp"
 #include "util/obs.hpp"
 
@@ -101,58 +102,25 @@ Combination MessageSelector::search_greedy(const SelectorConfig& config) const {
 Combination MessageSelector::search_knapsack(
     const SelectorConfig& config) const {
   OBS_SPAN("selection.search.knapsack");
-  // Full-table 0/1 knapsack: dp[i][w] = (best gain, width actually used)
-  // over the first i candidates within capacity w. Ties in gain prefer the
-  // narrower fill (leaves room for Step 3 packing), matching the
-  // exhaustive tie-break.
-  const std::size_t n = candidates_.size();
-  const std::size_t wmax = config.buffer_width;
-  struct Cell {
-    double gain = 0.0;
-    std::uint32_t used = 0;
-  };
-  std::vector<std::vector<Cell>> dp(n + 1,
-                                    std::vector<Cell>(wmax + 1, Cell{}));
-
-  for (std::size_t i = 1; i <= n; ++i) {
-    // Cancel between DP rows; an incomplete table is unusable, so the
-    // caller gets an empty partial combination.
-    if (config.cancel.cancelled()) return Combination{};
-    const std::uint32_t w = catalog_->get(candidates_[i - 1]).trace_width();
-    const double v =
-        engine_.message_contribution(candidates_[i - 1], config.kernel);
-    for (std::size_t cap = 0; cap <= wmax; ++cap) {
-      dp[i][cap] = dp[i - 1][cap];
-      if (w <= cap) {
-        const Cell with{dp[i - 1][cap - w].gain + v,
-                        dp[i - 1][cap - w].used + w};
-        if (with.gain > dp[i][cap].gain ||
-            (with.gain == dp[i][cap].gain && with.used < dp[i][cap].used)) {
-          dp[i][cap] = with;
-        }
-      }
-    }
+  std::vector<std::uint32_t> widths;
+  std::vector<double> gains;
+  for (const flow::MessageId m : candidates_) {
+    widths.push_back(catalog_->get(m).trace_width());
+    gains.push_back(engine_.message_contribution(m, config.kernel));
   }
-
+  // Candidates are sorted, so ascending indices give sorted messages and
+  // the gains add up in info_gain's order.
   Combination best;
-  std::size_t cap = wmax;
-  for (std::size_t i = n; i > 0; --i) {
-    // Item i-1 taken iff removing it explains the cell.
-    const std::uint32_t w = catalog_->get(candidates_[i - 1]).trace_width();
-    const Cell& cur = dp[i][cap];
-    const Cell& without = dp[i - 1][cap];
-    if (cur.gain == without.gain && cur.used == without.used) continue;
-    best.messages.push_back(candidates_[i - 1]);
-    best.width += w;
-    cap -= w;
+  for (const std::size_t i : knapsack_optimum(widths, gains,
+                                              config.buffer_width,
+                                              config.cancel)) {
+    best.messages.push_back(candidates_[i]);
+    best.width += widths[i];
   }
-  if (best.messages.empty()) {
-    if (config.cancel.cancelled()) return best;  // empty partial
+  if (best.messages.empty() && !config.cancel.cancelled())
     throw std::runtime_error(
         "MessageSelector: no message fits the trace buffer");
-  }
-  std::sort(best.messages.begin(), best.messages.end());
-  return best;
+  return best;  // empty: cancelled, a partial result
 }
 
 double MessageSelector::estimate_search_bytes(
@@ -276,8 +244,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
 
 SelectionResult MessageSelector::select(const SelectorConfig& config) const {
   OBS_SPAN("selection.select");
-  const bool searchable = config.mode == SearchMode::kExhaustive ||
-                          config.mode == SearchMode::kMaximal;
+  const bool searchable = is_sharded(config.mode);
 
   // Memory budget first — and before the parallel routing, so the
   // ParallelSelector's over-budget delegation back to this serial path

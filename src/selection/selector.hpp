@@ -22,20 +22,30 @@ struct SearchCheckpoint;
 
 /// How Step 1/2 search the combination space.
 enum class SearchMode {
-  /// Score every fitting combination (paper Sec. 3.1-3.2). Exponential.
+  /// Score every fitting combination (paper Sec. 3.1-3.2). Exponential;
+  /// the reference the knapsack DP is tested against.
   kExhaustive,
-  /// Score only maximal fitting combinations — lossless because the paper's
-  /// gain estimator is monotone under adding messages. Default.
+  /// Score only maximal fitting combinations. Finds the optimal gain (the
+  /// estimator is monotone under adding messages) but, when a message adds
+  /// nothing, not the narrower tie exhaustive picks. Exponential.
   kMaximal,
   /// Greedy marginal-gain ascent; near-linear, for very large message sets
   /// (the scalability objective of Sec. 1).
   kGreedy,
   /// Exact 0/1-knapsack dynamic program over (width, gain). Because the
   /// paper's gain estimator decomposes additively per message, this finds
-  /// the true Step 2 optimum in O(messages x buffer_width) — the same
-  /// result as kExhaustive at a tiny fraction of the cost.
+  /// the true Step 2 optimum in O(messages x buffer_width): the same
+  /// combination, width and gain bits as kExhaustive. Default.
   kKnapsack,
 };
+
+/// Whether `mode` walks the combination space in shards: only these modes
+/// run in parallel, checkpoint, honour a shard budget or mem-budget beam,
+/// and farm work units out to worker processes. Greedy and knapsack are
+/// sequential and near-linear.
+constexpr bool is_sharded(SearchMode mode) {
+  return mode == SearchMode::kMaximal || mode == SearchMode::kExhaustive;
+}
 
 /// The single options struct for the whole selection pipeline. Every entry
 /// point (MessageSelector, ParallelSelector, MultiScenarioSelector,
@@ -43,7 +53,7 @@ enum class SearchMode {
 struct SelectorConfig {
   std::uint32_t buffer_width = 32;  ///< bits, Table 3 uses 32
   bool packing = true;              ///< run Step 3
-  SearchMode mode = SearchMode::kMaximal;
+  SearchMode mode = SearchMode::kKnapsack;
   std::size_t max_combinations = 1u << 22;
   /// Worker threads for the Step 1/2 search (and the other hot loops that
   /// honour this config): 1 = the classic serial path, 0 = one worker per
@@ -63,6 +73,9 @@ struct SelectorConfig {
   std::string metrics_out;
 
   // --- resilience (DESIGN.md §11, docs/resilience.md) ---
+  // The wave checkpoints, shard budget, resume and the beam degradation
+  // below belong to the sharded kMaximal/kExhaustive search; the knapsack
+  // and greedy paths ignore them (the CLI rejects them there).
   /// Cooperative cancellation / deadline. The default token is inert. When
   /// it fires, the search stops within one shard granule and select()
   /// returns the best-so-far with SelectionResult::partial = true instead

@@ -61,7 +61,7 @@ struct JobRequest {
   // --- structural: search (hashed) ---
   Kind kind = Kind::kSelect;
   std::uint32_t buffer_width = 32;
-  selection::SearchMode mode = selection::SearchMode::kMaximal;
+  selection::SearchMode mode = selection::SearchMode::kKnapsack;
   bool packing = true;
   std::uint64_t max_combinations = 1u << 22;
   std::uint64_t mem_budget_mb = 0;

@@ -208,10 +208,12 @@ selection::SelectionResult QueryCore::select(const Workload& w,
   cfg.checkpoint_instances = w.instances;
   const bool flow_constraint =
       req.kind == JobRequest::Kind::kSelectFlowConstraint;
-  // Checkpointing covers the plain Step 1-3 pipeline; the flow-constraint
-  // repair loop re-runs select() with mutated candidate sets, for which a
-  // wave snapshot of the primary search would be misleading.
-  if (!flow_constraint && !opts.checkpoint_path.empty()) {
+  // Checkpointing covers the plain Step 1-3 pipeline of the sharded
+  // searches; the flow-constraint repair loop re-runs select() with
+  // mutated candidate sets, for which a wave snapshot of the primary
+  // search would be misleading, and knapsack/greedy have no waves.
+  if (selection::is_sharded(cfg.mode) && !flow_constraint &&
+      !opts.checkpoint_path.empty()) {
     cfg.checkpoint_path = opts.checkpoint_path;
     if (opts.checkpoint_interval > 0)
       cfg.checkpoint_interval = opts.checkpoint_interval;

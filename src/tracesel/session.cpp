@@ -229,8 +229,7 @@ selection::SelectionResult Session::run_distributed(
     why = "no worker command";
   else if (cfg.checkpoint_spec_path.empty())
     why = "no spec provenance for workers to rebuild from";
-  else if (cfg.mode == selection::SearchMode::kGreedy ||
-           cfg.mode == selection::SearchMode::kKnapsack)
+  else if (!selection::is_sharded(cfg.mode))
     why = "sequential search mode";
   else if (ensure_parallel().memory_degraded(cfg))
     why = "memory budget forces the beam-limited serial search";

@@ -165,6 +165,7 @@ TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
       Session s = Session::t2();
       selection::SelectorConfig cfg;
       cfg.buffer_width = 32;
+      cfg.mode = selection::SearchMode::kMaximal;  // sharded at jobs 4
       cfg.kernel = mode;
       cfg.jobs = jobs;
       s.configure(cfg);

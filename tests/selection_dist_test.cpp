@@ -35,6 +35,17 @@ void expect_identical(const SelectionResult& a, const SelectionResult& b) {
   EXPECT_FALSE(b.partial);
 }
 
+/// Pins the sharded search the distributed engine farms out: the default
+/// knapsack search has no shards and runs in-process.
+Session maximal(Session s) {
+  s.config().mode = selection::SearchMode::kMaximal;
+  return s;
+}
+
+Session fig2() {
+  return maximal(Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow"));
+}
+
 DistConfig dist_config(std::size_t workers, const DistFaultProfile& faults) {
   DistConfig dist;
   dist.workers = workers;
@@ -89,19 +100,17 @@ void run_property_matrix(const std::function<Session()>& make,
 }
 
 TEST(DistPropertyTest, Fig2BitIdenticalUnderFaultMatrix) {
-  run_property_matrix(
-      [] { return Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow"); },
-      "fig2");
+  run_property_matrix([] { return fig2(); }, "fig2");
 }
 
 TEST(DistPropertyTest, UsbBitIdenticalUnderFaultMatrix) {
-  run_property_matrix([] { return Session::usb(); }, "usb");
+  run_property_matrix([] { return maximal(Session::usb()); }, "usb");
 }
 
 TEST(DistPropertyTest, T2BitIdenticalUnderFaultMatrix) {
   run_property_matrix(
       [] {
-        Session s = Session::t2();
+        Session s = maximal(Session::t2());
         s.scenario(1);
         return s;
       },
@@ -111,7 +120,7 @@ TEST(DistPropertyTest, T2BitIdenticalUnderFaultMatrix) {
 TEST(DistTest, RetriesObservableInMetricsRegistry) {
   obs::set_enabled(true);
   obs::reset();
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   DistFaultProfile faults;
   faults.kill_rate = 0.6;  // high enough that some dispatch draws a kill
   faults.seed = 7;
@@ -131,7 +140,7 @@ TEST(DistTest, RetriesObservableInMetricsRegistry) {
 TEST(DistTest, MergedTraceHasOneLanePerProcessParentedUnderCoordinator) {
   obs::set_enabled(true);
   obs::reset();
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   const auto r = session.run_distributed(dist_config(2, {}));
   EXPECT_FALSE(r.combination.messages.empty());
 
@@ -197,11 +206,11 @@ TEST(DistTest, KilledWorkersStillYieldWellFormedMergedTrace) {
   // simply absent, and the run's trace/metrics stay well-formed.
   obs::set_enabled(true);
   obs::reset();
-  Session reference = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session reference = fig2();
   const auto serial = reference.select();
   obs::reset();
 
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   DistFaultProfile faults;
   faults.kill_rate = 0.6;
   faults.seed = 7;
@@ -235,11 +244,10 @@ TEST(DistTest, BrokenWorkerBinaryDegradesToSalvageIdentically) {
   // death): every unit exhausts its retries and is salvaged in-process.
   // The result must still be bit-identical — graceful degradation, not an
   // abort.
-  Session reference =
-      Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session reference = fig2();
   const auto serial = reference.select();
 
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   DistConfig dist = dist_config(2, {});
   dist.worker_argv = {"/nonexistent/tracesel-worker-xyz", "--worker"};
   dist.max_retries = 1;
@@ -250,7 +258,7 @@ TEST(DistTest, BrokenWorkerBinaryDegradesToSalvageIdentically) {
 }
 
 TEST(DistTest, ZeroWorkersFallsBackInProcessWithNote) {
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   DistConfig dist;  // workers == 0, no argv
   const auto r = session.run_distributed(dist);
   EXPECT_FALSE(r.combination.messages.empty());
@@ -259,7 +267,7 @@ TEST(DistTest, ZeroWorkersFallsBackInProcessWithNote) {
 }
 
 TEST(DistTest, SequentialModesFallBackInProcess) {
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   session.config().mode = selection::SearchMode::kGreedy;
   const auto r = session.run_distributed(dist_config(2, {}));
   EXPECT_TRUE(r.degraded());
@@ -293,10 +301,9 @@ TEST(DistTest, FaultInjectorIsPureAndSeeded) {
 
 TEST(DistTest, UnitSizeOneStillMerges) {
   // Maximum fragmentation: every unit is a single seed.
-  Session reference =
-      Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session reference = fig2();
   const auto serial = reference.select();
-  Session session = Session::from_spec_file(TRACESEL_DATA_DIR "/fig2.flow");
+  Session session = fig2();
   DistConfig dist = dist_config(2, {});
   dist.unit_size = 1;
   expect_identical(serial, session.run_distributed(dist));

@@ -98,6 +98,7 @@ TEST(ParallelSelectorTest, SelectorDispatchesOnJobs) {
   const MessageSelector selector(fx.catalog, u);
   SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = SearchMode::kMaximal;
   cfg.jobs = 1;
   const auto reference = selector.select(cfg);
   for (const std::size_t jobs : {std::size_t{0}, std::size_t{4}}) {
@@ -128,6 +129,7 @@ TEST(ParallelSelectorTest, FlowConstraintHonoursJobs) {
   const MessageSelector selector(fx.catalog, u);
   SelectorConfig cfg;
   cfg.buffer_width = 3;
+  cfg.mode = SearchMode::kMaximal;
   cfg.jobs = 1;
   const auto reference = selector.select_with_flow_constraint(cfg);
   cfg.jobs = 4;
@@ -158,6 +160,7 @@ TEST(ParallelSelectorTest, ExternalPoolIsReused) {
   util::ThreadPool pool(3);
   SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = SearchMode::kMaximal;
   cfg.jobs = 1;
   const auto reference = serial.select(cfg);
   cfg.jobs = 4;  // ignored for sizing when a pool is passed
@@ -231,6 +234,7 @@ TEST(SessionTest, SpecSessionSelectsLikeSerialPath) {
   const MessageSelector selector(fx.catalog, u);
   SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = SearchMode::kMaximal;
   const auto reference = selector.select(cfg);
 
   // Build the same Fig. 2 pipeline through the facade.
@@ -242,6 +246,7 @@ TEST(SessionTest, SpecSessionSelectsLikeSerialPath) {
                                                    ack));
   auto fig2 = tracesel::Session::from_spec(std::move(spec));
   fig2.config().buffer_width = 2;
+  fig2.config().mode = SearchMode::kMaximal;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     fig2.jobs(jobs);
     expect_identical(reference, fig2.interleave(2).select());

@@ -42,6 +42,9 @@ JobRequest fig2_request(std::uint32_t buffer_width = 2) {
   req.spec = std::string(TRACESEL_DATA_DIR) + "/fig2.flow";
   req.instances = 2;
   req.buffer_width = buffer_width;
+  // A journalled daemon snapshots sharded searches under <dir>/ckpt/; the
+  // default knapsack search has no waves to snapshot.
+  req.mode = selection::SearchMode::kMaximal;
   return req;
 }
 

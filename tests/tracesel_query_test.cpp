@@ -15,6 +15,7 @@
 #include "tracesel/job_request.hpp"
 #include "tracesel/query_core.hpp"
 #include "util/cancel.hpp"
+#include "util/framing.hpp"
 
 namespace tracesel {
 namespace {
@@ -62,6 +63,42 @@ TEST(JobRequest, SerializeParseRoundTrip) {
   EXPECT_EQ(p.jobs, req.jobs);
   EXPECT_EQ(p.deadline_ms, req.deadline_ms);
   EXPECT_TRUE(p.same_computation(req));
+}
+
+TEST(JobRequest, OldDefaultMaximalRecordReplaysToTheSameBytes) {
+  // Journal records and wire requests written while `maximal` was the
+  // default search mode spell it out: serialize_job_request always writes
+  // the mode line, so making knapsack the default rewrites no existing
+  // record and needs no JobRequest::kVersion bump. Such a record must
+  // parse back to the maximal search and report the bytes it always did,
+  // which for this workload are also the new default's bytes.
+  const std::string old_record = util::encode_envelope(
+      "tracesel-job", 1,
+      "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
+          "/fig2.flow\ninstances 2\nsymmetry_reduction 1\n"
+          "max_nodes 2000000\nbuffer_width 2\nmode maximal\npacking 1\n"
+          "max_combinations 4194304\nmem_budget_mb 0\njobs 1\n"
+          "deadline_ms 0\nkernel compiled\ntrace_id 0\nparent_span_id 0\n"
+          "tenant -\nspec_text 0\n\nend\n");
+  const auto parsed = parse_job_request(old_record);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().mode, selection::SearchMode::kMaximal);
+  EXPECT_EQ(serialize_job_request(parsed.value()), old_record);
+
+  JobRequest maximal = fig2_request();
+  maximal.mode = selection::SearchMode::kMaximal;
+  EXPECT_EQ(fig2_request().mode, selection::SearchMode::kKnapsack);
+  const auto report = [](const JobRequest& req) {
+    const auto r = QueryCore::run(req, nullptr, {});
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? selection::to_json(*r.value().workload->catalog,
+                                       *r.value().result)
+                        .dump(2)
+                  : std::string();
+  };
+  const std::string replayed = report(parsed.value());
+  EXPECT_EQ(replayed, report(maximal));
+  EXPECT_EQ(replayed, report(fig2_request()));
 }
 
 TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {

@@ -363,6 +363,7 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   auto session = Session::from_spec_text(kFig2Spec);
   selection::SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = selection::SearchMode::kMaximal;  // the step1/step2 spans
   cfg.trace_out = trace_path;
   cfg.metrics_out = metrics_path;
   session.configure(cfg);
@@ -399,6 +400,45 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
 
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
+  auto session = Session::from_spec_text(kFig2Spec);
+  session.interleave(2);
+  const selection::MessageSelector selector(session.catalog(),
+                                            session.interleaving());
+  const auto count = [](const char* name) {
+    return obs::registry().counter_value(name);
+  };
+
+  // Every scored combination is one gain evaluation, on the serial path,
+  // the sharded one (whose compiled walk scores through GainCursor rather
+  // than info_gain) and under either kernel.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    for (const flow::KernelMode kernel :
+         {flow::KernelMode::kCompiled, flow::KernelMode::kGeneric}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs));
+      obs::reset();
+      selection::SelectorConfig cfg;
+      cfg.buffer_width = 2;
+      cfg.mode = selection::SearchMode::kMaximal;
+      cfg.jobs = jobs;
+      cfg.kernel = kernel;
+      (void)selector.select(cfg);
+      EXPECT_GT(count("selection.combinations"), 0u);
+      EXPECT_GE(count("selection.gain.evals"),
+                count("selection.combinations"));
+    }
+  }
+
+  // The knapsack DP fills one cell per candidate and width 0..buffer.
+  obs::reset();
+  selection::SelectorConfig cfg;
+  cfg.buffer_width = 2;
+  (void)selector.select(cfg);
+  EXPECT_EQ(count("selection.knapsack.cells"),
+            selector.candidates().size() * 3);
+  EXPECT_EQ(count("selection.combinations"), 0u);
 }
 
 TEST_F(ObsTest, WriteObservabilityIsNoOpWithoutSinks) {

@@ -4,7 +4,10 @@
 //   tracesel select  <spec.flow> [options]           run message selection
 //       --buffer N       trace buffer width in bits   (default 32)
 //       --instances K    indexed instances per flow   (default 2)
-//       --mode M         maximal|exhaustive|greedy|knapsack
+//       --mode M         knapsack|exhaustive|maximal|greedy (default
+//                        knapsack: the exact Step 2 optimum in
+//                        O(messages x width); exhaustive and maximal are
+//                        the exponential searches, greedy the ablation)
 //       --no-packing     disable Step 3
 //       --jobs N         worker threads (1 serial, 0 = all cores)
 //       --kernel M       compiled|generic scoring/DP engine (default
@@ -14,7 +17,9 @@
 //       --no-symmetry-reduction   materialize every product state instead
 //                        of one weighted representative per orbit
 //       --max-nodes N    materialized node budget (default 2e6)
-//     resilience (docs/resilience.md):
+//     resilience (docs/resilience.md); --checkpoint, --checkpoint-interval
+//     and --shard-budget drive the sharded search and need
+//     --mode maximal|exhaustive (--resume takes the mode from its file):
 //       --checkpoint FILE          periodically snapshot the search; an
 //                        interrupted run resumes from FILE bit-identically
 //       --checkpoint-interval N    shards per snapshot       (default 64)
@@ -25,7 +30,7 @@
 //       --mem-budget-mb N   degrade (never abort) when the interleaving or
 //                        the Step 2 search would exceed N MiB
 //       --shard-budget N    explore at most N shards, then stop partial
-//     distributed (docs/distributed.md):
+//     distributed (docs/distributed.md; --mode maximal|exhaustive only):
 //       --workers N      farm the search to N worker processes (this
 //                        binary re-invoked as `tracesel --worker`);
 //                        bit-identical to the in-process result
@@ -195,14 +200,16 @@ int usage() {
   std::cerr << "usage:\n"
                "  tracesel inspect <spec.flow>\n"
                "  tracesel select <spec.flow> [--buffer N] [--instances K]"
-               " [--mode maximal|exhaustive|greedy|knapsack] [--no-packing]"
+               " [--mode knapsack(default)|exhaustive|maximal|greedy]"
+               " [--no-packing]"
                " [--jobs N] [--kernel compiled|generic] [--json]\n"
                "                 [--no-symmetry-reduction] [--max-nodes N]\n"
-               "                 [--checkpoint FILE] [--checkpoint-interval N]"
-               " [--resume FILE]\n"
                "                 [--deadline-ms N] [--mem-budget-mb N]"
-               " [--shard-budget N]\n"
-               "                 [--workers N] [--unit-size N]"
+               " [--resume FILE]\n"
+               "                 with --mode maximal|exhaustive only:"
+               " [--checkpoint FILE] [--checkpoint-interval N]\n"
+               "                 [--shard-budget N]"
+               " [--workers N] [--unit-size N]"
                " [--unit-deadline-ms N] [--max-retries N]\n"
                "                 [--dist-kill-rate R] [--dist-hang-rate R]"
                " [--dist-corrupt-rate R] [--dist-fault-seed N]\n"
@@ -283,6 +290,7 @@ int cmd_select(int argc, char** argv) {
   std::string spec_path, resume_path;
   std::string structural_flag;  // first structural flag seen, for diagnostics
   bool checkpoint_given = false;
+  std::string sharded_flag;  // first flag only the sharded search honours
   std::uint64_t deadline_ms = 0;
   selection::DistConfig dist;
   for (int i = 0; i < argc; ++i) {
@@ -294,6 +302,13 @@ int cmd_select(int argc, char** argv) {
     auto structural = [&]() {
       if (structural_flag.empty()) structural_flag = arg;
     };
+    if (sharded_flag.empty() &&
+        (arg == "--checkpoint" || arg == "--checkpoint-interval" ||
+         arg == "--shard-budget" ||
+         arg == "--workers" || arg == "--unit-size" ||
+         arg == "--unit-deadline-ms" || arg == "--max-retries" ||
+         arg.starts_with("--dist-")))
+      sharded_flag = arg;
     if (arg == "--buffer") { structural(); cfg.buffer_width = std::stoul(next()); }
     else if (arg == "--instances") { structural(); instances = std::stoul(next()); }
     else if (arg == "--no-packing") { structural(); cfg.packing = false; }
@@ -346,6 +361,16 @@ int cmd_select(int argc, char** argv) {
       throw std::runtime_error("unknown option '" + arg + "'");
     }
   }
+
+  // The knapsack and greedy searches have no shards to checkpoint, budget
+  // or farm out; refuse the flags instead of silently ignoring them. A
+  // --resume run takes its mode from the checkpoint, always a sharded one.
+  if (!sharded_flag.empty() && resume_path.empty() &&
+      !selection::is_sharded(cfg.mode))
+    throw std::runtime_error(
+        sharded_flag + " needs the sharded search: add --mode "
+        "maximal|exhaustive (the " + std::string(to_string(cfg.mode)) +
+        " search has no shards)");
 
   // Thread the global sinks through the config so the Session plumbing is
   // the same one embedding applications use; main() performs the writes.

@@ -5,7 +5,7 @@
 // edges, concrete product sizes, build wall-clock and process peak RSS per
 // row; results land in BENCH_interleave.json for CI trend tracking.
 //
-// Beyond the numbers the bench is a check (bench_parallel contract): it
+// Beyond the numbers the bench is a check: it
 // exits nonzero unless
 //   * at >= 3 instances/flow the reduced engine materializes >= 4x fewer
 //     nodes and builds >= 2x faster than the unreduced product, and

@@ -13,8 +13,7 @@
 // For each, the bench pre-enumerates the fitting combinations of the
 // Step 1 space (up to a cap), then times the Step 2 gain-scoring loop
 // under the generic engine (per-message hash-map lookups) and the
-// compiled kernel (dense per-spec contribution table + O(1) incremental
-// GainCursor). The bench is a gate, not just a report: it exits nonzero
+// compiled kernel (dense per-spec contribution table). The bench is a gate, not just a report: it exits nonzero
 // unless (a) every compiled gain is bit-identical to the generic one and
 // (b) the compiled scoring loop is at least 2x faster. Informational rows
 // cover the kernel compile itself and the full select() pipeline.
@@ -144,23 +143,6 @@ int run_workload(const std::string& name, Session& session,
     if (gains_generic[i] != gains_compiled[i]) bit_identical = false;
   const double speedup = generic_ms / compiled_ms;
 
-  // The enumeration-walk variant: GainCursor scores each combination by
-  // pushing its messages and reading the prefix-sum top — the access
-  // pattern of the sharded Step 2 search.
-  double cursor_checksum = 0.0;
-  const double cursor_ms = best_of_ms(5, [&] {
-    selection::GainCursor cursor(engine);
-    double acc = 0.0;
-    for (std::size_t r = 0; r < reps; ++r)
-      for (std::size_t i = 0; i < combos.size(); ++i) {
-        for (flow::MessageId m : combos[i]) cursor.push(m);
-        acc += cursor.gain();
-        for (std::size_t k = combos[i].size(); k > 0; --k) cursor.pop();
-      }
-    cursor_checksum = acc;
-  });
-  (void)cursor_checksum;
-
   // --- informational: the full pipeline under both modes ---
   session.config().kernel = flow::KernelMode::kGeneric;
   auto ref = session.select();
@@ -177,8 +159,6 @@ int run_workload(const std::string& name, Session& session,
                  "1.00", "ref"});
   table.add_row({"Step 2 scoring, compiled", util::fixed(compiled_ms, 2),
                  util::fixed(speedup, 2), bit_identical ? "yes" : "NO"});
-  table.add_row({"Step 2 scoring, GainCursor", util::fixed(cursor_ms, 2),
-                 util::fixed(generic_ms / cursor_ms, 2), "-"});
   table.add_row({"select() end-to-end, generic",
                  util::fixed(select_generic_ms, 2), "1.00", "ref"});
   table.add_row({"select() end-to-end, compiled",
@@ -220,7 +200,6 @@ int run_workload(const std::string& name, Session& session,
   };
   record("step2_generic", generic_ms, 1.0, true);
   record("step2_compiled", compiled_ms, speedup, bit_identical);
-  record("step2_cursor", cursor_ms, generic_ms / cursor_ms, true);
   record("select_generic", select_generic_ms, 1.0, true);
   record("select_compiled", select_compiled_ms,
          select_generic_ms / select_compiled_ms, select_identical);

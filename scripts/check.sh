@@ -6,12 +6,11 @@
 #     deliberately feed the pipeline garbled data) show up here long before
 #     they would corrupt a real debugging session.
 #  2. ThreadSanitizer over the concurrency surface: the thread-pool unit
-#     tests, the sharded obs metrics registry, the parallel selection
-#     engine, the Monte-Carlo trial fan-out and the Session facade, the
-#     cancellation / checkpoint-resume races (Resilience, KillResume,
+#     tests, the sharded obs metrics registry, the Monte-Carlo trial
+#     fan-out and the Session facade, the cancellation races (Resilience,
 #     CancelToken), the query layer's shared ArtifactStore and the
 #     traceseld daemon's multi-tenant job handling (Query, ArtifactStore,
-#     Service), plus the --jobs CLI smoke tests.
+#     Service), plus the --jobs CLI smoke test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,4 +26,4 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DTRACESEL_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Kernel|Parallel|MonteCarlo|Session|Obs|Resilience|KillResume|CancelToken|ArtifactStore|QueryCore|Service|Framing|cli_select_jobs|cli_debug_jobs'
+    -R 'ThreadPool|Kernel|MonteCarlo|Session|Obs|Resilience|CancelToken|ArtifactStore|QueryCore|Service|Framing|cli_debug_jobs'

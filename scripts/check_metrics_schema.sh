@@ -34,10 +34,10 @@ doc_names=$(grep -hoE '`[a-z0-9._/]+`' "${DOCS[@]}" | tr -d '`' |
 fail=0
 
 # 1. Docs must not name metrics the source no longer emits.
-prefixes='^(flow|parse|interleave|selection|kernel|store|session|debug|pool|process|dist|svc|resilience)\.'
+prefixes='^(flow|parse|interleave|selection|kernel|store|session|debug|pool|process|svc|resilience)\.'
 for name in $doc_names; do
   echo "$name" | grep -qE "$prefixes" || continue
-  # Family rows (`dist.`), file paths, derived/service-computed keys and
+  # Family rows (`svc.`), file paths, derived/service-computed keys and
   # span mirrors are not OBS_* sites.
   case "$name" in
     *.) continue ;;
@@ -47,8 +47,7 @@ for name in $doc_names; do
     interleave.build|interleave.graph|interleave.weights|\
     interleave.cross_check|\
     kernel.compile|kernel.exec|debug.workbench|debug.simulate|\
-    debug.capture|debug.root_cause|debug.localize|selection.dist.run|\
-    dist.unit|svc.job)
+    debug.capture|debug.root_cause|debug.localize|svc.job)
       continue ;;  # span names
   esac
   if ! echo "$emitted" | grep -qxF "$name"; then

@@ -20,9 +20,9 @@ namespace tracesel::debug {
 struct CaseStudyOptions {
   std::uint32_t buffer_width = 32;  ///< Table 3 assumes 32 bits
   bool packing = true;
-  /// Worker threads for the selection step (SelectorConfig::jobs
-  /// semantics: 1 serial, 0 = hardware threads). Results are identical
-  /// for every value.
+  /// Forwarded to the selection step as SelectorConfig::jobs (1 serial,
+  /// 0 = hardware threads). That search is serial, so no value changes
+  /// the work done or the result.
   std::size_t jobs = 1;
   std::uint32_t sessions = 4;   ///< test repetitions per run
   std::uint64_t seed = 2018;

@@ -41,8 +41,8 @@ util::Json to_json(const flow::MessageCatalog& catalog,
   obj.set("buffer_width",
           util::Json::number(std::uint64_t{result.buffer_width}));
   obj.set("utilization", util::Json::number(result.utilization()));
-  // Resilience fields are emitted unconditionally so a resumed run's JSON
-  // diffs clean against an uninterrupted one (docs/resilience.md).
+  // Resilience fields are emitted unconditionally so every report has the
+  // same schema, interrupted or not (docs/resilience.md).
   obj.set("partial", util::Json::boolean(result.partial));
   obj.set("explored_fraction", util::Json::number(result.explored_fraction));
   obj.set("degradation", util::Json::string(result.degradation));

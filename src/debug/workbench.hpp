@@ -32,8 +32,8 @@ namespace tracesel::debug {
 struct WorkbenchConfig {
   std::uint32_t buffer_width = 32;
   bool packing = true;
-  /// Worker threads for the selection step (SelectorConfig::jobs
-  /// semantics); selection output is identical for every value.
+  /// Forwarded to the selection step as SelectorConfig::jobs; that search
+  /// is serial, so selection output is identical for every value.
   std::size_t jobs = 1;
   std::uint32_t instances_per_flow = 2;
   std::uint32_t sessions = 4;

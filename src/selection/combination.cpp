@@ -20,6 +20,9 @@ struct EnumState {
   std::uint32_t budget;
   std::size_t max_results;
   bool maximal_only;
+  const util::CancelToken& cancel;
+  std::size_t visited = 0;
+  bool stopped = false;
   std::vector<flow::MessageId> current;
   std::uint32_t current_width = 0;
   std::vector<Combination>* out;
@@ -38,12 +41,16 @@ bool is_maximal(const EnumState& st) {
 }
 
 void enumerate(EnumState& st, std::size_t next) {
+  if (st.visited++ % kCancelPollStride == 0 && st.cancel.cancelled()) {
+    st.stopped = true;
+    return;
+  }
   if (!st.current.empty()) {
     if (!st.maximal_only || is_maximal(st)) {
       if (st.out->size() >= st.max_results)
         throw std::length_error(
-            "enumerate_combinations: result cap exceeded; use "
-            "maximal/greedy enumeration for large message sets");
+            "enumerate_combinations: result cap exceeded; use the "
+            "knapsack search for large message sets");
       Combination c{st.current, st.current_width};
       std::sort(c.messages.begin(), c.messages.end());
       st.out->push_back(std::move(c));
@@ -58,13 +65,15 @@ void enumerate(EnumState& st, std::size_t next) {
     enumerate(st, i + 1);
     st.current.pop_back();
     st.current_width -= w;
+    if (st.stopped) return;
   }
 }
 
 std::vector<Combination> run(const flow::MessageCatalog& catalog,
                              std::span<const flow::MessageId> candidates,
                              std::uint32_t budget, std::size_t max_results,
-                             bool maximal_only) {
+                             bool maximal_only,
+                             const util::CancelToken& cancel) {
   // Reject duplicate candidates up front — a set semantics violation.
   std::vector<flow::MessageId> sorted(candidates.begin(), candidates.end());
   std::sort(sorted.begin(), sorted.end());
@@ -73,8 +82,8 @@ std::vector<Combination> run(const flow::MessageCatalog& catalog,
         "enumerate_combinations: duplicate candidate message");
 
   std::vector<Combination> out;
-  EnumState st{catalog, candidates, budget, max_results, maximal_only,
-               {},      0,          &out};
+  EnumState st{catalog, candidates, budget, max_results, maximal_only, cancel,
+               0,       false,      {},     0,           &out};
   enumerate(st, 0);
   return out;
 }
@@ -84,15 +93,17 @@ std::vector<Combination> run(const flow::MessageCatalog& catalog,
 std::vector<Combination> enumerate_combinations(
     const flow::MessageCatalog& catalog,
     std::span<const flow::MessageId> candidates, std::uint32_t budget,
-    std::size_t max_results) {
-  return run(catalog, candidates, budget, max_results, /*maximal_only=*/false);
+    std::size_t max_results, const util::CancelToken& cancel) {
+  return run(catalog, candidates, budget, max_results, /*maximal_only=*/false,
+             cancel);
 }
 
 std::vector<Combination> enumerate_maximal_combinations(
     const flow::MessageCatalog& catalog,
     std::span<const flow::MessageId> candidates, std::uint32_t budget,
-    std::size_t max_results) {
-  return run(catalog, candidates, budget, max_results, /*maximal_only=*/true);
+    std::size_t max_results, const util::CancelToken& cancel) {
+  return run(catalog, candidates, budget, max_results, /*maximal_only=*/true,
+             cancel);
 }
 
 }  // namespace tracesel::selection

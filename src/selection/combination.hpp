@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "flow/message.hpp"
+#include "util/cancel.hpp"
 
 namespace tracesel::selection {
 
@@ -22,24 +23,31 @@ struct Combination {
   friend bool operator==(const Combination&, const Combination&) = default;
 };
 
+/// The exponential walks poll their cancel token once per this many
+/// visited nodes (or scored combinations), keeping the clock read of a
+/// deadline token off the per-node path.
+inline constexpr std::size_t kCancelPollStride = 1024;
+
 /// Enumerates every nonempty subset of `candidates` with total width
 /// <= `budget` (Sec. 3.1). Exhaustive — exponential in candidates.size();
 /// throws std::length_error if more than `max_results` combinations qualify,
-/// directing callers to the maximal/greedy variants for large message sets.
+/// directing callers to the knapsack search for large message sets. When
+/// `cancel` fires the walk stops and returns what it found so far.
 std::vector<Combination> enumerate_combinations(
     const flow::MessageCatalog& catalog,
     std::span<const flow::MessageId> candidates, std::uint32_t budget,
-    std::size_t max_results = 1u << 22);
+    std::size_t max_results = 1u << 22, const util::CancelToken& cancel = {});
 
 /// Enumerates only *maximal* fitting combinations: those to which no further
 /// candidate can be added without exceeding the budget. Because mutual
 /// information gain is monotone under adding messages (each indexed message
 /// contributes a nonnegative relative-entropy term), the Step 2 optimum is
 /// always maximal, so searching these is lossless and much cheaper.
+/// Cancellation as for enumerate_combinations.
 std::vector<Combination> enumerate_maximal_combinations(
     const flow::MessageCatalog& catalog,
     std::span<const flow::MessageId> candidates, std::uint32_t budget,
-    std::size_t max_results = 1u << 22);
+    std::size_t max_results = 1u << 22, const util::CancelToken& cancel = {});
 
 /// Sum of widths helper used by both enumerators.
 std::uint32_t combination_width(const flow::MessageCatalog& catalog,

@@ -61,7 +61,7 @@ class InfoGainEngine {
                               flow::KernelMode mode) const;
 
   /// Dense contribution table indexed by MessageId (+0.0 for ids labeling
-  /// no edge); what the compiled Step-2 kernel and GainCursor read.
+  /// no edge); what the compiled Step-2 kernel reads.
   const std::vector<double>& message_table() const { return dense_; }
 
   /// Upper bound on the gain any combination can reach on this flow
@@ -79,35 +79,6 @@ class InfoGainEngine {
   // contrib_by_message_ flattened into a MessageId-indexed array.
   std::vector<double> dense_;
   double total_gain_ = 0.0;
-};
-
-/// Incremental Step-2 scorer for enumeration walks (the compiled kernel's
-/// hot loop): maintains the exact left-to-right prefix sums of the current
-/// combination's per-message contributions as a stack, so scoring after a
-/// push/pop is O(1) instead of O(|combination|) — and the top of the stack
-/// is bit-identical to info_gain(current) because it *is* the same
-/// summation, merely not re-run from scratch.
-class GainCursor {
- public:
-  explicit GainCursor(const InfoGainEngine& engine)
-      : table_(&engine.message_table()) {
-    sums_.reserve(64);
-    sums_.push_back(0.0);
-  }
-
-  void push(flow::MessageId m) {
-    const double c = m < table_->size() ? (*table_)[m] : 0.0;
-    sums_.push_back(sums_.back() + c);
-  }
-  void pop() { sums_.pop_back(); }
-
-  /// Gain of the pushed-so-far combination, in push order.
-  double gain() const { return sums_.back(); }
-  std::size_t depth() const { return sums_.size() - 1; }
-
- private:
-  const std::vector<double>* table_;
-  std::vector<double> sums_;  ///< sums_[d] = gain of the first d pushes
 };
 
 }  // namespace tracesel::selection

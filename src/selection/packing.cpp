@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "selection/gain_memo.hpp"
-
 namespace tracesel::selection {
 
 std::vector<flow::MessageId> observable_messages(
@@ -21,13 +19,12 @@ PackingResult pack_leftover(const flow::MessageCatalog& catalog,
                             const Combination& base,
                             std::uint32_t buffer_width,
                             const std::vector<flow::MessageId>& candidates,
-                            GainMemo* memo, flow::KernelMode mode) {
+                            flow::KernelMode mode) {
   if (base.width > buffer_width)
     throw std::invalid_argument("pack_leftover: base exceeds buffer width");
 
   const auto score = [&](std::span<const flow::MessageId> set) {
-    return memo ? memo->gain(engine, set, mode)
-                : engine.info_gain(set, mode);
+    return engine.info_gain(set, mode);
   };
 
   PackingResult result;

@@ -36,24 +36,19 @@ struct PackingResult {
   double gain_after = 0.0;  ///< I(X;Y) of base union packed parents
 };
 
-class GainMemo;
-
 /// Packs subgroups of messages not in `base` into the leftover
 /// buffer_width - base.width bits. Only subgroups of `candidates` (the
 /// participating flows' alphabet — pass MessageSelector::candidates()) are
 /// considered, and only while each addition strictly increases the
 /// information gain; tracing bits that observe nothing is worse than
 /// leaving them free. Throws std::invalid_argument if the base already
-/// exceeds the buffer. A non-null `memo` caches per-combination gains
-/// (shared with the Step 2 search); hits return the exact double a
-/// recomputation would, so results are unchanged. `mode` picks the scoring
-/// kernel (both produce the same bits).
+/// exceeds the buffer. `mode` picks the scoring kernel (both produce the
+/// same bits).
 PackingResult pack_leftover(const flow::MessageCatalog& catalog,
                             const InfoGainEngine& engine,
                             const Combination& base,
                             std::uint32_t buffer_width,
                             const std::vector<flow::MessageId>& candidates,
-                            GainMemo* memo = nullptr,
                             flow::KernelMode mode = flow::KernelMode::kGeneric);
 
 /// The message ids observable after packing: base messages plus parents of

@@ -4,9 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "selection/gain_memo.hpp"
 #include "selection/knapsack.hpp"
-#include "selection/parallel_selector.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel::selection {
@@ -28,22 +26,27 @@ Combination MessageSelector::search_exhaustive(const SelectorConfig& config,
   {
     OBS_SPAN("selection.step1.enumerate");
     combos = maximal_only
-                 ? enumerate_maximal_combinations(*catalog_, candidates_,
-                                                  config.buffer_width,
-                                                  config.max_combinations)
+                 ? enumerate_maximal_combinations(
+                       *catalog_, candidates_, config.buffer_width,
+                       config.max_combinations, config.cancel)
                  : enumerate_combinations(*catalog_, candidates_,
                                           config.buffer_width,
-                                          config.max_combinations);
+                                          config.max_combinations,
+                                          config.cancel);
   }
   OBS_COUNT("selection.combinations", combos.size());
-  if (combos.empty())
+  if (combos.empty() && !config.cancel.cancelled())
     throw std::runtime_error(
         "MessageSelector: no message fits the trace buffer");
 
   OBS_SPAN("selection.step2.score");
   const Combination* best = nullptr;
   double best_gain = -1.0;
-  for (const Combination& c : combos) {
+  for (std::size_t i = 0; i < combos.size(); ++i) {
+    // Cooperative cancel every kCancelPollStride combinations: the best
+    // of the scored prefix is a valid (partial) result.
+    if (i % kCancelPollStride == 0 && config.cancel.cancelled()) break;
+    const Combination& c = combos[i];
     const double g = engine_.info_gain(c.messages, config.kernel);
     // Highest gain wins; ties prefer the narrower combination (more room
     // for Step 3 packing), then lexicographic for determinism.
@@ -57,7 +60,7 @@ Combination MessageSelector::search_exhaustive(const SelectorConfig& config,
       best_gain = g;
     }
   }
-  return *best;
+  return best ? *best : Combination{};  // empty: cancelled before scoring
 }
 
 Combination MessageSelector::search_greedy(const SelectorConfig& config) const {
@@ -123,105 +126,14 @@ Combination MessageSelector::search_knapsack(
   return best;  // empty: cancelled, a partial result
 }
 
-double MessageSelector::estimate_search_bytes(
-    const SelectorConfig& config) const {
-  // Number of fitting subsets via a counting knapsack DP over the candidate
-  // widths — pure arithmetic on the candidate set, so every run of the same
-  // spec reaches the same verdict (determinism of the budget decision).
-  // Each materialized Combination costs roughly a vector header + a handful
-  // of 4-byte ids; 64 bytes is the round, documented estimate.
-  std::vector<double> dp(config.buffer_width + 1, 0.0);
-  dp[0] = 1.0;
-  for (flow::MessageId m : candidates_) {
-    const std::uint32_t w = catalog_->get(m).trace_width();
-    if (w == 0 || w > config.buffer_width) continue;
-    for (std::uint32_t cap = config.buffer_width; cap >= w; --cap)
-      dp[cap] += dp[cap - w];
-  }
-  double count = -1.0;  // exclude the empty set
-  for (double c : dp) count += c;
-  count = std::min(count, static_cast<double>(config.max_combinations));
-  return std::max(count, 0.0) * 64.0;
-}
-
-Combination MessageSelector::search_beam(const SelectorConfig& config,
-                                         std::size_t beam_width) const {
-  OBS_SPAN("selection.search.beam");
-  struct Entry {
-    double gain = -1.0;
-    Combination combo;
-    std::size_t last = 0;  ///< index of the last candidate added
-  };
-  // The exhaustive search's strict total order, reused as the beam rank.
-  const auto better = [](const Entry& a, const Entry& b) {
-    if (a.gain != b.gain) return a.gain > b.gain;
-    if (a.combo.width != b.combo.width) return a.combo.width < b.combo.width;
-    return a.combo.messages < b.combo.messages;
-  };
-
-  const std::size_t n = candidates_.size();
-  std::vector<std::uint32_t> widths(n);
-  for (std::size_t i = 0; i < n; ++i)
-    widths[i] = catalog_->get(candidates_[i]).trace_width();
-
-  std::vector<Entry> beam;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (widths[i] > config.buffer_width) continue;
-    Entry e;
-    e.combo.messages = {candidates_[i]};
-    e.combo.width = widths[i];
-    e.last = i;
-    e.gain = engine_.info_gain(e.combo.messages, config.kernel);
-    beam.push_back(std::move(e));
-  }
-
-  Entry best;
-  bool have_best = false;
-  while (!beam.empty()) {
-    std::sort(beam.begin(), beam.end(), better);
-    if (beam.size() > beam_width) beam.resize(beam_width);
-    for (const Entry& e : beam) {
-      if (!have_best || better(e, best)) {
-        best = e;
-        have_best = true;
-      }
-    }
-    if (config.cancel.cancelled()) break;  // best-so-far is the answer
-    // Level-synchronous expansion: children extend with strictly larger
-    // candidate indices, so no combination is generated twice.
-    std::vector<Entry> next;
-    for (const Entry& e : beam) {
-      for (std::size_t i = e.last + 1; i < n; ++i) {
-        if (e.combo.width + widths[i] > config.buffer_width) continue;
-        Entry c;
-        c.combo.messages = e.combo.messages;
-        c.combo.messages.push_back(candidates_[i]);
-        c.combo.width = e.combo.width + widths[i];
-        c.last = i;
-        c.gain = engine_.info_gain(c.combo.messages, config.kernel);
-        next.push_back(std::move(c));
-      }
-    }
-    beam = std::move(next);
-  }
-  if (!have_best) {
-    if (config.cancel.cancelled()) return Combination{};  // empty partial
-    throw std::runtime_error(
-        "MessageSelector: no message fits the trace buffer");
-  }
-  return std::move(best.combo);
-}
-
 SelectionResult MessageSelector::finalize(Combination combination,
-                                          const SelectorConfig& config,
-                                          GainMemo* memo) const {
+                                          const SelectorConfig& config) const {
   SelectionResult result;
   result.buffer_width = config.buffer_width;
   result.combination = std::move(combination);
 
   result.gain_unpacked =
-      memo ? memo->gain(engine_, result.combination.messages, config.kernel)
-           : engine_.info_gain(result.combination.messages, config.kernel);
+      engine_.info_gain(result.combination.messages, config.kernel);
   result.coverage_unpacked =
       flow_spec_coverage(*u_, result.combination.messages);
   result.used_width = result.combination.width;
@@ -230,7 +142,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
     OBS_SPAN("selection.step3.packing");
     PackingResult packing =
         pack_leftover(*catalog_, engine_, result.combination,
-                      config.buffer_width, candidates_, memo, config.kernel);
+                      config.buffer_width, candidates_, config.kernel);
     OBS_COUNT("selection.packed", packing.packed.size());
     result.packed = std::move(packing.packed);
     result.used_width += packing.width_added;
@@ -244,57 +156,6 @@ SelectionResult MessageSelector::finalize(Combination combination,
 
 SelectionResult MessageSelector::select(const SelectorConfig& config) const {
   OBS_SPAN("selection.select");
-  const bool searchable = is_sharded(config.mode);
-
-  // Memory budget first — and before the parallel routing, so the
-  // ParallelSelector's over-budget delegation back to this serial path
-  // lands on the beam and cannot bounce back (no routing recursion).
-  if (searchable && config.mem_budget_mb > 0 &&
-      estimate_search_bytes(config) >
-          static_cast<double>(config.mem_budget_mb) * (1u << 20)) {
-    // 64 beam slots per budgeted MiB: deterministic, and each slot is a
-    // bounded Combination, so the beam respects the budget by orders of
-    // magnitude.
-    const std::size_t beam_width =
-        std::clamp<std::size_t>(config.mem_budget_mb * 64, 16, 1u << 16);
-    const std::string note =
-        "step2: beam-limited search (beam " + std::to_string(beam_width) +
-        ") under the " + std::to_string(config.mem_budget_mb) +
-        " MiB memory budget";
-    OBS_COUNT("resilience.degradations", 1);
-    Combination combo = search_beam(config, beam_width);
-    if (combo.messages.empty()) {  // cancelled before anything was scored
-      SelectionResult r;
-      r.buffer_width = config.buffer_width;
-      r.partial = true;
-      r.explored_fraction = 0.0;
-      r.degradation = note;
-      return r;
-    }
-    const bool cancelled = config.cancel.cancelled();
-    SelectionResult result = finalize(std::move(combo), config, nullptr);
-    result.degradation = note;
-    if (cancelled) {
-      result.partial = true;
-      result.explored_fraction = 0.0;
-    }
-    return result;
-  }
-
-  // The exhaustive/maximal search parallelizes cleanly (the engine is
-  // const after construction); jobs != 1 routes it through the parallel
-  // engine, which produces bit-identical results for every worker count.
-  // Any resilience feature routes there too (even at jobs == 1): the
-  // sharded wave engine is what implements cancellation granularity,
-  // checkpoints, resume and shard budgets.
-  const bool resilient = config.cancel.valid() ||
-                         !config.checkpoint_path.empty() ||
-                         config.resume_from != nullptr ||
-                         config.shard_budget > 0;
-  if (searchable && (config.jobs != 1 || resilient)) {
-    return ParallelSelector(*this).select(config);
-  }
-
   Combination combination;
   switch (config.mode) {
     case SearchMode::kExhaustive:
@@ -311,16 +172,17 @@ SelectionResult MessageSelector::select(const SelectorConfig& config) const {
       break;
   }
   const bool cancelled = config.cancel.cancelled();
+  if (cancelled) OBS_COUNT("resilience.cancelled_searches", 1);
   if (combination.messages.empty()) {
-    // Only the cancel-aware searches return empty (they throw otherwise):
-    // a well-formed empty partial result.
+    // The searches return empty only when cancelled (they throw
+    // otherwise): a well-formed empty partial result.
     SelectionResult result;
     result.buffer_width = config.buffer_width;
     result.partial = true;
     result.explored_fraction = 0.0;
     return result;
   }
-  SelectionResult result = finalize(std::move(combination), config, nullptr);
+  SelectionResult result = finalize(std::move(combination), config);
   if (cancelled) {
     result.partial = true;
     result.explored_fraction = 0.0;
@@ -418,8 +280,7 @@ SelectionResult MessageSelector::select_with_flow_constraint(
   if (config.packing) {
     PackingResult packing =
         pack_leftover(*catalog_, engine_, result.combination,
-                      config.buffer_width, candidates_, nullptr,
-                      config.kernel);
+                      config.buffer_width, candidates_, config.kernel);
     result.packed = std::move(packing.packed);
     result.used_width = result.combination.width + packing.width_added;
     result.gain = packing.gain_after;

@@ -22,7 +22,9 @@ constexpr char kRecordTag[] = "tracesel-jrec";
 constexpr std::uint32_t kRecordVersion = 1;
 constexpr char kJournalName[] = "jobs.journal";
 constexpr char kResultTag[] = "tracesel-result";
-constexpr std::uint32_t kResultVersion = 1;
+/// 2: version-1 entries may hold beam-degraded `--mem-budget-mb` reports
+/// of a search that now always runs exactly, so they must not be served.
+constexpr std::uint32_t kResultVersion = 2;
 /// A journal bigger than this is itself suspect; replay reads it whole.
 constexpr std::size_t kMaxJournalBytes = 256u << 20;
 constexpr std::size_t kMaxResultBytes = 64u << 20;
@@ -116,10 +118,6 @@ std::string JobJournal::path() const {
   return options_.dir + "/" + kJournalName;
 }
 
-std::string JobJournal::checkpoint_path(std::uint64_t result_key) const {
-  return options_.dir + "/ckpt/" + hex64(result_key) + ".ck";
-}
-
 std::string JobJournal::result_path(std::uint64_t result_key) const {
   return options_.dir + "/results/" + hex64(result_key) + ".result";
 }
@@ -147,7 +145,6 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
                   "journal: no directory given");
   options_ = std::move(options);
   if (auto st = make_dir(options_.dir); !st.ok()) return st.error();
-  if (auto st = make_dir(options_.dir + "/ckpt"); !st.ok()) return st.error();
   if (auto st = make_dir(options_.dir + "/results"); !st.ok())
     return st.error();
 

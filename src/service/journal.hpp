@@ -51,7 +51,7 @@ namespace tracesel::service {
 
 struct JournalOptions {
   /// Directory holding the journal and its side artifacts. open() creates
-  /// it (plus the ckpt/ and results/ subdirectories) when absent.
+  /// it (plus the results/ subdirectory) when absent.
   std::string dir;
   /// Compaction threshold: an append that pushes the file past this many
   /// bytes triggers a rewrite containing only live jobs. 0 disables.
@@ -65,8 +65,8 @@ struct JournalOptions {
 struct RecoveredJob {
   std::uint64_t id = 0;
   JobRequest request;
-  /// True when a started record followed (the daemon died mid-job, so a
-  /// checkpoint may exist under ckpt/ for this job).
+  /// True when a started record followed (the daemon died mid-job; the
+  /// replayed job recomputes from scratch).
   bool started = false;
 };
 
@@ -89,7 +89,7 @@ class JobJournal {
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
 
-  /// Creates `options.dir` (and ckpt/ + results/), replays any existing
+  /// Creates `options.dir` (and results/), replays any existing
   /// journal — truncating a torn tail in place — and opens the log for
   /// appending. Typed error when the directory cannot be created or the
   /// journal cannot be opened; replay itself never fails, it recovers.
@@ -113,8 +113,6 @@ class JobJournal {
   const std::string& dir() const { return options_.dir; }
   /// dir/jobs.journal — the log itself.
   std::string path() const;
-  /// dir/ckpt/<rkey-hex>.ck — where a job's search checkpoint snapshots.
-  std::string checkpoint_path(std::uint64_t result_key) const;
   /// dir/results/<rkey-hex>.result — the durable result cache entry.
   std::string result_path(std::uint64_t result_key) const;
 

@@ -2,14 +2,14 @@
 // tracesel::service protocol — the wire format of the traceseld daemon
 // (docs/service.md).
 //
-// Transport: length-prefixed binary frames (util/framing.hpp — the same
-// "TSELFRM1" + u32 length + FNV-1a checksum format the subprocess worker
-// protocol uses) over a Unix domain socket. Every frame payload is a
+// Transport: length-prefixed binary frames (util/framing.hpp — the
+// "TSELFRM1" + u32 length + FNV-1a checksum format the job journal also
+// uses) over a Unix domain socket. Every frame payload is a
 // self-describing text message whose first line is
 //
 //     tracesel-svc <verb> <version>
 //
-// mirroring the work-unit protocol's first-line headers. Client verbs:
+// in the style of the util/framing text envelopes. Client verbs:
 // submit (a serialized tracesel::JobRequest follows), cancel, stats,
 // telemetry (the live introspection surface: journal, slow jobs, queue
 // gauges), stop, ping. Server verbs: event (job lifecycle:

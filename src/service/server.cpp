@@ -486,15 +486,7 @@ void Server::run_job(Job& job) {
       }
     }
     if (!disk_hit) try {
-      QueryCore::RunOptions ro;
-      if (wal_.enabled() && job.rkey != 0) {
-        // Long jobs snapshot at wave boundaries under <journal>/ckpt/ and
-        // resume from there when replayed after a crash.
-        ro.checkpoint_path = wal_.checkpoint_path(job.rkey);
-        ro.checkpoint_interval = options_.checkpoint_interval;
-        ro.try_resume = true;
-      }
-      auto run = QueryCore::run(job.request, &store_, job.cancel, ro);
+      auto run = QueryCore::run(job.request, &store_, job.cancel);
       if (!run.ok()) {
         out.status = "error";
         out.error = run.error().to_string();
@@ -512,10 +504,8 @@ void Server::run_job(Job& job) {
                                 ? "cancelled"
                                 : "partial");
         if (out.status == "ok" && wal_.enabled() && job.rkey != 0) {
-          // Persist the exact report bytes, then drop the now-redundant
-          // checkpoint — the result supersedes it.
+          // Persist the exact report bytes.
           (void)wal_.store_result(job.rkey, job.request, out.report_json);
-          ::unlink(wal_.checkpoint_path(job.rkey).c_str());
         }
       }
     } catch (const util::CancelledError& e) {

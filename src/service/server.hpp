@@ -67,15 +67,12 @@ struct ServerOptions {
   /// Ring-buffer capacity of the telemetry event journal.
   std::size_t journal_capacity = 256;
   /// Crash durability (DESIGN.md §16): when non-empty, every job lifecycle
-  /// transition is write-ahead journalled here, long jobs checkpoint under
-  /// <dir>/ckpt/, completed reports persist under <dir>/results/, and
-  /// start() replays unfinished jobs from a previous life. Empty = the
-  /// pre-PR-10 purely in-memory daemon.
+  /// transition is write-ahead journalled here, completed reports persist
+  /// under <dir>/results/, and start() replays unfinished jobs from a
+  /// previous life (they recompute). Empty = a purely in-memory daemon.
   std::string journal_dir;
   /// Journal compaction threshold (JournalOptions::rotate_bytes).
   std::uint64_t journal_rotate_bytes = 4u << 20;
-  /// Wave shards per search checkpoint for journalled jobs.
-  std::size_t checkpoint_interval = 64;
   /// Per-tenant in-flight (queued + running) cap; 0 = unlimited. Breaches
   /// are shed with a typed retry-after frame, counted per tenant.
   std::size_t per_tenant_inflight = 0;

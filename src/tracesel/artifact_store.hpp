@@ -13,9 +13,9 @@
 //
 //   workload key : FNV-1a(spec content hash, instances, interleave knobs)
 //   result key   : JobRequest::canonical_hash(spec content hash) — every
-//                  structural field, no runtime knobs (jobs/deadline),
+//                  structural field, no runtime knobs (kernel/deadline),
 //                  because the engine produces bit-identical results
-//                  across worker counts.
+//                  under either kernel.
 //
 // Concurrency. Each key holds a shared_future: the first requester becomes
 // the builder, later requesters block on the future instead of duplicating

@@ -38,8 +38,6 @@ selection::SelectorConfig JobRequest::selector_config() const {
   cfg.packing = packing;
   cfg.mode = mode;
   cfg.max_combinations = static_cast<std::size_t>(max_combinations);
-  cfg.jobs = jobs;
-  cfg.mem_budget_mb = static_cast<std::size_t>(mem_budget_mb);
   cfg.kernel = kernel;
   return cfg;
 }
@@ -117,7 +115,6 @@ std::string serialize_job_request(const JobRequest& req) {
   body << "packing " << (req.packing ? 1 : 0) << '\n';
   body << "max_combinations " << req.max_combinations << '\n';
   body << "mem_budget_mb " << req.mem_budget_mb << '\n';
-  body << "jobs " << req.jobs << '\n';
   body << "deadline_ms " << req.deadline_ms << '\n';
   body << "kernel "
        << (req.kernel == flow::KernelMode::kGeneric ? "generic" : "compiled")
@@ -217,7 +214,8 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
       } else if (key == "mem_budget_mb") {
         req.mem_budget_mb = v;
       } else if (key == "jobs") {
-        req.jobs = static_cast<std::uint32_t>(v);
+        // No longer a knob; accepted and dropped so records written by
+        // older clients and journals still parse.
       } else if (key == "deadline_ms") {
         req.deadline_ms = v;
       } else if (key == "trace_id") {

@@ -3,8 +3,8 @@
 //
 // Before PR 7 the knobs of a run were smeared across four structs that grew
 // organically: selection::SelectorConfig (search), flow::InterleaveOptions
-// (product build), the checkpoint provenance fields riding inside
-// SelectorConfig, and ad-hoc CLI flag plumbing. Every consumer — the CLI,
+// (product build), provenance fields riding inside SelectorConfig, and
+// ad-hoc CLI flag plumbing. Every consumer — the CLI,
 // the daemon wire protocol, the artifact cache — needed its own partial
 // copy, and nothing guaranteed the copies agreed.
 //
@@ -17,7 +17,7 @@
 //                     (buffer width, search mode, packing, combination cap,
 //                     interleave engine options, memory budget);
 //   - the runtime:    knobs that change only *how fast* the same bits are
-//                     produced (jobs, deadline) — excluded from the
+//                     produced (kernel, deadline) — excluded from the
 //                     canonical hash, because the engine guarantees results
 //                     bit-identical across them.
 //
@@ -66,16 +66,15 @@ struct JobRequest {
   std::uint64_t max_combinations = 1u << 22;
   std::uint64_t mem_budget_mb = 0;
 
-  // --- runtime knobs (never hashed: results are bit-identical across
-  //     worker counts, and a deadline either leaves the result complete or
-  //     marks it partial — and partial results are never cached) ---
-  std::uint32_t jobs = 1;
+  // --- runtime knobs (never hashed: a deadline either leaves the result
+  //     complete or marks it partial — and partial results are never
+  //     cached) ---
   /// 0 = no deadline. Mapped onto a util::CancelToken deadline by the
   /// daemon; the engine returns the best-so-far partial result when it
   /// fires.
   std::uint64_t deadline_ms = 0;
   /// Which DP/scoring engine runs the hot loops (DESIGN.md §14). A runtime
-  /// knob like jobs: kCompiled and kGeneric produce bit-identical results,
+  /// knob: kCompiled and kGeneric produce bit-identical results,
   /// so a cached result computed under either mode serves both.
   flow::KernelMode kernel = flow::KernelMode::kCompiled;
   /// Distributed trace identity (obs::TraceContext; 0 = client not
@@ -111,8 +110,10 @@ std::string_view to_string(selection::SearchMode mode);
 util::Result<selection::SearchMode> parse_search_mode(std::string_view name);
 
 /// Wire encoding: a "tracesel-job <version> <checksum>" envelope (the
-/// shared util codec, like checkpoints and work units) over "key value"
-/// lines, with the inline spec text as a trailing length-prefixed block.
+/// shared util codec) over "key value" lines, with the inline spec text as
+/// a trailing length-prefixed block. parse_job_request still accepts the
+/// retired "jobs N" line and drops it, so records written by older clients
+/// and journals replay.
 std::string serialize_job_request(const JobRequest& req);
 util::Result<JobRequest> parse_job_request(std::string_view text);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "flow/indexed_flow.hpp"
-#include "selection/checkpoint.hpp"
 #include "soc/scenario.hpp"
 #include "util/atomic_file.hpp"
 #include "util/obs.hpp"
@@ -35,7 +34,6 @@ std::unique_ptr<Workload> QueryCore::workload_t2() {
   auto w = std::make_unique<Workload>();
   w->t2 = std::make_unique<soc::T2Design>();
   w->catalog = &w->t2->catalog();
-  w->spec_ref = "t2";
   return w;
 }
 
@@ -43,7 +41,6 @@ std::unique_ptr<Workload> QueryCore::workload_usb() {
   auto w = std::make_unique<Workload>();
   w->usb = std::make_unique<netlist::UsbDesign>();
   w->catalog = &w->usb->catalog();
-  w->spec_ref = "usb";
   return w;
 }
 
@@ -73,9 +70,7 @@ void QueryCore::interleave(Workload& w, std::uint32_t instances,
     throw std::logic_error(
         "QueryCore::interleave: workload owns no spec or design");
   }
-  w.instances = instances;
   w.selector.reset();
-  w.parallel.reset();
 }
 
 void QueryCore::ensure_selectors(Workload& w) {
@@ -85,8 +80,6 @@ void QueryCore::ensure_selectors(Workload& w) {
   if (!w.selector)
     w.selector =
         std::make_unique<selection::MessageSelector>(*w.catalog, *w.u);
-  if (!w.parallel)
-    w.parallel = std::make_unique<selection::ParallelSelector>(*w.selector);
 }
 
 util::Result<std::uint64_t> QueryCore::source_hash(const JobRequest& req) {
@@ -134,7 +127,6 @@ std::unique_ptr<Workload> QueryCore::build_workload(const JobRequest& req,
     hash = util::fnv1a64(bytes.value());
     flow::ParsedSpec spec = flow::parse_flow_spec(bytes.value());
     w = workload_from_spec(std::move(spec));
-    w->spec_ref = req.spec;
   } else {
     throw std::invalid_argument(
         "job request names no spec (set spec or spec_text)");
@@ -150,35 +142,15 @@ std::unique_ptr<Workload> QueryCore::build_workload(const JobRequest& req,
 
 selection::SelectionResult QueryCore::select(
     const Workload& w, const selection::SelectorConfig& config,
-    bool flow_constraint, util::ThreadPool* pool) {
+    bool flow_constraint) {
   OBS_SPAN("session.select");
   if (!w.u || !w.selector)
     throw std::logic_error(
         "QueryCore::select: workload has no interleaving/selector");
 
-  selection::SelectorConfig cfg = config;
-  selection::SelectionResult result;
-  if (flow_constraint) {
-    // The repair loop is a short serial epilogue; its inner select() call
-    // honours cfg.jobs by itself.
-    result = w.selector->select_with_flow_constraint(cfg);
-  } else {
-    const std::size_t workers = util::ThreadPool::resolve_jobs(cfg.jobs);
-    if (workers > 1) {
-      if (!w.parallel)
-        throw std::logic_error(
-            "QueryCore::select: workload has no parallel selector");
-      if (pool != nullptr) {
-        result = w.parallel->select(cfg, pool);
-      } else {
-        util::ThreadPool local(workers);
-        result = w.parallel->select(cfg, &local);
-      }
-    } else {
-      cfg.jobs = 1;
-      result = w.selector->select(cfg);
-    }
-  }
+  selection::SelectionResult result =
+      flow_constraint ? w.selector->select_with_flow_constraint(config)
+                      : w.selector->select(config);
 
   // Surface any interleave-stage degradation alongside the selection's own.
   if (w.u->degraded()) {
@@ -192,74 +164,15 @@ selection::SelectionResult QueryCore::select(
 
 selection::SelectionResult QueryCore::select(const Workload& w,
                                              const JobRequest& req,
-                                             util::CancelToken cancel,
-                                             util::ThreadPool* pool) {
-  return select(w, req, std::move(cancel), RunOptions{}, pool);
-}
-
-selection::SelectionResult QueryCore::select(const Workload& w,
-                                             const JobRequest& req,
-                                             util::CancelToken cancel,
-                                             const RunOptions& opts,
-                                             util::ThreadPool* pool) {
+                                             util::CancelToken cancel) {
   selection::SelectorConfig cfg = req.selector_config();
   cfg.cancel = std::move(cancel);
-  cfg.checkpoint_spec_path = w.spec_ref;
-  cfg.checkpoint_instances = w.instances;
-  const bool flow_constraint =
-      req.kind == JobRequest::Kind::kSelectFlowConstraint;
-  // Checkpointing covers the plain Step 1-3 pipeline of the sharded
-  // searches; the flow-constraint repair loop re-runs select() with
-  // mutated candidate sets, for which a wave snapshot of the primary
-  // search would be misleading, and knapsack/greedy have no waves.
-  if (selection::is_sharded(cfg.mode) && !flow_constraint &&
-      !opts.checkpoint_path.empty()) {
-    cfg.checkpoint_path = opts.checkpoint_path;
-    if (opts.checkpoint_interval > 0)
-      cfg.checkpoint_interval = opts.checkpoint_interval;
-    if (opts.try_resume && w.selector) {
-      auto ck = selection::load_checkpoint(opts.checkpoint_path);
-      if (ck.ok()) {
-        // Pre-validate the search identity so a stale snapshot (edited
-        // spec, different structural knobs under a colliding path) falls
-        // back to a fresh run instead of throwing out of the engine.
-        const std::uint64_t want = selection::search_fingerprint(
-            *w.selector, cfg, cfg.mode == selection::SearchMode::kMaximal);
-        if (ck.value().fingerprint == want) {
-          cfg.resume_from = std::make_shared<const selection::SearchCheckpoint>(
-              std::move(ck).value());
-          OBS_COUNT("svc.ckpt.resumed", 1);
-        } else {
-          OBS_COUNT("svc.ckpt.stale", 1);
-        }
-      }
-    }
-  }
-  if (cfg.resume_from) {
-    // Belt and braces: the wave engine still validates seeds_total; treat
-    // any residual mismatch as "checkpoint unusable", not a failed job.
-    try {
-      return select(w, cfg, flow_constraint, pool);
-    } catch (const util::CancelledError&) {
-      throw;
-    } catch (const std::runtime_error&) {
-      OBS_COUNT("svc.ckpt.stale", 1);
-      cfg.resume_from.reset();
-    }
-  }
-  return select(w, cfg, flow_constraint, pool);
+  return select(w, cfg, req.kind == JobRequest::Kind::kSelectFlowConstraint);
 }
 
 util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
                                                 ArtifactStore* store,
                                                 util::CancelToken cancel) {
-  return run(req, store, std::move(cancel), RunOptions{});
-}
-
-util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
-                                                ArtifactStore* store,
-                                                util::CancelToken cancel,
-                                                const RunOptions& opts) {
   auto src = source_hash(req);
   if (!src.ok()) return src.error();
 
@@ -271,7 +184,7 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
   if (store == nullptr) {
     out.workload = build_shared();
     out.result = std::make_shared<selection::SelectionResult>(
-        select(*out.workload, req, cancel, opts));
+        select(*out.workload, req, cancel));
     return out;
   }
 
@@ -306,7 +219,7 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
       rkey, req,
       [&]() -> std::shared_ptr<const selection::SelectionResult> {
         auto res = std::make_shared<selection::SelectionResult>(
-            select(*out.workload, req, cancel, opts));
+            select(*out.workload, req, cancel));
         if (res->partial) {
           // Interrupted searches are champions of the *explored* region —
           // caching one would hand later jobs a truncated answer.
@@ -322,7 +235,7 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
     } else {
       // Waiter on a builder that failed or went partial: run privately.
       out.result = std::make_shared<selection::SelectionResult>(
-          select(*out.workload, req, cancel, opts));
+          select(*out.workload, req, cancel));
       out.result_cache_hit = false;
     }
   }

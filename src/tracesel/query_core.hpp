@@ -19,8 +19,7 @@
 // A Workload is the resolved middle product: the owned spec (or builtin
 // design), its message catalog, the interleaved flow, and the selectors
 // over it. Once built it is immutable and safely shared by concurrent
-// jobs — the only mutation under the hood is the ParallelSelector's
-// GainMemo, which is internally sharded-locked and insert-only.
+// jobs.
 
 #include <cstdint>
 #include <memory>
@@ -29,19 +28,17 @@
 #include "flow/interleaved_flow.hpp"
 #include "flow/parser.hpp"
 #include "netlist/usb_design.hpp"
-#include "selection/parallel_selector.hpp"
 #include "selection/selector.hpp"
 #include "soc/t2_design.hpp"
 #include "tracesel/artifact_store.hpp"
 #include "tracesel/job_request.hpp"
 #include "util/cancel.hpp"
 #include "util/result.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tracesel {
 
 /// The resolved workload of a job: spec/design ownership, catalog, the
-/// interleaved product and the selectors over it. Immutable once built
+/// interleaved product and the selector over it. Immutable once built
 /// (see file comment); handed around as shared_ptr<const Workload>.
 struct Workload {
   // Exactly one of spec / t2 / usb is set for owned workloads; all three
@@ -53,13 +50,7 @@ struct Workload {
 
   std::unique_ptr<flow::InterleavedFlow> u;
   std::unique_ptr<selection::MessageSelector> selector;
-  std::unique_ptr<selection::ParallelSelector> parallel;
 
-  /// Checkpoint/work-unit provenance: "t2", "usb", the spec path, or ""
-  /// (inline text / adopted interleaving — not rebuildable by reference).
-  std::string spec_ref;
-  /// Last interleave() count (spec/usb) or scenario id (t2); 0 = none yet.
-  std::uint32_t instances = 0;
   /// FNV-1a over the resolved spec content; 0 when not content-addressed.
   std::uint64_t source_hash = 0;
 };
@@ -90,11 +81,11 @@ class QueryCore {
       const flow::MessageCatalog& catalog, flow::InterleavedFlow u);
 
   /// Builds the interleaved product into `w` (spec/usb: `instances`
-  /// indexed instances; t2: scenario id) and drops any stale selectors.
+  /// indexed instances; t2: scenario id) and drops any stale selector.
   /// Engine failures throw (std::length_error, util::CancelledError, ...).
   static void interleave(Workload& w, std::uint32_t instances,
                          const flow::InterleaveOptions& options);
-  /// Builds (once) the MessageSelector/ParallelSelector over w.u.
+  /// Builds (once) the MessageSelector over w.u.
   static void ensure_selectors(Workload& w);
 
   // --- content addressing ---
@@ -114,44 +105,18 @@ class QueryCore {
 
   /// Step 1-3 over an existing workload. The low-level entry point both
   /// Session::select and the request path share: honours every
-  /// SelectorConfig field (cancel, checkpoint, resume, shard budget),
-  /// picks the serial / pooled / flow-constraint path exactly as the old
-  /// Session did, and folds interleave-stage degradation into the result.
-  /// `pool` (optional) is reused when the effective worker count exceeds
-  /// one; otherwise a call-local pool is created.
+  /// SelectorConfig field (including cancel), picks the plain or the
+  /// flow-constraint path, and folds interleave-stage degradation into the
+  /// result.
   static selection::SelectionResult select(
       const Workload& w, const selection::SelectorConfig& config,
-      bool flow_constraint, util::ThreadPool* pool = nullptr);
+      bool flow_constraint);
 
-  /// Crash-durability knobs for a run (the traceseld journal wires these;
-  /// DESIGN.md §16). All default-off: the 3-argument run()/select() below
-  /// behave exactly as before.
-  struct RunOptions {
-    /// When non-empty, the sharded search snapshots here at every wave
-    /// boundary (selection/checkpoint.hpp semantics).
-    std::string checkpoint_path;
-    /// Seed shards per snapshot wave.
-    std::size_t checkpoint_interval = 64;
-    /// When true and checkpoint_path holds a loadable checkpoint whose
-    /// fingerprint matches this search, resume from it instead of
-    /// recomputing — the Session::resume-equivalent path for daemon jobs.
-    /// A stale or mismatched checkpoint is ignored (fresh run), never an
-    /// error: recovery must degrade, not fail.
-    bool try_resume = false;
-  };
-
-  /// The request-level wrapper: derives the SelectorConfig from `req`
-  /// (structural knobs + provenance), arms `cancel`, and runs select().
+  /// The request-level wrapper: derives the SelectorConfig from `req`,
+  /// arms `cancel`, and runs select().
   static selection::SelectionResult select(const Workload& w,
                                            const JobRequest& req,
-                                           util::CancelToken cancel,
-                                           util::ThreadPool* pool = nullptr);
-  /// As above, plus checkpoint/resume wiring from `opts`.
-  static selection::SelectionResult select(const Workload& w,
-                                           const JobRequest& req,
-                                           util::CancelToken cancel,
-                                           const RunOptions& opts,
-                                           util::ThreadPool* pool = nullptr);
+                                           util::CancelToken cancel);
 
   /// The full memoized pipeline: resolve -> workload (cached) -> select
   /// (cached). `store` may be null (no caching). Partial results
@@ -161,12 +126,6 @@ class QueryCore {
   /// interleave build.
   static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
                                    util::CancelToken cancel);
-  /// As above with checkpoint/resume wiring (RunOptions{} == the plain
-  /// overload). Resumed runs are bit-identical to uninterrupted ones —
-  /// the PR-5 wave-protocol guarantee, now reachable per job.
-  static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
-                                   util::CancelToken cancel,
-                                   const RunOptions& opts);
 };
 
 }  // namespace tracesel

@@ -1,21 +1,16 @@
 #pragma once
 // tracesel::resilience — one include for the long-running-job survival
 // surface (docs/resilience.md): cooperative cancellation and deadlines,
-// search checkpoints, and the conventional process exit codes.
+// and the conventional process exit codes.
 //
 //   auto token = tracesel::resilience::CancelToken::make();
 //   session.config().cancel = token;
-//   session.config().checkpoint_path = "search.ck";
 //   ...                                   // SIGINT handler: token.cancel()
 //   auto result = session.select();       // result.partial on interruption
 //
-//   auto resumed = tracesel::Session::resume("search.ck");
-//
-// Everything here is an alias for a symbol that lives with its layer
-// (util/cancel.hpp, selection/checkpoint.hpp); this header only gathers
-// the embedding-application surface in one place.
+// The cancellation types are aliases for symbols in util/cancel.hpp; this
+// header only gathers the embedding-application surface in one place.
 
-#include "selection/checkpoint.hpp"
 #include "util/cancel.hpp"
 
 namespace tracesel::resilience {
@@ -23,11 +18,6 @@ namespace tracesel::resilience {
 // --- cancellation ---
 using util::CancelledError;
 using util::CancelToken;
-
-// --- checkpoint files ---
-using selection::load_checkpoint;
-using selection::save_checkpoint;
-using selection::SearchCheckpoint;
 
 // --- process exit codes (the CLI contract; useful for wrappers) ---
 /// Success.
@@ -37,7 +27,7 @@ inline constexpr int kExitUsage = 1;
 /// Runtime failure (unreadable spec, capacity exceeded, I/O error).
 inline constexpr int kExitFailure = 2;
 /// Interrupted: the run was cancelled (signal or deadline) and produced a
-/// partial result and/or a final checkpoint instead of a full answer.
+/// partial result instead of a full answer.
 inline constexpr int kExitInterrupted = 3;
 
 }  // namespace tracesel::resilience

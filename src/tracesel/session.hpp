@@ -18,7 +18,6 @@
 // step to QueryCore, so the two surfaces cannot produce different bits.
 //
 //   auto session = tracesel::Session::from_spec_file("soc.flow");
-//   session.config().jobs = 8;
 //   session.interleave(2);
 //   auto result = session.select();
 //
@@ -43,15 +42,10 @@
 #include "flow/interleaved_flow.hpp"
 #include "flow/parser.hpp"
 #include "netlist/usb_design.hpp"
-#include "selection/checkpoint.hpp"
-#include "selection/dist_coordinator.hpp"
-#include "selection/dist_worker.hpp"
 #include "selection/localization.hpp"
-#include "selection/parallel_selector.hpp"
 #include "selection/selector.hpp"
 #include "soc/t2_design.hpp"
 #include "tracesel/query_core.hpp"
-#include "util/result.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tracesel {
@@ -70,17 +64,8 @@ class Session {
   static Session t2();
   /// A session over the built-in USB 2.0 function controller
   /// (netlist::UsbDesign); interleave(n) builds rx ||| tx with n indexed
-  /// instances each. Checkpoint/work-unit provenance records "usb", so
-  /// distributed workers and resume() can rebuild it.
+  /// instances each.
   static Session usb();
-  /// Rebuilds a session from a search checkpoint written by a previous
-  /// run (docs/resilience.md): loads + verifies the file, re-parses the
-  /// recorded spec (a .flow path, or "t2" for t2 sessions), restores the
-  /// interleave options and selection config, rebuilds the interleaving
-  /// and arms config().resume_from — the next select() continues the
-  /// search and finishes bit-identical to an uninterrupted run. A typed
-  /// error (never a crash) on missing/corrupt/provenance-free checkpoints.
-  static util::Result<Session> resume(const std::string& checkpoint_path);
 
   Session(Session&&) = default;
   Session& operator=(Session&&) = default;
@@ -111,24 +96,9 @@ class Session {
   /// Builds the interleaving of a built-in T2 scenario (t2 sessions only).
   Session& scenario(int id);
 
-  /// Step 1-3 over the current interleaving, honouring config() including
-  /// jobs. Caches the result for localize().
+  /// Step 1-3 over the current interleaving, honouring config(). Caches
+  /// the result for localize().
   selection::SelectionResult select();
-  /// Step 1-3 farmed to worker processes by a selection::DistCoordinator
-  /// (docs/distributed.md) — bit-identical to select() for every worker
-  /// count and fault schedule. Degrades gracefully to the in-process path
-  /// (with a degradation note) when distribution is impossible: no worker
-  /// command, no spec provenance for workers to rebuild from, a
-  /// sequential search mode (greedy/knapsack) or a memory-budget
-  /// degradation. last_dist_stats() reports the run's failure/retry
-  /// accounting.
-  selection::SelectionResult run_distributed(const selection::DistConfig& dist);
-  const selection::DistStats& last_dist_stats() const { return dist_stats_; }
-  /// selection::WorkerEngineFactory for `tracesel --worker`: rebuilds the
-  /// session a work-unit request describes (spec path / "t2" / "usb" +
-  /// instances + search config) and exposes its ParallelSelector.
-  static util::Result<selection::WorkerEngine> worker_engine(
-      const selection::SearchCheckpoint& ck);
   /// select() plus the every-flow-represented repair
   /// (MessageSelector::select_with_flow_constraint).
   selection::SelectionResult select_with_flow_constraint();
@@ -165,13 +135,8 @@ class Session {
   /// The session pool, sized to config().jobs; nullptr when serial.
   util::ThreadPool* pool();
   selection::SelectionResult select_impl(bool flow_constraint);
-  /// Builds (once) and returns the parallel selector over the current
-  /// interleaving; throws when no interleaving exists.
-  selection::ParallelSelector& ensure_parallel();
-  /// Fills checkpoint/work-unit provenance into a copy of config().
-  selection::SelectorConfig config_with_provenance() const;
-  /// interleave_options_ with the session's cancel token and memory
-  /// budget folded in, as every engine call expects.
+  /// interleave_options_ with the session's cancel token and kernel mode
+  /// folded in, as every engine call expects.
   flow::InterleaveOptions merged_interleave_options() const;
 
   selection::SelectorConfig config_;
@@ -180,7 +145,6 @@ class Session {
   std::unique_ptr<util::ThreadPool> pool_;
   std::size_t pool_workers_ = 0;
   std::optional<selection::SelectionResult> last_selection_;
-  selection::DistStats dist_stats_;
 };
 
 }  // namespace tracesel

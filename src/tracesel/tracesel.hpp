@@ -21,7 +21,7 @@
 //
 // tracesel::Session (session.hpp) remains as a thin compatibility facade
 // over QueryCore for incremental, stateful exploration (load a spec once,
-// re-interleave, re-select, resume checkpoints, drive case studies). New
+// re-interleave, re-select, drive case studies). New
 // code — and anything that runs queries concurrently — should prefer
 // QueryCore + ArtifactStore; direct Session use is kept source-compatible
 // but is no longer the primary API.
@@ -39,18 +39,14 @@
 #include "flow/parser.hpp"
 #include "flow/stats.hpp"
 
-// Selection layer: Steps 1-3, parallel engine, the distributed
-// coordinator/worker protocol, multi-scenario planning.
+// Selection layer: Steps 1-3, multi-scenario planning.
 #include "selection/combination.hpp"
 #include "selection/coverage.hpp"
-#include "selection/dist_coordinator.hpp"
-#include "selection/dist_worker.hpp"
-#include "selection/gain_memo.hpp"
 #include "selection/info_gain.hpp"
+#include "selection/knapsack.hpp"
 #include "selection/localization.hpp"
 #include "selection/multi_scenario.hpp"
 #include "selection/packing.hpp"
-#include "selection/parallel_selector.hpp"
 #include "selection/selector.hpp"
 
 // SoC + debug layer: the T2 uncore, simulation, capture, case studies.
@@ -69,7 +65,7 @@
 #include "tracesel/job_request.hpp"
 #include "tracesel/query_core.hpp"
 
-// The resilience surface (cancellation tokens, checkpoints, exit-code
-// contract) and the stateful compatibility facade.
+// The resilience surface (cancellation tokens, exit-code contract) and
+// the stateful compatibility facade.
 #include "tracesel/resilience.hpp"
 #include "tracesel/session.hpp"

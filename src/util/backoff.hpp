@@ -1,9 +1,9 @@
 #pragma once
-// Exponential backoff with seeded jitter (DESIGN.md §12).
+// Exponential backoff with seeded jitter.
 //
 // Every retry loop in the pipeline — recapturing an unusable trace,
-// redispatching a lost distributed work unit, respawning a crashed worker
-// process — needs spacing between attempts that (a) grows exponentially so
+// reconnecting to a restarting daemon, honouring its retry-after hints —
+// needs spacing between attempts that (a) grows exponentially so
 // a persistent failure backs off instead of busy-spinning, (b) is jittered
 // so a fleet of retriers does not stampede in lockstep, and (c) is
 // *deterministic given a seed*, because the whole repository's testing

@@ -8,8 +8,8 @@
 // Design constraints, in order:
 //
 //  1. Cooperative. Nothing is ever killed: hot loops poll cancelled() at
-//     natural granule boundaries (a product node, a combination, a shard,
-//     a Monte-Carlo trial) and unwind with a typed partial outcome. The
+//     natural granule boundaries (a product node, a batch of enumerated or
+//     scored combinations, a Monte-Carlo trial) and unwind with a typed partial outcome. The
 //     poll is one relaxed atomic load (plus a steady_clock read when a
 //     deadline is armed), cheap against any granule that does real work.
 //

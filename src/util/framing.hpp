@@ -1,6 +1,6 @@
 #pragma once
-// The one framing codec every tracesel byte stream speaks (DESIGN.md §12,
-// §13). Two layers, independently usable:
+// The one framing codec every tracesel byte stream speaks (DESIGN.md §13,
+// §16). Two layers, independently usable:
 //
 // Binary frames — pipes and sockets are byte streams, so messages are
 // delimited by a fixed 20-byte header: 8-byte magic "TSELFRM1",
@@ -9,19 +9,17 @@
 // frame; a bad magic or an over-cap length means stream
 // desynchronization, which FrameReader reports as kCorrupt —
 // unrecoverable for that stream (peers respond by dropping the
-// connection or killing the worker). Used by the distributed
-// coordinator/worker pipes (util/subprocess.hpp) and the traceseld
-// Unix-socket protocol (service/protocol.hpp).
+// connection). Used by the traceseld Unix-socket protocol
+// (service/protocol.hpp) and its job journal (service/journal.hpp).
 //
-// Text envelopes — durable artifacts (search checkpoints, work units, job
-// requests) are text files prefixed by one header line
+// Text envelopes — durable artifacts (job requests, stored results,
+// telemetry snapshots) are text prefixed by one header line
 //
 //     <tag> <version> <fnv1a64-of-payload-in-hex>\n<payload>
 //
 // so version skew and payload corruption surface as typed parse errors
-// before any field is interpreted. Hoisted here from the checkpoint
-// serializer so every envelope user (checkpoints, the daemon's job
-// codec) validates identically.
+// before any field is interpreted, and every envelope user validates
+// identically.
 
 #include <cstdint>
 #include <string>
@@ -36,8 +34,8 @@ namespace tracesel::util {
 inline constexpr char kFrameMagic[8] = {'T', 'S', 'E', 'L',
                                         'F', 'R', 'M', '1'};
 inline constexpr std::size_t kFrameHeaderBytes = 8 + 4 + 8;
-/// Frames carry checkpoint-sized payloads; anything larger is a corrupted
-/// length field, not a legitimate message.
+/// Frames carry request/report-sized payloads; anything larger is a
+/// corrupted length field, not a legitimate message.
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
 /// Header + payload as one contiguous buffer.
@@ -84,9 +82,9 @@ std::string encode_envelope(std::string_view tag, std::uint32_t version,
 
 /// Validates the header line and checksum and returns a view of the
 /// payload (into `text`). `subject` names the artifact in diagnostics
-/// ("checkpoint", "job request", ...). Errors: kParse for a malformed
+/// ("job request", "stored result", ...). Errors: kParse for a malformed
 /// header or an unsupported version, kCorruptCapture for a checksum
-/// mismatch — the same taxonomy the checkpoint loader has always used.
+/// mismatch.
 Result<std::string_view> decode_envelope(std::string_view text,
                                          std::string_view tag,
                                          std::uint32_t version,

@@ -18,9 +18,8 @@ void set_log_threshold(LogLevel level);
 const char* log_level_name(LogLevel level);
 
 /// Process-global context tag inserted between the stamp and the text of
-/// every log line (empty = none). A distributed worker sets this to the
-/// work-unit id it is serving, so interleaved multi-process logs stay
-/// attributable.
+/// every log line (empty = none), so interleaved logs of concurrent work
+/// stay attributable.
 void set_log_context(std::string context);
 
 namespace detail {

@@ -10,7 +10,7 @@
 //     obs::enabled() flag (default off). Every instrumentation macro reads
 //     it first, so a disabled site costs one relaxed atomic load and one
 //     predictable branch — the bench hard gates (bench_interleave,
-//     bench_parallel) run with the layer off and must stay inside their
+//     bench_kernels) run with the layer off and must stay inside their
 //     thresholds.
 //
 //  2. Race-free under the ThreadPool. Counters and histograms are sharded

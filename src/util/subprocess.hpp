@@ -1,13 +1,11 @@
 #pragma once
-// Child-process plumbing for the distributed selection engine
-// (DESIGN.md §12, docs/distributed.md).
+// Child-process plumbing: fork/exec with stdin/stdout pipes.
 //
-// Subprocess wraps fork/exec with stdin/stdout pipes and explicit
-// lifecycle control: the coordinator needs to kill a hung worker outright
-// (SIGKILL, never cooperative — the worker may be wedged), reap every
-// child it spawned (no zombies, even when the coordinator unwinds via an
-// exception: the destructor kills and reaps), and survive a worker dying
-// mid-write (SIGPIPE is turned into an EPIPE error return by
+// Subprocess wraps fork/exec with explicit lifecycle control: a parent
+// can kill a hung child outright (SIGKILL, never cooperative — the child
+// may be wedged), reap every child it spawned (no zombies, even when the
+// parent unwinds via an exception: the destructor kills and reaps), and
+// survive a child dying mid-write (SIGPIPE is turned into an EPIPE error return by
 // ignore_sigpipe(), which spawn() installs process-wide).
 //
 // The byte framing the coordinator/worker pipes speak lives in

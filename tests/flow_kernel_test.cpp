@@ -17,7 +17,6 @@
 #include "flow/execution.hpp"
 #include "flow/kernel.hpp"
 #include "netlist/usb_design.hpp"
-#include "selection/gain_memo.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "soc/scenario.hpp"
@@ -165,7 +164,7 @@ TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
       Session s = Session::t2();
       selection::SelectorConfig cfg;
       cfg.buffer_width = 32;
-      cfg.mode = selection::SearchMode::kMaximal;  // sharded at jobs 4
+      cfg.mode = selection::SearchMode::kMaximal;
       cfg.kernel = mode;
       cfg.jobs = jobs;
       s.configure(cfg);
@@ -255,33 +254,6 @@ TEST_F(KernelProgramTest, ReducedProgramCountsPathsButRefusesTraceQueries) {
   EXPECT_EQ(p.count_paths(), uf.count_paths());
   EXPECT_THROW(p.count_consistent_paths({}, {}), std::logic_error);
   EXPECT_THROW(p.label_target_histograms(), std::logic_error);
-}
-
-TEST_F(KernelProgramTest, GainCursorMatchesRecomputedInfoGain) {
-  const flow::InterleavedFlow u = fx_.two_instance_interleaving();
-  const selection::MessageSelector sel(fx_.catalog, u);
-  const selection::InfoGainEngine& engine = sel.engine();
-  selection::GainCursor cursor(engine);
-  std::vector<flow::MessageId> current;
-  util::Rng rng(7);
-  for (int step = 0; step < 200; ++step) {
-    const bool push = current.empty() || (rng() % 3) != 0;
-    if (push) {
-      const flow::MessageId m =
-          sel.candidates()[rng() % sel.candidates().size()];
-      current.push_back(m);
-      cursor.push(m);
-    } else {
-      current.pop_back();
-      cursor.pop();
-    }
-    ASSERT_EQ(cursor.depth(), current.size());
-    // Bitwise: the cursor top IS the same left-to-right summation.
-    ASSERT_EQ(cursor.gain(),
-              engine.info_gain(current, flow::KernelMode::kCompiled));
-    ASSERT_EQ(cursor.gain(),
-              engine.info_gain(current, flow::KernelMode::kGeneric));
-  }
 }
 
 // --- the store/daemon integration ---

@@ -42,8 +42,8 @@ JobRequest fig2_request(std::uint32_t buffer_width = 2) {
   req.spec = std::string(TRACESEL_DATA_DIR) + "/fig2.flow";
   req.instances = 2;
   req.buffer_width = buffer_width;
-  // A journalled daemon snapshots sharded searches under <dir>/ckpt/; the
-  // default knapsack search has no waves to snapshot.
+  // The serial maximal oracle rather than the default knapsack: recovery
+  // must reproduce the exponential search's bytes too.
   req.mode = selection::SearchMode::kMaximal;
   return req;
 }
@@ -445,6 +445,52 @@ TEST(ServiceChaos, DurableResultCacheSurvivesRestart) {
   opt.journal_dir = dir;
   Daemon second{std::move(opt)};
   EXPECT_EQ(second.server->stats().recovered, 0u);  // job 1 completed
+  Client client = second.connect();
+  const auto out = client.submit(req);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_TRUE(out.value().cache_hit);
+  EXPECT_EQ(out.value().report_json, expected);
+}
+
+TEST(ServiceChaos, OldVersionResultFileIsNotServed) {
+  // A results/ entry written under an earlier stored-result version (one
+  // that could hold a beam-degraded report) is a cache miss: the job
+  // recomputes to the current bytes and rewrites the entry, which a fresh
+  // daemon then serves from disk.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  const JobRequest req = fig2_request(2);
+  const std::string expected = reference_report(req);
+  const auto source = QueryCore::source_hash(req);
+  ASSERT_TRUE(source.ok());
+  const std::uint64_t rkey = req.canonical_hash(source.value());
+  {
+    JobJournal j;
+    ASSERT_TRUE(j.open(fast_options(dir)).ok());
+    const std::string wire = serialize_job_request(req);
+    const std::string stale = "{\"stale\": true}";
+    spill(j.result_path(rkey),
+          util::encode_envelope(
+              "tracesel-result", 1,
+              "request " + std::to_string(wire.size()) + "\n" + wire +
+                  "\nreport " + std::to_string(stale.size()) + "\n" +
+                  stale + "\n"));
+  }
+
+  {
+    ServerOptions opt;
+    opt.journal_dir = dir;
+    Daemon first{std::move(opt)};
+    Client client = first.connect();
+    const auto out = client.submit(req);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_FALSE(out.value().cache_hit);
+    EXPECT_EQ(out.value().report_json, expected);
+  }
+
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  Daemon second{std::move(opt)};
   Client client = second.connect();
   const auto out = client.submit(req);
   ASSERT_TRUE(out.ok()) << out.error().to_string();

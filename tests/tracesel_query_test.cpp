@@ -43,7 +43,6 @@ TEST(JobRequest, SerializeParseRoundTrip) {
   req.packing = false;
   req.max_combinations = 999;
   req.mem_budget_mb = 77;
-  req.jobs = 4;
   req.deadline_ms = 1500;
 
   const auto parsed = parse_job_request(serialize_job_request(req));
@@ -60,7 +59,6 @@ TEST(JobRequest, SerializeParseRoundTrip) {
   EXPECT_EQ(p.packing, req.packing);
   EXPECT_EQ(p.max_combinations, req.max_combinations);
   EXPECT_EQ(p.mem_budget_mb, req.mem_budget_mb);
-  EXPECT_EQ(p.jobs, req.jobs);
   EXPECT_EQ(p.deadline_ms, req.deadline_ms);
   EXPECT_TRUE(p.same_computation(req));
 }
@@ -71,19 +69,20 @@ TEST(JobRequest, OldDefaultMaximalRecordReplaysToTheSameBytes) {
   // the mode line, so making knapsack the default rewrites no existing
   // record and needs no JobRequest::kVersion bump. Such a record must
   // parse back to the maximal search and report the bytes it always did,
-  // which for this workload are also the new default's bytes.
-  const std::string old_record = util::encode_envelope(
-      "tracesel-job", 1,
-      "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
-          "/fig2.flow\ninstances 2\nsymmetry_reduction 1\n"
-          "max_nodes 2000000\nbuffer_width 2\nmode maximal\npacking 1\n"
-          "max_combinations 4194304\nmem_budget_mb 0\njobs 1\n"
-          "deadline_ms 0\nkernel compiled\ntrace_id 0\nparent_span_id 0\n"
-          "tenant -\nspec_text 0\n\nend\n");
-  const auto parsed = parse_job_request(old_record);
-  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().mode, selection::SearchMode::kMaximal);
-  EXPECT_EQ(serialize_job_request(parsed.value()), old_record);
+  // which for this workload are also the new default's bytes. Records of
+  // that era also carry the retired "jobs N" line, which parses and is
+  // dropped: re-serializing yields the record minus that line.
+  const auto old_record = [](const std::string& jobs_line) {
+    return util::encode_envelope(
+        "tracesel-job", 1,
+        "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
+            "/fig2.flow\ninstances 2\nsymmetry_reduction 1\n"
+            "max_nodes 2000000\nbuffer_width 2\nmode maximal\npacking 1\n"
+            "max_combinations 4194304\nmem_budget_mb 0\n" +
+            jobs_line +
+            "deadline_ms 0\nkernel compiled\ntrace_id 0\nparent_span_id 0\n"
+            "tenant -\nspec_text 0\n\nend\n");
+  };
 
   JobRequest maximal = fig2_request();
   maximal.mode = selection::SearchMode::kMaximal;
@@ -96,9 +95,18 @@ TEST(JobRequest, OldDefaultMaximalRecordReplaysToTheSameBytes) {
                         .dump(2)
                   : std::string();
   };
-  const std::string replayed = report(parsed.value());
-  EXPECT_EQ(replayed, report(maximal));
-  EXPECT_EQ(replayed, report(fig2_request()));
+  for (const std::string jobs_line : {"jobs 1\n", "jobs 4\n"}) {
+    SCOPED_TRACE(jobs_line);
+    const auto parsed = parse_job_request(old_record(jobs_line));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+    EXPECT_EQ(parsed.value().mode, selection::SearchMode::kMaximal);
+    EXPECT_EQ(serialize_job_request(parsed.value()), old_record(""));
+    EXPECT_TRUE(parsed.value().same_computation(maximal));
+
+    const std::string replayed = report(parsed.value());
+    EXPECT_EQ(replayed, report(maximal));
+    EXPECT_EQ(replayed, report(fig2_request()));
+  }
 }
 
 TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
@@ -106,10 +114,10 @@ TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
   JobRequest a;
   const std::uint64_t base = a.canonical_hash(source);
 
-  // Runtime knobs: identical answers at any worker count or deadline, so
-  // they must not fragment the cache.
+  // Runtime knobs: identical answers under either kernel or any deadline,
+  // so they must not fragment the cache.
   JobRequest b = a;
-  b.jobs = 16;
+  b.kernel = flow::KernelMode::kGeneric;
   b.deadline_ms = 10;
   EXPECT_EQ(b.canonical_hash(source), base);
   EXPECT_TRUE(b.same_computation(a));
@@ -271,14 +279,21 @@ TEST(QueryCore, CacheHitBitIdenticalUsbBuiltin) {
 }
 
 TEST(QueryCore, JobsKnobSharesTheCacheEntry) {
-  // jobs is a runtime knob: a 4-worker run must answer a 1-worker repeat
-  // from the cache (the engine is bit-identical across worker counts).
+  // A request from an older client still carries the retired "jobs N"
+  // line; it parses to the same computation, so a repeat without the line
+  // is answered from the cache entry the old request filled.
   ArtifactStore store;
-  JobRequest req = fig2_request();
-  req.jobs = 4;
-  const auto cold = QueryCore::run(req, &store, {});
+  const JobRequest req = fig2_request();
+  const std::string wire = serialize_job_request(req);
+  const auto body = util::decode_envelope(wire, "tracesel-job",
+                                          JobRequest::kVersion, "job request");
+  ASSERT_TRUE(body.ok());
+  const auto old = parse_job_request(util::encode_envelope(
+      "tracesel-job", JobRequest::kVersion,
+      "jobs 4\n" + std::string(body.value())));
+  ASSERT_TRUE(old.ok()) << old.error().to_string();
+  const auto cold = QueryCore::run(old.value(), &store, {});
   ASSERT_TRUE(cold.ok());
-  req.jobs = 1;
   const auto warm = QueryCore::run(req, &store, {});
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.value().result_cache_hit);

@@ -411,9 +411,8 @@ TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
     return obs::registry().counter_value(name);
   };
 
-  // Every scored combination is one gain evaluation, on the serial path,
-  // the sharded one (whose compiled walk scores through GainCursor rather
-  // than info_gain) and under either kernel.
+  // Every scored combination is one gain evaluation, whatever the job
+  // count and under either kernel.
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     for (const flow::KernelMode kernel :
          {flow::KernelMode::kCompiled, flow::KernelMode::kGeneric}) {

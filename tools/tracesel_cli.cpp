@@ -9,58 +9,31 @@
 //                        O(messages x width); exhaustive and maximal are
 //                        the exponential searches, greedy the ablation)
 //       --no-packing     disable Step 3
-//       --jobs N         worker threads (1 serial, 0 = all cores)
 //       --kernel M       compiled|generic scoring/DP engine (default
-//                        compiled; bit-identical results, runtime knob
-//                        like --jobs so it composes with --resume)
+//                        compiled; bit-identical results, a runtime knob)
 //       --json           machine-readable output
 //       --no-symmetry-reduction   materialize every product state instead
 //                        of one weighted representative per orbit
 //       --max-nodes N    materialized node budget (default 2e6)
-//     resilience (docs/resilience.md); --checkpoint, --checkpoint-interval
-//     and --shard-budget drive the sharded search and need
-//     --mode maximal|exhaustive (--resume takes the mode from its file):
-//       --checkpoint FILE          periodically snapshot the search; an
-//                        interrupted run resumes from FILE bit-identically
-//       --checkpoint-interval N    shards per snapshot       (default 64)
-//       --resume FILE    continue the search recorded in FILE (spec, mode
-//                        and interleave settings come from the checkpoint;
-//                        no positional spec, no structural flags)
+//     resilience (docs/resilience.md):
 //       --deadline-ms N  cancel the run after N milliseconds
-//       --mem-budget-mb N   degrade (never abort) when the interleaving or
-//                        the Step 2 search would exceed N MiB
-//       --shard-budget N    explore at most N shards, then stop partial
-//     distributed (docs/distributed.md; --mode maximal|exhaustive only):
-//       --workers N      farm the search to N worker processes (this
-//                        binary re-invoked as `tracesel --worker`);
-//                        bit-identical to the in-process result
-//       --unit-size N    seeds per work unit (0 = auto)
-//       --unit-deadline-ms N  inactivity deadline before a unit is
-//                        reassigned                     (default 30000)
-//       --max-retries N  retries per unit before in-process salvage
-//       --dist-kill-rate R / --dist-hang-rate R / --dist-corrupt-rate R
-//                        seeded fault injection into worker dispatches
-//                        (testing; see DistFaultInjector)
-//       --dist-fault-seed N   fault schedule seed       (default 1)
-//   tracesel --worker                                   worker-process mode
-//       (internal: spawned by --workers; speaks the work-unit frame
-//       protocol on stdin/stdout)
+//       --mem-budget-mb N   degrade (never abort) when the interleaving
+//                        would exceed N MiB
 //   tracesel serve --socket PATH [--runners N] [--max-queue N]
 //                  [--slow-job-ms N] [--journal-capacity N]
 //                  [--journal-dir DIR] [--journal-rotate-bytes N]
-//                  [--checkpoint-interval N] [--tenant-inflight N]
-//                  [--retry-after-floor-ms N]
+//                  [--tenant-inflight N] [--retry-after-floor-ms N]
 //       run traceseld: the long-lived selection/debug job daemon
 //       (docs/service.md). SIGTERM/SIGINT or a stop frame drains the
 //       queue, answers every waiting client, then exits 0. Jobs at or
 //       over --slow-job-ms land in the slow-job log with a span summary.
 //       --journal-dir enables crash durability: accepted jobs are
-//       write-ahead journalled (and long searches checkpointed) there,
-//       and a restart with the same directory replays unfinished jobs
-//       and serves completed ones byte-identically from the durable
-//       result cache. --tenant-inflight caps each tenant's queued+running
-//       jobs; breaches (and full-queue/unmeetable-deadline submissions)
-//       are shed with a typed retry-after hint.
+//       write-ahead journalled there, and a restart with the same
+//       directory replays unfinished jobs and serves completed ones
+//       byte-identically from the durable result cache. --tenant-inflight
+//       caps each tenant's queued+running jobs; breaches (and
+//       full-queue/unmeetable-deadline submissions) are shed with a typed
+//       retry-after hint.
 //   tracesel submit <t2|usb|spec.flow> --socket PATH [select flags]
 //       submit one job to a running daemon and wait for the result; with
 //       --json prints the daemon's report block, which is byte-identical
@@ -103,21 +76,20 @@
 // Global options (any subcommand, docs/observability.md):
 //       --trace-out FILE    write a Chrome trace-event JSON of the run
 //                           (load in chrome://tracing or ui.perfetto.dev);
-//                           on a --workers or submit run this is the
-//                           *merged* multi-process trace — one lane per
-//                           process, spans parented across the wire
+//                           on a submit run this is the *merged*
+//                           two-process trace — one lane per process,
+//                           spans parented across the wire
 //       --metrics-out FILE  write the flat metrics JSON (aggregated
-//                           across processes on distributed runs)
+//                           across processes on submit runs)
 //       --prom-out FILE     write Prometheus text exposition of the same
 //                           aggregated metrics
-//       --log-level L       debug|info|warn|error      (default warn);
-//                           forwarded to --workers subprocesses
+//       --log-level L       debug|info|warn|error      (default warn)
 //
 // Exit codes: 0 ok, 1 usage error, 2 runtime failure (any uncaught
 // exception is reported as a one-line diagnostic, never a crash), 3
 // interrupted (SIGINT/SIGTERM or --deadline-ms fired: the run stopped
-// cooperatively with a partial result and/or a final checkpoint; a second
-// signal exits immediately with 130).
+// cooperatively with a partial result; a second signal exits immediately
+// with 130).
 
 #include <algorithm>
 #include <atomic>
@@ -142,7 +114,6 @@
 #include "util/backoff.hpp"
 #include "util/log.hpp"
 #include "util/obs.hpp"
-#include "util/subprocess.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -155,10 +126,6 @@ using namespace tracesel;
 std::string g_trace_out;
 std::string g_metrics_out;
 std::string g_prom_out;
-
-/// argv[0] as invoked, so --workers can re-exec this binary in --worker
-/// mode (the worker inherits our cwd, so a relative path still resolves).
-std::string g_argv0 = "tracesel";
 
 /// Process-wide cancellation token, created before the signal handlers are
 /// installed so cancel() (one lock-free store) is safe from them.
@@ -202,26 +169,17 @@ int usage() {
                "  tracesel select <spec.flow> [--buffer N] [--instances K]"
                " [--mode knapsack(default)|exhaustive|maximal|greedy]"
                " [--no-packing]"
-               " [--jobs N] [--kernel compiled|generic] [--json]\n"
-               "                 [--no-symmetry-reduction] [--max-nodes N]\n"
-               "                 [--deadline-ms N] [--mem-budget-mb N]"
-               " [--resume FILE]\n"
-               "                 with --mode maximal|exhaustive only:"
-               " [--checkpoint FILE] [--checkpoint-interval N]\n"
-               "                 [--shard-budget N]"
-               " [--workers N] [--unit-size N]"
-               " [--unit-deadline-ms N] [--max-retries N]\n"
-               "                 [--dist-kill-rate R] [--dist-hang-rate R]"
-               " [--dist-corrupt-rate R] [--dist-fault-seed N]\n"
+               " [--kernel compiled|generic] [--json]\n"
+               "                 [--no-symmetry-reduction] [--max-nodes N]"
+               " [--deadline-ms N] [--mem-budget-mb N]\n"
                "  tracesel serve --socket PATH [--runners N]"
                " [--max-queue N] [--slow-job-ms N] [--journal-capacity N]\n"
                "                 [--journal-dir DIR] [--journal-rotate-bytes N]"
-               " [--checkpoint-interval N] [--tenant-inflight N]"
-               " [--retry-after-floor-ms N]\n"
+               " [--tenant-inflight N] [--retry-after-floor-ms N]\n"
                "  tracesel submit <t2|usb|spec.flow> --socket PATH"
                " [--buffer N] [--instances K] [--mode M] [--no-packing]\n"
                "                 [--no-symmetry-reduction] [--max-nodes N]"
-               " [--mem-budget-mb N] [--deadline-ms N] [--jobs N]"
+               " [--mem-budget-mb N] [--deadline-ms N]"
                " [--kernel M] [--json]\n"
                "  tracesel submit ... [--tenant NAME]"
                " [--connect-timeout-ms N] [--retries N]\n"
@@ -237,7 +195,7 @@ int usage() {
                " [--fault-seed N] [--retries N]\n"
                "global options (any subcommand):\n"
                "  --trace-out FILE    Chrome trace-event JSON of this run"
-               " (merged across processes on --workers/submit runs)\n"
+               " (merged across processes on submit runs)\n"
                "  --metrics-out FILE  flat metrics JSON of this run\n"
                "  --prom-out FILE     Prometheus text exposition\n"
                "  --log-level L       debug|info|warn|error (default warn)\n";
@@ -278,75 +236,31 @@ int cmd_inspect(const std::string& path) {
   return 0;
 }
 
-/// Handles every token after "select": one optional positional spec path
-/// plus flags. With --resume the spec, search mode and interleave settings
-/// come from the checkpoint, so the positional spec and the structural
-/// flags are rejected rather than silently ignored.
+/// Handles every token after "select": one positional spec path plus
+/// flags.
 int cmd_select(int argc, char** argv) {
   selection::SelectorConfig cfg;
   flow::InterleaveOptions iopt;
   std::uint32_t instances = 2;
   bool json = false;
-  std::string spec_path, resume_path;
-  std::string structural_flag;  // first structural flag seen, for diagnostics
-  bool checkpoint_given = false;
-  std::string sharded_flag;  // first flag only the sharded search honours
+  std::string spec_path;
   std::uint64_t deadline_ms = 0;
-  selection::DistConfig dist;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
       return argv[++i];
     };
-    auto structural = [&]() {
-      if (structural_flag.empty()) structural_flag = arg;
-    };
-    if (sharded_flag.empty() &&
-        (arg == "--checkpoint" || arg == "--checkpoint-interval" ||
-         arg == "--shard-budget" ||
-         arg == "--workers" || arg == "--unit-size" ||
-         arg == "--unit-deadline-ms" || arg == "--max-retries" ||
-         arg.starts_with("--dist-")))
-      sharded_flag = arg;
-    if (arg == "--buffer") { structural(); cfg.buffer_width = std::stoul(next()); }
-    else if (arg == "--instances") { structural(); instances = std::stoul(next()); }
-    else if (arg == "--no-packing") { structural(); cfg.packing = false; }
-    else if (arg == "--jobs") cfg.jobs = std::stoul(next());
+    if (arg == "--buffer") cfg.buffer_width = std::stoul(next());
+    else if (arg == "--instances") instances = std::stoul(next());
+    else if (arg == "--no-packing") cfg.packing = false;
     else if (arg == "--kernel") cfg.kernel = parse_kernel_mode(next());
     else if (arg == "--json") json = true;
-    else if (arg == "--no-symmetry-reduction") {
-      structural();
-      iopt.symmetry_reduction = false;
-    } else if (arg == "--max-nodes") {
-      structural();
-      iopt.max_nodes = std::stoul(next());
-    } else if (arg == "--checkpoint") {
-      cfg.checkpoint_path = next();
-      checkpoint_given = true;
-    } else if (arg == "--checkpoint-interval") {
-      cfg.checkpoint_interval = std::stoul(next());
-      if (cfg.checkpoint_interval == 0)
-        throw std::runtime_error("--checkpoint-interval must be >= 1");
-    } else if (arg == "--resume") resume_path = next();
-    else if (arg == "--workers") dist.workers = std::stoul(next());
-    else if (arg == "--unit-size") dist.unit_size = std::stoul(next());
-    else if (arg == "--unit-deadline-ms")
-      dist.unit_deadline_ms = std::stoull(next());
-    else if (arg == "--max-retries") dist.max_retries = std::stoul(next());
-    else if (arg == "--dist-kill-rate")
-      dist.faults.kill_rate = parse_number(next(), "--dist-kill-rate");
-    else if (arg == "--dist-hang-rate")
-      dist.faults.hang_rate = parse_number(next(), "--dist-hang-rate");
-    else if (arg == "--dist-corrupt-rate")
-      dist.faults.corrupt_rate = parse_number(next(), "--dist-corrupt-rate");
-    else if (arg == "--dist-fault-seed")
-      dist.faults.seed = std::stoull(next());
+    else if (arg == "--no-symmetry-reduction") iopt.symmetry_reduction = false;
+    else if (arg == "--max-nodes") iopt.max_nodes = std::stoul(next());
     else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
-    else if (arg == "--mem-budget-mb") cfg.mem_budget_mb = std::stoul(next());
-    else if (arg == "--shard-budget") cfg.shard_budget = std::stoul(next());
+    else if (arg == "--mem-budget-mb") iopt.mem_budget_mb = std::stoul(next());
     else if (arg == "--mode") {
-      structural();
       const std::string m = next();
       if (m == "maximal") cfg.mode = selection::SearchMode::kMaximal;
       else if (m == "exhaustive") cfg.mode = selection::SearchMode::kExhaustive;
@@ -361,16 +275,8 @@ int cmd_select(int argc, char** argv) {
       throw std::runtime_error("unknown option '" + arg + "'");
     }
   }
-
-  // The knapsack and greedy searches have no shards to checkpoint, budget
-  // or farm out; refuse the flags instead of silently ignoring them. A
-  // --resume run takes its mode from the checkpoint, always a sharded one.
-  if (!sharded_flag.empty() && resume_path.empty() &&
-      !selection::is_sharded(cfg.mode))
-    throw std::runtime_error(
-        sharded_flag + " needs the sharded search: add --mode "
-        "maximal|exhaustive (the " + std::string(to_string(cfg.mode)) +
-        " search has no shards)");
+  if (spec_path.empty())
+    throw std::runtime_error("select: missing <spec.flow> operand");
 
   // Thread the global sinks through the config so the Session plumbing is
   // the same one embedding applications use; main() performs the writes.
@@ -382,61 +288,16 @@ int cmd_select(int argc, char** argv) {
   if (deadline_ms > 0)
     cfg.cancel.set_timeout(std::chrono::milliseconds(deadline_ms));
 
-  auto session = [&]() -> Session {
-    if (resume_path.empty()) {
-      if (spec_path.empty())
-        throw std::runtime_error("select: missing <spec.flow> operand");
-      Session s = Session::from_spec_file(spec_path);
-      s.configure(cfg).interleave_options(iopt);
-      g_cooperative.store(true, std::memory_order_relaxed);
-      s.interleave(instances);
-      return s;
-    }
-    if (!spec_path.empty() || !structural_flag.empty())
-      throw std::runtime_error(
-          "--resume takes the spec and " +
-          (structural_flag.empty() ? std::string("'" + spec_path + "'")
-                                   : structural_flag) +
-          " from the checkpoint; drop it");
-    g_cooperative.store(true, std::memory_order_relaxed);
-    auto resumed = Session::resume(resume_path);
-    if (!resumed.ok())
-      throw std::runtime_error(resumed.error().to_string());
-    Session s = std::move(resumed).value();
-    // Runtime knobs stay overridable on resume; the structural ones above
-    // were restored from the checkpoint by Session::resume.
-    selection::SelectorConfig rc = s.config();
-    rc.jobs = cfg.jobs;
-    rc.kernel = cfg.kernel;
-    if (checkpoint_given) rc.checkpoint_path = cfg.checkpoint_path;
-    rc.checkpoint_interval = cfg.checkpoint_interval;
-    rc.shard_budget = cfg.shard_budget;
-    rc.mem_budget_mb = cfg.mem_budget_mb;
-    rc.trace_out = cfg.trace_out;
-    rc.metrics_out = cfg.metrics_out;
-    rc.cancel = cfg.cancel;
-    s.configure(rc);
-    return s;
-  }();
-
-  if (dist.workers > 0 && !resume_path.empty())
-    throw std::runtime_error("--resume is in-process only; drop --workers");
-  const auto r = [&]() {
-    if (dist.workers == 0) return session.select();
-    // Workers inherit our log threshold so --log-level debug shows their
-    // per-unit logs too (each line carries its work-unit id context).
-    dist.worker_argv = {g_argv0, "--worker", "--log-level",
-                       util::log_level_name(util::log_threshold())};
-    return session.run_distributed(dist);
-  }();
+  Session session = Session::from_spec_file(spec_path);
+  session.configure(cfg).interleave_options(iopt);
+  g_cooperative.store(true, std::memory_order_relaxed);
+  session.interleave(instances);
+  const auto r = session.select();
   int rc = 0;
   if (r.partial) {
     std::cerr << "interrupted: partial result, "
-              << util::pct(r.explored_fraction) << " of the search explored";
-    if (!session.config().checkpoint_path.empty())
-      std::cerr << " (resume with --resume "
-                << session.config().checkpoint_path << ")";
-    std::cerr << '\n';
+              << util::pct(r.explored_fraction) << " of the search explored"
+              << '\n';
     rc = resilience::kExitInterrupted;
   }
   if (r.degraded())
@@ -489,8 +350,6 @@ int cmd_serve(int argc, char** argv) {
     else if (arg == "--journal-dir") opt.journal_dir = next();
     else if (arg == "--journal-rotate-bytes")
       opt.journal_rotate_bytes = std::stoull(next());
-    else if (arg == "--checkpoint-interval")
-      opt.checkpoint_interval = std::stoul(next());
     else if (arg == "--tenant-inflight")
       opt.per_tenant_inflight = std::stoul(next());
     else if (arg == "--retry-after-floor-ms")
@@ -538,7 +397,6 @@ JobRequest parse_submit_request(int argc, char** argv, std::string& socket,
       req.max_combinations = std::stoull(next());
     else if (arg == "--mem-budget-mb") req.mem_budget_mb = std::stoull(next());
     else if (arg == "--deadline-ms") req.deadline_ms = std::stoull(next());
-    else if (arg == "--jobs") req.jobs = std::stoul(next());
     else if (arg == "--kernel") req.kernel = parse_kernel_mode(next());
     else if (arg == "--tenant") req.tenant = next();
     else if (arg == "--json") json = true;
@@ -921,14 +779,6 @@ int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "--worker") {
-      // Worker-process mode (spawned by --workers): speak the work-unit
-      // frame protocol on stdin/stdout. Nothing else may touch stdout —
-      // logging already goes to stderr. A coordinator that dies mid-write
-      // must surface as EPIPE on our next reply, not SIGPIPE.
-      util::ignore_sigpipe();
-      return selection::run_worker(0, 1, Session::worker_engine);
-    }
     if (cmd == "inspect" && argc == 3) return cmd_inspect(argv[2]);
     if (cmd == "select" && argc >= 3)
       return cmd_select(argc - 2, argv + 2);
@@ -1009,12 +859,11 @@ int dispatch(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Cooperative interrupts: while a cancellable stage runs, the first
-  // SIGINT/SIGTERM requests cancellation (partial result + final
-  // checkpoint + flushed observability sinks, exit 3); a second — or any
+  // SIGINT/SIGTERM requests cancellation (partial result + flushed
+  // observability sinks, exit 3); a second — or any
   // signal outside such a stage — exits immediately.
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
-  if (argc > 0) g_argv0 = argv[0];
 
   // Strip the global observability/logging options (valid anywhere on the
   // command line) before subcommand dispatch.

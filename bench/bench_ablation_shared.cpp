@@ -17,13 +17,16 @@ int main() {
                 "scenario");
 
   soc::T2Design design;
-  const auto u1 = soc::build_interleaving(design, soc::scenario1());
-  const auto u2 = soc::build_interleaving(design, soc::scenario2());
-  const auto u3 = soc::build_interleaving(design, soc::scenario3());
-  const std::vector<const flow::InterleavedFlow*> us{&u1, &u2, &u3};
+  const auto s1 = flow::ProductStats::build(
+      soc::scenario_instances(design, soc::scenario1()));
+  const auto s2 = flow::ProductStats::build(
+      soc::scenario_instances(design, soc::scenario2()));
+  const auto s3 = flow::ProductStats::build(
+      soc::scenario_instances(design, soc::scenario3()));
+  const std::vector<const flow::ProductStats*> us{&s1, &s2, &s3};
 
   const selection::MultiScenarioSelector multi(
-      design.catalog(), {{&u1, 1.0}, {&u2, 1.0}, {&u3, 1.0}});
+      design.catalog(), {{&s1, 1.0}, {&s2, 1.0}, {&s3, 1.0}});
   const auto shared = multi.select(32);
 
   std::cout << "Shared configuration (" << shared.used_width

@@ -21,11 +21,9 @@ using namespace tracesel;
 void BM_InterleavingBuild(benchmark::State& state) {
   soc::T2Design design;
   const auto scenario = soc::scenario_by_id(static_cast<int>(state.range(0)));
-  flow::InterleaveOptions opt;
-  opt.symmetry_reduction = state.range(1) != 0;
   std::size_t nodes = 0, edges = 0;
   for (auto _ : state) {
-    auto u = soc::build_interleaving(design, scenario, opt);
+    auto u = soc::build_interleaving(design, scenario);
     nodes = u.num_nodes();
     edges = u.num_edges();
     benchmark::DoNotOptimize(nodes);
@@ -33,16 +31,26 @@ void BM_InterleavingBuild(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["edges"] = static_cast<double>(edges);
 }
-BENCHMARK(BM_InterleavingBuild)
-    ->ArgsProduct({{1, 2, 3}, {0, 1}})
-    ->ArgNames({"scenario", "reduced"});
+BENCHMARK(BM_InterleavingBuild)->Arg(1)->Arg(2)->Arg(3);
+
+void BM_ProductStatsBuild(benchmark::State& state) {
+  soc::T2Design design;
+  const auto instances = soc::scenario_instances(
+      design, soc::scenario_by_id(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    auto stats = flow::ProductStats::build(instances);
+    benchmark::DoNotOptimize(stats.num_product_states());
+  }
+}
+BENCHMARK(BM_ProductStatsBuild)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_InfoGainEngineBuild(benchmark::State& state) {
   soc::T2Design design;
   const auto scenario = soc::scenario_by_id(static_cast<int>(state.range(0)));
-  const auto u = soc::build_interleaving(design, scenario);
+  const auto stats =
+      flow::ProductStats::build(soc::scenario_instances(design, scenario));
   for (auto _ : state) {
-    selection::InfoGainEngine engine(u);
+    selection::InfoGainEngine engine(stats);
     benchmark::DoNotOptimize(engine.max_gain());
   }
 }

@@ -15,14 +15,17 @@ int main() {
   using namespace tracesel;
   soc::T2Design design;
 
-  const auto u1 = soc::build_interleaving(design, soc::scenario1());
-  const auto u2 = soc::build_interleaving(design, soc::scenario2());
-  const auto u3 = soc::build_interleaving(design, soc::scenario3());
+  const auto s1 = flow::ProductStats::build(
+      soc::scenario_instances(design, soc::scenario1()));
+  const auto s2 = flow::ProductStats::build(
+      soc::scenario_instances(design, soc::scenario2()));
+  const auto s3 = flow::ProductStats::build(
+      soc::scenario_instances(design, soc::scenario3()));
 
   // Lab-time weights from the validation plan.
   const double w1 = 0.6, w2 = 0.3, w3 = 0.1;
   const selection::MultiScenarioSelector planner(
-      design.catalog(), {{&u1, w1}, {&u2, w2}, {&u3, w3}});
+      design.catalog(), {{&s1, w1}, {&s2, w2}, {&s3, w3}});
   const auto shared = planner.select(32);
 
   std::cout << "Shared 32-bit configuration (weights 60/30/10):\n  ";
@@ -35,7 +38,7 @@ int main() {
 
   std::cout << "Per-scenario flow-spec coverage of the shared config vs a "
                "dedicated reconfiguration:\n";
-  const flow::InterleavedFlow* us[3] = {&u1, &u2, &u3};
+  const flow::ProductStats* us[3] = {&s1, &s2, &s3};
   const double weights[3] = {w1, w2, w3};
   double shared_expected = 0.0, dedicated_expected = 0.0;
   for (int i = 0; i < 3; ++i) {

@@ -46,19 +46,20 @@ int main() {
             << coherence.messages().size() << " messages\n";
 
   // --- 2. Interleave two legally indexed instances (Fig. 2) ---
+  // Selection reads the interleaving's closed-form statistics; no product
+  // is materialized for it.
   QueryCore::interleave(*workload, 2, flow::InterleaveOptions{});
-  const flow::InterleavedFlow& u = *workload->u;
-  std::cout << "Interleaved flow: " << u.num_product_states() << " states, "
-            << u.num_product_edges() << " indexed-message occurrences (paper: "
-            << "15 states, 18 occurrences; materialized as " << u.num_nodes()
-            << " symmetry-reduced orbit nodes)\n";
+  const flow::ProductStats& stats = workload->selector->stats();
+  std::cout << "Interleaved flow: " << stats.num_product_states()
+            << " states, " << stats.num_product_edges()
+            << " indexed-message occurrences (paper: 15 states, 18 "
+               "occurrences)\n";
 
   // --- 3. Select messages for a 2-bit trace buffer (Sec. 3.1-3.2) ---
   // One versioned JobRequest carries every selection knob; the same
   // request submitted to a traceseld daemon returns the same answer.
   JobRequest request;
   request.buffer_width = 2;
-  QueryCore::ensure_selectors(*workload);
   const auto result = QueryCore::select(*workload, request, {});
 
   std::cout << "Selected combination:";
@@ -72,6 +73,9 @@ int main() {
             << result.utilization() * 100 << "%\n";
 
   // --- 4. Localize an observed trace (Sec. 3.2's example) ---
+  // Localization counts executions, so it needs the product itself.
+  const flow::InterleavedFlow u =
+      flow::InterleavedFlow::build(stats.instances());
   const std::vector<flow::IndexedMessage> observed{
       {reqE, 1}, {gntE, 1}, {reqE, 2}};
   const auto loc = selection::localize(u, result.observable(), observed);

@@ -44,8 +44,7 @@ for name in $doc_names; do
     *.md|*.hpp|*.cpp|*.sh|*.json|*.yml|*.flow) continue ;;
     span.*|process.*|jobs.*|queue.*|store.*.entries) continue ;;
     selection.step*|selection.search.*|session.*|flow.parse|\
-    interleave.build|interleave.graph|interleave.weights|\
-    interleave.cross_check|\
+    interleave.stats|interleave.build|interleave.graph|\
     kernel.compile|kernel.exec|debug.workbench|debug.simulate|\
     debug.capture|debug.root_cause|debug.localize|svc.job)
       continue ;;  # span names

@@ -42,10 +42,11 @@ util::Json to_json(const flow::MessageCatalog& catalog,
           util::Json::number(std::uint64_t{result.buffer_width}));
   obj.set("utilization", util::Json::number(result.utilization()));
   // Resilience fields are emitted unconditionally so every report has the
-  // same schema, interrupted or not (docs/resilience.md).
+  // same schema, interrupted or not (docs/resilience.md). No stage
+  // degrades; "degradation" stays in the schema, always empty.
   obj.set("partial", util::Json::boolean(result.partial));
   obj.set("explored_fraction", util::Json::number(result.explored_fraction));
-  obj.set("degradation", util::Json::string(result.degradation));
+  obj.set("degradation", util::Json::string(""));
   return obj;
 }
 

@@ -21,10 +21,11 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   OBS_SPAN("debug.workbench");
   WorkbenchResult result;
 
-  // --- Message selection over the interleaving ---
-  const auto u = flow::InterleavedFlow::build(
-      flow::make_instances(flows_, config.instances_per_flow));
-  const selection::MessageSelector selector(*catalog_, u);
+  // --- Message selection over the interleaving's statistics ---
+  const auto instances =
+      flow::make_instances(flows_, config.instances_per_flow);
+  const selection::MessageSelector selector(
+      *catalog_, flow::ProductStats::build(instances));
   selection::SelectorConfig sel_cfg;
   sel_cfg.buffer_width = config.buffer_width;
   sel_cfg.packing = config.packing;
@@ -129,7 +130,9 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   // projection is a suffix, not a prefix, and ordered prefix-consistency
   // may count zero paths; size buffer_depth generously (default 64k) or
   // use a TraceTrigger to spend depth on the failing region.
+  // The product is built here, for localization only.
   OBS_SPAN("debug.localize");
+  const auto u = flow::InterleavedFlow::build(instances);
   std::vector<flow::IndexedMessage> observed;
   for (const soc::TraceRecord& r : result.buggy_records) {
     if (r.session == result.buggy.fail_session) observed.push_back(r.msg);

@@ -16,11 +16,7 @@ std::vector<IndexedMessage> project(const std::vector<IndexedMessage>& trace,
   return out;
 }
 
-Execution random_execution(const InterleavedFlow& u0, util::Rng& rng) {
-  // Random walks need the unreduced product: a walk over orbit
-  // representatives re-sorts instance positions after every move, so its
-  // label sequence need not be a legal concrete execution.
-  const InterleavedFlow& u = u0.concrete();
+Execution random_execution(const InterleavedFlow& u, util::Rng& rng) {
   Execution e;
   NodeId n = u.initial_nodes().front();
   std::uint64_t cycle = 0;
@@ -39,8 +35,7 @@ Execution random_execution(const InterleavedFlow& u0, util::Rng& rng) {
   }
 }
 
-bool is_valid_execution(const InterleavedFlow& u0, const Execution& e) {
-  const InterleavedFlow& u = u0.concrete();  // node ids are concrete ids
+bool is_valid_execution(const InterleavedFlow& u, const Execution& e) {
   if (e.steps.empty()) return true;
   const auto& init = u.initial_nodes();
   if (std::find(init.begin(), init.end(), e.steps.front().from) == init.end())

@@ -34,34 +34,10 @@ inline bool legally_indexed(const std::vector<IndexedFlow>& instances) {
 std::vector<IndexedFlow> make_instances(
     const std::vector<const Flow*>& flows, std::uint32_t instances_per_flow);
 
-/// All instances of one flow within an instance list: the positions that
-/// are mutually symmetric under index permutation (the orbit structure the
-/// symmetry-reduced interleaving exploits). `positions` are indices into
-/// the originating instance vector, in order of appearance.
-struct InstanceGroup {
-  const Flow* flow = nullptr;
-  std::vector<std::uint32_t> positions;
-};
-
-/// Groups an instance list by flow identity, in order of first appearance.
-inline std::vector<InstanceGroup> group_instances(
-    const std::vector<IndexedFlow>& instances) {
-  std::vector<InstanceGroup> groups;
-  for (std::uint32_t i = 0; i < instances.size(); ++i) {
-    InstanceGroup* g = nullptr;
-    for (InstanceGroup& cand : groups) {
-      if (cand.flow == instances[i].flow) {
-        g = &cand;
-        break;
-      }
-    }
-    if (g == nullptr) {
-      groups.push_back(InstanceGroup{instances[i].flow, {}});
-      g = &groups.back();
-    }
-    g->positions.push_back(i);
-  }
-  return groups;
-}
+/// Throws std::invalid_argument unless `instances` is non-empty, legally
+/// indexed, made of non-null flows with exactly one initial state each, and
+/// at most one instance starts in an atomic state: the input
+/// InterleavedFlow::build and ProductStats::build accept.
+void require_valid_instances(const std::vector<IndexedFlow>& instances);
 
 }  // namespace tracesel::flow

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,27 +10,6 @@
 #include "util/obs.hpp"
 
 namespace tracesel::flow {
-
-namespace {
-
-// Orbit weights need n_g! for every same-flow group; 20! is the largest
-// factorial representable in 64 bits.
-constexpr std::uint32_t kMaxGroupSize = 20;
-
-std::uint64_t factorial(std::uint32_t n) {
-  std::uint64_t f = 1;
-  for (std::uint32_t i = 2; i <= n; ++i) f *= i;
-  return f;
-}
-
-std::uint64_t checked_u64(unsigned __int128 v, const char* what) {
-  if (v > static_cast<unsigned __int128>(~std::uint64_t{0}))
-    throw std::overflow_error(std::string("InterleavedFlow: ") + what +
-                              " exceeds 64 bits");
-  return static_cast<std::uint64_t>(v);
-}
-
-}  // namespace
 
 std::vector<IndexedFlow> make_instances(const std::vector<const Flow*>& flows,
                                         std::uint32_t instances_per_flow) {
@@ -48,54 +26,7 @@ std::vector<IndexedFlow> make_instances(const std::vector<const Flow*>& flows,
   return out;
 }
 
-InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
-                                       std::size_t max_nodes) {
-  InterleaveOptions options;
-  options.max_nodes = max_nodes;
-  return build(std::move(instances), options);
-}
-
-InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
-                                       const InterleaveOptions& options) {
-  // Degrading instead of throwing is opt-in via the memory budget: without
-  // one, an over-cap unreduced build keeps its historical contract and
-  // throws std::length_error.
-  const bool may_fall_back =
-      !options.symmetry_reduction && options.mem_budget_mb > 0;
-  try {
-    InterleavedFlow u = may_fall_back ? build_impl(instances, options)
-                                      : build_impl(std::move(instances),
-                                                   options);
-    if (u.degraded()) OBS_COUNT("resilience.degradations", 1);
-    return u;
-  } catch (const std::length_error&) {
-    if (!may_fall_back) throw;
-    // The unreduced product blew the (possibly budget-lowered) node cap:
-    // retry with the symmetry-reduced engine, which answers every weighted
-    // query identically from far fewer materialized nodes. Reduction has
-    // its own preconditions (group size <= 20, symmetric atomic rule) — if
-    // they fail, the original capacity error is the honest diagnosis.
-    InterleaveOptions reduced = options;
-    reduced.symmetry_reduction = true;
-    try {
-      InterleavedFlow u = build_impl(std::move(instances), reduced);
-      if (!u.degradation_.empty()) u.degradation_ += "; ";
-      u.degradation_ +=
-          "fell back to the symmetry-reduced engine (unreduced product "
-          "exceeds the node cap)";
-      OBS_COUNT("resilience.degradations", 1);
-      return u;
-    } catch (const std::invalid_argument&) {
-      throw std::length_error(
-          "InterleavedFlow: reachable product exceeds max_nodes and the "
-          "symmetry-reduced fallback is not applicable");
-    }
-  }
-}
-
-InterleavedFlow InterleavedFlow::build_impl(std::vector<IndexedFlow> instances,
-                                            const InterleaveOptions& options) {
-  OBS_SPAN("interleave.build");
+void require_valid_instances(const std::vector<IndexedFlow>& instances) {
   if (instances.empty())
     throw std::invalid_argument("InterleavedFlow: no instances");
   for (const IndexedFlow& inst : instances) {
@@ -112,53 +43,44 @@ InterleavedFlow InterleavedFlow::build_impl(std::vector<IndexedFlow> instances,
     throw std::invalid_argument(
         "InterleavedFlow: instances are not legally indexed (duplicate "
         "<flow, index> pair, Def. 4)");
+  // Def. 5 lets a component move only while every other one is
+  // non-atomic: two components starting atomic could never move, and the
+  // Atom mutex would fail in the initial tuple itself.
+  const auto starts_atomic = [](const IndexedFlow& inst) {
+    return inst.flow->is_atomic(inst.flow->initial_states().front());
+  };
+  if (std::count_if(instances.begin(), instances.end(), starts_atomic) > 1)
+    throw std::invalid_argument(
+        "InterleavedFlow: more than one instance starts in an atomic state "
+        "(Atom mutex, Def. 5)");
+}
+
+InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
+                                       std::size_t max_nodes) {
+  InterleaveOptions options;
+  options.max_nodes = max_nodes;
+  return build(std::move(instances), options);
+}
+
+InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
+                                       const InterleaveOptions& options) {
+  OBS_SPAN("interleave.build");
+  require_valid_instances(instances);
 
   InterleavedFlow u;
   u.instances_ = std::move(instances);
   u.options_ = options;
-  u.reduced_ = options.symmetry_reduction;
-  u.groups_ = group_instances(u.instances_);
-  u.group_of_.resize(u.instances_.size());
-  for (std::uint32_t g = 0; g < u.groups_.size(); ++g) {
-    if (u.reduced_ && u.groups_[g].positions.size() > kMaxGroupSize)
-      throw std::invalid_argument(
-          "InterleavedFlow: more than 20 instances of flow '" +
-          u.groups_[g].flow->name() +
-          "' — orbit weights would overflow; disable symmetry_reduction");
-    for (std::uint32_t p : u.groups_[g].positions) u.group_of_[p] = g;
-  }
-
   u.codec_ = KeyCodec(u.instances_);
   u.interner_ = KeyInterner(u.codec_.words());
 
-  if (options.mem_budget_mb > 0) {
-    // Deterministic per-node storage estimate: packed key words + one
-    // open-addressing slot + ~4 outgoing edges with CSR overhead. Derived
-    // from counts only (never runtime RSS) so the same spec hits the same
-    // cap on every run and bit-identity of results is preserved.
-    const std::size_t per_node = u.codec_.words() * 8 + 16 +
-                                 4 * (sizeof(Edge) + 8);
-    const std::size_t budget_nodes =
-        std::max<std::size_t>(1024, options.mem_budget_mb * (std::size_t{1}
-                                                             << 20) /
-                                        per_node);
-    if (budget_nodes < u.options_.max_nodes) {
-      u.options_.max_nodes = budget_nodes;
-      u.degradation_ = "node cap lowered to " + std::to_string(budget_nodes) +
-                       " by the " + std::to_string(options.mem_budget_mb) +
-                       " MiB memory budget";
-    }
-  }
-
   u.build_graph();
-  u.finalize_weights_and_occurrences();
+  u.finalize();
   OBS_COUNT("interleave.builds", 1);
   OBS_COUNT("interleave.nodes", u.num_nodes_);
   OBS_COUNT("interleave.edges", u.edges_.size());
   OBS_COUNT("interleave.interner.probes", u.interner_.probes());
-  OBS_GAUGE_MAX("interleave.product_states", u.product_states_);
-  OBS_GAUGE_MAX("interleave.product_edges", u.product_edges_);
-  if (u.reduced_ && options.cross_check) u.verify_against_unreduced();
+  OBS_GAUGE_MAX("interleave.product_states", u.num_nodes_);
+  OBS_GAUGE_MAX("interleave.product_edges", u.edges_.size());
   return u;
 }
 
@@ -170,16 +92,6 @@ void InterleavedFlow::build_graph() {
   std::vector<StateId> cur(k);
   std::vector<StateId> nxt(k);
   std::vector<std::uint64_t> kw(words);
-  std::vector<StateId> scratch;  // group-sort buffer
-
-  auto sort_group = [&](std::vector<StateId>& tuple, std::uint32_t g) {
-    const auto& pos = groups_[g].positions;
-    if (pos.size() < 2) return;
-    scratch.clear();
-    for (std::uint32_t p : pos) scratch.push_back(tuple[p]);
-    std::sort(scratch.begin(), scratch.end());
-    for (std::size_t j = 0; j < pos.size(); ++j) tuple[pos[j]] = scratch[j];
-  };
 
   auto intern = [&](const std::vector<StateId>& tuple) -> NodeId {
     codec_.encode(tuple.data(), kw.data());
@@ -193,14 +105,7 @@ void InterleavedFlow::build_graph() {
 
   for (std::size_t i = 0; i < k; ++i)
     cur[i] = instances_[i].flow->initial_states().front();
-  if (reduced_)
-    for (std::uint32_t g = 0; g < groups_.size(); ++g) sort_group(cur, g);
   initial_.push_back(intern(cur));
-
-  // Expansion multiplicity per position: under reduction, each run of equal
-  // states within a group is expanded once from its first position, standing
-  // for `run length` concrete movers per concrete source state.
-  std::vector<std::uint32_t> mult(k, 1);
   out_offset_.assign(1, 0);
 
   // Nodes are interned in discovery order, which is exactly the expansion
@@ -211,59 +116,27 @@ void InterleavedFlow::build_graph() {
       throw util::CancelledError("interleave.build");
     codec_.decode(interner_.key(n), cur.data());
 
-    // Which components sit in atomic states? If any does, only it may move
-    // (generalized Def. 5 rules i/ii).
+    // Which component sits in an atomic state? If one does, only it may
+    // move (generalized Def. 5 rules i/ii).
     std::size_t atomic_holder = k;  // k == none
-    if (reduced_) {
-      std::size_t atomics = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (instances_[i].flow->is_atomic(cur[i])) {
-          if (atomic_holder == k) atomic_holder = i;
-          ++atomics;
-        }
-      }
-      if (atomics > 1)
-        throw std::invalid_argument(
-            "InterleavedFlow: reached a product state with two atomic "
-            "components — the atomic-holder rule is not symmetric here; "
-            "disable symmetry_reduction");
-      for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-        const auto& pos = groups_[g].positions;
-        for (std::size_t j = 0; j < pos.size(); ++j) {
-          if (j > 0 && cur[pos[j]] == cur[pos[j - 1]]) {
-            mult[pos[j]] = 0;
-            std::size_t f = j;  // first position of this run
-            while (f > 0 && cur[pos[f]] == cur[pos[f - 1]]) --f;
-            ++mult[pos[f]];
-          } else {
-            mult[pos[j]] = 1;
-          }
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        if (instances_[i].flow->is_atomic(cur[i])) {
-          atomic_holder = i;
-          break;  // by construction at most one component is atomic
-        }
+    for (std::size_t i = 0; i < k; ++i) {
+      if (instances_[i].flow->is_atomic(cur[i])) {
+        atomic_holder = i;
+        break;  // by construction at most one component is atomic
       }
     }
 
     for (std::size_t i = 0; i < k; ++i) {
       if (atomic_holder != k && atomic_holder != i) continue;
-      const std::uint32_t m = reduced_ ? mult[i] : 1;
-      if (m == 0) continue;
       const Flow& f = *instances_[i].flow;
       for (std::uint32_t ti : f.outgoing(cur[i])) {
         const Transition& t = f.transitions()[ti];
         nxt = cur;
         nxt[i] = t.to;
-        if (reduced_) sort_group(nxt, group_of_[i]);
         const NodeId tgt = intern(nxt);
         edges_.push_back(Edge{n,
                               IndexedMessage{t.message, instances_[i].index},
                               tgt, static_cast<std::uint32_t>(i)});
-        if (reduced_) edge_mult_.push_back(m);
       }
     }
     out_offset_.push_back(static_cast<std::uint32_t>(edges_.size()));
@@ -271,14 +144,11 @@ void InterleavedFlow::build_graph() {
   num_nodes_ = interner_.size();
 }
 
-void InterleavedFlow::finalize_weights_and_occurrences() {
-  OBS_SPAN("interleave.weights");
+void InterleavedFlow::finalize() {
   const std::size_t k = instances_.size();
   std::vector<StateId> cur(k);
 
   stop_mask_.assign(num_nodes_, false);
-  if (reduced_) node_weight_.resize(num_nodes_);
-
   for (NodeId n = 0; static_cast<std::size_t>(n) < num_nodes_; ++n) {
     codec_.decode(interner_.key(n), cur.data());
     bool all_stop = true;
@@ -292,72 +162,13 @@ void InterleavedFlow::finalize_weights_and_occurrences() {
       stop_mask_[n] = true;
       stop_.push_back(n);
     }
-    if (reduced_) {
-      // Orbit weight: number of concrete tuples the sorted representative
-      // stands for = prod_g n_g! / prod_runs len!.
-      std::uint64_t w = 1;
-      for (const InstanceGroup& grp : groups_) {
-        const auto& pos = grp.positions;
-        w *= factorial(static_cast<std::uint32_t>(pos.size()));
-        std::uint32_t run = 1;
-        for (std::size_t j = 1; j <= pos.size(); ++j) {
-          if (j < pos.size() && cur[pos[j]] == cur[pos[j - 1]]) {
-            ++run;
-          } else {
-            w /= factorial(run);
-            run = 1;
-          }
-        }
-      }
-      node_weight_[n] = w;
-    }
   }
 
-  if (!reduced_) {
-    product_states_ = num_nodes_;
-    product_edges_ = edges_.size();
-    for (const Edge& e : edges_) {
-      auto [it, fresh] = occurrence_counts_.try_emplace(e.label, 0u);
-      if (fresh) indexed_messages_.push_back(e.label);
-      ++it->second;
-    }
-    std::sort(indexed_messages_.begin(), indexed_messages_.end());
-    return;
+  for (const Edge& e : edges_) {
+    auto [it, fresh] = occurrence_counts_.try_emplace(e.label, 0u);
+    if (fresh) indexed_messages_.push_back(e.label);
+    ++it->second;
   }
-
-  unsigned __int128 states = 0;
-  for (std::uint64_t w : node_weight_) states += w;
-  product_states_ = checked_u64(states, "product state count");
-
-  // Concrete edges represented by quotient edge e: W(from) * mu(e). Each
-  // group's total per message splits evenly over its n_g indices (every
-  // class count is divisible by n_g — DESIGN.md §9).
-  unsigned __int128 total_edges = 0;
-  std::map<std::pair<std::uint32_t, MessageId>, unsigned __int128> per_gm;
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    const unsigned __int128 c =
-        static_cast<unsigned __int128>(node_weight_[edges_[e].from]) *
-        edge_mult_[e];
-    total_edges += c;
-    per_gm[{group_of_[edges_[e].instance], edges_[e].label.message}] += c;
-  }
-  product_edges_ = checked_u64(total_edges, "product edge count");
-
-  for (const auto& [gm, total] : per_gm) {
-    const InstanceGroup& grp = groups_[gm.first];
-    const unsigned __int128 n_g = grp.positions.size();
-    if (total % n_g != 0)
-      throw std::logic_error(
-          "InterleavedFlow: orbit occurrence total not divisible by group "
-          "size (internal invariant violated)");
-    const std::uint64_t per_index =
-        checked_u64(total / n_g, "occurrence count");
-    for (std::uint32_t p : grp.positions)
-      occurrence_counts_[IndexedMessage{gm.second, instances_[p].index}] +=
-          per_index;
-  }
-  for (const auto& [im, cnt] : occurrence_counts_)
-    indexed_messages_.push_back(im);
   std::sort(indexed_messages_.begin(), indexed_messages_.end());
 }
 
@@ -393,41 +204,12 @@ std::size_t InterleavedFlow::occurrences(const IndexedMessage& im) const {
   return it == occurrence_counts_.end() ? 0 : it->second;
 }
 
-const InterleavedFlow& InterleavedFlow::concrete() const {
-  if (!reduced_) return *this;
-  std::lock_guard<std::mutex> lock(*concrete_.mutex);
-  if (!concrete_.flow) {
-    InterleaveOptions opt = options_;
-    opt.symmetry_reduction = false;
-    opt.cross_check = false;
-    // build_impl, not build: the fallback logic would hand back another
-    // *reduced* engine when the unreduced product is over budget, and a
-    // reduced flow cached as its own concrete() would answer
-    // symmetry-breaking queries wrong.
-    concrete_.flow =
-        std::make_unique<InterleavedFlow>(build_impl(instances_, opt));
-  }
-  return *concrete_.flow;
-}
-
 const kernel::Program& InterleavedFlow::program() const {
-  return *shared_program();
-}
-
-std::shared_ptr<const kernel::Program> InterleavedFlow::shared_program()
-    const {
   std::lock_guard<std::mutex> lock(*kernel_.mutex);
   if (!kernel_.program)
     kernel_.program = std::make_shared<const kernel::Program>(
         kernel::Program::compile(*this));
-  return kernel_.program;
-}
-
-void InterleavedFlow::adopt_program(
-    std::shared_ptr<const kernel::Program> program) const {
-  if (!program) return;
-  std::lock_guard<std::mutex> lock(*kernel_.mutex);
-  if (!kernel_.program) kernel_.program = std::move(program);
+  return *kernel_.program;
 }
 
 double InterleavedFlow::count_paths() const {
@@ -435,10 +217,7 @@ double InterleavedFlow::count_paths() const {
     return program().count_paths();
   // Executions end at a stop tuple (Def. 2). In all flows in this repo stop
   // states are sinks, so "reaches a stop node" and "ends at a stop node"
-  // coincide; we count the latter by backward DP over the DAG. Under
-  // reduction every edge counts mu concrete successors per concrete source,
-  // and every concrete member of an orbit has the same path count, so the
-  // weighted DP equals the concrete total exactly (DESIGN.md §9).
+  // coincide; we count the latter by backward DP over the DAG.
   std::vector<double> memo(num_nodes(), -1.0);
   // Iterative post-order to avoid recursion depth issues on deep products.
   std::vector<std::pair<NodeId, bool>> stack;
@@ -458,8 +237,7 @@ double InterleavedFlow::count_paths() const {
       } else {
         double paths = stop_mask_[n] ? 1.0 : 0.0;
         for (std::uint32_t e : outgoing(n))
-          paths += static_cast<double>(edge_multiplicity(e)) *
-                   memo[edges_[e].to];
+          paths += memo[edges_[e].to];
         memo[n] = paths;
       }
     }
@@ -471,9 +249,6 @@ double InterleavedFlow::count_paths() const {
 double InterleavedFlow::count_consistent_paths(
     const std::vector<MessageId>& selected,
     const std::vector<IndexedMessage>& observed) const {
-  // Observation names concrete instance indices, which breaks the
-  // permutation symmetry — answer on the unreduced product.
-  if (reduced_) return concrete().count_consistent_paths(selected, observed);
   if (options_.kernel == KernelMode::kCompiled)
     return program().count_consistent_paths(selected, observed);
 
@@ -575,9 +350,6 @@ double InterleavedFlow::count_consistent_paths(
 double InterleavedFlow::count_consistent_paths_multiset(
     const std::vector<MessageId>& selected,
     const std::vector<IndexedMessage>& observed) const {
-  if (reduced_)
-    return concrete().count_consistent_paths_multiset(selected, observed);
-
   std::vector<bool> is_selected;
   {
     MessageId max_id = 0;
@@ -701,16 +473,13 @@ double InterleavedFlow::count_consistent_paths_multiset(
 
 std::vector<InterleavedFlow::LabelClassHistogram>
 InterleavedFlow::label_target_histograms() const {
-  // The compiled fast path exists where the generic one is table-shaped
-  // (unreduced edge counting); the reduced engine's orbit combinatorics
-  // stay generic — both are bit-identical either way.
-  if (!reduced_ && options_.kernel == KernelMode::kCompiled)
+  if (options_.kernel == KernelMode::kCompiled)
     return program().label_target_histograms();
-  return reduced_ ? histograms_reduced() : histograms_unreduced();
+  return histograms_generic();
 }
 
 std::vector<InterleavedFlow::LabelClassHistogram>
-InterleavedFlow::histograms_unreduced() const {
+InterleavedFlow::histograms_generic() const {
   // cnt[y][x] = number of edges labeled y that lead to product state x.
   std::map<IndexedMessage, std::unordered_map<NodeId, std::uint64_t>> cnt;
   for (const Edge& e : edges_) ++cnt[e.label][e.to];
@@ -723,191 +492,6 @@ InterleavedFlow::histograms_unreduced() const {
         label, {classes.begin(), classes.end()}});
   }
   return out;
-}
-
-std::vector<InterleavedFlow::LabelClassHistogram>
-InterleavedFlow::histograms_reduced() const {
-  // For a concrete state x in orbit B whose group-g index-i component sits
-  // in state v, the number of concrete in-edges labeled <m,i> contributed
-  // by group g depends only on (B, g, v): every legal flow-g transition
-  // q -> m -> v whose predecessor orbit (one v swapped back to q) is
-  // reachable adds one. Legality of the move is orbit-level too: the
-  // predecessor's other components hold no atomic state iff
-  // atomics(B) == [v atomic]. The concrete states of B with the index-i
-  // slot of group g at v number W(B) * mu_g(v) / n_g — exactly divisible —
-  // and slots of distinct groups are independent, so per-(m,i) class counts
-  // come from a product over the groups that can emit <m,i>.
-  const std::size_t k = instances_.size();
-  const std::size_t words = codec_.words();
-
-  // Per group: in-transitions by target state.
-  std::vector<std::vector<std::vector<std::pair<MessageId, StateId>>>> in_by(
-      groups_.size());
-  std::map<MessageId, std::vector<std::uint32_t>> msg_groups;
-  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    const Flow& f = *groups_[g].flow;
-    in_by[g].resize(f.num_states());
-    std::set<MessageId> used;
-    for (const Transition& t : f.transitions()) {
-      in_by[g][t.to].push_back({t.message, t.from});
-      used.insert(t.message);
-    }
-    for (MessageId m : used) msg_groups[m].push_back(g);
-  }
-  // Per group: the instance indices present, aligned with positions.
-  std::vector<std::vector<std::uint32_t>> group_indices(groups_.size());
-  for (std::uint32_t g = 0; g < groups_.size(); ++g)
-    for (std::uint32_t p : groups_[g].positions)
-      group_indices[g].push_back(instances_[p].index);
-
-  std::map<IndexedMessage, std::map<std::uint64_t, std::uint64_t>> hist;
-
-  std::vector<StateId> cur(k);
-  std::vector<StateId> pred(k);
-  std::vector<std::uint64_t> kw(words);
-  std::vector<StateId> scratch;
-
-  // runs[g]: distinct states of group g in this node with multiplicities;
-  // cmap[g][v][m]: per-slot in-edge count for <m, any index of g>.
-  std::vector<std::vector<std::pair<StateId, std::uint32_t>>> runs(
-      groups_.size());
-  std::vector<std::map<StateId, std::map<MessageId, std::uint64_t>>> cmap(
-      groups_.size());
-
-  for (NodeId n = 0; static_cast<std::size_t>(n) < num_nodes_; ++n) {
-    codec_.decode(interner_.key(n), cur.data());
-    std::size_t atomics = 0;
-    for (std::size_t i = 0; i < k; ++i)
-      if (instances_[i].flow->is_atomic(cur[i])) ++atomics;
-    const std::uint64_t w = node_weight_[n];
-
-    std::set<MessageId> active;
-    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-      runs[g].clear();
-      cmap[g].clear();
-      const auto& pos = groups_[g].positions;
-      for (std::size_t j = 0; j < pos.size(); ++j) {
-        if (!runs[g].empty() && runs[g].back().first == cur[pos[j]]) {
-          ++runs[g].back().second;
-          continue;
-        }
-        runs[g].push_back({cur[pos[j]], 1});
-        const StateId v = cur[pos[j]];
-        // All in-moves into v are illegal unless v's holder is the only
-        // atomic component of the predecessor.
-        if (atomics != (groups_[g].flow->is_atomic(v) ? 1u : 0u)) continue;
-        std::map<StateId, bool> pred_reachable;
-        for (const auto& [m, q] : in_by[g][v]) {
-          auto it = pred_reachable.find(q);
-          if (it == pred_reachable.end()) {
-            pred = cur;
-            pred[pos[j]] = q;
-            scratch.clear();
-            for (std::uint32_t p : pos) scratch.push_back(pred[p]);
-            std::sort(scratch.begin(), scratch.end());
-            for (std::size_t s = 0; s < pos.size(); ++s)
-              pred[pos[s]] = scratch[s];
-            codec_.encode(pred.data(), kw.data());
-            it = pred_reachable
-                     .emplace(q, interner_.find(kw.data()) != kInvalidNode)
-                     .first;
-          }
-          if (it->second) {
-            ++cmap[g][v][m];
-            active.insert(m);
-          }
-        }
-      }
-    }
-
-    for (MessageId m : active) {
-      const auto& candidates = msg_groups[m];
-      std::set<std::uint32_t> indices;
-      for (std::uint32_t g : candidates)
-        indices.insert(group_indices[g].begin(), group_indices[g].end());
-      for (std::uint32_t idx : indices) {
-        std::vector<std::uint32_t> relevant;
-        for (std::uint32_t g : candidates) {
-          if (std::find(group_indices[g].begin(), group_indices[g].end(),
-                        idx) != group_indices[g].end())
-            relevant.push_back(g);
-        }
-        // Enumerate joint state profiles of the index-idx slots across the
-        // relevant groups; each profile is a class of identical concrete
-        // states.
-        auto emit = [&](auto&& self, std::size_t gi, unsigned __int128 kacc,
-                        std::uint64_t c) -> void {
-          if (gi == relevant.size()) {
-            if (c > 0)
-              hist[IndexedMessage{m, idx}][c] +=
-                  checked_u64(kacc, "class count");
-            return;
-          }
-          const std::uint32_t g = relevant[gi];
-          const unsigned __int128 n_g = groups_[g].positions.size();
-          for (const auto& [v, mu] : runs[g]) {
-            const unsigned __int128 k2 = kacc * mu;
-            if (k2 % n_g != 0)
-              throw std::logic_error(
-                  "InterleavedFlow: orbit class count not divisible by "
-                  "group size (internal invariant violated)");
-            std::uint64_t dc = 0;
-            const auto vit = cmap[g].find(v);
-            if (vit != cmap[g].end()) {
-              const auto mit = vit->second.find(m);
-              if (mit != vit->second.end()) dc = mit->second;
-            }
-            self(self, gi + 1, k2 / n_g, c + dc);
-          }
-        };
-        emit(emit, 0, w, 0);
-      }
-    }
-  }
-
-  std::vector<LabelClassHistogram> out;
-  out.reserve(hist.size());
-  for (const auto& [label, classes] : hist)
-    out.push_back(LabelClassHistogram{
-        label, {classes.begin(), classes.end()}});
-  return out;
-}
-
-void InterleavedFlow::verify_against_unreduced() const {
-  OBS_SPAN("interleave.cross_check");
-  InterleaveOptions opt = options_;
-  opt.symmetry_reduction = false;
-  opt.cross_check = false;
-  const InterleavedFlow full = build_impl(instances_, opt);
-  auto fail = [](const std::string& what) {
-    throw std::logic_error(
-        "InterleavedFlow cross-check: reduced engine disagrees with the "
-        "unreduced product on " +
-        what);
-  };
-
-  if (num_product_states() != full.num_product_states())
-    fail("the product state count");
-  if (num_product_edges() != full.num_product_edges())
-    fail("the product edge count");
-  unsigned __int128 stop_weight = 0;
-  for (NodeId n : stop_) stop_weight += node_weight(n);
-  if (stop_weight != static_cast<unsigned __int128>(full.stop_nodes().size()))
-    fail("the stop state count");
-  if (indexed_messages_ != full.indexed_messages())
-    fail("the indexed message set");
-  for (const IndexedMessage& im : indexed_messages_) {
-    if (occurrences(im) != full.occurrences(im))
-      fail("occurrences of an indexed message");
-  }
-  if (count_paths() != full.count_paths()) fail("the execution count");
-  const auto a = label_target_histograms();
-  const auto b = full.label_target_histograms();
-  if (a.size() != b.size()) fail("the in-edge histogram label set");
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].label != b[i].label || a[i].classes != b[i].classes)
-      fail("an in-edge class histogram");
-  }
 }
 
 }  // namespace tracesel::flow

@@ -10,26 +10,15 @@
 //
 // The product is materialized as an explicit DAG restricted to states
 // reachable from the initial tuple, with edge labels carrying the indexed
-// message (Def. 3). Two engine-level optimizations keep it scalable
-// (DESIGN.md §9):
+// message (Def. 3). Selection never builds it: Step 2 and Def. 7 coverage
+// read flow::ProductStats, which computes the same counts in closed form
+// from the component flows (DESIGN.md §9). The product serves the debug leg
+// (localization, random executions), the closed form's one fallback and
+// the tests' oracle.
 //
-//   * Symmetry reduction (on by default). Identical indexed copies of a
-//     flow are interchangeable: permuting the positions of same-flow
-//     instances is an automorphism of the product. The engine stores one
-//     canonical representative per orbit — the tuple with each same-flow
-//     group's states sorted — plus an exact orbit weight (the number of
-//     concrete product states the representative stands for) and per-edge
-//     multiplicities. occurrences(), count_paths(), num_product_states(),
-//     num_product_edges(), the Step 2 probabilities and Def. 7 coverage
-//     are all computed over the *full* product via these weights and are
-//     bit-identical to the unreduced engine. Queries that break symmetry
-//     (observation-conditioned path counts, random executions) transparently
-//     fall back to a lazily built unreduced product via concrete().
-//
-//   * Bit-packed keys + CSR adjacency. Product states are packed into
-//     64-bit words (ceil(log2 |S_i|) bits per component) interned in a flat
-//     open-addressing table, and outgoing edges are a CSR offset array over
-//     the edge list — no per-node heap allocations.
+// Product states are packed into 64-bit words (ceil(log2 |S_i|) bits per
+// component) interned in a flat open-addressing table, and outgoing edges
+// are a CSR offset array over the edge list — no per-node heap allocations.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,28 +52,12 @@ enum class KernelMode : std::uint8_t {
 
 /// Knobs for InterleavedFlow::build.
 struct InterleaveOptions {
-  /// Store one canonical node per orbit of same-flow instance permutations
-  /// (with exact weights) instead of every concrete product state.
-  bool symmetry_reduction = true;
-  /// Upper bound on *materialized* nodes; std::length_error beyond it.
+  /// Upper bound on materialized nodes; std::length_error beyond it.
   std::size_t max_nodes = 2'000'000;
-  /// Debug mode: additionally build the unreduced product and verify that
-  /// every weighted quantity matches it exactly (std::logic_error if not).
-  /// Only meaningful with symmetry_reduction on; expensive — small specs.
-  bool cross_check = false;
   /// Cooperative cancellation: build() throws util::CancelledError within
   /// ~1024 expanded nodes of the token reporting cancelled. The default
   /// (inert) token never cancels.
   util::CancelToken cancel;
-  /// Soft memory budget in MiB; 0 = unlimited. The budget is converted to a
-  /// *deterministic* node cap from the per-node storage estimate (packed key
-  /// words + interner slot + amortized edges) — never from runtime RSS, so
-  /// the same spec degrades identically on every run. When the budget (or
-  /// max_nodes) is exceeded and symmetry_reduction is off, build() retries
-  /// with the symmetry-reduced engine — bit-identical results, typically
-  /// orders of magnitude fewer materialized nodes — and records the
-  /// fallback in degradation().
-  std::size_t mem_budget_mb = 0;
   /// Query engine; a runtime knob (results are bit-identical either way),
   /// so it never participates in workload/result cache keys.
   KernelMode kernel = KernelMode::kCompiled;
@@ -92,8 +65,7 @@ struct InterleaveOptions {
 
 class InterleavedFlow {
  public:
-  /// One product transition; `instance` is the component that moved (under
-  /// reduction: the first position of the moving state in its group).
+  /// One product transition; `instance` is the component that moved.
   struct Edge {
     NodeId from = kInvalidNode;
     IndexedMessage label;
@@ -137,21 +109,19 @@ class InterleavedFlow {
     std::uint32_t last_;
   };
 
-  /// Per-label class histogram of in-edge counts over the *concrete*
-  /// product: classes[j] = (c, k) means k concrete product states have
-  /// exactly c in-edges labeled `label`. The Step 2 info-gain engine is
-  /// computed from this shape; both engines produce it identically.
+  /// Per-label class histogram of in-edge counts over the product:
+  /// classes[j] = (c, k) means k product states have exactly c in-edges
+  /// labeled `label`. The Step 2 info-gain engine is computed from this
+  /// shape (flow::ProductStats produces it in closed form).
   struct LabelClassHistogram {
     IndexedMessage label;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> classes;
   };
 
   /// Builds the reachable product of a legally indexed set of instances.
-  /// Throws std::invalid_argument on empty or illegally indexed input,
+  /// Throws std::invalid_argument on input require_valid_instances rejects,
   /// util::CancelledError when options.cancel fires mid-build, and
-  /// std::length_error if the materialized product exceeds the effective
-  /// node cap (options.max_nodes, possibly lowered by mem_budget_mb) even
-  /// after the symmetry-reduction fallback described in InterleaveOptions.
+  /// std::length_error if the product exceeds options.max_nodes.
   static InterleavedFlow build(std::vector<IndexedFlow> instances,
                                const InterleaveOptions& options = {});
   /// Back-compat convenience: default options with an explicit node cap.
@@ -162,39 +132,12 @@ class InterleavedFlow {
   InterleavedFlow& operator=(InterleavedFlow&&) = default;
 
   const std::vector<IndexedFlow>& instances() const { return instances_; }
-  /// The options the engine was actually built with: max_nodes reflects the
-  /// effective (budget-lowered) cap and symmetry_reduction the engine that
-  /// succeeded, which may differ from what the caller requested — see
-  /// degradation().
-  const InterleaveOptions& options() const { return options_; }
-  /// True when this engine stores orbit representatives, not all states.
-  bool reduced() const { return reduced_; }
 
-  /// Non-empty when the build deviated from the requested options to fit
-  /// the memory budget (node cap lowered and/or fell back to the
-  /// symmetry-reduced engine). The results are still exact.
-  const std::string& degradation() const { return degradation_; }
-  bool degraded() const { return !degradation_.empty(); }
-
-  /// Materialized node/edge counts (orbit representatives when reduced()).
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_edges() const { return edges_.size(); }
-
-  /// Exact size of the concrete product this engine represents: the sum of
-  /// orbit weights (== num_nodes()/num_edges() when not reduced).
-  std::uint64_t num_product_states() const { return product_states_; }
-  std::uint64_t num_product_edges() const { return product_edges_; }
-
-  /// Number of concrete product states the materialized node stands for
-  /// (1 when not reduced).
-  std::uint64_t node_weight(NodeId n) const {
-    return node_weight_.empty() ? 1 : node_weight_[n];
-  }
-  /// Number of concrete transitions per concrete source state this edge
-  /// stands for (1 when not reduced).
-  std::uint32_t edge_multiplicity(std::size_t e) const {
-    return edge_mult_.empty() ? 1 : edge_mult_[e];
-  }
+  /// The product's size as 64-bit counts (== num_nodes()/num_edges()).
+  std::uint64_t num_product_states() const { return num_nodes_; }
+  std::uint64_t num_product_edges() const { return edges_.size(); }
 
   const std::vector<NodeId>& initial_nodes() const { return initial_; }
   const std::vector<NodeId>& stop_nodes() const { return stop_; }
@@ -211,17 +154,15 @@ class InterleavedFlow {
   /// Human-readable product state, e.g. "(c:1,n:2)".
   std::string node_name(NodeId n) const;
 
-  /// All distinct indexed messages labeling at least one edge of the
-  /// concrete product.
+  /// All distinct indexed messages labeling at least one edge, ascending.
   const std::vector<IndexedMessage>& indexed_messages() const {
     return indexed_messages_;
   }
 
-  /// Number of concrete product edges labeled with a given indexed message.
+  /// Number of product edges labeled with a given indexed message.
   std::size_t occurrences(const IndexedMessage& im) const;
 
-  /// Total number of executions: root-to-stop paths of the concrete product
-  /// DAG (orbit-weighted when reduced — same value either way).
+  /// Total number of executions: root-to-stop paths of the product DAG.
   /// double-precision because counts grow combinatorially; exact for counts
   /// below 2^53.
   double count_paths() const;
@@ -229,8 +170,7 @@ class InterleavedFlow {
   /// Number of executions whose projection onto `selected` (set of message
   /// ids; all indices of those messages are visible) starts with `observed`
   /// *in order*. This is the denominator-free core of path localization
-  /// (Sec. 5.2): localization = consistent / count_paths(). Observation
-  /// breaks instance symmetry, so a reduced engine answers via concrete().
+  /// (Sec. 5.2): localization = consistent / count_paths().
   double count_consistent_paths(
       const std::vector<MessageId>& selected,
       const std::vector<IndexedMessage>& observed) const;
@@ -244,48 +184,28 @@ class InterleavedFlow {
       const std::vector<MessageId>& selected,
       const std::vector<IndexedMessage>& observed) const;
 
-  /// The in-edge class histograms of every indexed message over the
-  /// concrete product, labels ascending, classes ascending by c. Computed
-  /// directly from the edge list when unreduced and by exact orbit
-  /// combinatorics when reduced — identical output either way.
+  /// The in-edge class histograms of every indexed message, labels
+  /// ascending, classes ascending by c, counted on the edge list.
   std::vector<LabelClassHistogram> label_target_histograms() const;
 
-  /// The unreduced product over the same instances (this engine itself when
-  /// not reduced). Built lazily on first use and cached; thread-safe.
-  const InterleavedFlow& concrete() const;
+  /// The unreduced product, i.e. this engine itself; for callers (the
+  /// benchmark) that ask for it explicitly.
+  const InterleavedFlow& concrete() const { return *this; }
 
   /// The compiled kernel program for this graph, built lazily on first use
   /// and cached; thread-safe. Independent of options().kernel — callers can
   /// always reach the compiled tables explicitly.
   const kernel::Program& program() const;
-  /// program() as a shareable handle (e.g. for the ArtifactStore's
-  /// per-spec program cache).
-  std::shared_ptr<const kernel::Program> shared_program() const;
-  /// Seeds the program cache with an already compiled Program for the same
-  /// graph (store hit); no-op when one is already cached.
-  void adopt_program(std::shared_ptr<const kernel::Program> program) const;
 
  private:
   InterleavedFlow() = default;
 
-  // Program::compile reads the private CSR/edge tables directly and the
-  // private histogram routines must stay reachable without recursing into
-  // the dispatching public methods.
+  // Program::compile reads the private CSR/edge tables directly.
   friend class kernel::Program;
 
-  // The concrete() cache: never copied with the graph, fresh mutex per
-  // object so moved-from/copied engines stay independently lockable.
-  struct ConcreteCache {
-    ConcreteCache() : mutex(std::make_unique<std::mutex>()) {}
-    ConcreteCache(ConcreteCache&&) = default;
-    ConcreteCache& operator=(ConcreteCache&&) = default;
-    std::unique_ptr<std::mutex> mutex;
-    std::unique_ptr<InterleavedFlow> flow;
-  };
-
-  // The program() cache; shared_ptr (not unique_ptr) so an incomplete
-  // kernel::Program works here and handles can be shared with the
-  // ArtifactStore across the flows of one workload.
+  // The program() cache: never copied with the graph, fresh mutex per
+  // object so moved-from engines stay independently lockable; shared_ptr
+  // (not unique_ptr) so an incomplete kernel::Program works here.
   struct KernelCache {
     KernelCache() : mutex(std::make_unique<std::mutex>()) {}
     KernelCache(KernelCache&&) = default;
@@ -294,24 +214,12 @@ class InterleavedFlow {
     std::shared_ptr<const kernel::Program> program;
   };
 
-  /// One build attempt with the options exactly as given (no budget
-  /// lowering, no reduction fallback) — used by build(), concrete() and the
-  /// cross-checker, which must not re-enter the degradation logic.
-  static InterleavedFlow build_impl(std::vector<IndexedFlow> instances,
-                                    const InterleaveOptions& options);
-
   void build_graph();
-  void finalize_weights_and_occurrences();
-  void verify_against_unreduced() const;
-  std::vector<LabelClassHistogram> histograms_unreduced() const;
-  std::vector<LabelClassHistogram> histograms_reduced() const;
+  void finalize();
+  std::vector<LabelClassHistogram> histograms_generic() const;
 
   std::vector<IndexedFlow> instances_;
   InterleaveOptions options_;
-  std::string degradation_;  ///< see degradation()
-  bool reduced_ = false;
-  std::vector<InstanceGroup> groups_;
-  std::vector<std::uint32_t> group_of_;  ///< instance position -> group id
 
   KeyCodec codec_;
   KeyInterner interner_;  ///< owns packed key storage; NodeId-indexed
@@ -322,15 +230,10 @@ class InterleavedFlow {
   std::vector<bool> stop_mask_;
   std::vector<Edge> edges_;
   std::vector<std::uint32_t> out_offset_;  ///< CSR: size num_nodes_ + 1
-  std::vector<std::uint32_t> edge_mult_;   ///< per-edge mu; empty = all 1
-  std::vector<std::uint64_t> node_weight_; ///< orbit weights; empty = all 1
-  std::uint64_t product_states_ = 0;
-  std::uint64_t product_edges_ = 0;
 
   std::vector<IndexedMessage> indexed_messages_;
   std::unordered_map<IndexedMessage, std::size_t> occurrence_counts_;
 
-  mutable ConcreteCache concrete_;
   mutable KernelCache kernel_;
 };
 

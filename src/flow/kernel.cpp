@@ -15,9 +15,7 @@ Program Program::compile(const InterleavedFlow& u) {
   Program p;
   p.hist_ = std::make_unique<HistCache>();
   p.num_nodes_ = u.num_nodes();
-  p.reduced_ = u.reduced();
   p.out_offset_ = u.out_offset_;
-  if (p.reduced_) p.edge_mult_ = u.edge_mult_;
 
   // Sorted distinct label table + per-edge label ids: the per-edge-kind
   // dispatch tables. Queries classify |labels| entries once instead of
@@ -69,14 +67,11 @@ Program Program::compile(const InterleavedFlow& u) {
   // the successors, so the total is bit-identical.
   {
     std::vector<double> memo(p.num_nodes_, 0.0);
-    const bool weighted = !p.edge_mult_.empty();
     for (std::size_t i = p.topo_.size(); i-- > 0;) {
       const std::uint32_t n = p.topo_[i];
       double paths = p.is_stop(n) ? 1.0 : 0.0;
       for (std::uint32_t e = p.out_offset_[n]; e < p.out_offset_[n + 1]; ++e)
-        paths += weighted ? static_cast<double>(p.edge_mult_[e]) *
-                                memo[p.edge_to_[e]]
-                          : memo[p.edge_to_[e]];
+        paths += memo[p.edge_to_[e]];
       memo[n] = paths;
     }
     p.total_paths_ = 0.0;
@@ -88,7 +83,6 @@ Program Program::compile(const InterleavedFlow& u) {
   p.stats_.labels = p.labels_.size();
   p.stats_.table_bytes = p.out_offset_.capacity() * sizeof(std::uint32_t) +
                          p.edge_to_.capacity() * sizeof(std::uint32_t) +
-                         p.edge_mult_.capacity() * sizeof(std::uint32_t) +
                          p.edge_label_.capacity() * sizeof(std::uint32_t) +
                          p.labels_.capacity() * sizeof(IndexedMessage) +
                          p.topo_.capacity() * sizeof(std::uint32_t) +
@@ -108,10 +102,6 @@ Program Program::compile(const InterleavedFlow& u) {
 double Program::count_consistent_paths(
     const std::vector<MessageId>& selected,
     const std::vector<IndexedMessage>& observed) const {
-  if (reduced_)
-    throw std::logic_error(
-        "kernel::Program: consistent-path counting requires an unreduced "
-        "program (reduced engines answer via concrete())");
   OBS_SPAN("kernel.exec");
   OBS_COUNT("kernel.execs", 1);
 
@@ -211,10 +201,6 @@ double Program::count_consistent_paths(
 
 const std::vector<InterleavedFlow::LabelClassHistogram>&
 Program::label_target_histograms() const {
-  if (reduced_)
-    throw std::logic_error(
-        "kernel::Program: compiled histograms require an unreduced program "
-        "(reduced engines use the orbit-combinatorics path)");
   std::call_once(hist_->once, [this] { build_histograms(); });
   return hist_->value;
 }

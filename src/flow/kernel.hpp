@@ -3,7 +3,7 @@
 //
 // A kernel::Program is a flat, spec-specialized form of one InterleavedFlow:
 // the CSR adjacency re-laid out as structure-of-arrays tables (targets,
-// multiplicities, label ids), a Kahn topological schedule, a packed stop
+// label ids), a Kahn topological schedule, a packed stop
 // bitset and a sorted distinct-label table. Compiling once turns the
 // engine's recursive memoized DPs into dense linear sweeps:
 //
@@ -13,7 +13,7 @@
 //     observation — a lookup table of |labels| entries instead of a
 //     std::find per edge — and fills the (node x prefix-position) memo with
 //     one dense sweep, no recursion stack, no visited sentinels.
-//   * label_target_histograms() (unreduced engines) runs a counting-sort
+//   * label_target_histograms() runs a counting-sort
 //     grouping of the edge table instead of nested std::map/unordered_map
 //     passes; computed lazily on first use from the Program's own tables.
 //
@@ -21,8 +21,7 @@
 // order exactly (per (node, j): stop bonus first, then outgoing edges in
 // ascending CSR order), so results are bit-identical to the fallback — the
 // property the differential tests pin. Programs are immutable after
-// compile() and safe to share across threads; the ArtifactStore caches them
-// by canonical spec hash so daemon tenants compile once per workload.
+// compile() and safe to share across threads.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,8 +47,7 @@ class Program {
  public:
   /// Compiles the flow's graph into flat tables. O(V + E + E log L).
   /// The returned Program is self-contained: it keeps no reference to `u`
-  /// and may outlive it (the ArtifactStore shares Programs across the
-  /// per-request flows of one workload).
+  /// and may outlive it.
   static Program compile(const InterleavedFlow& u);
 
   /// Total executions (root-to-stop paths), precomputed at compile.
@@ -57,20 +55,17 @@ class Program {
   double count_paths() const { return total_paths_; }
 
   /// Ordered consistent-path count; semantics, validation and result bits
-  /// exactly match InterleavedFlow::count_consistent_paths on an unreduced
-  /// engine. Throws std::logic_error if the Program was compiled from a
-  /// reduced engine (the flow-level dispatch answers those via concrete()).
+  /// exactly match InterleavedFlow::count_consistent_paths.
   double count_consistent_paths(
       const std::vector<MessageId>& selected,
       const std::vector<IndexedMessage>& observed) const;
 
   /// In-edge class histograms, labels ascending — bit-identical to the
-  /// generic unreduced computation. Lazily built on first call (thread-safe
-  /// via std::call_once); only valid for unreduced programs.
+  /// generic computation. Lazily built on first call (thread-safe via
+  /// std::call_once).
   const std::vector<InterleavedFlow::LabelClassHistogram>&
   label_target_histograms() const;
 
-  bool reduced() const { return reduced_; }
   const CompileStats& stats() const { return stats_; }
 
  private:
@@ -82,13 +77,11 @@ class Program {
   void build_histograms() const;
 
   std::size_t num_nodes_ = 0;
-  bool reduced_ = false;
 
   // CSR adjacency as structure-of-arrays: edge i of node n lives at
   // [out_offset_[n], out_offset_[n+1]) in the three parallel edge tables.
   std::vector<std::uint32_t> out_offset_;
   std::vector<std::uint32_t> edge_to_;
-  std::vector<std::uint32_t> edge_mult_;   ///< empty when all 1 (unreduced)
   std::vector<std::uint32_t> edge_label_;  ///< index into labels_
 
   std::vector<IndexedMessage> labels_;  ///< sorted distinct edge labels
@@ -99,7 +92,7 @@ class Program {
   double total_paths_ = 0.0;
   CompileStats stats_;
 
-  // Lazy unreduced histogram cache; call_once keeps the Program shareable
+  // Lazy histogram cache; call_once keeps the Program shareable
   // across threads without external locking. Boxed because std::once_flag
   // is immovable and compile() returns Programs by value.
   struct HistCache {

@@ -91,7 +91,7 @@ class KeyInterner {
 
   std::size_t size() const { return count_; }
 
-  /// Total slot inspections across intern()/find() — the obs layer
+  /// Total slot inspections across intern() calls — the obs layer
   /// reports this as "interleave.interner.probes" (probes/lookup ≈ 1 means
   /// the table is healthy).
   std::uint64_t probes() const { return probes_; }
@@ -118,17 +118,6 @@ class KeyInterner {
     keys_.insert(keys_.end(), k, k + words_);
     inserted = true;
     return id;
-  }
-
-  /// Lookup without insertion; kInvalidNode if absent.
-  std::uint32_t find(const std::uint64_t* k) const {
-    std::size_t s = probe_start(k);
-    for (;; s = (s + 1) & mask_) {
-      ++probes_;
-      const std::uint32_t id = slots_[s];
-      if (id == kInvalidNode) return kInvalidNode;
-      if (equal(key(id), k)) return id;
-    }
   }
 
  private:
@@ -166,7 +155,7 @@ class KeyInterner {
   std::size_t count_ = 0;
   std::vector<std::uint32_t> slots_;
   std::size_t mask_ = 0;
-  mutable std::uint64_t probes_ = 0;
+  std::uint64_t probes_ = 0;
 };
 
 }  // namespace tracesel::flow

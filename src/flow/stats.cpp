@@ -55,33 +55,23 @@ FlowStats flow_stats(const Flow& flow) {
 
 InterleavingStats interleaving_stats(const InterleavedFlow& u) {
   InterleavingStats s;
-  // Report the concrete product (what the paper's numbers refer to) plus
-  // the engine's materialized footprint; they differ exactly when the
-  // engine is symmetry-reduced.
   s.nodes = u.num_product_states();
   s.edges = u.num_product_edges();
-  s.materialized_nodes = u.num_nodes();
-  s.materialized_edges = u.num_edges();
   s.indexed_messages = u.indexed_messages().size();
   s.paths = u.count_paths();
-
-  for (NodeId n : u.stop_nodes()) s.stop_nodes += u.node_weight(n);
+  s.stop_nodes = u.stop_nodes().size();
 
   double product = 1.0;
   for (const IndexedFlow& inst : u.instances())
     product *= static_cast<double>(inst.flow->num_states());
   s.density = product > 0.0 ? static_cast<double>(s.nodes) / product : 0.0;
 
-  // Weighted per-node tallies reproduce the concrete averages exactly: a
-  // representative stands for node_weight identical states, each with
-  // edge_multiplicity concrete successors per outgoing quotient edge.
   std::uint64_t non_stop = 0;
   std::uint64_t out_edges = 0;
   for (NodeId n = 0; n < u.num_nodes(); ++n) {
     if (u.is_stop(n)) continue;
-    non_stop += u.node_weight(n);
-    for (std::uint32_t e : u.outgoing(n))
-      out_edges += u.node_weight(n) * u.edge_multiplicity(e);
+    ++non_stop;
+    out_edges += u.outgoing(n).size();
   }
   s.mean_branching = non_stop ? static_cast<double>(out_edges) /
                                     static_cast<double>(non_stop)
@@ -91,9 +81,7 @@ InterleavingStats interleaving_stats(const InterleavedFlow& u) {
 
 std::vector<std::pair<MessageId, std::size_t>> message_histogram(
     const InterleavedFlow& u) {
-  // Sum the exact concrete occurrence counts over the indexed instances of
-  // each message (identical to counting edges when the engine is
-  // unreduced, and still exact when it is symmetry-reduced).
+  // Sum the occurrence counts over the indexed instances of each message.
   std::map<MessageId, std::size_t> counts;
   for (const IndexedMessage& im : u.indexed_messages())
     counts[im.message] += u.occurrences(im);

@@ -29,14 +29,9 @@ struct FlowStats {
 FlowStats flow_stats(const Flow& flow);
 
 struct InterleavingStats {
-  /// Concrete product state/edge counts — the semantic size of U,
-  /// independent of whether the engine stores orbit representatives.
+  /// Product state/edge counts — the size of U.
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
-  /// What the engine actually holds in memory (== nodes/edges when the
-  /// engine is unreduced; the symmetry win is nodes / materialized_nodes).
-  std::size_t materialized_nodes = 0;
-  std::size_t materialized_edges = 0;
   std::uint64_t stop_nodes = 0;
   std::size_t indexed_messages = 0;
   double paths = 0.0;

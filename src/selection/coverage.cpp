@@ -22,16 +22,15 @@ std::vector<flow::NodeId> visible_states(
 double flow_spec_coverage(const flow::InterleavedFlow& u,
                           std::span<const flow::MessageId> selected) {
   if (u.num_nodes() == 0) return 0.0;
-  // Def. 7 ranges over the concrete product. Visibility is
-  // orbit-invariant (the selected set is index-agnostic, so if one member
-  // of an orbit is the target of a selected-labeled edge, all are), which
-  // makes the weighted materialized count exact — and bit-identical to the
-  // unreduced division, where every weight is 1.
-  std::uint64_t visible_weight = 0;
-  for (flow::NodeId n : visible_states(u, selected))
-    visible_weight += u.node_weight(n);
-  return static_cast<double>(visible_weight) /
+  return static_cast<double>(visible_states(u, selected).size()) /
          static_cast<double>(u.num_product_states());
+}
+
+double flow_spec_coverage(const flow::ProductStats& stats,
+                          std::span<const flow::MessageId> selected) {
+  if (stats.num_product_states() == 0) return 0.0;
+  return static_cast<double>(stats.covered_states(selected)) /
+         static_cast<double>(stats.num_product_states());
 }
 
 }  // namespace tracesel::selection

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "flow/interleaved_flow.hpp"
+#include "flow/product_stats.hpp"
 
 namespace tracesel::selection {
 
@@ -16,8 +17,13 @@ std::vector<flow::NodeId> visible_states(
     const flow::InterleavedFlow& u,
     std::span<const flow::MessageId> selected);
 
-/// Def. 7 coverage in [0,1].
+/// Def. 7 coverage in [0,1], counted on the product (the oracle).
 double flow_spec_coverage(const flow::InterleavedFlow& u,
+                          std::span<const flow::MessageId> selected);
+
+/// Def. 7 coverage in [0,1] from the closed-form statistics; bit-identical
+/// to the product count.
+double flow_spec_coverage(const flow::ProductStats& stats,
                           std::span<const flow::MessageId> selected);
 
 }  // namespace tracesel::selection

@@ -6,21 +6,22 @@
 
 namespace tracesel::selection {
 
-InfoGainEngine::InfoGainEngine(const flow::InterleavedFlow& u) : u_(&u) {
+InfoGainEngine::InfoGainEngine(const flow::InterleavedFlow& u)
+    : InfoGainEngine(flow::ProductStats::of(u)) {}
+
+InfoGainEngine::InfoGainEngine(const flow::ProductStats& stats) {
   OBS_SPAN("selection.gain.engine_build");
-  // All probabilities range over the *concrete* product, so a
-  // symmetry-reduced engine scores exactly like the unreduced one: both
-  // reduce the per-edge statistics to the same in-edge class histograms
+  // The statistics reduce the per-edge terms to in-edge class histograms
   // (k product states with c in-edges labeled y), and the sum below runs
-  // over those classes in the same canonical order — labels ascending,
-  // class sizes ascending — making the resulting doubles bit-identical
-  // regardless of which engine produced them.
-  const double num_states = static_cast<double>(u.num_product_states());
-  const double total_edges = static_cast<double>(u.num_product_edges());
+  // over those classes in one canonical order — labels ascending, class
+  // sizes ascending — so the resulting doubles are bit-identical whether
+  // the histograms came from the closed form or from the product.
+  const double num_states = static_cast<double>(stats.num_product_states());
+  const double total_edges = static_cast<double>(stats.num_product_edges());
   if (total_edges == 0) return;
 
-  for (const auto& h : u.label_target_histograms()) {
-    const double occ_y = static_cast<double>(u.occurrences(h.label));
+  for (const auto& h : stats.label_target_histograms()) {
+    const double occ_y = static_cast<double>(stats.occurrences(h.label));
     double gain = 0.0;
     for (const auto& [c, k] : h.classes) {
       // p(x,y) = c / total_edges;  p(x) = 1/|S|;  p(y) = occ_y / E.

@@ -23,7 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flow/interleaved_flow.hpp"
+#include "flow/product_stats.hpp"
 
 namespace tracesel::selection {
 
@@ -31,6 +31,9 @@ namespace tracesel::selection {
 /// and answers information-gain queries for arbitrary message combinations.
 class InfoGainEngine {
  public:
+  /// Reads only the product statistics; nothing refers back to `stats`.
+  explicit InfoGainEngine(const flow::ProductStats& stats);
+  /// The engine over flow::ProductStats::of(u).
   explicit InfoGainEngine(const flow::InterleavedFlow& u);
 
   /// I(X;Y) for the combination given as a set of message ids. All indexed
@@ -68,10 +71,7 @@ class InfoGainEngine {
   /// (the gain of tracing every message).
   double max_gain() const { return total_gain_; }
 
-  const flow::InterleavedFlow& interleaving() const { return *u_; }
-
  private:
-  const flow::InterleavedFlow* u_;
   // contribution of each indexed message, precomputed once.
   std::unordered_map<flow::IndexedMessage, double> contrib_;
   // contributions aggregated per (unindexed) message id.

@@ -15,25 +15,25 @@ MultiScenarioSelector::MultiScenarioSelector(
   if (scenarios_.empty())
     throw std::invalid_argument("MultiScenarioSelector: no scenarios");
   for (const WeightedScenario& s : scenarios_) {
-    if (s.interleaving == nullptr)
-      throw std::invalid_argument("MultiScenarioSelector: null interleaving");
+    if (s.stats == nullptr)
+      throw std::invalid_argument("MultiScenarioSelector: null statistics");
     if (s.weight <= 0.0)
       throw std::invalid_argument(
           "MultiScenarioSelector: weights must be positive");
-    for (const auto& e : s.interleaving->edges()) {
-      if (std::find(candidates_.begin(), candidates_.end(),
-                    e.label.message) == candidates_.end())
-        candidates_.push_back(e.label.message);
+    for (const flow::IndexedMessage& im : s.stats->indexed_messages()) {
+      if (std::find(candidates_.begin(), candidates_.end(), im.message) ==
+          candidates_.end())
+        candidates_.push_back(im.message);
     }
   }
   std::sort(candidates_.begin(), candidates_.end());
 
-  // Each engine depends only on its own interleaving, so construction is
+  // Each engine depends only on its own statistics, so construction is
   // embarrassingly parallel; each worker writes its own slot.
   engines_.resize(scenarios_.size());
   const auto build = [this](std::size_t i) {
     engines_[i] =
-        std::make_unique<InfoGainEngine>(*scenarios_[i].interleaving);
+        std::make_unique<InfoGainEngine>(*scenarios_[i].stats);
   };
   if (util::ThreadPool::resolve_jobs(jobs) == 1) {
     for (std::size_t i = 0; i < scenarios_.size(); ++i) build(i);
@@ -146,7 +146,7 @@ MultiScenarioResult MultiScenarioSelector::select(
   result.per_scenario_coverage.resize(scenarios_.size());
   const auto cover = [&](std::size_t i) {
     result.per_scenario_coverage[i] =
-        flow_spec_coverage(*scenarios_[i].interleaving, observable);
+        flow_spec_coverage(*scenarios_[i].stats, observable);
   };
   if (util::ThreadPool::resolve_jobs(config.jobs) == 1) {
     for (std::size_t i = 0; i < scenarios_.size(); ++i) cover(i);

@@ -21,9 +21,9 @@
 
 namespace tracesel::selection {
 
-/// One scenario: its interleaving and its lab-time weight.
+/// One scenario: its interleaving's statistics and its lab-time weight.
 struct WeightedScenario {
-  const flow::InterleavedFlow* interleaving = nullptr;
+  const flow::ProductStats* stats = nullptr;
   double weight = 1.0;
 };
 

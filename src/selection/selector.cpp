@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "selection/knapsack.hpp"
 #include "util/obs.hpp"
@@ -10,15 +11,18 @@
 namespace tracesel::selection {
 
 MessageSelector::MessageSelector(const flow::MessageCatalog& catalog,
-                                 const flow::InterleavedFlow& u)
-    : catalog_(&catalog), u_(&u), engine_(u) {
-  for (const auto& e : u.edges()) {
-    if (std::find(candidates_.begin(), candidates_.end(), e.label.message) ==
-        candidates_.end())
-      candidates_.push_back(e.label.message);
-  }
+                                 flow::ProductStats stats)
+    : catalog_(&catalog), stats_(std::move(stats)), engine_(stats_) {
+  for (const flow::IndexedMessage& im : stats_.indexed_messages())
+    candidates_.push_back(im.message);
   std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                    candidates_.end());
 }
+
+MessageSelector::MessageSelector(const flow::MessageCatalog& catalog,
+                                 const flow::InterleavedFlow& u)
+    : MessageSelector(catalog, flow::ProductStats::of(u)) {}
 
 Combination MessageSelector::search_exhaustive(const SelectorConfig& config,
                                                bool maximal_only) const {
@@ -135,7 +139,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
   result.gain_unpacked =
       engine_.info_gain(result.combination.messages, config.kernel);
   result.coverage_unpacked =
-      flow_spec_coverage(*u_, result.combination.messages);
+      flow_spec_coverage(stats_, result.combination.messages);
   result.used_width = result.combination.width;
 
   if (config.packing) {
@@ -150,7 +154,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
   } else {
     result.gain = result.gain_unpacked;
   }
-  result.coverage = flow_spec_coverage(*u_, result.observable());
+  result.coverage = flow_spec_coverage(stats_, result.observable());
   return result;
 }
 
@@ -196,7 +200,7 @@ SelectionResult MessageSelector::select_with_flow_constraint(
 
   // Distinct participating flows of the interleaving.
   std::vector<const flow::Flow*> flows;
-  for (const auto& inst : u_->instances()) {
+  for (const auto& inst : stats_.instances()) {
     if (std::find(flows.begin(), flows.end(), inst.flow) == flows.end())
       flows.push_back(inst.flow);
   }
@@ -276,7 +280,7 @@ SelectionResult MessageSelector::select_with_flow_constraint(
   result.gain_unpacked =
       engine_.info_gain(result.combination.messages, config.kernel);
   result.coverage_unpacked =
-      flow_spec_coverage(*u_, result.combination.messages);
+      flow_spec_coverage(stats_, result.combination.messages);
   if (config.packing) {
     PackingResult packing =
         pack_leftover(*catalog_, engine_, result.combination,
@@ -288,7 +292,7 @@ SelectionResult MessageSelector::select_with_flow_constraint(
     result.packed.clear();
     result.gain = result.gain_unpacked;
   }
-  result.coverage = flow_spec_coverage(*u_, result.observable());
+  result.coverage = flow_spec_coverage(stats_, result.observable());
   return result;
 }
 

@@ -83,11 +83,6 @@ struct SelectionResult {
   /// 1.0 for complete runs; an interrupted run reports 0.0 (the serial
   /// searches do not measure their progress).
   double explored_fraction = 1.0;
-  /// Non-empty when a memory budget degraded a stage (the interleave
-  /// fallback); see docs/resilience.md.
-  std::string degradation;
-  bool degraded() const { return !degradation.empty(); }
-
   double utilization() const {
     return buffer_width ? static_cast<double>(used_width) / buffer_width : 0.0;
   }
@@ -106,7 +101,10 @@ struct SelectionResult {
 class MessageSelector {
  public:
   /// The candidate message pool is the union of messages labeling the
-  /// interleaved flow's edges (i.e. the participating flows' alphabets).
+  /// product's edges (i.e. the participating flows' alphabets).
+  MessageSelector(const flow::MessageCatalog& catalog,
+                  flow::ProductStats stats);
+  /// The selector over flow::ProductStats::of(u); reads no product state.
   MessageSelector(const flow::MessageCatalog& catalog,
                   const flow::InterleavedFlow& u);
 
@@ -124,7 +122,7 @@ class MessageSelector {
 
   const InfoGainEngine& engine() const { return engine_; }
   const flow::MessageCatalog& catalog() const { return *catalog_; }
-  const flow::InterleavedFlow& interleaving() const { return *u_; }
+  const flow::ProductStats& stats() const { return stats_; }
   const std::vector<flow::MessageId>& candidates() const {
     return candidates_;
   }
@@ -140,7 +138,7 @@ class MessageSelector {
   Combination search_knapsack(const SelectorConfig& config) const;
 
   const flow::MessageCatalog* catalog_;
-  const flow::InterleavedFlow* u_;
+  flow::ProductStats stats_;
   InfoGainEngine engine_;
   std::vector<flow::MessageId> candidates_;
 };

@@ -12,7 +12,7 @@
 #include <thread>
 #include <utility>
 
-#include "util/subprocess.hpp"
+#include "util/framing.hpp"
 
 namespace tracesel::service {
 

@@ -15,7 +15,6 @@
 #include "util/framing.hpp"
 #include "util/log.hpp"
 #include "util/obs.hpp"
-#include "util/subprocess.hpp"
 
 namespace tracesel::service {
 

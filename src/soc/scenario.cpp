@@ -63,13 +63,17 @@ std::vector<const flow::Flow*> scenario_flows(const T2Design& design,
   return flows;
 }
 
+std::vector<flow::IndexedFlow> scenario_instances(const T2Design& design,
+                                                  const Scenario& scenario) {
+  return flow::make_instances(scenario_flows(design, scenario),
+                              scenario.instances_per_flow);
+}
+
 flow::InterleavedFlow build_interleaving(const T2Design& design,
                                          const Scenario& scenario,
                                          const flow::InterleaveOptions& options) {
-  return flow::InterleavedFlow::build(
-      flow::make_instances(scenario_flows(design, scenario),
-                           scenario.instances_per_flow),
-      options);
+  return flow::InterleavedFlow::build(scenario_instances(design, scenario),
+                                      options);
 }
 
 }  // namespace tracesel::soc

@@ -41,9 +41,14 @@ Scenario scenario_by_id(int id);
 std::vector<const flow::Flow*> scenario_flows(const T2Design& design,
                                               const Scenario& scenario);
 
+/// The scenario's indexed instances: instances_per_flow legally indexed
+/// instances of each participating flow.
+std::vector<flow::IndexedFlow> scenario_instances(const T2Design& design,
+                                                  const Scenario& scenario);
+
 /// Builds the interleaved flow of the scenario: instances_per_flow legally
-/// indexed instances of each participating flow. `options` selects the
-/// engine (symmetry-reduced by default) and the node budget.
+/// indexed instances of each participating flow. `options` sets the node
+/// cap and cancellation.
 flow::InterleavedFlow build_interleaving(
     const T2Design& design, const Scenario& scenario,
     const flow::InterleaveOptions& options = {});

@@ -1,6 +1,5 @@
 #include "tracesel/artifact_store.hpp"
 
-#include "flow/kernel.hpp"
 #include "tracesel/query_core.hpp"
 #include "util/obs.hpp"
 
@@ -113,21 +112,6 @@ std::shared_ptr<const selection::SelectionResult> ArtifactStore::result(
   return value;
 }
 
-std::shared_ptr<const flow::kernel::Program> ArtifactStore::kernel_program(
-    std::uint64_t key, const KernelBuilder& build, bool* cache_hit) {
-  bool hit = false;
-  auto value = get_or_build<decltype(kernels_),
-                            std::shared_ptr<const flow::kernel::Program>>(
-      mu_, kernels_, key, build, [](Entry<flow::kernel::Program>&) {}, &hit,
-      stats_.kernel_hits, stats_.kernel_misses);
-  if (cache_hit != nullptr) *cache_hit = hit && value != nullptr;
-  if (hit)
-    OBS_COUNT("store.kernel.hits", 1);
-  else
-    OBS_COUNT("store.kernel.misses", 1);
-  return value;
-}
-
 ArtifactStore::Stats ArtifactStore::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   Stats s = stats_;
@@ -137,9 +121,6 @@ ArtifactStore::Stats ArtifactStore::stats() const {
   s.result_entries = 0;
   for (const auto& [k, e] : results_)
     if (e.ready) ++s.result_entries;
-  s.kernel_entries = 0;
-  for (const auto& [k, e] : kernels_)
-    if (e.ready) ++s.kernel_entries;
   return s;
 }
 
@@ -147,7 +128,6 @@ void ArtifactStore::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   workloads_.clear();
   results_.clear();
-  kernels_.clear();
 }
 
 }  // namespace tracesel

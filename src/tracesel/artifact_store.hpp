@@ -4,14 +4,14 @@
 //
 // A selection job factors into two expensive, *deterministic* products:
 //
-//   workload  =  parse spec -> interleave -> selector over the product
+//   workload  =  parse spec -> product statistics -> selector over them
 //   result    =  Step 1-3 search over a workload under a search config
 //
 // Both are pure functions of the job description (tracesel::JobRequest),
 // so concurrent and repeated jobs can share them. The store is a
 // content-addressed map over the request's canonical hashes:
 //
-//   workload key : FNV-1a(spec content hash, instances, interleave knobs)
+//   workload key : FNV-1a(spec content hash, instances)
 //   result key   : JobRequest::canonical_hash(spec content hash) — every
 //                  structural field, no runtime knobs (kernel/deadline),
 //                  because the engine produces bit-identical results
@@ -44,11 +44,7 @@
 
 namespace tracesel {
 
-struct Workload;  // query_core.hpp — the resolved spec/interleaving/selector
-
-namespace flow::kernel {
-class Program;  // flow/kernel.hpp — compiled per-spec DP program
-}
+struct Workload;  // query_core.hpp — the resolved spec/statistics/selector
 
 class ArtifactStore {
  public:
@@ -57,19 +53,14 @@ class ArtifactStore {
     std::uint64_t workload_misses = 0;
     std::uint64_t result_hits = 0;
     std::uint64_t result_misses = 0;
-    std::uint64_t kernel_hits = 0;      ///< compiled kernel programs (§14)
-    std::uint64_t kernel_misses = 0;
     std::uint64_t collisions = 0;       ///< result-key hash collisions
     std::uint64_t workload_entries = 0; ///< cached (completed) values
     std::uint64_t result_entries = 0;
-    std::uint64_t kernel_entries = 0;
   };
 
   using WorkloadBuilder = std::function<std::shared_ptr<const Workload>()>;
   using ResultBuilder =
       std::function<std::shared_ptr<const selection::SelectionResult>()>;
-  using KernelBuilder =
-      std::function<std::shared_ptr<const flow::kernel::Program>()>;
 
   ArtifactStore() = default;
   ArtifactStore(const ArtifactStore&) = delete;
@@ -93,14 +84,6 @@ class ArtifactStore {
       std::uint64_t key, const JobRequest& request, const ResultBuilder& build,
       bool* cache_hit = nullptr);
 
-  /// Compiled flow::kernel::Program cache (DESIGN.md §14), keyed by the
-  /// workload key (spec content hash + interleave shape) so every daemon
-  /// tenant resolving the same spec shares one compile. Same get-or-build
-  /// protocol as workload(): first requester compiles, waiters block on the
-  /// future, a throwing builder leaves the key vacant.
-  std::shared_ptr<const flow::kernel::Program> kernel_program(
-      std::uint64_t key, const KernelBuilder& build, bool* cache_hit = nullptr);
-
   Stats stats() const;
   /// Drops every cached value (in-flight builds are unaffected: their
   /// futures complete but land in the fresh generation only if re-asked).
@@ -120,7 +103,6 @@ class ArtifactStore {
   mutable std::mutex mu_;
   std::map<std::uint64_t, Entry<Workload>> workloads_;
   std::map<std::uint64_t, ResultEntry> results_;
-  std::map<std::uint64_t, Entry<flow::kernel::Program>> kernels_;
   Stats stats_;
 };
 

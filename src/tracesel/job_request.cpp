@@ -44,9 +44,7 @@ selection::SelectorConfig JobRequest::selector_config() const {
 
 flow::InterleaveOptions JobRequest::interleave_options() const {
   flow::InterleaveOptions opt;
-  opt.symmetry_reduction = symmetry_reduction;
   opt.max_nodes = static_cast<std::size_t>(max_nodes);
-  opt.mem_budget_mb = static_cast<std::size_t>(mem_budget_mb);
   opt.kernel = kernel;
   return opt;
 }
@@ -56,26 +54,20 @@ std::uint64_t JobRequest::canonical_hash(std::uint64_t source_hash) const {
   fnv_mix(h, kVersion);
   fnv_mix(h, source_hash);
   fnv_mix(h, instances);
-  fnv_mix(h, symmetry_reduction ? 1 : 0);
-  fnv_mix(h, max_nodes);
   fnv_mix(h, static_cast<std::uint64_t>(kind));
   fnv_mix(h, buffer_width);
   fnv_mix(h, static_cast<std::uint64_t>(mode));
   fnv_mix(h, packing ? 1 : 0);
   fnv_mix(h, max_combinations);
-  fnv_mix(h, mem_budget_mb);
   return h;
 }
 
 bool JobRequest::same_computation(const JobRequest& other) const {
   return spec == other.spec && spec_text == other.spec_text &&
-         instances == other.instances &&
-         symmetry_reduction == other.symmetry_reduction &&
-         max_nodes == other.max_nodes && kind == other.kind &&
+         instances == other.instances && kind == other.kind &&
          buffer_width == other.buffer_width && mode == other.mode &&
          packing == other.packing &&
-         max_combinations == other.max_combinations &&
-         mem_budget_mb == other.mem_budget_mb;
+         max_combinations == other.max_combinations;
 }
 
 std::string_view to_string(selection::SearchMode mode) {
@@ -108,13 +100,15 @@ std::string serialize_job_request(const JobRequest& req) {
        << '\n';
   body << "spec " << (req.spec.empty() ? "-" : req.spec) << '\n';
   body << "instances " << req.instances << '\n';
-  body << "symmetry_reduction " << (req.symmetry_reduction ? 1 : 0) << '\n';
+  // Version 1 carried two engine lines; they are written back at their
+  // defaults so version-1 records re-serialize unchanged.
+  if (req.version == 1) body << "symmetry_reduction 1\n";
   body << "max_nodes " << req.max_nodes << '\n';
   body << "buffer_width " << req.buffer_width << '\n';
   body << "mode " << to_string(req.mode) << '\n';
   body << "packing " << (req.packing ? 1 : 0) << '\n';
   body << "max_combinations " << req.max_combinations << '\n';
-  body << "mem_budget_mb " << req.mem_budget_mb << '\n';
+  if (req.version == 1) body << "mem_budget_mb 0\n";
   body << "deadline_ms " << req.deadline_ms << '\n';
   body << "kernel "
        << (req.kernel == flow::KernelMode::kGeneric ? "generic" : "compiled")
@@ -132,16 +126,20 @@ std::string serialize_job_request(const JobRequest& req) {
   body << "spec_text " << req.spec_text.size() << '\n';
   body << req.spec_text;
   body << "\nend\n";
-  return util::encode_envelope(kJobTag, JobRequest::kVersion, body.str());
+  return util::encode_envelope(kJobTag, req.version, body.str());
 }
 
 util::Result<JobRequest> parse_job_request(std::string_view text) {
+  // Version-1 envelopes still parse; their retired lines are dropped below.
+  const std::uint32_t version =
+      text.starts_with(std::string(kJobTag) + " 1 ") ? 1 : JobRequest::kVersion;
   const auto payload =
-      util::decode_envelope(text, kJobTag, JobRequest::kVersion, "job request");
+      util::decode_envelope(text, kJobTag, version, "job request");
   if (!payload.ok()) return payload.error();
   std::string_view body = payload.value();
 
   JobRequest req;
+  req.version = version;
   // Reset string defaults: an omitted "spec" line must read back as empty,
   // not as the struct's convenience default.
   req.spec.clear();
@@ -201,8 +199,6 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
         return malformed("bad value for '" + std::string(key) + "'");
       if (key == "instances") {
         req.instances = static_cast<std::uint32_t>(v);
-      } else if (key == "symmetry_reduction") {
-        req.symmetry_reduction = v != 0;
       } else if (key == "max_nodes") {
         req.max_nodes = v;
       } else if (key == "buffer_width") {
@@ -211,10 +207,9 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
         req.packing = v != 0;
       } else if (key == "max_combinations") {
         req.max_combinations = v;
-      } else if (key == "mem_budget_mb") {
-        req.mem_budget_mb = v;
-      } else if (key == "jobs") {
-        // No longer a knob; accepted and dropped so records written by
+      } else if (key == "jobs" || key == "symmetry_reduction" ||
+                 key == "mem_budget_mb") {
+        // No longer knobs; accepted and dropped so records written by
         // older clients and journals still parse.
       } else if (key == "deadline_ms") {
         req.deadline_ms = v;

@@ -14,12 +14,12 @@
 //                     spec text for daemon clients without a shared
 //                     filesystem) and how many instances to interleave;
 //   - the structure:  every knob that can change the *bits* of the result
-//                     (buffer width, search mode, packing, combination cap,
-//                     interleave engine options, memory budget);
+//                     (buffer width, search mode, packing, combination cap);
 //   - the runtime:    knobs that change only *how fast* the same bits are
-//                     produced (kernel, deadline) — excluded from the
-//                     canonical hash, because the engine guarantees results
-//                     bit-identical across them.
+//                     produced, or whether a run finishes (kernel, deadline,
+//                     node cap) — excluded from the canonical hash, because
+//                     the engine guarantees results bit-identical across
+//                     them and failed or partial runs are never cached.
 //
 // The same struct feeds three consumers from one source of truth:
 //   canonical_hash()     -> the ArtifactStore cache key,
@@ -38,7 +38,11 @@
 namespace tracesel {
 
 struct JobRequest {
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2: version 1's two interleave-engine lines are gone.
+  static constexpr std::uint32_t kVersion = 2;
+  /// The envelope version this request was parsed from; serialization
+  /// writes the same one, so version-1 records round-trip byte for byte.
+  std::uint32_t version = kVersion;
 
   /// Which selection entry point runs. kSelectFlowConstraint adds the
   /// every-flow-represented repair (MessageSelector::
@@ -54,9 +58,9 @@ struct JobRequest {
   /// interleave(n) count for spec/usb workloads; scenario id for t2.
   std::uint32_t instances = 2;
 
-  // --- structural: interleave engine (hashed) ---
+  /// Ignored: selection no longer builds a product, so there is nothing
+  /// to reduce. Kept only so the benchmark's sources still compile.
   bool symmetry_reduction = true;
-  std::uint64_t max_nodes = 2'000'000;
 
   // --- structural: search (hashed) ---
   Kind kind = Kind::kSelect;
@@ -64,11 +68,14 @@ struct JobRequest {
   selection::SearchMode mode = selection::SearchMode::kKnapsack;
   bool packing = true;
   std::uint64_t max_combinations = 1u << 22;
-  std::uint64_t mem_budget_mb = 0;
 
   // --- runtime knobs (never hashed: a deadline either leaves the result
   //     complete or marks it partial — and partial results are never
   //     cached) ---
+  /// Node cap of a product build: the closed form's fallback (a flow with
+  /// an atomic initial state). It decides whether such a job fails, never
+  /// its bits.
+  std::uint64_t max_nodes = 2'000'000;
   /// 0 = no deadline. Mapped onto a util::CancelToken deadline by the
   /// daemon; the engine returns the best-so-far partial result when it
   /// fires.
@@ -111,9 +118,10 @@ util::Result<selection::SearchMode> parse_search_mode(std::string_view name);
 
 /// Wire encoding: a "tracesel-job <version> <checksum>" envelope (the
 /// shared util codec) over "key value" lines, with the inline spec text as
-/// a trailing length-prefixed block. parse_job_request still accepts the
-/// retired "jobs N" line and drops it, so records written by older clients
-/// and journals replay.
+/// a trailing length-prefixed block. parse_job_request still accepts
+/// version-1 envelopes and the retired "jobs N" and interleave-engine
+/// lines, which it drops, so records written by older clients and journals
+/// replay.
 std::string serialize_job_request(const JobRequest& req);
 util::Result<JobRequest> parse_job_request(std::string_view text);
 

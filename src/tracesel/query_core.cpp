@@ -55,31 +55,32 @@ std::unique_ptr<Workload> QueryCore::workload_from_interleaving(
 void QueryCore::interleave(Workload& w, std::uint32_t instances,
                            const flow::InterleaveOptions& options) {
   OBS_SPAN("session.interleave");
+  std::vector<flow::IndexedFlow> indexed;
   if (w.t2) {
-    w.u = std::make_unique<flow::InterleavedFlow>(soc::build_interleaving(
-        *w.t2, soc::scenario_by_id(static_cast<int>(instances)), options));
+    indexed = soc::scenario_instances(
+        *w.t2, soc::scenario_by_id(static_cast<int>(instances)));
   } else if (w.usb) {
-    w.u = std::make_unique<flow::InterleavedFlow>(
-        w.usb->interleaving(instances, options));
+    indexed = flow::make_instances({&w.usb->rx_flow(), &w.usb->tx_flow()},
+                                   instances);
   } else if (w.spec) {
     std::vector<const flow::Flow*> flows;
     for (const flow::Flow& f : w.spec->flows) flows.push_back(&f);
-    w.u = std::make_unique<flow::InterleavedFlow>(flow::InterleavedFlow::build(
-        flow::make_instances(flows, instances), options));
+    indexed = flow::make_instances(flows, instances);
   } else {
     throw std::logic_error(
         "QueryCore::interleave: workload owns no spec or design");
   }
-  w.selector.reset();
+  w.u.reset();
+  w.selector = std::make_unique<selection::MessageSelector>(
+      *w.catalog, flow::ProductStats::build(std::move(indexed), options));
 }
 
 void QueryCore::ensure_selectors(Workload& w) {
+  if (w.selector) return;
   if (!w.u)
     throw std::logic_error(
         "QueryCore: no interleaving (interleave the workload first)");
-  if (!w.selector)
-    w.selector =
-        std::make_unique<selection::MessageSelector>(*w.catalog, *w.u);
+  w.selector = std::make_unique<selection::MessageSelector>(*w.catalog, *w.u);
 }
 
 util::Result<std::uint64_t> QueryCore::source_hash(const JobRequest& req) {
@@ -100,9 +101,6 @@ std::uint64_t QueryCore::workload_key(const JobRequest& req,
   std::uint64_t h = 0xCBF29CE484222325ull;
   fnv_mix(h, source_hash);
   fnv_mix(h, req.instances);
-  fnv_mix(h, req.symmetry_reduction ? 1 : 0);
-  fnv_mix(h, req.max_nodes);
-  fnv_mix(h, req.mem_budget_mb);
   return h;
 }
 
@@ -136,7 +134,6 @@ std::unique_ptr<Workload> QueryCore::build_workload(const JobRequest& req,
   flow::InterleaveOptions opt = req.interleave_options();
   opt.cancel = std::move(cancel);
   interleave(*w, req.instances, opt);
-  ensure_selectors(*w);
   return w;
 }
 
@@ -144,22 +141,10 @@ selection::SelectionResult QueryCore::select(
     const Workload& w, const selection::SelectorConfig& config,
     bool flow_constraint) {
   OBS_SPAN("session.select");
-  if (!w.u || !w.selector)
-    throw std::logic_error(
-        "QueryCore::select: workload has no interleaving/selector");
-
-  selection::SelectionResult result =
-      flow_constraint ? w.selector->select_with_flow_constraint(config)
-                      : w.selector->select(config);
-
-  // Surface any interleave-stage degradation alongside the selection's own.
-  if (w.u->degraded()) {
-    const std::string note = "interleave: " + w.u->degradation();
-    result.degradation = result.degradation.empty()
-                             ? note
-                             : note + "; " + result.degradation;
-  }
-  return result;
+  if (!w.selector)
+    throw std::logic_error("QueryCore::select: workload has no selector");
+  return flow_constraint ? w.selector->select_with_flow_constraint(config)
+                         : w.selector->select(config);
 }
 
 selection::SelectionResult QueryCore::select(const Workload& w,
@@ -195,22 +180,6 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
     // job's, not ours — build privately.
     out.workload = build_shared();
     out.workload_cache_hit = false;
-  }
-
-  // Share the compiled DP program across tenants of the same workload
-  // (DESIGN.md §14). Keyed by the workload key: the program is a pure
-  // function of the interleaved product. shared_program() compiles lazily
-  // inside the flow, so a cache hit adopts the store's handle and a miss
-  // publishes ours; a failed in-flight compile just falls back to the
-  // flow's own lazy compile on first use.
-  if (req.kernel == flow::KernelMode::kCompiled && out.workload->u) {
-    auto program = store->kernel_program(
-        wkey,
-        [&]() -> std::shared_ptr<const flow::kernel::Program> {
-          return out.workload->u->shared_program();
-        },
-        &out.kernel_cache_hit);
-    if (program) out.workload->u->adopt_program(std::move(program));
   }
 
   const std::uint64_t rkey = req.canonical_hash(src.value());

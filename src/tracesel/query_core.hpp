@@ -2,10 +2,11 @@
 // tracesel::QueryCore — the stateless compute core of the facade
 // (DESIGN.md §13).
 //
-// PR 7 splits the old do-everything tracesel::Session in two:
+// The compute of the facade comes in two pieces:
 //
 //   QueryCore      pure functions of (JobRequest, spec content): resolve
-//                  the workload, interleave, run Step 1-3. No hidden
+//                  the workload, compute the interleaving's statistics,
+//                  run Step 1-3. No hidden
 //                  state, no ordering constraints — safe to call from any
 //                  thread, which is what lets the traceseld daemon run
 //                  jobs concurrently.
@@ -17,9 +18,9 @@
 // SelectorConfig, and forwards its pipeline calls here.
 //
 // A Workload is the resolved middle product: the owned spec (or builtin
-// design), its message catalog, the interleaved flow, and the selectors
-// over it. Once built it is immutable and safely shared by concurrent
-// jobs.
+// design), its message catalog, and the selector over the interleaving's
+// closed-form statistics. No selection request builds the product. Once
+// built a Workload is immutable and safely shared by concurrent jobs.
 
 #include <cstdint>
 #include <memory>
@@ -37,9 +38,9 @@
 
 namespace tracesel {
 
-/// The resolved workload of a job: spec/design ownership, catalog, the
-/// interleaved product and the selector over it. Immutable once built
-/// (see file comment); handed around as shared_ptr<const Workload>.
+/// The resolved workload of a job: spec/design ownership, catalog and the
+/// selector over the interleaving's statistics. Immutable once built (see
+/// file comment); handed around as shared_ptr<const Workload>.
 struct Workload {
   // Exactly one of spec / t2 / usb is set for owned workloads; all three
   // may be null for from_interleaving sessions (borrowed catalog).
@@ -48,7 +49,11 @@ struct Workload {
   std::unique_ptr<netlist::UsbDesign> usb;
   const flow::MessageCatalog* catalog = nullptr;
 
+  /// The materialized product, for the debug leg only: set by
+  /// workload_from_interleaving and by Session::interleaving(); null on
+  /// every workload QueryCore builds.
   std::unique_ptr<flow::InterleavedFlow> u;
+  /// The selector over the interleaving's statistics (selector->stats()).
   std::unique_ptr<selection::MessageSelector> selector;
 
   /// FNV-1a over the resolved spec content; 0 when not content-addressed.
@@ -65,9 +70,6 @@ class QueryCore {
     std::shared_ptr<const selection::SelectionResult> result;
     bool workload_cache_hit = false;
     bool result_cache_hit = false;
-    /// Compiled kernel program resolved from the store rather than compiled
-    /// here (always false under --kernel=generic or without a store).
-    bool kernel_cache_hit = false;
   };
 
   // --- workload construction (Session and the daemon both build through
@@ -80,12 +82,14 @@ class QueryCore {
   static std::unique_ptr<Workload> workload_from_interleaving(
       const flow::MessageCatalog& catalog, flow::InterleavedFlow u);
 
-  /// Builds the interleaved product into `w` (spec/usb: `instances`
-  /// indexed instances; t2: scenario id) and drops any stale selector.
-  /// Engine failures throw (std::length_error, util::CancelledError, ...).
+  /// Computes the statistics of the workload's interleaving (spec/usb:
+  /// `instances` indexed instances per flow; t2: scenario id) and the
+  /// selector over them, dropping any stale product. Builds no product
+  /// unless the closed form's fallback needs one, which is the only use of
+  /// `options` (failures throw std::length_error, util::CancelledError).
   static void interleave(Workload& w, std::uint32_t instances,
                          const flow::InterleaveOptions& options);
-  /// Builds (once) the MessageSelector over w.u.
+  /// Builds (once) the MessageSelector over an adopted product w.u.
   static void ensure_selectors(Workload& w);
 
   // --- content addressing ---
@@ -93,8 +97,7 @@ class QueryCore {
   /// "builtin:t2"/"builtin:usb", or the spec file's bytes (a typed error
   /// when the file cannot be read).
   static util::Result<std::uint64_t> source_hash(const JobRequest& req);
-  /// The ArtifactStore workload key: source hash + every field that
-  /// changes the interleaved product.
+  /// The ArtifactStore workload key: source hash + instance count.
   static std::uint64_t workload_key(const JobRequest& req,
                                     std::uint64_t source_hash);
 
@@ -105,9 +108,8 @@ class QueryCore {
 
   /// Step 1-3 over an existing workload. The low-level entry point both
   /// Session::select and the request path share: honours every
-  /// SelectorConfig field (including cancel), picks the plain or the
-  /// flow-constraint path, and folds interleave-stage degradation into the
-  /// result.
+  /// SelectorConfig field (including cancel) and picks the plain or the
+  /// flow-constraint path.
   static selection::SelectionResult select(
       const Workload& w, const selection::SelectorConfig& config,
       bool flow_constraint);
@@ -122,8 +124,8 @@ class QueryCore {
   /// (cached). `store` may be null (no caching). Partial results
   /// (cancelled / deadline) are returned but never cached. A typed error
   /// when the spec file cannot be read; parse and engine failures throw,
-  /// including util::CancelledError when `cancel` fires during the
-  /// interleave build.
+  /// including util::CancelledError when `cancel` fires during a fallback
+  /// product build.
   static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
                                    util::CancelToken cancel);
 };

@@ -69,8 +69,8 @@ Session& Session::jobs(std::size_t n) {
 
 Session& Session::interleave_options(const flow::InterleaveOptions& options) {
   interleave_options_ = options;
-  // A rebuilt engine invalidates any interleaving-derived state.
-  if (workload_->u) {
+  // New options invalidate any interleaving-derived state.
+  if (has_interleaving()) {
     workload_->u.reset();
     workload_->selector.reset();
     last_selection_.reset();
@@ -118,7 +118,7 @@ util::ThreadPool* Session::pool() {
 }
 
 selection::SelectionResult Session::select_impl(bool flow_constraint) {
-  if (!workload_->u) {
+  if (!has_interleaving()) {
     // Spec sessions default to the paper's two legally indexed instances;
     // usb sessions to one instance of each flow (Table 4 setting).
     if (workload_->spec) interleave(2);
@@ -144,9 +144,9 @@ selection::SelectionResult Session::select_with_flow_constraint() {
 
 selection::LocalizationResult Session::localize(
     std::span<const flow::IndexedMessage> observed) const {
-  if (!workload_->u || !last_selection_)
+  if (!last_selection_)
     throw std::logic_error("Session::localize: run select() first");
-  return selection::localize(*workload_->u, last_selection_->observable(),
+  return selection::localize(interleaving(), last_selection_->observable(),
                              std::vector<flow::IndexedMessage>(
                                  observed.begin(), observed.end()));
 }
@@ -189,10 +189,19 @@ const flow::ParsedSpec& Session::spec() const {
 }
 
 const flow::InterleavedFlow& Session::interleaving() const {
-  if (!workload_->u)
+  if (!workload_->u) {
+    workload_->u = std::make_unique<flow::InterleavedFlow>(
+        flow::InterleavedFlow::build(stats().instances(),
+                                     merged_interleave_options()));
+  }
+  return *workload_->u;
+}
+
+const flow::ProductStats& Session::stats() const {
+  if (!workload_->selector)
     throw std::logic_error(
         "Session: no interleaving (call interleave()/scenario())");
-  return *workload_->u;
+  return workload_->selector->stats();
 }
 
 const soc::T2Design& Session::design() const {

@@ -82,18 +82,19 @@ class Session {
   const selection::SelectorConfig& config() const { return config_; }
   /// Shorthand for config().jobs = n.
   Session& jobs(std::size_t n);
-  /// Engine options used by subsequent interleave()/scenario() calls —
-  /// symmetry reduction (default on), node budget, cross-check mode.
+  /// Product build options (node cap) used by interleaving() and by the
+  /// closed form's fallback in subsequent interleave()/scenario() calls.
   Session& interleave_options(const flow::InterleaveOptions& options);
   const flow::InterleaveOptions& interleave_options() const {
     return interleave_options_;
   }
 
   // --- pipeline (thin forwards to QueryCore) ---
-  /// Builds the interleaving of all spec flows with `instances` legally
-  /// indexed instances each (spec sessions only).
+  /// Interleaves all spec flows with `instances` legally indexed instances
+  /// each (spec sessions only). Computes the statistics selection needs;
+  /// the product itself is built on first use of interleaving().
   Session& interleave(std::uint32_t instances = 2);
-  /// Builds the interleaving of a built-in T2 scenario (t2 sessions only).
+  /// Interleaves a built-in T2 scenario (t2 sessions only), likewise.
   Session& scenario(int id);
 
   /// Step 1-3 over the current interleaving, honouring config(). Caches
@@ -103,7 +104,7 @@ class Session {
   /// (MessageSelector::select_with_flow_constraint).
   selection::SelectionResult select_with_flow_constraint();
   /// Localization of an observed projection against the last select()
-  /// result's observable set.
+  /// result's observable set (builds the product if needed).
   selection::LocalizationResult localize(
       std::span<const flow::IndexedMessage> observed) const;
 
@@ -120,9 +121,15 @@ class Session {
   // --- introspection ---
   const flow::MessageCatalog& catalog() const;
   const flow::ParsedSpec& spec() const;
+  /// The materialized product, built on first call from the interleaved
+  /// instances.
   const flow::InterleavedFlow& interleaving() const;
+  /// The statistics selection reads.
+  const flow::ProductStats& stats() const;
   const soc::T2Design& design() const;
-  bool has_interleaving() const { return workload_ && workload_->u; }
+  bool has_interleaving() const {
+    return workload_ && (workload_->selector || workload_->u);
+  }
   /// The session's underlying QueryCore workload (always non-null).
   const Workload& workload() const { return *workload_; }
   const std::optional<selection::SelectionResult>& last_selection() const {

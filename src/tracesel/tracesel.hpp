@@ -13,8 +13,8 @@
 //   if (out.ok()) use(*out.value().result);
 //
 // QueryCore (query_core.hpp) is a set of pure functions from JobRequest to
-// selection results; every expensive intermediate (the parsed spec, the
-// interleave product, the memoized selection) lives in the caller-owned
+// selection results; every expensive intermediate (the parsed spec and its
+// interleaving statistics, the memoized selection) lives in the caller-owned
 // ArtifactStore (artifact_store.hpp), keyed by the request's canonical
 // hash, so concurrent and repeated queries share work safely. This is the
 // API the traceseld daemon (service/server.hpp) multiplexes jobs onto.
@@ -30,13 +30,15 @@
 // building block (e.g. a custom flow built with flow::FlowBuilder, or the
 // gate-level baselines, which stay in baseline/ and netlist/).
 
-// Flow layer: messages, flow DAGs, interleavings, the .flow parser.
+// Flow layer: messages, flow DAGs, interleavings and their closed-form
+// statistics, the .flow parser.
 #include "flow/flow.hpp"
 #include "flow/flow_builder.hpp"
 #include "flow/interleaved_flow.hpp"
 #include "flow/lint.hpp"
 #include "flow/message.hpp"
 #include "flow/parser.hpp"
+#include "flow/product_stats.hpp"
 #include "flow/stats.hpp"
 
 // Selection layer: Steps 1-3, multi-scenario planning.

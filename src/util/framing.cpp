@@ -1,6 +1,7 @@
 #include "util/framing.hpp"
 
 #include <errno.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <charconv>
@@ -9,6 +10,17 @@
 #include "util/atomic_file.hpp"
 
 namespace tracesel::util {
+
+void ignore_sigpipe() {
+  static const bool installed = [] {
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = SIG_IGN;
+    ::sigaction(SIGPIPE, &sa, nullptr);
+    return true;
+  }();
+  (void)installed;
+}
 
 namespace {
 

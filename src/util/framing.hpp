@@ -42,8 +42,12 @@ inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 std::string encode_frame(std::string_view payload);
 
 /// encode_frame + a full blocking write on a raw fd (EINTR retried; EPIPE
-/// reported as a typed error, never a signal — see util::ignore_sigpipe).
+/// reported as a typed error, never a signal — see ignore_sigpipe).
 Status write_frame(int fd, std::string_view payload);
+
+/// Ignores SIGPIPE process-wide (idempotent), so a write to a vanished
+/// peer surfaces as EPIPE instead of killing the process.
+void ignore_sigpipe();
 
 /// Incremental decoder: feed() raw bytes as they arrive, then drain
 /// complete frames with next(). Once a frame fails validation the stream

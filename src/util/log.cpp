@@ -35,9 +35,7 @@ std::uint32_t thread_id() {
       next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
-// One mutex guards both the emit stream and the context string.
-std::mutex g_emit_mu;
-std::string g_context;  // guarded by g_emit_mu
+std::mutex g_emit_mu;  // guards the emit stream
 
 }  // namespace
 
@@ -57,11 +55,6 @@ const char* log_level_name(LogLevel level) {
   return "warn";
 }
 
-void set_log_context(std::string context) {
-  std::lock_guard<std::mutex> lk(g_emit_mu);
-  g_context = std::move(context);
-}
-
 namespace detail {
 void emit(LogLevel level, const std::string& text) {
   // Lines from parallel workers must never interleave mid-line: format the
@@ -71,7 +64,6 @@ void emit(LogLevel level, const std::string& text) {
                 thread_id());
   std::lock_guard<std::mutex> lk(g_emit_mu);
   std::clog << prefix(level) << stamp;
-  if (!g_context.empty()) std::clog << '[' << g_context << "] ";
   std::clog << text << '\n';
 }
 }  // namespace detail

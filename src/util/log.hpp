@@ -17,11 +17,6 @@ void set_log_threshold(LogLevel level);
 /// CLI flag spelling of a level ("debug", "info", "warn", "error").
 const char* log_level_name(LogLevel level);
 
-/// Process-global context tag inserted between the stamp and the text of
-/// every log line (empty = none), so interleaved logs of concurrent work
-/// stay attributable.
-void set_log_context(std::string context);
-
 namespace detail {
 void emit(LogLevel level, const std::string& text);
 }

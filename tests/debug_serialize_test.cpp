@@ -27,10 +27,12 @@ TEST_F(SerializeTest, SelectionResultJson) {
 }
 
 TEST_F(SerializeTest, MultiScenarioJson) {
-  const auto u1 = soc::build_interleaving(design_, soc::scenario1());
-  const auto u2 = soc::build_interleaving(design_, soc::scenario2());
+  const auto s1 = flow::ProductStats::build(
+      soc::scenario_instances(design_, soc::scenario1()));
+  const auto s2 = flow::ProductStats::build(
+      soc::scenario_instances(design_, soc::scenario2()));
   const selection::MultiScenarioSelector multi(design_.catalog(),
-                                               {{&u1, 1.0}, {&u2, 1.0}});
+                                               {{&s1, 1.0}, {&s2, 1.0}});
   const auto r = multi.select(32);
   const std::string json = selection::to_json(design_.catalog(), r).dump();
   EXPECT_NE(json.find("\"per_scenario_coverage\":["), std::string::npos);

@@ -12,16 +12,11 @@ namespace {
 using test::CoherenceFixture;
 
 TEST(Interleave, PaperFigure2HasFifteenStates) {
-  // 4x4 product minus the illegal (c1,c2) double-atomic state = 15. The
-  // default engine is symmetry-reduced, so it materializes one node per
-  // orbit — 9 for Fig. 2 — while the weighted product count stays 15.
+  // 4x4 product minus the illegal (c1,c2) double-atomic state = 15.
   const CoherenceFixture fx;
   const auto u = fx.two_instance_interleaving();
   EXPECT_EQ(u.num_product_states(), 15u);
-  EXPECT_EQ(u.num_nodes(), 9u);
-  std::uint64_t weight_sum = 0;
-  for (NodeId n = 0; n < u.num_nodes(); ++n) weight_sum += u.node_weight(n);
-  EXPECT_EQ(weight_sum, 15u);
+  EXPECT_EQ(u.num_nodes(), 15u);
 }
 
 TEST(Interleave, PaperFigure2HasEighteenEdges) {
@@ -34,11 +29,8 @@ TEST(Interleave, PaperFigure2HasEighteenEdges) {
 
 TEST(Interleave, UnreducedEngineMaterializesFullFigure2) {
   const CoherenceFixture fx;
-  InterleaveOptions opt;
-  opt.symmetry_reduction = false;
-  const auto u =
-      InterleavedFlow::build(make_instances({&fx.flow_}, 2), opt);
-  EXPECT_FALSE(u.reduced());
+  const auto u = InterleavedFlow::build(make_instances({&fx.flow_}, 2));
+  EXPECT_EQ(&u.concrete(), &u);
   EXPECT_EQ(u.num_nodes(), 15u);
   EXPECT_EQ(u.num_edges(), 18u);
   EXPECT_EQ(u.num_product_states(), 15u);

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,10 +30,9 @@ namespace {
 
 using test::CoherenceFixture;
 
-flow::InterleaveOptions options_for(flow::KernelMode mode, bool symmetry) {
+flow::InterleaveOptions options_for(flow::KernelMode mode) {
   flow::InterleaveOptions opt;
   opt.kernel = mode;
-  opt.symmetry_reduction = symmetry;
   return opt;
 }
 
@@ -98,94 +96,80 @@ class KernelDifferentialTest : public ::testing::Test {
 
 TEST_F(KernelDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
   for (const Workload& w : matrix()) {
-    for (const bool symmetry : {true, false}) {
-      SCOPED_TRACE(w.name + (symmetry ? "+sym" : "-sym"));
-      const flow::InterleavedFlow ug =
-          w.build(options_for(flow::KernelMode::kGeneric, symmetry));
-      const flow::InterleavedFlow uc =
-          w.build(options_for(flow::KernelMode::kCompiled, symmetry));
+    SCOPED_TRACE(w.name);
+    const flow::InterleavedFlow ug =
+        w.build(options_for(flow::KernelMode::kGeneric));
+    const flow::InterleavedFlow uc =
+        w.build(options_for(flow::KernelMode::kCompiled));
 
-      // Path counts: exact, not approximate, equality.
-      EXPECT_EQ(ug.count_paths(), uc.count_paths());
+    // Path counts: exact, not approximate, equality.
+    EXPECT_EQ(ug.count_paths(), uc.count_paths());
 
-      // Label-target histograms (the InfoGainEngine's input).
-      const auto& hg = ug.label_target_histograms();
-      const auto& hc = uc.label_target_histograms();
-      ASSERT_EQ(hg.size(), hc.size());
-      for (std::size_t i = 0; i < hg.size(); ++i) {
-        EXPECT_EQ(hg[i].label, hc[i].label);
-        EXPECT_EQ(hg[i].classes, hc[i].classes);
-      }
+    // Label-target histograms (the InfoGainEngine's input).
+    const auto& hg = ug.label_target_histograms();
+    const auto& hc = uc.label_target_histograms();
+    ASSERT_EQ(hg.size(), hc.size());
+    for (std::size_t i = 0; i < hg.size(); ++i) {
+      EXPECT_EQ(hg[i].label, hc[i].label);
+      EXPECT_EQ(hg[i].classes, hc[i].classes);
+    }
 
-      // Consistent-path counts over projected real executions.
-      const selection::MessageSelector sel_g(*w.catalog, ug);
-      const std::vector<flow::MessageId>& cand = sel_g.candidates();
-      util::Rng rng(42);
-      for (int t = 0; t < 8; ++t) {
-        const flow::Execution e = flow::random_execution(ug, rng);
-        const auto obs = flow::project(e.trace(), cand);
-        EXPECT_EQ(ug.count_consistent_paths(cand, obs),
-                  uc.count_consistent_paths(cand, obs))
-            << "trace " << t;
-      }
-      EXPECT_EQ(ug.count_consistent_paths(cand, {}),
-                uc.count_consistent_paths(cand, {}));
+    // Consistent-path counts over projected real executions.
+    const selection::MessageSelector sel_g(*w.catalog, ug);
+    const std::vector<flow::MessageId>& cand = sel_g.candidates();
+    util::Rng rng(42);
+    for (int t = 0; t < 8; ++t) {
+      const flow::Execution e = flow::random_execution(ug, rng);
+      const auto obs = flow::project(e.trace(), cand);
+      EXPECT_EQ(ug.count_consistent_paths(cand, obs),
+                uc.count_consistent_paths(cand, obs))
+          << "trace " << t;
+    }
+    EXPECT_EQ(ug.count_consistent_paths(cand, {}),
+              uc.count_consistent_paths(cand, {}));
 
-      // Step 2 gains: every candidate prefix, both dispatch modes on the
-      // same engine, plus cross-engine.
-      const selection::MessageSelector sel_c(*w.catalog, uc);
-      std::vector<flow::MessageId> prefix;
-      for (flow::MessageId m : cand) {
-        prefix.push_back(m);
-        const double g =
-            sel_g.engine().info_gain(prefix, flow::KernelMode::kGeneric);
-        EXPECT_EQ(g,
-                  sel_g.engine().info_gain(prefix,
-                                           flow::KernelMode::kCompiled));
-        EXPECT_EQ(g, sel_c.engine().info_gain(prefix,
-                                              flow::KernelMode::kCompiled));
-        EXPECT_EQ(sel_g.engine().message_contribution(
-                      m, flow::KernelMode::kGeneric),
-                  sel_c.engine().message_contribution(
-                      m, flow::KernelMode::kCompiled));
-      }
+    // Step 2 gains: every candidate prefix, both dispatch modes on the
+    // same engine, plus cross-engine.
+    const selection::MessageSelector sel_c(*w.catalog, uc);
+    std::vector<flow::MessageId> prefix;
+    for (flow::MessageId m : cand) {
+      prefix.push_back(m);
+      const double g =
+          sel_g.engine().info_gain(prefix, flow::KernelMode::kGeneric);
+      EXPECT_EQ(g,
+                sel_g.engine().info_gain(prefix,
+                                         flow::KernelMode::kCompiled));
+      EXPECT_EQ(g, sel_c.engine().info_gain(prefix,
+                                            flow::KernelMode::kCompiled));
+      EXPECT_EQ(sel_g.engine().message_contribution(
+                    m, flow::KernelMode::kGeneric),
+                sel_c.engine().message_contribution(
+                    m, flow::KernelMode::kCompiled));
     }
   }
 }
 
 TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
-  struct Case {
-    std::string name;
-    bool symmetry;
+  // Reference: generic engine, serial.
+  auto make_session = [&](flow::KernelMode mode, std::size_t jobs) {
+    Session s = Session::t2();
+    selection::SelectorConfig cfg;
+    cfg.buffer_width = 32;
+    cfg.mode = selection::SearchMode::kMaximal;
+    cfg.kernel = mode;
+    cfg.jobs = jobs;
+    s.configure(cfg);
+    s.scenario(3);
+    return s;
   };
-  for (const Case& c : {Case{"sym", true}, Case{"nosym", false}}) {
-    // Reference: generic engine, serial.
-    auto make_session = [&](flow::KernelMode mode, std::size_t jobs) {
-      Session s = Session::t2();
-      selection::SelectorConfig cfg;
-      cfg.buffer_width = 32;
-      cfg.mode = selection::SearchMode::kMaximal;
-      cfg.kernel = mode;
-      cfg.jobs = jobs;
-      s.configure(cfg);
-      flow::InterleaveOptions iopt;
-      iopt.symmetry_reduction = c.symmetry;
-      s.interleave_options(iopt);
-      s.scenario(3);
-      return s;
-    };
-    const selection::SelectionResult ref =
-        make_session(flow::KernelMode::kGeneric, 1).select();
-    expect_identical(ref,
-                     make_session(flow::KernelMode::kCompiled, 1).select(),
-                     c.name + " compiled serial");
-    expect_identical(ref,
-                     make_session(flow::KernelMode::kGeneric, 4).select(),
-                     c.name + " generic jobs=4");
-    expect_identical(ref,
-                     make_session(flow::KernelMode::kCompiled, 4).select(),
-                     c.name + " compiled jobs=4");
-  }
+  const selection::SelectionResult ref =
+      make_session(flow::KernelMode::kGeneric, 1).select();
+  expect_identical(ref, make_session(flow::KernelMode::kCompiled, 1).select(),
+                   "compiled serial");
+  expect_identical(ref, make_session(flow::KernelMode::kGeneric, 4).select(),
+                   "generic jobs=4");
+  expect_identical(ref, make_session(flow::KernelMode::kCompiled, 4).select(),
+                   "compiled jobs=4");
 }
 
 TEST_F(KernelDifferentialTest, FlowConstraintSelectionBitIdentical) {
@@ -210,86 +194,24 @@ class KernelProgramTest : public ::testing::Test {
 };
 
 TEST_F(KernelProgramTest, CompileStatsAreSane) {
-  // Fig. 2 unreduced: 15 product states, 18 edges.
+  // Fig. 2: 15 product states, 18 edges.
   const flow::InterleavedFlow u = flow::InterleavedFlow::build(
       flow::make_instances({&fx_.flow_}, 2),
-      options_for(flow::KernelMode::kCompiled, /*symmetry=*/false));
+      options_for(flow::KernelMode::kCompiled));
   const flow::kernel::Program& p = u.program();
   EXPECT_EQ(p.stats().nodes, 15u);
   EXPECT_EQ(p.stats().edges, 18u);
   EXPECT_EQ(p.stats().labels, 6u);  // 3 messages x 2 instances
   EXPECT_GT(p.stats().table_bytes, 0u);
   EXPECT_GE(p.stats().compile_ms, 0.0);
-  EXPECT_FALSE(p.reduced());
   EXPECT_EQ(p.count_paths(), u.count_paths());
-}
-
-TEST_F(KernelProgramTest, SharedProgramIsCompiledOnceAndAdoptable) {
-  const flow::InterleavedFlow u = fx_.two_instance_interleaving();
-  auto p1 = u.shared_program();
-  auto p2 = u.shared_program();
-  EXPECT_EQ(p1.get(), p2.get());
-
-  const flow::InterleavedFlow v = fx_.two_instance_interleaving();
-  v.adopt_program(p1);
-  EXPECT_EQ(v.shared_program().get(), p1.get());
-  // Adopting over an existing program is a no-op.
-  v.adopt_program(std::make_shared<const flow::kernel::Program>(
-      flow::kernel::Program::compile(v)));
-  EXPECT_EQ(v.shared_program().get(), p1.get());
-}
-
-TEST_F(KernelProgramTest, ReducedProgramCountsPathsButRefusesTraceQueries) {
-  flow::InterleaveOptions reduced;
-  reduced.symmetry_reduction = true;
-  const flow::InterleavedFlow u = flow::InterleavedFlow::build(
-      flow::make_instances({&fx_.flow_}, 3), reduced);
-  ASSERT_TRUE(u.reduced());
-  const flow::kernel::Program p = flow::kernel::Program::compile(u);
-  EXPECT_TRUE(p.reduced());
-  flow::InterleaveOptions full = reduced;
-  full.symmetry_reduction = false;
-  const flow::InterleavedFlow uf = flow::InterleavedFlow::build(
-      flow::make_instances({&fx_.flow_}, 3), full);
-  EXPECT_EQ(p.count_paths(), uf.count_paths());
-  EXPECT_THROW(p.count_consistent_paths({}, {}), std::logic_error);
-  EXPECT_THROW(p.label_target_histograms(), std::logic_error);
 }
 
 // --- the store/daemon integration ---
 
 class KernelStoreTest : public ::testing::Test {};
 
-TEST_F(KernelStoreTest, ProgramCacheCompilesOnceAcrossConcurrentTenants) {
-  CoherenceFixture fx;
-  const flow::InterleavedFlow u = fx.two_instance_interleaving();
-  ArtifactStore store;
-  constexpr int kThreads = 8;
-  std::vector<std::future<std::shared_ptr<const flow::kernel::Program>>>
-      futures;
-  futures.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    futures.push_back(std::async(std::launch::async, [&] {
-      return store.kernel_program(
-          1234, [&] { return u.shared_program(); });
-    }));
-  }
-  std::shared_ptr<const flow::kernel::Program> first;
-  for (auto& f : futures) {
-    auto p = f.get();
-    ASSERT_NE(p, nullptr);
-    if (!first) first = p;
-    EXPECT_EQ(p.get(), first.get());
-  }
-  const ArtifactStore::Stats s = store.stats();
-  EXPECT_EQ(s.kernel_misses, 1u);
-  EXPECT_EQ(s.kernel_hits, kThreads - 1u);
-  EXPECT_EQ(s.kernel_entries, 1u);
-  store.clear();
-  EXPECT_EQ(store.stats().kernel_entries, 0u);
-}
-
-TEST_F(KernelStoreTest, QueryCoreSharesProgramAndResultsAcrossModes) {
+TEST_F(KernelStoreTest, QueryCoreSharesResultsAcrossModes) {
   JobRequest compiled;
   compiled.spec = "t2";
   compiled.instances = 3;
@@ -300,8 +222,6 @@ TEST_F(KernelStoreTest, QueryCoreSharesProgramAndResultsAcrossModes) {
   ArtifactStore store;
   auto r1 = QueryCore::run(compiled, &store, util::CancelToken{});
   ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(r1.value().kernel_cache_hit);
-  EXPECT_EQ(store.stats().kernel_entries, 1u);
 
   // The kernel knob is runtime-only: the generic request must be served
   // from the result cache, bit-for-bit the same object.
@@ -315,16 +235,13 @@ TEST_F(KernelStoreTest, QueryCoreSharesProgramAndResultsAcrossModes) {
   ArtifactStore fresh;
   auto r3 = QueryCore::run(generic, &fresh, util::CancelToken{});
   ASSERT_TRUE(r3.ok());
-  EXPECT_FALSE(r3.value().kernel_cache_hit);  // generic: no compile at all
-  EXPECT_EQ(fresh.stats().kernel_entries, 0u);
   expect_identical(*r1.value().result, *r3.value().result,
                    "t2@3 compiled-store vs generic-store");
 
-  // Re-running compiled hits both the workload and the program cache.
+  // Re-running compiled hits the workload cache.
   auto r4 = QueryCore::run(compiled, &store, util::CancelToken{});
   ASSERT_TRUE(r4.ok());
   EXPECT_TRUE(r4.value().workload_cache_hit);
-  EXPECT_TRUE(r4.value().kernel_cache_hit);
 }
 
 TEST_F(KernelStoreTest, WireEncodingRoundTripsKernelMode) {

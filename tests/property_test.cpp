@@ -1,11 +1,15 @@
 // Property-based tests: invariants of the flow model and the selection
 // pipeline checked over randomly generated flow DAGs (parameterized by
 // seed). Each generated system has 2-3 flows of 4-7 states with random
-// branching, random message widths, and random atomic states.
+// branching, random message widths, random atomic states and atomic
+// chains, stop states that are not sinks, messages shared across flows
+// and, now and then, an atomic initial state.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "debug/serialize.hpp"
 #include "flow/execution.hpp"
@@ -13,6 +17,7 @@
 #include "selection/coverage.hpp"
 #include "selection/localization.hpp"
 #include "selection/selector.hpp"
+#include "stats_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tracesel {
@@ -28,6 +33,8 @@ struct RandomSystem {
   MessageCatalog catalog;
   std::vector<Flow> flows;
   std::vector<MessageId> all_messages;
+  /// The flow whose initial state is atomic, if any.
+  std::optional<std::size_t> starts_atomic;
 };
 
 RandomSystem make_random_system(std::uint64_t seed) {
@@ -37,24 +44,48 @@ RandomSystem make_random_system(std::uint64_t seed) {
   const std::size_t num_flows = 2 + rng.index(2);  // 2..3
   for (std::size_t f = 0; f < num_flows; ++f) {
     const std::size_t states = 4 + rng.index(4);  // 4..7
-    FlowBuilder b("flow" + std::to_string(f));
-    for (std::size_t s = 0; s < states; ++s) {
-      std::uint8_t flags = FlowBuilder::kNone;
-      if (s == 0) flags |= FlowBuilder::kInitial;
-      if (s == states - 1) flags |= FlowBuilder::kStop;
-      // Occasionally mark a middle state atomic.
-      if (s > 0 && s + 1 < states && rng.chance(0.25))
-        flags |= FlowBuilder::kAtomic;
-      b.state("s" + std::to_string(s), flags);
+    std::vector<std::uint8_t> flags(states, FlowBuilder::kNone);
+    flags.front() |= FlowBuilder::kInitial;
+    flags.back() |= FlowBuilder::kStop;
+    // Occasionally mark a middle state atomic.
+    for (std::size_t s = 1; s + 1 < states; ++s)
+      if (rng.chance(0.25)) flags[s] |= FlowBuilder::kAtomic;
+    // An atomic chain: two consecutive atomic middle states.
+    if (states >= 5 && rng.chance(0.3)) {
+      const std::size_t s = 1 + rng.index(states - 3);
+      flags[s] |= FlowBuilder::kAtomic;
+      flags[s + 1] |= FlowBuilder::kAtomic;
     }
+    // A stop state that is not a sink: executions may end or go on there.
+    if (rng.chance(0.3)) {
+      const std::size_t s = 1 + rng.index(states - 2);
+      if (!(flags[s] & FlowBuilder::kAtomic)) flags[s] |= FlowBuilder::kStop;
+    }
+    // An atomic initial state, in at most one flow: the closed form's
+    // product fallback.
+    if (!sys.starts_atomic && rng.chance(0.1)) {
+      flags.front() |= FlowBuilder::kAtomic;
+      sys.starts_atomic = sys.flows.size();
+    }
+
+    FlowBuilder b("flow" + std::to_string(f));
+    for (std::size_t s = 0; s < states; ++s)
+      b.state("s" + std::to_string(s), flags[s]);
     // Backbone chain guarantees reachability both ways; extra forward
-    // edges add branching.
+    // edges add branching. Some edges reuse an earlier flow's message, so
+    // instances of different flows at the same index emit the same label.
+    const std::size_t shared_pool = sys.all_messages.size();
     std::size_t edges = 0;
     auto add_edge = [&](std::size_t from, std::size_t to) {
-      const auto m = sys.catalog.add(
-          "f" + std::to_string(f) + "_m" + std::to_string(edges++),
-          static_cast<std::uint32_t>(1 + rng.index(8)), "A", "B");
-      sys.all_messages.push_back(m);
+      MessageId m;
+      if (shared_pool > 0 && rng.chance(0.3)) {
+        m = sys.all_messages[rng.index(shared_pool)];
+      } else {
+        m = sys.catalog.add(
+            "f" + std::to_string(f) + "_m" + std::to_string(edges++),
+            static_cast<std::uint32_t>(1 + rng.index(8)), "A", "B");
+        sys.all_messages.push_back(m);
+      }
       b.transition("s" + std::to_string(from), m, "s" + std::to_string(to));
     };
     for (std::size_t s = 0; s + 1 < states; ++s) add_edge(s, s + 1);
@@ -76,9 +107,18 @@ flow::InterleavedFlow interleave(const std::vector<Flow>& flows,
   return flow::InterleavedFlow::build(flow::make_instances(ptrs, instances));
 }
 
+/// `instances` instances of each flow, except a single one of the flow
+/// that starts atomic: two components starting atomic would break the
+/// Atom mutex from the start (Def. 5), which InterleavedFlow rejects.
 flow::InterleavedFlow interleave(const RandomSystem& sys,
                                  std::uint32_t instances) {
-  return interleave(sys.flows, instances);
+  std::vector<flow::IndexedFlow> indexed;
+  for (std::size_t f = 0; f < sys.flows.size(); ++f) {
+    const std::uint32_t n = sys.starts_atomic == f ? 1 : instances;
+    for (std::uint32_t i = 1; i <= n; ++i)
+      indexed.push_back({&sys.flows[f], i});
+  }
+  return flow::InterleavedFlow::build(std::move(indexed));
 }
 
 class PropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -110,15 +150,11 @@ TEST_P(PropertyTest, InterleavingStructuralInvariants) {
         u.instances()[e.instance].flow->uses_message(e.label.message));
   }
 
-  // Occurrence counts sum to the concrete product edge count, and orbit
-  // weights sum to the concrete product state count.
+  // Occurrence counts sum to the product edge count.
   std::uint64_t occ = 0;
   for (const auto& im : u.indexed_messages()) occ += u.occurrences(im);
   EXPECT_EQ(occ, u.num_product_edges());
-  std::uint64_t weight_sum = 0;
-  for (flow::NodeId n = 0; n < u.num_nodes(); ++n)
-    weight_sum += u.node_weight(n);
-  EXPECT_EQ(weight_sum, u.num_product_states());
+  EXPECT_EQ(u.num_nodes(), u.num_product_states());
 
   // Paths exist and stop tuples exist.
   EXPECT_FALSE(u.stop_nodes().empty());
@@ -163,15 +199,13 @@ TEST_P(PropertyTest, CoverageMonotoneAndBoundedByEnteredStates) {
     EXPECT_GE(c, last - 1e-12);
     last = c;
   }
-  // Full alphabet coverage = weighted fraction of concrete product states
-  // with an incoming edge (weights are 1 when the engine is unreduced).
+  // Full alphabet coverage = fraction of product states with an incoming
+  // edge.
   std::vector<bool> entered(u.num_nodes(), false);
   for (const auto& e : u.edges()) entered[e.to] = true;
-  std::uint64_t entered_weight = 0;
-  for (flow::NodeId n = 0; n < u.num_nodes(); ++n)
-    if (entered[n]) entered_weight += u.node_weight(n);
-  const double max_cov = static_cast<double>(entered_weight) /
-                         static_cast<double>(u.num_product_states());
+  const double max_cov =
+      static_cast<double>(std::count(entered.begin(), entered.end(), true)) /
+      static_cast<double>(u.num_product_states());
   EXPECT_NEAR(last, max_cov, 1e-12);
 }
 
@@ -291,6 +325,25 @@ TEST_P(PropertyTest, GreedyNeverBeatsExhaustive) {
     // nothing fits: both must agree on that too.
     EXPECT_THROW(selector.select(gr), std::runtime_error);
   }
+}
+
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProduct) {
+  // ProductStats against the product over 300 generated systems at one
+  // and two instances per flow; the ones that start atomic take the
+  // product fallback and must match too.
+  std::size_t fallbacks = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const auto sys = make_random_system(seed);
+    for (const std::uint32_t n : {1u, 2u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " x" + std::to_string(n));
+      const auto u = interleave(sys, n);
+      if (!flow::ProductStats::closed_form_applies(u.instances()))
+        ++fallbacks;
+      test::expect_stats_match_product(u, sys.all_messages, seed * 2 + n);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomFlows, PropertyTest,

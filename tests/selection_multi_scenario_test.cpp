@@ -11,21 +11,26 @@ namespace {
 class MultiScenarioTest : public ::testing::Test {
  protected:
   MultiScenarioTest()
-      : u1_(soc::build_interleaving(design_, soc::scenario1())),
-        u2_(soc::build_interleaving(design_, soc::scenario2())),
-        u3_(soc::build_interleaving(design_, soc::scenario3())) {}
+      : s1_(stats(soc::scenario1())),
+        s2_(stats(soc::scenario2())),
+        s3_(stats(soc::scenario3())) {}
+
+  flow::ProductStats stats(const soc::Scenario& scenario) const {
+    return flow::ProductStats::build(
+        soc::scenario_instances(design_, scenario));
+  }
 
   soc::T2Design design_;
-  flow::InterleavedFlow u1_, u2_, u3_;
+  flow::ProductStats s1_, s2_, s3_;
 };
 
 TEST_F(MultiScenarioTest, SingleScenarioMatchesKnapsackSelector) {
   // With one scenario of weight 1 the multi-scenario optimum equals the
   // single-scenario knapsack optimum.
-  const MultiScenarioSelector multi(design_.catalog(), {{&u1_, 1.0}});
+  const MultiScenarioSelector multi(design_.catalog(), {{&s1_, 1.0}});
   const auto shared = multi.select(32, /*packing=*/false);
 
-  const MessageSelector single(design_.catalog(), u1_);
+  const MessageSelector single(design_.catalog(), s1_);
   SelectorConfig cfg;
   cfg.mode = SearchMode::kKnapsack;
   cfg.packing = false;
@@ -35,7 +40,7 @@ TEST_F(MultiScenarioTest, SingleScenarioMatchesKnapsackSelector) {
 
 TEST_F(MultiScenarioTest, CandidatesAreUnionOfAlphabets) {
   const MultiScenarioSelector multi(design_.catalog(),
-                                    {{&u1_, 1.0}, {&u2_, 1.0}, {&u3_, 1.0}});
+                                    {{&s1_, 1.0}, {&s2_, 1.0}, {&s3_, 1.0}});
   // The 17 messages of the paper's five Table 1 flows appear across the
   // three scenarios (the DMA extension flows stay out).
   EXPECT_EQ(multi.candidates().size(), 17u);
@@ -43,7 +48,7 @@ TEST_F(MultiScenarioTest, CandidatesAreUnionOfAlphabets) {
 
 TEST_F(MultiScenarioTest, SharedSelectionCoversAllScenarios) {
   const MultiScenarioSelector multi(design_.catalog(),
-                                    {{&u1_, 1.0}, {&u2_, 1.0}, {&u3_, 1.0}});
+                                    {{&s1_, 1.0}, {&s2_, 1.0}, {&s3_, 1.0}});
   const auto r = multi.select(32);
   ASSERT_EQ(r.per_scenario_coverage.size(), 3u);
   for (double c : r.per_scenario_coverage) {
@@ -57,10 +62,10 @@ TEST_F(MultiScenarioTest, SharedNeverBeatsDedicatedPerScenario) {
   // A single shared configuration cannot cover any one scenario better
   // than that scenario's own dedicated selection.
   const MultiScenarioSelector multi(design_.catalog(),
-                                    {{&u1_, 1.0}, {&u2_, 1.0}, {&u3_, 1.0}});
+                                    {{&s1_, 1.0}, {&s2_, 1.0}, {&s3_, 1.0}});
   const auto shared = multi.select(32);
 
-  const flow::InterleavedFlow* us[3] = {&u1_, &u2_, &u3_};
+  const flow::ProductStats* us[3] = {&s1_, &s2_, &s3_};
   for (int i = 0; i < 3; ++i) {
     const MessageSelector dedicated(design_.catalog(), *us[i]);
     const auto r = dedicated.select({});
@@ -71,9 +76,9 @@ TEST_F(MultiScenarioTest, SharedNeverBeatsDedicatedPerScenario) {
 TEST_F(MultiScenarioTest, WeightsShiftTheSelection) {
   // Heavily weighting scenario 2 pulls its messages into the shared set.
   const MultiScenarioSelector balanced(design_.catalog(),
-                                       {{&u1_, 1.0}, {&u2_, 1.0}});
+                                       {{&s1_, 1.0}, {&s2_, 1.0}});
   const MultiScenarioSelector skewed(design_.catalog(),
-                                     {{&u1_, 1.0}, {&u2_, 50.0}});
+                                     {{&s1_, 1.0}, {&s2_, 50.0}});
   const auto b = balanced.select(32, false);
   const auto s = skewed.select(32, false);
   // The skewed selection's coverage on scenario 2 is at least the
@@ -83,9 +88,9 @@ TEST_F(MultiScenarioTest, WeightsShiftTheSelection) {
 
 TEST_F(MultiScenarioTest, ContributionIsWeightedSum) {
   const MultiScenarioSelector even(design_.catalog(),
-                                   {{&u1_, 1.0}, {&u2_, 1.0}});
+                                   {{&s1_, 1.0}, {&s2_, 1.0}});
   const MultiScenarioSelector doubled(design_.catalog(),
-                                      {{&u1_, 2.0}, {&u2_, 2.0}});
+                                      {{&s1_, 2.0}, {&s2_, 2.0}});
   for (const flow::MessageId m : even.candidates()) {
     EXPECT_NEAR(doubled.contribution(m), 2.0 * even.contribution(m), 1e-12);
   }
@@ -93,7 +98,7 @@ TEST_F(MultiScenarioTest, ContributionIsWeightedSum) {
 
 TEST_F(MultiScenarioTest, PackingUsesSharedLeftover) {
   const MultiScenarioSelector multi(design_.catalog(),
-                                    {{&u1_, 1.0}, {&u2_, 1.0}});
+                                    {{&s1_, 1.0}, {&s2_, 1.0}});
   const auto with = multi.select(32, true);
   const auto without = multi.select(32, false);
   EXPECT_GE(with.used_width, without.used_width);
@@ -108,15 +113,15 @@ TEST_F(MultiScenarioTest, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(MultiScenarioSelector(design_.catalog(), {{nullptr, 1.0}}),
                std::invalid_argument);
-  EXPECT_THROW(MultiScenarioSelector(design_.catalog(), {{&u1_, 0.0}}),
+  EXPECT_THROW(MultiScenarioSelector(design_.catalog(), {{&s1_, 0.0}}),
                std::invalid_argument);
-  const MultiScenarioSelector multi(design_.catalog(), {{&u1_, 1.0}});
+  const MultiScenarioSelector multi(design_.catalog(), {{&s1_, 1.0}});
   EXPECT_THROW(multi.select(0), std::runtime_error);
 }
 
 TEST_F(MultiScenarioTest, ObservableIncludesPackedParents) {
   const MultiScenarioSelector multi(design_.catalog(),
-                                    {{&u1_, 1.0}, {&u2_, 1.0}});
+                                    {{&s1_, 1.0}, {&s2_, 1.0}});
   const auto r = multi.select(32, true);
   const auto obs = r.observable();
   for (const auto& pg : r.packed) {

@@ -1,8 +1,8 @@
 // Resilience contract of the selection pipeline (DESIGN.md §11,
 // docs/resilience.md): cooperative cancellation yields well-formed partial
 // results in every search mode — promptly, even inside the exponential
-// maximal walk — and the interleave memory budget degrades
-// deterministically instead of aborting.
+// maximal walk — and the node cap of the closed form's product fallback
+// fails with a typed error.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "flow/flow_builder.hpp"
 #include "flow/parser.hpp"
+#include "flow/product_stats.hpp"
 #include "netlist/usb_design.hpp"
 #include "selection/selector.hpp"
 #include "testutil.hpp"
@@ -122,38 +124,36 @@ TEST(ResilienceTest, CancelDuringWideMaximalWalkReturnsWithinASecond) {
   EXPECT_LT(returned - fired, std::chrono::seconds(1));
 }
 
-TEST(ResilienceTest, InterleaveBudgetFallsBackToSymmetryReduction) {
-  // Eight coherence instances: the unreduced product (24057 reachable
-  // states) busts a 1 MiB node budget, the reduced one (dozens of orbit
-  // nodes) fits easily — the build must degrade, not die.
+TEST(ResilienceTest, AtomicInitialFallbackHonoursTheNodeCap) {
+  // A flow that starts in an atomic state is the one input the closed form
+  // does not cover: its statistics come from the product, which honours
+  // max_nodes and cancellation like any product build.
   CoherenceFixture fx;
-  flow::InterleaveOptions opt;
-  opt.symmetry_reduction = false;
-  opt.mem_budget_mb = 1;
-  const auto u = flow::InterleavedFlow::build(
-      flow::make_instances({&fx.flow_}, 8), opt);
-  EXPECT_TRUE(u.degraded());
-  EXPECT_NE(u.degradation().find("symmetry-reduced"), std::string::npos);
-  EXPECT_TRUE(u.reduced());
+  const flow::MessageId go = fx.catalog.add("go", 1, "X", "Y");
+  flow::FlowBuilder b("starts_atomic");
+  b.state("s0", flow::FlowBuilder::kInitial | flow::FlowBuilder::kAtomic)
+      .state("s1")
+      .state("s2", flow::FlowBuilder::kStop)
+      .transition("s0", go, "s1")
+      .transition("s1", fx.ack, "s2");
+  const flow::Flow f = b.build(fx.catalog);
+  std::vector<flow::IndexedFlow> instances{{&f, 1}};
+  for (std::uint32_t i = 1; i <= 3; ++i) instances.push_back({&fx.flow_, i});
 
-  // Bit-identical to an explicitly reduced build.
-  const auto v = flow::InterleavedFlow::build(
-      flow::make_instances({&fx.flow_}, 8));
-  const MessageSelector a(fx.catalog, u);
-  const MessageSelector b(fx.catalog, v);
-  SelectorConfig cfg;
-  cfg.buffer_width = 2;
-  cfg.jobs = 1;
-  expect_identical(b.select(cfg), a.select(cfg));
+  const auto stats = flow::ProductStats::build(instances);
+  EXPECT_FALSE(stats.closed_form());
+  const auto u = flow::InterleavedFlow::build(instances);
+  EXPECT_EQ(stats.num_product_states(), u.num_product_states());
 
-  // Without a budget the historical contract holds: over-cap unreduced
-  // builds throw instead of silently degrading.
   flow::InterleaveOptions strict;
-  strict.symmetry_reduction = false;
-  strict.max_nodes = 100;
-  EXPECT_THROW((void)flow::InterleavedFlow::build(
-                   flow::make_instances({&fx.flow_}, 8), strict),
+  strict.max_nodes = 4;
+  EXPECT_THROW((void)flow::ProductStats::build(instances, strict),
                std::length_error);
+  flow::InterleaveOptions cancelled;
+  cancelled.cancel = util::CancelToken::make();
+  cancelled.cancel.cancel();
+  EXPECT_THROW((void)flow::ProductStats::build(instances, cancelled),
+               util::CancelledError);
 }
 
 TEST(ResilienceTest, MonteCarloCancelYieldsPartialAggregate) {

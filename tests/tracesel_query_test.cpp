@@ -14,6 +14,7 @@
 #include "tracesel/artifact_store.hpp"
 #include "tracesel/job_request.hpp"
 #include "tracesel/query_core.hpp"
+#include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
 #include "util/framing.hpp"
 
@@ -35,14 +36,12 @@ TEST(JobRequest, SerializeParseRoundTrip) {
   req.spec = "some/path.flow";
   req.spec_text = "flow F {\n  # inline, with newlines\n}\nend\n";
   req.instances = 3;
-  req.symmetry_reduction = false;
   req.max_nodes = 12345;
   req.kind = JobRequest::Kind::kSelectFlowConstraint;
   req.buffer_width = 24;
   req.mode = selection::SearchMode::kKnapsack;
   req.packing = false;
   req.max_combinations = 999;
-  req.mem_budget_mb = 77;
   req.deadline_ms = 1500;
 
   const auto parsed = parse_job_request(serialize_job_request(req));
@@ -50,15 +49,14 @@ TEST(JobRequest, SerializeParseRoundTrip) {
   const JobRequest& p = parsed.value();
   EXPECT_EQ(p.spec, req.spec);
   EXPECT_EQ(p.spec_text, req.spec_text);
+  EXPECT_EQ(p.version, JobRequest::kVersion);
   EXPECT_EQ(p.instances, req.instances);
-  EXPECT_EQ(p.symmetry_reduction, req.symmetry_reduction);
   EXPECT_EQ(p.max_nodes, req.max_nodes);
   EXPECT_EQ(p.kind, req.kind);
   EXPECT_EQ(p.buffer_width, req.buffer_width);
   EXPECT_EQ(p.mode, req.mode);
   EXPECT_EQ(p.packing, req.packing);
   EXPECT_EQ(p.max_combinations, req.max_combinations);
-  EXPECT_EQ(p.mem_budget_mb, req.mem_budget_mb);
   EXPECT_EQ(p.deadline_ms, req.deadline_ms);
   EXPECT_TRUE(p.same_computation(req));
 }
@@ -109,6 +107,46 @@ TEST(JobRequest, OldDefaultMaximalRecordReplaysToTheSameBytes) {
   }
 }
 
+TEST(JobRequest, Version1RecordWithRetiredEngineLinesReplaysToReferenceBytes) {
+  // A version-1 record written with the symmetry-reduced engine switched
+  // off and a memory budget set: both lines are dropped on parse, and the
+  // job reports the committed reference bytes.
+  const std::string record = util::encode_envelope(
+      "tracesel-job", 1,
+      "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
+          "/fig2.flow\ninstances 2\nsymmetry_reduction 0\n"
+          "max_nodes 2000000\nbuffer_width 8\nmode knapsack\npacking 1\n"
+          "max_combinations 4194304\nmem_budget_mb 512\ndeadline_ms 0\n"
+          "kernel compiled\ntrace_id 0\nparent_span_id 0\ntenant -\n"
+          "spec_text 0\n\nend\n");
+  const auto parsed = parse_job_request(record);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().version, 1u);
+  JobRequest current = fig2_request();
+  current.buffer_width = 8;
+  EXPECT_TRUE(parsed.value().same_computation(current));
+  EXPECT_EQ(parsed.value().canonical_hash(7), current.canonical_hash(7));
+
+  const auto r = QueryCore::run(parsed.value(), nullptr, {});
+  ASSERT_TRUE(r.ok());
+  const auto reference =
+      util::read_file_capped(std::string(TRACESEL_DATA_DIR) +
+                                 "/../perfbench/refs/fig2-i2-w8.json",
+                             1u << 20);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(selection::to_json(*r.value().workload->catalog,
+                               *r.value().result)
+                .dump(2),
+            reference.value());
+}
+
+TEST(JobRequest, Version2DropsTheRetiredEngineLines) {
+  const std::string wire = serialize_job_request(fig2_request());
+  EXPECT_EQ(wire.rfind("tracesel-job 2 ", 0), 0u);
+  EXPECT_EQ(wire.find("symmetry_reduction"), std::string::npos);
+  EXPECT_EQ(wire.find("mem_budget_mb"), std::string::npos);
+}
+
 TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
   const std::uint64_t source = 0x1234abcdu;
   JobRequest a;
@@ -119,6 +157,10 @@ TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
   JobRequest b = a;
   b.kernel = flow::KernelMode::kGeneric;
   b.deadline_ms = 10;
+  // The node cap only decides whether a product build fails, and the
+  // symmetry_reduction field is ignored.
+  b.max_nodes = 10;
+  b.symmetry_reduction = false;
   EXPECT_EQ(b.canonical_hash(source), base);
   EXPECT_TRUE(b.same_computation(a));
 

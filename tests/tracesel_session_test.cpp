@@ -54,12 +54,12 @@ TEST(SelectorCapTest, CombinationCapThrowsInBothPaths) {
 
 TEST(MultiScenarioParallelTest, ConfigOverloadMatchesDeprecated) {
   soc::T2Design design;
-  std::vector<flow::InterleavedFlow> interleavings;
+  std::vector<flow::ProductStats> stats;
   for (const int id : {1, 2})
-    interleavings.push_back(
-        soc::build_interleaving(design, soc::scenario_by_id(id)));
+    stats.push_back(flow::ProductStats::build(
+        soc::scenario_instances(design, soc::scenario_by_id(id))));
   std::vector<WeightedScenario> scenarios;
-  for (const auto& u : interleavings) scenarios.push_back({&u, 1.0});
+  for (const auto& s : stats) scenarios.push_back({&s, 1.0});
 
   const MultiScenarioSelector serial(design.catalog(), scenarios);
   const auto reference = serial.select(32, true);

@@ -1,12 +1,16 @@
 // util/framing: the one codec every tracesel byte stream speaks — binary
-// length-prefixed frames (subprocess pipes, the traceseld socket) and
-// versioned checksummed text envelopes (checkpoints, job requests).
+// length-prefixed frames (the traceseld socket and job journal) and
+// versioned checksummed text envelopes (job requests, stored results) —
+// plus the FrameReader state machine under partial feeds and corruption.
 
 #include "util/framing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <string>
+#include <vector>
 
 namespace tracesel::util {
 namespace {
@@ -122,6 +126,89 @@ TEST(Envelope, RejectsGarbageHeader) {
   const auto r = decode_envelope("not an envelope", "tracesel-job", 1, "job");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, ErrorCode::kParse);
+}
+
+// --- FrameReader ---------------------------------------------------------
+
+TEST(FrameReaderTest, ByteAtATimeFeedStillDecodes) {
+  const std::string wire = encode_frame("abc") + encode_frame("");
+  FrameReader reader;
+  std::string payload;
+  std::vector<std::string> frames;
+  for (char c : wire) {
+    reader.feed(&c, 1);
+    while (reader.next(payload) == FrameReader::State::kFrame)
+      frames.push_back(payload);
+  }
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], "abc");
+  EXPECT_EQ(frames[1], "");
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FrameReaderTest, ChecksumMismatchPoisonsForever) {
+  std::string wire = encode_frame("payload bytes");
+  wire.back() ^= 0x01;  // flip one payload bit
+  FrameReader reader;
+  reader.feed(wire);
+  std::string payload;
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kCorrupt);
+  EXPECT_FALSE(reader.corrupt_reason().empty());
+  // Poisoned: even a pristine follow-up frame is rejected.
+  reader.feed(encode_frame("fine"));
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kCorrupt);
+}
+
+TEST(FrameReaderTest, BadMagicIsCorrupt) {
+  std::string wire = encode_frame("x");
+  wire[0] = 'Z';
+  FrameReader reader;
+  reader.feed(wire);
+  std::string payload;
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kCorrupt);
+}
+
+TEST(FrameReaderTest, GarbageShorterThanHeaderIsCorruptImmediately) {
+  // A bad magic must be detected on the prefix that has arrived, not
+  // deferred until a full header accumulates (it never would: this is
+  // what a human typing at a worker's stdin looks like).
+  FrameReader reader;
+  reader.feed("not a frame at all\n");
+  std::string payload;
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kCorrupt);
+}
+
+TEST(FrameReaderTest, OversizedLengthIsCorruptNotAllocation) {
+  std::string wire = encode_frame("x");
+  // Length field (little-endian u32 at offset 8): claim ~4 GiB.
+  wire[8] = wire[9] = wire[10] = wire[11] = '\xff';
+  FrameReader reader;
+  reader.feed(wire);
+  std::string payload;
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kCorrupt);
+}
+
+TEST(FrameReaderTest, NeedMoreUntilPayloadComplete) {
+  const std::string wire = encode_frame("0123456789");
+  FrameReader reader;
+  std::string payload;
+  reader.feed(wire.substr(0, kFrameHeaderBytes + 4));
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kNeedMore);
+  reader.feed(wire.substr(kFrameHeaderBytes + 4));
+  EXPECT_EQ(reader.next(payload), FrameReader::State::kFrame);
+  EXPECT_EQ(payload, "0123456789");
+}
+
+// --- SIGPIPE ------------------------------------------------------------
+
+TEST(Framing, WriteToClosedPipeIsEpipeNotSigpipe) {
+  ignore_sigpipe();
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[0]);  // the reader is gone
+  const Status st = write_frame(fds[1], "payload");
+  EXPECT_FALSE(st.ok());  // EPIPE surfaced as a typed error, process alive
+  ::close(fds[1]);
 }
 
 }  // namespace

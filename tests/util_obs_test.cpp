@@ -387,7 +387,7 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   // enables obs before dispatch, so its traces do include the parse).
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   for (const char* span :
-       {"interleave.build", "session.interleave",
+       {"interleave.stats", "session.interleave",
         "selection.step1.enumerate", "selection.step2.score",
         "session.select"})
     EXPECT_NE(trace.find(std::string("\"name\": \"") + span + "\""),
@@ -395,7 +395,7 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
         << "missing span " << span << " in " << trace;
 
   EXPECT_NE(metrics.find("\"counters\""), std::string::npos);
-  EXPECT_NE(metrics.find("\"interleave.nodes\""), std::string::npos);
+  EXPECT_NE(metrics.find("\"span.interleave.stats\""), std::string::npos);
   EXPECT_NE(metrics.find("\"selection.combinations\""), std::string::npos);
 
   std::remove(trace_path.c_str());

@@ -12,13 +12,11 @@
 //       --kernel M       compiled|generic scoring/DP engine (default
 //                        compiled; bit-identical results, a runtime knob)
 //       --json           machine-readable output
-//       --no-symmetry-reduction   materialize every product state instead
-//                        of one weighted representative per orbit
-//       --max-nodes N    materialized node budget (default 2e6)
+//       --max-nodes N    node cap of a product build (default 2e6); only
+//                        a flow whose initial state is atomic needs one —
+//                        every other spec is counted in closed form
 //     resilience (docs/resilience.md):
 //       --deadline-ms N  cancel the run after N milliseconds
-//       --mem-budget-mb N   degrade (never abort) when the interleaving
-//                        would exceed N MiB
 //   tracesel serve --socket PATH [--runners N] [--max-queue N]
 //                  [--slow-job-ms N] [--journal-capacity N]
 //                  [--journal-dir DIR] [--journal-rotate-bytes N]
@@ -170,16 +168,14 @@ int usage() {
                " [--mode knapsack(default)|exhaustive|maximal|greedy]"
                " [--no-packing]"
                " [--kernel compiled|generic] [--json]\n"
-               "                 [--no-symmetry-reduction] [--max-nodes N]"
-               " [--deadline-ms N] [--mem-budget-mb N]\n"
+               "                 [--max-nodes N] [--deadline-ms N]\n"
                "  tracesel serve --socket PATH [--runners N]"
                " [--max-queue N] [--slow-job-ms N] [--journal-capacity N]\n"
                "                 [--journal-dir DIR] [--journal-rotate-bytes N]"
                " [--tenant-inflight N] [--retry-after-floor-ms N]\n"
                "  tracesel submit <t2|usb|spec.flow> --socket PATH"
                " [--buffer N] [--instances K] [--mode M] [--no-packing]\n"
-               "                 [--no-symmetry-reduction] [--max-nodes N]"
-               " [--mem-budget-mb N] [--deadline-ms N]"
+               "                 [--max-nodes N] [--deadline-ms N]"
                " [--kernel M] [--json]\n"
                "  tracesel submit ... [--tenant NAME]"
                " [--connect-timeout-ms N] [--retries N]\n"
@@ -256,10 +252,8 @@ int cmd_select(int argc, char** argv) {
     else if (arg == "--no-packing") cfg.packing = false;
     else if (arg == "--kernel") cfg.kernel = parse_kernel_mode(next());
     else if (arg == "--json") json = true;
-    else if (arg == "--no-symmetry-reduction") iopt.symmetry_reduction = false;
     else if (arg == "--max-nodes") iopt.max_nodes = std::stoul(next());
     else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
-    else if (arg == "--mem-budget-mb") iopt.mem_budget_mb = std::stoul(next());
     else if (arg == "--mode") {
       const std::string m = next();
       if (m == "maximal") cfg.mode = selection::SearchMode::kMaximal;
@@ -300,20 +294,14 @@ int cmd_select(int argc, char** argv) {
               << '\n';
     rc = resilience::kExitInterrupted;
   }
-  if (r.degraded())
-    std::cerr << "degraded: " << r.degradation << '\n';
   const flow::MessageCatalog& catalog = session.catalog();
   if (json) {
     std::cout << selection::to_json(catalog, r).dump(2) << '\n';
     return rc;
   }
-  const flow::InterleavedFlow& u = session.interleaving();
-  std::cout << "Interleaving: " << u.num_product_states() << " states, "
-            << u.num_product_edges() << " message occurrences";
-  if (u.reduced())
-    std::cout << " (materialized: " << u.num_nodes() << " orbit nodes, "
-              << u.num_edges() << " edges)";
-  std::cout << '\n';
+  const flow::ProductStats& stats = session.stats();
+  std::cout << "Interleaving: " << stats.num_product_states() << " states, "
+            << stats.num_product_edges() << " message occurrences\n";
 
   util::Table table({"Field", "Width", "Kind"});
   for (const auto m : r.combination.messages)
@@ -391,11 +379,9 @@ JobRequest parse_submit_request(int argc, char** argv, std::string& socket,
     else if (arg == "--buffer") req.buffer_width = std::stoul(next());
     else if (arg == "--instances") req.instances = std::stoul(next());
     else if (arg == "--no-packing") req.packing = false;
-    else if (arg == "--no-symmetry-reduction") req.symmetry_reduction = false;
     else if (arg == "--max-nodes") req.max_nodes = std::stoull(next());
     else if (arg == "--max-combinations")
       req.max_combinations = std::stoull(next());
-    else if (arg == "--mem-budget-mb") req.mem_budget_mb = std::stoull(next());
     else if (arg == "--deadline-ms") req.deadline_ms = std::stoull(next());
     else if (arg == "--kernel") req.kernel = parse_kernel_mode(next());
     else if (arg == "--tenant") req.tenant = next();

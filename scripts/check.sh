@@ -10,7 +10,7 @@
 #     fan-out and the Session facade, the cancellation races (Resilience,
 #     CancelToken), the query layer's shared ArtifactStore and the
 #     traceseld daemon's multi-tenant job handling (Query, ArtifactStore,
-#     Service), plus the --jobs CLI smoke test.
+#     Service).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,4 +26,4 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DTRACESEL_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Kernel|MonteCarlo|Session|Obs|Resilience|CancelToken|ArtifactStore|QueryCore|Service|Framing|cli_debug_jobs'
+    -R 'ThreadPool|Kernel|MonteCarlo|Session|Obs|Resilience|CancelToken|ArtifactStore|QueryCore|Service|Framing'

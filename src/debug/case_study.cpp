@@ -44,7 +44,6 @@ CaseStudyResult run_case_study(const soc::T2Design& design,
   WorkbenchConfig config;
   config.buffer_width = options.buffer_width;
   config.packing = options.packing;
-  config.jobs = options.jobs;
   config.instances_per_flow = result.scenario.instances_per_flow;
   config.sessions = options.sessions;
   config.seed = options.seed;

@@ -20,9 +20,8 @@ namespace tracesel::debug {
 struct CaseStudyOptions {
   std::uint32_t buffer_width = 32;  ///< Table 3 assumes 32 bits
   bool packing = true;
-  /// Forwarded to the selection step as SelectorConfig::jobs (1 serial,
-  /// 0 = hardware threads). That search is serial, so no value changes
-  /// the work done or the result.
+  /// Ignored: the case study's selection step is serial. Kept only so
+  /// callers that still set it (the benchmark) compile.
   std::size_t jobs = 1;
   std::uint32_t sessions = 4;   ///< test repetitions per run
   std::uint64_t seed = 2018;

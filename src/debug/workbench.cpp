@@ -29,7 +29,6 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   selection::SelectorConfig sel_cfg;
   sel_cfg.buffer_width = config.buffer_width;
   sel_cfg.packing = config.packing;
-  sel_cfg.jobs = config.jobs;
   result.selection = selector.select(sel_cfg);
 
   // --- Trace buffers ---

@@ -32,9 +32,6 @@ namespace tracesel::debug {
 struct WorkbenchConfig {
   std::uint32_t buffer_width = 32;
   bool packing = true;
-  /// Forwarded to the selection step as SelectorConfig::jobs; that search
-  /// is serial, so selection output is identical for every value.
-  std::size_t jobs = 1;
   std::uint32_t instances_per_flow = 2;
   std::uint32_t sessions = 4;
   std::uint64_t seed = 2018;

@@ -1,15 +1,68 @@
 #include "flow/interleaved_flow.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
-#include "flow/kernel.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel::flow {
+
+namespace {
+
+/// The position of every state of `f` in a topological (Kahn) order.
+/// FlowBuilder rejects cyclic flows, so every state gets one.
+std::vector<std::uint32_t> topological_ranks(const Flow& f) {
+  std::vector<std::uint32_t> indegree(f.num_states(), 0);
+  for (const Transition& t : f.transitions()) ++indegree[t.to];
+  std::vector<StateId> order;
+  order.reserve(f.num_states());
+  for (StateId s = 0; s < f.num_states(); ++s)
+    if (indegree[s] == 0) order.push_back(s);
+  for (std::size_t head = 0; head < order.size(); ++head)
+    for (std::uint32_t ti : f.outgoing(order[head]))
+      if (--indegree[f.transitions()[ti].to] == 0)
+        order.push_back(f.transitions()[ti].to);
+  if (order.size() != f.num_states())
+    throw std::logic_error("InterleavedFlow: flow '" + f.name() +
+                           "' is cyclic");
+  std::vector<std::uint32_t> rank(f.num_states());
+  for (std::uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  return rank;
+}
+
+/// |S| and |E| of the reachable product when no instance starts atomic
+/// (DESIGN.md §9): every tuple with at most one atomic component, and a
+/// transition of F_i fires from each tuple holding its source whose other
+/// components are non-atomic. {0, 0} when an instance starts atomic or
+/// |S| exceeds `cap`.
+std::pair<std::size_t, std::size_t> closed_form_size(
+    const std::vector<IndexedFlow>& instances, std::size_t cap) {
+  std::vector<std::size_t> non_atomic;
+  std::size_t all = 1;  // tuples without an atomic component
+  for (const IndexedFlow& inst : instances) {
+    const Flow& f = *inst.flow;
+    if (f.is_atomic(f.initial_states().front())) return {0, 0};
+    non_atomic.push_back(f.num_states() - f.atomic_states().size());
+    if (all > cap / non_atomic.back()) return {0, 0};
+    all *= non_atomic.back();
+  }
+  unsigned __int128 nodes = all;
+  unsigned __int128 edges = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const std::size_t others = all / non_atomic[i];
+    nodes += static_cast<unsigned __int128>(
+                 instances[i].flow->atomic_states().size()) *
+             others;
+    edges += static_cast<unsigned __int128>(
+                 instances[i].flow->transitions().size()) *
+             others;
+  }
+  if (nodes > cap) return {0, 0};
+  return {static_cast<std::size_t>(nodes), static_cast<std::size_t>(edges)};
+}
+
+}  // namespace
 
 std::vector<IndexedFlow> make_instances(const std::vector<const Flow*>& flows,
                                         std::uint32_t instances_per_flow) {
@@ -69,12 +122,11 @@ InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
 
   InterleavedFlow u;
   u.instances_ = std::move(instances);
-  u.options_ = options;
   u.codec_ = KeyCodec(u.instances_);
   u.interner_ = KeyInterner(u.codec_.words());
 
-  u.build_graph();
-  u.finalize();
+  u.build_graph(options);
+  u.finish();
   OBS_COUNT("interleave.builds", 1);
   OBS_COUNT("interleave.nodes", u.num_nodes_);
   OBS_COUNT("interleave.edges", u.edges_.size());
@@ -84,59 +136,136 @@ InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
   return u;
 }
 
-void InterleavedFlow::build_graph() {
+void InterleavedFlow::build_graph(const InterleaveOptions& options) {
   OBS_SPAN("interleave.graph");
   const std::size_t k = instances_.size();
   const std::size_t words = codec_.words();
 
-  std::vector<StateId> cur(k);
-  std::vector<StateId> nxt(k);
-  std::vector<std::uint64_t> kw(words);
+  // The sorted distinct labels of the instances' component transitions.
+  for (const IndexedFlow& inst : instances_)
+    for (const Transition& t : inst.flow->transitions())
+      labels_.push_back(IndexedMessage{t.message, inst.index});
+  std::sort(labels_.begin(), labels_.end());
+  labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
+  label_count_.assign(labels_.size(), 0);
 
-  auto intern = [&](const std::vector<StateId>& tuple) -> NodeId {
-    codec_.encode(tuple.data(), kw.data());
+  // Per-component state tables, and each state's outgoing transitions as
+  // (target, label id) moves in the flow's order, CSR over the states.
+  struct Move {
+    StateId to = kInvalidState;
+    std::uint32_t label = 0;
+  };
+  struct Component {
+    std::vector<std::uint32_t> rank;
+    std::vector<std::uint8_t> atomic;
+    std::vector<std::uint8_t> stop;
+    std::vector<std::uint32_t> first_move;  ///< size |S_i| + 1
+    std::vector<Move> moves;
+  };
+  std::vector<Component> comps(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Flow& f = *instances_[i].flow;
+    Component& c = comps[i];
+    c.rank = topological_ranks(f);
+    c.first_move.push_back(0);
+    for (StateId s = 0; s < f.num_states(); ++s) {
+      c.atomic.push_back(f.is_atomic(s) ? 1 : 0);
+      c.stop.push_back(f.is_stop(s) ? 1 : 0);
+      for (std::uint32_t ti : f.outgoing(s)) {
+        const Transition& t = f.transitions()[ti];
+        const IndexedMessage im{t.message, instances_[i].index};
+        c.moves.push_back(Move{
+            t.to, static_cast<std::uint32_t>(
+                      std::lower_bound(labels_.begin(), labels_.end(), im) -
+                      labels_.begin())});
+      }
+      c.first_move.push_back(static_cast<std::uint32_t>(c.moves.size()));
+    }
+  }
+
+  // Sized up front when the closed form gives the exact counts: no
+  // interner rehash and no edge-list regrowth during the sweep.
+  const auto [nodes, edges] = closed_form_size(instances_, options.max_nodes);
+  interner_.reserve(nodes);
+  potential_.reserve(nodes);
+  stop_mask_.reserve(nodes);
+  out_offset_.reserve(nodes + 1);
+  edges_.reserve(edges);
+  edge_label_.reserve(edges);
+
+  // Interns a successor key; a new node gets its potential and stop bit
+  // on discovery.
+  const auto discover = [&](const std::uint64_t* key, std::uint32_t potential,
+                            bool stop) -> NodeId {
     bool inserted = false;
-    const NodeId id = interner_.intern(kw.data(), inserted);
-    if (inserted && interner_.size() > options_.max_nodes)
-      throw std::length_error(
-          "InterleavedFlow: reachable product exceeds max_nodes");
+    const NodeId id = interner_.intern(key, inserted);
+    if (inserted) {
+      if (interner_.size() > options.max_nodes)
+        throw std::length_error(
+            "InterleavedFlow: reachable product exceeds max_nodes");
+      potential_.push_back(potential);
+      stop_mask_.push_back(stop ? 1 : 0);
+      if (stop) stop_.push_back(id);
+    }
     return id;
   };
 
-  for (std::size_t i = 0; i < k; ++i)
-    cur[i] = instances_[i].flow->initial_states().front();
-  initial_.push_back(intern(cur));
+  std::vector<StateId> cur(k);
+  std::vector<std::uint64_t> key(words);
+  std::vector<std::uint64_t> next(words);
+  {
+    std::uint32_t potential = 0;
+    bool stop = true;
+    for (std::size_t i = 0; i < k; ++i) {
+      cur[i] = instances_[i].flow->initial_states().front();
+      potential += comps[i].rank[cur[i]];
+      stop = stop && comps[i].stop[cur[i]];
+    }
+    codec_.encode(cur.data(), key.data());
+    initial_.push_back(discover(key.data(), potential, stop));
+  }
   out_offset_.assign(1, 0);
 
   // Nodes are interned in discovery order, which is exactly the expansion
   // order, so a plain id sweep doubles as the worklist and the edge list
   // comes out sorted by source — the CSR offsets need no second pass.
   for (NodeId n = 0; static_cast<std::size_t>(n) < interner_.size(); ++n) {
-    if ((n & 1023) == 0 && options_.cancel.cancelled())
+    if ((n & 1023) == 0 && options.cancel.cancelled())
       throw util::CancelledError("interleave.build");
-    codec_.decode(interner_.key(n), cur.data());
+    // Copied out: interning a successor may grow the key storage.
+    const std::uint64_t* stored = interner_.key(n);
+    std::copy(stored, stored + words, key.begin());
+    codec_.decode(key.data(), cur.data());
 
     // Which component sits in an atomic state? If one does, only it may
-    // move (generalized Def. 5 rules i/ii).
+    // move (generalized Def. 5 rules i/ii). By construction at most one
+    // component is atomic.
     std::size_t atomic_holder = k;  // k == none
+    std::uint32_t non_stop = 0;
     for (std::size_t i = 0; i < k; ++i) {
-      if (instances_[i].flow->is_atomic(cur[i])) {
-        atomic_holder = i;
-        break;  // by construction at most one component is atomic
-      }
+      if (atomic_holder == k && comps[i].atomic[cur[i]]) atomic_holder = i;
+      non_stop += comps[i].stop[cur[i]] ? 0 : 1;
     }
+    const std::uint32_t potential = potential_[n];
 
     for (std::size_t i = 0; i < k; ++i) {
       if (atomic_holder != k && atomic_holder != i) continue;
-      const Flow& f = *instances_[i].flow;
-      for (std::uint32_t ti : f.outgoing(cur[i])) {
-        const Transition& t = f.transitions()[ti];
-        nxt = cur;
-        nxt[i] = t.to;
-        const NodeId tgt = intern(nxt);
-        edges_.push_back(Edge{n,
-                              IndexedMessage{t.message, instances_[i].index},
-                              tgt, static_cast<std::uint32_t>(i)});
+      const Component& c = comps[i];
+      const StateId s = cur[i];
+      // The successor's potential and non-stop count differ from n's only
+      // in component i's term.
+      const std::uint32_t other_potential = potential - c.rank[s];
+      const std::uint32_t other_non_stop = non_stop - (c.stop[s] ? 0 : 1);
+      for (std::uint32_t m = c.first_move[s]; m < c.first_move[s + 1]; ++m) {
+        const Move& move = c.moves[m];
+        codec_.with_component(key.data(), i, move.to, next.data());
+        const NodeId to =
+            discover(next.data(), other_potential + c.rank[move.to],
+                     other_non_stop + (c.stop[move.to] ? 0 : 1) == 0);
+        ++label_count_[move.label];
+        edges_.push_back(Edge{n, labels_[move.label], to,
+                              static_cast<std::uint32_t>(i)});
+        edge_label_.push_back(move.label);
       }
     }
     out_offset_.push_back(static_cast<std::uint32_t>(edges_.size()));
@@ -144,32 +273,36 @@ void InterleavedFlow::build_graph() {
   num_nodes_ = interner_.size();
 }
 
-void InterleavedFlow::finalize() {
-  const std::size_t k = instances_.size();
-  std::vector<StateId> cur(k);
+void InterleavedFlow::finish() {
+  for (std::size_t l = 0; l < labels_.size(); ++l)
+    if (label_count_[l] != 0) indexed_messages_.push_back(labels_[l]);
 
-  stop_mask_.assign(num_nodes_, false);
-  for (NodeId n = 0; static_cast<std::size_t>(n) < num_nodes_; ++n) {
-    codec_.decode(interner_.key(n), cur.data());
-    bool all_stop = true;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!instances_[i].flow->is_stop(cur[i])) {
-        all_stop = false;
-        break;
-      }
-    }
-    if (all_stop) {
-      stop_mask_[n] = true;
-      stop_.push_back(n);
-    }
-  }
+  // Topological order: a counting sort of the nodes by potential. Every
+  // edge strictly increases the potential, so successors sort after their
+  // predecessors.
+  const std::uint32_t max_potential =
+      *std::max_element(potential_.begin(), potential_.end());
+  std::vector<std::uint32_t> slot(static_cast<std::size_t>(max_potential) + 2,
+                                  0);
+  for (std::uint32_t p : potential_) ++slot[p + 1];
+  for (std::size_t p = 1; p < slot.size(); ++p) slot[p] += slot[p - 1];
+  topo_.resize(num_nodes_);
+  for (NodeId n = 0; static_cast<std::size_t>(n) < num_nodes_; ++n)
+    topo_[slot[potential_[n]]++] = n;
 
-  for (const Edge& e : edges_) {
-    auto [it, fresh] = occurrence_counts_.try_emplace(e.label, 0u);
-    if (fresh) indexed_messages_.push_back(e.label);
-    ++it->second;
+  // count_paths: one reverse-topological sweep. Executions end at a stop
+  // tuple (Def. 2); per node the stop bonus comes first, then the edges in
+  // ascending CSR order.
+  std::vector<double> memo(num_nodes_, 0.0);
+  for (std::size_t i = num_nodes_; i-- > 0;) {
+    const NodeId n = topo_[i];
+    double paths = stop_mask_[n] ? 1.0 : 0.0;
+    for (std::uint32_t e = out_offset_[n]; e < out_offset_[n + 1]; ++e)
+      paths += memo[edges_[e].to];
+    memo[n] = paths;
   }
-  std::sort(indexed_messages_.begin(), indexed_messages_.end());
+  total_paths_ = 0.0;
+  for (NodeId r : initial_) total_paths_ += memo[r];
 }
 
 InterleavedFlow::OutgoingRange InterleavedFlow::outgoing(NodeId n) const {
@@ -200,79 +333,31 @@ std::string InterleavedFlow::node_name(NodeId n) const {
 }
 
 std::size_t InterleavedFlow::occurrences(const IndexedMessage& im) const {
-  const auto it = occurrence_counts_.find(im);
-  return it == occurrence_counts_.end() ? 0 : it->second;
-}
-
-const kernel::Program& InterleavedFlow::program() const {
-  std::lock_guard<std::mutex> lock(*kernel_.mutex);
-  if (!kernel_.program)
-    kernel_.program = std::make_shared<const kernel::Program>(
-        kernel::Program::compile(*this));
-  return *kernel_.program;
-}
-
-double InterleavedFlow::count_paths() const {
-  if (options_.kernel == KernelMode::kCompiled)
-    return program().count_paths();
-  // Executions end at a stop tuple (Def. 2). In all flows in this repo stop
-  // states are sinks, so "reaches a stop node" and "ends at a stop node"
-  // coincide; we count the latter by backward DP over the DAG.
-  std::vector<double> memo(num_nodes(), -1.0);
-  // Iterative post-order to avoid recursion depth issues on deep products.
-  std::vector<std::pair<NodeId, bool>> stack;
-  double total = 0.0;
-  for (NodeId r : initial_) {
-    stack.emplace_back(r, false);
-    while (!stack.empty()) {
-      auto [n, processed] = stack.back();
-      stack.pop_back();
-      if (memo[n] >= 0.0) continue;
-      if (!processed) {
-        stack.emplace_back(n, true);
-        for (std::uint32_t e : outgoing(n)) {
-          const NodeId m = edges_[e].to;
-          if (memo[m] < 0.0) stack.emplace_back(m, false);
-        }
-      } else {
-        double paths = stop_mask_[n] ? 1.0 : 0.0;
-        for (std::uint32_t e : outgoing(n))
-          paths += memo[edges_[e].to];
-        memo[n] = paths;
-      }
-    }
-    total += memo[r];
-  }
-  return total;
+  const auto it = std::lower_bound(labels_.begin(), labels_.end(), im);
+  return it == labels_.end() || *it != im
+             ? 0
+             : label_count_[static_cast<std::size_t>(it - labels_.begin())];
 }
 
 double InterleavedFlow::count_consistent_paths(
     const std::vector<MessageId>& selected,
     const std::vector<IndexedMessage>& observed) const {
-  if (options_.kernel == KernelMode::kCompiled)
-    return program().count_consistent_paths(selected, observed);
-
-  // f(n, j) = number of stop-terminated paths from n whose projection onto
-  // `selected` extends observed[j..] as a prefix. Memoized on (node, j).
-  std::vector<bool> is_selected;
-  {
-    MessageId max_id = 0;
-    for (MessageId m : selected) max_id = std::max(max_id, m);
-    for (const Edge& e : edges_) max_id = std::max(max_id, e.label.message);
-    is_selected.assign(static_cast<std::size_t>(max_id) + 1, false);
-    for (MessageId m : selected) is_selected[m] = true;
-  }
+  OBS_SPAN("interleave.consistent_paths");
+  std::vector<MessageId> sorted_selected = selected;
+  std::sort(sorted_selected.begin(), sorted_selected.end());
+  const auto is_selected = [&](MessageId m) {
+    return std::binary_search(sorted_selected.begin(), sorted_selected.end(),
+                              m);
+  };
   const std::size_t olen = observed.size();
   for (const IndexedMessage& im : observed) {
-    if (im.message >= is_selected.size() || !is_selected[im.message])
+    if (!is_selected(im.message))
       throw std::invalid_argument(
           "count_consistent_paths: observed trace contains a message outside "
           "the selected combination");
   }
 
-  // Distinct observed labels get small ids; every edge is classified once
-  // up front so the DP inner loop does integer compares, not label
-  // comparisons or searches.
+  // Distinct observed labels get small kind ids in first-occurrence order.
   std::vector<IndexedMessage> kinds;
   std::vector<std::int32_t> obs_kind(olen);
   for (std::size_t j = 0; j < olen; ++j) {
@@ -284,212 +369,135 @@ double InterleavedFlow::count_consistent_paths(
       obs_kind[j] = static_cast<std::int32_t>(it - kinds.begin());
     }
   }
+  // Labels, not edges, are classified against the observation; the sweep
+  // reaches the class through edge_label_.
   // -2: invisible edge; -1: visible but never observed; >=0: kind id.
-  std::vector<std::int32_t> edge_code(edges_.size());
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    if (!is_selected[edges_[e].label.message]) {
-      edge_code[e] = -2;
+  std::vector<std::int32_t> label_code(labels_.size());
+  for (std::size_t l = 0; l < labels_.size(); ++l) {
+    if (!is_selected(labels_[l].message)) {
+      label_code[l] = -2;
       continue;
     }
-    const auto it = std::find(kinds.begin(), kinds.end(), edges_[e].label);
-    edge_code[e] =
+    const auto it = std::find(kinds.begin(), kinds.end(), labels_[l]);
+    label_code[l] =
         it == kinds.end() ? -1 : static_cast<std::int32_t>(it - kinds.begin());
   }
 
-  const std::size_t width = olen + 1;
-  std::vector<double> memo(num_nodes() * width, -1.0);
-  auto slot = [&](NodeId n, std::size_t j) -> double& {
-    return memo[static_cast<std::size_t>(n) * width + j];
-  };
+  // f(n, j) = number of stop-terminated paths from n whose projection onto
+  // `selected` extends observed[j..] as a prefix. A forward sweep bounds,
+  // per node, the prefix positions [lo, hi] a path from the root can bring
+  // into it. Every slot a band slot reads lies in its successor's band, so
+  // the reverse sweep fills only the bands, packed node after node, and
+  // skips the nodes no consistent path reaches. Per slot the additions
+  // come in a fixed order: stop bonus first, then edges in ascending CSR
+  // order.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  const std::uint32_t full = static_cast<std::uint32_t>(olen);
+  std::vector<std::uint32_t> lo(num_nodes_, kNone);
+  std::vector<std::uint32_t> hi(num_nodes_, 0);
+  for (NodeId r : initial_) lo[r] = hi[r] = 0;
+  for (const NodeId n : topo_) {
+    if (lo[n] == kNone) continue;
+    for (std::uint32_t e = out_offset_[n]; e < out_offset_[n + 1]; ++e) {
+      const std::int32_t code = label_code[edge_label_[e]];
+      std::uint32_t a = lo[n];
+      std::uint32_t b = hi[n];
+      if (code != -2) {
+        // A visible step advances the positions whose next observed kind
+        // matches; a full prefix tolerates any visible suffix.
+        a = kNone;
+        for (std::uint32_t j = lo[n]; j <= hi[n] && j < full; ++j) {
+          if (obs_kind[j] != code) continue;
+          if (a == kNone) a = j + 1;
+          b = j + 1;
+        }
+        if (hi[n] == full) {
+          a = std::min(a, full);
+          b = full;
+        }
+        if (a == kNone) continue;
+      }
+      const NodeId m = edges_[e].to;
+      lo[m] = std::min(lo[m], a);
+      hi[m] = std::max(hi[m], b);
+    }
+  }
 
-  struct Item {
-    NodeId n;
-    std::uint32_t j;
-    bool processed;
-  };
-  std::vector<Item> stack;
-  double total = 0.0;
-  for (NodeId r : initial_) {
-    stack.push_back(Item{r, 0, false});
-    while (!stack.empty()) {
-      const Item it = stack.back();
-      stack.pop_back();
-      if (slot(it.n, it.j) >= 0.0) continue;
-      // Successor (node, j') for an edge given matching rules.
-      auto next_j = [&](std::uint32_t e) -> std::optional<std::uint32_t> {
-        const std::int32_t code = edge_code[e];
-        if (code == -2) return it.j;  // invisible step
-        if (it.j < olen) {
-          if (code == obs_kind[it.j]) return it.j + 1;
-          return std::nullopt;  // visible mismatch kills the path
-        }
-        return it.j;  // prefix fully matched; extra visible messages fine
-      };
-      if (!it.processed) {
-        stack.push_back(Item{it.n, it.j, true});
-        for (std::uint32_t e : outgoing(it.n)) {
-          if (auto j2 = next_j(e)) {
-            if (slot(edges_[e].to, *j2) < 0.0)
-              stack.push_back(Item{edges_[e].to, *j2, false});
-          }
-        }
+  std::vector<std::size_t> base(num_nodes_, 0);  ///< memo index of (n, lo)
+  std::size_t slots = 0;
+  for (std::size_t n = 0; n < num_nodes_; ++n) {
+    if (lo[n] == kNone) continue;
+    base[n] = slots;
+    slots += hi[n] - lo[n] + 1;
+  }
+  std::vector<double> memo(slots, 0.0);
+  for (std::size_t i = num_nodes_; i-- > 0;) {
+    const NodeId n = topo_[i];
+    if (lo[n] == kNone) continue;
+    double* row = &memo[base[n]];  // row[j - lo[n]] = f(n, j)
+    if (stop_mask_[n] && hi[n] == full) row[full - lo[n]] = 1.0;
+    for (std::uint32_t e = out_offset_[n]; e < out_offset_[n + 1]; ++e) {
+      const std::int32_t code = label_code[edge_label_[e]];
+      const NodeId m = edges_[e].to;
+      const double* succ = &memo[base[m]];  // succ[j - lo[m]] = f(m, j)
+      if (code == -2) {
+        // Invisible step: j -> j over the whole band.
+        const double* same = succ + (lo[n] - lo[m]);
+        for (std::uint32_t j = 0; j <= hi[n] - lo[n]; ++j) row[j] += same[j];
       } else {
-        double paths = 0.0;
-        if (stop_mask_[it.n] && it.j == olen) paths += 1.0;
-        for (std::uint32_t e : outgoing(it.n)) {
-          if (auto j2 = next_j(e)) paths += slot(edges_[e].to, *j2);
-        }
-        slot(it.n, it.j) = paths;
+        for (std::uint32_t j = lo[n]; j <= hi[n] && j < full; ++j)
+          if (obs_kind[j] == code) row[j - lo[n]] += succ[j + 1 - lo[m]];
+        if (hi[n] == full) row[full - lo[n]] += succ[full - lo[m]];
       }
     }
-    total += slot(r, 0);
   }
-  return total;
-}
-
-double InterleavedFlow::count_consistent_paths_multiset(
-    const std::vector<MessageId>& selected,
-    const std::vector<IndexedMessage>& observed) const {
-  std::vector<bool> is_selected;
-  {
-    MessageId max_id = 0;
-    for (MessageId m : selected) max_id = std::max(max_id, m);
-    for (const Edge& e : edges_) max_id = std::max(max_id, e.label.message);
-    is_selected.assign(static_cast<std::size_t>(max_id) + 1, false);
-    for (MessageId m : selected) is_selected[m] = true;
-  }
-
-  // Distinct observed indexed messages with multiplicities; a consumption
-  // state is a vector of per-kind counts, encoded in mixed radix.
-  std::vector<IndexedMessage> kinds;
-  std::vector<std::uint32_t> need;
-  for (const IndexedMessage& im : observed) {
-    if (im.message >= is_selected.size() || !is_selected[im.message])
-      throw std::invalid_argument(
-          "count_consistent_paths_multiset: observed trace contains a "
-          "message outside the selected combination");
-    const auto it = std::find(kinds.begin(), kinds.end(), im);
-    if (it == kinds.end()) {
-      kinds.push_back(im);
-      need.push_back(1);
-    } else {
-      ++need[static_cast<std::size_t>(it - kinds.begin())];
-    }
-  }
-  std::size_t num_cstates = 1;
-  for (std::uint32_t c : need) {
-    num_cstates *= c + 1;
-    // The consumption lattice is exponential in distinct observed kinds;
-    // refuse queries whose memo would not fit in memory rather than
-    // crash allocating it. Ordered-semantics counting stays linear.
-    if (num_cstates > (std::size_t{1} << 22) ||
-        num_cstates * num_nodes() > (std::size_t{1} << 26))
-      throw std::length_error(
-          "count_consistent_paths_multiset: observation has too many "
-          "distinct indexed messages for multiset counting; use the "
-          "ordered variant");
-  }
-  const std::size_t full = num_cstates - 1;  // all radixes at max
-
-  // radix stride per kind.
-  std::vector<std::size_t> stride(kinds.size());
-  {
-    std::size_t s = 1;
-    for (std::size_t i = 0; i < kinds.size(); ++i) {
-      stride[i] = s;
-      s *= need[i] + 1;
-    }
-  }
-  auto digit = [&](std::size_t cstate, std::size_t i) {
-    return (cstate / stride[i]) % (need[i] + 1);
-  };
-
-  // Classify every edge once: -2 invisible, -1 visible non-observed kind,
-  // >= 0 the observed kind consumed — the DP inner loop stops doing a
-  // std::find over kinds per edge visit.
-  std::vector<std::int32_t> edge_code(edges_.size());
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    if (!is_selected[edges_[e].label.message]) {
-      edge_code[e] = -2;
-      continue;
-    }
-    const auto it = std::find(kinds.begin(), kinds.end(), edges_[e].label);
-    edge_code[e] =
-        it == kinds.end() ? -1 : static_cast<std::int32_t>(it - kinds.begin());
-  }
-
-  std::vector<double> memo(num_nodes() * num_cstates, -1.0);
-  auto slot = [&](NodeId n, std::size_t c) -> double& {
-    return memo[static_cast<std::size_t>(n) * num_cstates + c];
-  };
-
-  // Successor consumption state for taking edge e in state c, or nullopt if
-  // the edge is inconsistent with the observation.
-  auto next_c = [&](std::uint32_t e,
-                    std::size_t c) -> std::optional<std::size_t> {
-    const std::int32_t code = edge_code[e];
-    if (code == -2) return c;
-    if (c == full) return c;  // prefix complete; visible suffix unrestricted
-    if (code == -1) return std::nullopt;  // visible non-observed kind
-    const std::size_t i = static_cast<std::size_t>(code);
-    if (digit(c, i) >= need[i]) return std::nullopt;  // kind already consumed
-    return c + stride[i];
-  };
-
-  struct Item {
-    NodeId n;
-    std::size_t c;
-    bool processed;
-  };
-  std::vector<Item> stack;
   double total = 0.0;
-  for (NodeId r : initial_) {
-    stack.push_back(Item{r, 0, false});
-    while (!stack.empty()) {
-      const Item it = stack.back();
-      stack.pop_back();
-      if (slot(it.n, it.c) >= 0.0) continue;
-      if (!it.processed) {
-        stack.push_back(Item{it.n, it.c, true});
-        for (std::uint32_t e : outgoing(it.n)) {
-          if (auto c2 = next_c(e, it.c)) {
-            if (slot(edges_[e].to, *c2) < 0.0)
-              stack.push_back(Item{edges_[e].to, *c2, false});
-          }
-        }
-      } else {
-        double paths = 0.0;
-        if (stop_mask_[it.n] && it.c == full) paths += 1.0;
-        for (std::uint32_t e : outgoing(it.n)) {
-          if (auto c2 = next_c(e, it.c)) paths += slot(edges_[e].to, *c2);
-        }
-        slot(it.n, it.c) = paths;
-      }
-    }
-    total += slot(r, 0);
-  }
+  for (NodeId r : initial_) total += memo[base[r]];
   return total;
 }
 
 std::vector<InterleavedFlow::LabelClassHistogram>
 InterleavedFlow::label_target_histograms() const {
-  if (options_.kernel == KernelMode::kCompiled)
-    return program().label_target_histograms();
-  return histograms_generic();
-}
+  // Counting-sort the edge targets by label id, then per label count
+  // in-edges per target with a scratch array and a touched list.
+  const std::size_t num_labels = labels_.size();
+  std::vector<std::size_t> off(num_labels + 1, 0);
+  for (std::size_t l = 0; l < num_labels; ++l)
+    off[l + 1] = off[l] + label_count_[l];
+  std::vector<NodeId> targets(edges_.size());
+  {
+    std::vector<std::size_t> cursor(off.begin(), off.end() - 1);
+    for (std::size_t e = 0; e < edges_.size(); ++e)
+      targets[cursor[edge_label_[e]]++] = edges_[e].to;
+  }
 
-std::vector<InterleavedFlow::LabelClassHistogram>
-InterleavedFlow::histograms_generic() const {
-  // cnt[y][x] = number of edges labeled y that lead to product state x.
-  std::map<IndexedMessage, std::unordered_map<NodeId, std::uint64_t>> cnt;
-  for (const Edge& e : edges_) ++cnt[e.label][e.to];
+  std::vector<std::uint64_t> cnt(num_nodes_, 0);
+  std::vector<NodeId> touched;
+  std::vector<std::uint64_t> counts;
   std::vector<LabelClassHistogram> out;
-  out.reserve(cnt.size());
-  for (const auto& [label, targets] : cnt) {
-    std::map<std::uint64_t, std::uint64_t> classes;
-    for (const auto& [node, c] : targets) ++classes[c];
-    out.push_back(LabelClassHistogram{
-        label, {classes.begin(), classes.end()}});
+  out.reserve(indexed_messages_.size());
+  for (std::size_t l = 0; l < num_labels; ++l) {
+    if (off[l] == off[l + 1]) continue;  // a transition the product skips
+    touched.clear();
+    counts.clear();
+    for (std::size_t i = off[l]; i < off[l + 1]; ++i) {
+      const NodeId t = targets[i];
+      if (cnt[t]++ == 0) touched.push_back(t);
+    }
+    for (NodeId t : touched) {
+      counts.push_back(cnt[t]);
+      cnt[t] = 0;
+    }
+    std::sort(counts.begin(), counts.end());
+    LabelClassHistogram h;
+    h.label = labels_[l];
+    for (std::size_t i = 0; i < counts.size();) {
+      std::size_t j = i;
+      while (j < counts.size() && counts[j] == counts[i]) ++j;
+      h.classes.emplace_back(counts[i], static_cast<std::uint64_t>(j - i));
+      i = j;
+    }
+    out.push_back(std::move(h));
   }
   return out;
 }

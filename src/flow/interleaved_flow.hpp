@@ -19,13 +19,13 @@
 // Product states are packed into 64-bit words (ceil(log2 |S_i|) bits per
 // component) interned in a flat open-addressing table, and outgoing edges
 // are a CSR offset array over the edge list — no per-node heap allocations.
+// The same expansion sweep emits the tables the DPs read (DESIGN.md §14):
+// a per-edge id into the sorted label table, the stop mask, and a
+// topological order bucketed by the potential sum_i rank_i(s_i).
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -36,20 +36,6 @@
 
 namespace tracesel::flow {
 
-namespace kernel {
-class Program;
-}
-
-/// Which DP engine answers path-count / consistent-path / histogram
-/// queries. kCompiled (the default) lazily compiles the graph into a flat
-/// kernel::Program — per-label dispatch tables + dense topological sweeps —
-/// and is bit-identical to kGeneric, the original memoized DPs kept as the
-/// reference fallback (DESIGN.md §14).
-enum class KernelMode : std::uint8_t {
-  kCompiled = 0,
-  kGeneric = 1,
-};
-
 /// Knobs for InterleavedFlow::build.
 struct InterleaveOptions {
   /// Upper bound on materialized nodes; std::length_error beyond it.
@@ -58,9 +44,6 @@ struct InterleaveOptions {
   /// ~1024 expanded nodes of the token reporting cancelled. The default
   /// (inert) token never cancels.
   util::CancelToken cancel;
-  /// Query engine; a runtime knob (results are bit-identical either way),
-  /// so it never participates in workload/result cache keys.
-  KernelMode kernel = KernelMode::kCompiled;
 };
 
 class InterleavedFlow {
@@ -141,7 +124,7 @@ class InterleavedFlow {
 
   const std::vector<NodeId>& initial_nodes() const { return initial_; }
   const std::vector<NodeId>& stop_nodes() const { return stop_; }
-  bool is_stop(NodeId n) const { return stop_mask_[n]; }
+  bool is_stop(NodeId n) const { return stop_mask_[n] != 0; }
 
   const std::vector<Edge>& edges() const { return edges_; }
   /// Outgoing edge indices of a node (CSR row).
@@ -162,25 +145,18 @@ class InterleavedFlow {
   /// Number of product edges labeled with a given indexed message.
   std::size_t occurrences(const IndexedMessage& im) const;
 
-  /// Total number of executions: root-to-stop paths of the product DAG.
-  /// double-precision because counts grow combinatorially; exact for counts
-  /// below 2^53.
-  double count_paths() const;
+  /// Total number of executions: root-to-stop paths of the product DAG,
+  /// computed once by build(). double-precision because counts grow
+  /// combinatorially; exact for counts below 2^53.
+  double count_paths() const { return total_paths_; }
 
   /// Number of executions whose projection onto `selected` (set of message
   /// ids; all indices of those messages are visible) starts with `observed`
   /// *in order*. This is the denominator-free core of path localization
-  /// (Sec. 5.2): localization = consistent / count_paths().
+  /// (Sec. 5.2): localization = consistent / count_paths(). Throws
+  /// std::invalid_argument if `observed` holds a message outside
+  /// `selected`.
   double count_consistent_paths(
-      const std::vector<MessageId>& selected,
-      const std::vector<IndexedMessage>& observed) const;
-
-  /// Order-insensitive variant: counts executions whose first
-  /// |observed| projected messages form exactly the observed *multiset*.
-  /// The paper presents the observed trace as a set ("{1:ReqE, 1:GntE,
-  /// 2:ReqE}"), so both readings are provided; benches report the ordered
-  /// one (trace buffers preserve order) and tests pin both.
-  double count_consistent_paths_multiset(
       const std::vector<MessageId>& selected,
       const std::vector<IndexedMessage>& observed) const;
 
@@ -188,38 +164,28 @@ class InterleavedFlow {
   /// ascending, classes ascending by c, counted on the edge list.
   std::vector<LabelClassHistogram> label_target_histograms() const;
 
+  /// sum_i rank_i(s_i) of product state n, where rank_i(s) is the position
+  /// of s in a topological order of component i's flow. Every product edge
+  /// moves one component forward, so the potential strictly increases
+  /// along it; the DPs sweep nodes in potential order.
+  std::uint32_t potential(NodeId n) const { return potential_[n]; }
+
   /// The unreduced product, i.e. this engine itself; for callers (the
   /// benchmark) that ask for it explicitly.
   const InterleavedFlow& concrete() const { return *this; }
 
-  /// The compiled kernel program for this graph, built lazily on first use
-  /// and cached; thread-safe. Independent of options().kernel — callers can
-  /// always reach the compiled tables explicitly.
-  const kernel::Program& program() const;
+  /// The DP tables, i.e. this engine itself: build() emits them, so there
+  /// is nothing left to compile. Kept for callers (the benchmark) that
+  /// still ask for them explicitly.
+  const InterleavedFlow& program() const { return *this; }
 
  private:
   InterleavedFlow() = default;
 
-  // Program::compile reads the private CSR/edge tables directly.
-  friend class kernel::Program;
-
-  // The program() cache: never copied with the graph, fresh mutex per
-  // object so moved-from engines stay independently lockable; shared_ptr
-  // (not unique_ptr) so an incomplete kernel::Program works here.
-  struct KernelCache {
-    KernelCache() : mutex(std::make_unique<std::mutex>()) {}
-    KernelCache(KernelCache&&) = default;
-    KernelCache& operator=(KernelCache&&) = default;
-    std::unique_ptr<std::mutex> mutex;
-    std::shared_ptr<const kernel::Program> program;
-  };
-
-  void build_graph();
-  void finalize();
-  std::vector<LabelClassHistogram> histograms_generic() const;
+  void build_graph(const InterleaveOptions& options);
+  void finish();
 
   std::vector<IndexedFlow> instances_;
-  InterleaveOptions options_;
 
   KeyCodec codec_;
   KeyInterner interner_;  ///< owns packed key storage; NodeId-indexed
@@ -227,14 +193,21 @@ class InterleavedFlow {
 
   std::vector<NodeId> initial_;
   std::vector<NodeId> stop_;
-  std::vector<bool> stop_mask_;
+  std::vector<std::uint8_t> stop_mask_;
   std::vector<Edge> edges_;
   std::vector<std::uint32_t> out_offset_;  ///< CSR: size num_nodes_ + 1
 
-  std::vector<IndexedMessage> indexed_messages_;
-  std::unordered_map<IndexedMessage, std::size_t> occurrence_counts_;
+  /// Sorted distinct <message, index> labels of the instances' component
+  /// transitions; edge_label_[e] indexes it, label_count_[l] counts the
+  /// edges labeled l (0 for a transition the product never takes).
+  std::vector<IndexedMessage> labels_;
+  std::vector<std::uint32_t> edge_label_;
+  std::vector<std::size_t> label_count_;
+  std::vector<IndexedMessage> indexed_messages_;  ///< nonzero-count labels
 
-  mutable KernelCache kernel_;
+  std::vector<std::uint32_t> potential_;
+  std::vector<NodeId> topo_;  ///< nodes by ascending potential
+  double total_paths_ = 0.0;
 };
 
 }  // namespace tracesel::flow

@@ -70,6 +70,17 @@ class KeyCodec {
                                 comps_[i].mask);
   }
 
+  /// Writes `in` with component i replaced by `s` to `out`: the key of a
+  /// product successor that moved only component i, in one field edit
+  /// instead of a decode/encode round trip.
+  void with_component(const std::uint64_t* in, std::size_t i, StateId s,
+                      std::uint64_t* out) const {
+    for (std::size_t w = 0; w < words_; ++w) out[w] = in[w];
+    const Component& c = comps_[i];
+    out[c.word] = (out[c.word] & ~(c.mask << c.bit)) |
+                  (static_cast<std::uint64_t>(s) << c.bit);
+  }
+
  private:
   struct Component {
     std::uint32_t word = 0;
@@ -90,6 +101,14 @@ class KeyInterner {
   explicit KeyInterner(std::size_t words) : words_(words) { rehash(1024); }
 
   std::size_t size() const { return count_; }
+
+  /// Sizes the table and the key storage for `n` keys up front.
+  void reserve(std::size_t n) {
+    keys_.reserve(n * words_);
+    std::size_t cap = slots_.size();
+    while ((n + 1) * 10 >= cap * 7) cap *= 2;
+    if (cap != slots_.size()) rehash(cap);
+  }
 
   /// Total slot inspections across intern() calls — the obs layer
   /// reports this as "interleave.interner.probes" (probes/lookup ≈ 1 means

@@ -20,7 +20,12 @@ InfoGainEngine::InfoGainEngine(const flow::ProductStats& stats) {
   const double total_edges = static_cast<double>(stats.num_product_edges());
   if (total_edges == 0) return;
 
-  for (const auto& h : stats.label_target_histograms()) {
+  // Labels ascend, so the last histogram carries the largest message id.
+  const auto& histograms = stats.label_target_histograms();
+  if (!histograms.empty())
+    dense_.assign(static_cast<std::size_t>(histograms.back().label.message) + 1,
+                  0.0);
+  for (const auto& h : histograms) {
     const double occ_y = static_cast<double>(stats.occurrences(h.label));
     double gain = 0.0;
     for (const auto& [c, k] : h.classes) {
@@ -32,26 +37,17 @@ InfoGainEngine::InfoGainEngine(const flow::ProductStats& stats) {
       gain += static_cast<double>(k) * (pxy * std::log(ratio));
     }
     contrib_[h.label] = gain;
-    contrib_by_message_[h.label.message] += gain;
+    dense_[h.label.message] += gain;
     total_gain_ += gain;
   }
-
-  // Flatten into the dense table the compiled Step-2 kernel reads: the
-  // very same doubles, just addressable by id instead of by hash lookup.
-  flow::MessageId max_id = 0;
-  for (const auto& [m, c] : contrib_by_message_) max_id = std::max(max_id, m);
-  dense_.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
-  for (const auto& [m, c] : contrib_by_message_) dense_[m] = c;
 }
 
 double InfoGainEngine::info_gain(
     std::span<const flow::MessageId> combination) const {
   OBS_COUNT("selection.gain.evals", 1);
   double gain = 0.0;
-  for (flow::MessageId m : combination) {
-    const auto it = contrib_by_message_.find(m);
-    if (it != contrib_by_message_.end()) gain += it->second;
-  }
+  for (flow::MessageId m : combination)
+    gain += m < dense_.size() ? dense_[m] : 0.0;
   return gain;
 }
 
@@ -60,24 +56,7 @@ double InfoGainEngine::contribution(const flow::IndexedMessage& im) const {
   return it == contrib_.end() ? 0.0 : it->second;
 }
 
-double InfoGainEngine::info_gain(std::span<const flow::MessageId> combination,
-                                 flow::KernelMode mode) const {
-  if (mode == flow::KernelMode::kGeneric) return info_gain(combination);
-  OBS_COUNT("selection.gain.evals", 1);
-  double gain = 0.0;
-  for (flow::MessageId m : combination)
-    gain += m < dense_.size() ? dense_[m] : 0.0;
-  return gain;
-}
-
 double InfoGainEngine::message_contribution(flow::MessageId m) const {
-  const auto it = contrib_by_message_.find(m);
-  return it == contrib_by_message_.end() ? 0.0 : it->second;
-}
-
-double InfoGainEngine::message_contribution(flow::MessageId m,
-                                            flow::KernelMode mode) const {
-  if (mode == flow::KernelMode::kGeneric) return message_contribution(m);
   return m < dense_.size() ? dense_[m] : 0.0;
 }
 

@@ -36,18 +36,12 @@ class InfoGainEngine {
   /// The engine over flow::ProductStats::of(u).
   explicit InfoGainEngine(const flow::InterleavedFlow& u);
 
-  /// I(X;Y) for the combination given as a set of message ids. All indexed
+  /// I(X;Y) for the combination given as a set of message ids: the
+  /// per-message contributions summed in argument order. All indexed
   /// instances of each id contribute to Y. Messages that label no edge of
-  /// the interleaved flow contribute zero.
+  /// the interleaved flow contribute +0.0, which is exact (contributions
+  /// are nonnegative, so no partial sum is ever -0.0).
   double info_gain(std::span<const flow::MessageId> combination) const;
-
-  /// info_gain dispatching on the kernel mode: kGeneric is the hash-map
-  /// path above, kCompiled sums the dense per-message table instead — the
-  /// same doubles added in the same (argument) order, so results are
-  /// bit-identical. (Absent ids add +0.0, which is exact: contributions are
-  /// nonnegative, so no partial sum is ever -0.0.)
-  double info_gain(std::span<const flow::MessageId> combination,
-                   flow::KernelMode mode) const;
 
   /// The contribution of a single indexed message to I(X;Y) — the inner sum
   /// over x for this y. Nonnegative; exposed for tests and diagnostics.
@@ -59,14 +53,6 @@ class InfoGainEngine {
   /// property the exact knapsack search mode exploits.
   double message_contribution(flow::MessageId m) const;
 
-  /// message_contribution dispatching on the kernel mode (bit-identical).
-  double message_contribution(flow::MessageId m,
-                              flow::KernelMode mode) const;
-
-  /// Dense contribution table indexed by MessageId (+0.0 for ids labeling
-  /// no edge); what the compiled Step-2 kernel reads.
-  const std::vector<double>& message_table() const { return dense_; }
-
   /// Upper bound on the gain any combination can reach on this flow
   /// (the gain of tracing every message).
   double max_gain() const { return total_gain_; }
@@ -74,9 +60,7 @@ class InfoGainEngine {
  private:
   // contribution of each indexed message, precomputed once.
   std::unordered_map<flow::IndexedMessage, double> contrib_;
-  // contributions aggregated per (unindexed) message id.
-  std::unordered_map<flow::MessageId, double> contrib_by_message_;
-  // contrib_by_message_ flattened into a MessageId-indexed array.
+  // contributions aggregated per (unindexed) message id, MessageId-indexed.
   std::vector<double> dense_;
   double total_gain_ = 0.0;
 };

@@ -18,19 +18,14 @@ PackingResult pack_leftover(const flow::MessageCatalog& catalog,
                             const InfoGainEngine& engine,
                             const Combination& base,
                             std::uint32_t buffer_width,
-                            const std::vector<flow::MessageId>& candidates,
-                            flow::KernelMode mode) {
+                            const std::vector<flow::MessageId>& candidates) {
   if (base.width > buffer_width)
     throw std::invalid_argument("pack_leftover: base exceeds buffer width");
-
-  const auto score = [&](std::span<const flow::MessageId> set) {
-    return engine.info_gain(set, mode);
-  };
 
   PackingResult result;
   std::uint32_t leftover = buffer_width - base.width;
   std::vector<flow::MessageId> observable = base.messages;
-  double current_gain = score(observable);
+  double current_gain = engine.info_gain(observable);
 
   // Candidate pool: every subgroup of a candidate message whose parent is
   // not yet observable.
@@ -62,7 +57,7 @@ PackingResult pack_leftover(const flow::MessageCatalog& catalog,
     for (const Candidate& c : pool) {
       std::vector<flow::MessageId> trial = observable;
       trial.push_back(c.parent);
-      const double g = score(trial);
+      const double g = engine.info_gain(trial);
       const bool better =
           g > best_gain ||
           (best != nullptr && g == best_gain && c.sg->width < best->sg->width);

@@ -42,14 +42,12 @@ struct PackingResult {
 /// considered, and only while each addition strictly increases the
 /// information gain; tracing bits that observe nothing is worse than
 /// leaving them free. Throws std::invalid_argument if the base already
-/// exceeds the buffer. `mode` picks the scoring kernel (both produce the
-/// same bits).
+/// exceeds the buffer.
 PackingResult pack_leftover(const flow::MessageCatalog& catalog,
                             const InfoGainEngine& engine,
                             const Combination& base,
                             std::uint32_t buffer_width,
-                            const std::vector<flow::MessageId>& candidates,
-                            flow::KernelMode mode = flow::KernelMode::kGeneric);
+                            const std::vector<flow::MessageId>& candidates);
 
 /// The message ids observable after packing: base messages plus parents of
 /// packed subgroups. This is what coverage/localization should be computed

@@ -51,7 +51,7 @@ Combination MessageSelector::search_exhaustive(const SelectorConfig& config,
     // of the scored prefix is a valid (partial) result.
     if (i % kCancelPollStride == 0 && config.cancel.cancelled()) break;
     const Combination& c = combos[i];
-    const double g = engine_.info_gain(c.messages, config.kernel);
+    const double g = engine_.info_gain(c.messages);
     // Highest gain wins; ties prefer the narrower combination (more room
     // for Step 3 packing), then lexicographic for determinism.
     const bool better =
@@ -85,7 +85,7 @@ Combination MessageSelector::search_greedy(const SelectorConfig& config) const {
       if (current.width + w > config.buffer_width) continue;
       std::vector<flow::MessageId> trial = current.messages;
       trial.push_back(m);
-      const double g = engine_.info_gain(trial, config.kernel);
+      const double g = engine_.info_gain(trial);
       if (best == nullptr || g > best_gain ||
           (g == best_gain && w < best_width)) {
         best = &m;
@@ -113,7 +113,7 @@ Combination MessageSelector::search_knapsack(
   std::vector<double> gains;
   for (const flow::MessageId m : candidates_) {
     widths.push_back(catalog_->get(m).trace_width());
-    gains.push_back(engine_.message_contribution(m, config.kernel));
+    gains.push_back(engine_.message_contribution(m));
   }
   // Candidates are sorted, so ascending indices give sorted messages and
   // the gains add up in info_gain's order.
@@ -137,7 +137,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
   result.combination = std::move(combination);
 
   result.gain_unpacked =
-      engine_.info_gain(result.combination.messages, config.kernel);
+      engine_.info_gain(result.combination.messages);
   result.coverage_unpacked =
       flow_spec_coverage(stats_, result.combination.messages);
   result.used_width = result.combination.width;
@@ -146,7 +146,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
     OBS_SPAN("selection.step3.packing");
     PackingResult packing =
         pack_leftover(*catalog_, engine_, result.combination,
-                      config.buffer_width, candidates_, config.kernel);
+                      config.buffer_width, candidates_);
     OBS_COUNT("selection.packed", packing.packed.size());
     result.packed = std::move(packing.packed);
     result.used_width += packing.width_added;
@@ -220,10 +220,10 @@ SelectionResult MessageSelector::select_with_flow_constraint(
     for (const flow::MessageId& m : f->messages()) {
       if (catalog_->get(m).trace_width() > config.buffer_width) continue;
       if (best == nullptr ||
-          engine_.message_contribution(m, config.kernel) >
-              engine_.message_contribution(*best, config.kernel) ||
-          (engine_.message_contribution(m, config.kernel) ==
-               engine_.message_contribution(*best, config.kernel) &&
+          engine_.message_contribution(m) >
+              engine_.message_contribution(*best) ||
+          (engine_.message_contribution(m) ==
+               engine_.message_contribution(*best) &&
            catalog_->get(m).trace_width() <
                catalog_->get(*best).trace_width()))
         best = &m;
@@ -253,7 +253,7 @@ SelectionResult MessageSelector::select_with_flow_constraint(
           }
         }
         if (!keeps) continue;
-        const double g = engine_.message_contribution(m, config.kernel);
+        const double g = engine_.message_contribution(m);
         if (victim == flow::kInvalidMessage || g < victim_gain) {
           victim = m;
           victim_gain = g;
@@ -278,13 +278,13 @@ SelectionResult MessageSelector::select_with_flow_constraint(
 
   // Re-run Step 3 over the repaired combination and refresh the metrics.
   result.gain_unpacked =
-      engine_.info_gain(result.combination.messages, config.kernel);
+      engine_.info_gain(result.combination.messages);
   result.coverage_unpacked =
       flow_spec_coverage(stats_, result.combination.messages);
   if (config.packing) {
     PackingResult packing =
         pack_leftover(*catalog_, engine_, result.combination,
-                      config.buffer_width, candidates_, config.kernel);
+                      config.buffer_width, candidates_);
     result.packed = std::move(packing.packed);
     result.used_width = result.combination.width + packing.width_added;
     result.gain = packing.gain_after;

@@ -47,11 +47,6 @@ struct SelectorConfig {
   /// worker per hardware thread, N = exactly N workers. The Step 1/2
   /// search itself is serial; results are bit-identical for every value.
   std::size_t jobs = 1;
-  /// Scoring/DP engine for the hot loops (DESIGN.md §14): kCompiled runs
-  /// the flat per-spec kernel tables, kGeneric the original reference
-  /// paths. A *runtime* knob — results are bit-identical either way — so
-  /// it never enters cache keys.
-  flow::KernelMode kernel = flow::KernelMode::kCompiled;
   /// Observability sinks (tracesel::obs, DESIGN.md §10). Either being
   /// non-empty turns the obs layer on when the config reaches a
   /// tracesel::Session; Session::write_observability() then writes the

@@ -13,9 +13,8 @@
 //
 //   workload key : FNV-1a(spec content hash, instances)
 //   result key   : JobRequest::canonical_hash(spec content hash) — every
-//                  structural field, no runtime knobs (kernel/deadline),
-//                  because the engine produces bit-identical results
-//                  under either kernel.
+//                  structural field, no runtime knobs (deadline, node
+//                  cap), because a run they stop is never cached.
 //
 // Concurrency. Each key holds a shared_future: the first requester becomes
 // the builder, later requesters block on the future instead of duplicating

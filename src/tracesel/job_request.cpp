@@ -38,14 +38,12 @@ selection::SelectorConfig JobRequest::selector_config() const {
   cfg.packing = packing;
   cfg.mode = mode;
   cfg.max_combinations = static_cast<std::size_t>(max_combinations);
-  cfg.kernel = kernel;
   return cfg;
 }
 
 flow::InterleaveOptions JobRequest::interleave_options() const {
   flow::InterleaveOptions opt;
   opt.max_nodes = static_cast<std::size_t>(max_nodes);
-  opt.kernel = kernel;
   return opt;
 }
 
@@ -110,9 +108,9 @@ std::string serialize_job_request(const JobRequest& req) {
   body << "max_combinations " << req.max_combinations << '\n';
   if (req.version == 1) body << "mem_budget_mb 0\n";
   body << "deadline_ms " << req.deadline_ms << '\n';
-  body << "kernel "
-       << (req.kernel == flow::KernelMode::kGeneric ? "generic" : "compiled")
-       << '\n';
+  // Versions 1 and 2 carried the retired kernel line; it is written back
+  // at its default so their records re-serialize unchanged.
+  if (req.version < 3) body << "kernel compiled\n";
   body << "trace_id " << req.trace_id << '\n';
   body << "parent_span_id " << req.parent_span_id << '\n';
   // Tenant labels are single tokens on the wire ("-" = none); spaces would
@@ -130,9 +128,13 @@ std::string serialize_job_request(const JobRequest& req) {
 }
 
 util::Result<JobRequest> parse_job_request(std::string_view text) {
-  // Version-1 envelopes still parse; their retired lines are dropped below.
-  const std::uint32_t version =
-      text.starts_with(std::string(kJobTag) + " 1 ") ? 1 : JobRequest::kVersion;
+  // Version-1 and -2 envelopes still parse; their retired lines are
+  // dropped below.
+  std::uint32_t version = JobRequest::kVersion;
+  for (const std::uint32_t old : {1u, 2u})
+    if (text.starts_with(std::string(kJobTag) + " " + std::to_string(old) +
+                         " "))
+      version = old;
   const auto payload =
       util::decode_envelope(text, kJobTag, version, "job request");
   if (!payload.ok()) return payload.error();
@@ -177,14 +179,11 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
       if (!mode.ok()) return mode.error();
       req.mode = mode.value();
     } else if (key == "kernel") {
-      if (value == "compiled") {
-        req.kernel = flow::KernelMode::kCompiled;
-      } else if (value == "generic") {
-        req.kernel = flow::KernelMode::kGeneric;
-      } else {
+      // No longer a knob (both engines gave the same bits, and one is
+      // left); accepted and dropped so older records still parse.
+      if (value != "compiled" && value != "generic")
         return malformed("unknown kernel '" + std::string(value) +
                          "' (expected compiled|generic)");
-      }
     } else if (key == "spec_text") {
       std::uint64_t n = 0;
       if (!to_u64(value, n)) return malformed("bad spec_text length");

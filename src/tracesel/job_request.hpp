@@ -15,11 +15,10 @@
 //                     filesystem) and how many instances to interleave;
 //   - the structure:  every knob that can change the *bits* of the result
 //                     (buffer width, search mode, packing, combination cap);
-//   - the runtime:    knobs that change only *how fast* the same bits are
-//                     produced, or whether a run finishes (kernel, deadline,
-//                     node cap) — excluded from the canonical hash, because
-//                     the engine guarantees results bit-identical across
-//                     them and failed or partial runs are never cached.
+//   - the runtime:    knobs that change only whether a run finishes
+//                     (deadline, node cap) — excluded from the canonical
+//                     hash, because failed or partial runs are never
+//                     cached.
 //
 // The same struct feeds three consumers from one source of truth:
 //   canonical_hash()     -> the ArtifactStore cache key,
@@ -39,9 +38,11 @@ namespace tracesel {
 
 struct JobRequest {
   /// 2: version 1's two interleave-engine lines are gone.
-  static constexpr std::uint32_t kVersion = 2;
+  /// 3: the "kernel" line is gone.
+  static constexpr std::uint32_t kVersion = 3;
   /// The envelope version this request was parsed from; serialization
-  /// writes the same one, so version-1 records round-trip byte for byte.
+  /// writes the same one, so version-1 and -2 records round-trip byte for
+  /// byte.
   std::uint32_t version = kVersion;
 
   /// Which selection entry point runs. kSelectFlowConstraint adds the
@@ -80,10 +81,6 @@ struct JobRequest {
   /// daemon; the engine returns the best-so-far partial result when it
   /// fires.
   std::uint64_t deadline_ms = 0;
-  /// Which DP/scoring engine runs the hot loops (DESIGN.md §14). A runtime
-  /// knob: kCompiled and kGeneric produce bit-identical results,
-  /// so a cached result computed under either mode serves both.
-  flow::KernelMode kernel = flow::KernelMode::kCompiled;
   /// Distributed trace identity (obs::TraceContext; 0 = client not
   /// tracing). Runtime-only: identical jobs from traced and untraced
   /// clients share a cache line, and the daemon's telemetry reply is keyed
@@ -119,9 +116,9 @@ util::Result<selection::SearchMode> parse_search_mode(std::string_view name);
 /// Wire encoding: a "tracesel-job <version> <checksum>" envelope (the
 /// shared util codec) over "key value" lines, with the inline spec text as
 /// a trailing length-prefixed block. parse_job_request still accepts
-/// version-1 envelopes and the retired "jobs N" and interleave-engine
-/// lines, which it drops, so records written by older clients and journals
-/// replay.
+/// version-1 and -2 envelopes and the retired "jobs N", interleave-engine
+/// and "kernel" lines, which it drops, so records written by older clients
+/// and journals replay.
 std::string serialize_job_request(const JobRequest& req);
 util::Result<JobRequest> parse_job_request(std::string_view text);
 

@@ -81,10 +81,6 @@ Session& Session::interleave_options(const flow::InterleaveOptions& options) {
 flow::InterleaveOptions Session::merged_interleave_options() const {
   flow::InterleaveOptions opt = interleave_options_;
   opt.cancel = config_.cancel;  // SIGINT/deadline covers the build too
-  // --kernel=generic must reach the flow-level dispatch too, not just the
-  // Step 2 scoring loops (both default to kCompiled).
-  if (config_.kernel != flow::KernelMode::kCompiled)
-    opt.kernel = config_.kernel;
   return opt;
 }
 
@@ -159,7 +155,6 @@ debug::CaseStudyResult Session::run_case_study(
   if (case_id < 1 || case_id > static_cast<int>(cases.size()))
     throw std::out_of_range("Session::run_case_study: case id out of range");
   OBS_SPAN("session.case_study");
-  options.jobs = config_.jobs;
   return debug::run_case_study(*workload_->t2, cases[case_id - 1], options);
 }
 

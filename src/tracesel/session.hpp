@@ -109,8 +109,7 @@ class Session {
       std::span<const flow::IndexedMessage> observed) const;
 
   // --- debug leg (t2 sessions) ---
-  /// Runs one built-in case study (1-based id). config().jobs is threaded
-  /// into the selection step.
+  /// Runs one built-in case study (1-based id).
   debug::CaseStudyResult run_case_study(int case_id,
                                         debug::CaseStudyOptions options = {});
   /// Monte-Carlo repetition of a case study across seeds; trials run on
@@ -142,8 +141,8 @@ class Session {
   /// The session pool, sized to config().jobs; nullptr when serial.
   util::ThreadPool* pool();
   selection::SelectionResult select_impl(bool flow_constraint);
-  /// interleave_options_ with the session's cancel token and kernel mode
-  /// folded in, as every engine call expects.
+  /// interleave_options_ with the session's cancel token folded in, as
+  /// every engine call expects.
   flow::InterleaveOptions merged_interleave_options() const;
 
   selection::SelectorConfig config_;

@@ -141,10 +141,54 @@ TEST(JobRequest, Version1RecordWithRetiredEngineLinesReplaysToReferenceBytes) {
 }
 
 TEST(JobRequest, Version2DropsTheRetiredEngineLines) {
-  const std::string wire = serialize_job_request(fig2_request());
-  EXPECT_EQ(wire.rfind("tracesel-job 2 ", 0), 0u);
-  EXPECT_EQ(wire.find("symmetry_reduction"), std::string::npos);
-  EXPECT_EQ(wire.find("mem_budget_mb"), std::string::npos);
+  // Neither a version-2 record nor today's envelope carries the two
+  // interleave-engine lines of version 1.
+  JobRequest v2 = fig2_request();
+  v2.version = 2;
+  for (const JobRequest& req : {v2, fig2_request()}) {
+    const std::string wire = serialize_job_request(req);
+    EXPECT_EQ(wire.rfind("tracesel-job " + std::to_string(req.version) + " ",
+                         0),
+              0u);
+    EXPECT_EQ(wire.find("symmetry_reduction"), std::string::npos);
+    EXPECT_EQ(wire.find("mem_budget_mb"), std::string::npos);
+  }
+}
+
+TEST(JobRequest, Version2KernelGenericRecordReplaysToReferenceBytes) {
+  // A version-2 record written with the generic engine selected: the line
+  // parses and is dropped (re-serializing writes it back at its default),
+  // and the job reports the committed reference bytes.
+  const auto record = [](const std::string& kernel) {
+    return util::encode_envelope(
+        "tracesel-job", 2,
+        "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
+            "/fig2.flow\ninstances 2\nmax_nodes 2000000\nbuffer_width 8\n"
+            "mode knapsack\npacking 1\nmax_combinations 4194304\n"
+            "deadline_ms 0\nkernel " +
+            kernel +
+            "\ntrace_id 0\nparent_span_id 0\ntenant -\nspec_text 0\n\n"
+            "end\n");
+  };
+  const auto parsed = parse_job_request(record("generic"));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().version, 2u);
+  EXPECT_EQ(serialize_job_request(parsed.value()), record("compiled"));
+  JobRequest current = fig2_request();
+  current.buffer_width = 8;
+  EXPECT_TRUE(parsed.value().same_computation(current));
+
+  const auto r = QueryCore::run(parsed.value(), nullptr, {});
+  ASSERT_TRUE(r.ok());
+  const auto reference =
+      util::read_file_capped(std::string(TRACESEL_DATA_DIR) +
+                                 "/../perfbench/refs/fig2-i2-w8.json",
+                             1u << 20);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(selection::to_json(*r.value().workload->catalog,
+                               *r.value().result)
+                .dump(2),
+            reference.value());
 }
 
 TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
@@ -152,10 +196,9 @@ TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
   JobRequest a;
   const std::uint64_t base = a.canonical_hash(source);
 
-  // Runtime knobs: identical answers under either kernel or any deadline,
-  // so they must not fragment the cache.
+  // Runtime knobs: identical answers under any deadline, so they must not
+  // fragment the cache.
   JobRequest b = a;
-  b.kernel = flow::KernelMode::kGeneric;
   b.deadline_ms = 10;
   // The node cap only decides whether a product build fails, and the
   // symmetry_reduction field is ignored.

@@ -412,22 +412,17 @@ TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
   };
 
   // Every scored combination is one gain evaluation, whatever the job
-  // count and under either kernel.
+  // count.
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    for (const flow::KernelMode kernel :
-         {flow::KernelMode::kCompiled, flow::KernelMode::kGeneric}) {
-      SCOPED_TRACE("jobs " + std::to_string(jobs));
-      obs::reset();
-      selection::SelectorConfig cfg;
-      cfg.buffer_width = 2;
-      cfg.mode = selection::SearchMode::kMaximal;
-      cfg.jobs = jobs;
-      cfg.kernel = kernel;
-      (void)selector.select(cfg);
-      EXPECT_GT(count("selection.combinations"), 0u);
-      EXPECT_GE(count("selection.gain.evals"),
-                count("selection.combinations"));
-    }
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    obs::reset();
+    selection::SelectorConfig cfg;
+    cfg.buffer_width = 2;
+    cfg.mode = selection::SearchMode::kMaximal;
+    cfg.jobs = jobs;
+    (void)selector.select(cfg);
+    EXPECT_GT(count("selection.combinations"), 0u);
+    EXPECT_GE(count("selection.gain.evals"), count("selection.combinations"));
   }
 
   // The knapsack DP fills one cell per candidate and width 0..buffer.

@@ -9,8 +9,6 @@
 //                        O(messages x width); exhaustive and maximal are
 //                        the exponential searches, greedy the ablation)
 //       --no-packing     disable Step 3
-//       --kernel M       compiled|generic scoring/DP engine (default
-//                        compiled; bit-identical results, a runtime knob)
 //       --json           machine-readable output
 //       --max-nodes N    node cap of a product build (default 2e6); only
 //                        a flow whose initial state is atomic needs one —
@@ -63,7 +61,7 @@
 //       --lenient        accumulate parse errors instead of stopping at
 //                        the first, then lint whatever parsed cleanly
 //   tracesel debug <case 1..5> [--no-packing] [--vcd FILE]
-//                  [--report FILE] [--json] [--jobs N]  run a T2 case study
+//                  [--report FILE] [--json]         run a T2 case study
 //       --fault-rate R   inject capture faults with probability R (0..1)
 //       --fault-kinds K  csv of drop,corrupt,duplicate,reorder,truncate,
 //                        overflow                      (default: all)
@@ -154,20 +152,12 @@ double parse_number(const std::string& text, const char* flag) {
   }
 }
 
-flow::KernelMode parse_kernel_mode(const std::string& name) {
-  if (name == "compiled") return flow::KernelMode::kCompiled;
-  if (name == "generic") return flow::KernelMode::kGeneric;
-  throw std::runtime_error("unknown kernel '" + name +
-                           "' (expected compiled|generic)");
-}
-
 int usage() {
   std::cerr << "usage:\n"
                "  tracesel inspect <spec.flow>\n"
                "  tracesel select <spec.flow> [--buffer N] [--instances K]"
                " [--mode knapsack(default)|exhaustive|maximal|greedy]"
-               " [--no-packing]"
-               " [--kernel compiled|generic] [--json]\n"
+               " [--no-packing] [--json]\n"
                "                 [--max-nodes N] [--deadline-ms N]\n"
                "  tracesel serve --socket PATH [--runners N]"
                " [--max-queue N] [--slow-job-ms N] [--journal-capacity N]\n"
@@ -176,7 +166,7 @@ int usage() {
                "  tracesel submit <t2|usb|spec.flow> --socket PATH"
                " [--buffer N] [--instances K] [--mode M] [--no-packing]\n"
                "                 [--max-nodes N] [--deadline-ms N]"
-               " [--kernel M] [--json]\n"
+               " [--json]\n"
                "  tracesel submit ... [--tenant NAME]"
                " [--connect-timeout-ms N] [--retries N]\n"
                "  tracesel stats --socket PATH [--watch] [--interval-ms N]"
@@ -186,7 +176,7 @@ int usage() {
                "  tracesel dot <spec.flow> <flow-name>\n"
                "  tracesel lint <spec.flow> [--buffer N] [--lenient]\n"
                "  tracesel debug <case 1..5> [--no-packing] [--vcd FILE]"
-               " [--report FILE] [--json] [--jobs N]\n"
+               " [--report FILE] [--json]\n"
                "                 [--fault-rate R] [--fault-kinds K,...]"
                " [--fault-seed N] [--retries N]\n"
                "global options (any subcommand):\n"
@@ -250,7 +240,6 @@ int cmd_select(int argc, char** argv) {
     if (arg == "--buffer") cfg.buffer_width = std::stoul(next());
     else if (arg == "--instances") instances = std::stoul(next());
     else if (arg == "--no-packing") cfg.packing = false;
-    else if (arg == "--kernel") cfg.kernel = parse_kernel_mode(next());
     else if (arg == "--json") json = true;
     else if (arg == "--max-nodes") iopt.max_nodes = std::stoul(next());
     else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
@@ -383,7 +372,6 @@ JobRequest parse_submit_request(int argc, char** argv, std::string& socket,
     else if (arg == "--max-combinations")
       req.max_combinations = std::stoull(next());
     else if (arg == "--deadline-ms") req.deadline_ms = std::stoull(next());
-    else if (arg == "--kernel") req.kernel = parse_kernel_mode(next());
     else if (arg == "--tenant") req.tenant = next();
     else if (arg == "--json") json = true;
     else if (arg == "--connect-timeout-ms" && client_opt)
@@ -687,7 +675,6 @@ struct DebugCliOptions {
   std::string vcd_path, report_path;
   soc::FaultProfile faults;
   std::uint32_t retries = 2;
-  std::size_t jobs = 1;
 };
 
 int cmd_debug(int case_id, const DebugCliOptions& cli) {
@@ -697,7 +684,6 @@ int cmd_debug(int case_id, const DebugCliOptions& cli) {
     return 1;
   }
   auto session = Session::t2();
-  session.jobs(cli.jobs);
   const soc::T2Design& design = session.design();
   debug::CaseStudyOptions opt;
   opt.packing = cli.packing;
@@ -790,24 +776,24 @@ int dispatch(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--no-packing") == 0) cli.packing = false;
         else if (std::strcmp(argv[i], "--json") == 0) cli.json = true;
-        else if (std::strcmp(argv[i], "--vcd") == 0 && i + 1 < argc)
+        // Every other option takes a value.
+        else if (i + 1 >= argc || std::strncmp(argv[i], "--", 2) != 0)
+          return usage();
+        else if (std::strcmp(argv[i], "--vcd") == 0)
           cli.vcd_path = argv[++i];
-        else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--report") == 0)
           cli.report_path = argv[++i];
-        else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--fault-rate") == 0)
           cli.faults.rate = parse_number(argv[++i], "--fault-rate");
-        else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--fault-seed") == 0)
           cli.faults.seed =
               static_cast<std::uint64_t>(parse_number(argv[++i],
                                                       "--fault-seed"));
-        else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--retries") == 0)
           cli.retries =
               static_cast<std::uint32_t>(parse_number(argv[++i],
                                                       "--retries"));
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-          cli.jobs =
-              static_cast<std::size_t>(parse_number(argv[++i], "--jobs"));
-        else if (std::strcmp(argv[i], "--fault-kinds") == 0 && i + 1 < argc) {
+        else if (std::strcmp(argv[i], "--fault-kinds") == 0) {
           auto kinds = soc::parse_fault_kinds(argv[++i]);
           if (!kinds.ok()) {
             std::cerr << "error: " << kinds.error().to_string() << '\n';
@@ -815,7 +801,8 @@ int dispatch(int argc, char** argv) {
           }
           cli.faults.kinds = std::move(kinds).value();
         } else {
-          return usage();
+          throw std::runtime_error("unknown option '" +
+                                   std::string(argv[i]) + "'");
         }
       }
       if (cli.faults.rate < 0.0 || cli.faults.rate > 1.0) {

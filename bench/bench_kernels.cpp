@@ -1,22 +1,22 @@
 // The debug leg's localization DPs (DESIGN.md §14): timing and an oracle
 // gate.
 //
-// Path localization (Sec. 5.2) builds the product of a scenario's flows
-// and counts the executions consistent with an observed trace. For T2
-// scenarios 1-3 at 2 instances per flow this bench reports, best of
-// kRepeats:
+// Path localization (Sec. 5.2) counts the executions of a scenario's
+// flows consistent with an observed trace, on the state grid of the
+// component flows (flow::ProductGrid). For T2 scenarios 1-3 at 2 instances
+// per flow this bench reports, best of kRepeats:
 //
-//   build     InterleavedFlow::build, which emits the DP tables and
-//             computes count_paths;
-//   paths     count_paths() on the built product;
+//   grid      ProductGrid::build, which computes count_paths;
 //   sweep     count_consistent_paths() on the projection of a random
 //             execution onto the scenario's 32-bit selection;
+//   product   InterleavedFlow::build, the materialized product the oracle
+//             walks, for scale;
 //   oracle    the same count through the memoized test oracle
-//             (tests/product_oracle.hpp), for scale.
+//             (tests/product_oracle.hpp) on that product, for scale.
 //
-// The bench is a gate, not just a report: it exits nonzero unless
-// count_paths, every histogram class and every consistent-path count equal
-// the oracle's bit for bit.
+// The bench is a gate, not just a report: it exits nonzero unless the
+// grid's count_paths and every consistent-path count, and the product's
+// every histogram class, equal the oracle's bit for bit.
 
 #include <bit>
 #include <chrono>
@@ -72,12 +72,12 @@ bool histograms_match(const flow::InterleavedFlow& u) {
 
 int main() {
   bench::banner("Localization",
-                "the product's DP tables vs the memoized oracle");
+                "the state grid's DPs vs the memoized oracle");
   std::cout << '\n';
 
   const soc::T2Design design;
-  util::Table table({"Workload", "Nodes", "Edges", "Build us", "Paths us",
-                     "Sweep us", "Oracle us", "Identical"});
+  util::Table table({"Workload", "Slots", "Nodes", "Edges", "Grid us",
+                     "Sweep us", "Product us", "Oracle us", "Identical"});
   util::Json rows = util::Json::array();
   int failures = 0;
   for (int id = 1; id <= 3; ++id) {
@@ -85,25 +85,27 @@ int main() {
     const std::string name = "t2 scenario " + std::to_string(id) + " x" +
                              std::to_string(scenario.instances_per_flow);
 
-    const double build_us = best_of_us(kRepeats, [&] {
+    const auto instances = soc::scenario_instances(design, scenario);
+    const double grid_us = best_of_us(
+        kRepeats, [&] { (void)flow::ProductGrid::build(instances); });
+    const flow::ProductGrid grid = flow::ProductGrid::build(instances);
+    const double product_us = best_of_us(kRepeats, [&] {
       (void)soc::build_interleaving(design, scenario);
     });
     const flow::InterleavedFlow u = soc::build_interleaving(design, scenario);
-    double paths = 0.0;
-    const double paths_us =
-        best_of_us(kRepeats, [&] { paths = u.count_paths(); });
 
     // The observable set a 32-bit buffer traces on this scenario.
     selection::SelectorConfig cfg;
     cfg.buffer_width = 32;
     const std::vector<flow::MessageId> selected =
         selection::MessageSelector(design.catalog(),
-                                   flow::ProductStats::build(u.instances()))
+                                   flow::ProductStats::build(instances))
             .select(cfg)
             .observable();
 
-    bool identical = same_bits(paths, test::oracle::count_paths(u)) &&
-                     histograms_match(u);
+    bool identical =
+        same_bits(grid.count_paths(), test::oracle::count_paths(u)) &&
+        histograms_match(u);
     double sweep_us = 0.0;
     double oracle_us = 0.0;
     util::Rng rng(2018 + static_cast<std::uint64_t>(id));
@@ -113,7 +115,7 @@ int main() {
       double got = 0.0;
       double want = 0.0;
       sweep_us += best_of_us(kRepeats, [&] {
-        got = u.count_consistent_paths(selected, observed);
+        got = grid.count_consistent_paths(selected, observed);
       });
       oracle_us += best_of_us(1, [&] {
         want = test::oracle::count_consistent_paths(u, selected, observed);
@@ -127,17 +129,19 @@ int main() {
       std::cerr << "MISMATCH against the oracle on " << name << '\n';
     }
 
-    table.add_row({name, std::to_string(u.num_nodes()),
-                   std::to_string(u.num_edges()), util::fixed(build_us, 0),
-                   util::fixed(paths_us, 3), util::fixed(sweep_us, 0),
+    table.add_row({name, std::to_string(grid.num_slots()),
+                   std::to_string(u.num_nodes()),
+                   std::to_string(u.num_edges()), util::fixed(grid_us, 0),
+                   util::fixed(sweep_us, 0), util::fixed(product_us, 0),
                    util::fixed(oracle_us, 0), identical ? "yes" : "NO"});
     util::Json row = util::Json::object();
     row.set("workload", util::Json::string(name));
+    row.set("slots", util::Json::number(std::uint64_t{grid.num_slots()}));
     row.set("nodes", util::Json::number(std::uint64_t{u.num_nodes()}));
     row.set("edges", util::Json::number(std::uint64_t{u.num_edges()}));
-    row.set("build_us", util::Json::number(build_us));
-    row.set("count_paths_us", util::Json::number(paths_us));
+    row.set("grid_build_us", util::Json::number(grid_us));
     row.set("sweep_us", util::Json::number(sweep_us));
+    row.set("product_build_us", util::Json::number(product_us));
     row.set("oracle_sweep_us", util::Json::number(oracle_us));
     row.set("identical", util::Json::boolean(identical));
     rows.push_back(std::move(row));

@@ -10,6 +10,7 @@
 
 #include "baseline/prnet.hpp"
 #include "baseline/sigset.hpp"
+#include "flow/product_grid.hpp"
 #include "netlist/usb_design.hpp"
 #include "selection/selector.hpp"
 #include "soc/scenario.hpp"
@@ -76,9 +77,9 @@ BENCHMARK(BM_SelectionSearch)
 void BM_PathCounting(benchmark::State& state) {
   soc::T2Design design;
   const auto scenario = soc::scenario_by_id(static_cast<int>(state.range(0)));
-  const auto u = soc::build_interleaving(design, scenario);
+  const auto instances = soc::scenario_instances(design, scenario);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(u.count_paths());
+    benchmark::DoNotOptimize(flow::ProductGrid::build(instances).count_paths());
   }
 }
 BENCHMARK(BM_PathCounting)->Arg(1)->Arg(3);

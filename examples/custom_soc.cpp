@@ -72,9 +72,8 @@ int main() {
   // 2. Select messages for a 16-bit trace buffer.
   std::vector<const flow::Flow*> flows;
   for (const flow::Flow& f : spec.flows) flows.push_back(&f);
-  const auto u =
-      flow::InterleavedFlow::build(flow::make_instances(flows, 2));
-  const selection::MessageSelector selector(spec.catalog, u);
+  const selection::MessageSelector selector(
+      spec.catalog, flow::ProductStats::build(flow::make_instances(flows, 2)));
   selection::SelectorConfig cfg;
   cfg.buffer_width = 16;
   const auto sel = selector.select(cfg);

@@ -73,12 +73,11 @@ int main() {
             << result.utilization() * 100 << "%\n";
 
   // --- 4. Localize an observed trace (Sec. 3.2's example) ---
-  // Localization counts executions, so it needs the product itself.
-  const flow::InterleavedFlow u =
-      flow::InterleavedFlow::build(stats.instances());
+  // Localization counts executions on the flows' state grid.
+  const flow::ProductGrid grid = flow::ProductGrid::build(stats.instances());
   const std::vector<flow::IndexedMessage> observed{
       {reqE, 1}, {gntE, 1}, {reqE, 2}};
-  const auto loc = selection::localize(u, result.observable(), observed);
+  const auto loc = selection::localize(grid, result.observable(), observed);
   std::cout << "Observing {1:ReqE, 1:GntE, 2:ReqE} leaves "
             << loc.consistent_paths << " of " << loc.total_paths
             << " executions consistent ("

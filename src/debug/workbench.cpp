@@ -129,23 +129,23 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   // projection is a suffix, not a prefix, and ordered prefix-consistency
   // may count zero paths; size buffer_depth generously (default 64k) or
   // use a TraceTrigger to spend depth on the failing region.
-  // The product is built here, for localization only.
+  // Paths are counted on the component flows' state grid (DESIGN.md §14).
   OBS_SPAN("debug.localize");
-  const auto u = flow::InterleavedFlow::build(instances);
+  const auto grid = flow::ProductGrid::build(instances);
   std::vector<flow::IndexedMessage> observed;
   for (const soc::TraceRecord& r : result.buggy_records) {
     if (r.session == result.buggy.fail_session) observed.push_back(r.msg);
   }
   if (!faulty) {
     result.localization =
-        selection::localize(u, result.selection.observable(), observed);
+        selection::localize(grid, result.selection.observable(), observed);
     result.robust_localization.result = result.localization;
     result.robust_localization.observed_total = observed.size();
     result.robust_localization.observed_screened = observed.size();
     result.robust_localization.observed_used = observed.size();
   } else {
     const auto robust = selection::localize_robust(
-        u, result.selection.observable(), observed);
+        grid, result.selection.observable(), observed);
     if (robust.ok()) {
       result.robust_localization = robust.value();
       result.localization = result.robust_localization.result;

@@ -10,27 +10,6 @@ namespace tracesel::flow {
 
 namespace {
 
-/// The position of every state of `f` in a topological (Kahn) order.
-/// FlowBuilder rejects cyclic flows, so every state gets one.
-std::vector<std::uint32_t> topological_ranks(const Flow& f) {
-  std::vector<std::uint32_t> indegree(f.num_states(), 0);
-  for (const Transition& t : f.transitions()) ++indegree[t.to];
-  std::vector<StateId> order;
-  order.reserve(f.num_states());
-  for (StateId s = 0; s < f.num_states(); ++s)
-    if (indegree[s] == 0) order.push_back(s);
-  for (std::size_t head = 0; head < order.size(); ++head)
-    for (std::uint32_t ti : f.outgoing(order[head]))
-      if (--indegree[f.transitions()[ti].to] == 0)
-        order.push_back(f.transitions()[ti].to);
-  if (order.size() != f.num_states())
-    throw std::logic_error("InterleavedFlow: flow '" + f.name() +
-                           "' is cyclic");
-  std::vector<std::uint32_t> rank(f.num_states());
-  for (std::uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-  return rank;
-}
-
 /// |S| and |E| of the reachable product when no instance starts atomic
 /// (DESIGN.md §9): every tuple with at most one atomic component, and a
 /// transition of F_i fires from each tuple holding its source whose other
@@ -126,7 +105,6 @@ InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
   u.interner_ = KeyInterner(u.codec_.words());
 
   u.build_graph(options);
-  u.finish();
   OBS_COUNT("interleave.builds", 1);
   OBS_COUNT("interleave.nodes", u.num_nodes_);
   OBS_COUNT("interleave.edges", u.edges_.size());
@@ -156,7 +134,6 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
     std::uint32_t label = 0;
   };
   struct Component {
-    std::vector<std::uint32_t> rank;
     std::vector<std::uint8_t> atomic;
     std::vector<std::uint8_t> stop;
     std::vector<std::uint32_t> first_move;  ///< size |S_i| + 1
@@ -166,7 +143,6 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
   for (std::size_t i = 0; i < k; ++i) {
     const Flow& f = *instances_[i].flow;
     Component& c = comps[i];
-    c.rank = topological_ranks(f);
     c.first_move.push_back(0);
     for (StateId s = 0; s < f.num_states(); ++s) {
       c.atomic.push_back(f.is_atomic(s) ? 1 : 0);
@@ -187,23 +163,19 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
   // interner rehash and no edge-list regrowth during the sweep.
   const auto [nodes, edges] = closed_form_size(instances_, options.max_nodes);
   interner_.reserve(nodes);
-  potential_.reserve(nodes);
   stop_mask_.reserve(nodes);
   out_offset_.reserve(nodes + 1);
   edges_.reserve(edges);
   edge_label_.reserve(edges);
 
-  // Interns a successor key; a new node gets its potential and stop bit
-  // on discovery.
-  const auto discover = [&](const std::uint64_t* key, std::uint32_t potential,
-                            bool stop) -> NodeId {
+  // Interns a successor key; a new node gets its stop bit on discovery.
+  const auto discover = [&](const std::uint64_t* key, bool stop) -> NodeId {
     bool inserted = false;
     const NodeId id = interner_.intern(key, inserted);
     if (inserted) {
       if (interner_.size() > options.max_nodes)
         throw std::length_error(
             "InterleavedFlow: reachable product exceeds max_nodes");
-      potential_.push_back(potential);
       stop_mask_.push_back(stop ? 1 : 0);
       if (stop) stop_.push_back(id);
     }
@@ -214,15 +186,13 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
   std::vector<std::uint64_t> key(words);
   std::vector<std::uint64_t> next(words);
   {
-    std::uint32_t potential = 0;
     bool stop = true;
     for (std::size_t i = 0; i < k; ++i) {
       cur[i] = instances_[i].flow->initial_states().front();
-      potential += comps[i].rank[cur[i]];
       stop = stop && comps[i].stop[cur[i]];
     }
     codec_.encode(cur.data(), key.data());
-    initial_.push_back(discover(key.data(), potential, stop));
+    initial_.push_back(discover(key.data(), stop));
   }
   out_offset_.assign(1, 0);
 
@@ -246,22 +216,19 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
       if (atomic_holder == k && comps[i].atomic[cur[i]]) atomic_holder = i;
       non_stop += comps[i].stop[cur[i]] ? 0 : 1;
     }
-    const std::uint32_t potential = potential_[n];
 
     for (std::size_t i = 0; i < k; ++i) {
       if (atomic_holder != k && atomic_holder != i) continue;
       const Component& c = comps[i];
       const StateId s = cur[i];
-      // The successor's potential and non-stop count differ from n's only
-      // in component i's term.
-      const std::uint32_t other_potential = potential - c.rank[s];
+      // The successor's non-stop count differs from n's only in component
+      // i's term.
       const std::uint32_t other_non_stop = non_stop - (c.stop[s] ? 0 : 1);
       for (std::uint32_t m = c.first_move[s]; m < c.first_move[s + 1]; ++m) {
         const Move& move = c.moves[m];
         codec_.with_component(key.data(), i, move.to, next.data());
-        const NodeId to =
-            discover(next.data(), other_potential + c.rank[move.to],
-                     other_non_stop + (c.stop[move.to] ? 0 : 1) == 0);
+        const NodeId to = discover(
+            next.data(), other_non_stop + (c.stop[move.to] ? 0 : 1) == 0);
         ++label_count_[move.label];
         edges_.push_back(Edge{n, labels_[move.label], to,
                               static_cast<std::uint32_t>(i)});
@@ -271,38 +238,8 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
     out_offset_.push_back(static_cast<std::uint32_t>(edges_.size()));
   }
   num_nodes_ = interner_.size();
-}
-
-void InterleavedFlow::finish() {
   for (std::size_t l = 0; l < labels_.size(); ++l)
     if (label_count_[l] != 0) indexed_messages_.push_back(labels_[l]);
-
-  // Topological order: a counting sort of the nodes by potential. Every
-  // edge strictly increases the potential, so successors sort after their
-  // predecessors.
-  const std::uint32_t max_potential =
-      *std::max_element(potential_.begin(), potential_.end());
-  std::vector<std::uint32_t> slot(static_cast<std::size_t>(max_potential) + 2,
-                                  0);
-  for (std::uint32_t p : potential_) ++slot[p + 1];
-  for (std::size_t p = 1; p < slot.size(); ++p) slot[p] += slot[p - 1];
-  topo_.resize(num_nodes_);
-  for (NodeId n = 0; static_cast<std::size_t>(n) < num_nodes_; ++n)
-    topo_[slot[potential_[n]]++] = n;
-
-  // count_paths: one reverse-topological sweep. Executions end at a stop
-  // tuple (Def. 2); per node the stop bonus comes first, then the edges in
-  // ascending CSR order.
-  std::vector<double> memo(num_nodes_, 0.0);
-  for (std::size_t i = num_nodes_; i-- > 0;) {
-    const NodeId n = topo_[i];
-    double paths = stop_mask_[n] ? 1.0 : 0.0;
-    for (std::uint32_t e = out_offset_[n]; e < out_offset_[n + 1]; ++e)
-      paths += memo[edges_[e].to];
-    memo[n] = paths;
-  }
-  total_paths_ = 0.0;
-  for (NodeId r : initial_) total_paths_ += memo[r];
 }
 
 InterleavedFlow::OutgoingRange InterleavedFlow::outgoing(NodeId n) const {
@@ -337,123 +274,6 @@ std::size_t InterleavedFlow::occurrences(const IndexedMessage& im) const {
   return it == labels_.end() || *it != im
              ? 0
              : label_count_[static_cast<std::size_t>(it - labels_.begin())];
-}
-
-double InterleavedFlow::count_consistent_paths(
-    const std::vector<MessageId>& selected,
-    const std::vector<IndexedMessage>& observed) const {
-  OBS_SPAN("interleave.consistent_paths");
-  std::vector<MessageId> sorted_selected = selected;
-  std::sort(sorted_selected.begin(), sorted_selected.end());
-  const auto is_selected = [&](MessageId m) {
-    return std::binary_search(sorted_selected.begin(), sorted_selected.end(),
-                              m);
-  };
-  const std::size_t olen = observed.size();
-  for (const IndexedMessage& im : observed) {
-    if (!is_selected(im.message))
-      throw std::invalid_argument(
-          "count_consistent_paths: observed trace contains a message outside "
-          "the selected combination");
-  }
-
-  // Distinct observed labels get small kind ids in first-occurrence order.
-  std::vector<IndexedMessage> kinds;
-  std::vector<std::int32_t> obs_kind(olen);
-  for (std::size_t j = 0; j < olen; ++j) {
-    const auto it = std::find(kinds.begin(), kinds.end(), observed[j]);
-    if (it == kinds.end()) {
-      obs_kind[j] = static_cast<std::int32_t>(kinds.size());
-      kinds.push_back(observed[j]);
-    } else {
-      obs_kind[j] = static_cast<std::int32_t>(it - kinds.begin());
-    }
-  }
-  // Labels, not edges, are classified against the observation; the sweep
-  // reaches the class through edge_label_.
-  // -2: invisible edge; -1: visible but never observed; >=0: kind id.
-  std::vector<std::int32_t> label_code(labels_.size());
-  for (std::size_t l = 0; l < labels_.size(); ++l) {
-    if (!is_selected(labels_[l].message)) {
-      label_code[l] = -2;
-      continue;
-    }
-    const auto it = std::find(kinds.begin(), kinds.end(), labels_[l]);
-    label_code[l] =
-        it == kinds.end() ? -1 : static_cast<std::int32_t>(it - kinds.begin());
-  }
-
-  // f(n, j) = number of stop-terminated paths from n whose projection onto
-  // `selected` extends observed[j..] as a prefix. A forward sweep bounds,
-  // per node, the prefix positions [lo, hi] a path from the root can bring
-  // into it. Every slot a band slot reads lies in its successor's band, so
-  // the reverse sweep fills only the bands, packed node after node, and
-  // skips the nodes no consistent path reaches. Per slot the additions
-  // come in a fixed order: stop bonus first, then edges in ascending CSR
-  // order.
-  constexpr std::uint32_t kNone = ~std::uint32_t{0};
-  const std::uint32_t full = static_cast<std::uint32_t>(olen);
-  std::vector<std::uint32_t> lo(num_nodes_, kNone);
-  std::vector<std::uint32_t> hi(num_nodes_, 0);
-  for (NodeId r : initial_) lo[r] = hi[r] = 0;
-  for (const NodeId n : topo_) {
-    if (lo[n] == kNone) continue;
-    for (std::uint32_t e = out_offset_[n]; e < out_offset_[n + 1]; ++e) {
-      const std::int32_t code = label_code[edge_label_[e]];
-      std::uint32_t a = lo[n];
-      std::uint32_t b = hi[n];
-      if (code != -2) {
-        // A visible step advances the positions whose next observed kind
-        // matches; a full prefix tolerates any visible suffix.
-        a = kNone;
-        for (std::uint32_t j = lo[n]; j <= hi[n] && j < full; ++j) {
-          if (obs_kind[j] != code) continue;
-          if (a == kNone) a = j + 1;
-          b = j + 1;
-        }
-        if (hi[n] == full) {
-          a = std::min(a, full);
-          b = full;
-        }
-        if (a == kNone) continue;
-      }
-      const NodeId m = edges_[e].to;
-      lo[m] = std::min(lo[m], a);
-      hi[m] = std::max(hi[m], b);
-    }
-  }
-
-  std::vector<std::size_t> base(num_nodes_, 0);  ///< memo index of (n, lo)
-  std::size_t slots = 0;
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    if (lo[n] == kNone) continue;
-    base[n] = slots;
-    slots += hi[n] - lo[n] + 1;
-  }
-  std::vector<double> memo(slots, 0.0);
-  for (std::size_t i = num_nodes_; i-- > 0;) {
-    const NodeId n = topo_[i];
-    if (lo[n] == kNone) continue;
-    double* row = &memo[base[n]];  // row[j - lo[n]] = f(n, j)
-    if (stop_mask_[n] && hi[n] == full) row[full - lo[n]] = 1.0;
-    for (std::uint32_t e = out_offset_[n]; e < out_offset_[n + 1]; ++e) {
-      const std::int32_t code = label_code[edge_label_[e]];
-      const NodeId m = edges_[e].to;
-      const double* succ = &memo[base[m]];  // succ[j - lo[m]] = f(m, j)
-      if (code == -2) {
-        // Invisible step: j -> j over the whole band.
-        const double* same = succ + (lo[n] - lo[m]);
-        for (std::uint32_t j = 0; j <= hi[n] - lo[n]; ++j) row[j] += same[j];
-      } else {
-        for (std::uint32_t j = lo[n]; j <= hi[n] && j < full; ++j)
-          if (obs_kind[j] == code) row[j - lo[n]] += succ[j + 1 - lo[m]];
-        if (hi[n] == full) row[full - lo[n]] += succ[full - lo[m]];
-      }
-    }
-  }
-  double total = 0.0;
-  for (NodeId r : initial_) total += memo[base[r]];
-  return total;
 }
 
 std::vector<InterleavedFlow::LabelClassHistogram>

@@ -10,18 +10,17 @@
 //
 // The product is materialized as an explicit DAG restricted to states
 // reachable from the initial tuple, with edge labels carrying the indexed
-// message (Def. 3). Selection never builds it: Step 2 and Def. 7 coverage
-// read flow::ProductStats, which computes the same counts in closed form
-// from the component flows (DESIGN.md §9). The product serves the debug leg
-// (localization, random executions), the closed form's one fallback and
-// the tests' oracle.
+// message (Def. 3). Production code never builds it: Step 2 and Def. 7
+// coverage read flow::ProductStats, which computes the same counts in
+// closed form from the component flows (DESIGN.md §9), and localization
+// counts paths on flow::ProductGrid's state grid (DESIGN.md §14). The
+// product serves random executions, DOT export, the closed form's one
+// fallback and the tests' oracle.
 //
 // Product states are packed into 64-bit words (ceil(log2 |S_i|) bits per
 // component) interned in a flat open-addressing table, and outgoing edges
 // are a CSR offset array over the edge list — no per-node heap allocations.
-// The same expansion sweep emits the tables the DPs read (DESIGN.md §14):
-// a per-edge id into the sorted label table, the stop mask, and a
-// topological order bucketed by the potential sum_i rank_i(s_i).
+// Each edge carries an id into the sorted label table.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,9 +35,10 @@
 
 namespace tracesel::flow {
 
-/// Knobs for InterleavedFlow::build.
+/// Knobs for InterleavedFlow::build and ProductGrid::build.
 struct InterleaveOptions {
-  /// Upper bound on materialized nodes; std::length_error beyond it.
+  /// Upper bound on materialized nodes (ProductGrid: on grid slots);
+  /// std::length_error beyond it.
   std::size_t max_nodes = 2'000'000;
   /// Cooperative cancellation: build() throws util::CancelledError within
   /// ~1024 expanded nodes of the token reporting cancelled. The default
@@ -145,45 +145,22 @@ class InterleavedFlow {
   /// Number of product edges labeled with a given indexed message.
   std::size_t occurrences(const IndexedMessage& im) const;
 
-  /// Total number of executions: root-to-stop paths of the product DAG,
-  /// computed once by build(). double-precision because counts grow
-  /// combinatorially; exact for counts below 2^53.
-  double count_paths() const { return total_paths_; }
-
-  /// Number of executions whose projection onto `selected` (set of message
-  /// ids; all indices of those messages are visible) starts with `observed`
-  /// *in order*. This is the denominator-free core of path localization
-  /// (Sec. 5.2): localization = consistent / count_paths(). Throws
-  /// std::invalid_argument if `observed` holds a message outside
-  /// `selected`.
-  double count_consistent_paths(
-      const std::vector<MessageId>& selected,
-      const std::vector<IndexedMessage>& observed) const;
-
   /// The in-edge class histograms of every indexed message, labels
   /// ascending, classes ascending by c, counted on the edge list.
   std::vector<LabelClassHistogram> label_target_histograms() const;
-
-  /// sum_i rank_i(s_i) of product state n, where rank_i(s) is the position
-  /// of s in a topological order of component i's flow. Every product edge
-  /// moves one component forward, so the potential strictly increases
-  /// along it; the DPs sweep nodes in potential order.
-  std::uint32_t potential(NodeId n) const { return potential_[n]; }
 
   /// The unreduced product, i.e. this engine itself; for callers (the
   /// benchmark) that ask for it explicitly.
   const InterleavedFlow& concrete() const { return *this; }
 
-  /// The DP tables, i.e. this engine itself: build() emits them, so there
-  /// is nothing left to compile. Kept for callers (the benchmark) that
-  /// still ask for them explicitly.
+  /// This engine itself; nothing is compiled. Kept for callers (the
+  /// benchmark) that still ask for it explicitly.
   const InterleavedFlow& program() const { return *this; }
 
  private:
   InterleavedFlow() = default;
 
   void build_graph(const InterleaveOptions& options);
-  void finish();
 
   std::vector<IndexedFlow> instances_;
 
@@ -204,10 +181,6 @@ class InterleavedFlow {
   std::vector<std::uint32_t> edge_label_;
   std::vector<std::size_t> label_count_;
   std::vector<IndexedMessage> indexed_messages_;  ///< nonzero-count labels
-
-  std::vector<std::uint32_t> potential_;
-  std::vector<NodeId> topo_;  ///< nodes by ascending potential
-  double total_paths_ = 0.0;
 };
 
 }  // namespace tracesel::flow

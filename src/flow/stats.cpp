@@ -53,32 +53,6 @@ FlowStats flow_stats(const Flow& flow) {
   return s;
 }
 
-InterleavingStats interleaving_stats(const InterleavedFlow& u) {
-  InterleavingStats s;
-  s.nodes = u.num_product_states();
-  s.edges = u.num_product_edges();
-  s.indexed_messages = u.indexed_messages().size();
-  s.paths = u.count_paths();
-  s.stop_nodes = u.stop_nodes().size();
-
-  double product = 1.0;
-  for (const IndexedFlow& inst : u.instances())
-    product *= static_cast<double>(inst.flow->num_states());
-  s.density = product > 0.0 ? static_cast<double>(s.nodes) / product : 0.0;
-
-  std::uint64_t non_stop = 0;
-  std::uint64_t out_edges = 0;
-  for (NodeId n = 0; n < u.num_nodes(); ++n) {
-    if (u.is_stop(n)) continue;
-    ++non_stop;
-    out_edges += u.outgoing(n).size();
-  }
-  s.mean_branching = non_stop ? static_cast<double>(out_edges) /
-                                    static_cast<double>(non_stop)
-                              : 0.0;
-  return s;
-}
-
 std::vector<std::pair<MessageId, std::size_t>> message_histogram(
     const InterleavedFlow& u) {
   // Sum the occurrence counts over the indexed instances of each message.

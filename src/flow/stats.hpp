@@ -1,7 +1,7 @@
 #pragma once
 // Structural statistics of flows and interleavings — the numbers a DfD
-// architect inspects before committing to a trace plan (and what
-// `tracesel inspect` prints).
+// architect inspects before committing to a trace plan (`tracesel inspect`
+// prints flow_stats).
 
 #include <cstdint>
 #include <string>
@@ -27,22 +27,6 @@ struct FlowStats {
 };
 
 FlowStats flow_stats(const Flow& flow);
-
-struct InterleavingStats {
-  /// Product state/edge counts — the size of U.
-  std::uint64_t nodes = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t stop_nodes = 0;
-  std::size_t indexed_messages = 0;
-  double paths = 0.0;
-  /// nodes / product of component state counts: how much the Atom mutex
-  /// and reachability prune the full product (1.0 = nothing pruned).
-  double density = 0.0;
-  /// Average outgoing edges per non-stop node.
-  double mean_branching = 0.0;
-};
-
-InterleavingStats interleaving_stats(const InterleavedFlow& u);
 
 /// Occurrence counts per (unindexed) message over the interleaving's
 /// edges, sorted descending — the raw marginals behind the paper's p(y).

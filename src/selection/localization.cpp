@@ -5,25 +5,32 @@
 namespace tracesel::selection {
 
 LocalizationResult localize(
-    const flow::InterleavedFlow& u,
+    const flow::ProductGrid& grid,
     std::span<const flow::MessageId> selected,
     const std::vector<flow::IndexedMessage>& observed) {
   LocalizationResult r;
-  r.total_paths = u.count_paths();
+  r.total_paths = grid.count_paths();
   const std::vector<flow::MessageId> sel(selected.begin(), selected.end());
-  r.consistent_paths = u.count_consistent_paths(sel, observed);
+  r.consistent_paths = grid.count_consistent_paths(sel, observed);
   r.fraction = r.total_paths > 0.0 ? r.consistent_paths / r.total_paths : 0.0;
   return r;
 }
 
-util::Result<RobustLocalizationResult> localize_robust(
+LocalizationResult localize(
     const flow::InterleavedFlow& u,
+    std::span<const flow::MessageId> selected,
+    const std::vector<flow::IndexedMessage>& observed) {
+  return localize(flow::ProductGrid::build(u.instances()), selected, observed);
+}
+
+util::Result<RobustLocalizationResult> localize_robust(
+    const flow::ProductGrid& grid,
     std::span<const flow::MessageId> selected,
     const std::vector<flow::IndexedMessage>& observed) {
   RobustLocalizationResult out;
   out.observed_total = observed.size();
 
-  const double total_paths = u.count_paths();
+  const double total_paths = grid.count_paths();
   if (total_paths <= 0.0) {
     return util::Error{util::ErrorCode::kInvalidArgument,
                        "localize_robust: interleaving has no executions"};
@@ -45,7 +52,7 @@ util::Result<RobustLocalizationResult> localize_robust(
     const std::vector<flow::IndexedMessage> prefix(
         screened.begin(),
         screened.begin() + static_cast<std::ptrdiff_t>(prefix_len));
-    return u.count_consistent_paths(sel, prefix);
+    return grid.count_consistent_paths(sel, prefix);
   };
 
   // Longest consistent prefix. Consistency is monotone: extending the

@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "flow/interleaved_flow.hpp"
+#include "flow/product_grid.hpp"
 #include "util/result.hpp"
 
 namespace tracesel::selection {
@@ -27,8 +27,13 @@ struct LocalizationResult {
   double fraction = 0.0;
 };
 
-/// Counts executions of `u` whose projection onto `selected` starts with
-/// `observed`. `observed` must only mention selected messages.
+/// Counts executions of `grid` whose projection onto `selected` starts
+/// with `observed`. `observed` must only mention selected messages.
+LocalizationResult localize(const flow::ProductGrid& grid,
+                            std::span<const flow::MessageId> selected,
+                            const std::vector<flow::IndexedMessage>& observed);
+/// The same count on u's instances' grid. Kept for callers (the
+/// benchmark) that still hold the materialized product.
 LocalizationResult localize(const flow::InterleavedFlow& u,
                             std::span<const flow::MessageId> selected,
                             const std::vector<flow::IndexedMessage>& observed);
@@ -56,7 +61,7 @@ struct RobustLocalizationResult {
 /// Never throws on damaged observations; errs only on structural misuse
 /// (an interleaving with no paths).
 util::Result<RobustLocalizationResult> localize_robust(
-    const flow::InterleavedFlow& u,
+    const flow::ProductGrid& grid,
     std::span<const flow::MessageId> selected,
     const std::vector<flow::IndexedMessage>& observed);
 

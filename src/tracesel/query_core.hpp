@@ -49,9 +49,8 @@ struct Workload {
   std::unique_ptr<netlist::UsbDesign> usb;
   const flow::MessageCatalog* catalog = nullptr;
 
-  /// The materialized product, for the debug leg only: set by
-  /// workload_from_interleaving and by Session::interleaving(); null on
-  /// every workload QueryCore builds.
+  /// An adopted materialized product: set by workload_from_interleaving;
+  /// null on every workload QueryCore builds.
   std::unique_ptr<flow::InterleavedFlow> u;
   /// The selector over the interleaving's statistics (selector->stats()).
   std::unique_ptr<selection::MessageSelector> selector;

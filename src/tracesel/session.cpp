@@ -142,9 +142,11 @@ selection::LocalizationResult Session::localize(
     std::span<const flow::IndexedMessage> observed) const {
   if (!last_selection_)
     throw std::logic_error("Session::localize: run select() first");
-  return selection::localize(interleaving(), last_selection_->observable(),
-                             std::vector<flow::IndexedMessage>(
-                                 observed.begin(), observed.end()));
+  return selection::localize(
+      flow::ProductGrid::build(stats().instances(),
+                               merged_interleave_options()),
+      last_selection_->observable(),
+      std::vector<flow::IndexedMessage>(observed.begin(), observed.end()));
 }
 
 debug::CaseStudyResult Session::run_case_study(
@@ -181,15 +183,6 @@ const flow::MessageCatalog& Session::catalog() const {
 const flow::ParsedSpec& Session::spec() const {
   if (!workload_->spec) throw std::logic_error("Session: not a spec session");
   return *workload_->spec;
-}
-
-const flow::InterleavedFlow& Session::interleaving() const {
-  if (!workload_->u) {
-    workload_->u = std::make_unique<flow::InterleavedFlow>(
-        flow::InterleavedFlow::build(stats().instances(),
-                                     merged_interleave_options()));
-  }
-  return *workload_->u;
 }
 
 const flow::ProductStats& Session::stats() const {

@@ -82,8 +82,8 @@ class Session {
   const selection::SelectorConfig& config() const { return config_; }
   /// Shorthand for config().jobs = n.
   Session& jobs(std::size_t n);
-  /// Product build options (node cap) used by interleaving() and by the
-  /// closed form's fallback in subsequent interleave()/scenario() calls.
+  /// Build options (node/slot cap) used by localize() and by the closed
+  /// form's fallback in subsequent interleave()/scenario() calls.
   Session& interleave_options(const flow::InterleaveOptions& options);
   const flow::InterleaveOptions& interleave_options() const {
     return interleave_options_;
@@ -92,7 +92,7 @@ class Session {
   // --- pipeline (thin forwards to QueryCore) ---
   /// Interleaves all spec flows with `instances` legally indexed instances
   /// each (spec sessions only). Computes the statistics selection needs;
-  /// the product itself is built on first use of interleaving().
+  /// no product is built.
   Session& interleave(std::uint32_t instances = 2);
   /// Interleaves a built-in T2 scenario (t2 sessions only), likewise.
   Session& scenario(int id);
@@ -104,7 +104,7 @@ class Session {
   /// (MessageSelector::select_with_flow_constraint).
   selection::SelectionResult select_with_flow_constraint();
   /// Localization of an observed projection against the last select()
-  /// result's observable set (builds the product if needed).
+  /// result's observable set, counted on the state grid (DESIGN.md §14).
   selection::LocalizationResult localize(
       std::span<const flow::IndexedMessage> observed) const;
 
@@ -120,9 +120,6 @@ class Session {
   // --- introspection ---
   const flow::MessageCatalog& catalog() const;
   const flow::ParsedSpec& spec() const;
-  /// The materialized product, built on first call from the interleaved
-  /// instances.
-  const flow::InterleavedFlow& interleaving() const;
   /// The statistics selection reads.
   const flow::ProductStats& stats() const;
   const soc::T2Design& design() const;

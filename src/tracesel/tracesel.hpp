@@ -38,6 +38,7 @@
 #include "flow/lint.hpp"
 #include "flow/message.hpp"
 #include "flow/parser.hpp"
+#include "flow/product_grid.hpp"
 #include "flow/product_stats.hpp"
 #include "flow/stats.hpp"
 

@@ -98,7 +98,7 @@ TEST(Interleave, SingleInstanceProductEqualsFlow) {
   const auto u = InterleavedFlow::build(make_instances({&fx.flow_}, 1));
   EXPECT_EQ(u.num_nodes(), 4u);
   EXPECT_EQ(u.num_edges(), 3u);
-  EXPECT_EQ(u.count_paths(), 1.0);
+  EXPECT_EQ(ProductGrid::build(u.instances()).count_paths(), 1.0);
 }
 
 TEST(Interleave, PathCountWithoutAtomicityIsBinomial) {
@@ -119,15 +119,14 @@ TEST(Interleave, PathCountWithoutAtomicityIsBinomial) {
   const Flow f = fb.build(cat);
   const auto u = InterleavedFlow::build(make_instances({&f}, 2));
   EXPECT_EQ(u.num_product_states(), 16u);
-  EXPECT_DOUBLE_EQ(u.count_paths(), 20.0);
+  EXPECT_DOUBLE_EQ(ProductGrid::build(u.instances()).count_paths(), 20.0);
 }
 
 TEST(Interleave, AtomicityPrunesPaths) {
   // The coherence flow's atomic 'c' forbids interleavings that hold both
   // instances in 'c' simultaneously; paths drop from 20 to fewer.
   const CoherenceFixture fx;
-  const auto u = fx.two_instance_interleaving();
-  const double paths = u.count_paths();
+  const double paths = fx.two_instance_grid().count_paths();
   EXPECT_LT(paths, 20.0);
   EXPECT_GT(paths, 0.0);
 }
@@ -201,11 +200,11 @@ TEST(Interleave, PaperLocalizationExampleOrderedSemantics) {
   // execution matches: R1 G1 A1 R2 G2 A2 (atomicity forces A1 between G1
   // and R2, and the tail G2 A2 is unique).
   const CoherenceFixture fx;
-  const auto u = fx.two_instance_interleaving();
+  const auto grid = fx.two_instance_grid();
   const std::vector<MessageId> selected{fx.reqE, fx.gntE};
   const std::vector<IndexedMessage> observed{
       {fx.reqE, 1}, {fx.gntE, 1}, {fx.reqE, 2}};
-  EXPECT_DOUBLE_EQ(u.count_consistent_paths(selected, observed), 1.0);
+  EXPECT_DOUBLE_EQ(grid.count_consistent_paths(selected, observed), 1.0);
 }
 
 TEST(Interleave, PaperLocalizationExampleMultisetSemantics) {
@@ -230,7 +229,8 @@ TEST(Interleave, MultisetCountNeverBelowOrderedCount) {
   const std::vector<MessageId> selected{fx.reqE, fx.gntE, fx.ack};
   const std::vector<IndexedMessage> observed{
       {fx.reqE, 2}, {fx.reqE, 1}, {fx.gntE, 2}};
-  const double ordered = u.count_consistent_paths(selected, observed);
+  const double ordered =
+      fx.two_instance_grid().count_consistent_paths(selected, observed);
   const double multiset =
       test::oracle::count_consistent_paths_multiset(u, selected, observed);
   EXPECT_GE(multiset, ordered);
@@ -238,27 +238,28 @@ TEST(Interleave, MultisetCountNeverBelowOrderedCount) {
 
 TEST(Interleave, ConsistentPathsEmptyObservationMatchesAll) {
   const CoherenceFixture fx;
-  const auto u = fx.two_instance_interleaving();
+  const auto grid = fx.two_instance_grid();
   const std::vector<MessageId> selected{fx.reqE, fx.gntE};
-  EXPECT_DOUBLE_EQ(u.count_consistent_paths(selected, {}), u.count_paths());
+  EXPECT_DOUBLE_EQ(grid.count_consistent_paths(selected, {}),
+                   grid.count_paths());
 }
 
 TEST(Interleave, ConsistentPathsImpossibleObservationIsZero) {
   const CoherenceFixture fx;
-  const auto u = fx.two_instance_interleaving();
+  const auto grid = fx.two_instance_grid();
   const std::vector<MessageId> selected{fx.reqE, fx.gntE};
   // GntE of instance 1 cannot be the first visible message: ReqE:1 must
   // precede it in every path of instance 1.
   const std::vector<IndexedMessage> observed{{fx.gntE, 1}, {fx.gntE, 1}};
-  EXPECT_DOUBLE_EQ(u.count_consistent_paths(selected, observed), 0.0);
+  EXPECT_DOUBLE_EQ(grid.count_consistent_paths(selected, observed), 0.0);
 }
 
 TEST(Interleave, ConsistentPathsRejectsUnselectedObservation) {
   const CoherenceFixture fx;
-  const auto u = fx.two_instance_interleaving();
+  const auto grid = fx.two_instance_grid();
   const std::vector<MessageId> selected{fx.reqE};
   const std::vector<IndexedMessage> observed{{fx.ack, 1}};
-  EXPECT_THROW(u.count_consistent_paths(selected, observed),
+  EXPECT_THROW(grid.count_consistent_paths(selected, observed),
                std::invalid_argument);
 }
 

@@ -1,8 +1,9 @@
-// The debug leg's product DPs (DESIGN.md §14) against the memoized test
-// oracle (product_oracle.hpp, checked through stats_oracle.hpp):
-// count_paths, count_consistent_paths and every histogram class agree bit
-// for bit on the named workloads, and the product-counted statistics
-// select exactly what the closed form selects. The retired kernel knob of
+// The debug leg's state-grid DPs (DESIGN.md §14) against the memoized
+// test oracle over the product (product_oracle.hpp, checked through
+// stats_oracle.hpp): the grid's count_paths and count_consistent_paths and
+// the product's every histogram class agree bit for bit on the named
+// workloads, and the product-counted statistics select exactly what the
+// closed form selects. The retired kernel knob of
 // older job records still parses, replays to the same bytes and shares
 // their cache entries, directly and through the daemon.
 

@@ -44,14 +44,14 @@ TEST(FlowStats, T2FlowDepthsMatchChainLengths) {
 TEST(InterleavingStats, Figure2Numbers) {
   const CoherenceFixture fx;
   const auto u = fx.two_instance_interleaving();
-  const InterleavingStats s = interleaving_stats(u);
-  EXPECT_EQ(s.nodes, 15u);
-  EXPECT_EQ(s.edges, 18u);
-  EXPECT_EQ(s.stop_nodes, 1u);
-  EXPECT_EQ(s.indexed_messages, 6u);
-  EXPECT_DOUBLE_EQ(s.paths, 6.0);
-  EXPECT_NEAR(s.density, 15.0 / 16.0, 1e-12);  // one pruned product state
-  EXPECT_GT(s.mean_branching, 1.0);
+  const auto grid = fx.two_instance_grid();
+  EXPECT_EQ(u.num_product_states(), 15u);
+  EXPECT_EQ(u.num_product_edges(), 18u);
+  EXPECT_EQ(u.stop_nodes().size(), 1u);
+  EXPECT_EQ(u.indexed_messages().size(), 6u);
+  EXPECT_DOUBLE_EQ(grid.count_paths(), 6.0);
+  // One grid slot, (c:1,c:2), breaks the Atom mutex.
+  EXPECT_EQ(grid.num_slots(), 16u);
 }
 
 TEST(InterleavingStats, DensityIsOneWithoutAtomicStates) {
@@ -62,8 +62,9 @@ TEST(InterleavingStats, DensityIsOneWithoutAtomicStates) {
       .state("t", FlowBuilder::kStop)
       .transition("s", a, "t");
   const Flow f = fb.build(cat);
-  const auto u = InterleavedFlow::build(make_instances({&f}, 2));
-  EXPECT_DOUBLE_EQ(interleaving_stats(u).density, 1.0);
+  const auto instances = make_instances({&f}, 2);
+  EXPECT_EQ(InterleavedFlow::build(instances).num_nodes(),
+            ProductGrid::build(instances).num_slots());
 }
 
 TEST(MessageHistogram, SymmetricInstancesEqualCounts) {

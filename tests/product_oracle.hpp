@@ -1,11 +1,11 @@
 #pragma once
 // The naive memoized DPs over a materialized InterleavedFlow: the test
-// oracle for the tables InterleavedFlow::build emits (DESIGN.md §14).
-// Each one walks the product through its public edge list and CSR rows
-// only, memoizes per (node, position) with an explicit post-order stack,
-// and adds per node in the contract's order (stop bonus first, then edges
-// in ascending CSR order), so the product's dense sweeps must match it
-// bit for bit.
+// oracle for flow::ProductGrid's path counts and the product's label
+// histograms (DESIGN.md §14). Each one walks the product through its
+// public edge list and CSR rows only, memoizes per (node, position) with
+// an explicit post-order stack, and adds per node in the contract's order
+// (stop bonus first, then edges in ascending CSR order), so the grid's
+// sweeps must match it bit for bit.
 
 #include <algorithm>
 #include <cstddef>

@@ -158,7 +158,7 @@ TEST_P(PropertyTest, InterleavingStructuralInvariants) {
 
   // Paths exist and stop tuples exist.
   EXPECT_FALSE(u.stop_nodes().empty());
-  EXPECT_GE(u.count_paths(), 1.0);
+  EXPECT_GE(test::oracle::count_paths(u), 1.0);
 }
 
 TEST_P(PropertyTest, GainMonotoneAndBoundedByMax) {
@@ -247,6 +247,7 @@ TEST_P(PropertyTest, KnapsackMatchesExhaustiveOptimum) {
 TEST_P(PropertyTest, RandomExecutionsAreValidAndLocalizable) {
   const auto sys = make_random_system(GetParam());
   const auto u = interleave(sys, 2);
+  const auto grid = flow::ProductGrid::build(u.instances());
 
   util::Rng rng(GetParam() ^ 0xE0E0);
   // Random selected subset.
@@ -260,7 +261,7 @@ TEST_P(PropertyTest, RandomExecutionsAreValidAndLocalizable) {
     EXPECT_TRUE(flow::is_valid_execution(u, e));
     if (!e.completed) continue;
     const auto obs = flow::project(e.trace(), selected);
-    const auto loc = selection::localize(u, selected, obs);
+    const auto loc = selection::localize(grid, selected, obs);
     // Soundness: the true execution is never excluded.
     EXPECT_GE(loc.consistent_paths, 1.0);
     EXPECT_LE(loc.consistent_paths, loc.total_paths);
@@ -270,7 +271,7 @@ TEST_P(PropertyTest, RandomExecutionsAreValidAndLocalizable) {
     const std::vector<flow::IndexedMessage> short_obs(
         obs.begin(), obs.begin() + std::min<std::size_t>(obs.size(), 6));
     const double ordered_short =
-        u.count_consistent_paths(selected, short_obs);
+        grid.count_consistent_paths(selected, short_obs);
     EXPECT_GE(
         test::oracle::count_consistent_paths_multiset(u, selected, short_obs),
         ordered_short);
@@ -280,8 +281,8 @@ TEST_P(PropertyTest, RandomExecutionsAreValidAndLocalizable) {
 TEST_P(PropertyTest, EmptyObservationNeverLocalizes) {
   const auto sys = make_random_system(GetParam());
   const auto u = interleave(sys, 1);
-  const auto loc =
-      selection::localize(u, sys.all_messages, {});
+  const auto loc = selection::localize(
+      flow::ProductGrid::build(u.instances()), sys.all_messages, {});
   EXPECT_DOUBLE_EQ(loc.fraction, 1.0);
 }
 
@@ -348,28 +349,55 @@ TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProduct) {
 }
 
 TEST(ProductOracleDifferential, GeneratedSystemsMatchTheOracle) {
-  // The product's tables against the memoized oracle over 300 generated
-  // systems at one and two instances per flow.
+  // The state grid's DPs and the product's histograms against the
+  // memoized oracle over 300 generated systems at one and two instances
+  // per flow; the ones that start atomic leave legal grid slots
+  // unreachable, and must match too.
+  std::size_t starts_atomic = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const auto sys = make_random_system(seed);
     for (const std::uint32_t n : {1u, 2u}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " x" + std::to_string(n));
       const auto u = interleave(sys, n);
+      if (sys.starts_atomic) ++starts_atomic;
       test::expect_product_matches_oracle(u, sys.all_messages, seed * 2 + n);
       if (HasFatalFailure()) return;
     }
   }
+  EXPECT_GT(starts_atomic, 0u);
 }
 
-TEST(ProductOracleDifferential, EveryEdgeStrictlyIncreasesThePotential) {
+TEST(ProductOracleDifferential, EveryEdgeRaisesTheGridIndex) {
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const auto sys = make_random_system(seed);
     const auto u = interleave(sys, 2);
+    const auto grid = flow::ProductGrid::build(u.instances());
     for (const auto& e : u.edges())
-      ASSERT_LT(u.potential(e.from), u.potential(e.to))
+      ASSERT_LT(grid.slot(u.node_key(e.from)), grid.slot(u.node_key(e.to)))
           << "seed " << seed << ": " << u.node_name(e.from) << " -> "
           << u.node_name(e.to);
   }
+}
+
+TEST(ProductOracleDifferential, GridRejectsOversizeAndCancelledBuilds) {
+  const auto sys = make_random_system(7);
+  const auto u = interleave(sys, 2);
+  std::size_t slots = 1;
+  for (const flow::IndexedFlow& inst : u.instances())
+    slots *= inst.flow->num_states();
+  flow::InterleaveOptions options;
+  options.max_nodes = slots;
+  EXPECT_EQ(flow::ProductGrid::build(u.instances(), options).num_slots(),
+            slots);
+  options.max_nodes = slots - 1;
+  EXPECT_THROW(flow::ProductGrid::build(u.instances(), options),
+               std::length_error);
+
+  flow::InterleaveOptions cancelled;
+  cancelled.cancel = util::CancelToken::make();
+  cancelled.cancel.cancel();
+  EXPECT_THROW(flow::ProductGrid::build(u.instances(), cancelled),
+               util::CancelledError);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomFlows, PropertyTest,

@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "flow/execution.hpp"
+#include "flow/product_grid.hpp"
 #include "selection/coverage.hpp"
 #include "selection/selector.hpp"
 
@@ -33,7 +34,7 @@ TEST_F(ExtendedTest, InterleavingOfBranchingFlowsBuilds) {
       {&design_.mondo_nack(), &design_.pior_retry()}, 2));
   EXPECT_GT(u.num_nodes(), 0u);
   EXPECT_GT(u.stop_nodes().size(), 1u);  // multiple stop combinations
-  EXPECT_GT(u.count_paths(), 0.0);
+  EXPECT_GT(flow::ProductGrid::build(u.instances()).count_paths(), 0.0);
 }
 
 TEST_F(ExtendedTest, RandomExecutionsReachBothOutcomes) {
@@ -56,15 +57,15 @@ TEST_F(ExtendedTest, RandomExecutionsReachBothOutcomes) {
 TEST_F(ExtendedTest, BranchMessagesAppearInFewerPathsThanTrunkMessages) {
   // In branching DAGs a branch message appears only in its branch's
   // executions while trunk messages appear in all of them.
-  const auto u = flow::InterleavedFlow::build(
+  const auto grid = flow::ProductGrid::build(
       flow::make_instances({&design_.mondo_nack()}, 1));
-  const double total = u.count_paths();
+  const double total = grid.count_paths();
   const std::vector<flow::MessageId> sel_trunk{design_.reqtot};
   const std::vector<flow::MessageId> sel_branch{design_.mondonack};
   const double trunk_paths =
-      u.count_consistent_paths(sel_trunk, {{design_.reqtot, 1}});
+      grid.count_consistent_paths(sel_trunk, {{design_.reqtot, 1}});
   const double branch_paths =
-      u.count_consistent_paths(sel_branch, {{design_.mondonack, 1}});
+      grid.count_consistent_paths(sel_branch, {{design_.mondonack, 1}});
   EXPECT_DOUBLE_EQ(trunk_paths, total);  // every execution sends reqtot
   EXPECT_LT(branch_paths, total);        // only the nack branch
   EXPECT_GT(branch_paths, 0.0);
@@ -101,14 +102,14 @@ TEST_F(ExtendedTest, KnapsackStillMatchesExhaustiveOnBranches) {
 TEST_F(ExtendedTest, ObservingBranchMessageLocalizesOutcome) {
   // Seeing mondonack in the trace proves the nack path was taken; the
   // consistent-path count must equal the nack-side executions only.
-  const auto u = flow::InterleavedFlow::build(
+  const auto grid = flow::ProductGrid::build(
       flow::make_instances({&design_.mondo_nack()}, 1));
   const std::vector<flow::MessageId> selected{design_.mondoacknack,
                                               design_.mondonack};
-  const double total = u.count_paths();
-  const double nack_paths = u.count_consistent_paths(
+  const double total = grid.count_paths();
+  const double nack_paths = grid.count_consistent_paths(
       selected, {{design_.mondonack, 1}});
-  const double ack_paths = u.count_consistent_paths(
+  const double ack_paths = grid.count_consistent_paths(
       selected, {{design_.mondoacknack, 1}});
   EXPECT_DOUBLE_EQ(nack_paths + ack_paths, total);
   EXPECT_GT(nack_paths, 0.0);

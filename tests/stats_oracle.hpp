@@ -1,8 +1,9 @@
 #pragma once
 // The differential checks over a materialized InterleavedFlow: the
 // closed-form statistics (flow::ProductStats) must equal counts taken on
-// the product, and the product's DP tables must equal the memoized oracle
-// of product_oracle.hpp, bit for bit.
+// the product, and the product's histograms and the state grid's DPs
+// (flow::ProductGrid) must equal the memoized oracle of
+// product_oracle.hpp, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "flow/execution.hpp"
 #include "flow/interleaved_flow.hpp"
+#include "flow/product_grid.hpp"
 #include "flow/product_stats.hpp"
 #include "selection/coverage.hpp"
 #include "selection/info_gain.hpp"
@@ -71,8 +73,9 @@ inline void expect_stats_match_product(
   }
 }
 
-/// Checks u's tables against the oracle bit for bit: count_paths, every
-/// histogram class, and count_consistent_paths on `trials` observations of
+/// Checks u's histograms and the DPs of the state grid over u's instances
+/// against the oracle on u, bit for bit: every histogram class,
+/// count_paths, and count_consistent_paths on `trials` observations of
 /// each kind — prefixes of random executions' projections (count > 0),
 /// perturbed prefixes (often 0), the empty observation, and an observation
 /// holding an unselected id (both must throw std::invalid_argument). The
@@ -81,7 +84,8 @@ inline void expect_product_matches_oracle(
     const flow::InterleavedFlow& u,
     const std::vector<flow::MessageId>& alphabet, std::uint64_t seed,
     int trials = 8) {
-  EXPECT_EQ(bits(u.count_paths()), bits(oracle::count_paths(u)));
+  const flow::ProductGrid grid = flow::ProductGrid::build(u.instances());
+  EXPECT_EQ(bits(grid.count_paths()), bits(oracle::count_paths(u)));
 
   const auto want = oracle::histograms(u);
   const auto got = u.label_target_histograms();
@@ -97,13 +101,13 @@ inline void expect_product_matches_oracle(
   for (const flow::MessageId m : alphabet)
     if (rng.chance(0.6)) selected.push_back(m);
   const auto agree = [&](const std::vector<flow::IndexedMessage>& observed) {
-    const double count = u.count_consistent_paths(selected, observed);
+    const double count = grid.count_consistent_paths(selected, observed);
     EXPECT_EQ(bits(count),
               bits(oracle::count_consistent_paths(u, selected, observed)));
     return count;
   };
 
-  EXPECT_EQ(bits(agree({})), bits(u.count_paths()));
+  EXPECT_EQ(bits(agree({})), bits(grid.count_paths()));
   for (int t = 0; t < trials; ++t) {
     SCOPED_TRACE("trial " + std::to_string(t));
     const flow::Execution e = flow::random_execution(u, rng);
@@ -140,7 +144,7 @@ inline void expect_product_matches_oracle(
     if (std::find(selected.begin(), selected.end(), m) == selected.end())
       outside = m;
   const std::vector<flow::IndexedMessage> bad{{outside, 1}};
-  EXPECT_THROW(u.count_consistent_paths(selected, bad),
+  EXPECT_THROW(grid.count_consistent_paths(selected, bad),
                std::invalid_argument);
   EXPECT_THROW(oracle::count_consistent_paths(u, selected, bad),
                std::invalid_argument);

@@ -8,6 +8,7 @@
 #include "flow/flow_builder.hpp"
 #include "flow/indexed_flow.hpp"
 #include "flow/interleaved_flow.hpp"
+#include "flow/product_grid.hpp"
 #include "flow/message.hpp"
 
 namespace tracesel::test {
@@ -36,6 +37,11 @@ struct CoherenceFixture {
   /// The two-instance interleaving of Fig. 2 (15 states, 18 edges).
   flow::InterleavedFlow two_instance_interleaving() const {
     return flow::InterleavedFlow::build(flow::make_instances({&flow_}, 2));
+  }
+
+  /// The state grid of the same two instances (16 slots).
+  flow::ProductGrid two_instance_grid() const {
+    return flow::ProductGrid::build(flow::make_instances({&flow_}, 2));
   }
 };
 

@@ -406,7 +406,7 @@ TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
   auto session = Session::from_spec_text(kFig2Spec);
   session.interleave(2);
   const selection::MessageSelector selector(session.catalog(),
-                                            session.interleaving());
+                                            session.stats());
   const auto count = [](const char* name) {
     return obs::registry().counter_value(name);
   };

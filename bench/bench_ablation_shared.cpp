@@ -27,7 +27,9 @@ int main() {
 
   const selection::MultiScenarioSelector multi(
       design.catalog(), {{&s1, 1.0}, {&s2, 1.0}, {&s3, 1.0}});
-  const auto shared = multi.select(32);
+  selection::SelectorConfig config;
+  config.buffer_width = 32;
+  const auto shared = multi.select(config);
 
   std::cout << "Shared configuration (" << shared.used_width
             << "/32 bits): ";

@@ -26,7 +26,9 @@ int main() {
   const double w1 = 0.6, w2 = 0.3, w3 = 0.1;
   const selection::MultiScenarioSelector planner(
       design.catalog(), {{&s1, w1}, {&s2, w2}, {&s3, w3}});
-  const auto shared = planner.select(32);
+  selection::SelectorConfig config;
+  config.buffer_width = 32;
+  const auto shared = planner.select(config);
 
   std::cout << "Shared 32-bit configuration (weights 60/30/10):\n  ";
   for (const auto m : shared.combination.messages)

@@ -6,10 +6,9 @@
 // specification coverage, and a localization query — reproducing every
 // number the paper works out by hand (I = 1.073, coverage = 0.7333).
 //
-// Uses the query API (PR 7): QueryCore turns a Workload + JobRequest into
-// a selection with no hidden state. Long-lived embedders that run many
-// queries share an ArtifactStore so repeated requests are memoized; the
-// stateful tracesel::Session facade remains for incremental exploration.
+// Uses the query API: QueryCore turns a Workload + JobRequest into a
+// selection with no hidden state. Long-lived embedders that run many
+// queries share an ArtifactStore so repeated requests are memoized.
 
 #include <iostream>
 #include <utility>

@@ -12,7 +12,10 @@
 
 int main() {
   using namespace tracesel;
-  netlist::UsbDesign usb;
+  // The workload owns the design: the gate-level baselines read its
+  // netlist, the application-level selection its flows.
+  const auto workload = QueryCore::workload_usb();
+  const netlist::UsbDesign& usb = *workload->usb;
   std::cout << "USB design: " << usb.netlist().num_nets() << " nets, "
             << usb.netlist().flops().size() << " flip-flops, "
             << usb.interface_signals().size() << " interface signals\n\n";
@@ -31,14 +34,10 @@ int main() {
   std::cout << "\n\n";
 
   // --- Application-level selection on the rx/tx flows ---
-  // The workload borrows usb's catalog, which outlives it here; a default
-  // JobRequest is the paper's 32-bit maximal-mode selection.
-  auto workload = tracesel::QueryCore::workload_from_interleaving(
-      usb.catalog(), usb.interleaving(2));
-  const flow::InterleavedFlow& u = *workload->u;
-  tracesel::QueryCore::ensure_selectors(*workload);
-  const auto infogain =
-      tracesel::QueryCore::select(*workload, tracesel::JobRequest{}, {});
+  // A default JobRequest is the paper's 32-bit selection.
+  QueryCore::interleave(*workload, 2, {});
+  const flow::ProductStats& stats = workload->selector->stats();
+  const auto infogain = QueryCore::select(*workload, JobRequest{}, {});
   std::cout << "InfoGain (message selection on UsbRx ||| UsbTx):\n  ";
   for (const auto m : infogain.combination.messages)
     std::cout << usb.catalog().get(m).name << ' ';
@@ -53,7 +52,7 @@ int main() {
               netlist::SignalCoverage::kFull)
             observable.push_back(usb.message_of(sg.name));
         }
-        return selection::flow_spec_coverage(u, observable);
+        return selection::flow_spec_coverage(stats, observable);
       };
   std::cout << "Flow specification coverage (Def. 7) of each selection:\n"
             << "  SigSeT   : " << coverage_of_selection(sigset.selected) * 100

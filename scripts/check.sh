@@ -5,12 +5,13 @@
 #     suite. Memory bugs in the fault-injection / degradation paths (which
 #     deliberately feed the pipeline garbled data) show up here long before
 #     they would corrupt a real debugging session.
-#  2. ThreadSanitizer over the concurrency surface: the thread-pool unit
-#     tests, the sharded obs metrics registry, the Monte-Carlo trial
-#     fan-out and the Session facade, the cancellation races (Resilience,
-#     CancelToken), the query layer's shared ArtifactStore and the
-#     traceseld daemon's multi-tenant job handling (Query, ArtifactStore,
-#     Service).
+#  2. ThreadSanitizer over the concurrency surface: the sharded obs
+#     metrics registry and the log sink under multi-thread contention (Obs,
+#     LogTest), cancellation (MonteCarlo, Resilience, CancelToken, the
+#     latter two with cross-thread cancel races), the query layer's shared ArtifactStore and the
+#     traceseld daemon's connection and runner threads (QueryCore, Kernel,
+#     Service, Framing). Every filter term must match at least one test, so
+#     a rename cannot silently drop TSan coverage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,8 +23,18 @@ cmake --build "$BUILD_DIR" -j
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+TSAN_TERMS=(Obs LogTest MonteCarlo Resilience CancelToken ArtifactStore
+            QueryCore Kernel Service Framing)
 cmake -B "$TSAN_BUILD_DIR" -S . -DTRACESEL_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j
+for term in "${TSAN_TERMS[@]}"; do
+  matched=$(ctest --test-dir "$TSAN_BUILD_DIR" -N -R "$term" |
+            sed -n 's/^Total Tests: //p')
+  if [ "${matched:-0}" -eq 0 ]; then
+    echo "FAIL: TSan filter term '$term' matches no test"
+    exit 1
+  fi
+done
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Kernel|MonteCarlo|Session|Obs|Resilience|CancelToken|ArtifactStore|QueryCore|Service|Framing'
+    -R "$(IFS='|'; echo "${TSAN_TERMS[*]}")"

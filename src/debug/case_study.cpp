@@ -1,6 +1,5 @@
 #include "debug/case_study.hpp"
 
-#include "debug/workbench.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel::debug {
@@ -52,22 +51,7 @@ CaseStudyResult run_case_study(const soc::T2Design& design,
   config.capture_retries = options.capture_retries;
   config.unusable_threshold = options.unusable_threshold;
   config.cause_score_threshold = options.cause_score_threshold;
-  WorkbenchResult r = workbench.run(bugs, config);
-
-  result.selection = std::move(r.selection);
-  result.golden = std::move(r.golden);
-  result.buggy = std::move(r.buggy);
-  result.golden_records = std::move(r.golden_records);
-  result.buggy_records = std::move(r.buggy_records);
-  result.observation = std::move(r.observation);
-  result.report = std::move(r.report);
-  result.localization = r.localization;
-  result.fault_stats = r.fault_stats;
-  result.capture_attempts = r.capture_attempts;
-  result.capture_degraded = r.capture_degraded;
-  result.recapture_delays_ms = std::move(r.recapture_delays_ms);
-  result.ranked_causes = std::move(r.ranked_causes);
-  result.robust_localization = r.robust_localization;
+  static_cast<WorkbenchResult&>(result) = workbench.run(bugs, config);
   return result;
 }
 

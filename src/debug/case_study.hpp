@@ -5,15 +5,10 @@
 
 #include <cstdint>
 
-#include "debug/debugger.hpp"
-#include "debug/observation.hpp"
-#include "debug/root_cause.hpp"
-#include "selection/localization.hpp"
-#include "selection/selector.hpp"
+#include "debug/workbench.hpp"
 #include "soc/fault_injector.hpp"
-#include "soc/simulator.hpp"
+#include "soc/scenario.hpp"
 #include "soc/t2_bugs.hpp"
-#include "soc/trace_buffer.hpp"
 
 namespace tracesel::debug {
 
@@ -40,34 +35,13 @@ struct CaseStudyOptions {
   double cause_score_threshold = 0.65;
 };
 
-struct CaseStudyResult {
+/// The workbench outcome plus the case study and scenario it ran.
+struct CaseStudyResult : WorkbenchResult {
   soc::CaseStudy case_study;
   soc::Scenario scenario;
-  selection::SelectionResult selection;
-  soc::SimResult golden;
-  soc::SimResult buggy;
-  std::vector<soc::TraceRecord> golden_records;
-  std::vector<soc::TraceRecord> buggy_records;
-  Observation observation;
-  DebugReport report;
-  selection::LocalizationResult localization;
-
-  /// Degradation telemetry, mirrored from WorkbenchResult (defaults =
-  /// clean channel).
-  soc::FaultStats fault_stats;
-  std::size_t capture_attempts = 1;
-  bool capture_degraded = false;
-  /// Seeded-backoff delay waited before each recapture (see
-  /// WorkbenchConfig::recapture_backoff).
-  std::vector<std::uint64_t> recapture_delays_ms;
-  std::vector<ScoredCause> ranked_causes;
-  selection::RobustLocalizationResult robust_localization;
 };
 
 /// Runs one full case study. Deterministic given the options.
-// deprecated: as an application entry point, prefer
-// tracesel::Session::t2().run_case_study(...) (tracesel/tracesel.hpp);
-// this free function remains the implementation the facade calls.
 CaseStudyResult run_case_study(const soc::T2Design& design,
                                const soc::CaseStudy& case_study,
                                const CaseStudyOptions& options = {});

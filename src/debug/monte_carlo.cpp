@@ -25,8 +25,7 @@ MetricStats stats_of(const std::vector<double>& xs) {
 MonteCarloResult evaluate_case_study(const soc::T2Design& design,
                                      const soc::CaseStudy& case_study,
                                      const CaseStudyOptions& base,
-                                     std::size_t runs, std::size_t jobs,
-                                     util::ThreadPool* pool,
+                                     std::size_t runs,
                                      const util::CancelToken* cancel) {
   if (runs == 0)
     throw std::invalid_argument("evaluate_case_study: zero runs");
@@ -34,52 +33,29 @@ MonteCarloResult evaluate_case_study(const soc::T2Design& design,
   OBS_SPAN("debug.monte_carlo");
   MonteCarloResult result;
   result.requested_runs = runs;
-  // Trials are embarrassingly parallel: each derives its seed from its
-  // index and writes only its own slots, so the aggregation below sees the
-  // same vectors (in the same order) as a serial run. Under cancellation
-  // trials that did not run leave their done flag clear and are dropped
-  // from the aggregation (a partial sample, never a torn one).
-  std::vector<double> pruned(runs), localization(runs), messages(runs),
-      pairs(runs);
-  std::vector<unsigned char> failed(runs, 0);
-  std::vector<unsigned char> done(runs, 0);
-  const auto run_one = [&](std::size_t i) {
-    if (cancel != nullptr && cancel->cancelled()) return;
+  // Each trial derives its seed from its index. Under cancellation the
+  // remaining trials are skipped and the aggregation covers the completed
+  // ones (a partial sample, never a torn one).
+  std::vector<double> pruned, localization, messages, pairs;
+  for (std::size_t i = 0; i < runs; ++i) {
+    if (cancel != nullptr && cancel->cancelled()) break;
     OBS_COUNT("debug.monte_carlo.trials", 1);
     CaseStudyOptions opt = base;
     opt.seed = base.seed + i;
     const auto r = run_case_study(design, case_study, opt);
-    failed[i] = r.buggy.failed ? 1 : 0;
-    pruned[i] = r.report.pruned_fraction();
-    localization[i] = r.localization.fraction;
-    messages[i] = static_cast<double>(r.report.messages_investigated);
-    pairs[i] = static_cast<double>(r.report.pairs_investigated);
-    done[i] = 1;
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, runs, run_one, 1, cancel);
-  } else if (util::ThreadPool::resolve_jobs(jobs) == 1) {
-    for (std::size_t i = 0; i < runs; ++i) run_one(i);
-  } else {
-    util::ThreadPool local(util::ThreadPool::resolve_jobs(jobs));
-    local.parallel_for(0, runs, run_one, 1, cancel);
-  }
-  std::vector<double> cp, cl, cm, cq;
-  for (std::size_t i = 0; i < runs; ++i) {
-    if (!done[i]) continue;
     ++result.runs;
-    if (failed[i]) ++result.failures_detected;
-    cp.push_back(pruned[i]);
-    cl.push_back(localization[i]);
-    cm.push_back(messages[i]);
-    cq.push_back(pairs[i]);
+    if (r.buggy.failed) ++result.failures_detected;
+    pruned.push_back(r.report.pruned_fraction());
+    localization.push_back(r.localization.fraction);
+    messages.push_back(static_cast<double>(r.report.messages_investigated));
+    pairs.push_back(static_cast<double>(r.report.pairs_investigated));
   }
   result.partial = result.runs < runs;
   if (result.partial) OBS_COUNT("resilience.cancelled_monte_carlo", 1);
-  result.pruned_fraction = stats_of(cp);
-  result.localization_fraction = stats_of(cl);
-  result.messages_investigated = stats_of(cm);
-  result.pairs_investigated = stats_of(cq);
+  result.pruned_fraction = stats_of(pruned);
+  result.localization_fraction = stats_of(localization);
+  result.messages_investigated = stats_of(messages);
+  result.pairs_investigated = stats_of(pairs);
   return result;
 }
 

@@ -7,7 +7,7 @@
 #include <cstddef>
 
 #include "debug/case_study.hpp"
-#include "util/thread_pool.hpp"
+#include "util/cancel.hpp"
 
 namespace tracesel::debug {
 
@@ -31,22 +31,15 @@ struct MonteCarloResult {
   MetricStats pairs_investigated;
 };
 
-// deprecated: as an application entry point, prefer
-// tracesel::Session::t2().monte_carlo(case_id, runs, base) — the facade
-// threads SelectorConfig::jobs and reuses the session worker pool.
 /// Runs the case study `runs` times with seeds base.seed, base.seed+1, ...
 /// and aggregates. Each trial derives its RNG stream purely from its trial
-/// index, so the result is deterministic and identical for every `jobs`
-/// value (1 = serial, 0 = one worker per hardware thread). Pass `pool` to
-/// reuse a caller-owned pool (e.g. tracesel::Session's) instead of
-/// spawning one for the call. A non-null `cancel` makes the evaluation
-/// cooperative: remaining trials are skipped once it fires and the result
-/// aggregates the completed trials only (partial = true).
+/// index, so the result is deterministic. A non-null `cancel` makes the
+/// evaluation cooperative: remaining trials are skipped once it fires and
+/// the result aggregates the completed trials only (partial = true).
 MonteCarloResult evaluate_case_study(const soc::T2Design& design,
                                      const soc::CaseStudy& case_study,
                                      const CaseStudyOptions& base,
-                                     std::size_t runs, std::size_t jobs = 1,
-                                     util::ThreadPool* pool = nullptr,
+                                     std::size_t runs,
                                      const util::CancelToken* cancel = nullptr);
 
 }  // namespace tracesel::debug

@@ -88,13 +88,6 @@ void require_valid_instances(const std::vector<IndexedFlow>& instances) {
 }
 
 InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
-                                       std::size_t max_nodes) {
-  InterleaveOptions options;
-  options.max_nodes = max_nodes;
-  return build(std::move(instances), options);
-}
-
-InterleavedFlow InterleavedFlow::build(std::vector<IndexedFlow> instances,
                                        const InterleaveOptions& options) {
   OBS_SPAN("interleave.build");
   require_valid_instances(instances);

@@ -107,9 +107,6 @@ class InterleavedFlow {
   /// std::length_error if the product exceeds options.max_nodes.
   static InterleavedFlow build(std::vector<IndexedFlow> instances,
                                const InterleaveOptions& options = {});
-  /// Back-compat convenience: default options with an explicit node cap.
-  static InterleavedFlow build(std::vector<IndexedFlow> instances,
-                               std::size_t max_nodes);
 
   InterleavedFlow(InterleavedFlow&&) = default;
   InterleavedFlow& operator=(InterleavedFlow&&) = default;

@@ -4,13 +4,12 @@
 #include <stdexcept>
 
 #include "selection/coverage.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tracesel::selection {
 
 MultiScenarioSelector::MultiScenarioSelector(
     const flow::MessageCatalog& catalog,
-    std::vector<WeightedScenario> scenarios, std::size_t jobs)
+    std::vector<WeightedScenario> scenarios)
     : catalog_(&catalog), scenarios_(std::move(scenarios)) {
   if (scenarios_.empty())
     throw std::invalid_argument("MultiScenarioSelector: no scenarios");
@@ -28,19 +27,8 @@ MultiScenarioSelector::MultiScenarioSelector(
   }
   std::sort(candidates_.begin(), candidates_.end());
 
-  // Each engine depends only on its own statistics, so construction is
-  // embarrassingly parallel; each worker writes its own slot.
-  engines_.resize(scenarios_.size());
-  const auto build = [this](std::size_t i) {
-    engines_[i] =
-        std::make_unique<InfoGainEngine>(*scenarios_[i].stats);
-  };
-  if (util::ThreadPool::resolve_jobs(jobs) == 1) {
-    for (std::size_t i = 0; i < scenarios_.size(); ++i) build(i);
-  } else {
-    util::ThreadPool pool(util::ThreadPool::resolve_jobs(jobs));
-    pool.parallel_for(0, scenarios_.size(), build);
-  }
+  for (const WeightedScenario& s : scenarios_)
+    engines_.push_back(std::make_unique<InfoGainEngine>(*s.stats));
 }
 
 double MultiScenarioSelector::contribution(flow::MessageId m) const {
@@ -48,14 +36,6 @@ double MultiScenarioSelector::contribution(flow::MessageId m) const {
   for (std::size_t i = 0; i < engines_.size(); ++i)
     total += scenarios_[i].weight * engines_[i]->message_contribution(m);
   return total;
-}
-
-MultiScenarioResult MultiScenarioSelector::select(
-    std::uint32_t buffer_width, bool packing) const {
-  SelectorConfig config;
-  config.buffer_width = buffer_width;
-  config.packing = packing;
-  return select(config);
 }
 
 MultiScenarioResult MultiScenarioSelector::select(
@@ -141,19 +121,9 @@ MultiScenarioResult MultiScenarioSelector::select(
   // ---- metrics ----
   for (const flow::MessageId m : observable)
     result.weighted_gain += contribution(m);
-  // Per-scenario coverage is independent across scenarios; each worker
-  // writes its own slot, so the vector is identical for every job count.
-  result.per_scenario_coverage.resize(scenarios_.size());
-  const auto cover = [&](std::size_t i) {
-    result.per_scenario_coverage[i] =
-        flow_spec_coverage(*scenarios_[i].stats, observable);
-  };
-  if (util::ThreadPool::resolve_jobs(config.jobs) == 1) {
-    for (std::size_t i = 0; i < scenarios_.size(); ++i) cover(i);
-  } else {
-    util::ThreadPool pool(util::ThreadPool::resolve_jobs(config.jobs));
-    pool.parallel_for(0, scenarios_.size(), cover);
-  }
+  for (const WeightedScenario& s : scenarios_)
+    result.per_scenario_coverage.push_back(
+        flow_spec_coverage(*s.stats, observable));
   return result;
 }
 

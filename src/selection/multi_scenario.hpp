@@ -48,23 +48,14 @@ struct MultiScenarioResult {
 
 class MultiScenarioSelector {
  public:
-  /// Scenarios must be non-empty with positive weights. `jobs` workers
-  /// build the per-scenario InfoGainEngines concurrently (they are
-  /// independent; 1 = serial, 0 = one per hardware thread).
+  /// Scenarios must be non-empty with positive weights.
   MultiScenarioSelector(const flow::MessageCatalog& catalog,
-                        std::vector<WeightedScenario> scenarios,
-                        std::size_t jobs = 1);
+                        std::vector<WeightedScenario> scenarios);
 
   /// Exact knapsack over the weighted aggregate gain, then greedy subgroup
-  /// packing with the same objective. Honours config.buffer_width,
-  /// config.packing and config.jobs (per-scenario coverage is evaluated in
-  /// parallel; results are identical for every job count).
+  /// packing with the same objective. Honours config.buffer_width and
+  /// config.packing.
   MultiScenarioResult select(const SelectorConfig& config) const;
-
-  // deprecated: use select(const SelectorConfig&) — the facade-wide options
-  // struct (see tracesel/tracesel.hpp) — instead of loose knob arguments.
-  MultiScenarioResult select(std::uint32_t buffer_width,
-                             bool packing = true) const;
 
   /// Weighted aggregate contribution of one message.
   double contribution(flow::MessageId m) const;

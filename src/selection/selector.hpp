@@ -4,7 +4,6 @@
 // mutual information gain, then pack subgroups into the leftover buffer.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "selection/combination.hpp"
@@ -35,24 +34,16 @@ enum class SearchMode {
 };
 
 /// The single options struct for the whole selection pipeline. Every entry
-/// point (MessageSelector, MultiScenarioSelector, tracesel::Session, the
+/// point (MessageSelector, MultiScenarioSelector, tracesel::QueryCore, the
 /// CLI and the benches) takes its knobs from here.
 struct SelectorConfig {
   std::uint32_t buffer_width = 32;  ///< bits, Table 3 uses 32
   bool packing = true;              ///< run Step 3
   SearchMode mode = SearchMode::kKnapsack;
   std::size_t max_combinations = 1u << 22;
-  /// Worker threads for the hot loops that fan out over independent work
-  /// (multi-scenario coverage, Monte-Carlo trials): 1 = serial, 0 = one
-  /// worker per hardware thread, N = exactly N workers. The Step 1/2
-  /// search itself is serial; results are bit-identical for every value.
+  /// Ignored: selection is serial. Kept only so callers that still set it
+  /// (the benchmark) compile.
   std::size_t jobs = 1;
-  /// Observability sinks (tracesel::obs, DESIGN.md §10). Either being
-  /// non-empty turns the obs layer on when the config reaches a
-  /// tracesel::Session; Session::write_observability() then writes the
-  /// Chrome trace-event JSON / flat metrics JSON to these paths.
-  std::string trace_out;
-  std::string metrics_out;
   /// Cooperative cancellation / deadline (docs/resilience.md). The default
   /// token is inert. When it fires, select() returns the best-so-far with
   /// SelectionResult::partial = true instead of throwing or hanging.

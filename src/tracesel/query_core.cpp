@@ -44,14 +44,6 @@ std::unique_ptr<Workload> QueryCore::workload_usb() {
   return w;
 }
 
-std::unique_ptr<Workload> QueryCore::workload_from_interleaving(
-    const flow::MessageCatalog& catalog, flow::InterleavedFlow u) {
-  auto w = std::make_unique<Workload>();
-  w->catalog = &catalog;
-  w->u = std::make_unique<flow::InterleavedFlow>(std::move(u));
-  return w;
-}
-
 void QueryCore::interleave(Workload& w, std::uint32_t instances,
                            const flow::InterleaveOptions& options) {
   OBS_SPAN("session.interleave");
@@ -73,14 +65,6 @@ void QueryCore::interleave(Workload& w, std::uint32_t instances,
   w.u.reset();
   w.selector = std::make_unique<selection::MessageSelector>(
       *w.catalog, flow::ProductStats::build(std::move(indexed), options));
-}
-
-void QueryCore::ensure_selectors(Workload& w) {
-  if (w.selector) return;
-  if (!w.u)
-    throw std::logic_error(
-        "QueryCore: no interleaving (interleave the workload first)");
-  w.selector = std::make_unique<selection::MessageSelector>(*w.catalog, *w.u);
 }
 
 util::Result<std::uint64_t> QueryCore::source_hash(const JobRequest& req) {

@@ -13,9 +13,8 @@
 //   ArtifactStore  the shared immutable cache those functions memoize
 //                  through (artifact_store.hpp).
 //
-// tracesel::Session remains as a thin stateful compatibility shim over
-// these two (session.hpp): it owns one Workload, carries the mutable
-// SelectorConfig, and forwards its pipeline calls here.
+// QueryCore is the library's one way in: the CLI, the daemon, the examples
+// and the tests all call it directly.
 //
 // A Workload is the resolved middle product: the owned spec (or builtin
 // design), its message catalog, and the selector over the interleaving's
@@ -42,15 +41,14 @@ namespace tracesel {
 /// selector over the interleaving's statistics. Immutable once built (see
 /// file comment); handed around as shared_ptr<const Workload>.
 struct Workload {
-  // Exactly one of spec / t2 / usb is set for owned workloads; all three
-  // may be null for from_interleaving sessions (borrowed catalog).
+  // Exactly one of spec / t2 / usb is set.
   std::unique_ptr<flow::ParsedSpec> spec;
   std::unique_ptr<soc::T2Design> t2;
   std::unique_ptr<netlist::UsbDesign> usb;
   const flow::MessageCatalog* catalog = nullptr;
 
-  /// An adopted materialized product: set by workload_from_interleaving;
-  /// null on every workload QueryCore builds.
+  /// A materialized product, for callers that build one themselves (the
+  /// benchmark's traced path); null on every workload QueryCore builds.
   std::unique_ptr<flow::InterleavedFlow> u;
   /// The selector over the interleaving's statistics (selector->stats()).
   std::unique_ptr<selection::MessageSelector> selector;
@@ -71,15 +69,11 @@ class QueryCore {
     bool result_cache_hit = false;
   };
 
-  // --- workload construction (Session and the daemon both build through
+  // --- workload construction (the CLI and the daemon both build through
   //     these, so the two surfaces cannot drift) ---
   static std::unique_ptr<Workload> workload_from_spec(flow::ParsedSpec spec);
   static std::unique_ptr<Workload> workload_t2();
   static std::unique_ptr<Workload> workload_usb();
-  /// Adopts an externally built interleaving; `catalog` is borrowed and
-  /// must outlive the workload.
-  static std::unique_ptr<Workload> workload_from_interleaving(
-      const flow::MessageCatalog& catalog, flow::InterleavedFlow u);
 
   /// Computes the statistics of the workload's interleaving (spec/usb:
   /// `instances` indexed instances per flow; t2: scenario id) and the
@@ -88,8 +82,6 @@ class QueryCore {
   /// `options` (failures throw std::length_error, util::CancelledError).
   static void interleave(Workload& w, std::uint32_t instances,
                          const flow::InterleaveOptions& options);
-  /// Builds (once) the MessageSelector over an adopted product w.u.
-  static void ensure_selectors(Workload& w);
 
   // --- content addressing ---
   /// FNV-1a over the spec content the request resolves to: inline text,
@@ -105,10 +97,9 @@ class QueryCore {
   static std::unique_ptr<Workload> build_workload(const JobRequest& req,
                                                   util::CancelToken cancel);
 
-  /// Step 1-3 over an existing workload. The low-level entry point both
-  /// Session::select and the request path share: honours every
-  /// SelectorConfig field (including cancel) and picks the plain or the
-  /// flow-constraint path.
+  /// Step 1-3 over an existing workload. The low-level entry point the CLI
+  /// and the request path share: honours every SelectorConfig field
+  /// (including cancel) and picks the plain or the flow-constraint path.
   static selection::SelectionResult select(
       const Workload& w, const selection::SelectorConfig& config,
       bool flow_constraint);

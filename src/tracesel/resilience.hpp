@@ -4,9 +4,10 @@
 // and the conventional process exit codes.
 //
 //   auto token = tracesel::resilience::CancelToken::make();
-//   session.config().cancel = token;
+//   config.cancel = token;                // a selection::SelectorConfig
 //   ...                                   // SIGINT handler: token.cancel()
-//   auto result = session.select();       // result.partial on interruption
+//   auto result = tracesel::QueryCore::select(*workload, config, false);
+//                                         // result.partial on interruption
 //
 // The cancellation types are aliases for symbols in util/cancel.hpp; this
 // header only gathers the embedding-application surface in one place.

@@ -19,12 +19,13 @@
 // hash, so concurrent and repeated queries share work safely. This is the
 // API the traceseld daemon (service/server.hpp) multiplexes jobs onto.
 //
-// tracesel::Session (session.hpp) remains as a thin compatibility facade
-// over QueryCore for incremental, stateful exploration (load a spec once,
-// re-interleave, re-select, drive case studies). New
-// code — and anything that runs queries concurrently — should prefer
-// QueryCore + ArtifactStore; direct Session use is kept source-compatible
-// but is no longer the primary API.
+// The same functions serve exploration without a store: build a Workload
+// once, then interleave and select on it as often as needed.
+//
+//   auto w = tracesel::QueryCore::workload_from_spec(
+//       tracesel::flow::parse_flow_spec_file("soc.flow"));
+//   tracesel::QueryCore::interleave(*w, 2, {});
+//   auto result = tracesel::QueryCore::select(*w, config, false);
 //
 // The layer headers below remain public for callers that need one
 // building block (e.g. a custom flow built with flow::FlowBuilder, or the
@@ -59,16 +60,11 @@
 #include "soc/scenario.hpp"
 #include "soc/t2_design.hpp"
 
-// Utilities callers commonly need alongside the facade.
-#include "util/thread_pool.hpp"
-
 // The query API: versioned requests, the content-addressed artifact
 // cache, and the stateless query core.
 #include "tracesel/artifact_store.hpp"
 #include "tracesel/job_request.hpp"
 #include "tracesel/query_core.hpp"
 
-// The resilience surface (cancellation tokens, exit-code contract) and
-// the stateful compatibility facade.
+// The resilience surface (cancellation tokens, exit-code contract).
 #include "tracesel/resilience.hpp"
-#include "tracesel/session.hpp"

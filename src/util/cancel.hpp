@@ -23,8 +23,8 @@
 // Tokens are value types sharing state: copies observe (and may request)
 // the same cancellation. Stages that cannot return a partial result
 // (parsing, building the interleaving) throw CancelledError instead; the
-// Session facade and the CLI translate it into a typed util::Result error
-// or the distinct "interrupted" exit code.
+// daemon and the CLI translate it into a typed util::Result error or the
+// distinct "interrupted" exit code.
 
 #include <atomic>
 #include <chrono>

@@ -13,10 +13,10 @@
 //     bench_kernels) run with the layer off and must stay inside their
 //     thresholds.
 //
-//  2. Race-free under the ThreadPool. Counters and histograms are sharded
-//     per thread: each thread owns a fixed-capacity block of relaxed
-//     atomics it alone writes, and readers merge the shards at snapshot
-//     time. Shards of exited threads are folded into a retired
+//  2. Race-free across threads (the daemon's connection and runner
+//     threads). Counters and histograms are sharded per thread: each
+//     thread owns a fixed-capacity block of relaxed atomics it alone
+//     writes, and readers merge the shards at snapshot time. Shards of exited threads are folded into a retired
 //     accumulator, so totals never lose increments. Gauges (rare writes)
 //     are process-global atomics.
 //
@@ -31,7 +31,7 @@
 //
 // Naming scheme (docs/observability.md): dot-separated
 // <subsystem>.<noun>[.<detail>] — e.g. "interleave.interner.probes",
-// "selection.gain.evals", "pool.idle_ns". Span latencies are automatically
+// "selection.gain.evals", "svc.queue.peak_depth". Span latencies are automatically
 // mirrored into a histogram named "span.<span name>".
 //
 // Distributed tracing (DESIGN.md §15): every span carries a process-unique
@@ -175,9 +175,7 @@ class MetricsRegistry {
   /// The calling thread's own counter shard, named (zero entries elided).
   /// This is the per-job metric scope of the traceseld daemon: a job runs
   /// on one runner thread, so before/after deltas of this view attribute
-  /// counters to that job exactly — work a job fans out to pool threads
-  /// (jobs > 1) lands in those threads' shards and escapes the scope,
-  /// which the service layer documents (docs/service.md).
+  /// counters to that job exactly.
   std::vector<std::pair<std::string, std::uint64_t>> thread_counter_values()
       const;
   /// Merged value lookups by name (0 / nullopt when unregistered).

@@ -33,7 +33,9 @@ TEST_F(SerializeTest, MultiScenarioJson) {
       soc::scenario_instances(design_, soc::scenario2()));
   const selection::MultiScenarioSelector multi(design_.catalog(),
                                                {{&s1, 1.0}, {&s2, 1.0}});
-  const auto r = multi.select(32);
+  selection::SelectorConfig config;
+  config.buffer_width = 32;
+  const auto r = multi.select(config);
   const std::string json = selection::to_json(design_.catalog(), r).dump();
   EXPECT_NE(json.find("\"per_scenario_coverage\":["), std::string::npos);
   EXPECT_NE(json.find("\"weighted_gain\":"), std::string::npos);
@@ -42,15 +44,8 @@ TEST_F(SerializeTest, MultiScenarioJson) {
 TEST_F(SerializeTest, WorkbenchResultJson) {
   const auto cs = soc::standard_case_studies()[0];
   const auto r = run_case_study(design_, cs);
-  // CaseStudyResult shares the WorkbenchResult layout; build one.
-  WorkbenchResult wr;
-  wr.selection = r.selection;
-  wr.golden = r.golden;
-  wr.buggy = r.buggy;
-  wr.observation = r.observation;
-  wr.report = r.report;
-  wr.localization = r.localization;
-  const std::string json = to_json(design_.catalog(), wr).dump();
+  // A CaseStudyResult is a WorkbenchResult.
+  const std::string json = to_json(design_.catalog(), r).dump();
   EXPECT_NE(json.find("\"failure\":\"FAIL: Bad Trap\""), std::string::npos);
   EXPECT_NE(json.find("\"dmusiidata\":\"absent\""), std::string::npos);
   EXPECT_NE(json.find("\"pruned_fraction\":0.888"), std::string::npos);

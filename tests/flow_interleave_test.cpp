@@ -149,9 +149,10 @@ TEST(Interleave, RejectsNullFlow) {
 
 TEST(Interleave, MaxNodesGuardThrows) {
   const CoherenceFixture fx;
-  EXPECT_THROW(
-      InterleavedFlow::build(make_instances({&fx.flow_}, 2), /*max_nodes=*/4),
-      std::length_error);
+  InterleaveOptions options;
+  options.max_nodes = 4;
+  EXPECT_THROW(InterleavedFlow::build(make_instances({&fx.flow_}, 2), options),
+               std::length_error);
 }
 
 TEST(Interleave, HeterogeneousFlowsCompose) {

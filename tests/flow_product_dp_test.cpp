@@ -23,7 +23,6 @@
 #include "stats_oracle.hpp"
 #include "testutil.hpp"
 #include "tracesel/query_core.hpp"
-#include "tracesel/session.hpp"
 #include "util/framing.hpp"
 
 namespace tracesel {
@@ -112,7 +111,8 @@ TEST_F(KernelDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
 
 TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
   // Selection over the product's own statistics against the closed form
-  // the Session reads, for the exact and an exponential search mode.
+  // QueryCore reads, for the exact and an exponential search mode (and the
+  // ignored jobs field at two values).
   const flow::InterleavedFlow u =
       soc::build_interleaving(t2_, soc::scenario_by_id(3));
   const selection::MessageSelector product(t2_.catalog(), u);
@@ -123,10 +123,9 @@ TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
       cfg.buffer_width = 32;
       cfg.mode = mode;
       cfg.jobs = jobs;
-      Session s = Session::t2();
-      s.configure(cfg);
-      s.scenario(3);
-      expect_identical(product.select(cfg), s.select(),
+      const auto w = QueryCore::workload_t2();
+      QueryCore::interleave(*w, 3, {});
+      expect_identical(product.select(cfg), QueryCore::select(*w, cfg, false),
                        "mode " + std::to_string(static_cast<int>(mode)) +
                            " jobs " + std::to_string(jobs));
     }
@@ -138,11 +137,10 @@ TEST_F(KernelDifferentialTest, FlowConstraintSelectionBitIdentical) {
   cfg.buffer_width = 16;
   const flow::InterleavedFlow u = usb_.interleaving(1);
   const selection::MessageSelector product(usb_.catalog(), u);
-  Session s = Session::usb();
-  s.configure(cfg);
-  s.interleave(1);
+  const auto w = QueryCore::workload_usb();
+  QueryCore::interleave(*w, 1, {});
   expect_identical(product.select_with_flow_constraint(cfg),
-                   s.select_with_flow_constraint(), "usb flow-constraint");
+                   QueryCore::select(*w, cfg, true), "usb flow-constraint");
 }
 
 // --- the retired kernel knob on the wire ---

@@ -8,6 +8,13 @@
 namespace tracesel::selection {
 namespace {
 
+SelectorConfig buffer(std::uint32_t width, bool packing = true) {
+  SelectorConfig config;
+  config.buffer_width = width;
+  config.packing = packing;
+  return config;
+}
+
 class MultiScenarioTest : public ::testing::Test {
  protected:
   MultiScenarioTest()
@@ -28,7 +35,7 @@ TEST_F(MultiScenarioTest, SingleScenarioMatchesKnapsackSelector) {
   // With one scenario of weight 1 the multi-scenario optimum equals the
   // single-scenario knapsack optimum.
   const MultiScenarioSelector multi(design_.catalog(), {{&s1_, 1.0}});
-  const auto shared = multi.select(32, /*packing=*/false);
+  const auto shared = multi.select(buffer(32, false));
 
   const MessageSelector single(design_.catalog(), s1_);
   SelectorConfig cfg;
@@ -49,7 +56,7 @@ TEST_F(MultiScenarioTest, CandidatesAreUnionOfAlphabets) {
 TEST_F(MultiScenarioTest, SharedSelectionCoversAllScenarios) {
   const MultiScenarioSelector multi(design_.catalog(),
                                     {{&s1_, 1.0}, {&s2_, 1.0}, {&s3_, 1.0}});
-  const auto r = multi.select(32);
+  const auto r = multi.select(buffer(32));
   ASSERT_EQ(r.per_scenario_coverage.size(), 3u);
   for (double c : r.per_scenario_coverage) {
     EXPECT_GT(c, 0.2);
@@ -63,7 +70,7 @@ TEST_F(MultiScenarioTest, SharedNeverBeatsDedicatedPerScenario) {
   // than that scenario's own dedicated selection.
   const MultiScenarioSelector multi(design_.catalog(),
                                     {{&s1_, 1.0}, {&s2_, 1.0}, {&s3_, 1.0}});
-  const auto shared = multi.select(32);
+  const auto shared = multi.select(buffer(32));
 
   const flow::ProductStats* us[3] = {&s1_, &s2_, &s3_};
   for (int i = 0; i < 3; ++i) {
@@ -79,8 +86,8 @@ TEST_F(MultiScenarioTest, WeightsShiftTheSelection) {
                                        {{&s1_, 1.0}, {&s2_, 1.0}});
   const MultiScenarioSelector skewed(design_.catalog(),
                                      {{&s1_, 1.0}, {&s2_, 50.0}});
-  const auto b = balanced.select(32, false);
-  const auto s = skewed.select(32, false);
+  const auto b = balanced.select(buffer(32, false));
+  const auto s = skewed.select(buffer(32, false));
   // The skewed selection's coverage on scenario 2 is at least the
   // balanced one's.
   EXPECT_GE(s.per_scenario_coverage[1], b.per_scenario_coverage[1] - 1e-9);
@@ -99,8 +106,8 @@ TEST_F(MultiScenarioTest, ContributionIsWeightedSum) {
 TEST_F(MultiScenarioTest, PackingUsesSharedLeftover) {
   const MultiScenarioSelector multi(design_.catalog(),
                                     {{&s1_, 1.0}, {&s2_, 1.0}});
-  const auto with = multi.select(32, true);
-  const auto without = multi.select(32, false);
+  const auto with = multi.select(buffer(32, true));
+  const auto without = multi.select(buffer(32, false));
   EXPECT_GE(with.used_width, without.used_width);
   EXPECT_GE(with.weighted_gain, without.weighted_gain - 1e-12);
   for (std::size_t i = 0; i < 2; ++i)
@@ -116,13 +123,13 @@ TEST_F(MultiScenarioTest, RejectsBadArguments) {
   EXPECT_THROW(MultiScenarioSelector(design_.catalog(), {{&s1_, 0.0}}),
                std::invalid_argument);
   const MultiScenarioSelector multi(design_.catalog(), {{&s1_, 1.0}});
-  EXPECT_THROW(multi.select(0), std::runtime_error);
+  EXPECT_THROW(multi.select(buffer(0)), std::runtime_error);
 }
 
 TEST_F(MultiScenarioTest, ObservableIncludesPackedParents) {
   const MultiScenarioSelector multi(design_.catalog(),
                                     {{&s1_, 1.0}, {&s2_, 1.0}});
-  const auto r = multi.select(32, true);
+  const auto r = multi.select(buffer(32, true));
   const auto obs = r.observable();
   for (const auto& pg : r.packed) {
     EXPECT_NE(std::find(obs.begin(), obs.end(), pg.parent), obs.end());

@@ -50,7 +50,6 @@ TEST(ResilienceTest, PreCancelledTokenYieldsEmptyPartialResult) {
     SelectorConfig cfg;
     cfg.buffer_width = 2;
     cfg.mode = mode;
-    cfg.jobs = 1;
     cfg.cancel = util::CancelToken::make();
     cfg.cancel.cancel();
     const auto r = selector.select(cfg);
@@ -71,7 +70,6 @@ TEST(ResilienceTest, CancelMidSearchFromSecondThreadIsWellFormed) {
   SelectorConfig ref_cfg;
   ref_cfg.buffer_width = 32;
   ref_cfg.mode = SearchMode::kExhaustive;
-  ref_cfg.jobs = 1;
   const auto reference = selector.select(ref_cfg);
   for (const int delay_us : {0, 50, 200, 800}) {
     SCOPED_TRACE("delay_us=" + std::to_string(delay_us));
@@ -157,10 +155,11 @@ TEST(ResilienceTest, AtomicInitialFallbackHonoursTheNodeCap) {
 }
 
 TEST(ResilienceTest, MonteCarloCancelYieldsPartialAggregate) {
-  Session session = Session::t2();
-  session.config().cancel = util::CancelToken::make();
-  session.config().cancel.cancel();
-  const auto r = session.monte_carlo(1, 4);
+  const soc::T2Design design;
+  const util::CancelToken cancel = util::CancelToken::make();
+  cancel.cancel();
+  const auto r = debug::evaluate_case_study(
+      design, soc::standard_case_studies()[0], {}, 4, &cancel);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.runs, 0u);
   EXPECT_EQ(r.requested_runs, 4u);

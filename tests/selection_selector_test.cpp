@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "flow/flow_builder.hpp"
+#include "netlist/usb_design.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
 
@@ -231,6 +234,22 @@ TEST(SelectorMultiCycle, ZeroBeatsRejected) {
   MessageCatalog cat;
   flow::Message bad{"bad", 8, "A", "B", {}, /*beats=*/0};
   EXPECT_THROW(cat.add(bad), std::invalid_argument);
+}
+
+TEST(SelectorCapTest, CombinationCapThrowsInBothPaths) {
+  // The serial exhaustive search refuses to materialize past
+  // max_combinations, whatever the (ignored) jobs field says.
+  netlist::UsbDesign usb;
+  const auto u = usb.interleaving(2);
+  const MessageSelector serial(usb.catalog(), u);
+  SelectorConfig cfg;
+  cfg.buffer_width = 32;
+  cfg.mode = SearchMode::kExhaustive;
+  cfg.max_combinations = 8;  // far below the real count
+  cfg.jobs = 1;
+  EXPECT_THROW(serial.select(cfg), std::length_error);
+  cfg.jobs = 4;
+  EXPECT_THROW(serial.select(cfg), std::length_error);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "soc/ip.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tracesel {
 namespace {
@@ -77,10 +78,12 @@ TEST_F(LogTest, ConcurrentLinesNeverInterleave) {
   util::set_log_threshold(util::LogLevel::kInfo);
   const std::string payload(64, 'x');
   const std::string out = capture([&] {
-    util::ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i)
-      pool.submit([&] { util::Log(util::LogLevel::kInfo) << payload; });
-    pool.wait();
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 4; ++w)
+      workers.emplace_back([&] {
+        for (int i = 0; i < 16; ++i) util::Log(util::LogLevel::kInfo) << payload;
+      });
+    for (std::thread& t : workers) t.join();
   });
   // Every emitted line must carry the full payload unbroken.
   std::istringstream lines(out);

@@ -11,6 +11,9 @@
 #include <vector>
 
 #include "debug/serialize.hpp"
+#include "flow/product_grid.hpp"
+#include "selection/localization.hpp"
+#include "testutil.hpp"
 #include "tracesel/artifact_store.hpp"
 #include "tracesel/job_request.hpp"
 #include "tracesel/query_core.hpp"
@@ -405,6 +408,53 @@ TEST(QueryCore, CancelledBuildDoesNotPoisonTheStore) {
   const auto ok = QueryCore::run(req, &store, {});
   ASSERT_TRUE(ok.ok());
   EXPECT_FALSE(ok.value().result_cache_hit);
+}
+
+// --- direct QueryCore calls (the CLI's select path) ----------------------
+
+TEST(QueryCore, SpecWorkloadSelectsLikeTheProductPath) {
+  test::CoherenceFixture fx;
+  const auto u = fx.two_instance_interleaving();
+  selection::SelectorConfig cfg;
+  cfg.buffer_width = 2;
+  cfg.mode = selection::SearchMode::kMaximal;
+  const auto reference = selection::MessageSelector(fx.catalog, u).select(cfg);
+
+  // The same Fig. 2 pipeline through QueryCore's closed-form statistics.
+  flow::ParsedSpec spec;
+  const auto reqE = spec.catalog.add("ReqE", 1, "IP1", "Dir");
+  const auto gntE = spec.catalog.add("GntE", 1, "Dir", "IP1");
+  const auto ack = spec.catalog.add("Ack", 1, "IP1", "Dir");
+  spec.flows.push_back(
+      test::CoherenceFixture::make_flow(spec.catalog, reqE, gntE, ack));
+  const auto w = QueryCore::workload_from_spec(std::move(spec));
+  QueryCore::interleave(*w, 2, {});
+  const auto got = QueryCore::select(*w, cfg, false);
+  EXPECT_EQ(got.combination.messages, reference.combination.messages);
+  EXPECT_EQ(got.packed, reference.packed);
+  EXPECT_EQ(got.gain, reference.gain);
+  EXPECT_EQ(got.coverage, reference.coverage);
+  EXPECT_EQ(got.used_width, reference.used_width);
+
+  // Localization counts on the grid of the same instances.
+  const std::vector<flow::IndexedMessage> observed{
+      {reqE, 1}, {gntE, 1}, {reqE, 2}};
+  const auto loc = selection::localize(
+      flow::ProductGrid::build(w->selector->stats().instances()),
+      got.observable(), observed);
+  EXPECT_EQ(loc.consistent_paths, 1.0);
+}
+
+TEST(QueryCore, T2WorkloadSelectsPerScenarioAndRejectsMisuse) {
+  const auto w = QueryCore::workload_t2();
+  EXPECT_THROW((void)QueryCore::select(*w, {}, false), std::logic_error);
+  EXPECT_THROW(QueryCore::interleave(*w, 99, {}), std::out_of_range);
+  QueryCore::interleave(*w, 1, {});
+  const auto first = QueryCore::select(*w, {}, false);
+  EXPECT_FALSE(first.combination.messages.empty());
+  const auto again = QueryCore::select(*w, {}, false);
+  EXPECT_EQ(first.combination.messages, again.combination.messages);
+  EXPECT_EQ(first.gain, again.gain);
 }
 
 }  // namespace

@@ -1,24 +1,25 @@
 // tracesel::obs unit tests (DESIGN.md §10): registry merge correctness
-// under ThreadPool contention, span nesting/ordering, histogram bucketing,
-// the disabled fast path, and a round-trip through the Session facade that
-// checks --trace-out / --metrics-out output is well-formed JSON carrying
-// the expected top-level span names. The contention tests are the ones
-// scripts/check.sh re-runs under ThreadSanitizer.
+// under multi-thread contention, span nesting/ordering, histogram
+// bucketing, the disabled fast path, and a round-trip through QueryCore
+// that checks the written trace and metrics files are well-formed JSON
+// carrying the expected top-level span names. The contention tests are the
+// ones scripts/check.sh re-runs under ThreadSanitizer.
 
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tracesel/tracesel.hpp"
 #include "util/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tracesel {
 namespace {
@@ -103,8 +104,8 @@ TEST_F(ObsTest, GaugeSetAndMonotoneMax) {
   EXPECT_EQ(obs::registry().gauge_value("test.gauge"), 100);
 }
 
-TEST_F(ObsTest, CounterMergeExactUnderThreadPoolContention) {
-  // N threads x M submissions x K increments on one shared counter id, all
+TEST_F(ObsTest, CounterMergeExactUnderThreadContention) {
+  // N threads x M tasks x K increments on one shared counter id, all
   // through per-thread shards; the merged total must be exact. This is the
   // test TSan watches for shard races.
   constexpr std::size_t kWorkers = 4;
@@ -113,15 +114,16 @@ TEST_F(ObsTest, CounterMergeExactUnderThreadPoolContention) {
   const auto id = obs::registry().counter("test.contended");
   const auto hist = obs::registry().histogram("test.contended_hist");
   {
-    util::ThreadPool pool(kWorkers);
-    for (std::size_t t = 0; t < kTasks; ++t)
-      pool.submit([id, hist] {
-        for (std::uint64_t i = 0; i < kPerTask; ++i) {
-          obs::registry().add(id, 1);
-          obs::registry().observe(hist, i);
-        }
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < kWorkers; ++w)
+      workers.emplace_back([id, hist] {
+        for (std::size_t t = 0; t < kTasks / kWorkers; ++t)
+          for (std::uint64_t i = 0; i < kPerTask; ++i) {
+            obs::registry().add(id, 1);
+            obs::registry().observe(hist, i);
+          }
       });
-    pool.wait();
+    for (std::thread& t : workers) t.join();
   }
   EXPECT_EQ(obs::registry().counter_value("test.contended"), kTasks * kPerTask);
 
@@ -131,7 +133,7 @@ TEST_F(ObsTest, CounterMergeExactUnderThreadPoolContention) {
   EXPECT_EQ(snap->max, kPerTask - 1);
 
   // The per-thread split must account for every increment: worker shards
-  // plus the "retired" accumulator (the pool's threads have exited by now).
+  // plus the "retired" accumulator (the workers have exited by now).
   const auto full = obs::registry().snapshot();
   std::uint64_t split_total = 0;
   for (const auto& [tid, counters] : full.per_thread_counters)
@@ -178,15 +180,23 @@ TEST_F(ObsTest, SpanNestingRecordsDepthAndContainment) {
 }
 
 TEST_F(ObsTest, SpansFromPoolWorkersCarryDistinctThreadIds) {
+  // A pool of two worker threads, four root spans each.
   {
-    util::ThreadPool pool(2);
-    for (int t = 0; t < 8; ++t)
-      pool.submit([] { OBS_SPAN("obs_test.worker"); });
-    pool.wait();
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 2; ++w)
+      workers.emplace_back([] {
+        for (int t = 0; t < 4; ++t) { OBS_SPAN("obs_test.worker"); }
+      });
+    for (std::thread& t : workers) t.join();
   }
   const auto events = obs::trace_events();
   ASSERT_EQ(events.size(), 8u);
-  for (const auto& e : events) EXPECT_EQ(e.depth, 0u);
+  std::set<std::uint32_t> tids;
+  for (const auto& e : events) {
+    EXPECT_EQ(e.depth, 0u);
+    tids.insert(e.tid);
+  }
+  EXPECT_EQ(tids.size(), 2u);
 }
 
 TEST_F(ObsTest, DisabledPathRecordsNothing) {
@@ -354,25 +364,21 @@ flow CacheCoherence {
 )";
 
 TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
-  // Session::configure must turn the layer on by itself.
-  obs::set_enabled(false);
-
+  // The embedding recipe: enable the layer, run the pipeline through
+  // QueryCore, write both sinks.
   const std::string trace_path = ::testing::TempDir() + "/obs_trace.json";
   const std::string metrics_path = ::testing::TempDir() + "/obs_metrics.json";
 
-  auto session = Session::from_spec_text(kFig2Spec);
+  const auto w = QueryCore::workload_from_spec(flow::parse_flow_spec(kFig2Spec));
   selection::SelectorConfig cfg;
   cfg.buffer_width = 2;
   cfg.mode = selection::SearchMode::kMaximal;  // the step1/step2 spans
-  cfg.trace_out = trace_path;
-  cfg.metrics_out = metrics_path;
-  session.configure(cfg);
-  EXPECT_TRUE(obs::enabled());
-
-  session.interleave(2);
-  const auto result = session.select();
+  QueryCore::interleave(*w, 2, {});
+  const auto result = QueryCore::select(*w, cfg, false);
   EXPECT_FALSE(result.combination.messages.empty());
-  ASSERT_TRUE(session.write_observability());
+  obs::update_process_gauges();
+  ASSERT_TRUE(obs::write_chrome_trace(trace_path));
+  ASSERT_TRUE(obs::write_metrics(metrics_path));
 
   const std::string trace = slurp(trace_path);
   const std::string metrics = slurp(metrics_path);
@@ -382,9 +388,6 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   EXPECT_TRUE(JsonScanner(metrics).valid()) << metrics;
 
   // Chrome trace-event shape plus the pipeline's top-level span names.
-  // "flow.parse" is absent here by design: the spec was parsed at session
-  // construction, before configure() switched the layer on (the CLI
-  // enables obs before dispatch, so its traces do include the parse).
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   for (const char* span :
        {"interleave.stats", "session.interleave",
@@ -403,41 +406,29 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
 }
 
 TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
-  auto session = Session::from_spec_text(kFig2Spec);
-  session.interleave(2);
-  const selection::MessageSelector selector(session.catalog(),
-                                            session.stats());
+  const auto w = QueryCore::workload_from_spec(flow::parse_flow_spec(kFig2Spec));
+  QueryCore::interleave(*w, 2, {});
+  const selection::MessageSelector& selector = *w->selector;
   const auto count = [](const char* name) {
     return obs::registry().counter_value(name);
   };
 
-  // Every scored combination is one gain evaluation, whatever the job
-  // count.
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("jobs " + std::to_string(jobs));
-    obs::reset();
-    selection::SelectorConfig cfg;
-    cfg.buffer_width = 2;
-    cfg.mode = selection::SearchMode::kMaximal;
-    cfg.jobs = jobs;
-    (void)selector.select(cfg);
-    EXPECT_GT(count("selection.combinations"), 0u);
-    EXPECT_GE(count("selection.gain.evals"), count("selection.combinations"));
-  }
-
-  // The knapsack DP fills one cell per candidate and width 0..buffer.
+  // Every scored combination is one gain evaluation.
   obs::reset();
   selection::SelectorConfig cfg;
   cfg.buffer_width = 2;
+  cfg.mode = selection::SearchMode::kMaximal;
+  (void)selector.select(cfg);
+  EXPECT_GT(count("selection.combinations"), 0u);
+  EXPECT_GE(count("selection.gain.evals"), count("selection.combinations"));
+
+  // The knapsack DP fills one cell per candidate and width 0..buffer.
+  obs::reset();
+  cfg.mode = selection::SearchMode::kKnapsack;
   (void)selector.select(cfg);
   EXPECT_EQ(count("selection.knapsack.cells"),
             selector.candidates().size() * 3);
   EXPECT_EQ(count("selection.combinations"), 0u);
-}
-
-TEST_F(ObsTest, WriteObservabilityIsNoOpWithoutSinks) {
-  auto session = Session::from_spec_text(kFig2Spec);
-  EXPECT_TRUE(session.write_observability());
 }
 
 TEST_F(ObsTest, MetricsJsonContainsPerThreadSplit) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "util/bits.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -198,6 +201,34 @@ TEST(Bits, MaxValueForWidth) {
   EXPECT_EQ(max_value_for_width(1), 1ull);
   EXPECT_EQ(max_value_for_width(6), 63ull);
   EXPECT_EQ(max_value_for_width(64), ~0ull);
+}
+
+TEST(CancelTokenTest, InertTokenNeverCancels) {
+  const CancelToken inert;
+  EXPECT_FALSE(inert.valid());
+  inert.cancel();  // no-op, must not crash
+  EXPECT_FALSE(inert.cancelled());
+  EXPECT_FALSE(inert.cancel_requested());
+}
+
+TEST(CancelTokenTest, CancelIsIdempotentAndSharedAcrossCopies) {
+  const CancelToken token = CancelToken::make();
+  const CancelToken copy = token;
+  EXPECT_FALSE(copy.cancelled());
+  token.cancel();
+  token.cancel();  // double-cancel is fine
+  EXPECT_TRUE(copy.cancelled());
+  EXPECT_TRUE(copy.cancel_requested());
+}
+
+TEST(CancelTokenTest, DeadlineExpiryLatches) {
+  const CancelToken token = CancelToken::after(std::chrono::nanoseconds(1));
+  // The deadline is in the past by the time we poll; expiry must latch.
+  while (!token.cancelled()) std::this_thread::yield();
+  EXPECT_TRUE(token.cancelled());
+  // Deadline expiry is not a cancel() call, but the latch records it in
+  // the same flag, so cancel_requested() reports true afterwards.
+  EXPECT_TRUE(token.cancel_requested());
 }
 
 }  // namespace

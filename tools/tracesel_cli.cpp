@@ -261,21 +261,19 @@ int cmd_select(int argc, char** argv) {
   if (spec_path.empty())
     throw std::runtime_error("select: missing <spec.flow> operand");
 
-  // Thread the global sinks through the config so the Session plumbing is
-  // the same one embedding applications use; main() performs the writes.
-  cfg.trace_out = g_trace_out;
-  cfg.metrics_out = g_metrics_out;
   // Signals and the optional deadline share one token, so either stops the
-  // run the same cooperative way.
+  // run, the interleaving's fallback build included, the same cooperative
+  // way.
   cfg.cancel = g_cancel;
   if (deadline_ms > 0)
     cfg.cancel.set_timeout(std::chrono::milliseconds(deadline_ms));
+  iopt.cancel = cfg.cancel;
 
-  Session session = Session::from_spec_file(spec_path);
-  session.configure(cfg).interleave_options(iopt);
+  const auto w =
+      QueryCore::workload_from_spec(flow::parse_flow_spec_file(spec_path));
   g_cooperative.store(true, std::memory_order_relaxed);
-  session.interleave(instances);
-  const auto r = session.select();
+  QueryCore::interleave(*w, instances, iopt);
+  const auto r = QueryCore::select(*w, cfg, false);
   int rc = 0;
   if (r.partial) {
     std::cerr << "interrupted: partial result, "
@@ -283,12 +281,12 @@ int cmd_select(int argc, char** argv) {
               << '\n';
     rc = resilience::kExitInterrupted;
   }
-  const flow::MessageCatalog& catalog = session.catalog();
+  const flow::MessageCatalog& catalog = *w->catalog;
   if (json) {
     std::cout << selection::to_json(catalog, r).dump(2) << '\n';
     return rc;
   }
-  const flow::ProductStats& stats = session.stats();
+  const flow::ProductStats& stats = w->selector->stats();
   std::cout << "Interleaving: " << stats.num_product_states() << " states, "
             << stats.num_product_edges() << " message occurrences\n";
 
@@ -683,27 +681,14 @@ int cmd_debug(int case_id, const DebugCliOptions& cli) {
     std::cerr << "case id must be 1.." << cases.size() << '\n';
     return 1;
   }
-  auto session = Session::t2();
-  const soc::T2Design& design = session.design();
+  const soc::T2Design design;
   debug::CaseStudyOptions opt;
   opt.packing = cli.packing;
   opt.faults = cli.faults;
   opt.capture_retries = cli.retries;
-  const auto r = session.run_case_study(case_id, opt);
+  const auto r = debug::run_case_study(design, cases[case_id - 1], opt);
   if (cli.json) {
-    debug::WorkbenchResult wr;
-    wr.selection = r.selection;
-    wr.golden = r.golden;
-    wr.buggy = r.buggy;
-    wr.observation = r.observation;
-    wr.report = r.report;
-    wr.localization = r.localization;
-    wr.fault_stats = r.fault_stats;
-    wr.capture_attempts = r.capture_attempts;
-    wr.capture_degraded = r.capture_degraded;
-    wr.ranked_causes = r.ranked_causes;
-    wr.robust_localization = r.robust_localization;
-    std::cout << debug::to_json(design.catalog(), wr).dump(2) << '\n';
+    std::cout << debug::to_json(design.catalog(), r).dump(2) << '\n';
     return 0;
   }
   std::cout << "Case study " << case_id << " (" << r.scenario.name

@@ -6,9 +6,12 @@
 // component flows (flow::ProductGrid). For T2 scenarios 1-3 at 2 instances
 // per flow this bench reports, best of kRepeats:
 //
-//   grid      ProductGrid::build, which computes count_paths;
+//   grid      ProductGrid::build, which computes count_paths in closed
+//             form over the component flows (no slot is visited);
 //   sweep     count_consistent_paths() on the projection of a random
 //             execution onto the scenario's 32-bit selection;
+//   visited   the slots that sweep visits (interleave.grid.visited), the
+//             ones a consistent path reaches, averaged like its time;
 //   product   InterleavedFlow::build, the materialized product the oracle
 //             walks, for scale;
 //   oracle    the same count through the memoized test oracle
@@ -31,6 +34,7 @@
 #include "soc/scenario.hpp"
 #include "tracesel/tracesel.hpp"
 #include "util/json.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -51,6 +55,19 @@ double best_of_us(int repeats, const auto& fn) {
         best, std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
   return best;
+}
+
+/// The interleave.grid.visited count of one fn() call, with the obs layer
+/// on only for that call (so the timed runs stay uninstrumented).
+std::uint64_t visited_slots(const auto& fn) {
+  obs::set_enabled(true);
+  obs::reset();
+  fn();
+  const std::uint64_t visited =
+      obs::registry().counter_value("interleave.grid.visited");
+  obs::set_enabled(false);
+  obs::reset();
+  return visited;
 }
 
 bool same_bits(double a, double b) {
@@ -77,7 +94,8 @@ int main() {
 
   const soc::T2Design design;
   util::Table table({"Workload", "Slots", "Nodes", "Edges", "Grid us",
-                     "Sweep us", "Product us", "Oracle us", "Identical"});
+                     "Sweep us", "Visited", "Product us", "Oracle us",
+                     "Identical"});
   util::Json rows = util::Json::array();
   int failures = 0;
   for (int id = 1; id <= 3; ++id) {
@@ -108,6 +126,7 @@ int main() {
         histograms_match(u);
     double sweep_us = 0.0;
     double oracle_us = 0.0;
+    std::uint64_t visited = 0;
     util::Rng rng(2018 + static_cast<std::uint64_t>(id));
     for (int t = 0; t < kObservations; ++t) {
       const auto observed =
@@ -117,6 +136,8 @@ int main() {
       sweep_us += best_of_us(kRepeats, [&] {
         got = grid.count_consistent_paths(selected, observed);
       });
+      visited += visited_slots(
+          [&] { (void)grid.count_consistent_paths(selected, observed); });
       oracle_us += best_of_us(1, [&] {
         want = test::oracle::count_consistent_paths(u, selected, observed);
       });
@@ -124,6 +145,7 @@ int main() {
     }
     sweep_us /= kObservations;
     oracle_us /= kObservations;
+    visited /= kObservations;
     if (!identical) {
       ++failures;
       std::cerr << "MISMATCH against the oracle on " << name << '\n';
@@ -132,7 +154,8 @@ int main() {
     table.add_row({name, std::to_string(grid.num_slots()),
                    std::to_string(u.num_nodes()),
                    std::to_string(u.num_edges()), util::fixed(grid_us, 0),
-                   util::fixed(sweep_us, 0), util::fixed(product_us, 0),
+                   util::fixed(sweep_us, 0), std::to_string(visited),
+                   util::fixed(product_us, 0),
                    util::fixed(oracle_us, 0), identical ? "yes" : "NO"});
     util::Json row = util::Json::object();
     row.set("workload", util::Json::string(name));
@@ -141,6 +164,7 @@ int main() {
     row.set("edges", util::Json::number(std::uint64_t{u.num_edges()}));
     row.set("grid_build_us", util::Json::number(grid_us));
     row.set("sweep_us", util::Json::number(sweep_us));
+    row.set("visited_slots", util::Json::number(visited));
     row.set("product_build_us", util::Json::number(product_us));
     row.set("oracle_sweep_us", util::Json::number(oracle_us));
     row.set("identical", util::Json::boolean(identical));

@@ -4,7 +4,10 @@
 #  1. AddressSanitizer + UndefinedBehaviorSanitizer over the full ctest
 #     suite. Memory bugs in the fault-injection / degradation paths (which
 #     deliberately feed the pipeline garbled data) show up here long before
-#     they would corrupt a real debugging session.
+#     they would corrupt a real debugging session. The pass then runs the
+#     localization oracle gate (bench_kernels), so the state grid's 128-bit
+#     closed form and its worklist indexing run sanitized on T2 scenarios
+#     1-3 as well as under the unit tests.
 #  2. ThreadSanitizer over the concurrency surface: the sharded obs
 #     metrics registry and the log sink under multi-thread contention (Obs,
 #     LogTest), cancellation (MonteCarlo, Resilience, CancelToken, the
@@ -22,6 +25,9 @@ cmake -B "$BUILD_DIR" -S . -DTRACESEL_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+(cd "$BUILD_DIR" &&
+  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
+    ./bench/bench_kernels)
 
 TSAN_TERMS=(Obs LogTest MonteCarlo Resilience CancelToken ArtifactStore
             QueryCore Kernel Service Framing)

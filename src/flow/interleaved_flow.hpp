@@ -41,8 +41,9 @@ struct InterleaveOptions {
   /// std::length_error beyond it.
   std::size_t max_nodes = 2'000'000;
   /// Cooperative cancellation: build() throws util::CancelledError within
-  /// ~1024 expanded nodes of the token reporting cancelled. The default
-  /// (inert) token never cancels.
+  /// ~1024 expanded nodes of the token reporting cancelled (ProductGrid:
+  /// before count_paths, and every 1024 slots its fallback sweep visits).
+  /// The default (inert) token never cancels.
   util::CancelToken cancel;
 };
 

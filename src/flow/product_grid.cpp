@@ -1,13 +1,33 @@
 #include "flow/product_grid.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
+#include "flow/product_stats.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel::flow {
 
 namespace {
+
+using u128 = unsigned __int128;
+
+/// Path counts below 2^53 are exact in a double; the closed form
+/// saturates at it. Saturating adds and products of non-negative counts
+/// yield min(exact, kExact), so a total below kExact is exact.
+constexpr std::uint64_t kExact = std::uint64_t{1} << 53;
+
+std::uint64_t saturate(u128 v) {
+  return v < kExact ? static_cast<std::uint64_t>(v) : kExact;
+}
+
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return std::min(a + b, kExact);
+}
 
 /// The states of `f` in a topological (Kahn) order. FlowBuilder rejects
 /// cyclic flows, so every state gets a position.
@@ -28,70 +48,6 @@ std::vector<StateId> topological_order(const Flow& f) {
 }
 
 }  // namespace
-
-/// A slot and its digits, stepped one slot up or down at a time. Each
-/// digit change updates the atomic count, the sum of the atomic
-/// components' positions (the holder when the count is one) and the
-/// non-stop count, so a step costs O(1) amortized.
-class ProductGrid::Odometer {
- public:
-  Odometer(const std::vector<Component>& comps, std::size_t n)
-      : comps_(comps), digit_(comps.size()) {
-    for (std::size_t i = 0; i < comps.size(); ++i) {
-      const Component& c = comps[i];
-      const auto r = static_cast<std::uint32_t>((n / c.stride) % c.stop.size());
-      digit_[i] = r;
-      non_stop_ += 1u - c.stop[r];
-      atomic_ += c.atomic[r];
-      atomic_sum_ += i * c.atomic[r];
-    }
-  }
-
-  /// Moves to slot n + 1 (`up`) or n - 1, carrying or borrowing.
-  void step(bool up) {
-    for (std::size_t i = 0; i < digit_.size(); ++i) {
-      const auto top = static_cast<std::uint32_t>(comps_[i].stop.size() - 1);
-      const bool wrap = digit_[i] == (up ? top : 0);
-      set(i, wrap ? (up ? 0 : top) : (up ? digit_[i] + 1 : digit_[i] - 1));
-      if (!wrap) return;
-    }
-  }
-
-  /// At most one component atomic (the Atom mutex).
-  bool legal() const { return atomic_ < 2; }
-  bool stop() const { return non_stop_ == 0; }
-
-  /// Calls fn(move) on every product edge out of this (legal) slot in the
-  /// product's CSR order: only the atomic holder moves if there is one,
-  /// else every component, ascending, each in its flow's order.
-  template <typename Fn>
-  void for_each_move(Fn&& fn) const {
-    const std::size_t first = atomic_ == 0 ? 0 : atomic_sum_;
-    const std::size_t last = atomic_ == 0 ? comps_.size() : atomic_sum_ + 1;
-    for (std::size_t i = first; i < last; ++i) {
-      const Component& c = comps_[i];
-      for (std::uint32_t m = c.first_move[digit_[i]];
-           m < c.first_move[digit_[i] + 1]; ++m)
-        fn(c.moves[m]);
-    }
-  }
-
- private:
-  void set(std::size_t i, std::uint32_t r) {
-    const Component& c = comps_[i];
-    const std::uint32_t old = digit_[i];
-    non_stop_ = non_stop_ + c.stop[old] - c.stop[r];
-    atomic_ = atomic_ - c.atomic[old] + c.atomic[r];
-    atomic_sum_ = atomic_sum_ - i * c.atomic[old] + i * c.atomic[r];
-    digit_[i] = r;
-  }
-
-  const std::vector<Component>& comps_;
-  std::vector<std::uint32_t> digit_;
-  std::size_t non_stop_ = 0;
-  std::size_t atomic_ = 0;
-  std::size_t atomic_sum_ = 0;
-};
 
 ProductGrid ProductGrid::build(const std::vector<IndexedFlow>& instances,
                                const InterleaveOptions& options) {
@@ -136,24 +92,105 @@ ProductGrid ProductGrid::build(const std::vector<IndexedFlow>& instances,
     g.comps_.push_back(std::move(c));
   }
   g.num_slots_ = slots;
-  OBS_COUNT("interleave.grid.slots", slots);
+  if (options.cancel.cancelled()) throw util::CancelledError("interleave.grid");
 
-  // count_paths: one descending sweep over the slots from the initial one
-  // up (no slot below it is reachable). Executions end at a stop tuple
-  // (Def. 2); per slot the stop bonus comes first, then the moves in CSR
-  // order.
-  std::vector<double> memo(slots - g.initial_, 0.0);
-  Odometer o(g.comps_, slots - 1);
-  for (std::size_t at = memo.size(); at-- > 0; o.step(false)) {
-    if (((memo.size() - 1 - at) & 1023) == 0 && options.cancel.cancelled())
-      throw util::CancelledError("interleave.grid");
-    if (!o.legal()) continue;
-    double paths = o.stop() ? 1.0 : 0.0;
-    o.for_each_move([&](const Move& m) { paths += memo[at + m.delta]; });
-    memo[at] = paths;
-  }
-  g.total_paths_ = memo[0];
+  // Past the closed form's reach, count_paths is the consistent-path sweep
+  // of an empty observation with every label invisible.
+  if (!ProductStats::closed_form_applies(instances) || !g.closed_form_paths())
+    g.total_paths_ =
+        g.sweep(std::vector<std::int32_t>(g.labels_.size(), -2), {},
+                options.cancel);
   return g;
+}
+
+bool ProductGrid::closed_form_paths() {
+  // Every component starts non-atomic and no stop state is atomic, so a
+  // component's execution is a sequence of whole blocks: one move out of a
+  // non-atomic state plus the atomic run after it. Under Def. 5 the blocks
+  // of different components interleave freely, so the executions are
+  // sum_n ways[n], where ways[n] counts the interleavings of the
+  // components so far that reach a stop tuple after n blocks in all.
+  std::vector<std::uint64_t> ways{1};
+  for (const Component& c : comps_) {
+    // reach[r][b]: paths from the initial state to rank r over b blocks;
+    // blocks[b]: those ending at a stop state.
+    const auto init =
+        static_cast<std::uint32_t>((initial_ / c.stride) % c.stop.size());
+    std::vector<std::vector<std::uint64_t>> reach(c.stop.size());
+    reach[init] = {1};
+    std::vector<std::uint64_t> blocks;
+    for (std::uint32_t r = init; r < reach.size(); ++r) {
+      const std::vector<std::uint64_t> here = std::move(reach[r]);
+      if (here.empty()) continue;
+      const auto add_to = [&](std::vector<std::uint64_t>& to,
+                              std::size_t shift) {
+        if (to.size() < here.size() + shift)
+          to.resize(here.size() + shift, 0);
+        for (std::size_t b = 0; b < here.size(); ++b)
+          to[b + shift] = saturating_add(to[b + shift], here[b]);
+      };
+      if (c.stop[r]) add_to(blocks, 0);
+      for (std::uint32_t m = c.first_move[r]; m < c.first_move[r + 1]; ++m)
+        add_to(reach[r + c.moves[m].delta / c.stride], c.atomic[r] ? 0 : 1);
+    }
+    if (blocks.empty()) {
+      total_paths_ = 0.0;
+      return true;
+    }
+    // n blocks so far and b new ones merge in binom(n + b, b) ways.
+    std::vector<std::uint64_t> next(ways.size() + blocks.size() - 1, 0);
+    for (std::size_t n = 0; n < ways.size(); ++n) {
+      if (ways[n] == 0) continue;
+      std::uint64_t binom = 1;
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        // binom(n + b, b) = binom(n + b - 1, b - 1) * (n + b) / b, exact
+        // below kExact and non-decreasing in b, so it saturates for good.
+        if (b > 0 && binom < kExact)
+          binom = saturate(u128{binom} * (n + b) / b);
+        next[n + b] = saturating_add(
+            next[n + b],
+            saturate(u128{saturate(u128{ways[n]} * blocks[b])} * binom));
+      }
+    }
+    ways = std::move(next);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t w : ways) total = saturating_add(total, w);
+  if (total >= kExact) return false;
+  total_paths_ = static_cast<double>(total);
+  return true;
+}
+
+template <typename Fn>
+bool ProductGrid::expand(std::size_t n, std::vector<std::uint32_t>& digits,
+                         Fn&& fn) const {
+  std::size_t atomic = 0;
+  std::size_t holder = 0;
+  bool stop = true;
+  for (std::size_t i = 0; i < comps_.size(); ++i) {
+    const Component& c = comps_[i];
+    const std::uint32_t r = digits[i] =
+        static_cast<std::uint32_t>(n % c.stop.size());
+    n /= c.stop.size();
+    if (c.atomic[r]) {
+      ++atomic;
+      holder = i;
+    }
+    stop = stop && c.stop[r];
+  }
+  // Def. 5: the atomic holder moves alone; a tuple with two atomic
+  // components (only ever an initial one) has no moves and, since no stop
+  // state is atomic, is no stop tuple.
+  if (atomic > 1) return false;
+  const std::size_t first = atomic == 0 ? 0 : holder;
+  const std::size_t last = atomic == 0 ? comps_.size() : holder + 1;
+  for (std::size_t i = first; i < last; ++i) {
+    const Component& c = comps_[i];
+    for (std::uint32_t m = c.first_move[digits[i]];
+         m < c.first_move[digits[i] + 1]; ++m)
+      fn(c.moves[m]);
+  }
+  return stop;
 }
 
 std::size_t ProductGrid::slot(std::span<const StateId> states) const {
@@ -198,74 +235,121 @@ double ProductGrid::count_consistent_paths(
                         : static_cast<std::int32_t>(it - kinds.begin());
   }
 
+  return sweep(label_code, obs_kind, util::CancelToken{});
+}
+
+double ProductGrid::sweep(const std::vector<std::int32_t>& label_code,
+                          const std::vector<std::int32_t>& obs_kind,
+                          const util::CancelToken& cancel) const {
   // f(n, j) = number of stop-terminated paths from slot n whose projection
-  // onto `selected` extends observed[j..] as a prefix. An ascending sweep
-  // from the initial slot bounds, per slot, the prefix positions [lo, hi]
-  // a path from the root can bring into it. Every slot a band slot reads
-  // lies in its successor's band, so the descending sweep fills only the
-  // bands, packed slot after slot, and skips the slots no consistent path
-  // reaches. Slots are indexed from the initial one.
+  // onto the visible labels extends observed[j..] as a prefix. A min-heap
+  // pops the slots a consistent path reaches in ascending order, so a slot
+  // pops after every predecessor has widened its band [lo, hi] of the
+  // prefix positions a path from the root brings into it. Each pop keeps
+  // the moves some position survives; every cell a band cell reads lies
+  // in its successor's band, so the fill walks the pops in reverse and
+  // fills only the bands, packed slot after slot.
   constexpr std::uint32_t kNone = ~std::uint32_t{0};
-  const std::uint32_t full = static_cast<std::uint32_t>(olen);
-  const std::size_t span = num_slots_ - initial_;
-  std::vector<std::uint32_t> lo(span, kNone);
-  std::vector<std::uint32_t> hi(span, 0);
-  lo[0] = 0;
-  Odometer up(comps_, initial_);
-  for (std::size_t at = 0; at < span; ++at, up.step(true)) {
-    if (lo[at] == kNone) continue;
-    up.for_each_move([&](const Move& move) {
+  const auto full = static_cast<std::uint32_t>(obs_kind.size());
+  /// A discovered slot, by discovery id.
+  struct Visit {
+    std::uint32_t lo = kNone;
+    std::uint32_t hi = 0;
+    bool stop = false;
+    std::size_t first_kept = 0;  ///< its kept moves: [first_kept, end_kept)
+    std::size_t end_kept = 0;
+    std::size_t base = 0;  ///< memo index of (slot, lo)
+  };
+  /// A move some consistent path takes.
+  struct Kept {
+    std::int32_t code = 0;
+    std::uint32_t to = 0;  ///< the successor's discovery id
+  };
+  std::vector<Visit> visits;
+  std::vector<Kept> kept;
+  std::vector<std::uint32_t> order;  ///< discovery ids in pop order
+  std::unordered_map<std::size_t, std::uint32_t> ids;  ///< slot -> id
+  using Pending = std::pair<std::size_t, std::uint32_t>;  ///< slot, id
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> work;
+  // Slot n, entered with positions [a, b].
+  const auto reach = [&](std::size_t n, std::uint32_t a, std::uint32_t b) {
+    const auto [it, fresh] =
+        ids.try_emplace(n, static_cast<std::uint32_t>(visits.size()));
+    const std::uint32_t id = it->second;
+    if (fresh) {
+      if (visits.size() == kNone)
+        throw std::length_error("ProductGrid: 2^32 slots reached");
+      visits.emplace_back();
+      work.emplace(n, id);
+    }
+    visits[id].lo = std::min(visits[id].lo, a);
+    visits[id].hi = std::max(visits[id].hi, b);
+    return id;
+  };
+
+  std::vector<std::uint32_t> digits(comps_.size());
+  reach(initial_, 0, 0);
+  while (!work.empty()) {
+    if ((order.size() & 1023) == 0 && cancel.cancelled())
+      throw util::CancelledError("interleave.grid");
+    const auto [n, id] = work.top();
+    work.pop();
+    order.push_back(id);
+    const std::uint32_t lo = visits[id].lo;
+    const std::uint32_t hi = visits[id].hi;
+    const std::size_t first_kept = kept.size();
+    const bool stop = expand(n, digits, [&](const Move& move) {
       const std::int32_t code = label_code[move.label];
-      std::uint32_t a = lo[at];
-      std::uint32_t b = hi[at];
+      std::uint32_t a = lo;
+      std::uint32_t b = hi;
       if (code != -2) {
         // A visible step advances the positions whose next observed kind
         // matches; a full prefix tolerates any visible suffix.
         a = kNone;
-        for (std::uint32_t j = lo[at]; j <= hi[at] && j < full; ++j) {
+        for (std::uint32_t j = lo; j <= hi && j < full; ++j) {
           if (obs_kind[j] != code) continue;
           if (a == kNone) a = j + 1;
           b = j + 1;
         }
-        if (hi[at] == full) {
+        if (hi == full) {
           a = std::min(a, full);
           b = full;
         }
         if (a == kNone) return;
       }
-      const std::size_t m = at + move.delta;
-      lo[m] = std::min(lo[m], a);
-      hi[m] = std::max(hi[m], b);
+      kept.push_back(Kept{code, reach(n + move.delta, a, b)});
     });
+    Visit& v = visits[id];
+    v.stop = stop;
+    v.first_kept = first_kept;
+    v.end_kept = kept.size();
   }
+  OBS_COUNT("interleave.grid.visited", order.size());
 
-  std::vector<std::size_t> base(span, 0);  ///< memo index of (n, lo)
   std::size_t cells = 0;
-  for (std::size_t at = 0; at < span; ++at) {
-    if (lo[at] == kNone) continue;
-    base[at] = cells;
-    cells += hi[at] - lo[at] + 1;
+  for (Visit& v : visits) {
+    v.base = cells;
+    cells += v.hi - v.lo + 1;
   }
   std::vector<double> memo(cells, 0.0);
-  Odometer down(comps_, num_slots_ - 1);
-  for (std::size_t at = span; at-- > 0; down.step(false)) {
-    if (lo[at] == kNone) continue;
-    double* row = &memo[base[at]];  // row[j - lo[at]] = f(at, j)
-    if (down.stop() && hi[at] == full) row[full - lo[at]] = 1.0;
-    down.for_each_move([&](const Move& move) {
-      const std::int32_t code = label_code[move.label];
-      const std::size_t m = at + move.delta;
-      const double* succ = &memo[base[m]];  // succ[j - lo[m]] = f(m, j)
-      if (code == -2) {
+  for (auto at = order.rbegin(); at != order.rend(); ++at) {
+    const Visit& v = visits[*at];
+    double* row = &memo[v.base];  // row[j - v.lo] = f(slot, j)
+    if (v.stop && v.hi == full) row[full - v.lo] = 1.0;
+    for (std::size_t e = v.first_kept; e < v.end_kept; ++e) {
+      const Visit& to = visits[kept[e].to];
+      const double* succ = &memo[to.base];  // succ[j - to.lo] = f(m, j)
+      if (kept[e].code == -2) {
         // Invisible step: j -> j over the whole band.
-        const double* same = succ + (lo[at] - lo[m]);
-        for (std::uint32_t j = 0; j <= hi[at] - lo[at]; ++j) row[j] += same[j];
+        const double* same = succ + (v.lo - to.lo);
+        for (std::uint32_t j = 0; j <= v.hi - v.lo; ++j) row[j] += same[j];
       } else {
-        for (std::uint32_t j = lo[at]; j <= hi[at] && j < full; ++j)
-          if (obs_kind[j] == code) row[j - lo[at]] += succ[j + 1 - lo[m]];
-        if (hi[at] == full) row[full - lo[at]] += succ[full - lo[m]];
+        for (std::uint32_t j = v.lo; j <= v.hi && j < full; ++j)
+          if (obs_kind[j] == kept[e].code)
+            row[j - v.lo] += succ[j + 1 - to.lo];
+        if (v.hi == full) row[full - v.lo] += succ[full - to.lo];
       }
-    });
+    }
   }
   return memo[0];
 }

@@ -3,9 +3,11 @@
 // component flows' state tuples, without materializing the product
 // (DESIGN.md §14). Slot sum_i rank_i(s_i) * stride_i numbers each flow's
 // states in topological order, so every product edge raises the slot
-// index and a descending sweep is a reverse topological order. Per slot
-// the DPs add in the product's CSR order, so every count equals the
-// memoized oracle's over the product bit for bit.
+// index. count_paths is a closed form over the component flows; the
+// consistent-path DP visits, in ascending slot order, only the slots a
+// consistent path reaches. Per slot the DPs add in the product's CSR
+// order, so every count equals the memoized oracle's over the product
+// bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -21,7 +23,8 @@ class ProductGrid {
   /// Throws std::invalid_argument on input require_valid_instances
   /// rejects, std::length_error if the grid's slot count prod_i |S_i|
   /// exceeds options.max_nodes, and util::CancelledError when
-  /// options.cancel fires mid-build. Computes count_paths().
+  /// options.cancel has fired before or, when count_paths falls back to a
+  /// sweep, during the build. Computes count_paths().
   static ProductGrid build(const std::vector<IndexedFlow>& instances,
                            const InterleaveOptions& options = {});
 
@@ -56,9 +59,26 @@ class ProductGrid {
     std::vector<std::uint32_t> first_move;  ///< CSR over ranks, size |S|+1
     std::vector<Move> moves;                ///< in the flow's order
   };
-  class Odometer;
 
   ProductGrid() = default;
+
+  /// Initial-to-stop paths of the product, in closed form over the
+  /// components; false if a count reaches 2^53 (the caller sweeps).
+  bool closed_form_paths();
+
+  /// Decodes slot n into `digits` (one rank per component), calls
+  /// fn(move) on every product edge out of n in the product's CSR order
+  /// and returns whether n is a stop tuple.
+  template <typename Fn>
+  bool expand(std::size_t n, std::vector<std::uint32_t>& digits,
+              Fn&& fn) const;
+
+  /// f(initial, 0) of count_consistent_paths for per-label codes
+  /// (-2 invisible, -1 visible but never observed, else the observed kind
+  /// id) and the observation's kind ids; polls `cancel` every 1024 slots.
+  double sweep(const std::vector<std::int32_t>& label_code,
+               const std::vector<std::int32_t>& obs_kind,
+               const util::CancelToken& cancel) const;
 
   std::vector<Component> comps_;
   std::vector<IndexedMessage> labels_;  ///< sorted distinct <m, index>

@@ -63,7 +63,8 @@ util::Result<RobustLocalizationResult> localize_robust(
   if (consistent <= 0.0 && !screened.empty()) {
     out.degraded = true;
     std::size_t lo = 0, hi = screened.size();  // count(lo) > 0 invariant
-    double lo_count = count(0);                // empty prefix: all paths
+    // The empty prefix admits every execution: count(0) == total_paths.
+    double lo_count = total_paths;
     while (lo + 1 < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       const double c = count(mid);

@@ -24,6 +24,7 @@
 #include "testutil.hpp"
 #include "tracesel/query_core.hpp"
 #include "util/framing.hpp"
+#include "util/obs.hpp"
 
 namespace tracesel {
 namespace {
@@ -164,6 +165,31 @@ JobRequest t2_request() {
   req.spec = "t2";
   req.instances = 3;
   return req;
+}
+
+TEST(GridObservability, SweepsVisitOnlyTheSlotsTheyReach) {
+  // interleave.grid.visited counts the slots the grid's sweeps visit: the
+  // closed-form build visits none, and an empty observation visits
+  // exactly the reachable product states.
+  obs::set_enabled(true);
+  obs::reset();
+  const soc::T2Design t2;
+  for (int id = 1; id <= 3; ++id) {
+    const soc::Scenario scenario = soc::scenario_by_id(id);
+    ASSERT_EQ(scenario.instances_per_flow, 2u);
+    (void)flow::ProductGrid::build(soc::scenario_instances(t2, scenario));
+  }
+  EXPECT_EQ(obs::registry().counter_value("interleave.grid.visited"), 0u);
+
+  // Fig. 2: the paper's 15 states of the two-instance interleaving, on a
+  // grid of 16 slots.
+  const CoherenceFixture fx;
+  const flow::ProductGrid grid = fx.two_instance_grid();
+  EXPECT_EQ(grid.num_slots(), 16u);
+  (void)grid.count_consistent_paths({fx.reqE, fx.gntE, fx.ack}, {});
+  EXPECT_EQ(obs::registry().counter_value("interleave.grid.visited"), 15u);
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 class KernelStoreTest : public ::testing::Test {};

@@ -18,6 +18,7 @@
 #include "selection/localization.hpp"
 #include "selection/selector.hpp"
 #include "stats_oracle.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 
 namespace tracesel {
@@ -429,6 +430,23 @@ Chain make_chain(const std::vector<std::uint32_t>& widths) {
   }
   c.flows.push_back(b.build(c.catalog));
   return c;
+}
+
+TEST(ProductOracleDifferential, PathCountsPastTwoToThe53TakeTheSweep) {
+  // Four 16-state chains: 60! / (15!)^4 executions, past 2^53, on a grid
+  // of 16^4 = 65,536 slots, every one reachable. The closed form declines
+  // and count_paths sweeps the grid; the sweep adds in the oracle's order,
+  // so even these rounded counts are the oracle's bit for bit.
+  const Chain c = make_chain(std::vector<std::uint32_t>(15, 1));
+  const auto u = interleave(c.flows, 4);
+  obs::set_enabled(true);
+  obs::reset();
+  const auto grid = flow::ProductGrid::build(u.instances());
+  EXPECT_EQ(obs::registry().counter_value("interleave.grid.visited"), 65536u);
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_GT(grid.count_paths(), 9007199254740992.0);  // 2^53
+  test::expect_product_matches_oracle(u, c.messages, 53, 2);
 }
 
 TEST(KnapsackDifferential, EqualGainEqualWidthTiesPickTheSmallestIds) {

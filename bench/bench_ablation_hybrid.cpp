@@ -17,7 +17,8 @@ int main() {
                 "USB design; leftover buffer bits handed to greedy SRR");
 
   netlist::UsbDesign usb;
-  const auto u = usb.interleaving(2);
+  const auto stats = flow::ProductStats::build(
+      flow::make_instances({&usb.rx_flow(), &usb.tx_flow()}, 2));
   const auto trace = baseline::golden_flop_trace(usb.netlist(), 16, 7);
   const netlist::RestorationEngine engine(usb.netlist());
 
@@ -27,8 +28,8 @@ int main() {
     baseline::HybridOptions opt;
     opt.buffer_width = width;
     opt.sim_cycles = 16;
-    const auto r = baseline::select_hybrid(usb.catalog(), u, usb.netlist(),
-                                           opt);
+    const auto r =
+        baseline::select_hybrid(usb.catalog(), stats, usb.netlist(), opt);
     double known = 0.0;
     if (!r.extra_flops.empty()) {
       const auto res = engine.restore(r.extra_flops, trace);

@@ -17,8 +17,9 @@ int main() {
 
   soc::T2Design design;
   for (const soc::Scenario& s : soc::all_scenarios()) {
-    const auto u = soc::build_interleaving(design, s);
-    const selection::MessageSelector selector(design.catalog(), u);
+    const selection::MessageSelector selector(
+        design.catalog(),
+        flow::ProductStats::build(soc::scenario_instances(design, s)));
 
     std::cout << s.name << ":\n";
     util::Table table({"Buffer", "Util WoP", "Util WP", "Cov WoP", "Cov WP",

@@ -34,8 +34,9 @@ int main() {
   util::Table table({"Scenario", "Mode", "Gain", "Time (ms)",
                      "Optimal?"});
   for (const soc::Scenario& s : soc::all_scenarios()) {
-    const auto u = soc::build_interleaving(design, s);
-    const selection::MessageSelector selector(design.catalog(), u);
+    const selection::MessageSelector selector(
+        design.catalog(),
+        flow::ProductStats::build(soc::scenario_instances(design, s)));
 
     double reference = -1.0;
     for (const auto [mode, name] :

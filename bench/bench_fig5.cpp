@@ -19,8 +19,9 @@ int main() {
 
   soc::T2Design design;
   for (const soc::Scenario& s : soc::all_scenarios()) {
-    const auto u = soc::build_interleaving(design, s);
-    const selection::InfoGainEngine engine(u);
+    const auto stats =
+        flow::ProductStats::build(soc::scenario_instances(design, s));
+    const selection::InfoGainEngine engine(stats);
 
     // All message combinations fitting the 32-bit buffer.
     std::vector<flow::MessageId> candidates;
@@ -38,7 +39,7 @@ int main() {
     gains.reserve(combos.size());
     for (const auto& c : combos) {
       gains.push_back(engine.info_gain(c.messages));
-      coverages.push_back(selection::flow_spec_coverage(u, c.messages));
+      coverages.push_back(selection::flow_spec_coverage(stats, c.messages));
     }
 
     std::cout << s.name << ": " << combos.size()

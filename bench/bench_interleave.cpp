@@ -10,8 +10,10 @@
 //   * Def. 7 coverage of 200 random message subsets,
 //   * Step 2 selection at 16 and 32 bits.
 // Beyond 4 instances only the closed form runs, up to 20; rows whose counts
-// pass 2^64 report the typed overflow error instead of a size. Results land
-// in BENCH_interleave.json.
+// pass 2^64 report the typed overflow error instead of a size. Three more
+// rows put a flow that starts in an atomic state beside 1-3 PIOR instances
+// (the closed form's prefix term) and check it against the product the
+// same way. Results land in BENCH_interleave.json.
 
 #include <bit>
 #include <chrono>
@@ -23,6 +25,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "flow/flow_builder.hpp"
+#include "flow/interleaved_flow.hpp"
 #include "flow/parser.hpp"
 #include "flow/product_stats.hpp"
 #include "selection/coverage.hpp"
@@ -38,6 +42,7 @@ using namespace tracesel;
 
 constexpr std::uint32_t kMaxProduct = 4;  // product oracle up to here
 constexpr std::uint32_t kMaxClosed = 20;
+constexpr std::uint32_t kMaxAtomicStart = 3;
 
 double best_of_us(int repeats, const auto& fn) {
   double best = 1e300;
@@ -52,6 +57,7 @@ double best_of_us(int repeats, const auto& fn) {
 }
 
 struct Row {
+  std::string spec;
   std::uint32_t instances = 0;
   double closed_form_us = 0.0;
   std::optional<flow::ProductStats> stats;  ///< empty: counts overflow
@@ -65,12 +71,12 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// Compares the closed form with the product at one row; returns the
 /// number of mismatching quantities (each reported on stderr).
 int compare_with_product(const flow::MessageCatalog& catalog,
-                         const flow::ProductStats& stats,
+                         const Row& row, const flow::ProductStats& stats,
                          const flow::InterleavedFlow& u) {
   int failures = 0;
   const auto fail = [&](const std::string& what) {
-    std::cerr << "MISMATCH at n=" << u.instances().size() / 2 << ": " << what
-              << '\n';
+    std::cerr << "MISMATCH at " << row.spec << " n=" << row.instances << ": "
+              << what << '\n';
     ++failures;
   };
   if (stats.num_product_states() != u.num_product_states())
@@ -122,53 +128,87 @@ int compare_with_product(const flow::MessageCatalog& catalog,
   return failures;
 }
 
+/// The closed form over `instances` and, when `oracle`, the product built
+/// and compared beside it.
+Row measure(const flow::MessageCatalog& catalog, std::string spec,
+            std::uint32_t n, const std::vector<flow::IndexedFlow>& instances,
+            bool oracle) {
+  Row row;
+  row.spec = std::move(spec);
+  row.instances = n;
+  try {
+    row.closed_form_us = best_of_us(5, [&] {
+      row.stats.emplace(flow::ProductStats::build(instances));
+    });
+  } catch (const std::overflow_error&) {
+    row.stats.reset();
+  }
+  if (oracle) {
+    flow::InterleaveOptions opt;
+    opt.max_nodes = 20'000'000;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto u = flow::InterleavedFlow::build(instances, opt);
+    row.product_build_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    row.product_nodes = u.num_nodes();
+    row.mismatches =
+        row.stats ? compare_with_product(catalog, row, *row.stats, u) : 1;
+  }
+  return row;
+}
+
+/// A flow over PIOR's messages that starts in an atomic state: its prefix
+/// s0 -> s1 enters itself, the non-atomic s2, and the atomic s3, which s2
+/// enters with the same message.
+flow::Flow starts_atomic_flow(const flow::MessageCatalog& catalog) {
+  const auto id = [&](const char* name) { return *catalog.find(name); };
+  flow::FlowBuilder b("StartsAtomic");
+  b.state("s0", flow::FlowBuilder::kInitial | flow::FlowBuilder::kAtomic)
+      .state("s1", flow::FlowBuilder::kAtomic)
+      .state("s2")
+      .state("s3", flow::FlowBuilder::kAtomic)
+      .state("s4", flow::FlowBuilder::kStop)
+      .transition("s0", id("ncupior"), "s1")
+      .transition("s1", id("dmurd"), "s2")
+      .transition("s0", id("siurtn"), "s3")
+      .transition("s2", id("siurtn"), "s3")
+      .transition("s3", id("piordcrd"), "s4");
+  return b.build(catalog);
+}
+
 }  // namespace
 
 int main() {
   const auto spec = flow::parse_flow_spec_file(TRACESEL_DATA_DIR "/t2.flow");
-  const std::vector<const flow::Flow*> flows{&spec.flow("PIOR"),
-                                             &spec.flow("PIOW")};
+  const flow::Flow& pior = spec.flow("PIOR");
+  const std::vector<const flow::Flow*> flows{&pior, &spec.flow("PIOW")};
 
   std::vector<Row> rows;
-  int failures = 0;
-  for (std::uint32_t n = 1; n <= kMaxClosed; ++n) {
-    const auto instances = flow::make_instances(flows, n);
-    Row row;
-    row.instances = n;
-    try {
-      row.closed_form_us = best_of_us(5, [&] {
-        row.stats.emplace(flow::ProductStats::build(instances));
-      });
-    } catch (const std::overflow_error&) {
-      row.stats.reset();
-    }
-    if (n <= kMaxProduct) {
-      flow::InterleaveOptions opt;
-      opt.max_nodes = 20'000'000;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto u = flow::InterleavedFlow::build(instances, opt);
-      row.product_build_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      row.product_nodes = u.num_nodes();
-      row.mismatches = row.stats ? compare_with_product(spec.catalog,
-                                                        *row.stats, u)
-                                 : 1;
-      failures += row.mismatches;
-    }
-    rows.push_back(std::move(row));
+  for (std::uint32_t n = 1; n <= kMaxClosed; ++n)
+    rows.push_back(measure(spec.catalog, "PIOR|||PIOW", n,
+                           flow::make_instances(flows, n), n <= kMaxProduct));
+  const flow::Flow starts_atomic = starts_atomic_flow(spec.catalog);
+  for (std::uint32_t n = 1; n <= kMaxAtomicStart; ++n) {
+    auto instances = flow::make_instances({&pior}, n);
+    instances.insert(instances.begin(), flow::IndexedFlow{&starts_atomic, 1});
+    rows.push_back(
+        measure(spec.catalog, "StartsAtomic|||PIOR", n, instances, true));
   }
+  int failures = 0;
+  for (const Row& r : rows) failures += r.mismatches;
 
-  std::cout << "Closed-form statistics on the t2.flow PIOR ||| PIOW sub-spec "
-               "(n instances of each):\n";
-  util::Table table({"n", "Product states", "Product edges", "Labels",
+  std::cout << "Closed-form statistics on t2.flow's PIOR ||| PIOW (n "
+               "instances of each) and StartsAtomic ||| PIOR (n PIOR "
+               "instances):\n";
+  util::Table table({"Spec", "n", "Product states", "Product edges", "Labels",
                      "Closed form us", "Product nodes", "Product build ms",
                      "Identical"});
   util::Json jrows = util::Json::array();
   for (const Row& r : rows) {
-    const bool oracle = r.instances <= kMaxProduct;
+    const bool oracle = r.product_nodes > 0;
     table.add_row(
-        {std::to_string(r.instances),
+        {r.spec, std::to_string(r.instances),
          r.stats ? std::to_string(r.stats->num_product_states()) : "overflow",
          r.stats ? std::to_string(r.stats->num_product_edges()) : "overflow",
          r.stats ? std::to_string(r.stats->indexed_messages().size()) : "-",
@@ -177,6 +217,7 @@ int main() {
          oracle ? util::fixed(r.product_build_ms, 1) : "-",
          oracle ? (r.mismatches == 0 ? "yes" : "NO") : "-"});
     util::Json jr = util::Json::object();
+    jr.set("spec", util::Json::string(r.spec));
     jr.set("instances_per_flow",
            util::Json::number(std::uint64_t{r.instances}));
     jr.set("overflow", util::Json::boolean(!r.stats));
@@ -198,7 +239,7 @@ int main() {
   std::cout << table << '\n';
 
   util::Json out = util::Json::object();
-  out.set("spec", util::Json::string("t2.flow:PIOR|||PIOW"));
+  out.set("spec", util::Json::string("t2.flow"));
   out.set("rows", std::move(jrows));
   out.set("gates_passed", util::Json::boolean(failures == 0));
   bench::write_json("BENCH_interleave.json", std::move(out));
@@ -208,6 +249,7 @@ int main() {
     return 1;
   }
   std::cout << "Closed form bit-identical to the product at 1-" << kMaxProduct
-            << " instances.\n";
+            << " instances, and with an atomic start at 1-" << kMaxAtomicStart
+            << ".\n";
   return 0;
 }

@@ -60,8 +60,9 @@ BENCHMARK(BM_InfoGainEngineBuild)->Arg(1)->Arg(2)->Arg(3);
 void BM_SelectionSearch(benchmark::State& state) {
   soc::T2Design design;
   const auto scenario = soc::scenario_by_id(static_cast<int>(state.range(0)));
-  const auto u = soc::build_interleaving(design, scenario);
-  const selection::MessageSelector selector(design.catalog(), u);
+  const selection::MessageSelector selector(
+      design.catalog(),
+      flow::ProductStats::build(soc::scenario_instances(design, scenario)));
   selection::SelectorConfig cfg;
   cfg.mode = state.range(1) == 0 ? selection::SearchMode::kMaximal
                                  : selection::SearchMode::kGreedy;
@@ -156,8 +157,9 @@ BENCHMARK(BM_UsbSigSeT)->Arg(8)->Arg(16);
 
 void BM_UsbInfoGain(benchmark::State& state) {
   netlist::UsbDesign usb;
-  const auto u = usb.interleaving(2);
-  const selection::MessageSelector selector(usb.catalog(), u);
+  const selection::MessageSelector selector(
+      usb.catalog(), flow::ProductStats::build(flow::make_instances(
+                         {&usb.rx_flow(), &usb.tx_flow()}, 2)));
   for (auto _ : state) {
     auto r = selector.select({});
     benchmark::DoNotOptimize(r.gain);

@@ -70,8 +70,9 @@ int main() {
   // Flow-level selection, for contrast, runs on the Table 1 flows in
   // milliseconds and captures the messages those registers carry.
   soc::T2Design design;
-  const auto u = soc::build_interleaving(design, soc::scenario1());
-  const selection::MessageSelector selector(design.catalog(), u);
+  const selection::MessageSelector selector(
+      design.catalog(), flow::ProductStats::build(soc::scenario_instances(
+                            design, soc::scenario1())));
   const auto t3 = std::chrono::steady_clock::now();
   const auto r = selector.select({});
   const auto t4 = std::chrono::steady_clock::now();

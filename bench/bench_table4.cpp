@@ -37,8 +37,9 @@ int main() {
   const auto prnet = baseline::select_prnet(usb.netlist());
 
   // Our method selects messages on the two USB flows.
-  const auto u = usb.interleaving(2);
-  const selection::MessageSelector selector(usb.catalog(), u);
+  const selection::MessageSelector selector(
+      usb.catalog(), flow::ProductStats::build(flow::make_instances(
+                         {&usb.rx_flow(), &usb.tx_flow()}, 2)));
   selection::SelectorConfig cfg;
   cfg.buffer_width = 32;
   const auto infogain = selector.select(cfg);
@@ -63,10 +64,11 @@ int main() {
 
   util::Table cov({"Method", "Interface signals fully selected",
                    "Flow spec coverage", "Paper"});
+  const flow::ProductStats& stats = selector.stats();
   cov.add_row({"SigSeT", std::to_string(ss_obs.size()),
-               util::pct(selection::flow_spec_coverage(u, ss_obs)), "9%"});
+               util::pct(selection::flow_spec_coverage(stats, ss_obs)), "9%"});
   cov.add_row({"PRNet", std::to_string(pr_obs.size()),
-               util::pct(selection::flow_spec_coverage(u, pr_obs)),
+               util::pct(selection::flow_spec_coverage(stats, pr_obs)),
                "23.80%"});
   cov.add_row({"InfoGain",
                std::to_string(infogain.combination.messages.size()),

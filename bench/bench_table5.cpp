@@ -85,8 +85,9 @@ int main() {
   // Which messages does the method select (WP, 32-bit buffer), per scenario?
   std::map<flow::MessageId, std::vector<int>> selected_in;
   for (const soc::Scenario& s : scenarios) {
-    const auto u = soc::build_interleaving(design, s);
-    const selection::MessageSelector selector(design.catalog(), u);
+    const selection::MessageSelector selector(
+        design.catalog(),
+        flow::ProductStats::build(soc::scenario_instances(design, s)));
     const auto r = selector.select({});
     for (flow::MessageId m : r.observable()) selected_in[m].push_back(s.id);
   }

@@ -47,7 +47,7 @@ int main() {
   // --- 2. Interleave two legally indexed instances (Fig. 2) ---
   // Selection reads the interleaving's closed-form statistics; no product
   // is materialized for it.
-  QueryCore::interleave(*workload, 2, flow::InterleaveOptions{});
+  QueryCore::interleave(*workload, 2);
   const flow::ProductStats& stats = workload->selector->stats();
   std::cout << "Interleaved flow: " << stats.num_product_states()
             << " states, " << stats.num_product_edges()

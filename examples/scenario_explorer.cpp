@@ -19,11 +19,14 @@ int main(int argc, char** argv) {
 
   for (const soc::Scenario& s : soc::all_scenarios()) {
     if (only != 0 && s.id != only) continue;
-    const auto u = soc::build_interleaving(design, s);
-    const selection::MessageSelector selector(design.catalog(), u);
+    const selection::MessageSelector selector(
+        design.catalog(),
+        flow::ProductStats::build(soc::scenario_instances(design, s)));
+    const flow::ProductStats& stats = selector.stats();
 
-    std::cout << s.name << " (" << u.num_nodes() << " interleaved states, "
-              << u.num_edges() << " message occurrences)\n";
+    std::cout << s.name << " (" << stats.num_product_states()
+              << " interleaved states, " << stats.num_product_edges()
+              << " message occurrences)\n";
     util::Table table({"Buffer", "Mode", "Selected messages", "Packed",
                        "Gain", "Coverage", "Utilization"});
     for (const std::uint32_t width : {8u, 16u, 24u, 32u, 48u, 64u}) {

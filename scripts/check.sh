@@ -30,7 +30,7 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
     ./bench/bench_kernels)
 
 TSAN_TERMS=(Obs LogTest MonteCarlo Resilience CancelToken ArtifactStore
-            QueryCore Kernel Service Framing)
+            QueryCore ProductDifferential Version2 Service Framing)
 cmake -B "$TSAN_BUILD_DIR" -S . -DTRACESEL_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j
 for term in "${TSAN_TERMS[@]}"; do

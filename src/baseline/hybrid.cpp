@@ -5,13 +5,13 @@
 namespace tracesel::baseline {
 
 HybridResult select_hybrid(const flow::MessageCatalog& catalog,
-                           const flow::InterleavedFlow& interleaving,
+                           const flow::ProductStats& stats,
                            const netlist::Netlist& netlist,
                            const HybridOptions& options) {
   HybridResult result;
 
   // Phase 1: application-level messages first.
-  const selection::MessageSelector selector(catalog, interleaving);
+  const selection::MessageSelector selector(catalog, stats);
   selection::SelectorConfig cfg;
   cfg.buffer_width = options.buffer_width;
   cfg.packing = options.packing;

@@ -35,10 +35,10 @@ struct HybridResult {
   }
 };
 
-/// Runs message selection on `interleaving`, then fills the leftover bits
-/// with greedy-SRR flops from `netlist` (1 bit per flop).
+/// Runs message selection on the interleaving's statistics, then fills
+/// the leftover bits with greedy-SRR flops from `netlist` (1 bit per flop).
 HybridResult select_hybrid(const flow::MessageCatalog& catalog,
-                           const flow::InterleavedFlow& interleaving,
+                           const flow::ProductStats& stats,
                            const netlist::Netlist& netlist,
                            const HybridOptions& options = {});
 

@@ -40,17 +40,8 @@ CaseStudyResult run_case_study(const soc::T2Design& design,
   const Workbench workbench(design.catalog(),
                             soc::scenario_flows(design, result.scenario),
                             catalog);
-  WorkbenchConfig config;
-  config.buffer_width = options.buffer_width;
-  config.packing = options.packing;
+  WorkbenchConfig config = options;
   config.instances_per_flow = result.scenario.instances_per_flow;
-  config.sessions = options.sessions;
-  config.seed = options.seed;
-  config.buffer_depth = options.buffer_depth;
-  config.faults = options.faults;
-  config.capture_retries = options.capture_retries;
-  config.unusable_threshold = options.unusable_threshold;
-  config.cause_score_threshold = options.cause_score_threshold;
   static_cast<WorkbenchResult&>(result) = workbench.run(bugs, config);
   return result;
 }

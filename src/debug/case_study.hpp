@@ -12,27 +12,16 @@
 
 namespace tracesel::debug {
 
-struct CaseStudyOptions {
-  std::uint32_t buffer_width = 32;  ///< Table 3 assumes 32 bits
-  bool packing = true;
+/// The workbench knobs of a case study. run_case_study takes
+/// instances_per_flow from the case study's scenario and ignores the
+/// inherited field.
+struct CaseStudyOptions : WorkbenchConfig {
   /// Ignored: the case study's selection step is serial. Kept only so
   /// callers that still set it (the benchmark) compile.
   std::size_t jobs = 1;
-  std::uint32_t sessions = 4;   ///< test repetitions per run
-  std::uint64_t seed = 2018;
-  std::size_t buffer_depth = 1u << 16;
   /// Session at which the active bug arms; > 0 models the long symptom
   /// latencies of Table 2 (golden-looking behaviour first).
   std::uint32_t active_trigger_session = 1;
-
-  /// Capture-channel fault model (disabled by default = perfect channel).
-  soc::FaultProfile faults;
-  /// Recapture attempts with fresh fault seeds on an unusable capture.
-  std::uint32_t capture_retries = 2;
-  /// Invalid-record fraction beyond which a capture counts as unusable.
-  double unusable_threshold = 0.5;
-  /// Minimum agreement score for the confidence-weighted cause verdict.
-  double cause_score_threshold = 0.65;
 };
 
 /// The workbench outcome plus the case study and scenario it ran.

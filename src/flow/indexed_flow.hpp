@@ -3,11 +3,13 @@
 // executions of the same flow are distinguished by their index, mirroring the
 // architectural "tagging" support of real SoCs the paper references.
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "util/cancel.hpp"
 
 namespace tracesel::flow {
 
@@ -29,6 +31,18 @@ inline bool legally_indexed(const std::vector<IndexedFlow>& instances) {
   }
   return true;
 }
+
+/// Knobs for InterleavedFlow::build and ProductGrid::build.
+struct InterleaveOptions {
+  /// Upper bound on materialized nodes (ProductGrid: on grid slots);
+  /// std::length_error beyond it.
+  std::size_t max_nodes = 2'000'000;
+  /// Cooperative cancellation: build() throws util::CancelledError within
+  /// ~1024 expanded nodes of the token reporting cancelled (ProductGrid:
+  /// before count_paths, and every 1024 slots its fallback sweep visits).
+  /// The default (inert) token never cancels.
+  util::CancelToken cancel;
+};
 
 /// Convenience: n instances of each listed flow, indexed 1..n per flow.
 std::vector<IndexedFlow> make_instances(

@@ -8,41 +8,6 @@
 
 namespace tracesel::flow {
 
-namespace {
-
-/// |S| and |E| of the reachable product when no instance starts atomic
-/// (DESIGN.md §9): every tuple with at most one atomic component, and a
-/// transition of F_i fires from each tuple holding its source whose other
-/// components are non-atomic. {0, 0} when an instance starts atomic or
-/// |S| exceeds `cap`.
-std::pair<std::size_t, std::size_t> closed_form_size(
-    const std::vector<IndexedFlow>& instances, std::size_t cap) {
-  std::vector<std::size_t> non_atomic;
-  std::size_t all = 1;  // tuples without an atomic component
-  for (const IndexedFlow& inst : instances) {
-    const Flow& f = *inst.flow;
-    if (f.is_atomic(f.initial_states().front())) return {0, 0};
-    non_atomic.push_back(f.num_states() - f.atomic_states().size());
-    if (all > cap / non_atomic.back()) return {0, 0};
-    all *= non_atomic.back();
-  }
-  unsigned __int128 nodes = all;
-  unsigned __int128 edges = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const std::size_t others = all / non_atomic[i];
-    nodes += static_cast<unsigned __int128>(
-                 instances[i].flow->atomic_states().size()) *
-             others;
-    edges += static_cast<unsigned __int128>(
-                 instances[i].flow->transitions().size()) *
-             others;
-  }
-  if (nodes > cap) return {0, 0};
-  return {static_cast<std::size_t>(nodes), static_cast<std::size_t>(edges)};
-}
-
-}  // namespace
-
 std::vector<IndexedFlow> make_instances(const std::vector<const Flow*>& flows,
                                         std::uint32_t instances_per_flow) {
   if (instances_per_flow == 0)
@@ -152,9 +117,20 @@ void InterleavedFlow::build_graph(const InterleaveOptions& options) {
     }
   }
 
-  // Sized up front when the closed form gives the exact counts: no
-  // interner rehash and no edge-list regrowth during the sweep.
-  const auto [nodes, edges] = closed_form_size(instances_, options.max_nodes);
+  // Sized up front from the closed form's exact counts (DESIGN.md §9)
+  // when they fit the cap: no interner rehash and no edge-list regrowth
+  // during the sweep.
+  std::size_t nodes = 0;
+  std::size_t edges = 0;
+  try {
+    const ProductStats stats = ProductStats::build(instances_);
+    if (stats.num_product_states() <= options.max_nodes) {
+      nodes = stats.num_product_states();
+      edges = stats.num_product_edges();
+    }
+  } catch (const std::overflow_error&) {
+    // Past 64 bits: the cap stops the sweep long before.
+  }
   interner_.reserve(nodes);
   stop_mask_.reserve(nodes);
   out_offset_.reserve(nodes + 1);
@@ -269,7 +245,7 @@ std::size_t InterleavedFlow::occurrences(const IndexedMessage& im) const {
              : label_count_[static_cast<std::size_t>(it - labels_.begin())];
 }
 
-std::vector<InterleavedFlow::LabelClassHistogram>
+std::vector<LabelClassHistogram>
 InterleavedFlow::label_target_histograms() const {
   // Counting-sort the edge targets by label id, then per label count
   // in-edges per target with a scratch array and a touched list.

@@ -14,8 +14,7 @@
 // coverage read flow::ProductStats, which computes the same counts in
 // closed form from the component flows (DESIGN.md §9), and localization
 // counts paths on flow::ProductGrid's state grid (DESIGN.md §14). The
-// product serves random executions, DOT export, the closed form's one
-// fallback and the tests' oracle.
+// product serves random executions, DOT export and the tests' oracle.
 //
 // Product states are packed into 64-bit words (ceil(log2 |S_i|) bits per
 // component) interned in a flat open-addressing table, and outgoing edges
@@ -30,22 +29,10 @@
 
 #include "flow/indexed_flow.hpp"
 #include "flow/packed_key.hpp"
+#include "flow/product_stats.hpp"
 #include "flow/types.hpp"
-#include "util/cancel.hpp"
 
 namespace tracesel::flow {
-
-/// Knobs for InterleavedFlow::build and ProductGrid::build.
-struct InterleaveOptions {
-  /// Upper bound on materialized nodes (ProductGrid: on grid slots);
-  /// std::length_error beyond it.
-  std::size_t max_nodes = 2'000'000;
-  /// Cooperative cancellation: build() throws util::CancelledError within
-  /// ~1024 expanded nodes of the token reporting cancelled (ProductGrid:
-  /// before count_paths, and every 1024 slots its fallback sweep visits).
-  /// The default (inert) token never cancels.
-  util::CancelToken cancel;
-};
 
 class InterleavedFlow {
  public:
@@ -91,15 +78,6 @@ class InterleavedFlow {
    private:
     std::uint32_t first_;
     std::uint32_t last_;
-  };
-
-  /// Per-label class histogram of in-edge counts over the product:
-  /// classes[j] = (c, k) means k product states have exactly c in-edges
-  /// labeled `label`. The Step 2 info-gain engine is computed from this
-  /// shape (flow::ProductStats produces it in closed form).
-  struct LabelClassHistogram {
-    IndexedMessage label;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> classes;
   };
 
   /// Builds the reachable product of a legally indexed set of instances.

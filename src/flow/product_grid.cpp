@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "flow/product_stats.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel::flow {
@@ -96,7 +95,7 @@ ProductGrid ProductGrid::build(const std::vector<IndexedFlow>& instances,
 
   // Past the closed form's reach, count_paths is the consistent-path sweep
   // of an empty observation with every label invisible.
-  if (!ProductStats::closed_form_applies(instances) || !g.closed_form_paths())
+  if (!g.closed_form_paths())
     g.total_paths_ =
         g.sweep(std::vector<std::int32_t>(g.labels_.size(), -2), {},
                 options.cancel);
@@ -104,12 +103,14 @@ ProductGrid ProductGrid::build(const std::vector<IndexedFlow>& instances,
 }
 
 bool ProductGrid::closed_form_paths() {
-  // Every component starts non-atomic and no stop state is atomic, so a
-  // component's execution is a sequence of whole blocks: one move out of a
-  // non-atomic state plus the atomic run after it. Under Def. 5 the blocks
-  // of different components interleave freely, so the executions are
-  // sum_n ways[n], where ways[n] counts the interleavings of the
-  // components so far that reach a stop tuple after n blocks in all.
+  // No stop state is atomic, so a component's execution is a sequence of
+  // whole blocks: one move out of a non-atomic state plus the atomic run
+  // after it. Under Def. 5 the blocks of different components interleave
+  // freely, so the executions are sum_n ways[n], where ways[n] counts the
+  // interleavings of the components so far that reach a stop tuple after
+  // n blocks in all. A component that starts atomic first runs alone to a
+  // non-atomic state; that run precedes every other move and adds no
+  // block.
   std::vector<std::uint64_t> ways{1};
   for (const Component& c : comps_) {
     // reach[r][b]: paths from the initial state to rank r over b blocks;

@@ -14,7 +14,9 @@
 #include <span>
 #include <vector>
 
-#include "flow/interleaved_flow.hpp"
+#include "flow/indexed_flow.hpp"
+#include "flow/types.hpp"
+#include "util/cancel.hpp"
 
 namespace tracesel::flow {
 

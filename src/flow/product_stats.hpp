@@ -13,10 +13,12 @@
 //   |S|        = prod N_j + sum_a A_a * prod_{j!=a} N_j
 //   occ(m,idx) = sum_{i: idx_i = idx} #m-transitions(F_i) * prod_{j!=i} N_j
 //
-// ProductStats computes them from the instance list in microseconds without
-// materializing U. The one input the closed form does not cover is a flow
-// whose initial state is atomic; for it (and only it) the statistics are
-// counted on the unreduced product, so the answers are exact either way.
+// When one instance a starts in an atomic state, its prefix Q (the states
+// no non-atomic state of a reaches) runs alone before anything else moves:
+// the reachable product is the closed form's tuple set over a without Q,
+// plus one tuple (q, initial states of the others) per q in Q, and the
+// statistics add that prefix term. ProductStats computes every count from
+// the instance list in microseconds without materializing U.
 
 #include <cstdint>
 #include <span>
@@ -25,35 +27,34 @@
 #include <vector>
 
 #include "flow/indexed_flow.hpp"
-#include "flow/interleaved_flow.hpp"
 #include "flow/types.hpp"
+#include "util/cancel.hpp"
 
 namespace tracesel::flow {
 
+class InterleavedFlow;
+
+/// Per-label class histogram of in-edge counts over the product:
+/// classes[j] = (c, k) means k product states have exactly c in-edges
+/// labeled `label`. The Step 2 info-gain engine is computed from this
+/// shape.
+struct LabelClassHistogram {
+  IndexedMessage label;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> classes;
+};
+
 class ProductStats {
  public:
-  using LabelClassHistogram = InterleavedFlow::LabelClassHistogram;
-
-  /// Statistics of the interleaving of `instances`. Rejects the same input
-  /// InterleavedFlow::build rejects (std::invalid_argument), throws
-  /// std::overflow_error when a count exceeds 64 bits and
-  /// util::CancelledError when options.cancel has fired. The rest of
-  /// `options` applies only when the closed form does not and the product
-  /// is built.
+  /// Statistics of the interleaving of `instances`, in closed form.
+  /// Rejects the input require_valid_instances rejects
+  /// (std::invalid_argument), throws std::overflow_error when a count
+  /// exceeds 64 bits and util::CancelledError when `cancel` has fired.
   static ProductStats build(std::vector<IndexedFlow> instances,
-                            const InterleaveOptions& options = {});
+                            const util::CancelToken& cancel = {});
 
-  /// Statistics of an already built product: the closed form over its
-  /// instances when it applies, otherwise counted on `u` itself.
-  static ProductStats of(const InterleavedFlow& u);
-
-  /// Statistics counted on the product's nodes and edges — the fallback
-  /// path and the oracle the closed form is tested against.
+  /// Statistics counted on the product's nodes and edges — the oracle the
+  /// closed form is tested against.
   static ProductStats count(const InterleavedFlow& u);
-
-  /// True when every instance starts in a non-atomic state, i.e. the
-  /// closed form describes the reachable product exactly.
-  static bool closed_form_applies(const std::vector<IndexedFlow>& instances);
 
   const std::vector<IndexedFlow>& instances() const { return instances_; }
   /// Whether these statistics came from the closed form (false: counted on
@@ -86,6 +87,10 @@ class ProductStats {
   ProductStats() = default;
 
   void closed_form_counts();
+  /// Whether state v of instance i lies in the atomic-start prefix Q.
+  bool in_prefix(std::size_t i, StateId v) const {
+    return i == prefix_owner_ && prefix_[v] != 0;
+  }
 
   std::vector<IndexedFlow> instances_;
   bool closed_form_ = false;
@@ -99,6 +104,10 @@ class ProductStats {
   // product of the other instances' N_j.
   std::vector<std::uint64_t> non_atomic_;
   std::vector<std::uint64_t> others_;
+  // The instance that starts atomic, if any, and its prefix Q, by
+  // StateId.
+  std::size_t prefix_owner_ = ~std::size_t{0};
+  std::vector<std::uint8_t> prefix_;
   // Counted on the product: states grouped by the sorted set of messages
   // labelling their in-edges (states without in-edges are never visible).
   std::vector<std::pair<std::vector<MessageId>, std::uint64_t>> entered_by_;

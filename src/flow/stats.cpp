@@ -1,7 +1,6 @@
 #include "flow/stats.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace tracesel::flow {
 
@@ -51,21 +50,6 @@ FlowStats flow_stats(const Flow& flow) {
     s.depth = std::max(s.depth, depth[root]);
   }
   return s;
-}
-
-std::vector<std::pair<MessageId, std::size_t>> message_histogram(
-    const InterleavedFlow& u) {
-  // Sum the occurrence counts over the indexed instances of each message.
-  std::map<MessageId, std::size_t> counts;
-  for (const IndexedMessage& im : u.indexed_messages())
-    counts[im.message] += u.occurrences(im);
-  std::vector<std::pair<MessageId, std::size_t>> out(counts.begin(),
-                                                     counts.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  return out;
 }
 
 }  // namespace tracesel::flow

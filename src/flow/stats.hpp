@@ -1,13 +1,11 @@
 #pragma once
-// Structural statistics of flows and interleavings — the numbers a DfD
-// architect inspects before committing to a trace plan (`tracesel inspect`
-// prints flow_stats).
+// Structural statistics of a flow — the numbers a DfD architect inspects
+// before committing to a trace plan (`tracesel inspect` prints them).
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "flow/interleaved_flow.hpp"
+#include "flow/flow.hpp"
 
 namespace tracesel::flow {
 
@@ -27,10 +25,5 @@ struct FlowStats {
 };
 
 FlowStats flow_stats(const Flow& flow);
-
-/// Occurrence counts per (unindexed) message over the interleaving's
-/// edges, sorted descending — the raw marginals behind the paper's p(y).
-std::vector<std::pair<MessageId, std::size_t>> message_histogram(
-    const InterleavedFlow& u);
 
 }  // namespace tracesel::flow

@@ -6,9 +6,6 @@
 
 namespace tracesel::selection {
 
-InfoGainEngine::InfoGainEngine(const flow::InterleavedFlow& u)
-    : InfoGainEngine(flow::ProductStats::of(u)) {}
-
 InfoGainEngine::InfoGainEngine(const flow::ProductStats& stats) {
   OBS_SPAN("selection.gain.engine_build");
   // The statistics reduce the per-edge terms to in-edge class histograms

@@ -33,8 +33,6 @@ class InfoGainEngine {
  public:
   /// Reads only the product statistics; nothing refers back to `stats`.
   explicit InfoGainEngine(const flow::ProductStats& stats);
-  /// The engine over flow::ProductStats::of(u).
-  explicit InfoGainEngine(const flow::InterleavedFlow& u);
 
   /// I(X;Y) for the combination given as a set of message ids: the
   /// per-message contributions summed in argument order. All indexed

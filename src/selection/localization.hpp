@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "flow/interleaved_flow.hpp"
 #include "flow/product_grid.hpp"
 #include "util/result.hpp"
 

@@ -22,7 +22,7 @@ MessageSelector::MessageSelector(const flow::MessageCatalog& catalog,
 
 MessageSelector::MessageSelector(const flow::MessageCatalog& catalog,
                                  const flow::InterleavedFlow& u)
-    : MessageSelector(catalog, flow::ProductStats::of(u)) {}
+    : MessageSelector(catalog, flow::ProductStats::build(u.instances())) {}
 
 Combination MessageSelector::search_exhaustive(const SelectorConfig& config,
                                                bool maximal_only) const {

@@ -90,7 +90,9 @@ class MessageSelector {
   /// product's edges (i.e. the participating flows' alphabets).
   MessageSelector(const flow::MessageCatalog& catalog,
                   flow::ProductStats stats);
-  /// The selector over flow::ProductStats::of(u); reads no product state.
+  /// The selector over flow::ProductStats::build(u.instances()); reads no
+  /// product state. Kept for callers (the benchmark) that still hold the
+  /// materialized product.
   MessageSelector(const flow::MessageCatalog& catalog,
                   const flow::InterleavedFlow& u);
 

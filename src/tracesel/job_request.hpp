@@ -16,7 +16,7 @@
 //   - the structure:  every knob that can change the *bits* of the result
 //                     (buffer width, search mode, packing, combination cap);
 //   - the runtime:    knobs that change only whether a run finishes
-//                     (deadline, node cap) — excluded from the canonical
+//                     (the deadline) — excluded from the canonical
 //                     hash, because failed or partial runs are never
 //                     cached.
 //
@@ -30,7 +30,7 @@
 #include <string>
 #include <string_view>
 
-#include "flow/interleaved_flow.hpp"
+#include "flow/indexed_flow.hpp"
 #include "selection/selector.hpp"
 #include "util/result.hpp"
 
@@ -73,9 +73,10 @@ struct JobRequest {
   // --- runtime knobs (never hashed: a deadline either leaves the result
   //     complete or marks it partial — and partial results are never
   //     cached) ---
-  /// Node cap of a product build: the closed form's fallback (a flow with
-  /// an atomic initial state). It decides whether such a job fails, never
-  /// its bits.
+  /// Ignored: selection counts every valid spec in closed form and builds
+  /// no product. Still on the wire, because journals carry it, and handed
+  /// out by interleave_options() to callers (the benchmark) that build a
+  /// product themselves.
   std::uint64_t max_nodes = 2'000'000;
   /// 0 = no deadline. Mapped onto a util::CancelToken deadline by the
   /// daemon; the engine returns the best-so-far partial result when it

@@ -45,7 +45,7 @@ std::unique_ptr<Workload> QueryCore::workload_usb() {
 }
 
 void QueryCore::interleave(Workload& w, std::uint32_t instances,
-                           const flow::InterleaveOptions& options) {
+                           const util::CancelToken& cancel) {
   OBS_SPAN("session.interleave");
   std::vector<flow::IndexedFlow> indexed;
   if (w.t2) {
@@ -64,7 +64,7 @@ void QueryCore::interleave(Workload& w, std::uint32_t instances,
   }
   w.u.reset();
   w.selector = std::make_unique<selection::MessageSelector>(
-      *w.catalog, flow::ProductStats::build(std::move(indexed), options));
+      *w.catalog, flow::ProductStats::build(std::move(indexed), cancel));
 }
 
 util::Result<std::uint64_t> QueryCore::source_hash(const JobRequest& req) {
@@ -115,9 +115,7 @@ std::unique_ptr<Workload> QueryCore::build_workload(const JobRequest& req,
   }
   w->source_hash = hash;
 
-  flow::InterleaveOptions opt = req.interleave_options();
-  opt.cancel = std::move(cancel);
-  interleave(*w, req.instances, opt);
+  interleave(*w, req.instances, cancel);
   return w;
 }
 

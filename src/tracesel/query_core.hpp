@@ -76,12 +76,11 @@ class QueryCore {
   static std::unique_ptr<Workload> workload_usb();
 
   /// Computes the statistics of the workload's interleaving (spec/usb:
-  /// `instances` indexed instances per flow; t2: scenario id) and the
-  /// selector over them, dropping any stale product. Builds no product
-  /// unless the closed form's fallback needs one, which is the only use of
-  /// `options` (failures throw std::length_error, util::CancelledError).
+  /// `instances` indexed instances per flow; t2: scenario id) in closed
+  /// form and the selector over them, dropping any stale product. Throws
+  /// util::CancelledError when `cancel` has fired on entry.
   static void interleave(Workload& w, std::uint32_t instances,
-                         const flow::InterleaveOptions& options);
+                         const util::CancelToken& cancel = {});
 
   // --- content addressing ---
   /// FNV-1a over the spec content the request resolves to: inline text,
@@ -114,8 +113,8 @@ class QueryCore {
   /// (cached). `store` may be null (no caching). Partial results
   /// (cancelled / deadline) are returned but never cached. A typed error
   /// when the spec file cannot be read; parse and engine failures throw,
-  /// including util::CancelledError when `cancel` fires during a fallback
-  /// product build.
+  /// including util::CancelledError when `cancel` has fired before the
+  /// statistics are built.
   static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
                                    util::CancelToken cancel);
 };

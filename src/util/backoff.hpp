@@ -14,8 +14,8 @@
 // the upcoming attempt (attempt 0 -> initial_ms scaled by jitter, then
 // doubling — or whatever `multiplier` says — up to cap_ms). Jitter draws
 // from a private Rng stream seeded with (policy.seed, stream), so two
-// retriers with different stream ids (e.g. work-unit ids) decorrelate while
-// staying reproducible.
+// retriers with different stream ids decorrelate while staying
+// reproducible.
 
 #include <chrono>
 #include <cstdint>
@@ -24,8 +24,8 @@
 
 namespace tracesel::util {
 
-/// The shape of a retry schedule. Defaults suit in-process retries; the
-/// distributed coordinator overrides them per deployment.
+/// The shape of a retry schedule. The defaults suit the submit client's
+/// reconnects; the workbench passes its own recapture schedule.
 struct BackoffPolicy {
   std::uint32_t initial_ms = 10;  ///< base delay before the first retry
   double multiplier = 2.0;        ///< growth factor per attempt
@@ -38,8 +38,7 @@ struct BackoffPolicy {
 
 class Backoff {
  public:
-  /// `stream` decorrelates independent retriers sharing one policy (the
-  /// distributed coordinator passes the work-unit id).
+  /// `stream` decorrelates independent retriers sharing one policy.
   explicit Backoff(BackoffPolicy policy = {}, std::uint64_t stream = 0)
       : policy_(policy), stream_(stream), rng_(mix(policy.seed, stream)) {}
 

@@ -842,7 +842,7 @@ void adopt_remote_telemetry(ProcessTelemetry remote) {
   std::lock_guard<std::mutex> lk(s.mu);
   for (ProcessTelemetry& lane : s.adopted) {
     if (lane.pid == remote.pid && lane.label == remote.label) {
-      // Repeat adoption (a worker reporting per-unit): one lane, summed
+      // Repeat adoption (one daemon answering several jobs): one lane, summed
       // metrics, appended events.
       merge_metrics(lane.metrics, remote.metrics);
       lane.events.insert(lane.events.end(),

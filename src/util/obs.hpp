@@ -37,10 +37,11 @@
 // Distributed tracing (DESIGN.md §15): every span carries a process-unique
 // span id and the id of its parent (the innermost open span on the same
 // thread, or the process-global TraceContext parent for thread roots). A
-// coordinating process stamps its TraceContext into the frames it sends;
-// the remote process installs it, so its root spans parent under the
-// coordinator's span. At completion the remote ships a ProcessTelemetry
-// (metrics snapshot + trace events + its steady-clock epoch) back;
+// `tracesel submit` client stamps its TraceContext into the job request;
+// the daemon (traceseld) installs it, so the job's root span parents
+// under the client's submit span. With the result the daemon ships a
+// ProcessTelemetry (metrics snapshot + trace events + its steady-clock
+// epoch) back;
 // adopt_remote_telemetry() rebases the events onto the local epoch
 // (CLOCK_MONOTONIC is machine-wide, so the correction is exact) and the
 // export paths then emit one Chrome trace lane per process and one
@@ -85,9 +86,8 @@ void reset();
 
 /// Cross-process trace identity. `trace_id` names the whole distributed
 /// trace; `parent_span_id` is the span a thread-root span parents under
-/// (0 = no parent). Stamped into work-unit frames by the coordinator and
-/// into JobRequests by daemon clients; installed by the remote process
-/// before it opens its root span.
+/// (0 = no parent). Stamped into JobRequests by daemon clients; installed
+/// by the daemon before it opens the job's root span.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
@@ -100,12 +100,12 @@ TraceContext trace_context();
 TraceContext ensure_trace_context();
 
 /// Span id of the calling thread's innermost open span (0 when none, or
-/// when the layer is off). This is what a coordinator stamps into frames
-/// as the remote side's parent_span_id.
+/// when the layer is off). This is what a submit client stamps into its
+/// request as the daemon's parent_span_id.
 std::uint64_t current_span_id();
 
 /// Human-readable process lane label for the Chrome trace ("tracesel",
-/// "tracesel-worker", "traceseld"). Spaces are normalized to '_'.
+/// "traceseld"). Spaces are normalized to '_'.
 void set_process_label(std::string_view label);
 std::string process_label();
 
@@ -262,7 +262,7 @@ inline constexpr std::uint32_t kTelemetryVersion = 1;
 std::int64_t trace_epoch_ns();
 
 /// Snapshot of this process's telemetry (label, pid, epoch, metrics,
-/// events) — what a worker ships back at work-unit completion.
+/// events) — what the daemon ships back with a job's result.
 ProcessTelemetry capture_telemetry();
 
 /// Versioned, checksummed text encoding ("tracesel-telemetry" envelope).

@@ -10,13 +10,14 @@ namespace {
 class HybridTest : public ::testing::Test {
  protected:
   netlist::UsbDesign usb_;
-  flow::InterleavedFlow u_ = usb_.interleaving(2);
+  flow::ProductStats stats_ = flow::ProductStats::build(
+      flow::make_instances({&usb_.rx_flow(), &usb_.tx_flow()}, 2));
 };
 
 TEST_F(HybridTest, FillsLeftoverWithFlops) {
   HybridOptions opt;
   opt.buffer_width = 32;
-  const auto r = select_hybrid(usb_.catalog(), u_, usb_.netlist(), opt);
+  const auto r = select_hybrid(usb_.catalog(), stats_, usb_.netlist(), opt);
   // All 10 USB messages fit in 26 bits; the remaining 6 go to flops.
   EXPECT_EQ(r.messages.combination.messages.size(), 10u);
   EXPECT_EQ(r.extra_flops.size(),
@@ -31,8 +32,9 @@ TEST_F(HybridTest, MessagesKeepPriority) {
   // the message-only selection.
   HybridOptions opt;
   opt.buffer_width = 32;
-  const auto hybrid = select_hybrid(usb_.catalog(), u_, usb_.netlist(), opt);
-  const selection::MessageSelector selector(usb_.catalog(), u_);
+  const auto hybrid =
+      select_hybrid(usb_.catalog(), stats_, usb_.netlist(), opt);
+  const selection::MessageSelector selector(usb_.catalog(), stats_);
   const auto alone = selector.select({});
   EXPECT_EQ(hybrid.messages.combination.messages,
             alone.combination.messages);
@@ -42,7 +44,7 @@ TEST_F(HybridTest, MessagesKeepPriority) {
 TEST_F(HybridTest, NoLeftoverNoFlops) {
   HybridOptions opt;
   opt.buffer_width = 26;  // exactly the message width
-  const auto r = select_hybrid(usb_.catalog(), u_, usb_.netlist(), opt);
+  const auto r = select_hybrid(usb_.catalog(), stats_, usb_.netlist(), opt);
   EXPECT_EQ(r.messages.used_width, 26u);
   EXPECT_TRUE(r.extra_flops.empty());
   EXPECT_DOUBLE_EQ(r.srr, 0.0);
@@ -51,7 +53,7 @@ TEST_F(HybridTest, NoLeftoverNoFlops) {
 TEST_F(HybridTest, ExtraFlopsAreRealFlops) {
   HybridOptions opt;
   opt.buffer_width = 40;
-  const auto r = select_hybrid(usb_.catalog(), u_, usb_.netlist(), opt);
+  const auto r = select_hybrid(usb_.catalog(), stats_, usb_.netlist(), opt);
   EXPECT_FALSE(r.extra_flops.empty());
   for (const auto f : r.extra_flops)
     EXPECT_EQ(usb_.netlist().gate(f).type, netlist::GateType::kFlop);
@@ -64,8 +66,8 @@ TEST_F(HybridTest, ExtraFlopsAreRealFlops) {
 TEST_F(HybridTest, DeterministicForSeed) {
   HybridOptions opt;
   opt.buffer_width = 36;
-  const auto a = select_hybrid(usb_.catalog(), u_, usb_.netlist(), opt);
-  const auto b = select_hybrid(usb_.catalog(), u_, usb_.netlist(), opt);
+  const auto a = select_hybrid(usb_.catalog(), stats_, usb_.netlist(), opt);
+  const auto b = select_hybrid(usb_.catalog(), stats_, usb_.netlist(), opt);
   EXPECT_EQ(a.extra_flops, b.extra_flops);
   EXPECT_DOUBLE_EQ(a.srr, b.srr);
 }

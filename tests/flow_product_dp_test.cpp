@@ -63,7 +63,7 @@ std::vector<flow::MessageId> alphabet(const flow::InterleavedFlow& u) {
   return out;
 }
 
-class KernelDifferentialTest : public ::testing::Test {
+class ProductDifferentialTest : public ::testing::Test {
  protected:
   CoherenceFixture fx_;
   soc::T2Design t2_;
@@ -92,7 +92,7 @@ class KernelDifferentialTest : public ::testing::Test {
   }
 };
 
-TEST_F(KernelDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
+TEST_F(ProductDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
   std::uint64_t seed = 1;
   for (const Workload& w : matrix()) {
     SCOPED_TRACE(w.name);
@@ -100,7 +100,7 @@ TEST_F(KernelDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
     test::expect_product_matches_oracle(u, alphabet(u), seed++, 16);
 
     // The gains read off the product's histograms are the closed form's.
-    const selection::InfoGainEngine counted(u);
+    const selection::InfoGainEngine counted(flow::ProductStats::count(u));
     const selection::InfoGainEngine closed(
         flow::ProductStats::build(u.instances()));
     EXPECT_EQ(bits(counted.max_gain()), bits(closed.max_gain()));
@@ -110,7 +110,7 @@ TEST_F(KernelDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
   }
 }
 
-TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
+TEST_F(ProductDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
   // Selection over the product's own statistics against the closed form
   // QueryCore reads, for the exact and an exponential search mode (and the
   // ignored jobs field at two values).
@@ -133,7 +133,7 @@ TEST_F(KernelDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
   }
 }
 
-TEST_F(KernelDifferentialTest, FlowConstraintSelectionBitIdentical) {
+TEST_F(ProductDifferentialTest, FlowConstraintSelectionBitIdentical) {
   selection::SelectorConfig cfg;
   cfg.buffer_width = 16;
   const flow::InterleavedFlow u = usb_.interleaving(1);
@@ -169,8 +169,8 @@ JobRequest t2_request() {
 
 TEST(GridObservability, SweepsVisitOnlyTheSlotsTheyReach) {
   // interleave.grid.visited counts the slots the grid's sweeps visit: the
-  // closed-form build visits none, and an empty observation visits
-  // exactly the reachable product states.
+  // closed-form build visits none, an atomic start included, and an empty
+  // observation visits exactly the reachable product states.
   obs::set_enabled(true);
   obs::reset();
   const soc::T2Design t2;
@@ -179,6 +179,13 @@ TEST(GridObservability, SweepsVisitOnlyTheSlotsTheyReach) {
     ASSERT_EQ(scenario.instances_per_flow, 2u);
     (void)flow::ProductGrid::build(soc::scenario_instances(t2, scenario));
   }
+  EXPECT_EQ(obs::registry().counter_value("interleave.grid.visited"), 0u);
+
+  // So is a flow that starts in an atomic state.
+  CoherenceFixture atomic_fx;
+  const flow::Flow starts_atomic = atomic_fx.starts_atomic_flow();
+  (void)flow::ProductGrid::build(
+      {{&starts_atomic, 1}, {&atomic_fx.flow_, 1}, {&atomic_fx.flow_, 2}});
   EXPECT_EQ(obs::registry().counter_value("interleave.grid.visited"), 0u);
 
   // Fig. 2: the paper's 15 states of the two-instance interleaving, on a
@@ -192,9 +199,9 @@ TEST(GridObservability, SweepsVisitOnlyTheSlotsTheyReach) {
   obs::reset();
 }
 
-class KernelStoreTest : public ::testing::Test {};
+class Version2RecordTest : public ::testing::Test {};
 
-TEST_F(KernelStoreTest, QueryCoreSharesResultsAcrossModes) {
+TEST_F(Version2RecordTest, QueryCoreSharesResultsAcrossModes) {
   // Records that named either engine are the same computation as today's
   // request: one cache entry serves all three.
   ArtifactStore store;
@@ -211,7 +218,7 @@ TEST_F(KernelStoreTest, QueryCoreSharesResultsAcrossModes) {
   }
 }
 
-TEST_F(KernelStoreTest, WireEncodingRoundTripsKernelMode) {
+TEST_F(Version2RecordTest, WireEncodingRoundTripsKernelMode) {
   // Today's envelope carries no kernel line.
   const std::string wire = serialize_job_request(t2_request());
   EXPECT_EQ(wire.rfind("tracesel-job " + std::to_string(JobRequest::kVersion) +
@@ -233,7 +240,7 @@ TEST_F(KernelStoreTest, WireEncodingRoundTripsKernelMode) {
   EXPECT_FALSE(parse_job_request(version2_record(t2_request(), "fast")).ok());
 }
 
-TEST_F(KernelStoreTest, ServeProducesIdenticalReportsAcrossModes) {
+TEST_F(Version2RecordTest, ServeProducesIdenticalReportsAcrossModes) {
   const std::string socket =
       "/tmp/tskern_" + std::to_string(::getpid()) + ".sock";
   service::ServerOptions opt;

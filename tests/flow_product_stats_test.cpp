@@ -112,20 +112,13 @@ TEST(ClosedFormStats, SelectionMatchesTheProductCountedStatistics) {
   }
 }
 
-TEST(ClosedFormStats, AtomicInitialStateTakesTheProductFallback) {
+TEST(ClosedFormStats, AtomicInitialStateIsCountedInClosedForm) {
   CoherenceFixture fx;
-  const flow::MessageId go = fx.catalog.add("go", 1, "X", "Y");
-  flow::FlowBuilder fb("starts_atomic");
-  fb.state("s0", flow::FlowBuilder::kInitial | flow::FlowBuilder::kAtomic)
-      .state("s1")
-      .state("s2", flow::FlowBuilder::kStop)
-      .transition("s0", go, "s1")
-      .transition("s1", fx.ack, "s2");
-  const flow::Flow f = fb.build(fx.catalog);
+  const flow::Flow f = fx.starts_atomic_flow();
   const std::vector<flow::IndexedFlow> instances{
       {&f, 1}, {&fx.flow_, 1}, {&fx.flow_, 2}};
-  EXPECT_FALSE(ProductStats::closed_form_applies(instances));
-  EXPECT_FALSE(ProductStats::build(instances).closed_form());
+  // The prefix s0 runs alone; the closed form adds its one tuple and edge.
+  EXPECT_TRUE(ProductStats::build(instances).closed_form());
   expect_stats_match_product(InterleavedFlow::build(instances),
                              alphabet(fx.catalog), 5);
   // Two instances starting atomic break the Atom mutex from the start.

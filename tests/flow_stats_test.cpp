@@ -67,28 +67,5 @@ TEST(InterleavingStats, DensityIsOneWithoutAtomicStates) {
             ProductGrid::build(instances).num_slots());
 }
 
-TEST(MessageHistogram, SymmetricInstancesEqualCounts) {
-  const CoherenceFixture fx;
-  const auto u = fx.two_instance_interleaving();
-  const auto hist = message_histogram(u);
-  ASSERT_EQ(hist.size(), 3u);
-  // Each message labels 6 edges (3 per instance); ties sorted by id.
-  for (const auto& [m, count] : hist) EXPECT_EQ(count, 6u);
-  EXPECT_EQ(hist[0].first, fx.reqE);
-}
-
-TEST(MessageHistogram, SortedDescending) {
-  const soc::T2Design design;
-  const auto u = flow::InterleavedFlow::build(
-      make_instances({&design.pior(), &design.piow()}, 2));
-  const auto hist = message_histogram(u);
-  for (std::size_t i = 1; i < hist.size(); ++i)
-    EXPECT_GE(hist[i - 1].second, hist[i].second);
-  // Total equals the concrete product edge count.
-  std::size_t total = 0;
-  for (const auto& [m, c] : hist) total += c;
-  EXPECT_EQ(total, u.num_product_edges());
-}
-
 }  // namespace
 }  // namespace tracesel::flow

@@ -179,13 +179,13 @@ inline double count_consistent_paths_multiset(
 
 /// In-edge class histograms of every label, from nested maps over the edge
 /// list.
-inline std::vector<flow::InterleavedFlow::LabelClassHistogram> histograms(
+inline std::vector<flow::LabelClassHistogram> histograms(
     const flow::InterleavedFlow& u) {
   std::map<flow::IndexedMessage,
            std::unordered_map<flow::NodeId, std::uint64_t>>
       cnt;
   for (const auto& e : u.edges()) ++cnt[e.label][e.to];
-  std::vector<flow::InterleavedFlow::LabelClassHistogram> out;
+  std::vector<flow::LabelClassHistogram> out;
   for (const auto& [label, targets] : cnt) {
     std::map<std::uint64_t, std::uint64_t> classes;
     for (const auto& [node, c] : targets) ++classes[c];

@@ -17,7 +17,7 @@ class InfoGainTest : public ::testing::Test {
  protected:
   CoherenceFixture fx_;
   flow::InterleavedFlow u_ = fx_.two_instance_interleaving();
-  InfoGainEngine engine_{u_};
+  InfoGainEngine engine_{flow::ProductStats::build(u_.instances())};
 };
 
 TEST_F(InfoGainTest, ReproducesPaperWorkedExample) {
@@ -76,7 +76,7 @@ TEST_F(InfoGainTest, UnusedMessageContributesZeroGain) {
   CoherenceFixture fx2;
   const MessageId ghost = fx2.catalog.add("ghost", 1, "A", "B");
   const auto u2 = fx2.two_instance_interleaving();
-  const InfoGainEngine e2(u2);
+  const InfoGainEngine e2(flow::ProductStats::build(u2.instances()));
   EXPECT_DOUBLE_EQ(
       e2.info_gain(std::vector<MessageId>{ghost}), 0.0);
   EXPECT_DOUBLE_EQ(e2.info_gain(std::vector<MessageId>{fx2.reqE, ghost}),
@@ -97,7 +97,7 @@ TEST_F(InfoGainTest, SingleInstanceChainGainIsExact) {
   // I per message = (1/3) ln(1 * 4 / 1) = (1/3) ln 4.
   const auto u1 = flow::InterleavedFlow::build(
       flow::make_instances({&fx_.flow_}, 1));
-  const InfoGainEngine e1(u1);
+  const InfoGainEngine e1(flow::ProductStats::build(u1.instances()));
   EXPECT_NEAR(e1.info_gain(std::vector<MessageId>{fx_.reqE}),
               std::log(4.0) / 3.0, 1e-12);
   EXPECT_NEAR(e1.max_gain(), std::log(4.0), 1e-12);

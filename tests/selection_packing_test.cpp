@@ -23,8 +23,8 @@ struct PackingFixture {
       "dmusiidata", 20, "DMU", "SIU",
       {flow::Subgroup{"tag", 3}, flow::Subgroup{"cputhreadid", 6}}});
   flow::Flow flow_ = make_flow(catalog, a, wide, b);
-  flow::InterleavedFlow u =
-      flow::InterleavedFlow::build(flow::make_instances({&flow_}, 2));
+  flow::ProductStats stats =
+      flow::ProductStats::build(flow::make_instances({&flow_}, 2));
 
   static flow::Flow make_flow(const MessageCatalog& cat, MessageId a,
                               MessageId wide, MessageId b) {
@@ -42,7 +42,7 @@ struct PackingFixture {
 
 TEST(Packing, AddsFittingSubgroupOfUnselectedWideMessage) {
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/7,
                                  {fx.a, fx.b, fx.wide});
@@ -56,7 +56,7 @@ TEST(Packing, PrefersWiderLeftoverForBiggerSubgroupTieBreak) {
   // With leftover 6, both subgroups fit; equal gain (same parent) so the
   // narrower one is chosen, leaving room for more packing.
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/10,
                                  {fx.a, fx.b, fx.wide});
@@ -66,7 +66,7 @@ TEST(Packing, PrefersWiderLeftoverForBiggerSubgroupTieBreak) {
 
 TEST(Packing, NothingFitsLeavesBaseUntouched) {
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/5,
                                  {fx.a, fx.b, fx.wide});
@@ -77,7 +77,7 @@ TEST(Packing, NothingFitsLeavesBaseUntouched) {
 
 TEST(Packing, PackingNeverDecreasesGain) {
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   for (std::uint32_t buffer : {4u, 5u, 7u, 10u, 32u}) {
     const auto r = pack_leftover(fx.catalog, engine, base, buffer,
@@ -88,7 +88,7 @@ TEST(Packing, PackingNeverDecreasesGain) {
 
 TEST(Packing, ParentAlreadyObservableIsSkipped) {
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   // Base already contains `wide`; its subgroups must not be re-packed.
   const Combination base{{fx.a, fx.b, fx.wide}, 24};
   const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/32,
@@ -98,7 +98,7 @@ TEST(Packing, ParentAlreadyObservableIsSkipped) {
 
 TEST(Packing, ThrowsWhenBaseExceedsBuffer) {
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   EXPECT_THROW(pack_leftover(fx.catalog, engine, base, 3,
                                  {fx.a, fx.b, fx.wide}),
@@ -115,13 +115,13 @@ TEST(Packing, ObservableMessagesUnionsBaseAndParents) {
 
 TEST(Packing, PackedSubgroupRaisesCoverage) {
   PackingFixture fx;
-  const InfoGainEngine engine(fx.u);
+  const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   const auto r = pack_leftover(fx.catalog, engine, base, 7,
                                  {fx.a, fx.b, fx.wide});
   const auto obs = observable_messages(base, r.packed);
-  EXPECT_GT(flow_spec_coverage(fx.u, obs),
-            flow_spec_coverage(fx.u, base.messages));
+  EXPECT_GT(flow_spec_coverage(fx.stats, obs),
+            flow_spec_coverage(fx.stats, base.messages));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "testutil.hpp"
 #include "tracesel/tracesel.hpp"
 #include "util/cancel.hpp"
+#include "util/obs.hpp"
 
 namespace tracesel::selection {
 namespace {
@@ -122,34 +123,27 @@ TEST(ResilienceTest, CancelDuringWideMaximalWalkReturnsWithinASecond) {
   EXPECT_LT(returned - fired, std::chrono::seconds(1));
 }
 
-TEST(ResilienceTest, AtomicInitialFallbackHonoursTheNodeCap) {
-  // A flow that starts in an atomic state is the one input the closed form
-  // does not cover: its statistics come from the product, which honours
-  // max_nodes and cancellation like any product build.
+TEST(ResilienceTest, AtomicStartBuildsNoProductAndHonoursCancel) {
+  // A flow that starts in an atomic state beside 12 Fig. 2 instances:
+  // 2 * 3^12 + 12 * 2 * 3^11 + 1 = 5,314,411 product states, more than a
+  // product build's default node cap. The closed form counts them without
+  // building one, and still checks the cancel token on entry.
   CoherenceFixture fx;
-  const flow::MessageId go = fx.catalog.add("go", 1, "X", "Y");
-  flow::FlowBuilder b("starts_atomic");
-  b.state("s0", flow::FlowBuilder::kInitial | flow::FlowBuilder::kAtomic)
-      .state("s1")
-      .state("s2", flow::FlowBuilder::kStop)
-      .transition("s0", go, "s1")
-      .transition("s1", fx.ack, "s2");
-  const flow::Flow f = b.build(fx.catalog);
+  const flow::Flow f = fx.starts_atomic_flow();
   std::vector<flow::IndexedFlow> instances{{&f, 1}};
-  for (std::uint32_t i = 1; i <= 3; ++i) instances.push_back({&fx.flow_, i});
+  for (std::uint32_t i = 1; i <= 12; ++i) instances.push_back({&fx.flow_, i});
 
+  obs::set_enabled(true);
+  obs::reset();
   const auto stats = flow::ProductStats::build(instances);
-  EXPECT_FALSE(stats.closed_form());
-  const auto u = flow::InterleavedFlow::build(instances);
-  EXPECT_EQ(stats.num_product_states(), u.num_product_states());
+  EXPECT_EQ(obs::registry().counter_value("interleave.builds"), 0u);
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_TRUE(stats.closed_form());
+  EXPECT_EQ(stats.num_product_states(), 5'314'411u);
 
-  flow::InterleaveOptions strict;
-  strict.max_nodes = 4;
-  EXPECT_THROW((void)flow::ProductStats::build(instances, strict),
-               std::length_error);
-  flow::InterleaveOptions cancelled;
-  cancelled.cancel = util::CancelToken::make();
-  cancelled.cancel.cancel();
+  const util::CancelToken cancelled = util::CancelToken::make();
+  cancelled.cancel();
   EXPECT_THROW((void)flow::ProductStats::build(instances, cancelled),
                util::CancelledError);
 }

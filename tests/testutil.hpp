@@ -39,6 +39,19 @@ struct CoherenceFixture {
     return flow::InterleavedFlow::build(flow::make_instances({&flow_}, 2));
   }
 
+  /// A flow that starts in an atomic state: s0 (initial, atomic) -go->
+  /// s1 -Ack-> s2 (stop). Adds the message "go" to the catalog.
+  flow::Flow starts_atomic_flow() {
+    const flow::MessageId go = catalog.add("go", 1, "X", "Y");
+    flow::FlowBuilder b("starts_atomic");
+    b.state("s0", flow::FlowBuilder::kInitial | flow::FlowBuilder::kAtomic)
+        .state("s1")
+        .state("s2", flow::FlowBuilder::kStop)
+        .transition("s0", go, "s1")
+        .transition("s1", ack, "s2");
+    return b.build(catalog);
+  }
+
   /// The state grid of the same two instances (16 slots).
   flow::ProductGrid two_instance_grid() const {
     return flow::ProductGrid::build(flow::make_instances({&flow_}, 2));

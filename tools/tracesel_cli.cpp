@@ -10,9 +10,6 @@
 //                        the exponential searches, greedy the ablation)
 //       --no-packing     disable Step 3
 //       --json           machine-readable output
-//       --max-nodes N    node cap of a product build (default 2e6); only
-//                        a flow whose initial state is atomic needs one —
-//                        every other spec is counted in closed form
 //     resilience (docs/resilience.md):
 //       --deadline-ms N  cancel the run after N milliseconds
 //   tracesel serve --socket PATH [--runners N] [--max-queue N]
@@ -158,14 +155,14 @@ int usage() {
                "  tracesel select <spec.flow> [--buffer N] [--instances K]"
                " [--mode knapsack(default)|exhaustive|maximal|greedy]"
                " [--no-packing] [--json]\n"
-               "                 [--max-nodes N] [--deadline-ms N]\n"
+               "                 [--deadline-ms N]\n"
                "  tracesel serve --socket PATH [--runners N]"
                " [--max-queue N] [--slow-job-ms N] [--journal-capacity N]\n"
                "                 [--journal-dir DIR] [--journal-rotate-bytes N]"
                " [--tenant-inflight N] [--retry-after-floor-ms N]\n"
                "  tracesel submit <t2|usb|spec.flow> --socket PATH"
                " [--buffer N] [--instances K] [--mode M] [--no-packing]\n"
-               "                 [--max-nodes N] [--deadline-ms N]"
+               "                 [--max-combinations N] [--deadline-ms N]"
                " [--json]\n"
                "  tracesel submit ... [--tenant NAME]"
                " [--connect-timeout-ms N] [--retries N]\n"
@@ -222,11 +219,17 @@ int cmd_inspect(const std::string& path) {
   return 0;
 }
 
+/// The --mode value of select and submit, parsed as the wire format does.
+selection::SearchMode search_mode_arg(const std::string& name) {
+  auto mode = parse_search_mode(name);
+  if (!mode.ok()) throw std::runtime_error(mode.error().to_string());
+  return mode.value();
+}
+
 /// Handles every token after "select": one positional spec path plus
 /// flags.
 int cmd_select(int argc, char** argv) {
   selection::SelectorConfig cfg;
-  flow::InterleaveOptions iopt;
   std::uint32_t instances = 2;
   bool json = false;
   std::string spec_path;
@@ -241,16 +244,9 @@ int cmd_select(int argc, char** argv) {
     else if (arg == "--instances") instances = std::stoul(next());
     else if (arg == "--no-packing") cfg.packing = false;
     else if (arg == "--json") json = true;
-    else if (arg == "--max-nodes") iopt.max_nodes = std::stoul(next());
     else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
-    else if (arg == "--mode") {
-      const std::string m = next();
-      if (m == "maximal") cfg.mode = selection::SearchMode::kMaximal;
-      else if (m == "exhaustive") cfg.mode = selection::SearchMode::kExhaustive;
-      else if (m == "greedy") cfg.mode = selection::SearchMode::kGreedy;
-      else if (m == "knapsack") cfg.mode = selection::SearchMode::kKnapsack;
-      else throw std::runtime_error("unknown mode '" + m + "'");
-    } else if (!arg.starts_with("--")) {
+    else if (arg == "--mode") cfg.mode = search_mode_arg(next());
+    else if (!arg.starts_with("--")) {
       if (!spec_path.empty())
         throw std::runtime_error("unexpected operand '" + arg + "'");
       spec_path = arg;
@@ -262,17 +258,15 @@ int cmd_select(int argc, char** argv) {
     throw std::runtime_error("select: missing <spec.flow> operand");
 
   // Signals and the optional deadline share one token, so either stops the
-  // run, the interleaving's fallback build included, the same cooperative
-  // way.
+  // run the same cooperative way.
   cfg.cancel = g_cancel;
   if (deadline_ms > 0)
     cfg.cancel.set_timeout(std::chrono::milliseconds(deadline_ms));
-  iopt.cancel = cfg.cancel;
 
   const auto w =
       QueryCore::workload_from_spec(flow::parse_flow_spec_file(spec_path));
   g_cooperative.store(true, std::memory_order_relaxed);
-  QueryCore::interleave(*w, instances, iopt);
+  QueryCore::interleave(*w, instances, cfg.cancel);
   const auto r = QueryCore::select(*w, cfg, false);
   int rc = 0;
   if (r.partial) {
@@ -366,7 +360,6 @@ JobRequest parse_submit_request(int argc, char** argv, std::string& socket,
     else if (arg == "--buffer") req.buffer_width = std::stoul(next());
     else if (arg == "--instances") req.instances = std::stoul(next());
     else if (arg == "--no-packing") req.packing = false;
-    else if (arg == "--max-nodes") req.max_nodes = std::stoull(next());
     else if (arg == "--max-combinations")
       req.max_combinations = std::stoull(next());
     else if (arg == "--deadline-ms") req.deadline_ms = std::stoull(next());
@@ -376,11 +369,8 @@ JobRequest parse_submit_request(int argc, char** argv, std::string& socket,
       client_opt->connect_timeout_ms = std::stoull(next());
     else if (arg == "--retries" && client_opt)
       client_opt->retries = std::stoul(next());
-    else if (arg == "--mode") {
-      auto mode = parse_search_mode(next());
-      if (!mode.ok()) throw std::runtime_error(mode.error().to_string());
-      req.mode = mode.value();
-    } else if (!arg.starts_with("--")) {
+    else if (arg == "--mode") req.mode = search_mode_arg(next());
+    else if (!arg.starts_with("--")) {
       if (!req.spec.empty())
         throw std::runtime_error("unexpected operand '" + arg + "'");
       req.spec = arg;

@@ -21,13 +21,10 @@ namespace {
 constexpr char kRecordTag[] = "tracesel-jrec";
 constexpr std::uint32_t kRecordVersion = 1;
 constexpr char kJournalName[] = "jobs.journal";
-constexpr char kResultTag[] = "tracesel-result";
-/// 2: version-1 entries may hold beam-degraded `--mem-budget-mb` reports
-/// of a search that now always runs exactly, so they must not be served.
-constexpr std::uint32_t kResultVersion = 2;
-/// A journal bigger than this is itself suspect; replay reads it whole.
-constexpr std::size_t kMaxJournalBytes = 256u << 20;
-constexpr std::size_t kMaxResultBytes = 64u << 20;
+/// Replay streams the log in chunks of this size.
+constexpr std::size_t kReplayChunkBytes = 1u << 20;
+static_assert(JobJournal::kResultBudgetBytes < util::kMaxFrameBytes / 2,
+              "a kept result must fit one frame");
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -68,6 +65,51 @@ std::string record_payload(std::string_view event, std::uint64_t job_id,
   out += '\n';
   out += body;
   return out;
+}
+
+/// "request <len>\n<request>\nreport <len>\n<report>\n" — the body of an
+/// ok job's completed record.
+std::string result_body(const JobRequest& request, std::string_view report) {
+  const std::string req = serialize_job_request(request);
+  std::string body;
+  body.reserve(req.size() + report.size() + 64);
+  body += "request " + std::to_string(req.size()) + '\n';
+  body += req;
+  body += '\n';
+  body += "report " + std::to_string(report.size()) + '\n';
+  body += report;
+  body += '\n';
+  return body;
+}
+
+/// Inverse of result_body; false when the blocks are malformed.
+bool parse_result_body(std::string_view body, JobRequest& request,
+                       std::string& report) {
+  const auto take = [&](std::string_view name,
+                        std::string_view& out) -> bool {
+    const std::size_t eol = body.find('\n');
+    if (eol == std::string_view::npos) return false;
+    std::string_view line = body.substr(0, eol);
+    if (!line.starts_with(name) || line.size() <= name.size() ||
+        line[name.size()] != ' ')
+      return false;
+    std::uint64_t n = 0;
+    if (!to_u64(line.substr(name.size() + 1), n)) return false;
+    body.remove_prefix(eol + 1);
+    if (n >= body.size() || body[n] != '\n') return false;
+    out = body.substr(0, static_cast<std::size_t>(n));
+    body.remove_prefix(static_cast<std::size_t>(n) + 1);
+    return true;
+  };
+  std::string_view req_text, report_text;
+  if (!take("request", req_text) || !take("report", report_text) ||
+      !body.empty())
+    return false;
+  auto req = parse_job_request(req_text);
+  if (!req.ok()) return false;
+  request = std::move(req).value();
+  report = std::string(report_text);
+  return true;
 }
 
 struct ParsedRecord {
@@ -112,14 +154,19 @@ void JobJournal::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  std::lock_guard<std::mutex> rlk(results_mu_);
+  results_.clear();
+  result_age_.clear();
+  result_bytes_ = 0;
+}
+
+bool JobJournal::enabled() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return fd_ >= 0;
 }
 
 std::string JobJournal::path() const {
   return options_.dir + "/" + kJournalName;
-}
-
-std::string JobJournal::result_path(std::uint64_t result_key) const {
-  return options_.dir + "/results/" + hex64(result_key) + ".result";
 }
 
 std::uint64_t JobJournal::bytes() const {
@@ -145,40 +192,22 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
                   "journal: no directory given");
   options_ = std::move(options);
   if (auto st = make_dir(options_.dir); !st.ok()) return st.error();
-  if (auto st = make_dir(options_.dir + "/results"); !st.ok())
-    return st.error();
 
   JournalRecovery rec;
   std::lock_guard<std::mutex> lk(mu_);
   live_.clear();
   size_ = 0;
-
-  // --- replay ---
-  std::string bytes;
-  {
-    auto read = util::read_file_capped(path(), kMaxJournalBytes);
-    if (read.ok()) bytes = std::move(read).value();
-    // Absent journal = fresh start; an unreadable one is recovered below
-    // as an empty log (the append path will recreate it).
-  }
-
-  // Every frame the reader yields before poisoning is a good record; the
-  // good prefix length is (bytes fed) - (bytes still buffered) at that
-  // point, which is exactly where a torn tail must be truncated.
-  util::FrameReader reader(util::kMaxFrameBytes);
-  reader.feed(bytes);
-  std::size_t good_offset = 0;
-  std::string payload;
+  compacted_size_ = 0;
   std::vector<RecoveredJob> pending;  // admission order
-  for (;;) {
-    const auto st = reader.next(payload);
-    if (st != util::FrameReader::State::kFrame) break;
-    good_offset = bytes.size() - reader.buffered();
+
+  // One well-framed record. A failure here drops only this record — the
+  // frame layer already validated its boundaries.
+  const auto replay = [&](const std::string& payload) {
     ParsedRecord r;
     if (!parse_record(payload, r)) {
       // Intact frame, malformed record (e.g. version skew): drop just it.
       ++rec.dropped_records;
-      continue;
+      return;
     }
     ++rec.replayed_records;
     rec.next_job_id = std::max(rec.next_job_id, r.job_id + 1);
@@ -189,7 +218,7 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
       auto req = parse_job_request(r.body);
       if (!req.ok()) {
         ++rec.dropped_records;  // a job we cannot rebuild cannot replay
-        continue;
+        return;
       }
       if (it == pending.end()) {
         RecoveredJob j;
@@ -200,6 +229,16 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
     } else if (r.event == "started") {
       if (it != pending.end()) it->started = true;
     } else if (r.event == "completed") {
+      if (!r.body.empty()) {
+        StoredResult res;
+        if (r.aux == 0 || !parse_result_body(r.body, res.request, res.report)) {
+          ++rec.dropped_records;  // the job recomputes rather than trust it
+          return;
+        }
+        res.job_id = r.job_id;
+        res.cost = r.body.size();
+        index_result_locked(r.aux, std::move(res));
+      }
       ++rec.completed;  // duplicates are idempotent by construction
       if (it != pending.end()) pending.erase(it);
     } else if (r.event == "cancelled") {
@@ -208,11 +247,58 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
     } else {
       ++rec.dropped_records;
     }
+  };
+
+  // --- replay: stream the log through the frame codec ---
+  // Every frame the reader yields before poisoning is a good record; the
+  // good prefix length is (bytes fed) - (bytes still buffered) at that
+  // point, which is exactly where a torn tail must be truncated. An
+  // absent journal is a fresh start; one that exists but cannot be read
+  // is an error, never an empty log the next compaction would overwrite.
+  const int in = ::open(path().c_str(), O_RDONLY | O_CLOEXEC);
+  if (in < 0 && errno != ENOENT)
+    return R::err(util::ErrorCode::kInternal,
+                  "journal: cannot read " + path() + ": " +
+                      std::strerror(errno));
+  std::uint64_t file_bytes = 0;
+  std::uint64_t good_offset = 0;
+  if (in >= 0) {
+    struct stat st;
+    if (::fstat(in, &st) == 0)
+      file_bytes = static_cast<std::uint64_t>(st.st_size);
+    util::FrameReader reader(util::kMaxFrameBytes);
+    std::vector<char> chunk(kReplayChunkBytes);
+    std::uint64_t fed = 0;
+    std::string payload;
+    bool corrupt = false;
+    while (!corrupt) {
+      const ssize_t n = ::read(in, chunk.data(), chunk.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        const int err = errno;
+        ::close(in);
+        return R::err(util::ErrorCode::kInternal,
+                      "journal: cannot read " + path() + ": " +
+                          std::strerror(err));
+      }
+      if (n == 0) break;
+      reader.feed(chunk.data(), static_cast<std::size_t>(n));
+      fed += static_cast<std::uint64_t>(n);
+      for (;;) {
+        const auto st = reader.next(payload);
+        if (st == util::FrameReader::State::kCorrupt) corrupt = true;
+        if (st != util::FrameReader::State::kFrame) break;
+        good_offset = fed - reader.buffered();
+        replay(payload);
+      }
+    }
+    file_bytes = std::max(file_bytes, fed);
+    ::close(in);
   }
-  if (good_offset < bytes.size()) {
+  if (good_offset < file_bytes) {
     // Torn or corrupt tail: truncate-and-continue. At least one record's
     // worth of bytes is gone; framing cannot say how many.
-    rec.dropped_bytes = bytes.size() - good_offset;
+    rec.dropped_bytes = file_bytes - good_offset;
     ++rec.dropped_records;
     if (::truncate(path().c_str(), static_cast<off_t>(good_offset)) != 0 &&
         errno != ENOENT)
@@ -253,7 +339,8 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
 }
 
 void JobJournal::append(std::uint64_t job_id, const std::string& payload,
-                        bool live, bool terminal) {
+                        Kind kind, std::uint64_t result_key,
+                        StoredResult* result) {
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return;
   // The shared framing write loop (EINTR-retried, full write); the journal
@@ -264,36 +351,65 @@ void JobJournal::append(std::uint64_t job_id, const std::string& payload,
         << "journal: append failed: " << st.error().to_string();
     return;
   }
-  if (options_.fsync) ::fsync(fd_);
+  // A started record needs no sync of its own: replay recomputes started
+  // and unstarted jobs alike, and the next synced record carries it.
+  if (kind != Kind::kStarted) sync_locked();
   size_ += util::kFrameHeaderBytes + payload.size();
   ++records_;
   OBS_COUNT("svc.journal.records", 1);
 
-  if (live) {
-    LiveJob lj;
-    lj.id = job_id;
-    lj.accepted_payload = payload;
-    live_.push_back(std::move(lj));
-  } else if (terminal) {
-    live_.erase(std::remove_if(live_.begin(), live_.end(),
-                               [&](const LiveJob& j) { return j.id == job_id; }),
-                live_.end());
-  } else {
-    const auto it = std::find_if(live_.begin(), live_.end(),
-                                 [&](const LiveJob& j) { return j.id == job_id; });
-    if (it != live_.end()) it->started = true;
+  switch (kind) {
+    case Kind::kAccepted: {
+      LiveJob lj;
+      lj.id = job_id;
+      lj.accepted_payload = payload;
+      live_.push_back(std::move(lj));
+      break;
+    }
+    case Kind::kStarted: {
+      const auto it =
+          std::find_if(live_.begin(), live_.end(),
+                       [&](const LiveJob& j) { return j.id == job_id; });
+      if (it != live_.end()) it->started = true;
+      break;
+    }
+    case Kind::kTerminal:
+      live_.erase(
+          std::remove_if(live_.begin(), live_.end(),
+                         [&](const LiveJob& j) { return j.id == job_id; }),
+          live_.end());
+      break;
   }
+  // Only now is the result durable, so only now may it be served.
+  if (result != nullptr) index_result_locked(result_key, std::move(*result));
 
-  if (options_.rotate_bytes > 0 && size_ > options_.rotate_bytes)
+  // Twice the compacted size keeps compaction amortized once the retained
+  // results alone exceed rotate_bytes.
+  if (options_.rotate_bytes > 0 &&
+      size_ > std::max(options_.rotate_bytes, 2 * compacted_size_))
     rotate_locked();
 }
 
+void JobJournal::sync_locked() {
+  if (!options_.fsync) return;
+  ::fsync(fd_);
+  OBS_COUNT("svc.journal.syncs", 1);
+}
+
 void JobJournal::rotate_locked() {
-  // Compaction: the journal's truth is the live set, so rewrite only the
-  // records of still-unfinished jobs. atomic_write_file gives the full
-  // temp + fsync + rename + parent-fsync discipline; a crash mid-rotation
-  // leaves either the old log or the new one, never a hybrid.
+  // Compaction: the journal's truth is the result index plus the live set,
+  // so rewrite one completed record per indexed result (oldest first, so
+  // replay rebuilds the same eviction order) and the records of
+  // still-unfinished jobs. atomic_write_file gives the full temp + fsync +
+  // rename + parent-fsync discipline; a crash mid-rotation leaves either
+  // the old log or the new one, never a hybrid.
   std::string compacted;
+  for (const auto& [seq, rkey] : result_age_) {
+    const StoredResult& res = results_.at(rkey);
+    compacted += util::encode_frame(
+        record_payload("completed", res.job_id, hex64(rkey),
+                       result_body(res.request, res.report)));
+  }
   for (const LiveJob& j : live_) {
     compacted += util::encode_frame(j.accepted_payload);
     if (j.started)
@@ -306,6 +422,7 @@ void JobJournal::rotate_locked() {
         << st.error().to_string();
     return;
   }
+  OBS_COUNT("svc.journal.syncs", 2);  // the new log and its directory
   ::close(fd_);
   fd_ = ::open(path().c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                0666);
@@ -316,6 +433,7 @@ void JobJournal::rotate_locked() {
     return;
   }
   size_ = compacted.size();
+  compacted_size_ = size_;
   ++rotations_;
   OBS_COUNT("svc.journal.rotations", 1);
 }
@@ -323,81 +441,70 @@ void JobJournal::rotate_locked() {
 void JobJournal::accepted(std::uint64_t job_id, const JobRequest& request) {
   append(job_id,
          record_payload("accepted", job_id, {}, serialize_job_request(request)),
-         /*live=*/true, /*terminal=*/false);
+         Kind::kAccepted);
 }
 
 void JobJournal::started(std::uint64_t job_id) {
-  append(job_id, record_payload("started", job_id), /*live=*/false,
-         /*terminal=*/false);
+  append(job_id, record_payload("started", job_id), Kind::kStarted);
 }
 
 void JobJournal::completed(std::uint64_t job_id, std::uint64_t result_hash) {
   append(job_id, record_payload("completed", job_id, hex64(result_hash)),
-         /*live=*/false, /*terminal=*/true);
+         Kind::kTerminal);
+}
+
+void JobJournal::completed(std::uint64_t job_id, std::uint64_t result_key,
+                           const JobRequest& request,
+                           std::string_view report_json) {
+  if (!enabled()) return;
+  std::string body = result_body(request, report_json);
+  // A report over the whole result budget is not kept: the job still
+  // completes, and a resubmission recomputes it.
+  if (body.size() > kResultBudgetBytes) {
+    completed(job_id, result_key);
+    return;
+  }
+  StoredResult res{job_id, request, std::string(report_json), body.size()};
+  append(job_id,
+         record_payload("completed", job_id, hex64(result_key), body),
+         Kind::kTerminal, result_key, &res);
+}
+
+void JobJournal::index_result_locked(std::uint64_t key, StoredResult res) {
+  std::lock_guard<std::mutex> lk(results_mu_);
+  const auto drop = [&](std::unordered_map<std::uint64_t,
+                                           StoredResult>::iterator it) {
+    result_bytes_ -= it->second.cost;
+    result_age_.erase(it->second.seq);
+    results_.erase(it);
+  };
+  if (const auto it = results_.find(key); it != results_.end()) drop(it);
+  if (res.cost > kResultBudgetBytes) return;
+  while (result_bytes_ + res.cost > kResultBudgetBytes)
+    drop(results_.find(result_age_.begin()->second));
+  res.seq = next_result_seq_++;
+  result_age_.emplace(res.seq, key);
+  result_bytes_ += res.cost;
+  results_.insert_or_assign(key, std::move(res));
 }
 
 void JobJournal::cancelled(std::uint64_t job_id) {
-  append(job_id, record_payload("cancelled", job_id), /*live=*/false,
-         /*terminal=*/true);
-}
-
-util::Status JobJournal::store_result(std::uint64_t result_key,
-                                      const JobRequest& request,
-                                      std::string_view report_json) {
-  // "request <len>\n<req>\nreport <len>\n<report>\n" inside the shared
-  // envelope codec: checksum + version validation for free on load.
-  const std::string req = serialize_job_request(request);
-  std::string body;
-  body.reserve(req.size() + report_json.size() + 64);
-  body += "request " + std::to_string(req.size()) + '\n';
-  body += req;
-  body += '\n';
-  body += "report " + std::to_string(report_json.size()) + '\n';
-  body += report_json;
-  body += '\n';
-  return util::atomic_write_file(
-      result_path(result_key),
-      util::encode_envelope(kResultTag, kResultVersion, body));
+  append(job_id, record_payload("cancelled", job_id), Kind::kTerminal);
 }
 
 util::Result<std::string> JobJournal::load_result(
     std::uint64_t result_key, const JobRequest& request) const {
   using R = util::Result<std::string>;
-  auto bytes = util::read_file_capped(result_path(result_key), kMaxResultBytes);
-  if (!bytes.ok()) return bytes.error();
-  auto payload = util::decode_envelope(bytes.value(), kResultTag,
-                                       kResultVersion, "stored result");
-  if (!payload.ok()) return payload.error();
-  std::string_view body = payload.value();
-
-  const auto take = [&](std::string_view name,
-                        std::string_view& out) -> bool {
-    const std::size_t eol = body.find('\n');
-    if (eol == std::string_view::npos) return false;
-    std::string_view line = body.substr(0, eol);
-    if (!line.starts_with(name) || line.size() <= name.size() ||
-        line[name.size()] != ' ')
-      return false;
-    std::uint64_t n = 0;
-    if (!to_u64(line.substr(name.size() + 1), n)) return false;
-    body.remove_prefix(eol + 1);
-    if (n > body.size()) return false;
-    out = body.substr(0, static_cast<std::size_t>(n));
-    body.remove_prefix(static_cast<std::size_t>(n));
-    if (!body.empty() && body.front() == '\n') body.remove_prefix(1);
-    return true;
-  };
-
-  std::string_view req_text, report;
-  if (!take("request", req_text) || !take("report", report))
-    return R::err(util::ErrorCode::kParse, "stored result: bad blocks");
-  auto stored_req = parse_job_request(req_text);
-  if (!stored_req.ok()) return stored_req.error();
-  if (!stored_req.value().same_computation(request))
+  std::lock_guard<std::mutex> lk(results_mu_);
+  const auto it = results_.find(result_key);
+  if (it == results_.end())
+    return R::err(util::ErrorCode::kInvalidArgument,
+                  "journal: no durable result for this key");
+  if (!it->second.request.same_computation(request))
     return R::err(util::ErrorCode::kInternal,
-                  "stored result: result-key collision (different "
-                  "computation); recomputing");
-  return std::string(report);
+                  "journal: result-key collision (different computation); "
+                  "recomputing");
+  return it->second.report;
 }
 
 }  // namespace tracesel::service

@@ -19,10 +19,31 @@
 //     tracesel-jrec <version> <event> <job_id>[ <aux>]\n[<body>]
 //
 // where <event> is accepted | started | completed | cancelled, <aux> is
-// the result hash (hex) on completed records, and <body> is the
-// serialized JobRequest (its own checksummed envelope) on accepted
-// records. Appends go through util::write_frame — the one EINTR-retried
-// full-write loop in the repository — never a hand-rolled write call.
+// the result key (hex) on completed records, and <body> is
+//   - on accepted records, the serialized JobRequest (its own checksummed
+//     envelope);
+//   - on the completed record of an `ok` job, the durable result:
+//     "request <len>\n<request>\nreport <len>\n<report>\n", the exact
+//     report bytes plus the request as a hash-collision guard.
+// Other completed records (partial, error) carry no body. Appends go
+// through util::write_frame — the one EINTR-retried full-write loop in
+// the repository — never a hand-rolled write call.
+//
+// Syncs: accepted and completed/cancelled appends fsync before they
+// return; started appends do not (replay recomputes a started job exactly
+// like an unstarted one), so they become durable with the next synced
+// record. A computed job costs two fsyncs, and one whose result was
+// already durable costs none: the daemon serves it from the result index.
+//
+// Durable result index: rkey -> {request, report}, filled on replay from
+// every completed record with a body (a later record replaces an earlier
+// one) and on each such append, after its fsync. load_result() reads it
+// under its own mutex, so a lookup never waits on an append's fsync or a
+// compaction. The index holds at most kResultBudgetBytes of record
+// bodies: a new result evicts the oldest ones, and a report whose body
+// alone exceeds the budget is written as a bodyless completed record. An
+// evicted or unkept result costs one recompute. A results/ directory left
+// by an older daemon is ignored.
 //
 // Recovery semantics (torn tails are a fact of kill -9):
 //   - A frame that fails validation poisons the stream from that offset
@@ -34,14 +55,21 @@
 //     records still replay) and counted.
 //   - Duplicate terminal records are idempotent.
 //
-// Rotation: once the live log exceeds rotate_bytes, it is compacted —
-// rewritten (atomically, temp + fsync + rename) to hold only the records
-// of still-unfinished jobs — so the journal of a long-lived daemon stays
-// bounded by its in-flight set, not its lifetime.
+// Rotation: once the live log exceeds max(rotate_bytes, twice its size
+// after the last compaction), it is compacted — rewritten (atomically,
+// temp + fsync + rename) to hold one completed-with-body record per
+// indexed result, oldest first, plus the records of still-unfinished jobs
+// — so the journal of a long-lived daemon stays bounded by the result
+// budget and its in-flight set, not its lifetime, and compaction stays
+// amortized once the results alone outgrow rotate_bytes. Replay streams
+// the log, so no journal size makes it skip a record.
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "tracesel/job_request.hpp"
@@ -50,13 +78,15 @@
 namespace tracesel::service {
 
 struct JournalOptions {
-  /// Directory holding the journal and its side artifacts. open() creates
-  /// it (plus the results/ subdirectory) when absent.
+  /// Directory holding the journal. open() creates it when absent.
   std::string dir;
   /// Compaction threshold: an append that pushes the file past this many
-  /// bytes triggers a rewrite containing only live jobs. 0 disables.
+  /// bytes (or past twice its size after the last compaction, if that is
+  /// larger) triggers a rewrite holding the durable results and the live
+  /// jobs. 0 disables.
   std::uint64_t rotate_bytes = 4u << 20;
-  /// fsync after every append (the durability contract). Tests that sweep
+  /// fsync the accepted and terminal appends (the durability contract;
+  /// started appends never sync). Tests that sweep
   /// thousands of corruption cases may turn it off; the daemon never does.
   bool fsync = true;
 };
@@ -65,8 +95,9 @@ struct JournalOptions {
 struct RecoveredJob {
   std::uint64_t id = 0;
   JobRequest request;
-  /// True when a started record followed (the daemon died mid-job; the
-  /// replayed job recomputes from scratch).
+  /// True when a started record followed (the daemon died mid-job).
+  /// Reported only: replay recomputes started and unstarted jobs alike,
+  /// which is why started records are appended without an fsync.
   bool started = false;
 };
 
@@ -84,25 +115,38 @@ struct JournalRecovery {
 
 class JobJournal {
  public:
+  /// Bound on the record bodies the result index (and so every compacted
+  /// log) holds; the oldest results are evicted past it.
+  static constexpr std::uint64_t kResultBudgetBytes = 16u << 20;
+
   JobJournal() = default;
   ~JobJournal();
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
 
-  /// Creates `options.dir` (and results/), replays any existing
-  /// journal — truncating a torn tail in place — and opens the log for
-  /// appending. Typed error when the directory cannot be created or the
-  /// journal cannot be opened; replay itself never fails, it recovers.
+  /// Creates `options.dir`, replays any existing journal — truncating a
+  /// torn tail in place and refilling the result index — and opens the
+  /// log for appending. Typed error when the directory cannot be created
+  /// or the journal cannot be read or opened; a torn or corrupt log never
+  /// fails replay, it recovers.
   util::Result<JournalRecovery> open(JournalOptions options);
 
   /// True between a successful open() and close().
-  bool enabled() const { return fd_ >= 0; }
+  bool enabled() const;
   void close();
 
-  // --- lifecycle appenders (each: one frame + fsync, under a mutex) ---
+  // --- lifecycle appenders (each: one frame under a mutex; every one but
+  // started() fsyncs before it returns) ---
   void accepted(std::uint64_t job_id, const JobRequest& request);
   void started(std::uint64_t job_id);
+  /// A terminal record without a result (partial, error, or no key).
   void completed(std::uint64_t job_id, std::uint64_t result_hash);
+  /// The terminal record of an `ok` job: it carries the report, so one
+  /// fsync makes the completion and the result durable together, and
+  /// load_result() serves it from then on (until evicted). A report over
+  /// the result budget gets the bodyless record instead.
+  void completed(std::uint64_t job_id, std::uint64_t result_key,
+                 const JobRequest& request, std::string_view report_json);
   void cancelled(std::uint64_t job_id);
 
   // --- introspection (telemetry surface) ---
@@ -113,31 +157,54 @@ class JobJournal {
   const std::string& dir() const { return options_.dir; }
   /// dir/jobs.journal — the log itself.
   std::string path() const;
-  /// dir/results/<rkey-hex>.result — the durable result cache entry.
-  std::string result_path(std::uint64_t result_key) const;
 
-  /// Persists a completed job's exact report bytes (atomic write) keyed by
-  /// the request's canonical hash, so a resubmission after a restart is
-  /// served byte-identically without recompute. The request rides along to
-  /// guard against hash collisions on load.
-  util::Status store_result(std::uint64_t result_key, const JobRequest& request,
-                            std::string_view report_json);
-  /// Loads a stored result; typed error when absent, corrupt, or written
-  /// for a different computation (collision guard).
+  /// The durable report for `result_key` from the result index; typed
+  /// error when absent (never kept, or evicted) or written for a
+  /// different computation (collision guard).
   util::Result<std::string> load_result(std::uint64_t result_key,
                                         const JobRequest& request) const;
 
  private:
-  void append(std::uint64_t job_id, const std::string& payload, bool live,
-              bool terminal);
+  enum class Kind { kAccepted, kStarted, kTerminal };
+  /// A durable result: the completed job's id (compaction rewrites its
+  /// record), the request it answers, the exact report bytes, its record
+  /// body's size (what it costs against the budget) and its age.
+  struct StoredResult {
+    std::uint64_t job_id = 0;
+    JobRequest request;
+    std::string report;
+    std::uint64_t cost = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// Writes one record (fsync'd unless `kind` is kStarted) and updates the
+  /// live set; `result`, when given, enters the index after the write.
+  void append(std::uint64_t job_id, const std::string& payload, Kind kind,
+              std::uint64_t result_key = 0, StoredResult* result = nullptr);
+  void sync_locked();
   void rotate_locked();
+  /// Indexes `res` under `key` as the newest result, evicting the oldest
+  /// ones past kResultBudgetBytes. Caller holds mu_.
+  void index_result_locked(std::uint64_t key, StoredResult res);
 
   JournalOptions options_;
   int fd_ = -1;
+  /// Guards the log, the live set and every write of the index below.
   mutable std::mutex mu_;
   std::uint64_t size_ = 0;
+  /// Size right after the last compaction (0 before the first one).
+  std::uint64_t compacted_size_ = 0;
   std::uint64_t rotations_ = 0;
   std::uint64_t records_ = 0;
+  /// The result index. Written only with mu_ and results_mu_ both held,
+  /// so load_result() reads it under results_mu_ alone and a holder of
+  /// mu_ (compaction) reads it without results_mu_.
+  mutable std::mutex results_mu_;
+  std::unordered_map<std::uint64_t, StoredResult> results_;
+  /// seq -> key, oldest first: the eviction and compaction order.
+  std::map<std::uint64_t, std::uint64_t> result_age_;
+  std::uint64_t result_bytes_ = 0;
+  std::uint64_t next_result_seq_ = 0;
   /// Live set for compaction: (job id, its accepted-record payload,
   /// started?) in admission order.
   struct LiveJob {

@@ -248,6 +248,13 @@ Server::Admission Server::admit(JobRequest request) {
   std::uint64_t rkey = 0;
   if (auto sh = QueryCore::source_hash(request); sh.ok())
     rkey = request.canonical_hash(sh.value());
+  // Durable result cache: a result the journal already holds is served
+  // without a WAL record or a recompute. The collision guard inside
+  // load_result re-checks same_computation.
+  std::optional<std::string> durable;
+  if (rkey != 0)
+    if (auto hit = wal_.load_result(rkey, request); hit.ok())
+      durable = std::move(hit).value();
 
   // Per-tenant shed accounting happens outside queue_mu_ (telemetry_mu_
   // stays innermost); stats_mu_ nests under queue_mu_ as elsewhere.
@@ -363,10 +370,12 @@ Server::Admission Server::admit(JobRequest request) {
   job->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   job->request = std::move(request);
   job->rkey = rkey;
+  job->durable_report = std::move(durable);
   job->watchers.store(1, std::memory_order_relaxed);
-  // WAL discipline: the accepted record is on disk (fsync'd) before the
-  // job becomes visible to any runner.
-  wal_.accepted(job->id, job->request);
+  // WAL discipline: a job that will compute has its accepted record on
+  // disk (fsync'd) before it becomes visible to any runner. A durable hit
+  // writes none: its answer was durable before it was admitted.
+  if (!job->durable_report) wal_.accepted(job->id, job->request);
   queue_.push_back(job);
   inflight_.push_back(job);
   a.position = queue_.size();
@@ -445,8 +454,9 @@ void Server::run_job(Job& job) {
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.running;
   }
+  const bool durable = job.durable_report.has_value();
   journal_append(job.id, job.request.tenant, "started");
-  wal_.started(job.id);
+  if (!durable) wal_.started(job.id);
   if (options_.on_job_start) options_.on_job_start(job.request);
   // The deadline starts when the job starts — queue time must not eat a
   // client's compute budget.
@@ -471,21 +481,17 @@ void Server::run_job(Job& job) {
     // process-global context cannot carry it).
     obs::Span job_span("svc.job", job.request.parent_span_id);
     OBS_COUNT("svc.jobs", 1);
-    // Durable result cache: a completed twin from a previous daemon life
-    // is served byte-identically from disk, no recompute. The collision
-    // guard inside load_result re-checks same_computation.
-    bool disk_hit = false;
-    if (wal_.enabled() && job.rkey != 0) {
-      if (auto cached = wal_.load_result(job.rkey, job.request); cached.ok()) {
-        out.report_json = std::move(cached).value();
-        out.cache_hit = true;
-        out.status = "ok";
-        disk_hit = true;
-        OBS_COUNT("svc.result.disk_hits", 1);
-      }
-    }
-    if (!disk_hit) try {
-      auto run = QueryCore::run(job.request, &store_, job.cancel);
+    if (durable) {
+      // Admission found the exact report bytes in the journal.
+      out.report_json = std::move(*job.durable_report);
+      out.cache_hit = true;
+      out.status = "ok";
+      OBS_COUNT("svc.result.disk_hits", 1);
+    } else try {
+      // With a journal, results live in its durable index alone; the
+      // store keeps only the workload tier.
+      auto run = QueryCore::run(job.request, &store_, job.cancel,
+                                /*memoize_result=*/!wal_.enabled());
       if (!run.ok()) {
         out.status = "error";
         out.error = run.error().to_string();
@@ -502,10 +508,6 @@ void Server::run_job(Job& job) {
                          : (job.client_cancelled.load(std::memory_order_relaxed)
                                 ? "cancelled"
                                 : "partial");
-        if (out.status == "ok" && wal_.enabled() && job.rkey != 0) {
-          // Persist the exact report bytes.
-          (void)wal_.store_result(job.rkey, job.request, out.report_json);
-        }
       }
     } catch (const util::CancelledError& e) {
       // A stage with no partial form (parse, interleave build) unwound.
@@ -553,11 +555,17 @@ void Server::run_job(Job& job) {
 
   // WAL terminal record before the outcome becomes visible: cancelled
   // jobs replay as cancelled, everything else (ok, partial, error) is
-  // finished business a restart must not re-run.
-  if (out.status == "cancelled")
-    wal_.cancelled(job.id);
-  else
-    wal_.completed(job.id, job.rkey);
+  // finished business a restart must not re-run. An ok job's record
+  // carries its report, so one fsync makes the result durable too. A
+  // durable hit has no record to close.
+  if (!durable) {
+    if (out.status == "cancelled")
+      wal_.cancelled(job.id);
+    else if (out.status == "ok" && job.rkey != 0)
+      wal_.completed(job.id, job.rkey, job.request, out.report_json);
+    else
+      wal_.completed(job.id, job.rkey);
+  }
 
   {
     std::lock_guard<std::mutex> lk(stats_mu_);

@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,10 +67,14 @@ struct ServerOptions {
   std::uint64_t slow_job_ms = 1000;
   /// Ring-buffer capacity of the telemetry event journal.
   std::size_t journal_capacity = 256;
-  /// Crash durability (DESIGN.md §16): when non-empty, every job lifecycle
-  /// transition is write-ahead journalled here, completed reports persist
-  /// under <dir>/results/, and start() replays unfinished jobs from a
-  /// previous life (they recompute). Empty = a purely in-memory daemon.
+  /// Crash durability (DESIGN.md §16): when non-empty, every computed
+  /// job's lifecycle is write-ahead journalled here, an ok job's completed
+  /// record carries its report (two fsyncs per computed job), a
+  /// resubmission of a durable result is served from the journal with no
+  /// record at all, and start() replays unfinished jobs from a previous
+  /// life (they recompute). The journal's bounded result index is then
+  /// the daemon's only result cache: the store keeps workloads alone.
+  /// Empty = a purely in-memory daemon (results cached in the store).
   std::string journal_dir;
   /// Journal compaction threshold (JournalOptions::rotate_bytes).
   std::uint64_t journal_rotate_bytes = 4u << 20;
@@ -155,6 +160,9 @@ class Server {
     /// Canonical result key (canonical_hash over the resolved source);
     /// 0 when the source could not be resolved at admission time.
     std::uint64_t rkey = 0;
+    /// The report, when the journal already held this result durably at
+    /// admission: the job is served from it and writes no journal record.
+    std::optional<std::string> durable_report;
     /// Replayed from the WAL on restart: no originating connection, so a
     /// watcher disconnect must not cancel it.
     bool replayed = false;

@@ -139,7 +139,8 @@ selection::SelectionResult QueryCore::select(const Workload& w,
 
 util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
                                                 ArtifactStore* store,
-                                                util::CancelToken cancel) {
+                                                util::CancelToken cancel,
+                                                bool memoize_result) {
   auto src = source_hash(req);
   if (!src.ok()) return src.error();
 
@@ -162,6 +163,11 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
     // job's, not ours — build privately.
     out.workload = build_shared();
     out.workload_cache_hit = false;
+  }
+  if (!memoize_result) {
+    out.result = std::make_shared<selection::SelectionResult>(
+        select(*out.workload, req, cancel));
+    return out;
   }
 
   const std::uint64_t rkey = req.canonical_hash(src.value());

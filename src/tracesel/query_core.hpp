@@ -110,13 +110,16 @@ class QueryCore {
                                            util::CancelToken cancel);
 
   /// The full memoized pipeline: resolve -> workload (cached) -> select
-  /// (cached). `store` may be null (no caching). Partial results
-  /// (cancelled / deadline) are returned but never cached. A typed error
-  /// when the spec file cannot be read; parse and engine failures throw,
-  /// including util::CancelledError when `cancel` has fired before the
-  /// statistics are built.
+  /// (cached). `store` may be null (no caching); `memoize_result` false
+  /// keeps the workload tier but leaves the result tier alone, for a
+  /// caller that keeps results durably itself (the journalled daemon).
+  /// Partial results (cancelled / deadline) are returned but never
+  /// cached. A typed error when the spec file cannot be read; parse and
+  /// engine failures throw, including util::CancelledError when `cancel`
+  /// has fired before the statistics are built.
   static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
-                                   util::CancelToken cancel);
+                                   util::CancelToken cancel,
+                                   bool memoize_result = true);
 };
 
 }  // namespace tracesel

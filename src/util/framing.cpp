@@ -94,40 +94,47 @@ Status write_frame(int fd, std::string_view payload) {
   return Status::success();
 }
 
+void FrameReader::feed(std::string_view bytes) {
+  buffer_.erase(0, head_);
+  head_ = 0;
+  buffer_.append(bytes);
+}
+
 FrameReader::State FrameReader::next(std::string& payload) {
   if (corrupt_) {
     return State::kCorrupt;
   }
+  const std::string_view buffer = std::string_view(buffer_).substr(head_);
   // Validate the magic on whatever prefix has arrived so far: garbage is
   // reported the moment it shows up, not deferred until (and unless) a
   // full header's worth of bytes accumulates.
-  const std::size_t have = std::min(buffer_.size(), sizeof(kFrameMagic));
-  if (std::memcmp(buffer_.data(), kFrameMagic, have) != 0) {
+  const std::size_t have = std::min(buffer.size(), sizeof(kFrameMagic));
+  if (std::memcmp(buffer.data(), kFrameMagic, have) != 0) {
     corrupt_ = true;
     corrupt_reason_ = "bad frame magic (stream desynchronized)";
     return State::kCorrupt;
   }
-  if (buffer_.size() < kFrameHeaderBytes) {
+  if (buffer.size() < kFrameHeaderBytes) {
     return State::kNeedMore;
   }
-  const std::uint32_t len = get_u32le(buffer_.data() + 8);
+  const std::uint32_t len = get_u32le(buffer.data() + 8);
   if (len > max_frame_bytes_) {
     corrupt_ = true;
     corrupt_reason_ = "frame length exceeds cap (corrupt length field)";
     return State::kCorrupt;
   }
-  if (buffer_.size() < kFrameHeaderBytes + len) {
+  if (buffer.size() < kFrameHeaderBytes + len) {
     return State::kNeedMore;
   }
-  const std::uint64_t want = get_u64le(buffer_.data() + 12);
-  const std::string_view body(buffer_.data() + kFrameHeaderBytes, len);
+  const std::uint64_t want = get_u64le(buffer.data() + 12);
+  const std::string_view body(buffer.data() + kFrameHeaderBytes, len);
   if (fnv1a64(body) != want) {
     corrupt_ = true;
     corrupt_reason_ = "frame checksum mismatch";
     return State::kCorrupt;
   }
   payload.assign(body);
-  buffer_.erase(0, kFrameHeaderBytes + len);
+  head_ += kFrameHeaderBytes + len;
   return State::kFrame;
 }
 

@@ -59,8 +59,8 @@ class FrameReader {
   explicit FrameReader(std::size_t max_frame_bytes = kMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  void feed(const char* data, std::size_t n) { buffer_.append(data, n); }
-  void feed(std::string_view bytes) { buffer_.append(bytes); }
+  void feed(const char* data, std::size_t n) { feed(std::string_view(data, n)); }
+  void feed(std::string_view bytes);
 
   /// Extracts the next complete frame's payload into `payload`.
   State next(std::string& payload);
@@ -69,11 +69,15 @@ class FrameReader {
   const std::string& corrupt_reason() const { return corrupt_reason_; }
 
   /// Bytes buffered but not yet consumed (diagnostics).
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
   std::size_t max_frame_bytes_ = kMaxFrameBytes;
   std::string buffer_;
+  /// Bytes of buffer_ already consumed. next() only advances it, and
+  /// feed() drops that prefix, so draining many frames from one large
+  /// feed is linear rather than one erase per frame.
+  std::size_t head_ = 0;
   bool corrupt_ = false;
   std::string corrupt_reason_;
 };

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "service/server.hpp"
 #include "tracesel/query_core.hpp"
 #include "util/framing.hpp"
+#include "util/obs.hpp"
 #include "util/rng.hpp"
 
 namespace tracesel::service {
@@ -381,6 +383,218 @@ TEST(ServiceChaos, RotationCompactsToLiveJobs) {
   EXPECT_TRUE(rec.value().pending[0].request.same_computation(live_req));
 }
 
+TEST(ServiceChaos, RotationKeepsDurableResults) {
+  // With a tiny rotate threshold and more distinct results than fit in
+  // it, compaction must keep every result (byte for byte across a reopen)
+  // and the one live job, and must not rewrite the log on every append
+  // once the retained results alone exceed the threshold.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  const JobRequest live_req = fig2_request(100);
+  constexpr std::uint64_t kResults = 64;
+  const auto key_of = [](std::uint64_t id) { return 0x5000 + id; };
+  const auto report_of = [](std::uint64_t id) {
+    return "{\n  \"job\": " + std::to_string(id) + ",\n  \"pad\": \"" +
+           std::string(id % 7 * 13, 'x') + "\"\n}";
+  };
+  const auto request_of = [](std::uint64_t id) {
+    return fig2_request(static_cast<std::uint32_t>(id));
+  };
+  std::uint64_t appends = 0;
+  {
+    JobJournal j;
+    ASSERT_TRUE(j.open(fast_options(dir, /*rotate_bytes=*/2048)).ok());
+    j.accepted(1000, live_req);
+    j.started(1000);
+    appends += 2;
+    for (std::uint64_t id = 1; id <= kResults; ++id) {
+      j.accepted(id, request_of(id));
+      j.started(id);
+      j.completed(id, key_of(id), request_of(id), report_of(id));
+      appends += 3;
+    }
+    EXPECT_GT(j.rotations(), 0u);
+    // Each compaction at least doubles the next trigger's distance, so
+    // the count grows with the log of the retained bytes, not with the
+    // appends.
+    EXPECT_LE(j.rotations(), 12u) << "over " << appends << " appends";
+    j.close();
+  }
+  JobJournal j;
+  auto rec = j.open(fast_options(dir));
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec.value().dropped_records, 0u);
+  ASSERT_EQ(rec.value().pending.size(), 1u);
+  EXPECT_EQ(rec.value().pending[0].id, 1000u);
+  EXPECT_TRUE(rec.value().pending[0].request.same_computation(live_req));
+  for (std::uint64_t id = 1; id <= kResults; ++id) {
+    const auto hit = j.load_result(key_of(id), request_of(id));
+    ASSERT_TRUE(hit.ok()) << "job " << id << ": " << hit.error().to_string();
+    EXPECT_EQ(hit.value(), report_of(id)) << "job " << id;
+  }
+  // The collision guard: a key answers only the computation it was for.
+  EXPECT_FALSE(j.load_result(key_of(1), request_of(2)).ok());
+}
+
+TEST(ServiceChaos, ResultBudgetBoundsTheJournalAndKeepsPendingJobs) {
+  // Churn three budgets' worth of large results through a journal at the
+  // default rotate threshold. The index evicts the oldest results, so the
+  // log stays bounded, a reopen replays the whole log, and the job
+  // accepted before the churn is still pending. A report over the whole
+  // budget completes its job without a body and is never served.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  const JobRequest live_req = fig2_request(100);
+  constexpr std::uint64_t kReportBytes = 1u << 20;
+  constexpr std::uint64_t kResults =
+      3 * JobJournal::kResultBudgetBytes / kReportBytes;
+  const auto key_of = [](std::uint64_t id) { return 0x7000 + id; };
+  const auto report_of = [](std::uint64_t id) {
+    return std::to_string(id) + std::string(kReportBytes, 'r');
+  };
+  const auto request_of = [](std::uint64_t id) {
+    return fig2_request(static_cast<std::uint32_t>(id));
+  };
+  const std::uint64_t huge_id = kResults + 1;
+  {
+    JobJournal j;
+    ASSERT_TRUE(j.open(fast_options(dir, /*rotate_bytes=*/4u << 20)).ok());
+    j.accepted(1000, live_req);
+    for (std::uint64_t id = 1; id <= kResults; ++id) {
+      j.accepted(id, request_of(id));
+      j.completed(id, key_of(id), request_of(id), report_of(id));
+      // Compacted results + live jobs, doubled, plus one record.
+      ASSERT_LT(j.bytes(), 2 * JobJournal::kResultBudgetBytes + 2 * kReportBytes)
+          << "after job " << id;
+    }
+    j.accepted(huge_id, request_of(huge_id));
+    j.completed(huge_id, key_of(huge_id), request_of(huge_id),
+                std::string(JobJournal::kResultBudgetBytes + 1, 'h'));
+    EXPECT_FALSE(j.load_result(key_of(huge_id), request_of(huge_id)).ok());
+    EXPECT_GT(j.rotations(), 0u);
+    j.close();
+  }
+  JobJournal j;
+  auto rec = j.open(fast_options(dir));
+  ASSERT_TRUE(rec.ok()) << rec.error().to_string();
+  EXPECT_EQ(rec.value().dropped_records, 0u);
+  ASSERT_EQ(rec.value().pending.size(), 1u);
+  EXPECT_EQ(rec.value().pending[0].id, 1000u);
+  EXPECT_TRUE(rec.value().pending[0].request.same_computation(live_req));
+  EXPECT_FALSE(j.load_result(key_of(1), request_of(1)).ok());
+  EXPECT_FALSE(j.load_result(key_of(huge_id), request_of(huge_id)).ok());
+  std::uint64_t kept = 0;
+  for (std::uint64_t id = 1; id <= kResults; ++id) {
+    const auto hit = j.load_result(key_of(id), request_of(id));
+    if (!hit.ok()) continue;
+    EXPECT_EQ(hit.value(), report_of(id)) << "job " << id;
+    ++kept;
+  }
+  // The newest results survive; the index holds no more than the budget.
+  EXPECT_TRUE(j.load_result(key_of(kResults), request_of(kResults)).ok());
+  EXPECT_GT(kept, 0u);
+  EXPECT_LE(kept * kReportBytes, JobJournal::kResultBudgetBytes);
+}
+
+TEST(ServiceChaos, UnreadableJournalFailsOpenInsteadOfStartingEmpty) {
+  // A log that exists but cannot be read (here: a directory in its place,
+  // which opens but fails every read) must fail open() with a typed
+  // error: starting empty would let the next compaction overwrite it.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  std::filesystem::create_directories(dir + "/jobs.journal");
+  JobJournal j;
+  const auto rec = j.open(fast_options(dir));
+  ASSERT_FALSE(rec.ok());
+  EXPECT_NE(rec.error().to_string().find("cannot read"), std::string::npos)
+      << rec.error().to_string();
+  EXPECT_FALSE(j.enabled());
+}
+
+TEST(ServiceChaos, TornResultRecordLeavesTheJobPending) {
+  // kill -9 mid-append of a completed record that carries a report: cut
+  // the journal at every byte offset inside that last record. Replay must
+  // never crash or serve the torn result, the job must come back pending,
+  // and a daemon on such a directory must return the reference bytes.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  const JobRequest req = fig2_request(2);
+  const std::string expected = reference_report(req);
+  const auto source = QueryCore::source_hash(req);
+  ASSERT_TRUE(source.ok());
+  const std::uint64_t rkey = req.canonical_hash(source.value());
+  {
+    JobJournal j;
+    ASSERT_TRUE(j.open(fast_options(dir)).ok());
+    j.accepted(1, req);
+    j.started(1);
+    j.completed(1, rkey, req, expected);
+    j.close();
+  }
+  const std::string pristine = slurp(dir + "/jobs.journal");
+  const std::vector<std::size_t> bounds = frame_boundaries(pristine);
+  ASSERT_EQ(bounds.size(), 4u);
+  {
+    JobJournal j;
+    auto rec = j.open(fast_options(dir));
+    ASSERT_TRUE(rec.ok());
+    EXPECT_TRUE(rec.value().pending.empty());
+    const auto hit = j.load_result(rkey, req);
+    ASSERT_TRUE(hit.ok()) << hit.error().to_string();
+    EXPECT_EQ(hit.value(), expected);
+  }
+
+  for (std::size_t cut = bounds[2]; cut < bounds[3]; ++cut) {
+    TempDir sweep;
+    const std::string d = sweep.sub("wal");
+    std::filesystem::create_directories(d);
+    spill(d + "/jobs.journal", pristine.substr(0, cut));
+    JobJournal j;
+    auto rec = j.open(fast_options(d));
+    ASSERT_TRUE(rec.ok()) << "cut=" << cut << ": " << rec.error().to_string();
+    ASSERT_EQ(rec.value().pending.size(), 1u) << "cut=" << cut;
+    EXPECT_EQ(rec.value().pending[0].id, 1u) << "cut=" << cut;
+    EXPECT_EQ(rec.value().dropped_bytes, cut - bounds[2]) << "cut=" << cut;
+    EXPECT_FALSE(j.load_result(rkey, req).ok()) << "cut=" << cut;
+  }
+
+  // An intact frame whose result body is malformed is dropped alone: the
+  // job stays pending rather than serve a report it cannot vouch for.
+  {
+    TempDir bad;
+    const std::string d = bad.sub("wal");
+    std::filesystem::create_directories(d);
+    char hex[17];
+    const auto end = std::to_chars(hex, hex + sizeof(hex), rkey, 16).ptr;
+    spill(d + "/jobs.journal",
+          pristine.substr(0, bounds[2]) +
+              util::encode_frame("tracesel-jrec 1 completed 1 " +
+                                 std::string(hex, end) +
+                                 "\nrequest 999\ntruncated"));
+    JobJournal j;
+    auto rec = j.open(fast_options(d));
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().pending.size(), 1u);
+    EXPECT_EQ(rec.value().dropped_records, 1u);
+    EXPECT_EQ(rec.value().dropped_bytes, 0u);
+    EXPECT_FALSE(j.load_result(rkey, req).ok());
+  }
+
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  spill(dir + "/jobs.journal",
+        pristine.substr(0, (bounds[2] + bounds[3]) / 2));
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  Daemon daemon{std::move(opt)};
+  EXPECT_EQ(daemon.server->stats().recovered, 1u);
+  Client client = daemon.connect();
+  const auto out = client.submit(req);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(out.value().status, "ok");
+  EXPECT_EQ(out.value().report_json, expected);
+}
+
 // --- daemon recovery ----------------------------------------------------
 
 TEST(ServiceChaos, ServerReplaysPendingJobsOnRestart) {
@@ -453,10 +667,10 @@ TEST(ServiceChaos, DurableResultCacheSurvivesRestart) {
 }
 
 TEST(ServiceChaos, OldVersionResultFileIsNotServed) {
-  // A results/ entry written under an earlier stored-result version (one
-  // that could hold a beam-degraded report) is a cache miss: the job
-  // recomputes to the current bytes and rewrites the entry, which a fresh
-  // daemon then serves from disk.
+  // A results/ entry left by an older daemon (here one of a stored-result
+  // version that could hold a beam-degraded report) is ignored: the job
+  // recomputes to the current bytes, its completed journal record carries
+  // them, and a fresh daemon then serves them from the journal.
   TempDir tmp;
   const std::string dir = tmp.sub("wal");
   const JobRequest req = fig2_request(2);
@@ -469,7 +683,10 @@ TEST(ServiceChaos, OldVersionResultFileIsNotServed) {
     ASSERT_TRUE(j.open(fast_options(dir)).ok());
     const std::string wire = serialize_job_request(req);
     const std::string stale = "{\"stale\": true}";
-    spill(j.result_path(rkey),
+    char hex[17];
+    const auto end = std::to_chars(hex, hex + sizeof(hex), rkey, 16).ptr;
+    std::filesystem::create_directories(dir + "/results");
+    spill(dir + "/results/" + std::string(hex, end) + ".result",
           util::encode_envelope(
               "tracesel-result", 1,
               "request " + std::to_string(wire.size()) + "\n" + wire +
@@ -496,6 +713,53 @@ TEST(ServiceChaos, OldVersionResultFileIsNotServed) {
   ASSERT_TRUE(out.ok()) << out.error().to_string();
   EXPECT_TRUE(out.value().cache_hit);
   EXPECT_EQ(out.value().report_json, expected);
+}
+
+TEST(ServiceChaos, SyncsPerJob) {
+  // The journal's fsync budget: a computed job syncs its accepted record
+  // and its completed record, which carries the report; a resubmission of
+  // a durable result syncs nothing, in the same daemon or a fresh one.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  const JobRequest req = fig2_request(2);
+  const std::string expected = reference_report(req);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto syncs = [] {
+    return obs::registry().counter_value("svc.journal.syncs");
+  };
+
+  {
+    ServerOptions opt;
+    opt.journal_dir = dir;
+    Daemon first{std::move(opt)};
+    Client client = first.connect();
+    std::uint64_t before = syncs();
+    const auto cold = client.submit(req);
+    ASSERT_TRUE(cold.ok()) << cold.error().to_string();
+    EXPECT_FALSE(cold.value().cache_hit);
+    EXPECT_EQ(cold.value().report_json, expected);
+    EXPECT_EQ(syncs() - before, 2u);
+
+    before = syncs();
+    const auto repeat = client.submit(req);
+    ASSERT_TRUE(repeat.ok()) << repeat.error().to_string();
+    EXPECT_TRUE(repeat.value().cache_hit);
+    EXPECT_EQ(repeat.value().report_json, expected);
+    EXPECT_EQ(syncs() - before, 0u);
+  }
+
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  Daemon second{std::move(opt)};
+  Client client = second.connect();
+  const std::uint64_t before = syncs();
+  const auto out = client.submit(req);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_TRUE(out.value().cache_hit);
+  EXPECT_EQ(out.value().report_json, expected);
+  EXPECT_EQ(syncs() - before, 0u);
+  obs::set_enabled(was_enabled);
 }
 
 // --- admission control under load ---------------------------------------

@@ -65,6 +65,29 @@ TEST(Framing, DrainsMultipleFramesFromOneFeed) {
   EXPECT_EQ(reader.next(out), FrameReader::State::kNeedMore);
 }
 
+TEST(Framing, FeedAfterAPartialDrainKeepsOrderAndCount) {
+  // Consumed frames are dropped lazily; buffered() and the next frame must
+  // not see them, whether the reader is drained between feeds or not.
+  const std::string wire =
+      encode_frame("first") + encode_frame("second") + encode_frame("third");
+  const std::size_t cut = wire.size() - 3;
+  FrameReader reader;
+  reader.feed(std::string_view(wire).substr(0, cut));
+  std::string out;
+  ASSERT_EQ(reader.next(out), FrameReader::State::kFrame);
+  EXPECT_EQ(out, "first");
+  EXPECT_EQ(reader.buffered(), cut - encode_frame("first").size());
+  ASSERT_EQ(reader.next(out), FrameReader::State::kFrame);
+  EXPECT_EQ(out, "second");
+  EXPECT_EQ(reader.next(out), FrameReader::State::kNeedMore);
+  EXPECT_EQ(reader.buffered(), encode_frame("third").size() - 3);
+  reader.feed(std::string_view(wire).substr(cut));
+  EXPECT_EQ(reader.buffered(), encode_frame("third").size());
+  ASSERT_EQ(reader.next(out), FrameReader::State::kFrame);
+  EXPECT_EQ(out, "third");
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
 TEST(Framing, BadMagicPoisonsTheStream) {
   FrameReader reader;
   std::string wire = encode_frame("payload");

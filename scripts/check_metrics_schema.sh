@@ -34,7 +34,7 @@ doc_names=$(grep -hoE '`[a-z0-9._/]+`' "${DOCS[@]}" | tr -d '`' |
 fail=0
 
 # 1. Docs must not name metrics the source no longer emits.
-prefixes='^(flow|parse|interleave|selection|store|session|debug|pool|process|svc|resilience)\.'
+prefixes='^(flow|parse|interleave|selection|store|session|debug|soc|pool|process|svc|resilience)\.'
 for name in $doc_names; do
   echo "$name" | grep -qE "$prefixes" || continue
   # Family rows (`svc.`), file paths, derived/service-computed keys and

@@ -75,8 +75,17 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
     OBS_COUNT("debug.capture.attempts", 1);
     if (attempt > 0) OBS_COUNT("debug.capture.retries", 1);
     buggy_buffer.configure(*catalog_, result.selection);  // reset the ring
-    const std::vector<soc::TimedMessage> delivered =
-        injector.apply(result.buggy.messages, attempt, &result.fault_stats);
+    // A perfect channel delivers the run itself: record it without a copy.
+    std::vector<soc::TimedMessage> faulted;
+    if (faulty) {
+      faulted =
+          injector.apply(result.buggy.messages, attempt, &result.fault_stats);
+    } else {
+      const std::size_t n = result.buggy.messages.size();
+      result.fault_stats = {.input_messages = n, .delivered_messages = n};
+    }
+    const std::vector<soc::TimedMessage>& delivered =
+        faulty ? faulted : result.buggy.messages;
     for (const soc::TimedMessage& tm : delivered) buggy_buffer.record(tm);
     result.buggy_records = buggy_buffer.records();
 

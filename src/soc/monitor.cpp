@@ -16,27 +16,16 @@ bool split_signal(const std::string& signal, std::string& base,
   return true;
 }
 
-/// Decodes the destination IP ordinal the simulator encodes on *_dst.
-std::string decode_dst(std::uint64_t value) {
-  switch (value) {
-    case 0: return "NCU";
-    case 1: return "DMU";
-    case 2: return "SIU";
-    case 3: return "MCU";
-    case 4: return "CCX";
-    case 5: return "CPU";
-  }
-  return "?";
+/// The *_dst wire carries the soc::Ip ordinal of the destination, and 6
+/// for any name outside the six IPs.
+std::uint64_t encode_dst(std::string_view name) {
+  std::uint64_t code = 0;
+  while (code < 6 && to_string(static_cast<Ip>(code)) != name) ++code;
+  return code;
 }
 
-std::uint64_t encode_dst(const std::string& name) {
-  if (name == "NCU") return 0;
-  if (name == "DMU") return 1;
-  if (name == "SIU") return 2;
-  if (name == "MCU") return 3;
-  if (name == "CCX") return 4;
-  if (name == "CPU") return 5;
-  return 6;
+std::string decode_dst(std::uint64_t code) {
+  return code < 6 ? ip_name(static_cast<Ip>(code)) : "?";
 }
 
 }  // namespace
@@ -88,6 +77,10 @@ void Monitor::clear() {
   ignored_ = 0;
 }
 
+std::string monitored_dst(std::string_view ip) {
+  return decode_dst(encode_dst(ip));
+}
+
 std::vector<SignalEvent> signal_burst(const flow::Message& message,
                                       const TimedMessage& tm) {
   return {
@@ -97,6 +90,18 @@ std::vector<SignalEvent> signal_burst(const flow::Message& message,
       SignalEvent{message.name + "_dst", encode_dst(tm.dst), tm.cycle},
       SignalEvent{message.name + "_valid", 1, tm.cycle},
   };
+}
+
+std::vector<SignalEvent> signal_trace(
+    const flow::MessageCatalog& catalog,
+    const std::vector<TimedMessage>& messages) {
+  std::vector<SignalEvent> events;
+  events.reserve(messages.size() * 5);
+  for (const TimedMessage& tm : messages) {
+    for (SignalEvent& ev : signal_burst(catalog.get(tm.msg.message), tm))
+      events.push_back(std::move(ev));
+  }
+  return events;
 }
 
 }  // namespace tracesel::soc

@@ -3,8 +3,7 @@
 // under simulation toggles interface *signals*; monitors watch those
 // signals and reassemble application-level flow messages from them.
 //
-// Our transaction simulator emits, for every message beat, a burst of
-// signal events on the message's interface:
+// A message beat is a burst of signal events on the message's interface:
 //   <name>_data  — content value
 //   <name>_tag   — flow instance index (the architectural tagging support)
 //   <name>_sess  — test session ordinal
@@ -13,10 +12,14 @@
 // The Monitor buffers partial beats per message and publishes a
 // TimedMessage when the valid strobe arrives, exactly how the RTL monitors
 // of the paper convert OpenSPARC T2 signals to flow messages.
+//
+// The simulator emits each TimedMessage as a Monitor would rebuild it from
+// the burst; signal_trace re-expands messages into bursts (VCD, tests).
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -77,8 +80,18 @@ class Monitor {
   std::size_t ignored_ = 0;
 };
 
-/// Helper used by the simulator: the five signal events of one message beat.
+/// The destination a Monitor rebuilds for a message routed to `ip`: `ip`
+/// for the six soc::Ip names, "?" for any other (the *_dst wire's codes).
+std::string monitored_dst(std::string_view ip);
+
+/// The five signal events of one message beat.
 std::vector<SignalEvent> signal_burst(const flow::Message& message,
                                       const TimedMessage& tm);
+
+/// The signal bursts of a message stream, in order. A Monitor fed this
+/// stream rebuilds `messages` when every dst is already monitored_dst.
+std::vector<SignalEvent> signal_trace(
+    const flow::MessageCatalog& catalog,
+    const std::vector<TimedMessage>& messages);
 
 }  // namespace tracesel::soc

@@ -1,9 +1,10 @@
 #include "soc/simulator.hpp"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/bits.hpp"
+#include "util/obs.hpp"
 
 namespace tracesel::soc {
 
@@ -67,8 +68,10 @@ std::uint64_t SocSimulator::golden_value(flow::MessageId m,
 SimResult SocSimulator::run(const SimOptions& options) const {
   SimResult result;
   util::Rng rng(options.seed);
-  Monitor monitor(*catalog_);
   std::uint64_t cycle = 0;
+  // Occurrence counters per (message, instance index), reset each session.
+  std::vector<std::uint32_t> occ(catalog_->size() * instances_per_flow_);
+  std::vector<std::size_t> enabled;
 
   for (std::uint32_t session = 0; session < options.sessions; ++session) {
     // Fresh flow instances each session, indexed 1..k per flow (Def. 4).
@@ -82,8 +85,7 @@ SimResult SocSimulator::run(const SimOptions& options) const {
         insts.push_back(s);
       }
     }
-    // occurrence counters per (message, instance index) within the session.
-    std::map<std::pair<flow::MessageId, std::uint32_t>, std::uint32_t> occ;
+    std::fill(occ.begin(), occ.end(), 0);
 
     for (std::uint32_t step = 0; step < options.max_steps_per_session;
          ++step) {
@@ -97,7 +99,7 @@ SimResult SocSimulator::run(const SimOptions& options) const {
           break;
         }
       }
-      std::vector<std::size_t> enabled;
+      enabled.clear();
       for (std::size_t i = 0; i < insts.size(); ++i) {
         const InstanceState& s = insts[i];
         if (s.stalled || s.flow->is_stop(s.state)) continue;
@@ -123,8 +125,9 @@ SimResult SocSimulator::run(const SimOptions& options) const {
       }
       const flow::Transition& t = inst.flow->transitions()[out[branch]];
       const flow::Message& msg = catalog_->get(t.message);
-      const std::uint32_t occurrence =
-          occ[{t.message, inst.index}]++;
+      std::uint32_t& occurrences =
+          occ[std::size_t{t.message} * instances_per_flow_ + inst.index - 1];
+      const std::uint32_t occurrence = occurrences++;
 
       TimedMessage tm;
       tm.msg = flow::IndexedMessage{t.message, inst.index};
@@ -183,10 +186,10 @@ SimResult SocSimulator::run(const SimOptions& options) const {
       tm.cycle = cycle;
 
       if (!dropped) {
-        for (const SignalEvent& ev : signal_burst(msg, tm)) {
-          result.signals.push_back(ev);
-          monitor.on_event(ev);
-        }
+        // Emit the message as the Fig. 4 monitor rebuilds it from the
+        // signal burst (its *_dst wire carries only the six T2 IPs).
+        tm.dst = monitored_dst(tm.dst);
+        result.messages.push_back(std::move(tm));
       }
 
       inst.state = t.to;
@@ -228,14 +231,14 @@ SimResult SocSimulator::run(const SimOptions& options) const {
         }
       }
       if (result.failed)
-        result.messages_to_symptom = monitor.messages().size();
+        result.messages_to_symptom = result.messages.size();
     }
 
     cycle += rng.between(20, 60);  // inter-session quiescence
   }
 
-  result.messages = monitor.messages();
   result.total_cycles = cycle;
+  OBS_COUNT("soc.sim.messages", result.messages.size());
   return result;
 }
 

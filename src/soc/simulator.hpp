@@ -5,10 +5,11 @@
 // A *session* executes one interleaved round of the scenario: every
 // participating flow instance runs from its initial state to its stop state
 // under the Def. 5 scheduling rules (only the atomic-state holder may move
-// while one exists). The simulator emits signal events for every message
-// beat; a Monitor (Fig. 4) reassembles them into flow messages. Injected
-// bugs perturb emission: corrupt, drop (instance stalls -> hang), misroute,
-// or wrong-decode (poisons the instance's later messages -> bad trap at
+// while one exists). Each emitted message is the TimedMessage a Monitor
+// (Fig. 4) would rebuild from the beat's signal burst; soc::signal_trace
+// re-expands messages into signals for VCD dumps and tests. Injected bugs
+// perturb emission: corrupt, drop (instance stalls -> hang), misroute, or
+// wrong-decode (poisons the instance's later messages -> bad trap at
 // session end).
 //
 // Content values are a deterministic function of (message, instance,
@@ -36,8 +37,8 @@ struct SimOptions {
 };
 
 struct SimResult {
-  std::vector<SignalEvent> signals;    ///< raw interface activity
-  std::vector<TimedMessage> messages;  ///< Monitor-reconstructed messages
+  /// Emitted messages, as a Monitor rebuilds them (see soc::signal_trace).
+  std::vector<TimedMessage> messages;
   bool failed = false;
   std::string failure;                 ///< e.g. "FAIL: Bad Trap"
   std::uint32_t fail_session = 0;

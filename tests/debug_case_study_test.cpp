@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/obs.hpp"
+
 namespace tracesel::debug {
 namespace {
 
@@ -19,6 +21,17 @@ TEST_F(CaseStudyTest, AllFiveCaseStudiesFailAndLocalize) {
     EXPECT_LT(r.report.final_causes.size(), r.report.catalog_size)
         << "case " << cs.id;
   }
+}
+
+TEST_F(CaseStudyTest, SimMessagesCounterMatchesBothRuns) {
+  // soc.sim.messages counts every emitted message once per simulator run.
+  obs::set_enabled(true);
+  obs::reset();
+  const auto r = run_case_study(design_, soc::standard_case_studies()[0]);
+  EXPECT_EQ(obs::registry().counter_value("soc.sim.messages"),
+            r.golden.messages.size() + r.buggy.messages.size());
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 TEST_F(CaseStudyTest, PruningIsSubstantial) {

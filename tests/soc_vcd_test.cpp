@@ -58,7 +58,8 @@ TEST_F(VcdTest, TimesAreSortedAscending) {
 TEST_F(VcdTest, FullSimulationDumpIsNonTrivial) {
   SocSimulator sim(design_, scenario1());
   const auto r = sim.run({});
-  const std::string vcd = to_vcd(design_.catalog(), r.signals, "t2");
+  const std::string vcd = to_vcd(
+      design_.catalog(), signal_trace(design_.catalog(), r.messages), "t2");
   EXPECT_NE(vcd.find("$scope module t2 $end"), std::string::npos);
   // Every emitted message type should appear as a _valid wire.
   EXPECT_NE(vcd.find("reqtot_valid"), std::string::npos);

@@ -1,8 +1,8 @@
 // traceseld cache economics: cold-vs-warm latency through the daemon
 // (DESIGN.md §13, docs/service.md). Starts an in-process Server on a real
 // Unix socket, submits each design's job cold (computes), warm (result
-// cache hit) and concurrently from four tenants at once, and reports the
-// amortization the shared ArtifactStore buys. Gates on the daemon's
+// index hit) and concurrently from four tenants at once, and reports the
+// amortization the daemon's result index buys. Gates on the daemon's
 // acceptance property: the warm report must be byte-identical to the cold
 // one, and every concurrent tenant must get those same bytes.
 
@@ -111,10 +111,9 @@ int main() {
   }
   std::cout << table << '\n';
 
-  const auto stats = server.store().stats();
-  std::cout << "store: " << stats.result_hits << " result hits, "
-            << stats.result_misses << " misses, " << stats.collisions
-            << " collisions\n";
+  const auto stats = server.stats();
+  std::cout << "result index: " << stats.result_hits << " hits, "
+            << stats.result_misses << " misses\n";
   bench::note("warm latency is protocol overhead only - the answer is one "
               "cache lookup; concurrent tenants share the entry without "
               "recomputing");

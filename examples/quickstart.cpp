@@ -8,7 +8,8 @@
 //
 // Uses the query API: QueryCore turns a Workload + JobRequest into a
 // selection with no hidden state. Long-lived embedders that run many
-// queries share an ArtifactStore so repeated requests are memoized.
+// queries share an ArtifactStore so repeated requests reuse the parsed
+// spec and its interleaving statistics.
 
 #include <iostream>
 #include <utility>

@@ -46,7 +46,7 @@ for name in $doc_names; do
     selection.step*|selection.search.*|session.*|flow.parse|\
     interleave.stats|interleave.build|interleave.graph|interleave.grid|\
     interleave.consistent_paths|debug.workbench|debug.simulate|\
-    debug.capture|debug.root_cause|debug.localize|svc.job)
+    debug.capture|debug.root_cause|debug.localize|svc.job|svc.journal.sync)
       continue ;;  # span names
   esac
   if ! echo "$emitted" | grep -qxF "$name"; then

@@ -342,7 +342,11 @@ void JobJournal::append(std::uint64_t job_id, const std::string& payload,
                         Kind kind, std::uint64_t result_key,
                         StoredResult* result) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (fd_ < 0) return;
+  if (fd_ < 0) {
+    // Never opened: the index alone, with nothing to write.
+    if (result != nullptr) index_result_locked(result_key, std::move(*result));
+    return;
+  }
   // The shared framing write loop (EINTR-retried, full write); the journal
   // appender must never reimplement it.
   const auto st = util::write_frame(fd_, payload);
@@ -392,6 +396,7 @@ void JobJournal::append(std::uint64_t job_id, const std::string& payload,
 
 void JobJournal::sync_locked() {
   if (!options_.fsync) return;
+  OBS_SPAN("svc.journal.sync");
   ::fsync(fd_);
   OBS_COUNT("svc.journal.syncs", 1);
 }
@@ -456,7 +461,6 @@ void JobJournal::completed(std::uint64_t job_id, std::uint64_t result_hash) {
 void JobJournal::completed(std::uint64_t job_id, std::uint64_t result_key,
                            const JobRequest& request,
                            std::string_view report_json) {
-  if (!enabled()) return;
   std::string body = result_body(request, report_json);
   // A report over the whole result budget is not kept: the job still
   // completes, and a resubmission recomputes it.

@@ -43,7 +43,10 @@
 // bodies: a new result evicts the oldest ones, and a report whose body
 // alone exceeds the budget is written as a bodyless completed record. An
 // evicted or unkept result costs one recompute. A results/ directory left
-// by an older daemon is ignored.
+// by an older daemon is ignored. A journal that was never opened (a
+// daemon without a journal directory) keeps the same bounded index in
+// memory: completed() indexes the result and writes nothing, so the index
+// is the daemon's one result cache either way.
 //
 // Recovery semantics (torn tails are a fact of kill -9):
 //   - A frame that fails validation poisons the stream from that offset
@@ -136,7 +139,7 @@ class JobJournal {
   void close();
 
   // --- lifecycle appenders (each: one frame under a mutex; every one but
-  // started() fsyncs before it returns) ---
+  // started() fsyncs before it returns; none writes before open()) ---
   void accepted(std::uint64_t job_id, const JobRequest& request);
   void started(std::uint64_t job_id);
   /// A terminal record without a result (partial, error, or no key).
@@ -144,7 +147,8 @@ class JobJournal {
   /// The terminal record of an `ok` job: it carries the report, so one
   /// fsync makes the completion and the result durable together, and
   /// load_result() serves it from then on (until evicted). A report over
-  /// the result budget gets the bodyless record instead.
+  /// the result budget gets the bodyless record instead. On a journal
+  /// that was never opened it only indexes the result.
   void completed(std::uint64_t job_id, std::uint64_t result_key,
                  const JobRequest& request, std::string_view report_json);
   void cancelled(std::uint64_t job_id);
@@ -158,7 +162,7 @@ class JobJournal {
   /// dir/jobs.journal — the log itself.
   std::string path() const;
 
-  /// The durable report for `result_key` from the result index; typed
+  /// The report for `result_key` from the result index; typed
   /// error when absent (never kept, or evicted) or written for a
   /// different computation (collision guard).
   util::Result<std::string> load_result(std::uint64_t result_key,

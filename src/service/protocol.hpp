@@ -65,8 +65,8 @@ struct JobOutcome {
   /// "ok" | "partial" (deadline/budget stopped the search) | "cancelled"
   /// (the client asked) | "error".
   std::string status = "ok";
-  bool cache_hit = false;           ///< result served from the ArtifactStore
-  bool workload_cache_hit = false;  ///< interleave product was shared
+  bool cache_hit = false;           ///< served from the result index
+  bool workload_cache_hit = false;  ///< workload was shared
   std::uint64_t job_id = 0;
   std::uint64_t elapsed_ms = 0;
   std::string error;         ///< non-empty iff status == "error"

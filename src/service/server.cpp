@@ -244,17 +244,18 @@ Server::Admission Server::admit(JobRequest request) {
   Admission a;
   // Resolve the content hash before taking queue_mu_ — it may read the
   // spec file. rkey == 0 means unresolvable here; run_job will surface
-  // the real error, and the job simply skips attach/durable-cache paths.
+  // the real error, and the job simply skips the attach and cache paths.
   std::uint64_t rkey = 0;
   if (auto sh = QueryCore::source_hash(request); sh.ok())
     rkey = request.canonical_hash(sh.value());
-  // Durable result cache: a result the journal already holds is served
-  // without a WAL record or a recompute. The collision guard inside
-  // load_result re-checks same_computation.
-  std::optional<std::string> durable;
+  // The result cache: a result the journal's index holds (in memory alone
+  // when no journal was opened) is served without a WAL record or a
+  // recompute. The collision guard inside load_result re-checks
+  // same_computation.
+  std::optional<std::string> cached;
   if (rkey != 0)
     if (auto hit = wal_.load_result(rkey, request); hit.ok())
-      durable = std::move(hit).value();
+      cached = std::move(hit).value();
 
   // Per-tenant shed accounting happens outside queue_mu_ (telemetry_mu_
   // stays innermost); stats_mu_ nests under queue_mu_ as elsewhere.
@@ -370,12 +371,12 @@ Server::Admission Server::admit(JobRequest request) {
   job->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   job->request = std::move(request);
   job->rkey = rkey;
-  job->durable_report = std::move(durable);
+  job->cached_report = std::move(cached);
   job->watchers.store(1, std::memory_order_relaxed);
   // WAL discipline: a job that will compute has its accepted record on
-  // disk (fsync'd) before it becomes visible to any runner. A durable hit
-  // writes none: its answer was durable before it was admitted.
-  if (!job->durable_report) wal_.accepted(job->id, job->request);
+  // disk (fsync'd) before it becomes visible to any runner. A cache hit
+  // writes none: its answer was kept before it was admitted.
+  if (!job->cached_report) wal_.accepted(job->id, job->request);
   queue_.push_back(job);
   inflight_.push_back(job);
   a.position = queue_.size();
@@ -454,9 +455,9 @@ void Server::run_job(Job& job) {
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.running;
   }
-  const bool durable = job.durable_report.has_value();
+  const bool cached = job.cached_report.has_value();
   journal_append(job.id, job.request.tenant, "started");
-  if (!durable) wal_.started(job.id);
+  if (!cached) wal_.started(job.id);
   if (options_.on_job_start) options_.on_job_start(job.request);
   // The deadline starts when the job starts — queue time must not eat a
   // client's compute budget.
@@ -481,23 +482,19 @@ void Server::run_job(Job& job) {
     // process-global context cannot carry it).
     obs::Span job_span("svc.job", job.request.parent_span_id);
     OBS_COUNT("svc.jobs", 1);
-    if (durable) {
-      // Admission found the exact report bytes in the journal.
-      out.report_json = std::move(*job.durable_report);
+    if (cached) {
+      // Admission found the exact report bytes in the result index.
+      out.report_json = std::move(*job.cached_report);
       out.cache_hit = true;
       out.status = "ok";
       OBS_COUNT("svc.result.disk_hits", 1);
     } else try {
-      // With a journal, results live in its durable index alone; the
-      // store keeps only the workload tier.
-      auto run = QueryCore::run(job.request, &store_, job.cancel,
-                                /*memoize_result=*/!wal_.enabled());
+      auto run = QueryCore::run(job.request, &store_, job.cancel);
       if (!run.ok()) {
         out.status = "error";
         out.error = run.error().to_string();
       } else {
         const QueryCore::Outcome& o = run.value();
-        out.cache_hit = o.result_cache_hit;
         out.workload_cache_hit = o.workload_cache_hit;
         // The exact bytes `tracesel select --json` prints, so clients can
         // diff daemon answers against the single-process CLI.
@@ -556,9 +553,10 @@ void Server::run_job(Job& job) {
   // WAL terminal record before the outcome becomes visible: cancelled
   // jobs replay as cancelled, everything else (ok, partial, error) is
   // finished business a restart must not re-run. An ok job's record
-  // carries its report, so one fsync makes the result durable too. A
-  // durable hit has no record to close.
-  if (!durable) {
+  // carries its report, so one fsync makes the result durable too (with
+  // no journal open, completed() only indexes it). A cache hit has no
+  // record to close.
+  if (!cached) {
     if (out.status == "cancelled")
       wal_.cancelled(job.id);
     else if (out.status == "ok" && job.rkey != 0)
@@ -570,6 +568,7 @@ void Server::run_job(Job& job) {
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     --stats_.running;
+    ++(cached ? stats_.result_hits : stats_.result_misses);
     if (out.status == "ok") ++stats_.completed;
     else if (out.status == "partial") ++stats_.partial;
     else if (out.status == "cancelled") ++stats_.cancelled;
@@ -856,13 +855,11 @@ util::Json Server::stats_json() const {
     j.set("journal.records", util::Json::number(wal_.records_appended()));
     j.set("journal.rotations", util::Json::number(wal_.rotations()));
   }
+  j.set("result.hits", util::Json::number(s.result_hits));
+  j.set("result.misses", util::Json::number(s.result_misses));
   j.set("store.workload.hits", util::Json::number(ss.workload_hits));
   j.set("store.workload.misses", util::Json::number(ss.workload_misses));
-  j.set("store.result.hits", util::Json::number(ss.result_hits));
-  j.set("store.result.misses", util::Json::number(ss.result_misses));
-  j.set("store.result.collisions", util::Json::number(ss.collisions));
   j.set("store.workload.entries", util::Json::number(ss.workload_entries));
-  j.set("store.result.entries", util::Json::number(ss.result_entries));
   return j;
 }
 

@@ -16,13 +16,15 @@
 //   runners       N worker threads pull jobs off the queue and execute
 //                 them through QueryCore::run against the shared
 //                 ArtifactStore, so concurrent and repeated jobs share
-//                 interleave products and memoized selection results.
+//                 workloads. A repeat is served at admission from the
+//                 job journal's bounded result index (journal.hpp), which
+//                 stays in memory when no journal directory is set.
 //                 Each job's deadline_ms is armed on its CancelToken when
 //                 the job *starts* (queue time does not count).
 //   metrics       a runner snapshots its obs thread-counter shard before
 //                 and after the job; the delta rides back in the result
-//                 frame as the job's own metrics (docs/service.md notes
-//                 the jobs>1 caveat: pool-thread work escapes the scope).
+//                 frame as the job's own metrics (a job runs on its
+//                 runner thread alone, so the delta is exactly its own).
 //
 // Shutdown is drain-and-exit: when the shutdown token fires (SIGTERM in
 // the CLI) or a stop frame arrives, the server stops accepting, lets the
@@ -72,9 +74,8 @@ struct ServerOptions {
   /// record carries its report (two fsyncs per computed job), a
   /// resubmission of a durable result is served from the journal with no
   /// record at all, and start() replays unfinished jobs from a previous
-  /// life (they recompute). The journal's bounded result index is then
-  /// the daemon's only result cache: the store keeps workloads alone.
-  /// Empty = a purely in-memory daemon (results cached in the store).
+  /// life (they recompute). Empty = a purely in-memory daemon: the same
+  /// bounded result index serves repeats, but nothing is written.
   std::string journal_dir;
   /// Journal compaction threshold (JournalOptions::rotate_bytes).
   std::uint64_t journal_rotate_bytes = 4u << 20;
@@ -120,14 +121,17 @@ class Server {
     std::uint64_t shed_tenant_cap = 0;  ///< per-tenant in-flight breaches
     std::uint64_t shed_deadline = 0;    ///< unmeetable-deadline sheds
     std::uint64_t attached = 0;    ///< submits attached to an in-flight twin
+    std::uint64_t result_hits = 0;    ///< jobs served from the result index
+    std::uint64_t result_misses = 0;  ///< jobs that ran a compute
     std::uint64_t recovered = 0;   ///< jobs replayed from the WAL on start
     std::uint64_t protocol_errors = 0;  ///< malformed/oversized frames
     std::uint64_t queued = 0;      ///< current depth
     std::uint64_t running = 0;     ///< currently executing
   };
   Stats stats() const;
-  /// Flat stats JSON: jobs.* counters plus the ArtifactStore's store.*
-  /// counters (the CI smoke step greps store.result.hits here).
+  /// Flat stats JSON: jobs.* counters, the result index's result.hits/
+  /// .misses (the CI smoke steps grep these) and the ArtifactStore's
+  /// store.workload.* counters.
   util::Json stats_json() const;
 
   /// One journal ring-buffer entry: a job lifecycle transition stamped
@@ -160,9 +164,9 @@ class Server {
     /// Canonical result key (canonical_hash over the resolved source);
     /// 0 when the source could not be resolved at admission time.
     std::uint64_t rkey = 0;
-    /// The report, when the journal already held this result durably at
-    /// admission: the job is served from it and writes no journal record.
-    std::optional<std::string> durable_report;
+    /// The report, when the journal's result index held it at admission:
+    /// the job is served from it and writes no journal record.
+    std::optional<std::string> cached_report;
     /// Replayed from the WAL on restart: no originating connection, so a
     /// watcher disconnect must not cancel it.
     bool replayed = false;

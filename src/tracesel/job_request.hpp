@@ -21,7 +21,7 @@
 //                     cached.
 //
 // The same struct feeds three consumers from one source of truth:
-//   canonical_hash()     -> the ArtifactStore cache key,
+//   canonical_hash()     -> the daemon's result-index key,
 //   serialize/parse      -> the daemon wire encoding (util envelope codec),
 //   selector_config() /
 //   interleave_options() -> the legacy engine structs.
@@ -98,7 +98,7 @@ struct JobRequest {
   selection::SelectorConfig selector_config() const;
   flow::InterleaveOptions interleave_options() const;
 
-  /// The artifact-cache key: FNV-1a over the format version, every
+  /// The result-index key: FNV-1a over the format version, every
   /// structural field and `source_hash` — the caller-resolved hash of the
   /// actual spec *content* (file bytes, inline text, or a builtin tag), so
   /// two paths to the same bytes share a cache line and an edited spec
@@ -106,7 +106,8 @@ struct JobRequest {
   std::uint64_t canonical_hash(std::uint64_t source_hash) const;
 
   /// True when the two requests denote the same computation (all hashed
-  /// fields equal). Used by the store to guard against hash collisions.
+  /// fields equal). Used by the result index to guard against hash
+  /// collisions.
   bool same_computation(const JobRequest& other) const;
 };
 

@@ -139,8 +139,7 @@ selection::SelectionResult QueryCore::select(const Workload& w,
 
 util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
                                                 ArtifactStore* store,
-                                                util::CancelToken cancel,
-                                                bool memoize_result) {
+                                                util::CancelToken cancel) {
   auto src = source_hash(req);
   if (!src.ok()) return src.error();
 
@@ -148,54 +147,12 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
   auto build_shared = [&]() -> std::shared_ptr<const Workload> {
     return std::shared_ptr<const Workload>(build_workload(req, cancel));
   };
-
-  if (store == nullptr) {
-    out.workload = build_shared();
-    out.result = std::make_shared<selection::SelectionResult>(
-        select(*out.workload, req, cancel));
-    return out;
-  }
-
-  const std::uint64_t wkey = workload_key(req, src.value());
-  out.workload = store->workload(wkey, build_shared, &out.workload_cache_hit);
-  if (!out.workload) {
-    // An in-flight builder on another thread failed; its failure is its
-    // job's, not ours — build privately.
-    out.workload = build_shared();
-    out.workload_cache_hit = false;
-  }
-  if (!memoize_result) {
-    out.result = std::make_shared<selection::SelectionResult>(
-        select(*out.workload, req, cancel));
-    return out;
-  }
-
-  const std::uint64_t rkey = req.canonical_hash(src.value());
-  std::shared_ptr<const selection::SelectionResult> partial;
-  out.result = store->result(
-      rkey, req,
-      [&]() -> std::shared_ptr<const selection::SelectionResult> {
-        auto res = std::make_shared<selection::SelectionResult>(
-            select(*out.workload, req, cancel));
-        if (res->partial) {
-          // Interrupted searches are champions of the *explored* region —
-          // caching one would hand later jobs a truncated answer.
-          partial = std::move(res);
-          return nullptr;
-        }
-        return res;
-      },
-      &out.result_cache_hit);
-  if (!out.result) {
-    if (partial) {
-      out.result = std::move(partial);
-    } else {
-      // Waiter on a builder that failed or went partial: run privately.
-      out.result = std::make_shared<selection::SelectionResult>(
-          select(*out.workload, req, cancel));
-      out.result_cache_hit = false;
-    }
-  }
+  out.workload = store == nullptr
+                     ? build_shared()
+                     : store->workload(workload_key(req, src.value()),
+                                       build_shared, &out.workload_cache_hit);
+  out.result = std::make_shared<selection::SelectionResult>(
+      select(*out.workload, req, cancel));
   return out;
 }
 

@@ -10,7 +10,7 @@
 //                  state, no ordering constraints — safe to call from any
 //                  thread, which is what lets the traceseld daemon run
 //                  jobs concurrently.
-//   ArtifactStore  the shared immutable cache those functions memoize
+//   ArtifactStore  the shared immutable workload cache run() builds
 //                  through (artifact_store.hpp).
 //
 // QueryCore is the library's one way in: the CLI, the daemon, the examples
@@ -59,14 +59,13 @@ struct Workload {
 
 class QueryCore {
  public:
-  /// What a cached run hands back. `result` is shared with the store (do
-  /// not mutate); `workload` keeps the catalog the result's message ids
-  /// point into alive.
+  /// What a run hands back. `workload` may be shared with the store (do
+  /// not mutate) and keeps the catalog the result's message ids point
+  /// into alive.
   struct Outcome {
     std::shared_ptr<const Workload> workload;
     std::shared_ptr<const selection::SelectionResult> result;
     bool workload_cache_hit = false;
-    bool result_cache_hit = false;
   };
 
   // --- workload construction (the CLI and the daemon both build through
@@ -109,17 +108,14 @@ class QueryCore {
                                            const JobRequest& req,
                                            util::CancelToken cancel);
 
-  /// The full memoized pipeline: resolve -> workload (cached) -> select
-  /// (cached). `store` may be null (no caching); `memoize_result` false
-  /// keeps the workload tier but leaves the result tier alone, for a
-  /// caller that keeps results durably itself (the journalled daemon).
-  /// Partial results (cancelled / deadline) are returned but never
-  /// cached. A typed error when the spec file cannot be read; parse and
-  /// engine failures throw, including util::CancelledError when `cancel`
-  /// has fired before the statistics are built.
+  /// The full pipeline: resolve -> workload (cached in `store`; null
+  /// builds it privately) -> select. Results are not cached here: the
+  /// daemon keeps them in its journal's result index. A typed error when
+  /// the spec file cannot be read; parse and engine failures throw,
+  /// including util::CancelledError when `cancel` has fired before the
+  /// statistics are built.
   static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
-                                   util::CancelToken cancel,
-                                   bool memoize_result = true);
+                                   util::CancelToken cancel);
 };
 
 }  // namespace tracesel

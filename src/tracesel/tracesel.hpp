@@ -8,16 +8,17 @@
 //   tracesel::JobRequest req;           // one versioned request object
 //   req.spec = "soc.flow";              // or "t2" / "usb" builtins
 //   req.instances = 2;
-//   tracesel::ArtifactStore store;      // shared, content-addressed cache
+//   tracesel::ArtifactStore store;      // shared workload cache
 //   auto out = tracesel::QueryCore::run(req, &store);
 //   if (out.ok()) use(*out.value().result);
 //
 // QueryCore (query_core.hpp) is a set of pure functions from JobRequest to
-// selection results; every expensive intermediate (the parsed spec and its
-// interleaving statistics, the memoized selection) lives in the caller-owned
-// ArtifactStore (artifact_store.hpp), keyed by the request's canonical
-// hash, so concurrent and repeated queries share work safely. This is the
-// API the traceseld daemon (service/server.hpp) multiplexes jobs onto.
+// selection results; the expensive intermediate (the parsed spec and its
+// interleaving statistics) lives in the caller-owned ArtifactStore
+// (artifact_store.hpp), keyed by the spec content and instance count, so
+// concurrent and repeated queries share it safely. This is the API the
+// traceseld daemon (service/server.hpp) multiplexes jobs onto; the daemon
+// keeps whole results in its journal's bounded index.
 //
 // The same functions serve exploration without a store: build a Workload
 // once, then interleave and select on it as often as needed.

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "local_daemon.hpp"
 #include "netlist/usb_design.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -203,18 +204,12 @@ class Version2RecordTest : public ::testing::Test {};
 
 TEST_F(Version2RecordTest, QueryCoreSharesResultsAcrossModes) {
   // Records that named either engine are the same computation as today's
-  // request: one cache entry serves all three.
-  ArtifactStore store;
-  const auto current = QueryCore::run(t2_request(), &store, {});
-  ASSERT_TRUE(current.ok());
+  // request: one result index entry serves all three.
   for (const std::string kernel : {"generic", "compiled"}) {
     SCOPED_TRACE(kernel);
     const auto old = parse_job_request(version2_record(t2_request(), kernel));
     ASSERT_TRUE(old.ok()) << old.error().to_string();
-    const auto r = QueryCore::run(old.value(), &store, {});
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.value().result_cache_hit);
-    EXPECT_EQ(r.value().result.get(), current.value().result.get());
+    test::expect_repeat_served_from_index(t2_request(), old.value());
   }
 }
 

@@ -496,6 +496,74 @@ TEST(ServiceChaos, ResultBudgetBoundsTheJournalAndKeepsPendingJobs) {
   EXPECT_LE(kept * kReportBytes, JobJournal::kResultBudgetBytes);
 }
 
+// The same index on a journal that was never opened: the result cache of
+// a daemon without a journal directory. It writes nothing and keeps the
+// collision guard and the budget of the durable index above.
+
+TEST(ServiceChaos, UnopenedJournalIndexGuardsCollisions) {
+  // RotationKeepsDurableResults's index checks with no log behind it.
+  constexpr std::uint64_t kResults = 64;
+  const auto key_of = [](std::uint64_t id) { return 0x5000 + id; };
+  const auto report_of = [](std::uint64_t id) {
+    return "{\n  \"job\": " + std::to_string(id) + ",\n  \"pad\": \"" +
+           std::string(id % 7 * 13, 'x') + "\"\n}";
+  };
+  const auto request_of = [](std::uint64_t id) {
+    return fig2_request(static_cast<std::uint32_t>(id));
+  };
+  JobJournal j;
+  j.accepted(1000, fig2_request(100));
+  for (std::uint64_t id = 1; id <= kResults; ++id) {
+    j.accepted(id, request_of(id));
+    j.started(id);
+    j.completed(id, key_of(id), request_of(id), report_of(id));
+  }
+  for (std::uint64_t id = 1; id <= kResults; ++id) {
+    const auto hit = j.load_result(key_of(id), request_of(id));
+    ASSERT_TRUE(hit.ok()) << "job " << id << ": " << hit.error().to_string();
+    EXPECT_EQ(hit.value(), report_of(id)) << "job " << id;
+  }
+  EXPECT_FALSE(j.load_result(key_of(1), request_of(2)).ok());
+  EXPECT_FALSE(j.enabled());
+  EXPECT_EQ(j.bytes(), 0u);
+  EXPECT_EQ(j.records_appended(), 0u);
+}
+
+TEST(ServiceChaos, UnopenedJournalIndexEvictsOldestPastTheBudget) {
+  // ResultBudgetBoundsTheJournalAndKeepsPendingJobs's churn, in memory:
+  // the oldest results are evicted, the newest survive, the index holds
+  // no more than the budget, and a report over the budget is not kept.
+  constexpr std::uint64_t kReportBytes = 1u << 20;
+  constexpr std::uint64_t kResults =
+      3 * JobJournal::kResultBudgetBytes / kReportBytes;
+  const auto key_of = [](std::uint64_t id) { return 0x7000 + id; };
+  const auto report_of = [](std::uint64_t id) {
+    return std::to_string(id) + std::string(kReportBytes, 'r');
+  };
+  const auto request_of = [](std::uint64_t id) {
+    return fig2_request(static_cast<std::uint32_t>(id));
+  };
+  const std::uint64_t huge_id = kResults + 1;
+  JobJournal j;
+  for (std::uint64_t id = 1; id <= kResults; ++id)
+    j.completed(id, key_of(id), request_of(id), report_of(id));
+  j.completed(huge_id, key_of(huge_id), request_of(huge_id),
+              std::string(JobJournal::kResultBudgetBytes + 1, 'h'));
+  EXPECT_FALSE(j.load_result(key_of(huge_id), request_of(huge_id)).ok());
+  EXPECT_FALSE(j.load_result(key_of(1), request_of(1)).ok());
+  std::uint64_t kept = 0;
+  for (std::uint64_t id = 1; id <= kResults; ++id) {
+    const auto hit = j.load_result(key_of(id), request_of(id));
+    if (!hit.ok()) continue;
+    EXPECT_EQ(hit.value(), report_of(id)) << "job " << id;
+    ++kept;
+  }
+  EXPECT_TRUE(j.load_result(key_of(kResults), request_of(kResults)).ok());
+  EXPECT_GT(kept, 0u);
+  EXPECT_LE(kept * kReportBytes, JobJournal::kResultBudgetBytes);
+  EXPECT_EQ(j.bytes(), 0u);
+}
+
 TEST(ServiceChaos, UnreadableJournalFailsOpenInsteadOfStartingEmpty) {
   // A log that exists but cannot be read (here: a directory in its place,
   // which opens but fails every read) must fail open() with a typed
@@ -759,6 +827,36 @@ TEST(ServiceChaos, SyncsPerJob) {
   EXPECT_TRUE(out.value().cache_hit);
   EXPECT_EQ(out.value().report_json, expected);
   EXPECT_EQ(syncs() - before, 0u);
+  obs::set_enabled(was_enabled);
+}
+
+TEST(ServiceChaos, EveryJournalSyncIsSpanned) {
+  // Each journal fsync runs inside an svc.journal.sync span, so the span
+  // count matches the syncs counter: two per cold job.
+  TempDir tmp;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto syncs = [] {
+    return obs::registry().counter_value("svc.journal.syncs");
+  };
+  const auto spans = [] {
+    const auto h = obs::registry().histogram_snapshot("span.svc.journal.sync");
+    return h ? h->count : 0u;
+  };
+  ServerOptions opt;
+  opt.journal_dir = tmp.sub("wal");
+  Daemon daemon{std::move(opt)};
+  Client client = daemon.connect();
+  constexpr std::uint32_t kJobs = 4;
+  const std::uint64_t syncs_before = syncs();
+  const std::uint64_t spans_before = spans();
+  for (std::uint32_t width = 2; width < 2 + kJobs; ++width) {
+    const auto out = client.submit(fig2_request(width));
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_FALSE(out.value().cache_hit);
+  }
+  EXPECT_EQ(syncs() - syncs_before, 2u * kJobs);
+  EXPECT_EQ(spans() - spans_before, syncs() - syncs_before);
   obs::set_enabled(was_enabled);
 }
 

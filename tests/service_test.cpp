@@ -1,5 +1,5 @@
 // traceseld end to end: the framed Unix-socket protocol, concurrent
-// multi-tenant jobs over one shared ArtifactStore, cancellation and
+// multi-tenant jobs over one shared workload cache, cancellation and
 // deadlines, malformed-input rejection, and drain-and-exit.
 
 #include <gtest/gtest.h>
@@ -102,8 +102,8 @@ TEST(Service, PingAndStats) {
   const auto stats = client.stats();
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_NE(stats.value().find("\"jobs.submitted\": 0"), std::string::npos);
-  EXPECT_NE(stats.value().find("\"store.result.hits\": 0"),
-            std::string::npos);
+  EXPECT_NE(stats.value().find("\"result.hits\": 0"), std::string::npos);
+  EXPECT_NE(stats.value().find("\"result.misses\": 0"), std::string::npos);
 }
 
 TEST(Service, SubmitMatchesDirectComputeAndSecondIsCacheHit) {
@@ -142,6 +142,8 @@ TEST(Service, SubmitMatchesDirectComputeAndSecondIsCacheHit) {
   const auto s = daemon.server->stats();
   EXPECT_EQ(s.submitted, 2u);
   EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.result_hits, 1u);
+  EXPECT_EQ(s.result_misses, 1u);
 }
 
 TEST(Service, ConcurrentClientsMixedDeadlinesAndCancels) {

@@ -1,10 +1,10 @@
-// The query API (PR 7): JobRequest's canonical wire format and hash,
-// ArtifactStore's caching protocol, and the property the daemon's whole
-// value rests on — a cache hit is bit-identical to a cold compute.
+// The query API: JobRequest's canonical wire format and hash, the
+// ArtifactStore's workload cache, the daemon's result index, and the
+// property the daemon's whole value rests on — a cache hit is
+// bit-identical to a cold compute.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -12,7 +12,9 @@
 
 #include "debug/serialize.hpp"
 #include "flow/product_grid.hpp"
+#include "local_daemon.hpp"
 #include "selection/localization.hpp"
+#include "service/journal.hpp"
 #include "testutil.hpp"
 #include "tracesel/artifact_store.hpp"
 #include "tracesel/job_request.hpp"
@@ -239,113 +241,131 @@ TEST(JobRequest, ParseRejectsGarbage) {
 
 // --- ArtifactStore ----------------------------------------------------
 
-std::shared_ptr<const selection::SelectionResult> dummy_result(double gain) {
-  auto r = std::make_shared<selection::SelectionResult>();
-  r->gain = gain;
-  return r;
-}
-
-TEST(ArtifactStore, CachesResultsByKeyWithCollisionGuard) {
+TEST(ArtifactStore, ThrowingBuildersAreNotCached) {
   ArtifactStore store;
-  JobRequest req;
   bool hit = true;
-  auto first = store.result(42, req, [] { return dummy_result(1.0); }, &hit);
-  ASSERT_TRUE(first);
-  EXPECT_FALSE(hit);
-  auto second = store.result(
-      42, req, [] { return dummy_result(2.0); }, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(second.get(), first.get());
-
-  // Same key, different computation: a hash collision must be served as a
-  // miss (fresh private build), never as the other job's answer.
-  JobRequest other;
-  other.buffer_width = 8;
-  auto collided = store.result(
-      42, other, [] { return dummy_result(3.0); }, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(collided->gain, 3.0);
-  // And the original entry is untouched.
-  auto again = store.result(42, req, [] { return dummy_result(4.0); }, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(again.get(), first.get());
-
-  const auto s = store.stats();
-  EXPECT_EQ(s.result_hits, 2u);
-  EXPECT_EQ(s.result_misses, 2u);
-  EXPECT_EQ(s.collisions, 1u);
-  EXPECT_EQ(s.result_entries, 1u);
-}
-
-TEST(ArtifactStore, NullptrAndThrowingBuildersAreNotCached) {
-  ArtifactStore store;
-  JobRequest req;
-  bool hit = true;
-  // nullptr = "do not cache" (a partial result).
-  auto partial = store.result(7, req, [] { return nullptr; }, &hit);
-  EXPECT_EQ(partial, nullptr);
-  EXPECT_FALSE(hit);
   // A throwing builder surfaces to its caller and leaves the key vacant.
-  EXPECT_THROW(store.result(7, req,
-                            []() -> std::shared_ptr<
-                                     const selection::SelectionResult> {
-                              throw std::runtime_error("boom");
-                            }),
+  EXPECT_THROW(store.workload(7,
+                              []() -> std::shared_ptr<const Workload> {
+                                throw std::runtime_error("boom");
+                              },
+                              &hit),
                std::runtime_error);
-  // The key still works afterwards.
-  auto good = store.result(7, req, [] { return dummy_result(5.0); }, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(store.stats().workload_entries, 0u);
+  // The key still works afterwards, and then serves its first build.
+  const auto good =
+      store.workload(7, [] { return std::make_shared<const Workload>(); }, &hit);
   ASSERT_TRUE(good);
   EXPECT_FALSE(hit);
-  EXPECT_EQ(store.stats().result_entries, 1u);
+  const auto again =
+      store.workload(7, [] { return std::make_shared<const Workload>(); }, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.get(), good.get());
+  const auto s = store.stats();
+  EXPECT_EQ(s.workload_entries, 1u);
+  EXPECT_EQ(s.workload_hits, 1u);
+  EXPECT_EQ(s.workload_misses, 2u);
+  EXPECT_EQ(s.result_hits + s.result_misses, 0u);
 }
 
-TEST(ArtifactStore, InFlightRequestersShareOneBuild) {
+TEST(ArtifactStore, EvictsTheOldestWorkloadPastTheCap) {
+  // One key past the cap: the first key is evicted, every later one is
+  // still served from the cache.
   ArtifactStore store;
-  JobRequest req;
-  std::atomic<int> builds{0};
-  std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const selection::SelectionResult>> got(8);
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&, i] {
-      got[i] = store.result(99, req, [&] {
-        ++builds;
-        return dummy_result(1.0);
-      });
-    });
+  const auto build = [] { return std::make_shared<const Workload>(); };
+  constexpr std::uint64_t kKeys = ArtifactStore::kMaxWorkloads + 1;
+  for (std::uint64_t key = 1; key <= kKeys; ++key) store.workload(key, build);
+  EXPECT_EQ(store.stats().workload_entries, ArtifactStore::kMaxWorkloads);
+  bool hit = false;
+  for (std::uint64_t key = kKeys; key >= 2; --key) {
+    store.workload(key, build, &hit);
+    EXPECT_TRUE(hit) << "key " << key;
   }
+  store.workload(1, build, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(store.stats().workload_entries, ArtifactStore::kMaxWorkloads);
+}
+
+TEST(ArtifactStore, ConcurrentMissesShareTheFirstInsert) {
+  // Requesters that miss one key at once may each build, but the first
+  // insert wins: every caller gets the one cached workload.
+  ArtifactStore store;
+  std::vector<std::thread> threads;
+  std::vector<std::shared_ptr<const Workload>> got(8);
+  for (int i = 0; i < 8; ++i)
+    threads.emplace_back([&, i] {
+      got[i] =
+          store.workload(99, [] { return std::make_shared<const Workload>(); });
+    });
   for (auto& t : threads) t.join();
-  EXPECT_EQ(builds.load(), 1);
-  for (int i = 1; i < 8; ++i) EXPECT_EQ(got[i].get(), got[0].get());
+  const auto cached = store.workload(99, [] { return nullptr; });
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(got[i].get(), cached.get());
+  EXPECT_EQ(store.stats().workload_entries, 1u);
+}
+
+// --- the daemon's result index ------------------------------------------
+
+TEST(ResultIndex, CachesResultsByKeyWithCollisionGuard) {
+  // A journal that was never opened keeps the result index in memory:
+  // completed() indexes a report without writing anything.
+  service::JobJournal index;
+  const JobRequest req = fig2_request();
+  index.completed(1, 42, req, "first");
+  auto hit = index.load_result(42, req);
+  ASSERT_TRUE(hit.ok()) << hit.error().to_string();
+  EXPECT_EQ(hit.value(), "first");
+
+  // Same key, different computation: a hash collision is a miss, never
+  // the other job's answer, and the original entry is untouched.
+  JobRequest other = req;
+  other.buffer_width = 8;
+  EXPECT_FALSE(other.same_computation(req));
+  EXPECT_FALSE(index.load_result(42, other).ok());
+  hit = index.load_result(42, req);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit.value(), "first");
+
+  // A partial or failed job completes without a report and is not served.
+  index.completed(2, 43);
+  EXPECT_FALSE(index.load_result(43, req).ok());
+  EXPECT_FALSE(index.enabled());
+  EXPECT_EQ(index.bytes(), 0u);
+  EXPECT_EQ(index.records_appended(), 0u);
+
+  // Through a journal-less daemon: a repeat is a cache hit.
+  test::expect_repeat_served_from_index(req, req);
 }
 
 // --- QueryCore through the store -------------------------------------
 
-/// The acceptance property: a warm run answers from the cache, and its
-/// serialized report is byte-identical to the cold compute's.
+/// The acceptance property: a repeat answers from a cache, and its
+/// serialized report is byte-identical to a storeless compute. QueryCore
+/// runs share the workload through the store; a journal-less daemon
+/// serves the repeat from its result index.
 void expect_cached_run_bit_identical(const JobRequest& req) {
   ArtifactStore store;
   const auto cold = QueryCore::run(req, &store, {});
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
-  EXPECT_FALSE(cold.value().result_cache_hit);
+  EXPECT_FALSE(cold.value().workload_cache_hit);
 
   const auto warm = QueryCore::run(req, &store, {});
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
-  EXPECT_TRUE(warm.value().result_cache_hit);
   EXPECT_TRUE(warm.value().workload_cache_hit);
-
-  // And a storeless (uncached) compute agrees, byte for byte.
-  const auto direct = QueryCore::run(req, nullptr, {});
-  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(warm.value().workload.get(), cold.value().workload.get());
 
   const auto dump = [](const QueryCore::Outcome& o) {
     return selection::to_json(*o.workload->catalog, *o.result).dump(2);
   };
-  EXPECT_EQ(dump(cold.value()), dump(warm.value()));
-  EXPECT_EQ(dump(cold.value()), dump(direct.value()));
+  const std::string direct = test::direct_report(req);
+  EXPECT_EQ(dump(cold.value()), direct);
+  EXPECT_EQ(dump(warm.value()), direct);
 
   const auto s = store.stats();
-  EXPECT_EQ(s.result_hits, 1u);
-  EXPECT_EQ(s.result_misses, 1u);
+  EXPECT_EQ(s.workload_hits, 1u);
+  EXPECT_EQ(s.workload_misses, 1u);
+
+  test::expect_repeat_served_from_index(req, req);
 }
 
 TEST(QueryCore, CacheHitBitIdenticalFig2) {
@@ -370,7 +390,6 @@ TEST(QueryCore, JobsKnobSharesTheCacheEntry) {
   // A request from an older client still carries the retired "jobs N"
   // line; it parses to the same computation, so a repeat without the line
   // is answered from the cache entry the old request filled.
-  ArtifactStore store;
   const JobRequest req = fig2_request();
   const std::string wire = serialize_job_request(req);
   const auto body = util::decode_envelope(wire, "tracesel-job",
@@ -380,11 +399,7 @@ TEST(QueryCore, JobsKnobSharesTheCacheEntry) {
       "tracesel-job", JobRequest::kVersion,
       "jobs 4\n" + std::string(body.value())));
   ASSERT_TRUE(old.ok()) << old.error().to_string();
-  const auto cold = QueryCore::run(old.value(), &store, {});
-  ASSERT_TRUE(cold.ok());
-  const auto warm = QueryCore::run(req, &store, {});
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm.value().result_cache_hit);
+  test::expect_repeat_served_from_index(old.value(), req);
 }
 
 TEST(QueryCore, MissingSpecFileIsATypedError) {
@@ -403,11 +418,10 @@ TEST(QueryCore, CancelledBuildDoesNotPoisonTheStore) {
       { auto r = QueryCore::run(req, &store, cancelled); },
       util::CancelledError);
   EXPECT_EQ(store.stats().workload_entries, 0u);
-  EXPECT_EQ(store.stats().result_entries, 0u);
   // The same request afterwards computes cleanly.
   const auto ok = QueryCore::run(req, &store, {});
   ASSERT_TRUE(ok.ok());
-  EXPECT_FALSE(ok.value().result_cache_hit);
+  EXPECT_FALSE(ok.value().workload_cache_hit);
 }
 
 // --- direct QueryCore calls (the CLI's select path) ----------------------

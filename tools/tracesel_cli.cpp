@@ -23,7 +23,7 @@
 //       --journal-dir enables crash durability: accepted jobs are
 //       write-ahead journalled there, and a restart with the same
 //       directory replays unfinished jobs and serves completed ones
-//       byte-identically from the durable result cache. --tenant-inflight
+//       byte-identically from the journal's result index. --tenant-inflight
 //       caps each tenant's queued+running jobs; breaches (and
 //       full-queue/unmeetable-deadline submissions) are shed with a typed
 //       retry-after hint.

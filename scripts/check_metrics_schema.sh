@@ -46,7 +46,8 @@ for name in $doc_names; do
     selection.step*|selection.search.*|session.*|flow.parse|\
     interleave.stats|interleave.build|interleave.graph|interleave.grid|\
     interleave.consistent_paths|debug.workbench|debug.simulate|\
-    debug.capture|debug.root_cause|debug.localize|svc.job|svc.journal.sync)
+    debug.capture|debug.root_cause|debug.localize|svc.job|svc.journal.sync|\
+    svc.journal.compact)
       continue ;;  # span names
   esac
   if ! echo "$emitted" | grep -qxF "$name"; then

@@ -32,13 +32,6 @@ std::string hex64(std::uint64_t v) {
   return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
-bool to_u64(std::string_view tok, std::uint64_t& out, int base = 10) {
-  const char* first = tok.data();
-  const char* last = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out, base);
-  return ec == std::errc{} && ptr == last;
-}
-
 util::Status make_dir(const std::string& path) {
   if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
     return util::Status::success();
@@ -94,7 +87,7 @@ bool parse_result_body(std::string_view body, JobRequest& request,
         line[name.size()] != ' ')
       return false;
     std::uint64_t n = 0;
-    if (!to_u64(line.substr(name.size() + 1), n)) return false;
+    if (!util::parse_u64(line.substr(name.size() + 1), n)) return false;
     body.remove_prefix(eol + 1);
     if (n >= body.size() || body[n] != '\n') return false;
     out = body.substr(0, static_cast<std::size_t>(n));
@@ -137,10 +130,11 @@ bool parse_record(std::string_view payload, ParsedRecord& out) {
   }
   if (tok.size() < 4 || tok[0] != kRecordTag) return false;
   std::uint64_t version = 0;
-  if (!to_u64(tok[1], version) || version != kRecordVersion) return false;
+  if (!util::parse_u64(tok[1], version) || version != kRecordVersion)
+    return false;
   out.event = std::string(tok[2]);
-  if (!to_u64(tok[3], out.job_id)) return false;
-  if (tok.size() >= 5 && !to_u64(tok[4], out.aux, 16)) return false;
+  if (!util::parse_u64(tok[3], out.job_id)) return false;
+  if (tok.size() >= 5 && !util::parse_u64(tok[4], out.aux, 16)) return false;
   return true;
 }
 
@@ -408,6 +402,7 @@ void JobJournal::rotate_locked() {
   // still-unfinished jobs. atomic_write_file gives the full temp + fsync +
   // rename + parent-fsync discipline; a crash mid-rotation leaves either
   // the old log or the new one, never a hybrid.
+  OBS_SPAN("svc.journal.compact");
   std::string compacted;
   for (const auto& [seq, rkey] : result_age_) {
     const StoredResult& res = results_.at(rkey);
@@ -444,16 +439,20 @@ void JobJournal::rotate_locked() {
 }
 
 void JobJournal::accepted(std::uint64_t job_id, const JobRequest& request) {
+  // A journal that was never opened writes nothing, so it builds nothing.
+  if (!enabled()) return;
   append(job_id,
          record_payload("accepted", job_id, {}, serialize_job_request(request)),
          Kind::kAccepted);
 }
 
 void JobJournal::started(std::uint64_t job_id) {
+  if (!enabled()) return;
   append(job_id, record_payload("started", job_id), Kind::kStarted);
 }
 
 void JobJournal::completed(std::uint64_t job_id, std::uint64_t result_hash) {
+  if (!enabled()) return;
   append(job_id, record_payload("completed", job_id, hex64(result_hash)),
          Kind::kTerminal);
 }
@@ -493,6 +492,7 @@ void JobJournal::index_result_locked(std::uint64_t key, StoredResult res) {
 }
 
 void JobJournal::cancelled(std::uint64_t job_id) {
+  if (!enabled()) return;
   append(job_id, record_payload("cancelled", job_id), Kind::kTerminal);
 }
 

@@ -139,7 +139,8 @@ class JobJournal {
   void close();
 
   // --- lifecycle appenders (each: one frame under a mutex; every one but
-  // started() fsyncs before it returns; none writes before open()) ---
+  // started() fsyncs before it returns; before open(), none writes, and
+  // only the report-carrying completed() builds its body, to index it) ---
   void accepted(std::uint64_t job_id, const JobRequest& request);
   void started(std::uint64_t job_id);
   /// A terminal record without a result (partial, error, or no key).

@@ -1,18 +1,12 @@
 #include "service/protocol.hpp"
 
-#include <charconv>
 #include <sstream>
+
+#include "util/framing.hpp"
 
 namespace tracesel::service {
 
 namespace {
-
-bool to_u64(std::string_view tok, std::uint64_t& out) {
-  const char* first = tok.data();
-  const char* last = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
 
 util::Result<Message> malformed(const std::string& what) {
   return util::Result<Message>::err(util::ErrorCode::kParse,
@@ -51,7 +45,7 @@ bool take_block(std::string_view& body, std::string_view name,
       line[name.size()] != ' ')
     return false;
   std::uint64_t n = 0;
-  if (!to_u64(line.substr(name.size() + 1), n)) return false;
+  if (!util::parse_u64(line.substr(name.size() + 1), n)) return false;
   body.remove_prefix(eol + 1);
   if (n > body.size()) return false;
   out.assign(body.substr(0, static_cast<std::size_t>(n)));
@@ -187,7 +181,7 @@ util::Result<Message> parse_message(std::string_view payload) {
         m.text = line.substr(7);
       } else if (line.starts_with("position ")) {
         std::uint64_t v = 0;
-        if (!to_u64(std::string_view(line).substr(9), v))
+        if (!util::parse_u64(std::string_view(line).substr(9), v))
           return malformed("bad event position");
         m.position = v;
       }
@@ -212,14 +206,14 @@ util::Result<Message> parse_message(std::string_view payload) {
       if (key == "status") {
         m.outcome.status = std::string(value);
       } else if (key == "job_id") {
-        if (!to_u64(value, v)) return malformed("bad job_id");
+        if (!util::parse_u64(value, v)) return malformed("bad job_id");
         m.outcome.job_id = v;
       } else if (key == "cache_hit") {
         m.outcome.cache_hit = value == "1";
       } else if (key == "workload_cache_hit") {
         m.outcome.workload_cache_hit = value == "1";
       } else if (key == "elapsed_ms") {
-        if (!to_u64(value, v)) return malformed("bad elapsed_ms");
+        if (!util::parse_u64(value, v)) return malformed("bad elapsed_ms");
         m.outcome.elapsed_ms = v;
       } else {
         return malformed("unknown result field '" + std::string(key) + "'");
@@ -263,7 +257,7 @@ util::Result<Message> parse_message(std::string_view payload) {
       return malformed("retry-after without a hint");
     const std::size_t le = body.find('\n');
     if (le == std::string_view::npos) return malformed("truncated retry-after");
-    if (!to_u64(body.substr(15, le - 15), m.retry_after_ms))
+    if (!util::parse_u64(body.substr(15, le - 15), m.retry_after_ms))
       return malformed("bad retry_after_ms");
     body.remove_prefix(le + 1);
     if (!take_block(body, "reason", m.text))

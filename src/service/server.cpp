@@ -24,34 +24,16 @@ namespace {
 /// enough that shutdown and job completion are noticed promptly.
 constexpr int kPollMs = 100;
 
-/// Per-job obs metrics: the delta of this thread's counter shard across
-/// the job (obs.hpp thread_counter_values). Empty string when the obs
-/// layer is off.
-std::string metrics_delta_json(
-    const std::vector<std::pair<std::string, std::uint64_t>>& before,
-    const std::vector<std::pair<std::string, std::uint64_t>>& after) {
-  if (!obs::enabled()) return {};
-  util::Json j = util::Json::object();
+using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// The delta of this thread's counter shard across a job (obs.hpp
+/// thread_counter_values), as named counter pairs.
+Counters metrics_delta_pairs(const Counters& before, const Counters& after) {
+  Counters delta;
   std::size_t bi = 0;
   for (const auto& [name, value] : after) {
     std::uint64_t prev = 0;
     // Both vectors are in registration (id) order; advance in lockstep.
-    while (bi < before.size() && before[bi].first != name) ++bi;
-    if (bi < before.size()) prev = before[bi].second;
-    if (value > prev) j.set(name, util::Json::number(value - prev));
-  }
-  return j.dump();
-}
-
-/// The same before/after delta as named counter pairs, for the telemetry
-/// shipped back to a tracing client.
-std::vector<std::pair<std::string, std::uint64_t>> metrics_delta_pairs(
-    const std::vector<std::pair<std::string, std::uint64_t>>& before,
-    const std::vector<std::pair<std::string, std::uint64_t>>& after) {
-  std::vector<std::pair<std::string, std::uint64_t>> delta;
-  std::size_t bi = 0;
-  for (const auto& [name, value] : after) {
-    std::uint64_t prev = 0;
     while (bi < before.size() && before[bi].first != name) ++bi;
     if (bi < before.size()) prev = before[bi].second;
     if (value > prev) delta.emplace_back(name, value - prev);
@@ -79,6 +61,14 @@ std::string span_summary(const std::vector<obs::TraceEvent>& events) {
     out += "ms";
   }
   return out;
+}
+
+/// The request's canonical result key; 0 when its source cannot be
+/// resolved (the job then skips the attach and cache paths, and its
+/// compute surfaces the real error).
+std::uint64_t result_key(const JobRequest& request) {
+  const auto source = QueryCore::source_hash(request);
+  return source.ok() ? request.canonical_hash(source.value()) : 0;
 }
 
 }  // namespace
@@ -124,24 +114,22 @@ util::Status Server::start() {
     return util::Error{util::ErrorCode::kInternal,
                        std::string("traceseld: socket failed: ") +
                            std::strerror(errno)};
+  // A failed start closes the socket (after the error text read errno).
+  const auto fail = [this](util::Error e) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return e;
+  };
   ::unlink(options_.socket_path.c_str());  // stale socket from a dead daemon
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Error{util::ErrorCode::kInternal,
-                       "traceseld: bind(" + options_.socket_path +
-                           ") failed: " + std::strerror(err)};
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Error{util::ErrorCode::kInternal,
-                       std::string("traceseld: listen failed: ") +
-                           std::strerror(err)};
-  }
+      0)
+    return fail({util::ErrorCode::kInternal,
+                 "traceseld: bind(" + options_.socket_path +
+                     ") failed: " + std::strerror(errno)});
+  if (::listen(listen_fd_, 64) != 0)
+    return fail({util::ErrorCode::kInternal,
+                 std::string("traceseld: listen failed: ") +
+                     std::strerror(errno)});
 
   // Crash durability: replay the write-ahead journal before the first
   // runner starts and before the socket is advertised, so recovered jobs
@@ -153,15 +141,21 @@ util::Status Server::start() {
     jo.rotate_bytes = options_.journal_rotate_bytes;
     auto rec = wal_.open(std::move(jo));
     if (!rec.ok()) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
       ::unlink(options_.socket_path.c_str());
-      return rec.error();
+      return fail(rec.error());
     }
     JournalRecovery r = std::move(rec).value();
     if (r.next_job_id > next_job_id_.load(std::memory_order_relaxed))
       next_job_id_.store(r.next_job_id, std::memory_order_relaxed);
-    for (RecoveredJob& j : r.pending) enqueue_recovered(std::move(j));
+    // Admission control is bypassed: these jobs were admitted and
+    // journalled in a previous life.
+    for (RecoveredJob& j : r.pending) {
+      const std::uint64_t rkey = result_key(j.request);
+      auto job = std::make_shared<Job>(j.id, std::move(j.request), rkey);
+      job->replayed = true;
+      std::lock_guard<std::mutex> lk(queue_mu_);
+      enqueue_locked(std::move(job));
+    }
     if (!r.note.empty())
       util::Log(util::LogLevel::kInfo) << "traceseld: " << r.note;
   }
@@ -222,7 +216,9 @@ void Server::begin_drain() {
 
 std::uint64_t Server::mean_job_ms() const {
   std::lock_guard<std::mutex> lk(stats_mu_);
-  return finished_jobs_ > 0 ? finished_ms_ / finished_jobs_ : 0;
+  const std::uint64_t finished = stats_.completed + stats_.partial +
+                                 stats_.cancelled + stats_.errors;
+  return finished > 0 ? stats_.busy_ms / finished : 0;
 }
 
 std::uint64_t Server::retry_hint_ms(std::size_t queue_depth) const {
@@ -242,39 +238,37 @@ std::uint64_t Server::retry_hint_ms(std::size_t queue_depth) const {
 
 Server::Admission Server::admit(JobRequest request) {
   Admission a;
-  // Resolve the content hash before taking queue_mu_ — it may read the
-  // spec file. rkey == 0 means unresolvable here; run_job will surface
-  // the real error, and the job simply skips the attach and cache paths.
-  std::uint64_t rkey = 0;
-  if (auto sh = QueryCore::source_hash(request); sh.ok())
-    rkey = request.canonical_hash(sh.value());
-  // The result cache: a result the journal's index holds (in memory alone
-  // when no journal was opened) is served without a WAL record or a
-  // recompute. The collision guard inside load_result re-checks
-  // same_computation.
+  // Resolve the key and look the result index up before taking queue_mu_:
+  // resolving may read the spec file, and the index has its own lock. The
+  // collision guard inside load_result re-checks same_computation.
+  const std::uint64_t rkey = result_key(request);
   std::optional<std::string> cached;
   if (rkey != 0)
     if (auto hit = wal_.load_result(rkey, request); hit.ok())
       cached = std::move(hit).value();
-
-  // Per-tenant shed accounting happens outside queue_mu_ (telemetry_mu_
-  // stays innermost); stats_mu_ nests under queue_mu_ as elsewhere.
-  const auto note_shed = [this](const std::string& tenant) {
-    std::lock_guard<std::mutex> lk(telemetry_mu_);
-    auto it = std::find_if(tenants_.begin(), tenants_.end(),
-                           [&](const auto& t) { return t.first == tenant; });
-    if (it == tenants_.end()) {
-      tenants_.emplace_back(tenant, TenantStats{});
-      it = std::prev(tenants_.end());
-    }
-    ++it->second.shed;
-  };
 
   std::unique_lock<std::mutex> lk(queue_mu_);
   if (draining()) {
     a.why = "server is shutting down";
     std::lock_guard<std::mutex> slk(stats_mu_);
     ++stats_.rejected;
+    return a;
+  }
+
+  // A result the index holds is answered here, on the connection thread:
+  // no queue slot and no runner, so no backlog or cap can shed it, and no
+  // journal record, because its answer was kept before it was admitted.
+  if (cached) {
+    lk.unlock();
+    const std::uint64_t id =
+        next_job_id_.fetch_add(1, std::memory_order_relaxed);
+    journal_append(id, request.tenant, "queued");
+    a.hit = execute(request, id, nullptr, [&](JobOutcome& out) {
+      OBS_COUNT("svc.result.disk_hits", 1);
+      out.report_json = std::move(*cached);
+      out.cache_hit = true;
+      out.status = "ok";
+    });
     return a;
   }
 
@@ -303,42 +297,34 @@ Server::Admission Server::admit(JobRequest request) {
     }
   }
 
+  // A shed answers with a typed retry-after hint rather than a hard error
+  // and is counted against its tenant; `kind` is its stats counter, if any.
+  const auto shed = [&](std::string why, std::uint64_t* kind) {
+    a.retry_after_ms = retry_hint_ms(queue_.size());
+    a.why = std::move(why);
+    ++tenant_locked(request.tenant).shed;
+    std::lock_guard<std::mutex> slk(stats_mu_);
+    ++stats_.rejected;
+    ++stats_.retry_after;
+    if (kind != nullptr) ++*kind;
+  };
+
   // Per-tenant in-flight cap: one noisy tenant cannot occupy the whole
-  // queue. Shed with a typed retry-after rather than a hard error.
-  if (options_.per_tenant_inflight > 0) {
-    auto it = std::find_if(
-        tenant_inflight_.begin(), tenant_inflight_.end(),
-        [&](const auto& t) { return t.first == request.tenant; });
-    if (it != tenant_inflight_.end() &&
-        it->second >= options_.per_tenant_inflight) {
-      a.retry_after_ms = retry_hint_ms(queue_.size());
-      a.why = "tenant '" + (request.tenant.empty() ? "-" : request.tenant) +
-              "' is at its in-flight cap (" +
-              std::to_string(options_.per_tenant_inflight) + ")";
-      OBS_COUNT("svc.shed.tenant_cap", 1);
-      {
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.rejected;
-        ++stats_.retry_after;
-        ++stats_.shed_tenant_cap;
-      }
-      lk.unlock();
-      note_shed(request.tenant);
-      return a;
-    }
+  // queue.
+  if (options_.per_tenant_inflight > 0 &&
+      tenant_locked(request.tenant).inflight >= options_.per_tenant_inflight) {
+    OBS_COUNT("svc.shed.tenant_cap", 1);
+    shed("tenant '" + (request.tenant.empty() ? "-" : request.tenant) +
+             "' is at its in-flight cap (" +
+             std::to_string(options_.per_tenant_inflight) + ")",
+         &stats_.shed_tenant_cap);
+    return a;
   }
 
   if (queue_.size() >= options_.max_queue) {
-    a.retry_after_ms = retry_hint_ms(queue_.size());
-    a.why = "job queue is full (" + std::to_string(options_.max_queue) + ")";
     OBS_COUNT("svc.shed.queue_full", 1);
-    {
-      std::lock_guard<std::mutex> slk(stats_mu_);
-      ++stats_.rejected;
-      ++stats_.retry_after;
-    }
-    lk.unlock();
-    note_shed(request.tenant);
+    shed("job queue is full (" + std::to_string(options_.max_queue) + ")",
+         nullptr);
     return a;
   }
 
@@ -350,86 +336,49 @@ Server::Admission Server::admit(JobRequest request) {
         mean_job_ms() * static_cast<std::uint64_t>(queue_.size()) /
         std::max<std::uint64_t>(1, options_.runners);
     if (wait > 0 && wait >= request.deadline_ms) {
-      a.retry_after_ms = retry_hint_ms(queue_.size());
-      a.why = "predicted queue wait " + std::to_string(wait) +
-              "ms exceeds the job deadline " +
-              std::to_string(request.deadline_ms) + "ms";
       OBS_COUNT("svc.shed.deadline", 1);
-      {
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.rejected;
-        ++stats_.retry_after;
-        ++stats_.shed_deadline;
-      }
-      lk.unlock();
-      note_shed(request.tenant);
+      shed("predicted queue wait " + std::to_string(wait) +
+               "ms exceeds the job deadline " +
+               std::to_string(request.deadline_ms) + "ms",
+           &stats_.shed_deadline);
       return a;
     }
   }
 
-  auto job = std::make_shared<Job>();
-  job->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  job->request = std::move(request);
-  job->rkey = rkey;
-  job->cached_report = std::move(cached);
+  auto job = std::make_shared<Job>(
+      next_job_id_.fetch_add(1, std::memory_order_relaxed), std::move(request),
+      rkey);
   job->watchers.store(1, std::memory_order_relaxed);
-  // WAL discipline: a job that will compute has its accepted record on
-  // disk (fsync'd) before it becomes visible to any runner. A cache hit
-  // writes none: its answer was kept before it was admitted.
-  if (!job->cached_report) wal_.accepted(job->id, job->request);
-  queue_.push_back(job);
-  inflight_.push_back(job);
+  // WAL discipline: the job's accepted record is on disk (fsync'd) before
+  // it becomes visible to any runner.
+  wal_.accepted(job->id, job->request);
+  enqueue_locked(job);
   a.position = queue_.size();
-  {
-    auto it = std::find_if(
-        tenant_inflight_.begin(), tenant_inflight_.end(),
-        [&](const auto& t) { return t.first == job->request.tenant; });
-    if (it == tenant_inflight_.end())
-      tenant_inflight_.emplace_back(job->request.tenant, 1);
-    else
-      ++it->second;
-  }
-  OBS_GAUGE_MAX("svc.queue.peak_depth", queue_.size());
-  {
-    std::lock_guard<std::mutex> slk(stats_mu_);
-    ++stats_.submitted;
-  }
-  journal_append(job->id, job->request.tenant, "queued");
-  queue_cv_.notify_one();
   a.job = std::move(job);
   return a;
 }
 
-void Server::enqueue_recovered(RecoveredJob r) {
-  // start()-only (single-threaded, pre-listen): admission control is
-  // bypassed — these jobs were admitted and journalled in a previous life.
-  std::uint64_t rkey = 0;
-  if (auto sh = QueryCore::source_hash(r.request); sh.ok())
-    rkey = r.request.canonical_hash(sh.value());
-  std::lock_guard<std::mutex> lk(queue_mu_);
-  auto job = std::make_shared<Job>();
-  job->id = r.id;
-  job->request = std::move(r.request);
-  job->rkey = rkey;
-  job->replayed = true;
+void Server::enqueue_locked(std::shared_ptr<Job> job) {
+  ++tenant_locked(job->request.tenant).inflight;
   queue_.push_back(job);
   inflight_.push_back(job);
+  OBS_GAUGE_MAX("svc.queue.peak_depth", queue_.size());
   {
-    auto it = std::find_if(
-        tenant_inflight_.begin(), tenant_inflight_.end(),
-        [&](const auto& t) { return t.first == job->request.tenant; });
-    if (it == tenant_inflight_.end())
-      tenant_inflight_.emplace_back(job->request.tenant, 1);
-    else
-      ++it->second;
-  }
-  {
-    std::lock_guard<std::mutex> slk(stats_mu_);
+    std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.submitted;
-    ++stats_.recovered;
+    if (job->replayed) ++stats_.recovered;
   }
-  journal_append(job->id, job->request.tenant, "recovered");
+  journal_append(job->id, job->request.tenant,
+                 job->replayed ? "recovered" : "queued");
   queue_cv_.notify_one();
+}
+
+Server::TenantStats& Server::tenant_locked(const std::string& tenant) {
+  auto it = std::find_if(tenants_.begin(), tenants_.end(),
+                         [&](const auto& t) { return t.first == tenant; });
+  return it != tenants_.end()
+             ? it->second
+             : tenants_.emplace_back(tenant, TenantStats{}).second;
 }
 
 std::shared_ptr<Server::Job> Server::pop_job() {
@@ -455,40 +404,16 @@ void Server::run_job(Job& job) {
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.running;
   }
-  const bool cached = job.cached_report.has_value();
   journal_append(job.id, job.request.tenant, "started");
-  if (!cached) wal_.started(job.id);
+  wal_.started(job.id);
   if (options_.on_job_start) options_.on_job_start(job.request);
   // The deadline starts when the job starts — queue time must not eat a
   // client's compute budget.
   if (job.request.deadline_ms > 0)
     job.cancel.set_timeout(std::chrono::milliseconds(job.request.deadline_ms));
 
-  // A tracing client stamped its TraceContext into the request: enable
-  // the obs layer (one-way — stats-only daemons stay zero-cost) so the
-  // job's spans and counter deltas can ride back in the result frame.
-  const bool tracing = job.request.trace_id != 0;
-  if (tracing) obs::set_enabled(true);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto before = obs::registry().thread_counter_values();
-  const std::size_t events_mark = obs::thread_events_mark();
-
-  JobOutcome out;
-  out.job_id = job.id;
-  {
-    // The job span parents under the *client's* submit span (explicit
-    // parent: runners serve concurrent jobs with distinct parents, so the
-    // process-global context cannot carry it).
-    obs::Span job_span("svc.job", job.request.parent_span_id);
-    OBS_COUNT("svc.jobs", 1);
-    if (cached) {
-      // Admission found the exact report bytes in the result index.
-      out.report_json = std::move(*job.cached_report);
-      out.cache_hit = true;
-      out.status = "ok";
-      OBS_COUNT("svc.result.disk_hits", 1);
-    } else try {
+  JobOutcome done = execute(job.request, job.id, &job, [&](JobOutcome& out) {
+    try {
       auto run = QueryCore::run(job.request, &store_, job.cancel);
       if (!run.ok()) {
         out.status = "error";
@@ -516,17 +441,54 @@ void Server::run_job(Job& job) {
       out.status = "error";
       out.error = e.what();
     }
+  });
+  {
+    std::lock_guard<std::mutex> lk(job.mu);
+    job.outcome = std::move(done);
+    job.state = Job::State::kDone;
+  }
+  job.cv.notify_all();
+}
+
+JobOutcome Server::execute(const JobRequest& request, std::uint64_t id,
+                           const Job* computed,
+                           const std::function<void(JobOutcome&)>& body) {
+  // A tracing client stamped its TraceContext into the request: enable
+  // the obs layer (one-way — stats-only daemons stay zero-cost) so the
+  // job's spans and counter deltas can ride back in the result frame.
+  const bool tracing = request.trace_id != 0;
+  if (tracing) obs::set_enabled(true);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto before = obs::registry().thread_counter_values();
+  const std::size_t events_mark = obs::thread_events_mark();
+
+  JobOutcome out;
+  out.job_id = id;
+  {
+    // The job span parents under the *client's* submit span (explicit
+    // parent: threads serve concurrent jobs with distinct parents, so the
+    // process-global context cannot carry it).
+    obs::Span job_span("svc.job", request.parent_span_id);
+    OBS_COUNT("svc.jobs", 1);
+    body(out);
   }
 
-  const auto after = obs::registry().thread_counter_values();
-  out.metrics_json = metrics_delta_json(before, after);
+  Counters delta =
+      metrics_delta_pairs(before, obs::registry().thread_counter_values());
+  if (obs::enabled()) {
+    util::Json j = util::Json::object();
+    for (const auto& [name, value] : delta)
+      j.set(name, util::Json::number(value));
+    out.metrics_json = j.dump();
+  }
   out.elapsed_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
 
-  // The per-job window of this runner thread's event buffer: the job's
-  // own spans (svc.job and everything under it), not the whole process.
+  // The per-job window of this thread's event buffer: the job's own spans
+  // (svc.job and everything under it), not the whole process.
   std::vector<obs::TraceEvent> job_events =
       obs::enabled() ? obs::thread_events_since(events_mark)
                      : std::vector<obs::TraceEvent>{};
@@ -535,18 +497,10 @@ void Server::run_job(Job& job) {
     t.label = "traceseld";
     t.pid = static_cast<std::uint64_t>(::getpid());
     t.epoch_ns = obs::trace_epoch_ns();
-    t.metrics.counters = metrics_delta_pairs(before, after);
-    for (const obs::TraceEvent& e : job_events) {
-      obs::WireTraceEvent w;
-      w.name = e.name;
-      w.ts_ns = e.ts_ns;
-      w.dur_ns = e.dur_ns;
-      w.tid = e.tid;
-      w.depth = e.depth;
-      w.span_id = e.span_id;
-      w.parent_id = e.parent_id;
-      t.events.push_back(std::move(w));
-    }
+    t.metrics.counters = std::move(delta);
+    for (const obs::TraceEvent& e : job_events)
+      t.events.push_back({e.name, e.ts_ns, e.dur_ns, e.tid, e.depth,
+                          e.span_id, e.parent_id});
     out.telemetry = obs::serialize_telemetry(t);
   }
 
@@ -554,74 +508,48 @@ void Server::run_job(Job& job) {
   // jobs replay as cancelled, everything else (ok, partial, error) is
   // finished business a restart must not re-run. An ok job's record
   // carries its report, so one fsync makes the result durable too (with
-  // no journal open, completed() only indexes it). A cache hit has no
-  // record to close.
-  if (!cached) {
+  // no journal open, completed() only indexes it).
+  if (computed) {
     if (out.status == "cancelled")
-      wal_.cancelled(job.id);
-    else if (out.status == "ok" && job.rkey != 0)
-      wal_.completed(job.id, job.rkey, job.request, out.report_json);
+      wal_.cancelled(id);
+    else if (out.status == "ok" && computed->rkey != 0)
+      wal_.completed(id, computed->rkey, request, out.report_json);
     else
-      wal_.completed(job.id, job.rkey);
+      wal_.completed(id, computed->rkey);
   }
 
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    --stats_.running;
-    ++(cached ? stats_.result_hits : stats_.result_misses);
+    if (computed) --stats_.running;
+    else ++stats_.submitted;  // a hit is submitted and finished at once
+    ++(computed ? stats_.result_misses : stats_.result_hits);
     if (out.status == "ok") ++stats_.completed;
     else if (out.status == "partial") ++stats_.partial;
     else if (out.status == "cancelled") ++stats_.cancelled;
     else ++stats_.errors;
-    ++finished_jobs_;
-    finished_ms_ += out.elapsed_ms;
+    stats_.busy_ms += out.elapsed_ms;
   }
   {
-    // Release the admission-control slots (attach lookup + tenant cap).
     std::lock_guard<std::mutex> lk(queue_mu_);
-    inflight_.erase(
-        std::remove_if(inflight_.begin(), inflight_.end(),
-                       [&](const auto& j) { return j.get() == &job; }),
-        inflight_.end());
-    auto it = std::find_if(
-        tenant_inflight_.begin(), tenant_inflight_.end(),
-        [&](const auto& t) { return t.first == job.request.tenant; });
-    if (it != tenant_inflight_.end() && it->second > 0) --it->second;
-  }
-  journal_append(job.id, job.request.tenant, out.status, out.elapsed_ms,
-                 out.status == "error" ? out.error : std::string());
-  {
-    std::lock_guard<std::mutex> lk(telemetry_mu_);
-    busy_ms_ += out.elapsed_ms;
-    auto tenant = std::find_if(
-        tenants_.begin(), tenants_.end(),
-        [&](const auto& t) { return t.first == job.request.tenant; });
-    if (tenant == tenants_.end()) {
-      tenants_.emplace_back(job.request.tenant, TenantStats{});
-      tenant = std::prev(tenants_.end());
+    TenantStats& tenant = tenant_locked(request.tenant);
+    if (computed) {
+      // Release the admission-control slots (attach lookup + tenant cap).
+      std::erase_if(inflight_,
+                    [&](const auto& j) { return j.get() == computed; });
+      --tenant.inflight;
     }
-    ++tenant->second.jobs;
-    if (out.status == "error") ++tenant->second.errors;
-    tenant->second.busy_ms += out.elapsed_ms;
+    ++tenant.jobs;
+    if (out.status == "error") ++tenant.errors;
+    tenant.busy_ms += out.elapsed_ms;
   }
+  journal_append(id, request.tenant, out.status, out.elapsed_ms,
+                 out.status == "error" ? out.error : std::string());
   if (out.elapsed_ms >= options_.slow_job_ms) {
     OBS_COUNT("svc.jobs.slow", 1);
-    journal_append(job.id, job.request.tenant, "slow", out.elapsed_ms,
+    journal_append(id, request.tenant, "slow", out.elapsed_ms,
                    span_summary(job_events));
-    std::lock_guard<std::mutex> lk(telemetry_mu_);
-    // journal_append copied the entry into the ring; mirror the newest
-    // one into the bounded slow-job log.
-    if (!journal_.empty()) {
-      slow_jobs_.push_back(journal_.back());
-      if (slow_jobs_.size() > 32) slow_jobs_.pop_front();
-    }
   }
-  {
-    std::lock_guard<std::mutex> lk(job.mu);
-    job.outcome = std::move(out);
-    job.state = Job::State::kDone;
-  }
-  job.cv.notify_all();
+  return out;
 }
 
 std::uint64_t Server::uptime_ms() const {
@@ -643,6 +571,12 @@ void Server::journal_append(std::uint64_t job_id, const std::string& tenant,
   entry.event = std::move(event);
   entry.elapsed_ms = elapsed_ms;
   entry.detail = std::move(detail);
+  // A slow entry also enters the bounded slow-job log, under the same
+  // lock, so no concurrent append can take its place there.
+  if (entry.event == "slow") {
+    slow_jobs_.push_back(entry);
+    if (slow_jobs_.size() > 32) slow_jobs_.pop_front();
+  }
   journal_.push_back(std::move(entry));
   while (journal_.size() > options_.journal_capacity) journal_.pop_front();
 }
@@ -791,6 +725,12 @@ void Server::connection_main(int fd) {
             break;
           }
           Admission adm = admit(std::move(m.request));
+          if (adm.hit) {
+            // Answered at admission: no started event, nothing to watch.
+            send(encode_event("queued", 0));
+            send(encode_result(*adm.hit));
+            break;
+          }
           if (!adm.job) {
             // admit() already counted the rejection; sheds carry a typed
             // retry-after hint, hard refusals (draining) a plain error.
@@ -800,7 +740,6 @@ void Server::connection_main(int fd) {
             break;
           }
           active = std::move(adm.job);
-          started_sent = false;
           send(encode_event(adm.attached ? "attached" : "queued",
                             adm.position));
           break;
@@ -830,11 +769,7 @@ util::Json Server::stats_json() const {
   const Stats s = stats();
   const ArtifactStore::Stats ss = store_.stats();
   util::Json j = util::Json::object();
-  j.set("uptime_ms",
-        util::Json::number(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - started_at_)
-                .count())));
+  j.set("uptime_ms", util::Json::number(uptime_ms()));
   j.set("runners", util::Json::number(std::uint64_t{options_.runners}));
   j.set("jobs.submitted", util::Json::number(s.submitted));
   j.set("jobs.completed", util::Json::number(s.completed));
@@ -864,9 +799,10 @@ util::Json Server::stats_json() const {
 }
 
 util::Json Server::telemetry_json() const {
-  // Lock discipline: stats() takes stats_mu_ then queue_mu_ and releases
-  // both before telemetry_mu_ below (journal_append runs under queue_mu_ ->
-  // telemetry_mu_, so telemetry_mu_ must always be innermost).
+  // Lock discipline: stats() takes stats_mu_ then queue_mu_, and the
+  // tenant rows queue_mu_, each released before telemetry_mu_ below
+  // (journal_append runs under queue_mu_ -> telemetry_mu_, so
+  // telemetry_mu_ must always be innermost).
   const Stats s = stats();
   const std::uint64_t up = uptime_ms();
 
@@ -907,29 +843,33 @@ util::Json Server::telemetry_json() const {
     j.set("wal", std::move(wj));
   }
 
-  std::lock_guard<std::mutex> lk(telemetry_mu_);
-  j.set("busy_ms", util::Json::number(busy_ms_));
+  j.set("busy_ms", util::Json::number(s.busy_ms));
   // Runner utilization over the daemon's lifetime: busy runner-ms over
-  // elapsed runner-ms, clamped (in-flight jobs are not yet in busy_ms_).
+  // elapsed runner-ms, clamped (in-flight jobs are not yet in busy_ms).
   const double capacity_ms =
       static_cast<double>(up) * static_cast<double>(options_.runners);
   const double util_ratio =
       capacity_ms > 0.0
-          ? std::min(1.0, static_cast<double>(busy_ms_) / capacity_ms)
+          ? std::min(1.0, static_cast<double>(s.busy_ms) / capacity_ms)
           : 0.0;
   j.set("utilization", util::Json::number(util_ratio));
 
   util::Json tenants = util::Json::object();
-  for (const auto& [name, t] : tenants_) {
-    util::Json tj = util::Json::object();
-    tj.set("jobs", util::Json::number(t.jobs));
-    tj.set("errors", util::Json::number(t.errors));
-    tj.set("busy_ms", util::Json::number(t.busy_ms));
-    if (t.shed != 0) tj.set("shed", util::Json::number(t.shed));
-    tenants.set(name.empty() ? "-" : name, std::move(tj));
+  {
+    std::lock_guard<std::mutex> lk(queue_mu_);
+    for (const auto& [name, t] : tenants_) {
+      if (t.jobs == 0 && t.shed == 0) continue;  // nothing finished yet
+      util::Json tj = util::Json::object();
+      tj.set("jobs", util::Json::number(t.jobs));
+      tj.set("errors", util::Json::number(t.errors));
+      tj.set("busy_ms", util::Json::number(t.busy_ms));
+      if (t.shed != 0) tj.set("shed", util::Json::number(t.shed));
+      tenants.set(name.empty() ? "-" : name, std::move(tj));
+    }
   }
   j.set("tenants", std::move(tenants));
 
+  std::lock_guard<std::mutex> lk(telemetry_mu_);
   util::Json journal = util::Json::array();
   for (const JournalEntry& e : journal_) journal.push_back(entry_json(e));
   j.set("journal", std::move(journal));

@@ -12,19 +12,20 @@
 //                 submits on the job queue and stream lifecycle events
 //                 (queued -> started -> result) back while polling the
 //                 socket for a cancel frame or a disconnect — either
-//                 cancels the in-flight job cooperatively.
+//                 cancels the in-flight job cooperatively. A repeat held
+//                 by the job journal's bounded result index (journal.hpp)
+//                 is answered at admission on the connection thread —
+//                 queued -> result, no queue slot, never shed.
 //   runners       N worker threads pull jobs off the queue and execute
 //                 them through QueryCore::run against the shared
 //                 ArtifactStore, so concurrent and repeated jobs share
-//                 workloads. A repeat is served at admission from the
-//                 job journal's bounded result index (journal.hpp), which
-//                 stays in memory when no journal directory is set.
+//                 workloads. The queue holds computations only.
 //                 Each job's deadline_ms is armed on its CancelToken when
 //                 the job *starts* (queue time does not count).
-//   metrics       a runner snapshots its obs thread-counter shard before
-//                 and after the job; the delta rides back in the result
-//                 frame as the job's own metrics (a job runs on its
-//                 runner thread alone, so the delta is exactly its own).
+//   metrics       the job's thread (its runner, or a hit's connection)
+//                 snapshots its obs thread-counter shard before and after
+//                 the job; the delta rides back in the result frame as the
+//                 job's own metrics (exactly its own: it runs there alone).
 //
 // Shutdown is drain-and-exit: when the shutdown token fires (SIGTERM in
 // the CLI) or a stop frame arrives, the server stops accepting, lets the
@@ -88,8 +89,8 @@ struct ServerOptions {
   /// Drain-and-exit trigger; the CLI points this at its signal token so
   /// SIGTERM/SIGINT drain the daemon. Defaults to a live token.
   util::CancelToken shutdown = util::CancelToken::make();
-  /// Test seam: called on the runner thread right after a job enters
-  /// kRunning and before its compute starts. Lets the chaos/overload
+  /// Test seam: called on the runner right after a computed job enters
+  /// kRunning, before its compute (never for a hit). Lets the overload
   /// tests hold a runner busy deterministically. Null in production.
   std::function<void(const JobRequest&)> on_job_start;
 };
@@ -124,6 +125,7 @@ class Server {
     std::uint64_t result_hits = 0;    ///< jobs served from the result index
     std::uint64_t result_misses = 0;  ///< jobs that ran a compute
     std::uint64_t recovered = 0;   ///< jobs replayed from the WAL on start
+    std::uint64_t busy_ms = 0;     ///< wall-time integral of finished jobs
     std::uint64_t protocol_errors = 0;  ///< malformed/oversized frames
     std::uint64_t queued = 0;      ///< current depth
     std::uint64_t running = 0;     ///< currently executing
@@ -157,6 +159,8 @@ class Server {
 
  private:
   struct Job {
+    Job(std::uint64_t i, JobRequest r, std::uint64_t k)
+        : id(i), request(std::move(r)), rkey(k) {}
     std::uint64_t id = 0;
     JobRequest request;
     util::CancelToken cancel = util::CancelToken::make();
@@ -164,9 +168,6 @@ class Server {
     /// Canonical result key (canonical_hash over the resolved source);
     /// 0 when the source could not be resolved at admission time.
     std::uint64_t rkey = 0;
-    /// The report, when the journal's result index held it at admission:
-    /// the job is served from it and writes no journal record.
-    std::optional<std::string> cached_report;
     /// Replayed from the WAL on restart: no originating connection, so a
     /// watcher disconnect must not cancel it.
     bool replayed = false;
@@ -184,11 +185,22 @@ class Server {
   struct Admission {
     std::shared_ptr<Job> job;  ///< non-null on accept (or attach)
     bool attached = false;     ///< an in-flight twin is serving this hash
+    /// The answer, when the result index held it: served with no job.
+    std::optional<JobOutcome> hit;
     std::string why;           ///< rejection reason when job == nullptr
     /// >0: shed with a typed retry-after hint; 0: hard error (draining).
     std::uint64_t retry_after_ms = 0;
-    /// Queue position at admission (0 = already claimed by a runner).
+    /// Queue position at admission (0 = claimed by a runner, or a hit).
     std::uint64_t position = 0;
+  };
+
+  /// Per-tenant accounting: the cap's in-flight count, telemetry totals.
+  struct TenantStats {
+    std::size_t inflight = 0;  ///< queued + running
+    std::uint64_t jobs = 0;
+    std::uint64_t errors = 0;
+    std::uint64_t busy_ms = 0;
+    std::uint64_t shed = 0;  ///< admissions refused with retry-after
   };
 
   void runner_main();
@@ -197,18 +209,28 @@ class Server {
   void journal_append(std::uint64_t job_id, const std::string& tenant,
                       std::string event, std::uint64_t elapsed_ms = 0,
                       std::string detail = {});
-  /// Admission control: draining / duplicate-attach / per-tenant cap /
-  /// queue depth / deadline shed, in that order (DESIGN.md §16).
+  /// Admission control: draining / result-index hit / duplicate-attach /
+  /// tenant cap / queue depth / deadline shed, in order (DESIGN.md §16).
   Admission admit(JobRequest request);
-  /// Re-enqueues one WAL-recovered job, bypassing admission control (it
-  /// was already admitted in a previous life).
-  void enqueue_recovered(RecoveredJob job);
+  /// Queues an admitted or a WAL-recovered (`replayed`) job. Caller holds
+  /// queue_mu_.
+  void enqueue_locked(std::shared_ptr<Job> job);
+  /// The tenant's entry, inserted on first use. Caller holds queue_mu_.
+  TenantStats& tenant_locked(const std::string& tenant);
   /// The server-computed backoff hint: floor + estimated queue latency.
   std::uint64_t retry_hint_ms(std::size_t queue_depth) const;
-  /// Mean wall time of completed jobs (0 when no history).
+  /// Mean wall time of finished jobs (0 when no history).
   std::uint64_t mean_job_ms() const;
   std::shared_ptr<Job> pop_job();
   void run_job(Job& job);
+  /// Runs job `id` on this thread (a runner; a connection for a hit, with
+  /// `computed` null): `body` fills the outcome in the svc.job span; then
+  /// come the metrics and traced telemetry, a computed job's WAL terminal
+  /// record and queue-slot release, and the stats, tenant, ring and
+  /// slow-job accounting.
+  JobOutcome execute(const JobRequest& request, std::uint64_t id,
+                     const Job* computed,
+                     const std::function<void(JobOutcome&)>& body);
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
   void begin_drain();
 
@@ -228,29 +250,17 @@ class Server {
   /// Every queued-or-running job, for duplicate-attach lookup; entries
   /// are erased when the job reaches kDone. Guarded by queue_mu_.
   std::vector<std::shared_ptr<Job>> inflight_;
-  /// Per-tenant queued-or-running counts (admission cap). queue_mu_.
-  std::vector<std::pair<std::string, std::size_t>> tenant_inflight_;
+  /// Per-tenant accounting, in order of first use. Guarded by queue_mu_.
+  std::vector<std::pair<std::string, TenantStats>> tenants_;
 
   mutable std::mutex stats_mu_;
   Stats stats_;
-  /// Completed-job wall-time integral for the retry-after estimator.
-  std::uint64_t finished_jobs_ = 0;
-  std::uint64_t finished_ms_ = 0;
 
-  /// Telemetry surface state (journal ring, slow-job log, per-tenant
-  /// accounting, busy-time integral for the utilization gauge).
-  struct TenantStats {
-    std::uint64_t jobs = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t busy_ms = 0;
-    std::uint64_t shed = 0;  ///< admissions refused with retry-after
-  };
+  /// Telemetry surface state: the event ring and the slow-job log.
   mutable std::mutex telemetry_mu_;
   std::deque<JournalEntry> journal_;
   std::uint64_t journal_seq_ = 0;
   std::deque<JournalEntry> slow_jobs_;
-  std::vector<std::pair<std::string, TenantStats>> tenants_;
-  std::uint64_t busy_ms_ = 0;
 
   std::vector<std::thread> runners_;
   std::mutex conns_mu_;

@@ -1,6 +1,5 @@
 #include "tracesel/job_request.hpp"
 
-#include <charconv>
 #include <sstream>
 
 #include "util/framing.hpp"
@@ -16,13 +15,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
     h ^= (v >> (i * 8)) & 0xFF;
     h *= 0x100000001B3ull;
   }
-}
-
-bool to_u64(std::string_view tok, std::uint64_t& out) {
-  const char* first = tok.data();
-  const char* last = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
 }
 
 util::Result<JobRequest> malformed(const std::string& what) {
@@ -186,7 +178,7 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
                          "' (expected compiled|generic)");
     } else if (key == "spec_text") {
       std::uint64_t n = 0;
-      if (!to_u64(value, n)) return malformed("bad spec_text length");
+      if (!util::parse_u64(value, n)) return malformed("bad spec_text length");
       if (n > body.size()) return malformed("spec_text block truncated");
       req.spec_text = std::string(body.substr(0, static_cast<std::size_t>(n)));
       body.remove_prefix(static_cast<std::size_t>(n));
@@ -194,7 +186,7 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
       if (!body.empty() && body.front() == '\n') body.remove_prefix(1);
     } else {
       std::uint64_t v = 0;
-      if (!to_u64(value, v))
+      if (!util::parse_u64(value, v))
         return malformed("bad value for '" + std::string(key) + "'");
       if (key == "instances") {
         req.instances = static_cast<std::uint32_t>(v);

@@ -53,14 +53,14 @@ std::uint64_t get_u64le(const char* p) {
   return v;
 }
 
-bool to_u64(std::string_view tok, std::uint64_t& out, int base = 10) {
-  const char* first = tok.data();
-  const char* last = tok.data() + tok.size();
+}  // namespace
+
+bool parse_u64(std::string_view token, std::uint64_t& out, int base) {
+  const char* first = token.data();
+  const char* last = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(first, last, out, base);
   return ec == std::errc{} && ptr == last;
 }
-
-}  // namespace
 
 std::string encode_frame(std::string_view payload) {
   std::string out;
@@ -181,8 +181,8 @@ Result<std::string_view> decode_envelope(std::string_view text,
   if (sp == std::string_view::npos) return bad_header();
   std::uint64_t got_version = 0;
   std::uint64_t checksum = 0;
-  if (!to_u64(header.substr(0, sp), got_version) ||
-      !to_u64(header.substr(sp + 1), checksum, 16))
+  if (!parse_u64(header.substr(0, sp), got_version) ||
+      !parse_u64(header.substr(sp + 1), checksum, 16))
     return bad_header();
 
   if (got_version != version)

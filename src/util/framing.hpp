@@ -82,6 +82,15 @@ class FrameReader {
   std::string corrupt_reason_;
 };
 
+// --- integer fields ------------------------------------------------------
+
+/// Parses all of `token` as an unsigned integer in `base`, by
+/// std::from_chars rules (no sign, whitespace or radix prefix). False on
+/// an empty, partly numeric or out-of-range token. Every text format in
+/// the repository (frame headers, envelopes, journal records, protocol
+/// and job-request fields, telemetry) reads its integers through it.
+bool parse_u64(std::string_view token, std::uint64_t& out, int base = 10);
+
 // --- versioned, checksummed text envelopes -----------------------------
 
 /// "<tag> <version> <checksum-hex>\n" + payload.

@@ -10,9 +10,11 @@
 #include <charconv>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/atomic_file.hpp"
@@ -622,13 +624,24 @@ std::string wire_name(std::string_view name) {
   return out;
 }
 
+/// util::parse_u64 narrowed to T: a value T cannot hold is rejected, and
+/// a leading '-' is read as a sign only when T is signed.
 template <typename T>
 bool parse_number(std::string_view token, T& out) {
-  if (token.empty()) return false;
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
+  const bool negative = std::is_signed_v<T> && token.starts_with('-');
+  std::uint64_t magnitude = 0;
+  if (!util::parse_u64(negative ? token.substr(1) : token, magnitude))
+    return false;
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (!negative) {
+    if (magnitude > max) return false;
+    out = static_cast<T>(magnitude);
+  } else {
+    if (magnitude > max + 1) return false;
+    // -(magnitude - 1) - 1 stays in range down to T's minimum.
+    out = magnitude == 0 ? T{0} : -static_cast<T>(magnitude - 1) - T{1};
+  }
+  return true;
 }
 
 /// Splits `line` into at most `max_fields` whitespace-separated tokens;

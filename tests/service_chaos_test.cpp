@@ -860,6 +860,42 @@ TEST(ServiceChaos, EveryJournalSyncIsSpanned) {
   obs::set_enabled(was_enabled);
 }
 
+TEST(ServiceChaos, EveryCompactionSyncIsSpanned) {
+  // A log that rotates adds a compaction's two fsyncs (the new log and its
+  // directory) inside one svc.journal.compact span, so every sync is in a
+  // span: syncs = sync spans + 2 x compaction spans.
+  TempDir tmp;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto syncs = [] {
+    return obs::registry().counter_value("svc.journal.syncs");
+  };
+  const auto spans = [](const char* name) {
+    const auto h = obs::registry().histogram_snapshot(name);
+    return h ? h->count : 0u;
+  };
+  ServerOptions opt;
+  opt.journal_dir = tmp.sub("wal");
+  opt.journal_rotate_bytes = 256;
+  Daemon daemon{std::move(opt)};
+  Client client = daemon.connect();
+  const std::uint64_t syncs_before = syncs();
+  const std::uint64_t sync_spans_before = spans("span.svc.journal.sync");
+  const std::uint64_t compact_spans_before = spans("span.svc.journal.compact");
+  for (std::uint32_t width = 2; width < 6; ++width) {
+    const auto out = client.submit(fig2_request(width));
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_FALSE(out.value().cache_hit);
+  }
+  const std::uint64_t compactions =
+      spans("span.svc.journal.compact") - compact_spans_before;
+  EXPECT_GE(compactions, 1u) << "the log never rotated";
+  EXPECT_EQ(syncs() - syncs_before,
+            spans("span.svc.journal.sync") - sync_spans_before +
+                2 * compactions);
+  obs::set_enabled(was_enabled);
+}
+
 // --- admission control under load ---------------------------------------
 
 /// Blocks every runner inside on_job_start until release() — the
@@ -1001,6 +1037,76 @@ TEST(ServiceChaos, PerTenantCapShedsOnlyTheNoisyTenant) {
 
   const auto tel = daemon.server->telemetry_json().dump(2);
   EXPECT_NE(tel.find("\"shed\""), std::string::npos);
+}
+
+TEST(ServiceChaos, ResultIndexHitIsNeverShed) {
+  // A repeat the result index holds is answered at admission: with the one
+  // runner held, the queue full and its tenant at the in-flight cap, the
+  // resubmission still gets the computed bytes, no retry-after and no
+  // started event.
+  RunnerGate gate;
+  ServerOptions opt;
+  opt.runners = 1;
+  opt.max_queue = 1;
+  opt.per_tenant_inflight = 1;
+  opt.on_job_start = [&](const JobRequest& r) {
+    if (r.buffer_width != 2) gate.wait_in_job();
+  };
+  Daemon daemon{std::move(opt)};
+
+  JobRequest repeat = fig2_request(2);
+  repeat.tenant = "acme";
+  Client c = daemon.connect();
+  const auto computed = c.submit(repeat);
+  ASSERT_TRUE(computed.ok()) << computed.error().to_string();
+  ASSERT_FALSE(computed.value().cache_hit);
+
+  // acme's next job holds the runner (and acme's one in-flight slot), and
+  // zen's fills the queue.
+  JobRequest held = fig2_request(4);
+  held.tenant = "acme";
+  std::thread a([&] {
+    Client ac = daemon.connect();
+    EXPECT_TRUE(ac.submit(held).ok());
+  });
+  gate.await_entered(1);
+  JobRequest queued = fig2_request(8);
+  queued.tenant = "zen";
+  std::atomic<bool> b_queued{false};
+  std::thread b([&] {
+    Client bc = daemon.connect();
+    EXPECT_TRUE(bc.submit(queued, {},
+                          [&](std::string_view, std::uint64_t) {
+                            b_queued.store(true);
+                          })
+                    .ok());
+  });
+  while (!b_queued.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  const Server::Stats before = daemon.server->stats();
+  EXPECT_EQ(before.queued, 1u);
+  std::vector<std::string> events;
+  Client::RetryAfter ra;
+  const auto hit = c.submit(
+      repeat, {},
+      [&](std::string_view status, std::uint64_t) {
+        events.emplace_back(status);
+      },
+      &ra);
+  const Server::Stats after = daemon.server->stats();
+  gate.release();
+  a.join();
+  b.join();
+
+  ASSERT_TRUE(hit.ok()) << hit.error().to_string();
+  EXPECT_EQ(hit.value().status, "ok");
+  EXPECT_TRUE(hit.value().cache_hit);
+  EXPECT_EQ(hit.value().report_json, computed.value().report_json);
+  EXPECT_FALSE(ra.hinted);
+  EXPECT_EQ(events, std::vector<std::string>{"queued"});
+  EXPECT_EQ(after.rejected, before.rejected);
+  EXPECT_EQ(after.result_hits, before.result_hits + 1);
 }
 
 // --- client resilience --------------------------------------------------

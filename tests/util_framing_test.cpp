@@ -222,6 +222,27 @@ TEST(FrameReaderTest, NeedMoreUntilPayloadComplete) {
   EXPECT_EQ(payload, "0123456789");
 }
 
+// --- integer fields -----------------------------------------------------
+
+TEST(Framing, ParseU64AcceptsWholeUnsignedTokensOnly) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parse_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(parse_u64("00042", v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(parse_u64("ffffffffffffffff", v, 16));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(parse_u64("DeadBeef", v, 16));
+  EXPECT_EQ(v, 0xDEADBEEFu);
+  for (const char* bad : {"", "18446744073709551616", "-1", "+1", " 1", "1 ",
+                          "12a", "0x10", "1.5"})
+    EXPECT_FALSE(parse_u64(bad, v)) << "'" << bad << "'";
+  EXPECT_FALSE(parse_u64("10000000000000000", v, 16));
+  EXPECT_FALSE(parse_u64("g", v, 16));
+}
+
 // --- SIGPIPE ------------------------------------------------------------
 
 TEST(Framing, WriteToClosedPipeIsEpipeNotSigpipe) {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "tracesel/tracesel.hpp"
+#include "util/framing.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel {
@@ -531,6 +532,32 @@ TEST_F(ObsTest, MergeMetricsSumsCountersMaxesGauges) {
   EXPECT_EQ(into.histograms[0].count, 2u);
   EXPECT_EQ(into.histograms[0].min, 2u);
   EXPECT_EQ(into.histograms[0].max, 8u);
+}
+
+TEST_F(ObsTest, TelemetryNumbersMustFitTheirFields) {
+  // Signed fields take a sign and reach their minimum; 32-bit fields stop
+  // at 2^32 - 1; unsigned fields take no sign.
+  const auto parse = [](const std::string& lines) {
+    return obs::parse_telemetry(util::encode_envelope(
+        "tracesel-telemetry", obs::kTelemetryVersion,
+        "process p 1 " + lines + "end\n"));
+  };
+  auto ok = parse(
+      "-9223372036854775808\ngauge g -9223372036854775808\n"
+      "gauge h 9223372036854775807\nevent 1 2 4294967295 0 3 0 e\n");
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_EQ(ok.value().epoch_ns, INT64_MIN);
+  ASSERT_EQ(ok.value().metrics.gauges.size(), 2u);
+  EXPECT_EQ(ok.value().metrics.gauges[0].second, INT64_MIN);
+  EXPECT_EQ(ok.value().metrics.gauges[1].second, INT64_MAX);
+  ASSERT_EQ(ok.value().events.size(), 1u);
+  EXPECT_EQ(ok.value().events[0].tid, UINT32_MAX);
+  EXPECT_TRUE(parse("-0\n").ok());
+  for (const char* bad :
+       {"-9223372036854775809\n", "9223372036854775808\n", "+1\n", "-\n",
+        "--1\n", "0\nevent 1 2 4294967296 0 3 0 e\n",
+        "0\nevent 1 2 -1 0 3 0 e\n", "0\ncounter c -1\n"})
+    EXPECT_FALSE(parse(bad).ok()) << bad;
 }
 
 TEST_F(ObsTest, TelemetryWireRoundTripPreservesEverything) {

@@ -44,7 +44,12 @@ struct InterleaveOptions {
   util::CancelToken cancel;
 };
 
-/// Convenience: n instances of each listed flow, indexed 1..n per flow.
+/// The most instances per flow make_instances builds: a bad count fails
+/// there, before anything is allocated.
+inline constexpr std::uint32_t kMaxInstancesPerFlow = 1024;
+
+/// n instances of each listed flow, indexed 1..n per flow;
+/// std::invalid_argument unless 1 <= n <= kMaxInstancesPerFlow.
 std::vector<IndexedFlow> make_instances(
     const std::vector<const Flow*>& flows, std::uint32_t instances_per_flow);
 

@@ -12,6 +12,11 @@ std::vector<IndexedFlow> make_instances(const std::vector<const Flow*>& flows,
                                         std::uint32_t instances_per_flow) {
   if (instances_per_flow == 0)
     throw std::invalid_argument("make_instances: zero instances per flow");
+  if (instances_per_flow > kMaxInstancesPerFlow)
+    throw std::invalid_argument(
+        "make_instances: " + std::to_string(instances_per_flow) +
+        " instances per flow exceeds the cap of " +
+        std::to_string(kMaxInstancesPerFlow));
   std::vector<IndexedFlow> out;
   out.reserve(flows.size() * instances_per_flow);
   for (const Flow* f : flows) {

@@ -1,10 +1,11 @@
 #include "flow/parser.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "flow/flow_builder.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
+#include "util/framing.hpp"
 #include "util/obs.hpp"
 
 namespace tracesel::flow {
@@ -28,27 +29,14 @@ constexpr std::size_t kMaxMessages = 65536;
 constexpr std::size_t kMaxFlows = 4096;
 constexpr std::size_t kMaxLinesPerFlow = 1u << 17; ///< states + transitions
 
-/// Whitespace tokenizer that strips '#' comments.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line.substr(0, line.find('#')));
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-std::uint32_t parse_u32(const std::string& tok, std::size_t line,
+/// A WIDTH or beats count: decimal digits only, 1..2^32-1.
+std::uint32_t parse_u32(std::string_view tok, std::size_t line,
                         const char* what) {
-  try {
-    std::size_t consumed = 0;
-    const unsigned long v = std::stoul(tok, &consumed);
-    if (consumed != tok.size() || v == 0 || v > 0xFFFFFFFFull)
-      throw std::invalid_argument(tok);
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::exception&) {
+  std::uint32_t v = 0;
+  if (!util::parse_number(tok, v) || v == 0)
     throw ParseError(line, std::string("expected positive integer for ") +
-                               what + ", got '" + tok + "'");
-  }
+                               what + ", got '" + std::string(tok) + "'");
+  return v;
 }
 
 struct PendingSubgroup {
@@ -81,7 +69,8 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
     bool truncated = false;
     /// Over-kMaxFlows body (lenient mode): consume lines, keep nothing.
     bool discard = false;
-    std::vector<std::pair<std::size_t, std::vector<std::string>>> lines;
+    /// (line number, text without its comment), split again at build.
+    std::vector<std::pair<std::size_t, std::string_view>> lines;
   };
   std::vector<FlowBody> bodies;
   // Over-cap flows in lenient mode still need their '{...}' consumed so the
@@ -104,8 +93,8 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
     }
   };
 
-  std::istringstream stream{std::string(text)};
-  std::string raw;
+  std::string_view rest = text;
+  std::vector<std::string_view> tokens;
   std::size_t lineno = 0;
   FlowBody* open = nullptr;
   // Each count cap is reported once; repeating it per excess line would
@@ -113,7 +102,7 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
   bool message_cap_reported = false;
   bool flow_cap_reported = false;
 
-  auto handle_message = [&](const std::vector<std::string>& t,
+  auto handle_message = [&](const std::vector<std::string_view>& t,
                             std::size_t line) {
     // message NAME WIDTH SRC -> DST [beats N]
     if (t.size() != 6 && t.size() != 8)
@@ -129,38 +118,28 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
     m.dest_ip = t[5];
     if (t.size() == 8) {
       if (t[6] != "beats")
-        throw ParseError(line, "expected 'beats', got '" + t[6] + "'");
+        throw ParseError(line,
+                         "expected 'beats', got '" + std::string(t[6]) + "'");
       m.beats = parse_u32(t[7], line, "beats");
     }
     messages.push_back(std::move(m));
     message_lines.push_back(line);
   };
 
-  auto handle_subgroup = [&](const std::vector<std::string>& t,
+  auto handle_subgroup = [&](const std::vector<std::string_view>& t,
                              std::size_t line) {
     // subgroup PARENT NAME WIDTH
     if (t.size() != 4)
       throw ParseError(line, "subgroup syntax: subgroup PARENT NAME WIDTH");
-    pending_subgroups.push_back(
-        PendingSubgroup{t[1], t[2], parse_u32(t[3], line, "width"), line});
+    pending_subgroups.push_back(PendingSubgroup{
+        std::string(t[1]), std::string(t[2]), parse_u32(t[3], line, "width"),
+        line});
   };
 
-  auto accept_message = [&](const std::vector<std::string>& t,
-                            std::size_t line) {
-    if (messages.size() >= kMaxMessages) {
-      if (!message_cap_reported) {
-        message_cap_reported = true;
-        guard([&] {
-          throw ParseError(line, "message count exceeds the cap of " +
-                                     std::to_string(kMaxMessages));
-        });
-      }
-      return;
-    }
-    guard([&] { handle_message(t, line); });
-  };
-
-  while (std::getline(stream, raw)) {
+  while (!rest.empty()) {
+    std::string_view raw;
+    // The last line may lack its '\n'.
+    if (!util::take_line(rest, raw)) raw = std::exchange(rest, {});
     ++lineno;
     if (cancel != nullptr && (lineno & 0xFFF) == 0 && cancel->cancelled())
       throw util::CancelledError("flow.parse");
@@ -172,15 +151,25 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
       });
       continue;  // lenient: drop the line, stay synchronized
     }
-    const auto tokens = tokenize(raw);
+    raw = raw.substr(0, raw.find('#'));
+    util::split_tokens(raw, tokens);
     if (tokens.empty()) continue;
 
-    if (open == nullptr) {
-      if (tokens[0] == "message") {
-        accept_message(tokens, lineno);
-      } else if (tokens[0] == "subgroup") {
-        guard([&] { handle_subgroup(tokens, lineno); });
-      } else if (tokens[0] == "flow") {
+    // Messages and subgroups may stand at top level or inside a flow.
+    if (tokens[0] == "message") {
+      if (messages.size() < kMaxMessages) {
+        guard([&] { handle_message(tokens, lineno); });
+      } else if (!message_cap_reported) {
+        message_cap_reported = true;
+        guard([&] {
+          throw ParseError(lineno, "message count exceeds the cap of " +
+                                       std::to_string(kMaxMessages));
+        });
+      }
+    } else if (tokens[0] == "subgroup") {
+      guard([&] { handle_subgroup(tokens, lineno); });
+    } else if (open == nullptr) {
+      if (tokens[0] == "flow") {
         const bool well_formed = tokens.size() == 3 && tokens[2] == "{";
         guard([&] {
           if (!well_formed)
@@ -199,43 +188,38 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
           // Lenient recovery: still open a (poisoned) body so its lines
           // are linted instead of cascading "expected 'message'..." noise.
           bodies.push_back(FlowBody{
-              tokens.size() > 1 ? tokens[1] : "<anonymous>", lineno,
-              !well_formed, false, false, {}});
+              tokens.size() > 1 ? std::string(tokens[1]) : "<anonymous>",
+              lineno, !well_formed, false, false, {}});
           open = &bodies.back();
         }
       } else {
         guard([&] {
           throw ParseError(lineno, "expected 'message', 'subgroup' or "
-                                   "'flow', got '" + tokens[0] + "'");
+                                   "'flow', got '" +
+                                       std::string(tokens[0]) + "'");
+        });
+      }
+    } else if (tokens[0] == "}") {
+      guard([&] {
+        if (tokens.size() != 1)
+          throw ParseError(lineno, "unexpected tokens after '}'");
+      });
+      open = nullptr;
+    } else if (open->discard) {
+      // Over-cap flow: swallow the body without recording anything.
+    } else if (open->lines.size() >= kMaxLinesPerFlow) {
+      if (!open->truncated) {
+        open->truncated = true;
+        open->poisoned = true;  // a truncated body must never build
+        guard([&] {
+          throw ParseError(lineno, "flow body '" + open->name +
+                                       "' exceeds the cap of " +
+                                       std::to_string(kMaxLinesPerFlow) +
+                                       " lines");
         });
       }
     } else {
-      if (tokens[0] == "}") {
-        guard([&] {
-          if (tokens.size() != 1)
-            throw ParseError(lineno, "unexpected tokens after '}'");
-        });
-        open = nullptr;
-      } else if (tokens[0] == "message") {
-        accept_message(tokens, lineno);
-      } else if (tokens[0] == "subgroup") {
-        guard([&] { handle_subgroup(tokens, lineno); });
-      } else if (open->discard) {
-        // Over-cap flow: swallow the body without recording anything.
-      } else if (open->lines.size() >= kMaxLinesPerFlow) {
-        if (!open->truncated) {
-          open->truncated = true;
-          open->poisoned = true;  // a truncated body must never build
-          guard([&] {
-            throw ParseError(lineno, "flow body '" + open->name +
-                                         "' exceeds the cap of " +
-                                         std::to_string(kMaxLinesPerFlow) +
-                                         " lines");
-          });
-        }
-      } else {
-        open->lines.emplace_back(lineno, tokens);
-      }
+      open->lines.emplace_back(lineno, raw);
     }
   }
   if (open != nullptr) {
@@ -274,9 +258,9 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
     if (body.poisoned) continue;
     FlowBuilder builder(body.name);
     bool body_ok = true;
-    for (const auto& [line, t] : body.lines) {
-      const std::size_t l = line;
-      const auto& tt = t;
+    for (const auto& [l, raw] : body.lines) {
+      util::split_tokens(raw, tokens);
+      const auto& tt = tokens;
       const bool line_ok = guard([&] {
         if (tt[0] == "state") {
           // state NAME [initial] [stop] [atomic]...
@@ -289,15 +273,16 @@ ParsedSpec parse_impl(std::string_view text, const std::string& file,
             else if (tt[i] == "stop") flags |= FlowBuilder::kStop;
             else if (tt[i] == "atomic") flags |= FlowBuilder::kAtomic;
             else
-              throw ParseError(l, "unknown state flag '" + tt[i] + "'");
+              throw ParseError(l, "unknown state flag '" +
+                                      std::string(tt[i]) + "'");
           }
-          builder.state(tt[1], flags);
+          builder.state(std::string(tt[1]), flags);
         } else if (tt.size() == 5 && tt[1] == "->" && tt[3] == "on") {
           // FROM -> TO on MESSAGE
           const auto id = spec.catalog.find(tt[4]);
           if (!id)
             throw ParseError(l, "transition references unknown message '" +
-                                    tt[4] + "'");
+                                    std::string(tt[4]) + "'");
           try {
             builder.transition(tt[0], *id, tt[2]);
           } catch (const std::invalid_argument& e) {

@@ -61,42 +61,22 @@ std::string record_payload(std::string_view event, std::uint64_t job_id,
 }
 
 /// "request <len>\n<request>\nreport <len>\n<report>\n" — the body of an
-/// ok job's completed record.
+/// ok job's completed record: two util::append_block blocks.
 std::string result_body(const JobRequest& request, std::string_view report) {
   const std::string req = serialize_job_request(request);
   std::string body;
   body.reserve(req.size() + report.size() + 64);
-  body += "request " + std::to_string(req.size()) + '\n';
-  body += req;
-  body += '\n';
-  body += "report " + std::to_string(report.size()) + '\n';
-  body += report;
-  body += '\n';
+  util::append_block(body, "request", req);
+  util::append_block(body, "report", report);
   return body;
 }
 
 /// Inverse of result_body; false when the blocks are malformed.
 bool parse_result_body(std::string_view body, JobRequest& request,
                        std::string& report) {
-  const auto take = [&](std::string_view name,
-                        std::string_view& out) -> bool {
-    const std::size_t eol = body.find('\n');
-    if (eol == std::string_view::npos) return false;
-    std::string_view line = body.substr(0, eol);
-    if (!line.starts_with(name) || line.size() <= name.size() ||
-        line[name.size()] != ' ')
-      return false;
-    std::uint64_t n = 0;
-    if (!util::parse_u64(line.substr(name.size() + 1), n)) return false;
-    body.remove_prefix(eol + 1);
-    if (n >= body.size() || body[n] != '\n') return false;
-    out = body.substr(0, static_cast<std::size_t>(n));
-    body.remove_prefix(static_cast<std::size_t>(n) + 1);
-    return true;
-  };
   std::string_view req_text, report_text;
-  if (!take("request", req_text) || !take("report", report_text) ||
-      !body.empty())
+  if (!util::take_block(body, "request", req_text) ||
+      !util::take_block(body, "report", report_text) || !body.empty())
     return false;
   auto req = parse_job_request(req_text);
   if (!req.ok()) return false;
@@ -106,36 +86,29 @@ bool parse_result_body(std::string_view body, JobRequest& request,
 }
 
 struct ParsedRecord {
-  std::string event;
+  std::string_view event;
   std::uint64_t job_id = 0;
   std::uint64_t aux = 0;
   std::string_view body;
 };
 
-/// Record-level parse; nullopt-style via bool return. A failure here drops
-/// only this record — the frame layer already validated its boundaries.
+/// Record-level parse of "<tag> <version> <event> <id>[ <aux>]\n<body>".
+/// A failure here drops only this record — the frame layer already
+/// validated its boundaries.
 bool parse_record(std::string_view payload, ParsedRecord& out) {
-  const std::size_t eol = payload.find('\n');
-  if (eol == std::string_view::npos) return false;
-  std::string_view head = payload.substr(0, eol);
-  out.body = payload.substr(eol + 1);
-
-  // Tokenize "<tag> <version> <event> <id>[ <aux>]".
-  std::vector<std::string_view> tok;
-  while (!head.empty()) {
-    const std::size_t sp = head.find(' ');
-    tok.push_back(head.substr(0, sp));
-    if (sp == std::string_view::npos) break;
-    head.remove_prefix(sp + 1);
-  }
-  if (tok.size() < 4 || tok[0] != kRecordTag) return false;
-  std::uint64_t version = 0;
-  if (!util::parse_u64(tok[1], version) || version != kRecordVersion)
+  std::string_view head;
+  out.body = payload;
+  if (!util::take_line(out.body, head)) return false;
+  std::uint32_t version = 0;
+  if (util::take_token(head) != kRecordTag ||
+      !util::parse_number(util::take_token(head), version) ||
+      version != kRecordVersion)
     return false;
-  out.event = std::string(tok[2]);
-  if (!util::parse_u64(tok[3], out.job_id)) return false;
-  if (tok.size() >= 5 && !util::parse_u64(tok[4], out.aux, 16)) return false;
-  return true;
+  out.event = util::take_token(head);
+  if (!util::parse_number(util::take_token(head), out.job_id)) return false;
+  const std::string_view aux = util::take_token(head);
+  return (aux.empty() || util::parse_number(aux, out.aux, 16)) &&
+         util::take_token(head).empty();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include "service/protocol.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "util/framing.hpp"
 
@@ -21,37 +21,6 @@ std::string header(MessageType type) {
   h += std::to_string(kProtocolVersion);
   h += '\n';
   return h;
-}
-
-/// Appends "name <size>\n<raw bytes>\n" — the length-prefixed block used
-/// for payloads that may contain anything (JSON, error text).
-void append_block(std::string& out, std::string_view name,
-                  std::string_view bytes) {
-  out += name;
-  out += ' ';
-  out += std::to_string(bytes.size());
-  out += '\n';
-  out += bytes;
-  out += '\n';
-}
-
-/// Consumes "name <size>\n<raw>\n" from `body`.
-bool take_block(std::string_view& body, std::string_view name,
-                std::string& out) {
-  const std::size_t eol = body.find('\n');
-  if (eol == std::string_view::npos) return false;
-  std::string_view line = body.substr(0, eol);
-  if (!line.starts_with(name) || line.size() <= name.size() ||
-      line[name.size()] != ' ')
-    return false;
-  std::uint64_t n = 0;
-  if (!util::parse_u64(line.substr(name.size() + 1), n)) return false;
-  body.remove_prefix(eol + 1);
-  if (n > body.size()) return false;
-  out.assign(body.substr(0, static_cast<std::size_t>(n)));
-  body.remove_prefix(static_cast<std::size_t>(n));
-  if (!body.empty() && body.front() == '\n') body.remove_prefix(1);
-  return true;
 }
 
 }  // namespace
@@ -100,31 +69,31 @@ std::string encode_result(const JobOutcome& outcome) {
   out += "workload_cache_hit " +
          std::string(outcome.workload_cache_hit ? "1" : "0") + '\n';
   out += "elapsed_ms " + std::to_string(outcome.elapsed_ms) + '\n';
-  append_block(out, "error", outcome.error);
-  append_block(out, "metrics", outcome.metrics_json);
-  append_block(out, "report", outcome.report_json);
+  util::append_block(out, "error", outcome.error);
+  util::append_block(out, "metrics", outcome.metrics_json);
+  util::append_block(out, "report", outcome.report_json);
   // Appended after the original three blocks so a version-1 reader that
   // stops at its known blocks keeps parsing results from newer daemons.
-  append_block(out, "telemetry", outcome.telemetry);
+  util::append_block(out, "telemetry", outcome.telemetry);
   out += "end\n";
   return out;
 }
 
 std::string encode_stats_result(std::string_view stats_json) {
   std::string out = header(MessageType::kStatsResult);
-  append_block(out, "stats", stats_json);
+  util::append_block(out, "stats", stats_json);
   return out;
 }
 
 std::string encode_telemetry_result(std::string_view telemetry_json) {
   std::string out = header(MessageType::kTelemetryResult);
-  append_block(out, "telemetry", telemetry_json);
+  util::append_block(out, "telemetry", telemetry_json);
   return out;
 }
 
 std::string encode_error(std::string_view message) {
   std::string out = header(MessageType::kError);
-  append_block(out, "message", message);
+  util::append_block(out, "message", message);
   return out;
 }
 
@@ -132,22 +101,21 @@ std::string encode_retry_after(std::uint64_t retry_after_ms,
                                std::string_view reason) {
   std::string out = header(MessageType::kRetryAfter);
   out += "retry_after_ms " + std::to_string(retry_after_ms) + '\n';
-  append_block(out, "reason", reason);
+  util::append_block(out, "reason", reason);
   return out;
 }
 
 util::Result<Message> parse_message(std::string_view payload) {
-  const std::size_t eol = payload.find('\n');
-  const std::string_view head =
-      eol == std::string_view::npos ? payload : payload.substr(0, eol);
-  std::string_view body =
-      eol == std::string_view::npos ? std::string_view{}
-                                    : payload.substr(eol + 1);
+  std::string_view body = payload;
+  std::string_view head;
+  if (!util::take_line(body, head)) head = std::exchange(body, {});
 
-  std::istringstream hs{std::string(head)};
-  std::string tag, verb;
+  const std::string_view tag = util::take_token(head);
+  const std::string_view verb = util::take_token(head);
   std::uint32_t version = 0;
-  if (!(hs >> tag >> verb >> version) || tag != kProtocolTag)
+  if (tag != kProtocolTag ||
+      !util::parse_number(util::take_token(head), version) ||
+      !util::take_token(head).empty())
     return malformed("bad header line");
   if (version != kProtocolVersion)
     return util::Result<Message>::err(
@@ -174,16 +142,13 @@ util::Result<Message> parse_message(std::string_view payload) {
 
   if (verb == "event") {
     m.type = MessageType::kEvent;
-    std::istringstream bs{std::string(body)};
-    std::string line;
-    while (std::getline(bs, line)) {
+    std::string_view line;
+    while (util::take_line(body, line)) {
       if (line.starts_with("status ")) {
         m.text = line.substr(7);
-      } else if (line.starts_with("position ")) {
-        std::uint64_t v = 0;
-        if (!util::parse_u64(std::string_view(line).substr(9), v))
-          return malformed("bad event position");
-        m.position = v;
+      } else if (line.starts_with("position ") &&
+                 !util::parse_number(line.substr(9), m.position)) {
+        return malformed("bad event position");
       }
     }
     if (m.text.empty()) return malformed("event without status");
@@ -194,78 +159,69 @@ util::Result<Message> parse_message(std::string_view payload) {
     m.type = MessageType::kResult;
     // Fixed-order fields, then the three length-prefixed blocks.
     while (!body.empty() && !body.starts_with("error ")) {
-      const std::size_t le = body.find('\n');
-      if (le == std::string_view::npos) return malformed("truncated result");
-      std::string_view line = body.substr(0, le);
-      body.remove_prefix(le + 1);
+      std::string_view line;
+      if (!util::take_line(body, line)) return malformed("truncated result");
       const std::size_t sp = line.find(' ');
       if (sp == std::string_view::npos) return malformed("bad result field");
       const std::string_view key = line.substr(0, sp);
       const std::string_view value = line.substr(sp + 1);
-      std::uint64_t v = 0;
       if (key == "status") {
         m.outcome.status = std::string(value);
       } else if (key == "job_id") {
-        if (!util::parse_u64(value, v)) return malformed("bad job_id");
-        m.outcome.job_id = v;
-      } else if (key == "cache_hit") {
-        m.outcome.cache_hit = value == "1";
-      } else if (key == "workload_cache_hit") {
-        m.outcome.workload_cache_hit = value == "1";
+        if (!util::parse_number(value, m.outcome.job_id))
+          return malformed("bad job_id");
+      } else if (key == "cache_hit" || key == "workload_cache_hit") {
+        if (value != "0" && value != "1")
+          return malformed("bad " + std::string(key));
+        (key == "cache_hit" ? m.outcome.cache_hit
+                            : m.outcome.workload_cache_hit) = value == "1";
       } else if (key == "elapsed_ms") {
-        if (!util::parse_u64(value, v)) return malformed("bad elapsed_ms");
-        m.outcome.elapsed_ms = v;
+        if (!util::parse_number(value, m.outcome.elapsed_ms))
+          return malformed("bad elapsed_ms");
       } else {
         return malformed("unknown result field '" + std::string(key) + "'");
       }
     }
-    if (!take_block(body, "error", m.outcome.error) ||
-        !take_block(body, "metrics", m.outcome.metrics_json) ||
-        !take_block(body, "report", m.outcome.report_json))
+    std::string_view error, metrics, report, telemetry;
+    if (!util::take_block(body, "error", error) ||
+        !util::take_block(body, "metrics", metrics) ||
+        !util::take_block(body, "report", report))
       return malformed("bad result blocks");
     // Optional (absent from version-1 daemons): take_block leaves `body`
     // untouched on a name mismatch, so tolerating absence is safe.
-    (void)take_block(body, "telemetry", m.outcome.telemetry);
+    (void)util::take_block(body, "telemetry", telemetry);
     if (!body.starts_with("end")) return malformed("result has no end marker");
+    m.outcome.error = error;
+    m.outcome.metrics_json = metrics;
+    m.outcome.report_json = report;
+    m.outcome.telemetry = telemetry;
     return m;
   }
 
-  if (verb == "stats-result") {
-    m.type = MessageType::kStatsResult;
-    if (!take_block(body, "stats", m.text))
-      return malformed("bad stats block");
-    return m;
-  }
-
-  if (verb == "telemetry-result") {
-    m.type = MessageType::kTelemetryResult;
-    if (!take_block(body, "telemetry", m.text))
-      return malformed("bad telemetry block");
-    return m;
-  }
-
-  if (verb == "error") {
-    m.type = MessageType::kError;
-    if (!take_block(body, "message", m.text))
-      return malformed("bad error block");
-    return m;
-  }
-
+  // The verbs whose body is one block, carried in m.text.
+  const auto text_block = [&](MessageType type,
+                              std::string_view name) -> util::Result<Message> {
+    m.type = type;
+    std::string_view text;
+    if (!util::take_block(body, name, text))
+      return malformed("bad " + std::string(name) + " block");
+    m.text = text;
+    return std::move(m);
+  };
+  if (verb == "stats-result")
+    return text_block(MessageType::kStatsResult, "stats");
+  if (verb == "telemetry-result")
+    return text_block(MessageType::kTelemetryResult, "telemetry");
+  if (verb == "error") return text_block(MessageType::kError, "message");
   if (verb == "retry-after") {
-    m.type = MessageType::kRetryAfter;
-    if (!body.starts_with("retry_after_ms "))
-      return malformed("retry-after without a hint");
-    const std::size_t le = body.find('\n');
-    if (le == std::string_view::npos) return malformed("truncated retry-after");
-    if (!util::parse_u64(body.substr(15, le - 15), m.retry_after_ms))
-      return malformed("bad retry_after_ms");
-    body.remove_prefix(le + 1);
-    if (!take_block(body, "reason", m.text))
-      return malformed("bad retry-after reason block");
-    return m;
+    std::string_view line;
+    if (!util::take_line(body, line) || !line.starts_with("retry_after_ms ") ||
+        !util::parse_number(line.substr(15), m.retry_after_ms))
+      return malformed("bad retry_after_ms line");
+    return text_block(MessageType::kRetryAfter, "reason");
   }
 
-  return malformed("unknown verb '" + verb + "'");
+  return malformed("unknown verb '" + std::string(verb) + "'");
 }
 
 }  // namespace tracesel::service

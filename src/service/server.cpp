@@ -409,8 +409,7 @@ void Server::run_job(Job& job) {
   if (options_.on_job_start) options_.on_job_start(job.request);
   // The deadline starts when the job starts — queue time must not eat a
   // client's compute budget.
-  if (job.request.deadline_ms > 0)
-    job.cancel.set_timeout(std::chrono::milliseconds(job.request.deadline_ms));
+  job.cancel.set_timeout_ms(job.request.deadline_ms);
 
   JobOutcome done = execute(job.request, job.id, &job, [&](JobOutcome& out) {
     try {

@@ -60,8 +60,8 @@ struct ServerOptions {
   std::string socket_path;
   /// Concurrent job runner threads (the multi-tenancy width).
   std::size_t runners = 1;
-  /// Submissions beyond this many queued-or-running jobs are rejected
-  /// with a typed error frame rather than queued unboundedly.
+  /// Submissions beyond this many queued, not yet running jobs are shed
+  /// with a typed retry-after frame rather than queued unboundedly.
   std::size_t max_queue = 64;
   /// Oversized-frame guard for client connections.
   std::size_t max_frame_bytes = 16u << 20;

@@ -139,11 +139,10 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
   req.spec.clear();
 
   while (true) {
-    const std::size_t eol = body.find('\n');
-    if (eol == std::string_view::npos)
+    const std::string_view block = body;  // where a spec_text block starts
+    std::string_view line;
+    if (!util::take_line(body, line))
       return malformed("truncated (no 'end' marker)");
-    std::string_view line = body.substr(0, eol);
-    body.remove_prefix(eol + 1);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
 
@@ -177,24 +176,25 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
         return malformed("unknown kernel '" + std::string(value) +
                          "' (expected compiled|generic)");
     } else if (key == "spec_text") {
-      std::uint64_t n = 0;
-      if (!util::parse_u64(value, n)) return malformed("bad spec_text length");
-      if (n > body.size()) return malformed("spec_text block truncated");
-      req.spec_text = std::string(body.substr(0, static_cast<std::size_t>(n)));
-      body.remove_prefix(static_cast<std::size_t>(n));
-      // The block is followed by "\nend\n" (tolerating a trailing \r\n).
-      if (!body.empty() && body.front() == '\n') body.remove_prefix(1);
+      // The inline spec is one length-prefixed block, "end" follows it.
+      body = block;
+      std::string_view text;
+      if (!util::take_block(body, "spec_text", text))
+        return malformed("bad spec_text block");
+      req.spec_text = text;
+    } else if (key == "instances" || key == "buffer_width") {
+      std::uint32_t& field =
+          key == "instances" ? req.instances : req.buffer_width;
+      if (!util::parse_number(value, field))
+        return malformed("bad value for '" + std::string(key) + "'");
     } else {
       std::uint64_t v = 0;
-      if (!util::parse_u64(value, v))
+      if (!util::parse_number(value, v))
         return malformed("bad value for '" + std::string(key) + "'");
-      if (key == "instances") {
-        req.instances = static_cast<std::uint32_t>(v);
-      } else if (key == "max_nodes") {
+      if (key == "max_nodes") {
         req.max_nodes = v;
-      } else if (key == "buffer_width") {
-        req.buffer_width = static_cast<std::uint32_t>(v);
       } else if (key == "packing") {
+        if (v > 1) return malformed("bad value for 'packing'");
         req.packing = v != 0;
       } else if (key == "max_combinations") {
         req.max_combinations = v;

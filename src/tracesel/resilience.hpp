@@ -23,9 +23,10 @@ using util::CancelToken;
 // --- process exit codes (the CLI contract; useful for wrappers) ---
 /// Success.
 inline constexpr int kExitOk = 0;
-/// Bad usage (unknown flag, missing operand).
+/// Bad usage (no or unknown subcommand, missing operand).
 inline constexpr int kExitUsage = 1;
-/// Runtime failure (unreadable spec, capacity exceeded, I/O error).
+/// Runtime failure (unreadable spec, capacity exceeded, I/O error) or an
+/// option error (unknown option, missing or malformed value).
 inline constexpr int kExitFailure = 2;
 /// Interrupted: the run was cancelled (signal or deadline) and produced a
 /// partial result instead of a full answer.

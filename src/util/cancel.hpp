@@ -90,6 +90,15 @@ class CancelToken {
   void set_timeout(std::chrono::nanoseconds timeout) const {
     set_deadline(Clock::now() + timeout);
   }
+  /// A deadline `ms` milliseconds away, as a request or the CLI gives it:
+  /// 0, or a count too large for the clock to hold, arms none.
+  void set_timeout_ms(std::uint64_t ms) const {
+    using std::chrono::milliseconds;
+    constexpr milliseconds kMax =
+        std::chrono::duration_cast<milliseconds>(Clock::duration::max()) / 2;
+    if (ms > 0 && ms <= static_cast<std::uint64_t>(kMax.count()))
+      set_timeout(milliseconds(static_cast<milliseconds::rep>(ms)));
+  }
 
   /// True iff cancel() was called (deadline expiry not considered).
   bool cancel_requested() const {

@@ -55,11 +55,63 @@ std::uint64_t get_u64le(const char* p) {
 
 }  // namespace
 
+// --- text fields --------------------------------------------------------
+
+std::string_view take_token(std::string_view& text) {
+  std::size_t begin = 0;
+  while (begin < text.size() && is_space(text[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < text.size() && !is_space(text[end])) ++end;
+  const std::string_view token = text.substr(begin, end - begin);
+  text.remove_prefix(end);
+  return token;
+}
+
+void split_tokens(std::string_view text, std::vector<std::string_view>& out) {
+  out.clear();
+  for (std::string_view t = take_token(text); !t.empty(); t = take_token(text))
+    out.push_back(t);
+}
+
+bool take_line(std::string_view& text, std::string_view& line) {
+  const std::size_t eol = text.find('\n');
+  if (eol == std::string_view::npos) return false;
+  line = text.substr(0, eol);
+  text.remove_prefix(eol + 1);
+  return true;
+}
+
 bool parse_u64(std::string_view token, std::uint64_t& out, int base) {
   const char* first = token.data();
   const char* last = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(first, last, out, base);
   return ec == std::errc{} && ptr == last;
+}
+
+void append_block(std::string& out, std::string_view name,
+                  std::string_view bytes) {
+  out += name;
+  out += ' ';
+  out += std::to_string(bytes.size());
+  out += '\n';
+  out += bytes;
+  out += '\n';
+}
+
+bool take_block(std::string_view& text, std::string_view name,
+                std::string_view& bytes) {
+  std::string_view rest = text;
+  std::string_view line;
+  if (!take_line(rest, line) || !line.starts_with(name) ||
+      line.size() <= name.size() || line[name.size()] != ' ')
+    return false;
+  std::size_t n = 0;
+  if (!parse_number(line.substr(name.size() + 1), n) || n >= rest.size() ||
+      rest[n] != '\n')
+    return false;
+  bytes = rest.substr(0, n);
+  text = rest.substr(n + 1);
+  return true;
 }
 
 std::string encode_frame(std::string_view payload) {
@@ -167,22 +219,16 @@ Result<std::string_view> decode_envelope(std::string_view text,
         ErrorCode::kParse,
         std::string(subject) + " line 1: bad envelope header");
   };
-  const std::size_t eol = text.find('\n');
-  if (eol == std::string_view::npos) return bad_header();
-  std::string_view header = text.substr(0, eol);
-  if (!header.empty() && header.back() == '\r') header.remove_suffix(1);
-
+  std::string_view payload = text;
+  std::string_view header;
+  if (!take_line(payload, header)) return bad_header();
   // "<tag> <version> <checksum-hex>", exactly three tokens.
-  if (header.substr(0, tag.size()) != tag || header.size() <= tag.size() ||
-      header[tag.size()] != ' ')
-    return bad_header();
-  header.remove_prefix(tag.size() + 1);
-  const std::size_t sp = header.find(' ');
-  if (sp == std::string_view::npos) return bad_header();
-  std::uint64_t got_version = 0;
+  std::uint32_t got_version = 0;
   std::uint64_t checksum = 0;
-  if (!parse_u64(header.substr(0, sp), got_version) ||
-      !parse_u64(header.substr(sp + 1), checksum, 16))
+  if (take_token(header) != tag ||
+      !parse_number(take_token(header), got_version) ||
+      !parse_number(take_token(header), checksum, 16) ||
+      !take_token(header).empty())
     return bad_header();
 
   if (got_version != version)
@@ -191,7 +237,6 @@ Result<std::string_view> decode_envelope(std::string_view text,
         std::string(subject) + " version " + std::to_string(got_version) +
             " is not supported (expected " + std::to_string(version) + ")");
 
-  const std::string_view payload = text.substr(eol + 1);
   if (fnv1a64(payload) != checksum)
     return Result<std::string_view>::err(
         ErrorCode::kCorruptCapture,

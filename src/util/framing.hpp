@@ -20,10 +20,18 @@
 // so version skew and payload corruption surface as typed parse errors
 // before any field is interpreted, and every envelope user validates
 // identically.
+//
+// Text fields — every text reader (the .flow parser, the CLI's argv,
+// protocol messages, job requests, journal records, telemetry) splits
+// tokens, reads integers and takes length-prefixed blocks through the
+// helpers below, so one input means one thing wherever it arrives.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "util/result.hpp"
 
@@ -82,14 +90,66 @@ class FrameReader {
   std::string corrupt_reason_;
 };
 
-// --- integer fields ------------------------------------------------------
+// --- text fields -------------------------------------------------------
+
+/// Whitespace as `operator>>` reads it in the C locale: space, \t, \n,
+/// \v, \f and \r.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Removes the first whitespace-delimited token from `text` and returns
+/// it as a view; empty once only whitespace is left.
+std::string_view take_token(std::string_view& text);
+
+/// Replaces the contents of `out` with the whitespace-delimited tokens of
+/// `text`, as views into it. A reused `out` allocates nothing once grown.
+void split_tokens(std::string_view text, std::vector<std::string_view>& out);
+
+/// Removes the first line of `text` and points `line` at it, without its
+/// '\n'. False, with `text` untouched, when `text` holds no '\n'.
+bool take_line(std::string_view& text, std::string_view& line);
 
 /// Parses all of `token` as an unsigned integer in `base`, by
 /// std::from_chars rules (no sign, whitespace or radix prefix). False on
-/// an empty, partly numeric or out-of-range token. Every text format in
-/// the repository (frame headers, envelopes, journal records, protocol
-/// and job-request fields, telemetry) reads its integers through it.
+/// an empty, partly numeric or out-of-range token.
 bool parse_u64(std::string_view token, std::uint64_t& out, int base = 10);
+
+/// The one integer reader: parse_u64 narrowed to T, so a value T cannot
+/// hold is rejected, never truncated. A leading '-' is read as a sign
+/// only when T is signed; '+' never is.
+template <typename T>
+bool parse_number(std::string_view token, T& out, int base = 10) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  const bool negative = std::is_signed_v<T> && token.starts_with('-');
+  std::uint64_t magnitude = 0;
+  if (!parse_u64(negative ? token.substr(1) : token, magnitude, base))
+    return false;
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (!negative) {
+    if (magnitude > max) return false;
+    out = static_cast<T>(magnitude);
+  } else {
+    if (magnitude > max + 1) return false;
+    // -(magnitude - 1) - 1 stays in range down to T's minimum.
+    out = magnitude == 0
+              ? T{0}
+              : static_cast<T>(-static_cast<T>(magnitude - 1) - T{1});
+  }
+  return true;
+}
+
+/// Appends the block "<name> <size>\n<bytes>\n", which carries bytes that
+/// may hold anything (JSON, error text, a nested request).
+void append_block(std::string& out, std::string_view name,
+                  std::string_view bytes);
+
+/// Takes one block written by append_block from the front of `text` and
+/// points `bytes` at its payload (a view into `text`). False, with `text`
+/// untouched, when the next block has another name, a malformed size, or
+/// fewer bytes than its size promises plus the closing '\n'.
+bool take_block(std::string_view& text, std::string_view name,
+                std::string_view& bytes);
 
 // --- versioned, checksummed text envelopes -----------------------------
 

@@ -10,11 +10,9 @@
 #include <charconv>
 #include <chrono>
 #include <fstream>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 
 #include "util/atomic_file.hpp"
@@ -615,54 +613,13 @@ namespace {
 
 constexpr std::string_view kTelemetryTag = "tracesel-telemetry";
 
-/// Metric names are dotted identifiers; a space would desynchronize the
-/// token-based parser, so normalize defensively on encode.
+/// Metric names are dotted identifiers; whitespace would desynchronize
+/// the token-based parser, so normalize defensively on encode.
 std::string wire_name(std::string_view name) {
   std::string out(name);
-  std::replace(out.begin(), out.end(), ' ', '_');
+  std::replace_if(out.begin(), out.end(), util::is_space, '_');
   if (out.empty()) out = "_";
   return out;
-}
-
-/// util::parse_u64 narrowed to T: a value T cannot hold is rejected, and
-/// a leading '-' is read as a sign only when T is signed.
-template <typename T>
-bool parse_number(std::string_view token, T& out) {
-  const bool negative = std::is_signed_v<T> && token.starts_with('-');
-  std::uint64_t magnitude = 0;
-  if (!util::parse_u64(negative ? token.substr(1) : token, magnitude))
-    return false;
-  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
-  if (!negative) {
-    if (magnitude > max) return false;
-    out = static_cast<T>(magnitude);
-  } else {
-    if (magnitude > max + 1) return false;
-    // -(magnitude - 1) - 1 stays in range down to T's minimum.
-    out = magnitude == 0 ? T{0} : -static_cast<T>(magnitude - 1) - T{1};
-  }
-  return true;
-}
-
-/// Splits `line` into at most `max_fields` whitespace-separated tokens;
-/// the last token absorbs the rest of the line (event names).
-std::vector<std::string_view> split_fields(std::string_view line,
-                                           std::size_t max_fields) {
-  std::vector<std::string_view> fields;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    if (pos >= line.size()) break;
-    if (fields.size() + 1 == max_fields) {
-      fields.push_back(line.substr(pos));
-      break;
-    }
-    std::size_t end = line.find(' ', pos);
-    if (end == std::string_view::npos) end = line.size();
-    fields.push_back(line.substr(pos, end - pos));
-    pos = end;
-  }
-  return fields;
 }
 
 util::Error telemetry_error(std::size_t line_no, const std::string& what) {
@@ -750,13 +707,12 @@ util::Result<ProcessTelemetry> parse_telemetry(std::string_view wire) {
   bool saw_end = false;
   std::string_view rest = payload.value();
   std::size_t line_no = 1;  // line 1 is the envelope header
+  std::vector<std::string_view> f;
   while (!rest.empty()) {
     ++line_no;
-    std::size_t eol = rest.find('\n');
-    if (eol == std::string_view::npos)
+    std::string_view line;
+    if (!util::take_line(rest, line))
       return telemetry_error(line_no, "truncated (missing newline)");
-    const std::string_view line = rest.substr(0, eol);
-    rest.remove_prefix(eol + 1);
     if (line.empty()) continue;
     if (saw_end)
       return telemetry_error(line_no, "content after 'end'");
@@ -765,41 +721,38 @@ util::Result<ProcessTelemetry> parse_telemetry(std::string_view wire) {
       continue;
     }
 
-    const std::size_t key_end = line.find(' ');
-    const std::string_view key =
-        key_end == std::string_view::npos ? line : line.substr(0, key_end);
+    util::split_tokens(line, f);
+    const std::string_view key = f.empty() ? line : f[0];
     if (!saw_process && key != "process")
       return telemetry_error(line_no, "expected 'process' first");
 
     if (key == "process") {
       if (saw_process)
         return telemetry_error(line_no, "duplicate 'process'");
-      const auto f = split_fields(line, 4);
       if (f.size() != 4) return telemetry_error(line_no, "bad 'process'");
       out.label = std::string(f[1]);
-      if (!parse_number(f[2], out.pid) || !parse_number(f[3], out.epoch_ns))
+      if (!util::parse_number(f[2], out.pid) ||
+          !util::parse_number(f[3], out.epoch_ns))
         return telemetry_error(line_no, "bad 'process' numbers");
       saw_process = true;
     } else if (key == "counter") {
-      const auto f = split_fields(line, 3);
       std::uint64_t value = 0;
-      if (f.size() != 3 || !parse_number(f[2], value))
+      if (f.size() != 3 || !util::parse_number(f[2], value))
         return telemetry_error(line_no, "bad 'counter'");
       out.metrics.counters.emplace_back(std::string(f[1]), value);
     } else if (key == "gauge") {
-      const auto f = split_fields(line, 3);
       std::int64_t value = 0;
-      if (f.size() != 3 || !parse_number(f[2], value))
+      if (f.size() != 3 || !util::parse_number(f[2], value))
         return telemetry_error(line_no, "bad 'gauge'");
       out.metrics.gauges.emplace_back(std::string(f[1]), value);
     } else if (key == "hist") {
-      // Unbounded trailing idx:count pairs: split without a field cap.
-      const auto f = split_fields(line, line.size());
       if (f.size() < 6) return telemetry_error(line_no, "bad 'hist'");
       HistogramSnapshot h;
       h.name = std::string(f[1]);
-      if (!parse_number(f[2], h.count) || !parse_number(f[3], h.sum) ||
-          !parse_number(f[4], h.min) || !parse_number(f[5], h.max))
+      if (!util::parse_number(f[2], h.count) ||
+          !util::parse_number(f[3], h.sum) ||
+          !util::parse_number(f[4], h.min) ||
+          !util::parse_number(f[5], h.max))
         return telemetry_error(line_no, "bad 'hist' numbers");
       h.buckets.assign(kHistogramBuckets, 0);
       for (std::size_t i = 6; i < f.size(); ++i) {
@@ -807,23 +760,26 @@ util::Result<ProcessTelemetry> parse_telemetry(std::string_view wire) {
         std::uint64_t idx = 0;
         std::uint64_t count = 0;
         if (colon == std::string_view::npos ||
-            !parse_number(f[i].substr(0, colon), idx) ||
-            !parse_number(f[i].substr(colon + 1), count) ||
+            !util::parse_number(f[i].substr(0, colon), idx) ||
+            !util::parse_number(f[i].substr(colon + 1), count) ||
             idx >= kHistogramBuckets)
           return telemetry_error(line_no, "bad 'hist' bucket");
         h.buckets[idx] += count;
       }
       out.metrics.histograms.push_back(std::move(h));
     } else if (key == "event") {
-      const auto f = split_fields(line, 8);
-      if (f.size() != 8) return telemetry_error(line_no, "bad 'event'");
+      // Six numbers, then the name: the rest of the line, spaces and all.
+      if (f.size() < 8) return telemetry_error(line_no, "bad 'event'");
       WireTraceEvent e;
-      if (!parse_number(f[1], e.ts_ns) || !parse_number(f[2], e.dur_ns) ||
-          !parse_number(f[3], e.tid) || !parse_number(f[4], e.depth) ||
-          !parse_number(f[5], e.span_id) ||
-          !parse_number(f[6], e.parent_id))
+      if (!util::parse_number(f[1], e.ts_ns) ||
+          !util::parse_number(f[2], e.dur_ns) ||
+          !util::parse_number(f[3], e.tid) ||
+          !util::parse_number(f[4], e.depth) ||
+          !util::parse_number(f[5], e.span_id) ||
+          !util::parse_number(f[6], e.parent_id))
         return telemetry_error(line_no, "bad 'event' numbers");
-      e.name = std::string(f[7]);
+      e.name = std::string(line.substr(
+          static_cast<std::size_t>(f[7].data() - line.data())));
       out.events.push_back(std::move(e));
     } else {
       // Strict by design: an unknown key means version skew that the

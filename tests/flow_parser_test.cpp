@@ -152,6 +152,32 @@ TEST(FlowParser, RejectsMalformedMessage) {
                ParseError);
 }
 
+TEST(FlowParser, IntegersAreDecimalDigitsFromOneTo32Bits) {
+  // The same integer rule as the wire: no sign, no trailing bytes, in range.
+  for (const char* width : {"+5", "-5", "5x", "0x10", "4294967296", "0"})
+    EXPECT_THROW(parse_flow_spec("message a " + std::string(width) +
+                                 " X -> Y\n"),
+                 ParseError)
+        << width;
+  EXPECT_THROW(parse_flow_spec("message a 1 X -> Y beats +2\n"), ParseError);
+  EXPECT_THROW(parse_flow_spec("message a 8 X -> Y\nsubgroup a s +2\n"),
+               ParseError);
+  const ParsedSpec spec =
+      parse_flow_spec("message a 4294967295 X -> Y beats 007\n");
+  EXPECT_EQ(spec.catalog.get(*spec.catalog.find("a")).width, 4294967295u);
+  EXPECT_EQ(spec.catalog.get(*spec.catalog.find("a")).beats, 7u);
+}
+
+TEST(FlowParser, TokensSplitOnTheOperatorShiftWhitespaceSet) {
+  // Space, \t, \r, \v and \f separate tokens, as they did for operator>>.
+  const ParsedSpec spec = parse_flow_spec(
+      "message\ta\v1\fX -> Y\r\nflow f {\r\n state\ts initial\n"
+      " state t\vstop\n s -> t\fon a # comment\r\n}\n");
+  ASSERT_EQ(spec.flows.size(), 1u);
+  EXPECT_EQ(spec.catalog.size(), 1u);
+  EXPECT_EQ(spec.catalog.get(*spec.catalog.find("a")).source_ip, "X");
+}
+
 TEST(FlowParser, RejectsUnknownMessageInTransition) {
   EXPECT_THROW(parse_flow_spec(R"(
 flow f {

@@ -1095,6 +1095,16 @@ TEST(ServiceChaos, ResultIndexHitIsNeverShed) {
       },
       &ra);
   const Server::Stats after = daemon.server->stats();
+  // max_queue counts queued jobs, not running ones: with the runner busy,
+  // zen's job queued, and the next computation is shed.
+  JobRequest third = fig2_request(16);
+  third.tenant = "ozone";
+  Client::RetryAfter shed_hint;
+  Client tc = daemon.connect();
+  EXPECT_FALSE(tc.submit(third, {}, {}, &shed_hint).ok());
+  EXPECT_TRUE(shed_hint.hinted);
+  EXPECT_NE(shed_hint.reason.find("queue is full"), std::string::npos);
+  EXPECT_EQ(daemon.server->stats().rejected, after.rejected + 1);
   gate.release();
   a.join();
   b.join();

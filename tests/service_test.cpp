@@ -146,6 +146,21 @@ TEST(Service, SubmitMatchesDirectComputeAndSecondIsCacheHit) {
   EXPECT_EQ(s.result_misses, 1u);
 }
 
+TEST(Service, InstanceCountAboveTheCapIsAJobErrorAndTheDaemonServesOn) {
+  Daemon daemon;
+  Client client = daemon.connect();
+  JobRequest req = fig2_request();
+  req.instances = 4294967295u;
+  const auto out = client.submit(req);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(out.value().status, "error");
+  EXPECT_NE(out.value().error.find("exceeds the cap"), std::string::npos)
+      << out.value().error;
+  const auto next = client.submit(fig2_request());
+  ASSERT_TRUE(next.ok()) << next.error().to_string();
+  EXPECT_EQ(next.value().status, "ok");
+}
+
 TEST(Service, ConcurrentClientsMixedDeadlinesAndCancels) {
   Daemon daemon(/*runners=*/4);
   constexpr int kClients = 8;

@@ -239,6 +239,37 @@ TEST(JobRequest, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_job_request(serialize_job_request(req)).ok());
 }
 
+TEST(JobRequest, WireRejectsOutOfRangeFields) {
+  // instances and buffer_width are u32: a wider value is malformed, never
+  // truncated.
+  const std::string wire = serialize_job_request(fig2_request());
+  const auto payload = util::decode_envelope(wire, "tracesel-job",
+                                             JobRequest::kVersion, "job");
+  ASSERT_TRUE(payload.ok());
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string body(payload.value());
+    const std::size_t at = body.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    body.replace(at, from.size(), to);
+    return parse_job_request(
+        util::encode_envelope("tracesel-job", JobRequest::kVersion, body));
+  };
+  for (const char* field : {"instances", "buffer_width"}) {
+    const std::string line = std::string(field) + " 2\n";
+    const auto wide = with(line, std::string(field) + " 4294967296\n");
+    ASSERT_FALSE(wide.ok()) << field;
+    EXPECT_EQ(wide.error().code, util::ErrorCode::kParse);
+    EXPECT_NE(wide.error().message.find(field), std::string::npos);
+    const auto max = with(line, std::string(field) + " 4294967295\n");
+    ASSERT_TRUE(max.ok()) << max.error().to_string();
+  }
+  EXPECT_EQ(with("instances 2\n", "instances 4294967295\n").value().instances,
+            4294967295u);
+  // A flag is 0 or 1, not any integer.
+  EXPECT_EQ(with("packing 1\n", "packing 2\n").error().code,
+            util::ErrorCode::kParse);
+}
+
 // --- ArtifactStore ----------------------------------------------------
 
 TEST(ArtifactStore, ThrowingBuildersAreNotCached) {
@@ -407,6 +438,20 @@ TEST(QueryCore, MissingSpecFileIsATypedError) {
   req.spec = "/no/such/spec.flow";
   const auto r = QueryCore::run(req, nullptr, {});
   ASSERT_FALSE(r.ok());
+}
+
+TEST(QueryCore, InstanceCountAboveTheCapFailsBeforeBuilding) {
+  JobRequest req = fig2_request();
+  req.instances = 4294967295u;
+  try {
+    (void)QueryCore::run(req, nullptr, {});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the cap"),
+              std::string::npos);
+  }
+  req.instances = flow::kMaxInstancesPerFlow + 1;
+  EXPECT_THROW((void)QueryCore::run(req, nullptr, {}), std::invalid_argument);
 }
 
 TEST(QueryCore, CancelledBuildDoesNotPoisonTheStore) {

@@ -243,6 +243,86 @@ TEST(Framing, ParseU64AcceptsWholeUnsignedTokensOnly) {
   EXPECT_FALSE(parse_u64("g", v, 16));
 }
 
+TEST(Framing, ParseNumberRejectsWhatTheTargetCannotHold) {
+  std::uint32_t u32 = 7;
+  EXPECT_TRUE(parse_number("4294967295", u32));
+  EXPECT_EQ(u32, UINT32_MAX);
+  for (const char* bad : {"4294967296", "99999999999", "-1", "+5", "32x",
+                          "1e30", ""})
+    EXPECT_FALSE(parse_number(bad, u32)) << "'" << bad << "'";
+  EXPECT_EQ(u32, UINT32_MAX);  // a rejected token leaves the field as it was
+
+  std::int64_t i64 = 0;
+  EXPECT_TRUE(parse_number("-9223372036854775808", i64));
+  EXPECT_EQ(i64, INT64_MIN);
+  EXPECT_TRUE(parse_number("9223372036854775807", i64));
+  EXPECT_EQ(i64, INT64_MAX);
+  EXPECT_FALSE(parse_number("9223372036854775808", i64));
+  EXPECT_FALSE(parse_number("-9223372036854775809", i64));
+  EXPECT_FALSE(parse_number("+1", i64));
+  EXPECT_FALSE(parse_number("--1", i64));
+
+  std::uint64_t hex = 0;
+  EXPECT_TRUE(parse_number("feedbeef", hex, 16));
+  EXPECT_EQ(hex, 0xfeedbeefu);
+}
+
+// --- tokens, lines and blocks ---------------------------------------------
+
+TEST(Framing, TokensSplitOnOperatorShiftWhitespace) {
+  std::vector<std::string_view> tokens{"stale"};
+  split_tokens(" a\tb\r\vc\fd\n  e ", tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"a", "b", "c", "d", "e"}));
+  split_tokens(" \t\r ", tokens);
+  EXPECT_TRUE(tokens.empty());
+
+  std::string_view rest = "  first second\tthird";
+  EXPECT_EQ(take_token(rest), "first");
+  EXPECT_EQ(rest, " second\tthird");
+  EXPECT_EQ(take_token(rest), "second");
+  EXPECT_EQ(take_token(rest), "third");
+  EXPECT_EQ(take_token(rest), "");
+  EXPECT_TRUE(rest.empty());
+}
+
+TEST(Framing, TakeLineNeedsItsNewline) {
+  std::string_view text = "one\n\ntwo";
+  std::string_view line;
+  ASSERT_TRUE(take_line(text, line));
+  EXPECT_EQ(line, "one");
+  ASSERT_TRUE(take_line(text, line));
+  EXPECT_EQ(line, "");
+  EXPECT_FALSE(take_line(text, line));
+  EXPECT_EQ(text, "two");
+}
+
+TEST(Framing, BlocksRoundTripAnyBytes) {
+  std::string out;
+  append_block(out, "report", std::string("a\nb\0c", 5));
+  append_block(out, "empty", "");
+  EXPECT_EQ(out, std::string("report 5\na\nb\0c\nempty 0\n\n", 24));
+  std::string_view text = out;
+  std::string_view bytes;
+  ASSERT_TRUE(take_block(text, "report", bytes));
+  EXPECT_EQ(bytes, std::string_view("a\nb\0c", 5));
+  ASSERT_TRUE(take_block(text, "empty", bytes));
+  EXPECT_EQ(bytes, "");
+  EXPECT_TRUE(text.empty());
+}
+
+TEST(Framing, TakeBlockLeavesTheTextUntouchedOnFailure) {
+  for (const char* bad :
+       {"other 3\nabc\n", "report 3\nabc", "report 3\nabcd\n",
+        "report 4\nabc\n", "report +3\nabc\n", "report 3x\nabc\n",
+        "report\nabc\n", "report3\nabc\n", "report 3"}) {
+    std::string_view text = bad;
+    std::string_view bytes = "kept";
+    EXPECT_FALSE(take_block(text, "report", bytes)) << bad;
+    EXPECT_EQ(text, bad);
+    EXPECT_EQ(bytes, "kept");
+  }
+}
+
 // --- SIGPIPE ------------------------------------------------------------
 
 TEST(Framing, WriteToClosedPipeIsEpipeNotSigpipe) {

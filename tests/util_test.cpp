@@ -231,5 +231,19 @@ TEST(CancelTokenTest, DeadlineExpiryLatches) {
   EXPECT_TRUE(token.cancel_requested());
 }
 
+TEST(CancelTokenTest, TimeoutTooLargeForTheClockArmsNoDeadline) {
+  // A millisecond count read from a request or argv may not fit the
+  // clock's nanoseconds; it must not wrap into a deadline in the past.
+  const CancelToken token = CancelToken::make();
+  for (const std::uint64_t ms :
+       {std::uint64_t{0}, std::uint64_t{9223372036854775},
+        std::uint64_t{18446744073709551615u}}) {
+    token.set_timeout_ms(ms);
+    EXPECT_FALSE(token.cancelled()) << ms;
+  }
+  token.set_timeout_ms(1);
+  while (!token.cancelled()) std::this_thread::yield();
+}
+
 }  // namespace
 }  // namespace tracesel::util

@@ -78,21 +78,23 @@
 //                           aggregated metrics
 //       --log-level L       debug|info|warn|error      (default warn)
 //
-// Exit codes: 0 ok, 1 usage error, 2 runtime failure (any uncaught
-// exception is reported as a one-line diagnostic, never a crash), 3
-// interrupted (SIGINT/SIGTERM or --deadline-ms fired: the run stopped
-// cooperatively with a partial result; a second signal exits immediately
-// with 130).
+// Exit codes: 0 ok, 1 usage error (no or unknown subcommand), 2 runtime
+// failure or option error (an unknown option or a missing or malformed
+// value; any uncaught exception is reported as a one-line diagnostic,
+// never a crash), 3 interrupted (SIGINT/SIGTERM or --deadline-ms fired:
+// the run stopped cooperatively with a partial result; a second signal
+// exits immediately with 130).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include "tracesel/tracesel.hpp"
@@ -105,6 +107,7 @@
 #include "soc/fault_injector.hpp"
 #include "soc/vcd.hpp"
 #include "util/backoff.hpp"
+#include "util/framing.hpp"
 #include "util/log.hpp"
 #include "util/obs.hpp"
 #include "util/table.hpp"
@@ -147,6 +150,74 @@ double parse_number(const std::string& text, const char* flag) {
     throw std::runtime_error(std::string("invalid numeric value '") + text +
                              "' for " + flag);
   }
+}
+
+/// One subcommand's argv, read front to back. Every option error (an
+/// unknown option, a missing or malformed value) throws a runtime_error
+/// naming the option, which dispatch() reports with exit 2.
+class ArgCursor {
+ public:
+  ArgCursor(int argc, char** argv) : next_(argv), end_(argv + argc) {}
+
+  bool done() const { return next_ == end_; }
+
+  /// Consumes `name` when it is the next argument.
+  bool flag(std::string_view name) {
+    if (done() || *next_ != name) return false;
+    ++next_;
+    return true;
+  }
+
+  /// Consumes `name` and the value after it.
+  std::optional<std::string> value(std::string_view name) {
+    if (!flag(name)) return std::nullopt;
+    if (done())
+      throw std::runtime_error("missing value for " + std::string(name));
+    return std::string(*next_++);
+  }
+
+  /// value(name) read by util::parse_number into T's range.
+  template <typename T>
+  std::optional<T> number(std::string_view name) {
+    const auto text = value(name);
+    if (!text) return std::nullopt;
+    T v{};
+    if (!util::parse_number(*text, v))
+      throw std::runtime_error(
+          "invalid value '" + *text + "' for " + std::string(name) +
+          " (expected 0.." + std::to_string(std::numeric_limits<T>::max()) +
+          ")");
+    return v;
+  }
+
+  /// Consumes the next argument, whatever it is.
+  char* pass() { return *next_++; }
+
+  /// Consumes the next argument as the one positional operand `slot`.
+  void operand(std::string& slot) {
+    if (std::string_view(*next_).starts_with("--")) unknown();
+    if (!slot.empty())
+      throw std::runtime_error("unexpected operand '" + std::string(*next_) +
+                               "'");
+    slot = pass();
+  }
+
+  [[noreturn]] void unknown() const {
+    throw std::runtime_error("unknown option '" + std::string(*next_) + "'");
+  }
+
+ private:
+  char** next_;
+  char** end_;
+};
+
+void set_log_level(const std::string& name) {
+  if (name == "debug") util::set_log_threshold(util::LogLevel::kDebug);
+  else if (name == "info") util::set_log_threshold(util::LogLevel::kInfo);
+  else if (name == "warn") util::set_log_threshold(util::LogLevel::kWarn);
+  else if (name == "error") util::set_log_threshold(util::LogLevel::kError);
+  else
+    throw std::runtime_error("unknown log level '" + name + "' for --log-level");
 }
 
 int usage() {
@@ -234,25 +305,15 @@ int cmd_select(int argc, char** argv) {
   bool json = false;
   std::string spec_path;
   std::uint64_t deadline_ms = 0;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--buffer") cfg.buffer_width = std::stoul(next());
-    else if (arg == "--instances") instances = std::stoul(next());
-    else if (arg == "--no-packing") cfg.packing = false;
-    else if (arg == "--json") json = true;
-    else if (arg == "--deadline-ms") deadline_ms = std::stoull(next());
-    else if (arg == "--mode") cfg.mode = search_mode_arg(next());
-    else if (!arg.starts_with("--")) {
-      if (!spec_path.empty())
-        throw std::runtime_error("unexpected operand '" + arg + "'");
-      spec_path = arg;
-    } else {
-      throw std::runtime_error("unknown option '" + arg + "'");
-    }
+  for (ArgCursor args(argc, argv); !args.done();) {
+    if (auto v = args.number<std::uint32_t>("--buffer")) cfg.buffer_width = *v;
+    else if (auto v = args.number<std::uint32_t>("--instances")) instances = *v;
+    else if (args.flag("--no-packing")) cfg.packing = false;
+    else if (args.flag("--json")) json = true;
+    else if (auto v = args.number<std::uint64_t>("--deadline-ms"))
+      deadline_ms = *v;
+    else if (auto v = args.value("--mode")) cfg.mode = search_mode_arg(*v);
+    else args.operand(spec_path);
   }
   if (spec_path.empty())
     throw std::runtime_error("select: missing <spec.flow> operand");
@@ -260,8 +321,7 @@ int cmd_select(int argc, char** argv) {
   // Signals and the optional deadline share one token, so either stops the
   // run the same cooperative way.
   cfg.cancel = g_cancel;
-  if (deadline_ms > 0)
-    cfg.cancel.set_timeout(std::chrono::milliseconds(deadline_ms));
+  cfg.cancel.set_timeout_ms(deadline_ms);
 
   const auto w =
       QueryCore::workload_from_spec(flow::parse_flow_spec_file(spec_path));
@@ -304,26 +364,23 @@ int cmd_select(int argc, char** argv) {
 /// SIGINT or a stop frame, then drain and exit 0.
 int cmd_serve(int argc, char** argv) {
   service::ServerOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--socket") opt.socket_path = next();
-    else if (arg == "--runners") opt.runners = std::stoul(next());
-    else if (arg == "--max-queue") opt.max_queue = std::stoul(next());
-    else if (arg == "--slow-job-ms") opt.slow_job_ms = std::stoull(next());
-    else if (arg == "--journal-capacity")
-      opt.journal_capacity = std::stoul(next());
-    else if (arg == "--journal-dir") opt.journal_dir = next();
-    else if (arg == "--journal-rotate-bytes")
-      opt.journal_rotate_bytes = std::stoull(next());
-    else if (arg == "--tenant-inflight")
-      opt.per_tenant_inflight = std::stoul(next());
-    else if (arg == "--retry-after-floor-ms")
-      opt.retry_after_floor_ms = std::stoull(next());
-    else throw std::runtime_error("unknown option '" + arg + "'");
+  for (ArgCursor args(argc, argv); !args.done();) {
+    if (auto v = args.value("--socket")) opt.socket_path = *v;
+    else if (auto v = args.number<std::size_t>("--runners")) opt.runners = *v;
+    else if (auto v = args.number<std::size_t>("--max-queue"))
+      opt.max_queue = *v;
+    else if (auto v = args.number<std::uint64_t>("--slow-job-ms"))
+      opt.slow_job_ms = *v;
+    else if (auto v = args.number<std::size_t>("--journal-capacity"))
+      opt.journal_capacity = *v;
+    else if (auto v = args.value("--journal-dir")) opt.journal_dir = *v;
+    else if (auto v = args.number<std::uint64_t>("--journal-rotate-bytes"))
+      opt.journal_rotate_bytes = *v;
+    else if (auto v = args.number<std::size_t>("--tenant-inflight"))
+      opt.per_tenant_inflight = *v;
+    else if (auto v = args.number<std::uint64_t>("--retry-after-floor-ms"))
+      opt.retry_after_floor_ms = *v;
+    else args.unknown();
   }
   if (opt.socket_path.empty())
     throw std::runtime_error("serve: --socket PATH is required");
@@ -336,64 +393,42 @@ int cmd_serve(int argc, char** argv) {
   return server.serve();
 }
 
-/// Client-side resilience knobs of the submit/ctl verbs (never part of
-/// the JobRequest — they do not change the computation).
-struct ClientCliOptions {
-  std::uint64_t connect_timeout_ms = 0;  ///< 0 = single connect attempt
-  std::size_t retries = 0;               ///< extra submit attempts
-};
-
-/// Builds the JobRequest a submit-style argv describes. Shared by
-/// `tracesel submit` and the tests that need an identical request.
-JobRequest parse_submit_request(int argc, char** argv, std::string& socket,
-                                bool& json,
-                                ClientCliOptions* client_opt = nullptr) {
+int cmd_submit(int argc, char** argv) {
   JobRequest req;
   req.spec.clear();
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--socket") socket = next();
-    else if (arg == "--buffer") req.buffer_width = std::stoul(next());
-    else if (arg == "--instances") req.instances = std::stoul(next());
-    else if (arg == "--no-packing") req.packing = false;
-    else if (arg == "--max-combinations")
-      req.max_combinations = std::stoull(next());
-    else if (arg == "--deadline-ms") req.deadline_ms = std::stoull(next());
-    else if (arg == "--tenant") req.tenant = next();
-    else if (arg == "--json") json = true;
-    else if (arg == "--connect-timeout-ms" && client_opt)
-      client_opt->connect_timeout_ms = std::stoull(next());
-    else if (arg == "--retries" && client_opt)
-      client_opt->retries = std::stoul(next());
-    else if (arg == "--mode") req.mode = search_mode_arg(next());
-    else if (!arg.starts_with("--")) {
-      if (!req.spec.empty())
-        throw std::runtime_error("unexpected operand '" + arg + "'");
-      req.spec = arg;
-    } else {
-      throw std::runtime_error("unknown option '" + arg + "'");
-    }
+  std::string socket;
+  bool json = false;
+  // Client-side resilience knobs: not part of the JobRequest, because
+  // they do not change the computation.
+  std::uint64_t connect_timeout_ms = 0;  // 0 = single connect attempt
+  std::uint32_t retries = 0;             // extra submit attempts
+  for (ArgCursor args(argc, argv); !args.done();) {
+    if (auto v = args.value("--socket")) socket = *v;
+    else if (auto v = args.number<std::uint32_t>("--buffer"))
+      req.buffer_width = *v;
+    else if (auto v = args.number<std::uint32_t>("--instances"))
+      req.instances = *v;
+    else if (args.flag("--no-packing")) req.packing = false;
+    else if (auto v = args.number<std::uint64_t>("--max-combinations"))
+      req.max_combinations = *v;
+    else if (auto v = args.number<std::uint64_t>("--deadline-ms"))
+      req.deadline_ms = *v;
+    else if (auto v = args.value("--tenant")) req.tenant = *v;
+    else if (args.flag("--json")) json = true;
+    else if (auto v = args.number<std::uint64_t>("--connect-timeout-ms"))
+      connect_timeout_ms = *v;
+    else if (auto v = args.number<std::uint32_t>("--retries")) retries = *v;
+    else if (auto v = args.value("--mode")) req.mode = search_mode_arg(*v);
+    else args.operand(req.spec);
   }
   if (req.spec.empty())
     throw std::runtime_error("submit: missing <t2|usb|spec.flow> operand");
-  return req;
-}
-
-int cmd_submit(int argc, char** argv) {
-  std::string socket;
-  bool json = false;
-  ClientCliOptions copt;
-  JobRequest req = parse_submit_request(argc, argv, socket, json, &copt);
   if (socket.empty())
     throw std::runtime_error("submit: --socket PATH is required");
 
   g_cooperative.store(true, std::memory_order_relaxed);
   service::Client::ConnectOptions conn;
-  conn.timeout_ms = copt.connect_timeout_ms;
+  conn.timeout_ms = connect_timeout_ms;
   conn.cancel = g_cancel;
   auto client = service::Client::connect(socket, conn);
   if (!client.ok()) throw std::runtime_error(client.error().to_string());
@@ -417,11 +452,11 @@ int cmd_submit(int argc, char** argv) {
   // --retries upgrades to the restart-tolerant path: reconnect with
   // seeded backoff, honor retry-after hints, resubmit idempotently.
   service::Client::SubmitOptions sopt;
-  sopt.max_attempts = copt.retries + 1;
+  sopt.max_attempts = std::size_t{retries} + 1;
   sopt.connect_timeout_ms =
-      copt.connect_timeout_ms > 0 ? copt.connect_timeout_ms : 2000;
+      connect_timeout_ms > 0 ? connect_timeout_ms : 2000;
   const auto outcome =
-      copt.retries > 0
+      retries > 0
           ? client.value().submit_resilient(req, sopt, g_cancel, on_event)
           : client.value().submit(req, g_cancel, on_event);
   submit_span.reset();  // close before the sinks are written
@@ -527,17 +562,16 @@ int cmd_daemon_ctl(const std::string& verb, int argc, char** argv) {
   std::uint64_t interval_ms = 1000;
   std::uint64_t count = 0;  // 0 = until interrupted
   std::uint64_t connect_timeout_ms = 0;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) socket = argv[++i];
-    else if (arg == "--watch") watch = true;
-    else if (arg == "--json") json = true;
-    else if (arg == "--interval-ms" && i + 1 < argc)
-      interval_ms = std::stoull(argv[++i]);
-    else if (arg == "--count" && i + 1 < argc) count = std::stoull(argv[++i]);
-    else if (arg == "--connect-timeout-ms" && i + 1 < argc)
-      connect_timeout_ms = std::stoull(argv[++i]);
-    else throw std::runtime_error("unknown option '" + arg + "'");
+  for (ArgCursor args(argc, argv); !args.done();) {
+    if (auto v = args.value("--socket")) socket = *v;
+    else if (args.flag("--watch")) watch = true;
+    else if (args.flag("--json")) json = true;
+    else if (auto v = args.number<std::uint64_t>("--interval-ms"))
+      interval_ms = *v;
+    else if (auto v = args.number<std::uint64_t>("--count")) count = *v;
+    else if (auto v = args.number<std::uint64_t>("--connect-timeout-ms"))
+      connect_timeout_ms = *v;
+    else args.unknown();
   }
   if (socket.empty())
     throw std::runtime_error(verb + ": --socket PATH is required");
@@ -621,7 +655,17 @@ int cmd_daemon_ctl(const std::string& verb, int argc, char** argv) {
   return 0;
 }
 
-int cmd_lint(const std::string& path, std::uint32_t buffer, bool lenient) {
+int cmd_lint(int argc, char** argv) {
+  std::string path;
+  std::uint32_t buffer = 32;
+  bool lenient = false;
+  for (ArgCursor args(argc, argv); !args.done();) {
+    if (auto v = args.number<std::uint32_t>("--buffer")) buffer = *v;
+    else if (args.flag("--lenient")) lenient = true;
+    else args.operand(path);
+  }
+  if (path.empty())
+    throw std::runtime_error("lint: missing <spec.flow> operand");
   flow::ParsedSpec spec;
   std::size_t parse_errors = 0;
   if (lenient) {
@@ -657,27 +701,44 @@ int cmd_dot(const std::string& path, const std::string& flow_name) {
   return 0;
 }
 
-struct DebugCliOptions {
-  bool packing = true;
+int cmd_debug(int argc, char** argv) {
+  std::string case_arg;
   bool json = false;
   std::string vcd_path, report_path;
-  soc::FaultProfile faults;
-  std::uint32_t retries = 2;
-};
-
-int cmd_debug(int case_id, const DebugCliOptions& cli) {
-  const auto cases = soc::standard_case_studies();
-  if (case_id < 1 || case_id > static_cast<int>(cases.size())) {
-    std::cerr << "case id must be 1.." << cases.size() << '\n';
-    return 1;
-  }
-  const soc::T2Design design;
   debug::CaseStudyOptions opt;
-  opt.packing = cli.packing;
-  opt.faults = cli.faults;
-  opt.capture_retries = cli.retries;
+  for (ArgCursor args(argc, argv); !args.done();) {
+    if (args.flag("--no-packing")) opt.packing = false;
+    else if (args.flag("--json")) json = true;
+    else if (auto v = args.value("--vcd")) vcd_path = *v;
+    else if (auto v = args.value("--report")) report_path = *v;
+    else if (auto v = args.value("--fault-rate"))
+      opt.faults.rate = parse_number(*v, "--fault-rate");
+    else if (auto v = args.number<std::uint64_t>("--fault-seed"))
+      opt.faults.seed = *v;
+    else if (auto v = args.number<std::uint32_t>("--retries"))
+      opt.capture_retries = *v;
+    else if (auto v = args.value("--fault-kinds")) {
+      auto kinds = soc::parse_fault_kinds(*v);
+      if (!kinds.ok())
+        throw std::runtime_error("--fault-kinds: " +
+                                 kinds.error().to_string());
+      opt.faults.kinds = std::move(kinds).value();
+    } else {
+      args.operand(case_arg);
+    }
+  }
+  if (!(opt.faults.rate >= 0.0 && opt.faults.rate <= 1.0))  // NaN too
+    throw std::runtime_error("--fault-rate must be in [0, 1]");
+  const auto cases = soc::standard_case_studies();
+  std::size_t case_id = 0;
+  if (!util::parse_number(case_arg, case_id) || case_id < 1 ||
+      case_id > cases.size())
+    throw std::runtime_error("invalid case id '" + case_arg +
+                             "' (expected 1.." +
+                             std::to_string(cases.size()) + ")");
+  const soc::T2Design design;
   const auto r = debug::run_case_study(design, cases[case_id - 1], opt);
-  if (cli.json) {
+  if (json) {
     std::cout << debug::to_json(design.catalog(), r).dump(2) << '\n';
     return 0;
   }
@@ -691,7 +752,7 @@ int cmd_debug(int case_id, const DebugCliOptions& cli) {
             << r.report.final_causes.size() << " plausible cause(s))\n";
   for (const auto& c : r.report.final_causes)
     std::cout << "  [" << c.ip << "] " << c.description << '\n';
-  if (cli.faults.enabled()) {
+  if (opt.faults.enabled()) {
     std::cout << "Capture: quality " << util::pct(r.observation.quality())
               << ", " << r.fault_stats.total_injected()
               << " fault(s) injected, " << r.capture_attempts
@@ -706,18 +767,18 @@ int cmd_debug(int case_id, const DebugCliOptions& cli) {
               << (r.robust_localization.degraded ? " (degraded)" : "")
               << '\n';
   }
-  if (!cli.report_path.empty()) {
-    debug::write_report(design, r, cli.report_path);
-    std::cout << "Debug report written to " << cli.report_path << '\n';
+  if (!report_path.empty()) {
+    debug::write_report(design, r, report_path);
+    std::cout << "Debug report written to " << report_path << '\n';
   }
-  if (!cli.vcd_path.empty()) {
-    std::ofstream out(cli.vcd_path);
+  if (!vcd_path.empty()) {
+    std::ofstream out(vcd_path);
     if (!out) {
-      std::cerr << "cannot write " << cli.vcd_path << '\n';
+      std::cerr << "cannot write " << vcd_path << '\n';
       return 2;
     }
     out << soc::trace_to_vcd(design.catalog(), r.buggy_records);
-    std::cout << "Trace buffer dump written to " << cli.vcd_path << '\n';
+    std::cout << "Trace buffer dump written to " << vcd_path << '\n';
   }
   return 0;
 }
@@ -734,58 +795,8 @@ int dispatch(int argc, char** argv) {
     if (cmd == "stats" || cmd == "top" || cmd == "ping" || cmd == "stop")
       return cmd_daemon_ctl(cmd, argc - 2, argv + 2);
     if (cmd == "dot" && argc == 4) return cmd_dot(argv[2], argv[3]);
-    if (cmd == "lint" && argc >= 3) {
-      std::uint32_t buffer = 32;
-      bool lenient = false;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--lenient") == 0) lenient = true;
-        else if (std::strcmp(argv[i], "--buffer") == 0 && i + 1 < argc)
-          buffer = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-        else
-          return usage();
-      }
-      return cmd_lint(argv[2], buffer, lenient);
-    }
-    if (cmd == "debug" && argc >= 3) {
-      DebugCliOptions cli;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-packing") == 0) cli.packing = false;
-        else if (std::strcmp(argv[i], "--json") == 0) cli.json = true;
-        // Every other option takes a value.
-        else if (i + 1 >= argc || std::strncmp(argv[i], "--", 2) != 0)
-          return usage();
-        else if (std::strcmp(argv[i], "--vcd") == 0)
-          cli.vcd_path = argv[++i];
-        else if (std::strcmp(argv[i], "--report") == 0)
-          cli.report_path = argv[++i];
-        else if (std::strcmp(argv[i], "--fault-rate") == 0)
-          cli.faults.rate = parse_number(argv[++i], "--fault-rate");
-        else if (std::strcmp(argv[i], "--fault-seed") == 0)
-          cli.faults.seed =
-              static_cast<std::uint64_t>(parse_number(argv[++i],
-                                                      "--fault-seed"));
-        else if (std::strcmp(argv[i], "--retries") == 0)
-          cli.retries =
-              static_cast<std::uint32_t>(parse_number(argv[++i],
-                                                      "--retries"));
-        else if (std::strcmp(argv[i], "--fault-kinds") == 0) {
-          auto kinds = soc::parse_fault_kinds(argv[++i]);
-          if (!kinds.ok()) {
-            std::cerr << "error: " << kinds.error().to_string() << '\n';
-            return 1;
-          }
-          cli.faults.kinds = std::move(kinds).value();
-        } else {
-          throw std::runtime_error("unknown option '" +
-                                   std::string(argv[i]) + "'");
-        }
-      }
-      if (cli.faults.rate < 0.0 || cli.faults.rate > 1.0) {
-        std::cerr << "error: --fault-rate must be in [0, 1]\n";
-        return 1;
-      }
-      return cmd_debug(std::atoi(argv[2]), cli);
-    }
+    if (cmd == "lint" && argc >= 3) return cmd_lint(argc - 2, argv + 2);
+    if (cmd == "debug" && argc >= 3) return cmd_debug(argc - 2, argv + 2);
   } catch (const util::CancelledError& e) {
     // A stage that cannot carry a partial result (flow parse, interleave
     // build) unwound on cancellation: interrupted, not failed.
@@ -815,39 +826,18 @@ int main(int argc, char** argv) {
 
   // Strip the global observability/logging options (valid anywhere on the
   // command line) before subcommand dispatch.
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const bool takes_value = i > 0 && (std::strcmp(argv[i], "--trace-out") == 0 ||
-                                       std::strcmp(argv[i], "--metrics-out") == 0 ||
-                                       std::strcmp(argv[i], "--prom-out") == 0 ||
-                                       std::strcmp(argv[i], "--log-level") == 0);
-    if (!takes_value) {
-      args.push_back(argv[i]);
-      continue;
+  std::vector<char*> args{argv[0]};
+  try {
+    for (ArgCursor global(argc - 1, argv + 1); !global.done();) {
+      if (auto v = global.value("--trace-out")) g_trace_out = *v;
+      else if (auto v = global.value("--metrics-out")) g_metrics_out = *v;
+      else if (auto v = global.value("--prom-out")) g_prom_out = *v;
+      else if (auto v = global.value("--log-level")) set_log_level(*v);
+      else args.push_back(global.pass());
     }
-    if (i + 1 >= argc) {
-      std::cerr << "error: missing value for " << argv[i] << '\n';
-      return 1;
-    }
-    const std::string flag = argv[i];
-    const std::string value = argv[++i];
-    if (flag == "--trace-out") {
-      g_trace_out = value;
-    } else if (flag == "--metrics-out") {
-      g_metrics_out = value;
-    } else if (flag == "--prom-out") {
-      g_prom_out = value;
-    } else {
-      if (value == "debug") util::set_log_threshold(util::LogLevel::kDebug);
-      else if (value == "info") util::set_log_threshold(util::LogLevel::kInfo);
-      else if (value == "warn") util::set_log_threshold(util::LogLevel::kWarn);
-      else if (value == "error") util::set_log_threshold(util::LogLevel::kError);
-      else {
-        std::cerr << "error: unknown log level '" << value << "'\n";
-        return 1;
-      }
-    }
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
   }
   const bool sinks =
       !g_trace_out.empty() || !g_metrics_out.empty() || !g_prom_out.empty();

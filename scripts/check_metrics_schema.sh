@@ -45,7 +45,8 @@ for name in $doc_names; do
     span.*|process.*|jobs.*|queue.*|store.*.entries) continue ;;
     selection.step*|selection.search.*|session.*|flow.parse|\
     interleave.stats|interleave.build|interleave.graph|interleave.grid|\
-    interleave.consistent_paths|debug.workbench|debug.simulate|\
+    interleave.consistent_paths|debug.case_study|debug.setup|\
+    debug.workbench|debug.select|debug.simulate|debug.trace_buffer|\
     debug.capture|debug.root_cause|debug.localize|svc.job|svc.journal.sync|\
     svc.journal.compact)
       continue ;;  # span names

@@ -24,21 +24,15 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   // --- Message selection over the interleaving's statistics ---
   const auto instances =
       flow::make_instances(flows_, config.instances_per_flow);
-  const selection::MessageSelector selector(
-      *catalog_, flow::ProductStats::build(instances));
-  selection::SelectorConfig sel_cfg;
-  sel_cfg.buffer_width = config.buffer_width;
-  sel_cfg.packing = config.packing;
-  result.selection = selector.select(sel_cfg);
-
-  // --- Trace buffers ---
-  soc::TraceBufferConfig tb_cfg;
-  tb_cfg.width = config.buffer_width;
-  tb_cfg.depth = config.buffer_depth;
-  soc::TraceBuffer golden_buffer(tb_cfg);
-  soc::TraceBuffer buggy_buffer(tb_cfg);
-  golden_buffer.configure(*catalog_, result.selection);
-  buggy_buffer.configure(*catalog_, result.selection);
+  {
+    OBS_SPAN("debug.select");
+    const selection::MessageSelector selector(
+        *catalog_, flow::ProductStats::build(instances));
+    selection::SelectorConfig sel_cfg;
+    sel_cfg.buffer_width = config.buffer_width;
+    sel_cfg.packing = config.packing;
+    result.selection = selector.select(sel_cfg);
+  }
 
   // --- Golden and buggy simulations with identical seeds ---
   soc::SocSimulator golden_sim(*catalog_, flows_,
@@ -54,9 +48,19 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
     result.buggy = buggy_sim.run(sim_opts);
   }
 
-  for (const soc::TimedMessage& tm : result.golden.messages)
-    golden_buffer.record(tm);
-  result.golden_records = golden_buffer.records();
+  // --- Trace buffers: the golden run is captured whole ---
+  soc::TraceBufferConfig tb_cfg;
+  tb_cfg.width = config.buffer_width;
+  tb_cfg.depth = config.buffer_depth;
+  soc::TraceBuffer buggy_buffer(tb_cfg);
+  {
+    OBS_SPAN("debug.trace_buffer");
+    soc::TraceBuffer golden_buffer(tb_cfg);
+    golden_buffer.configure(*catalog_, result.selection);
+    for (const soc::TimedMessage& tm : result.golden.messages)
+      golden_buffer.record(tm);
+    result.golden_records = golden_buffer.records();
+  }
 
   // --- Buggy-side capture through the (possibly faulty) channel ---
   const bool faulty = config.faults.enabled();

@@ -25,8 +25,10 @@ MessageId MessageCatalog::add(Message message) {
           "MessageCatalog: subgroup '" + sg.name + "' of '" + message.name +
           "' must be narrower than its parent and nonzero");
   }
+  const auto id = static_cast<MessageId>(messages_.size());
+  ids_.emplace(message.name, id);
   messages_.push_back(std::move(message));
-  return static_cast<MessageId>(messages_.size() - 1);
+  return id;
 }
 
 MessageId MessageCatalog::add(std::string name, std::uint32_t width,
@@ -42,10 +44,9 @@ const Message& MessageCatalog::get(MessageId id) const {
 }
 
 std::optional<MessageId> MessageCatalog::find(std::string_view name) const {
-  for (std::size_t i = 0; i < messages_.size(); ++i) {
-    if (messages_[i].name == name) return static_cast<MessageId>(i);
-  }
-  return std::nullopt;
+  const auto it = ids_.find(name);
+  if (it == ids_.end()) return std::nullopt;
+  return it->second;
 }
 
 MessageId MessageCatalog::require(std::string_view name) const {

@@ -12,6 +12,8 @@
 // leftover trace-buffer width (Sec. 3.3).
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -74,6 +76,9 @@ class MessageCatalog {
 
  private:
   std::vector<Message> messages_;
+  /// name -> id; the keys own their strings, so copies and moves of the
+  /// catalog keep a valid index.
+  std::map<std::string, MessageId, std::less<>> ids_;
 };
 
 }  // namespace tracesel::flow

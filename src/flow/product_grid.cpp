@@ -1,10 +1,8 @@
 #include "flow/product_grid.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "util/obs.hpp"
@@ -79,11 +77,13 @@ ProductGrid ProductGrid::build(const std::vector<IndexedFlow>& instances,
       for (std::uint32_t ti : f.outgoing(s)) {
         const Transition& t = f.transitions()[ti];
         const IndexedMessage im{t.message, inst.index};
+        const std::uint32_t step = c.rank[t.to] - c.rank[s];
         c.moves.push_back(Move{
-            (c.rank[t.to] - c.rank[s]) * c.stride,
+            step * c.stride,
             static_cast<std::uint32_t>(
                 std::lower_bound(g.labels_.begin(), g.labels_.end(), im) -
-                g.labels_.begin())});
+                g.labels_.begin()),
+            step});
       }
       c.first_move.push_back(static_cast<std::uint32_t>(c.moves.size()));
     }
@@ -132,7 +132,7 @@ bool ProductGrid::closed_form_paths() {
       };
       if (c.stop[r]) add_to(blocks, 0);
       for (std::uint32_t m = c.first_move[r]; m < c.first_move[r + 1]; ++m)
-        add_to(reach[r + c.moves[m].delta / c.stride], c.atomic[r] ? 0 : 1);
+        add_to(reach[r + c.moves[m].step], c.atomic[r] ? 0 : 1);
     }
     if (blocks.empty()) {
       total_paths_ = 0.0;
@@ -243,23 +243,25 @@ double ProductGrid::sweep(const std::vector<std::int32_t>& label_code,
                           const std::vector<std::int32_t>& obs_kind,
                           const util::CancelToken& cancel) const {
   // f(n, j) = number of stop-terminated paths from slot n whose projection
-  // onto the visible labels extends observed[j..] as a prefix. A min-heap
-  // pops the slots a consistent path reaches in ascending order, so a slot
-  // pops after every predecessor has widened its band [lo, hi] of the
+  // onto the visible labels extends observed[j..] as a prefix. A slot's
+  // level is its rank sum above the initial tuple's; every move raises it
+  // by the move's step, so popping the reached slots level by level pops a
+  // slot after every predecessor has widened its band [lo, hi] of the
   // prefix positions a path from the root brings into it. Each pop keeps
-  // the moves some position survives; every cell a band cell reads lies
-  // in its successor's band, so the fill walks the pops in reverse and
-  // fills only the bands, packed slot after slot.
+  // the moves some position survives; every cell a band cell reads lies in
+  // its successor's band, so the fill walks the pops in reverse and fills
+  // only the bands, packed slot after slot. Every structure is sized by
+  // the reached slots, never by the grid.
   constexpr std::uint32_t kNone = ~std::uint32_t{0};
   const auto full = static_cast<std::uint32_t>(obs_kind.size());
-  /// A discovered slot, by discovery id.
+  /// A reached slot, by discovery id.
   struct Visit {
+    std::size_t slot = 0;
+    std::size_t base = 0;  ///< memo index of (slot, lo)
     std::uint32_t lo = kNone;
     std::uint32_t hi = 0;
+    std::uint32_t first_kept = 0;  ///< its kept moves end at the next pop's
     bool stop = false;
-    std::size_t first_kept = 0;  ///< its kept moves: [first_kept, end_kept)
-    std::size_t end_kept = 0;
-    std::size_t base = 0;  ///< memo index of (slot, lo)
   };
   /// A move some consistent path takes.
   struct Kept {
@@ -268,20 +270,35 @@ double ProductGrid::sweep(const std::vector<std::int32_t>& label_code,
   };
   std::vector<Visit> visits;
   std::vector<Kept> kept;
-  std::vector<std::uint32_t> order;  ///< discovery ids in pop order
-  std::unordered_map<std::size_t, std::uint32_t> ids;  ///< slot -> id
-  using Pending = std::pair<std::size_t, std::uint32_t>;  ///< slot, id
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> work;
-  // Slot n, entered with positions [a, b].
-  const auto reach = [&](std::size_t n, std::uint32_t a, std::uint32_t b) {
-    const auto [it, fresh] =
-        ids.try_emplace(n, static_cast<std::uint32_t>(visits.size()));
-    const std::uint32_t id = it->second;
-    if (fresh) {
+  std::size_t top = 0;  ///< the highest level
+  for (const Component& c : comps_)
+    top += c.stop.size() - 1 - (initial_ / c.stride) % c.stop.size();
+  std::vector<std::vector<std::uint32_t>> levels(top + 1);  ///< ids
+  // Slot -> id: Fibonacci hashing and linear probing in a power-of-two
+  // table at most half full.
+  std::vector<std::uint32_t> index(1024, kNone);
+  const auto entry = [&](std::size_t n) -> std::uint32_t& {
+    const std::size_t mask = index.size() - 1;
+    std::size_t i = (n * 0x9E3779B97F4A7C15u) >>
+                    (64 - std::countr_zero(index.size()));
+    while (index[i] != kNone && visits[index[i]].slot != n) i = (i + 1) & mask;
+    return index[i];
+  };
+  // Slot n at `level`, entered with positions [a, b].
+  const auto reach = [&](std::size_t n, std::size_t level, std::uint32_t a,
+                         std::uint32_t b) {
+    std::uint32_t id = entry(n);
+    if (id == kNone) {
       if (visits.size() == kNone)
         throw std::length_error("ProductGrid: 2^32 slots reached");
-      visits.emplace_back();
-      work.emplace(n, id);
+      id = entry(n) = static_cast<std::uint32_t>(visits.size());
+      visits.push_back(Visit{.slot = n});
+      levels[level].push_back(id);
+      if (2 * visits.size() > index.size()) {
+        index.assign(2 * index.size(), kNone);
+        for (std::uint32_t v = 0; v < visits.size(); ++v)
+          entry(visits[v].slot) = v;
+      }
     }
     visits[id].lo = std::min(visits[id].lo, a);
     visits[id].hi = std::max(visits[id].hi, b);
@@ -289,43 +306,45 @@ double ProductGrid::sweep(const std::vector<std::int32_t>& label_code,
   };
 
   std::vector<std::uint32_t> digits(comps_.size());
-  reach(initial_, 0, 0);
-  while (!work.empty()) {
-    if ((order.size() & 1023) == 0 && cancel.cancelled())
-      throw util::CancelledError("interleave.grid");
-    const auto [n, id] = work.top();
-    work.pop();
-    order.push_back(id);
-    const std::uint32_t lo = visits[id].lo;
-    const std::uint32_t hi = visits[id].hi;
-    const std::size_t first_kept = kept.size();
-    const bool stop = expand(n, digits, [&](const Move& move) {
-      const std::int32_t code = label_code[move.label];
-      std::uint32_t a = lo;
-      std::uint32_t b = hi;
-      if (code != -2) {
-        // A visible step advances the positions whose next observed kind
-        // matches; a full prefix tolerates any visible suffix.
-        a = kNone;
-        for (std::uint32_t j = lo; j <= hi && j < full; ++j) {
-          if (obs_kind[j] != code) continue;
-          if (a == kNone) a = j + 1;
-          b = j + 1;
+  reach(initial_, 0, 0, 0);
+  std::size_t pops = 0;
+  for (std::size_t level = 0; level <= top; ++level) {
+    // Successors lie on higher levels, so this one no longer grows.
+    for (const std::uint32_t id : levels[level]) {
+      if ((pops++ & 1023) == 0 && cancel.cancelled())
+        throw util::CancelledError("interleave.grid");
+      if (kept.size() >= kNone)
+        throw std::length_error("ProductGrid: 2^32 moves kept");
+      const std::size_t n = visits[id].slot;
+      const std::uint32_t lo = visits[id].lo;
+      const std::uint32_t hi = visits[id].hi;
+      visits[id].first_kept = static_cast<std::uint32_t>(kept.size());
+      const bool stop = expand(n, digits, [&](const Move& move) {
+        const std::int32_t code = label_code[move.label];
+        std::uint32_t a = lo;
+        std::uint32_t b = hi;
+        if (code != -2) {
+          // A visible step advances the positions whose next observed kind
+          // matches; a full prefix tolerates any visible suffix.
+          a = kNone;
+          for (std::uint32_t j = lo; j <= hi && j < full; ++j) {
+            if (obs_kind[j] != code) continue;
+            if (a == kNone) a = j + 1;
+            b = j + 1;
+          }
+          if (hi == full) {
+            a = std::min(a, full);
+            b = full;
+          }
+          if (a == kNone) return;
         }
-        if (hi == full) {
-          a = std::min(a, full);
-          b = full;
-        }
-        if (a == kNone) return;
-      }
-      kept.push_back(Kept{code, reach(n + move.delta, a, b)});
-    });
-    Visit& v = visits[id];
-    v.stop = stop;
-    v.first_kept = first_kept;
-    v.end_kept = kept.size();
+        kept.push_back(
+            Kept{code, reach(n + move.delta, level + move.step, a, b)});
+      });
+      visits[id].stop = stop;
+    }
   }
-  OBS_COUNT("interleave.grid.visited", order.size());
+  OBS_COUNT("interleave.grid.visited", visits.size());
 
   std::size_t cells = 0;
   for (Visit& v : visits) {
@@ -333,23 +352,27 @@ double ProductGrid::sweep(const std::vector<std::int32_t>& label_code,
     cells += v.hi - v.lo + 1;
   }
   std::vector<double> memo(cells, 0.0);
-  for (auto at = order.rbegin(); at != order.rend(); ++at) {
-    const Visit& v = visits[*at];
-    double* row = &memo[v.base];  // row[j - v.lo] = f(slot, j)
-    if (v.stop && v.hi == full) row[full - v.lo] = 1.0;
-    for (std::size_t e = v.first_kept; e < v.end_kept; ++e) {
-      const Visit& to = visits[kept[e].to];
-      const double* succ = &memo[to.base];  // succ[j - to.lo] = f(m, j)
-      if (kept[e].code == -2) {
-        // Invisible step: j -> j over the whole band.
-        const double* same = succ + (v.lo - to.lo);
-        for (std::uint32_t j = 0; j <= v.hi - v.lo; ++j) row[j] += same[j];
-      } else {
-        for (std::uint32_t j = v.lo; j <= v.hi && j < full; ++j)
-          if (obs_kind[j] == kept[e].code)
-            row[j - v.lo] += succ[j + 1 - to.lo];
-        if (v.hi == full) row[full - v.lo] += succ[full - to.lo];
+  std::size_t end_kept = kept.size();
+  for (auto level = levels.rbegin(); level != levels.rend(); ++level) {
+    for (auto at = level->rbegin(); at != level->rend(); ++at) {
+      const Visit& v = visits[*at];
+      double* row = &memo[v.base];  // row[j - v.lo] = f(slot, j)
+      if (v.stop && v.hi == full) row[full - v.lo] = 1.0;
+      for (std::size_t e = v.first_kept; e < end_kept; ++e) {
+        const Visit& to = visits[kept[e].to];
+        const double* succ = &memo[to.base];  // succ[j - to.lo] = f(m, j)
+        if (kept[e].code == -2) {
+          // Invisible step: j -> j over the whole band.
+          const double* same = succ + (v.lo - to.lo);
+          for (std::uint32_t j = 0; j <= v.hi - v.lo; ++j) row[j] += same[j];
+        } else {
+          for (std::uint32_t j = v.lo; j <= v.hi && j < full; ++j)
+            if (obs_kind[j] == kept[e].code)
+              row[j - v.lo] += succ[j + 1 - to.lo];
+          if (v.hi == full) row[full - v.lo] += succ[full - to.lo];
+        }
       }
+      end_kept = v.first_kept;
     }
   }
   return memo[0];

@@ -2,12 +2,13 @@
 // The debug leg's localization DPs over the mixed-radix grid of the
 // component flows' state tuples, without materializing the product
 // (DESIGN.md §14). Slot sum_i rank_i(s_i) * stride_i numbers each flow's
-// states in topological order, so every product edge raises the slot
-// index. count_paths is a closed form over the component flows; the
-// consistent-path DP visits, in ascending slot order, only the slots a
-// consistent path reaches. Per slot the DPs add in the product's CSR
-// order, so every count equals the memoized oracle's over the product
-// bit for bit.
+// states in topological order, so every product edge raises one rank and
+// with it the tuple's level, its rank sum. count_paths is a closed form
+// over the component flows; the consistent-path DP visits, level by level,
+// only the slots a consistent path reaches, found through a flat
+// open-addressing index, so its memory grows with the reached slots, not
+// the grid. Per slot the DPs add in the product's CSR order, so every
+// count equals the memoized oracle's over the product bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,10 +48,12 @@ class ProductGrid {
       const std::vector<IndexedMessage>& observed) const;
 
  private:
-  /// One component step from a slot: successor = slot + delta.
+  /// One component step from a slot: successor = slot + delta, and the
+  /// component's rank rises by step >= 1.
   struct Move {
-    std::size_t delta = 0;
+    std::size_t delta = 0;  ///< step * the component's stride
     std::uint32_t label = 0;  ///< index into the sorted label table
+    std::uint32_t step = 0;
   };
   /// One component flow, its states in rank order.
   struct Component {
@@ -78,6 +81,7 @@ class ProductGrid {
   /// f(initial, 0) of count_consistent_paths for per-label codes
   /// (-2 invisible, -1 visible but never observed, else the observed kind
   /// id) and the observation's kind ids; polls `cancel` every 1024 slots.
+  /// Throws std::length_error past 2^32 reached slots or kept moves.
   double sweep(const std::vector<std::int32_t>& label_code,
                const std::vector<std::int32_t>& obs_kind,
                const util::CancelToken& cancel) const;

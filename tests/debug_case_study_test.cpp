@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "util/obs.hpp"
 
 namespace tracesel::debug {
@@ -32,6 +35,36 @@ TEST_F(CaseStudyTest, SimMessagesCounterMatchesBothRuns) {
             r.golden.messages.size() + r.buggy.messages.size());
   obs::set_enabled(false);
   obs::reset();
+}
+
+TEST_F(CaseStudyTest, SetUpAndWorkbenchStepsNestUnderTheCaseSpan) {
+  // Every step of a case study runs inside a named child span, so the
+  // case's time splits into its layers.
+  obs::set_enabled(true);
+  obs::reset();
+  (void)run_case_study(design_, soc::standard_case_studies()[0]);
+  const std::vector<obs::TraceEvent> events = obs::trace_events();
+  obs::set_enabled(false);
+  obs::reset();
+  const auto only = [&](std::string_view name) {
+    const obs::TraceEvent* found = nullptr;
+    for (const obs::TraceEvent& e : events) {
+      if (e.name != name) continue;
+      EXPECT_EQ(found, nullptr) << name << " recorded twice";
+      found = &e;
+    }
+    EXPECT_NE(found, nullptr) << name << " not recorded";
+    return found ? *found : obs::TraceEvent{};
+  };
+  const obs::TraceEvent root = only("debug.case_study");
+  ASSERT_NE(root.span_id, 0u);
+  EXPECT_EQ(only("debug.setup").parent_id, root.span_id);
+  const obs::TraceEvent workbench = only("debug.workbench");
+  EXPECT_EQ(workbench.parent_id, root.span_id);
+  for (const char* step :
+       {"debug.select", "debug.simulate", "debug.trace_buffer",
+        "debug.capture", "debug.root_cause", "debug.localize"})
+    EXPECT_EQ(only(step).parent_id, workbench.span_id) << step;
 }
 
 TEST_F(CaseStudyTest, PruningIsSubstantial) {

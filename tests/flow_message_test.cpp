@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace tracesel::flow {
 namespace {
@@ -44,6 +47,45 @@ TEST(MessageCatalog, RejectsDuplicateName) {
   MessageCatalog c;
   c.add("a", 1, "X", "Y");
   EXPECT_THROW(c.add("a", 2, "X", "Y"), std::invalid_argument);
+}
+
+TEST(MessageCatalog, ErrorTextsNameTheMessageAndLeaveTheCatalogAlone) {
+  MessageCatalog c;
+  c.add("a", 1, "X", "Y");
+  const auto text_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(text_of([&] { c.add("a", 2, "X", "Y"); }),
+            "MessageCatalog: duplicate message 'a'");
+  EXPECT_EQ(text_of([&] { c.add("", 2, "X", "Y"); }),
+            "MessageCatalog: empty message name");
+  EXPECT_EQ(text_of([&] { c.require("missing"); }),
+            "MessageCatalog: unknown message 'missing'");
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.find("a"), std::optional<MessageId>(0));
+  EXPECT_EQ(c.get(0).width, 1u);
+}
+
+TEST(MessageCatalog, CopiesAndMovesKeepTheirNameIndex) {
+  std::optional<MessageCatalog> original(std::in_place);
+  original->add("alpha", 1, "X", "Y");
+  original->add("beta", 2, "X", "Y");
+  MessageCatalog copy = *original;
+  MessageCatalog moved = std::move(*original);
+  original.reset();
+  for (const MessageCatalog* c : {&copy, &moved}) {
+    EXPECT_EQ(c->find("alpha"), std::optional<MessageId>(0));
+    EXPECT_EQ(c->find("beta"), std::optional<MessageId>(1));
+    EXPECT_FALSE(c->find("gamma").has_value());
+  }
+  EXPECT_EQ(copy.add("gamma", 3, "X", "Y"), 2u);
+  EXPECT_FALSE(moved.find("gamma").has_value());
+  EXPECT_THROW(moved.add("beta", 3, "X", "Y"), std::invalid_argument);
 }
 
 TEST(MessageCatalog, RejectsZeroWidth) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 
 #include "flow/indexed_flow.hpp"
@@ -419,6 +420,25 @@ TEST(ParserCapsTest, MessageCountCapReportedOnce) {
   ASSERT_EQ(lenient.errors.size(), 1u);
   EXPECT_NE(lenient.errors[0].text.find("message count"), std::string::npos);
   EXPECT_EQ(lenient.spec.catalog.size(), 65536u);
+}
+
+TEST(ParserCapsTest, FortyThousandMessagesParseWithinASecond) {
+  // The catalog finds names through an index, so a parse is linear in
+  // its messages and transitions rather than quadratic.
+  constexpr std::size_t kMessages = 40000;
+  std::string text;
+  for (std::size_t i = 0; i < kMessages; ++i)
+    text += "message m" + std::to_string(i) + " 1 A -> B\n";
+  text += "flow f {\n  state a initial\n  state b stop\n";
+  for (std::size_t i = 0; i < kMessages; i += 1000)
+    text += "  a -> b on m" + std::to_string(i) + "\n";
+  text += "}\n";
+  const auto start = std::chrono::steady_clock::now();
+  const ParsedSpec spec = parse_flow_spec(text);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(spec.catalog.size(), kMessages);
+  EXPECT_EQ(spec.catalog.require("m39999"), kMessages - 1);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(ParserCapsTest, FlowCountCapConsumesExcessBodies) {

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "debug/case_study.hpp"
 #include "local_daemon.hpp"
 #include "netlist/usb_design.hpp"
 #include "service/client.hpp"
@@ -198,6 +199,53 @@ TEST(GridObservability, SweepsVisitOnlyTheSlotsTheyReach) {
   EXPECT_EQ(obs::registry().counter_value("interleave.grid.visited"), 15u);
   obs::set_enabled(false);
   obs::reset();
+}
+
+TEST(GridObservability, CaseStudySweepsMatchTheOracleAndVisitPinnedSlots) {
+  // The benchmark's own localization inputs: case studies 1-5 x trial
+  // seeds {2018, 7, 42}, each with the workbench's selection and its
+  // failing session's observation. The consistent-path count equals the
+  // oracle's over the materialized product bit for bit, and the sweep
+  // visits exactly the slots pinned here.
+  const std::uint64_t seeds[] = {2018, 7, 42};
+  const std::uint64_t visited[5][3] = {
+      {106, 177, 122}, {98, 195, 120}, {34, 42, 45}, {47, 43, 43},
+      {680, 657, 852}};
+  const soc::T2Design t2;
+  const auto studies = soc::standard_case_studies();
+  ASSERT_EQ(studies.size(), 5u);
+  for (std::size_t c = 0; c < studies.size(); ++c) {
+    const soc::Scenario scenario = soc::scenario_by_id(studies[c].scenario_id);
+    const std::vector<flow::IndexedFlow> instances =
+        soc::scenario_instances(t2, scenario);
+    const flow::ProductGrid grid = flow::ProductGrid::build(instances);
+    const flow::InterleavedFlow product =
+        flow::InterleavedFlow::build(instances);
+    for (std::size_t s = 0; s < 3; ++s) {
+      SCOPED_TRACE("case " + std::to_string(studies[c].id) + " seed " +
+                   std::to_string(seeds[s]));
+      debug::CaseStudyOptions options;
+      options.seed = seeds[s];
+      const debug::CaseStudyResult r =
+          debug::run_case_study(t2, studies[c], options);
+      std::vector<flow::IndexedMessage> observed;
+      for (const soc::TraceRecord& rec : r.buggy_records)
+        if (rec.session == r.buggy.fail_session) observed.push_back(rec.msg);
+      const std::vector<flow::MessageId> selected = r.selection.observable();
+
+      obs::set_enabled(true);
+      obs::reset();
+      const double count = grid.count_consistent_paths(selected, observed);
+      const std::uint64_t slots =
+          obs::registry().counter_value("interleave.grid.visited");
+      obs::set_enabled(false);
+      obs::reset();
+      EXPECT_EQ(bits(count), bits(test::oracle::count_consistent_paths(
+                                 product, selected, observed)));
+      EXPECT_EQ(bits(count), bits(r.localization.consistent_paths));
+      EXPECT_EQ(slots, visited[c][s]);
+    }
+  }
 }
 
 class Version2RecordTest : public ::testing::Test {};

@@ -1,11 +1,14 @@
 // Ablation: Step 2 search strategies. Exhaustive enumeration is the
 // paper's formulation; maximal-only enumeration is lossless (gain is
 // monotone); the knapsack DP is exact because the paper's estimator is
-// additive; greedy is the scalable fallback. This bench verifies the
+// additive. A greedy marginal-gain ascent, kept here as the baseline the
+// exact modes are measured against, is not. This bench verifies the
 // equalities empirically and measures the cost of each.
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "selection/selector.hpp"
@@ -20,6 +23,34 @@ std::pair<double, double> timed(F&& fn) {
   const auto stop = std::chrono::steady_clock::now();
   return {gain,
           std::chrono::duration<double, std::milli>(stop - start).count()};
+}
+
+/// Greedy ascent: take the fitting message with the highest contribution
+/// (the narrower on a tie) until none fits; returns the set's gain.
+double greedy_gain(const tracesel::selection::MessageSelector& selector,
+                   std::uint32_t budget) {
+  const auto& engine = selector.engine();
+  const auto width = [&](auto m) {
+    return selector.catalog().get(m).trace_width();
+  };
+  std::vector<tracesel::flow::MessageId> picked;
+  std::uint32_t used = 0;
+  for (;;) {
+    std::optional<tracesel::flow::MessageId> best;
+    for (const auto m : selector.candidates()) {
+      if (used + width(m) > budget ||
+          std::find(picked.begin(), picked.end(), m) != picked.end())
+        continue;
+      const double g = engine.message_contribution(m);
+      const double b = best ? engine.message_contribution(*best) : -1.0;
+      if (!best || g > b || (g == b && width(m) < width(*best))) best = m;
+    }
+    if (!best) break;
+    picked.push_back(*best);
+    used += width(*best);
+  }
+  std::sort(picked.begin(), picked.end());
+  return engine.info_gain(picked);
 }
 
 }  // namespace
@@ -42,8 +73,7 @@ int main() {
     for (const auto [mode, name] :
          {std::pair{selection::SearchMode::kExhaustive, "exhaustive"},
           std::pair{selection::SearchMode::kMaximal, "maximal"},
-          std::pair{selection::SearchMode::kKnapsack, "knapsack"},
-          std::pair{selection::SearchMode::kGreedy, "greedy"}}) {
+          std::pair{selection::SearchMode::kKnapsack, "knapsack"}}) {
       selection::SelectorConfig cfg;
       cfg.mode = mode;
       cfg.packing = false;
@@ -54,10 +84,13 @@ int main() {
                      util::fixed(ms, 3),
                      gain >= reference - 1e-9 ? "yes" : "NO"});
     }
+    const auto [gain, ms] = timed([&] { return greedy_gain(selector, 32); });
+    table.add_row({s.name, "greedy", util::fixed(gain, 4), util::fixed(ms, 3),
+                   gain >= reference - 1e-9 ? "yes" : "NO"});
   }
   std::cout << table << '\n';
-  bench::note("maximal and knapsack must match exhaustive exactly; greedy "
-              "may fall short on non-modular instances but rarely does on "
-              "these flows");
+  bench::note("maximal and knapsack must match exhaustive exactly; the "
+              "greedy ascent is not exact and falls short on every "
+              "scenario here");
   return 0;
 }

@@ -65,7 +65,7 @@ void BM_SelectionSearch(benchmark::State& state) {
       flow::ProductStats::build(soc::scenario_instances(design, scenario)));
   selection::SelectorConfig cfg;
   cfg.mode = state.range(1) == 0 ? selection::SearchMode::kMaximal
-                                 : selection::SearchMode::kGreedy;
+                                 : selection::SearchMode::kKnapsack;
   for (auto _ : state) {
     auto r = selector.select(cfg);
     benchmark::DoNotOptimize(r.gain);
@@ -73,7 +73,7 @@ void BM_SelectionSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectionSearch)
     ->ArgsProduct({{1, 2, 3}, {0, 1}})
-    ->ArgNames({"scenario", "greedy"});
+    ->ArgNames({"scenario", "knapsack"});
 
 void BM_PathCounting(benchmark::State& state) {
   soc::T2Design design;

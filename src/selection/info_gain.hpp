@@ -51,6 +51,10 @@ class InfoGainEngine {
   /// property the exact knapsack search mode exploits.
   double message_contribution(flow::MessageId m) const;
 
+  /// Every message_contribution, indexed by MessageId; ids past the end
+  /// contribute 0.0. What pack_leftover reads.
+  std::span<const double> contributions() const { return dense_; }
+
   /// Upper bound on the gain any combination can reach on this flow
   /// (the gain of tracing every message).
   double max_gain() const { return total_gain_; }

@@ -67,4 +67,24 @@ std::vector<std::size_t> knapsack_optimum(
   return picked;
 }
 
+Combination knapsack_combination(const flow::MessageCatalog& catalog,
+                                 std::span<const flow::MessageId> candidates,
+                                 std::span<const double> contributions,
+                                 std::uint32_t capacity,
+                                 const util::CancelToken& cancel) {
+  std::vector<std::uint32_t> widths;
+  std::vector<double> gains;
+  for (const flow::MessageId m : candidates) {
+    widths.push_back(catalog.get(m).trace_width());
+    gains.push_back(m < contributions.size() ? contributions[m] : 0.0);
+  }
+  Combination best;
+  for (const std::size_t i :
+       knapsack_optimum(widths, gains, capacity, cancel)) {
+    best.messages.push_back(candidates[i]);
+    best.width += widths[i];
+  }
+  return best;
+}
+
 }  // namespace tracesel::selection

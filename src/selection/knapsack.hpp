@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "selection/combination.hpp"
 #include "util/cancel.hpp"
 
 namespace tracesel::selection {
@@ -28,5 +29,16 @@ namespace tracesel::selection {
 std::vector<std::size_t> knapsack_optimum(
     std::span<const std::uint32_t> widths, std::span<const double> gains,
     std::uint32_t capacity, const util::CancelToken& cancel = {});
+
+/// The Step 2 winner of every selector: knapsack_optimum over `candidates`
+/// (ascending ids), each weighing its trace width and gaining its entry of
+/// `contributions` (indexed by MessageId, 0.0 past the end), so the
+/// winner's gain adds up in InfoGainEngine::info_gain's order. Empty when
+/// no candidate fits or `cancel` fires.
+Combination knapsack_combination(const flow::MessageCatalog& catalog,
+                                 std::span<const flow::MessageId> candidates,
+                                 std::span<const double> contributions,
+                                 std::uint32_t capacity,
+                                 const util::CancelToken& cancel = {});
 
 }  // namespace tracesel::selection

@@ -8,14 +8,14 @@
 // information gains across several scenario interleavings (weights model
 // how often each scenario runs in the lab). Because the paper's estimator
 // is additive per message within each scenario, the weighted objective is
-// additive too, and the exact optimum is again a knapsack.
+// additive too: Steps 2 and 3 are MessageSelector's own
+// knapsack_combination and pack_leftover over a weighted contribution
+// vector.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "selection/combination.hpp"
-#include "selection/info_gain.hpp"
 #include "selection/packing.hpp"
 #include "selection/selector.hpp"
 
@@ -53,11 +53,14 @@ class MultiScenarioSelector {
                         std::vector<WeightedScenario> scenarios);
 
   /// Exact knapsack over the weighted aggregate gain, then greedy subgroup
-  /// packing with the same objective. Honours config.buffer_width and
-  /// config.packing.
+  /// packing with the same objective. Ties go as in MessageSelector: the
+  /// highest gain, then the narrower set, then the lexicographically
+  /// smallest. Honours config.buffer_width and config.packing; throws
+  /// std::runtime_error when no message fits.
   MultiScenarioResult select(const SelectorConfig& config) const;
 
-  /// Weighted aggregate contribution of one message.
+  /// Weighted aggregate contribution of one message: the weight times the
+  /// message's contribution, summed over the scenarios in input order.
   double contribution(flow::MessageId m) const;
 
   const std::vector<flow::MessageId>& candidates() const {
@@ -67,8 +70,8 @@ class MultiScenarioSelector {
  private:
   const flow::MessageCatalog* catalog_;
   std::vector<WeightedScenario> scenarios_;
-  std::vector<std::unique_ptr<InfoGainEngine>> engines_;
   std::vector<flow::MessageId> candidates_;  ///< union of alphabets
+  std::vector<double> contributions_;        ///< contribution(), by id
 };
 
 }  // namespace tracesel::selection

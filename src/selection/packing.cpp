@@ -15,66 +15,53 @@ std::vector<flow::MessageId> observable_messages(
 }
 
 PackingResult pack_leftover(const flow::MessageCatalog& catalog,
-                            const InfoGainEngine& engine,
+                            std::span<const double> contributions,
                             const Combination& base,
                             std::uint32_t buffer_width,
                             const std::vector<flow::MessageId>& candidates) {
   if (base.width > buffer_width)
     throw std::invalid_argument("pack_leftover: base exceeds buffer width");
+  const auto contribution = [&](flow::MessageId m) {
+    return m < contributions.size() ? contributions[m] : 0.0;
+  };
 
   PackingResult result;
   std::uint32_t leftover = buffer_width - base.width;
   std::vector<flow::MessageId> observable = base.messages;
-  double current_gain = engine.info_gain(observable);
+  double current_gain = 0.0;
+  for (const flow::MessageId m : observable) current_gain += contribution(m);
 
-  // Candidate pool: every subgroup of a candidate message whose parent is
-  // not yet observable.
-  struct Candidate {
-    flow::MessageId parent;
-    const flow::Subgroup* sg;
-  };
-  auto collect = [&] {
-    std::vector<Candidate> pool;
-    for (flow::MessageId m : candidates) {
+  for (;;) {
+    // Every subgroup that fits, of a candidate not yet observable, is a
+    // trial; its union gain extends the running sum by its parent's
+    // contribution. Pick the highest; break ties toward the narrower
+    // subgroup (leaves room for more packing).
+    flow::MessageId best_parent = flow::kInvalidMessage;
+    const flow::Subgroup* best = nullptr;
+    double best_gain = current_gain;
+    for (const flow::MessageId m : candidates) {
       if (std::find(observable.begin(), observable.end(), m) !=
           observable.end())
         continue;
+      const double g = current_gain + contribution(m);
       for (const flow::Subgroup& sg : catalog.get(m).subgroups) {
-        if (sg.width <= leftover) pool.push_back(Candidate{m, &sg});
-      }
-    }
-    return pool;
-  };
-
-  for (;;) {
-    const auto pool = collect();
-    if (pool.empty()) break;
-
-    // Pick the candidate maximizing gain of the union; break ties toward
-    // the narrower subgroup (leaves room for more packing).
-    const Candidate* best = nullptr;
-    double best_gain = current_gain;
-    for (const Candidate& c : pool) {
-      std::vector<flow::MessageId> trial = observable;
-      trial.push_back(c.parent);
-      const double g = engine.info_gain(trial);
-      const bool better =
-          g > best_gain ||
-          (best != nullptr && g == best_gain && c.sg->width < best->sg->width);
-      if (better) {
-        best = &c;
-        best_gain = g;
+        if (sg.width > leftover) continue;
+        if (g > best_gain ||
+            (best != nullptr && g == best_gain && sg.width < best->width)) {
+          best_parent = m;
+          best = &sg;
+          best_gain = g;
+        }
       }
     }
     // Stop once no subgroup strictly improves the gain: observing nothing
     // new is not worth trace bits.
     if (best == nullptr) break;
 
-    result.packed.push_back(
-        PackedGroup{best->parent, best->sg->name, best->sg->width});
-    result.width_added += best->sg->width;
-    leftover -= best->sg->width;
-    observable.push_back(best->parent);
+    result.packed.push_back(PackedGroup{best_parent, best->name, best->width});
+    result.width_added += best->width;
+    leftover -= best->width;
+    observable.push_back(best_parent);
     current_gain = best_gain;
   }
 

@@ -12,11 +12,11 @@
 // until nothing fits, exactly the iteration the paper describes.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "selection/combination.hpp"
-#include "selection/info_gain.hpp"
 
 namespace tracesel::selection {
 
@@ -41,10 +41,14 @@ struct PackingResult {
 /// participating flows' alphabet — pass MessageSelector::candidates()) are
 /// considered, and only while each addition strictly increases the
 /// information gain; tracing bits that observe nothing is worse than
-/// leaving them free. Throws std::invalid_argument if the base already
-/// exceeds the buffer.
+/// leaving them free. A set's gain is the sum of its `contributions`
+/// (indexed by MessageId, 0.0 past the end) in observation order — base
+/// messages first, then packed parents — the summation
+/// InfoGainEngine::info_gain runs, so gain_after has the same bits.
+/// Ties go to the narrower subgroup, then to the earlier candidate.
+/// Throws std::invalid_argument if the base already exceeds the buffer.
 PackingResult pack_leftover(const flow::MessageCatalog& catalog,
-                            const InfoGainEngine& engine,
+                            std::span<const double> contributions,
                             const Combination& base,
                             std::uint32_t buffer_width,
                             const std::vector<flow::MessageId>& candidates);

@@ -67,63 +67,12 @@ Combination MessageSelector::search_exhaustive(const SelectorConfig& config,
   return best ? *best : Combination{};  // empty: cancelled before scoring
 }
 
-Combination MessageSelector::search_greedy(const SelectorConfig& config) const {
-  OBS_SPAN("selection.search.greedy");
-  Combination current;
-  for (;;) {
-    // Cooperative cancel between ascent steps: the combination built so
-    // far is a valid (partial) greedy result.
-    if (config.cancel.cancelled()) break;
-    const flow::MessageId* best = nullptr;
-    double best_gain = -1.0;
-    std::uint32_t best_width = 0;
-    for (const flow::MessageId& m : candidates_) {
-      if (std::find(current.messages.begin(), current.messages.end(), m) !=
-          current.messages.end())
-        continue;
-      const std::uint32_t w = catalog_->get(m).trace_width();
-      if (current.width + w > config.buffer_width) continue;
-      std::vector<flow::MessageId> trial = current.messages;
-      trial.push_back(m);
-      const double g = engine_.info_gain(trial);
-      if (best == nullptr || g > best_gain ||
-          (g == best_gain && w < best_width)) {
-        best = &m;
-        best_gain = g;
-        best_width = w;
-      }
-    }
-    if (best == nullptr) break;
-    current.messages.push_back(*best);
-    current.width += catalog_->get(*best).trace_width();
-  }
-  if (current.messages.empty()) {
-    if (config.cancel.cancelled()) return current;  // empty partial
-    throw std::runtime_error(
-        "MessageSelector: no message fits the trace buffer");
-  }
-  std::sort(current.messages.begin(), current.messages.end());
-  return current;
-}
-
 Combination MessageSelector::search_knapsack(
     const SelectorConfig& config) const {
   OBS_SPAN("selection.search.knapsack");
-  std::vector<std::uint32_t> widths;
-  std::vector<double> gains;
-  for (const flow::MessageId m : candidates_) {
-    widths.push_back(catalog_->get(m).trace_width());
-    gains.push_back(engine_.message_contribution(m));
-  }
-  // Candidates are sorted, so ascending indices give sorted messages and
-  // the gains add up in info_gain's order.
-  Combination best;
-  for (const std::size_t i : knapsack_optimum(widths, gains,
-                                              config.buffer_width,
-                                              config.cancel)) {
-    best.messages.push_back(candidates_[i]);
-    best.width += widths[i];
-  }
+  Combination best =
+      knapsack_combination(*catalog_, candidates_, engine_.contributions(),
+                           config.buffer_width, config.cancel);
   if (best.messages.empty() && !config.cancel.cancelled())
     throw std::runtime_error(
         "MessageSelector: no message fits the trace buffer");
@@ -145,7 +94,7 @@ SelectionResult MessageSelector::finalize(Combination combination,
   if (config.packing) {
     OBS_SPAN("selection.step3.packing");
     PackingResult packing =
-        pack_leftover(*catalog_, engine_, result.combination,
+        pack_leftover(*catalog_, engine_.contributions(), result.combination,
                       config.buffer_width, candidates_);
     OBS_COUNT("selection.packed", packing.packed.size());
     result.packed = std::move(packing.packed);
@@ -167,9 +116,6 @@ SelectionResult MessageSelector::select(const SelectorConfig& config) const {
       break;
     case SearchMode::kMaximal:
       combination = search_exhaustive(config, /*maximal_only=*/true);
-      break;
-    case SearchMode::kGreedy:
-      combination = search_greedy(config);
       break;
     case SearchMode::kKnapsack:
       combination = search_knapsack(config);
@@ -211,6 +157,8 @@ SelectionResult MessageSelector::select_with_flow_constraint(
     }
     return false;
   };
+  // Nothing dark: the search's own result stands (Step 3 runs once).
+  if (std::all_of(flows.begin(), flows.end(), represented)) return result;
 
   for (const flow::Flow* f : flows) {
     if (represented(f)) continue;
@@ -238,7 +186,6 @@ SelectionResult MessageSelector::select_with_flow_constraint(
     // observable message, until the newcomer fits.
     // (Packed subgroups are dropped first: they are the cheapest evidence.)
     result.packed.clear();
-    result.used_width = result.combination.width;
     while (config.buffer_width - result.combination.width < need) {
       const auto obs = result.observable();
       flow::MessageId victim = flow::kInvalidMessage;
@@ -267,33 +214,19 @@ SelectionResult MessageSelector::select_with_flow_constraint(
           std::find(result.combination.messages.begin(),
                     result.combination.messages.end(), victim));
       result.combination.width -= catalog_->get(victim).trace_width();
-      result.used_width = result.combination.width;
     }
     result.combination.messages.push_back(*best);
     result.combination.width += need;
-    result.used_width = result.combination.width;
     std::sort(result.combination.messages.begin(),
               result.combination.messages.end());
   }
 
-  // Re-run Step 3 over the repaired combination and refresh the metrics.
-  result.gain_unpacked =
-      engine_.info_gain(result.combination.messages);
-  result.coverage_unpacked =
-      flow_spec_coverage(stats_, result.combination.messages);
-  if (config.packing) {
-    PackingResult packing =
-        pack_leftover(*catalog_, engine_, result.combination,
-                      config.buffer_width, candidates_);
-    result.packed = std::move(packing.packed);
-    result.used_width = result.combination.width + packing.width_added;
-    result.gain = packing.gain_after;
-  } else {
-    result.packed.clear();
-    result.gain = result.gain_unpacked;
-  }
-  result.coverage = flow_spec_coverage(stats_, result.observable());
-  return result;
+  // Re-run Step 3 over the repaired combination and refresh the metrics;
+  // the interruption flags stay those of the search.
+  SelectionResult repaired = finalize(std::move(result.combination), config);
+  repaired.partial = result.partial;
+  repaired.explored_fraction = result.explored_fraction;
+  return repaired;
 }
 
 }  // namespace tracesel::selection

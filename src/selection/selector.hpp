@@ -14,23 +14,21 @@
 
 namespace tracesel::selection {
 
-/// How Step 1/2 search the combination space.
+/// How Step 1/2 search the combination space. The values are part of
+/// JobRequest::canonical_hash, so they are fixed; 2 was a greedy ascent.
 enum class SearchMode {
   /// Score every fitting combination (paper Sec. 3.1-3.2). Exponential;
   /// the reference the knapsack DP is tested against.
-  kExhaustive,
+  kExhaustive = 0,
   /// Score only maximal fitting combinations. Finds the optimal gain (the
   /// estimator is monotone under adding messages) but, when a message adds
   /// nothing, not the narrower tie exhaustive picks. Exponential.
-  kMaximal,
-  /// Greedy marginal-gain ascent; near-linear, for very large message sets
-  /// (the scalability objective of Sec. 1).
-  kGreedy,
+  kMaximal = 1,
   /// Exact 0/1-knapsack dynamic program over (width, gain). Because the
   /// paper's gain estimator decomposes additively per message, this finds
   /// the true Step 2 optimum in O(messages x buffer_width): the same
   /// combination, width and gain bits as kExhaustive. Default.
-  kKnapsack,
+  kKnapsack = 3,
 };
 
 /// The single options struct for the whole selection pipeline. Every entry
@@ -122,7 +120,6 @@ class MessageSelector {
 
   Combination search_exhaustive(const SelectorConfig& config,
                                 bool maximal_only) const;
-  Combination search_greedy(const SelectorConfig& config) const;
   Combination search_knapsack(const SelectorConfig& config) const;
 
   const flow::MessageCatalog* catalog_;

@@ -64,7 +64,6 @@ std::string_view to_string(selection::SearchMode mode) {
   switch (mode) {
     case selection::SearchMode::kExhaustive: return "exhaustive";
     case selection::SearchMode::kMaximal: return "maximal";
-    case selection::SearchMode::kGreedy: return "greedy";
     case selection::SearchMode::kKnapsack: return "knapsack";
   }
   return "maximal";
@@ -73,12 +72,11 @@ std::string_view to_string(selection::SearchMode mode) {
 util::Result<selection::SearchMode> parse_search_mode(std::string_view name) {
   if (name == "exhaustive") return selection::SearchMode::kExhaustive;
   if (name == "maximal") return selection::SearchMode::kMaximal;
-  if (name == "greedy") return selection::SearchMode::kGreedy;
   if (name == "knapsack") return selection::SearchMode::kKnapsack;
   return util::Result<selection::SearchMode>::err(
       util::ErrorCode::kInvalidArgument,
       "unknown search mode '" + std::string(name) +
-          "' (expected exhaustive|maximal|greedy|knapsack)");
+          "' (expected exhaustive|maximal|knapsack)");
 }
 
 std::string serialize_job_request(const JobRequest& req) {

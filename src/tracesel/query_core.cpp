@@ -21,6 +21,36 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// The spec a request names, read once: the text to compile (inline text
+/// or the spec file's bytes) or a builtin design, and the FNV-1a hash of
+/// exactly that content, so a cache key always matches the bytes that
+/// were actually compiled.
+struct ResolvedSpec {
+  std::string text;
+  std::string builtin;  ///< "t2", "usb" or empty
+  std::uint64_t hash = 0;
+};
+
+util::Result<ResolvedSpec> resolve_spec(const JobRequest& req) {
+  ResolvedSpec out;
+  if (!req.spec_text.empty()) {
+    out.text = req.spec_text;
+  } else if (req.spec == "t2" || req.spec == "usb") {
+    out.builtin = req.spec;
+  } else if (req.spec.empty()) {
+    return util::Result<ResolvedSpec>::err(
+        util::ErrorCode::kInvalidArgument,
+        "job request names no spec (set spec or spec_text)");
+  } else {
+    auto bytes = util::read_file_capped(req.spec, kMaxSpecBytes);
+    if (!bytes.ok()) return bytes.error();
+    out.text = std::move(bytes).value();
+  }
+  out.hash = out.builtin.empty() ? util::fnv1a64(out.text)
+                                 : util::fnv1a64("builtin:" + out.builtin);
+  return out;
+}
+
 }  // namespace
 
 std::unique_ptr<Workload> QueryCore::workload_from_spec(flow::ParsedSpec spec) {
@@ -68,16 +98,9 @@ void QueryCore::interleave(Workload& w, std::uint32_t instances,
 }
 
 util::Result<std::uint64_t> QueryCore::source_hash(const JobRequest& req) {
-  if (!req.spec_text.empty()) return util::fnv1a64(req.spec_text);
-  if (req.spec == "t2") return util::fnv1a64("builtin:t2");
-  if (req.spec == "usb") return util::fnv1a64("builtin:usb");
-  if (req.spec.empty())
-    return util::Result<std::uint64_t>::err(
-        util::ErrorCode::kInvalidArgument,
-        "job request names no spec (set spec or spec_text)");
-  auto bytes = util::read_file_capped(req.spec, kMaxSpecBytes);
-  if (!bytes.ok()) return bytes.error();
-  return util::fnv1a64(bytes.value());
+  auto spec = resolve_spec(req);
+  if (!spec.ok()) return spec.error();
+  return spec.value().hash;
 }
 
 std::uint64_t QueryCore::workload_key(const JobRequest& req,
@@ -86,37 +109,6 @@ std::uint64_t QueryCore::workload_key(const JobRequest& req,
   fnv_mix(h, source_hash);
   fnv_mix(h, req.instances);
   return h;
-}
-
-std::unique_ptr<Workload> QueryCore::build_workload(const JobRequest& req,
-                                                    util::CancelToken cancel) {
-  std::unique_ptr<Workload> w;
-  std::uint64_t hash = 0;
-  if (!req.spec_text.empty()) {
-    w = workload_from_spec(flow::parse_flow_spec(req.spec_text));
-    hash = util::fnv1a64(req.spec_text);
-  } else if (req.spec == "t2") {
-    w = workload_t2();
-    hash = util::fnv1a64("builtin:t2");
-  } else if (req.spec == "usb") {
-    w = workload_usb();
-    hash = util::fnv1a64("builtin:usb");
-  } else if (!req.spec.empty()) {
-    // One read serves both the parse and the content hash, so the cache
-    // key always matches the bytes that were actually compiled.
-    auto bytes = util::read_file_capped(req.spec, kMaxSpecBytes);
-    if (!bytes.ok()) throw std::runtime_error(bytes.error().message);
-    hash = util::fnv1a64(bytes.value());
-    flow::ParsedSpec spec = flow::parse_flow_spec(bytes.value());
-    w = workload_from_spec(std::move(spec));
-  } else {
-    throw std::invalid_argument(
-        "job request names no spec (set spec or spec_text)");
-  }
-  w->source_hash = hash;
-
-  interleave(*w, req.instances, cancel);
-  return w;
 }
 
 selection::SelectionResult QueryCore::select(
@@ -140,16 +132,23 @@ selection::SelectionResult QueryCore::select(const Workload& w,
 util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
                                                 ArtifactStore* store,
                                                 util::CancelToken cancel) {
-  auto src = source_hash(req);
-  if (!src.ok()) return src.error();
+  const auto resolved = resolve_spec(req);
+  if (!resolved.ok()) return resolved.error();
+  const ResolvedSpec& spec = resolved.value();
 
   Outcome out;
   auto build_shared = [&]() -> std::shared_ptr<const Workload> {
-    return std::shared_ptr<const Workload>(build_workload(req, cancel));
+    std::unique_ptr<Workload> w;
+    if (spec.builtin == "t2") w = workload_t2();
+    else if (spec.builtin == "usb") w = workload_usb();
+    else w = workload_from_spec(flow::parse_flow_spec(spec.text));
+    w->source_hash = spec.hash;
+    interleave(*w, req.instances, cancel);
+    return w;
   };
   out.workload = store == nullptr
                      ? build_shared()
-                     : store->workload(workload_key(req, src.value()),
+                     : store->workload(workload_key(req, spec.hash),
                                        build_shared, &out.workload_cache_hit);
   out.result = std::make_shared<selection::SelectionResult>(
       select(*out.workload, req, cancel));

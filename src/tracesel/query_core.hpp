@@ -90,11 +90,6 @@ class QueryCore {
   static std::uint64_t workload_key(const JobRequest& req,
                                     std::uint64_t source_hash);
 
-  /// Resolves and interleaves the request's workload from scratch.
-  /// Parse/engine failures throw.
-  static std::unique_ptr<Workload> build_workload(const JobRequest& req,
-                                                  util::CancelToken cancel);
-
   /// Step 1-3 over an existing workload. The low-level entry point the CLI
   /// and the request path share: honours every SelectorConfig field
   /// (including cancel) and picks the plain or the flow-constraint path.

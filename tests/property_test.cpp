@@ -315,20 +315,47 @@ TEST_P(PropertyTest, SelectorRespectsBudgetAndObservableSuperset) {
 }
 
 TEST_P(PropertyTest, GreedyNeverBeatsExhaustive) {
+  // A greedy ascent (the search-mode ablation's baseline: take the fitting
+  // message with the highest contribution, the narrower on a tie, until
+  // none fits) builds a fitting set; the exhaustive optimum is at least as
+  // good.
   const auto sys = make_random_system(GetParam());
   const auto u = interleave(sys, 1);
   const selection::MessageSelector selector(sys.catalog, u);
-  selection::SelectorConfig ex, gr;
-  ex.buffer_width = gr.buffer_width = 16;
-  ex.mode = selection::SearchMode::kExhaustive;
-  gr.mode = selection::SearchMode::kGreedy;
-  ex.packing = gr.packing = false;
-  try {
-    EXPECT_GE(selector.select(ex).gain, selector.select(gr).gain - 1e-12);
-  } catch (const std::runtime_error&) {
-    // nothing fits: both must agree on that too.
-    EXPECT_THROW(selector.select(gr), std::runtime_error);
+  constexpr std::uint32_t kBudget = 16;
+  std::vector<MessageId> greedy;
+  std::uint32_t used = 0;
+  for (;;) {
+    std::optional<MessageId> best;
+    for (const MessageId m : selector.candidates()) {
+      const std::uint32_t w = sys.catalog.get(m).trace_width();
+      if (used + w > kBudget ||
+          std::find(greedy.begin(), greedy.end(), m) != greedy.end())
+        continue;
+      const double g = selector.engine().message_contribution(m);
+      const double b =
+          best ? selector.engine().message_contribution(*best) : -1.0;
+      if (!best || g > b ||
+          (g == b && w < sys.catalog.get(*best).trace_width()))
+        best = m;
+    }
+    if (!best) break;
+    greedy.push_back(*best);
+    used += sys.catalog.get(*best).trace_width();
   }
+  std::sort(greedy.begin(), greedy.end());
+
+  selection::SelectorConfig ex;
+  ex.buffer_width = kBudget;
+  ex.mode = selection::SearchMode::kExhaustive;
+  ex.packing = false;
+  if (greedy.empty()) {
+    // nothing fits: the exhaustive search must say so too.
+    EXPECT_THROW(selector.select(ex), std::runtime_error);
+    return;
+  }
+  EXPECT_GE(selector.select(ex).gain,
+            selector.engine().info_gain(greedy) - 1e-12);
 }
 
 TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProduct) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "debug/serialize.hpp"
 #include "selection/selector.hpp"
 #include "soc/scenario.hpp"
+#include "util/atomic_file.hpp"
+#include "util/obs.hpp"
 
 namespace tracesel::selection {
 namespace {
@@ -56,6 +62,18 @@ TEST_F(FlowConstraintTest, NoRepairWhenAlreadyRepresented) {
   EXPECT_DOUBLE_EQ(plain.gain, constrained.gain);
 }
 
+TEST_F(FlowConstraintTest, NoRepairRunsStepsTwoAndThreeOnce) {
+  // With every flow already represented the search's result is returned
+  // as is: one winner evaluation and one Step 3 run in the counters.
+  obs::set_enabled(true);
+  obs::reset();
+  const auto r = selector_.select_with_flow_constraint(SelectorConfig{});
+  EXPECT_EQ(obs::registry().counter_value("selection.gain.evals"), 1u);
+  EXPECT_EQ(obs::registry().counter_value("selection.packed"),
+            r.packed.size());
+  obs::set_enabled(false);
+}
+
 TEST_F(FlowConstraintTest, RepairCostsGainButBuysRepresentation) {
   SelectorConfig cfg;
   cfg.buffer_width = 12;
@@ -82,6 +100,49 @@ TEST_F(FlowConstraintTest, WidthStaysWithinBudgetAcrossSweep) {
     EXPECT_LE(r.used_width, width) << width;
     for (const char* name : {"PIOR", "PIOW", "Mon"})
       EXPECT_TRUE(flow_represented(name, r)) << name << " @" << width;
+  }
+}
+
+/// The flow-constrained selection of one T2 scenario at widths
+/// {8, 12, 16, 32}, with and without packing, as one JSON document: each
+/// run's report, or the error it throws.
+std::string flow_constraint_reports(int scenario) {
+  const soc::T2Design design;
+  const MessageSelector selector(
+      design.catalog(),
+      flow::ProductStats::build(soc::scenario_instances(
+          design, soc::scenario_by_id(scenario))));
+  util::Json runs = util::Json::array();
+  for (const std::uint32_t width : {8u, 12u, 16u, 32u}) {
+    for (const bool packing : {true, false}) {
+      SelectorConfig cfg;
+      cfg.buffer_width = width;
+      cfg.packing = packing;
+      util::Json run = util::Json::object();
+      run.set("buffer", util::Json::number(std::uint64_t{width}));
+      run.set("packing", util::Json::boolean(packing));
+      try {
+        run.set("report", to_json(design.catalog(),
+                                  selector.select_with_flow_constraint(cfg)));
+      } catch (const std::runtime_error& e) {
+        run.set("error", util::Json::string(e.what()));
+      }
+      runs.push_back(std::move(run));
+    }
+  }
+  return runs.dump(2) + "\n";
+}
+
+TEST(FlowConstraintGolden, T2ScenariosMatchTheCommittedReports) {
+  // Every repaired selection (and every repair that cannot be made), byte
+  // for byte, against the committed references.
+  for (int scenario = 1; scenario <= 4; ++scenario) {
+    const std::string path = std::string(TRACESEL_GOLDEN_DIR) +
+                             "/select-flow-constraint-s" +
+                             std::to_string(scenario) + ".json";
+    const auto golden = util::read_file_capped(path, 1u << 20);
+    ASSERT_TRUE(golden.ok()) << golden.error().to_string();
+    EXPECT_EQ(flow_constraint_reports(scenario), golden.value()) << path;
   }
 }
 

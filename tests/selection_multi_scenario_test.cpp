@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "selection/selector.hpp"
 #include "soc/scenario.hpp"
 
@@ -32,17 +35,57 @@ class MultiScenarioTest : public ::testing::Test {
 };
 
 TEST_F(MultiScenarioTest, SingleScenarioMatchesKnapsackSelector) {
-  // With one scenario of weight 1 the multi-scenario optimum equals the
-  // single-scenario knapsack optimum.
-  const MultiScenarioSelector multi(design_.catalog(), {{&s1_, 1.0}});
-  const auto shared = multi.select(buffer(32, false));
+  // With one scenario of weight 1 the multi-scenario selection is the
+  // single-scenario knapsack selection: the same combination and packed
+  // groups, and the same gain and coverage bits.
+  for (int id = 1; id <= 4; ++id) {
+    const flow::ProductStats s = stats(soc::scenario_by_id(id));
+    const MultiScenarioSelector multi(design_.catalog(), {{&s, 1.0}});
+    const MessageSelector single(design_.catalog(), s);
+    for (const std::uint32_t width : {8u, 16u, 32u, 64u, 512u}) {
+      for (const bool packing : {true, false}) {
+        SCOPED_TRACE("scenario " + std::to_string(id) + " @" +
+                     std::to_string(width) + (packing ? " packed" : ""));
+        const auto shared = multi.select(buffer(width, packing));
+        const auto alone = single.select(buffer(width, packing));
+        EXPECT_EQ(shared.combination.messages, alone.combination.messages);
+        EXPECT_EQ(shared.combination.width, alone.combination.width);
+        EXPECT_EQ(shared.packed, alone.packed);
+        EXPECT_EQ(shared.used_width, alone.used_width);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(shared.weighted_gain),
+                  std::bit_cast<std::uint64_t>(alone.gain));
+        ASSERT_EQ(shared.per_scenario_coverage.size(), 1u);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(shared.per_scenario_coverage[0]),
+                  std::bit_cast<std::uint64_t>(alone.coverage));
+      }
+    }
+  }
+}
 
-  const MessageSelector single(design_.catalog(), s1_);
-  SelectorConfig cfg;
-  cfg.mode = SearchMode::kKnapsack;
-  cfg.packing = false;
-  const auto alone = single.select(cfg);
-  EXPECT_EQ(shared.combination.messages, alone.combination.messages);
+TEST_F(MultiScenarioTest, BufferWiderThanEveryCandidateIsTheirSum) {
+  // No set is wider than all candidates together, so any wider buffer,
+  // up to the largest width the config holds, selects exactly what a
+  // buffer of that sum does (and sizes nothing by the buffer).
+  const MultiScenarioSelector multi(design_.catalog(),
+                                    {{&s1_, 1.0}, {&s2_, 2.0}, {&s3_, 0.5}});
+  std::uint32_t sum = 0;
+  for (const flow::MessageId m : multi.candidates())
+    sum += design_.catalog().get(m).trace_width();
+  for (const bool packing : {true, false}) {
+    const auto at_sum = multi.select(buffer(sum, packing));
+    for (const std::uint32_t width : {1'000'000'000u, 0xFFFF'FFFFu}) {
+      SCOPED_TRACE(std::to_string(width) + (packing ? " packed" : ""));
+      const auto wide = multi.select(buffer(width, packing));
+      EXPECT_EQ(wide.buffer_width, width);
+      EXPECT_EQ(wide.combination.messages, at_sum.combination.messages);
+      EXPECT_EQ(wide.combination.width, at_sum.combination.width);
+      EXPECT_EQ(wide.packed, at_sum.packed);
+      EXPECT_EQ(wide.used_width, at_sum.used_width);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(wide.weighted_gain),
+                std::bit_cast<std::uint64_t>(at_sum.weighted_gain));
+      EXPECT_EQ(wide.per_scenario_coverage, at_sum.per_scenario_coverage);
+    }
+  }
 }
 
 TEST_F(MultiScenarioTest, CandidatesAreUnionOfAlphabets) {

@@ -44,8 +44,8 @@ TEST(Packing, AddsFittingSubgroupOfUnselectedWideMessage) {
   PackingFixture fx;
   const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
-  const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/7,
-                                 {fx.a, fx.b, fx.wide});
+  const auto r = pack_leftover(fx.catalog, engine.contributions(), base,
+                               /*buffer=*/7, {fx.a, fx.b, fx.wide});
   ASSERT_EQ(r.packed.size(), 1u);
   EXPECT_EQ(r.packed[0].parent, fx.wide);
   EXPECT_EQ(r.packed[0].subgroup_name, "tag");  // 3 fits, 6 does not
@@ -58,8 +58,8 @@ TEST(Packing, PrefersWiderLeftoverForBiggerSubgroupTieBreak) {
   PackingFixture fx;
   const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
-  const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/10,
-                                 {fx.a, fx.b, fx.wide});
+  const auto r = pack_leftover(fx.catalog, engine.contributions(), base,
+                               /*buffer=*/10, {fx.a, fx.b, fx.wide});
   ASSERT_EQ(r.packed.size(), 1u);
   EXPECT_EQ(r.packed[0].width, 3u);
 }
@@ -68,8 +68,8 @@ TEST(Packing, NothingFitsLeavesBaseUntouched) {
   PackingFixture fx;
   const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
-  const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/5,
-                                 {fx.a, fx.b, fx.wide});
+  const auto r = pack_leftover(fx.catalog, engine.contributions(), base,
+                               /*buffer=*/5, {fx.a, fx.b, fx.wide});
   EXPECT_TRUE(r.packed.empty());
   EXPECT_EQ(r.width_added, 0u);
   EXPECT_DOUBLE_EQ(r.gain_after, engine.info_gain(base.messages));
@@ -80,8 +80,8 @@ TEST(Packing, PackingNeverDecreasesGain) {
   const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
   for (std::uint32_t buffer : {4u, 5u, 7u, 10u, 32u}) {
-    const auto r = pack_leftover(fx.catalog, engine, base, buffer,
-                                 {fx.a, fx.b, fx.wide});
+    const auto r = pack_leftover(fx.catalog, engine.contributions(), base,
+                                 buffer, {fx.a, fx.b, fx.wide});
     EXPECT_GE(r.gain_after, engine.info_gain(base.messages)) << buffer;
   }
 }
@@ -91,8 +91,8 @@ TEST(Packing, ParentAlreadyObservableIsSkipped) {
   const InfoGainEngine engine(fx.stats);
   // Base already contains `wide`; its subgroups must not be re-packed.
   const Combination base{{fx.a, fx.b, fx.wide}, 24};
-  const auto r = pack_leftover(fx.catalog, engine, base, /*buffer=*/32,
-                                 {fx.a, fx.b, fx.wide});
+  const auto r = pack_leftover(fx.catalog, engine.contributions(), base,
+                               /*buffer=*/32, {fx.a, fx.b, fx.wide});
   EXPECT_TRUE(r.packed.empty());
 }
 
@@ -100,8 +100,8 @@ TEST(Packing, ThrowsWhenBaseExceedsBuffer) {
   PackingFixture fx;
   const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
-  EXPECT_THROW(pack_leftover(fx.catalog, engine, base, 3,
-                                 {fx.a, fx.b, fx.wide}),
+  EXPECT_THROW(pack_leftover(fx.catalog, engine.contributions(), base,
+                             3, {fx.a, fx.b, fx.wide}),
                std::invalid_argument);
 }
 
@@ -117,8 +117,8 @@ TEST(Packing, PackedSubgroupRaisesCoverage) {
   PackingFixture fx;
   const InfoGainEngine engine(fx.stats);
   const Combination base{{fx.a, fx.b}, 4};
-  const auto r = pack_leftover(fx.catalog, engine, base, 7,
-                                 {fx.a, fx.b, fx.wide});
+  const auto r = pack_leftover(fx.catalog, engine.contributions(), base,
+                               7, {fx.a, fx.b, fx.wide});
   const auto obs = observable_messages(base, r.packed);
   EXPECT_GT(flow_spec_coverage(fx.stats, obs),
             flow_spec_coverage(fx.stats, base.messages));

@@ -44,9 +44,8 @@ TEST(ResilienceTest, PreCancelledTokenYieldsEmptyPartialResult) {
   CoherenceFixture fx;
   const auto u = fx.two_instance_interleaving();
   const MessageSelector selector(fx.catalog, u);
-  for (const SearchMode mode :
-       {SearchMode::kMaximal, SearchMode::kExhaustive, SearchMode::kGreedy,
-        SearchMode::kKnapsack}) {
+  for (const SearchMode mode : {SearchMode::kMaximal, SearchMode::kExhaustive,
+                                SearchMode::kKnapsack}) {
     SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
     SelectorConfig cfg;
     cfg.buffer_width = 2;

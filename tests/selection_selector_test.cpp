@@ -43,9 +43,8 @@ TEST_F(SelectorTest, CandidatesAreTheFlowAlphabet) {
 }
 
 TEST_F(SelectorTest, AllSearchModesAgreeOnSmallExample) {
-  for (SearchMode mode :
-       {SearchMode::kExhaustive, SearchMode::kMaximal, SearchMode::kGreedy,
-        SearchMode::kKnapsack}) {
+  for (SearchMode mode : {SearchMode::kExhaustive, SearchMode::kMaximal,
+                          SearchMode::kKnapsack}) {
     SelectorConfig cfg;
     cfg.buffer_width = 2;
     cfg.packing = false;
@@ -118,36 +117,6 @@ TEST(SelectorPacking, PackingImprovesUtilizationWhenSubgroupFits) {
   ASSERT_EQ(wp.packed.size(), 1u);
   EXPECT_EQ(wp.packed[0].subgroup_name, "cputhreadid");
   EXPECT_EQ(wp.used_width, 10u);
-}
-
-TEST(SelectorGreedy, GreedyMatchesExhaustiveOnModularFlow) {
-  // Independent parallel flows make the gain function modular, where greedy
-  // is provably optimal; check agreement.
-  MessageCatalog cat;
-  std::vector<MessageId> ms;
-  std::vector<flow::Flow> flows;
-  for (int i = 0; i < 3; ++i) {
-    const MessageId m =
-        cat.add("m" + std::to_string(i), static_cast<std::uint32_t>(i + 1),
-                "X", "Y");
-    ms.push_back(m);
-    FlowBuilder fb("f" + std::to_string(i));
-    fb.state("s", FlowBuilder::kInitial)
-        .state("t", FlowBuilder::kStop)
-        .transition("s", m, "t");
-    flows.push_back(fb.build(cat));
-  }
-  std::vector<const flow::Flow*> ptrs{&flows[0], &flows[1], &flows[2]};
-  const auto u = flow::InterleavedFlow::build(flow::make_instances(ptrs, 1));
-  const MessageSelector sel(cat, u);
-  for (std::uint32_t width : {1u, 2u, 3u, 4u, 6u}) {
-    SelectorConfig ex, gr;
-    ex.buffer_width = gr.buffer_width = width;
-    ex.mode = SearchMode::kExhaustive;
-    gr.mode = SearchMode::kGreedy;
-    ex.packing = gr.packing = false;
-    EXPECT_DOUBLE_EQ(sel.select(ex).gain, sel.select(gr).gain) << width;
-  }
 }
 
 TEST(SelectorKnapsack, MatchesExhaustiveGainOnRandomWidths) {

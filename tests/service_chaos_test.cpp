@@ -327,6 +327,55 @@ TEST(ServiceChaos, VersionSkewedRecordIsDroppedIndividually) {
   EXPECT_EQ(r.dropped_bytes, 0u);    // nothing torn, nothing truncated
 }
 
+TEST(ServiceChaos, RetiredGreedyModeRecordsAreDroppedAndTheDaemonServes) {
+  // A journal written while `mode greedy` was still a search mode: its
+  // accepted record and its completed record (request and report) no
+  // longer parse. Replay drops both alone, recovers nothing, and a daemon
+  // on the directory serves the same request in a live mode.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  std::filesystem::create_directories(dir);
+  const JobRequest req = fig2_request(2);
+  const std::string expected = reference_report(req);
+  const std::string live = serialize_job_request(req);
+  const auto body = util::decode_envelope(live, "tracesel-job",
+                                          JobRequest::kVersion, "job request");
+  ASSERT_TRUE(body.ok());
+  std::string retired(body.value());
+  const std::size_t at = retired.find("\nmode maximal\n");
+  ASSERT_NE(at, std::string::npos);
+  retired.replace(at, 14, "\nmode greedy\n");
+  const std::string greedy =
+      util::encode_envelope("tracesel-job", JobRequest::kVersion, retired);
+  ASSERT_FALSE(parse_job_request(greedy).ok());
+  std::string result;
+  util::append_block(result, "request", greedy);
+  util::append_block(result, "report", expected);
+  spill(dir + "/jobs.journal",
+        util::encode_frame("tracesel-jrec 1 accepted 1\n" + greedy) +
+            util::encode_frame("tracesel-jrec 1 completed 2 1f\n" + result));
+
+  {
+    JobJournal j;
+    auto rec = j.open(fast_options(dir));
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().dropped_records, 2u);
+    EXPECT_EQ(rec.value().dropped_bytes, 0u);
+    EXPECT_TRUE(rec.value().pending.empty());
+    EXPECT_EQ(rec.value().completed, 0u);
+  }
+
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  Daemon daemon{std::move(opt)};
+  EXPECT_EQ(daemon.server->stats().recovered, 0u);
+  Client client = daemon.connect();
+  const auto out = client.submit(req);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(out.value().status, "ok");
+  EXPECT_EQ(out.value().report_json, expected);
+}
+
 TEST(ServiceChaos, DuplicateCompletedRecordsAreIdempotent) {
   // A crash between the completed append and the in-memory erase can
   // double-log the terminal record on the next life; replay must not care.

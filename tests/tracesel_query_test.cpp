@@ -221,7 +221,7 @@ TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
   c.instances = 3;
   EXPECT_NE(c.canonical_hash(source), base);
   c = a;
-  c.mode = selection::SearchMode::kGreedy;
+  c.mode = selection::SearchMode::kExhaustive;
   EXPECT_NE(c.canonical_hash(source), base);
   c = a;
   c.packing = false;

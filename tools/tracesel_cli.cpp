@@ -4,10 +4,10 @@
 //   tracesel select  <spec.flow> [options]           run message selection
 //       --buffer N       trace buffer width in bits   (default 32)
 //       --instances K    indexed instances per flow   (default 2)
-//       --mode M         knapsack|exhaustive|maximal|greedy (default
-//                        knapsack: the exact Step 2 optimum in
-//                        O(messages x width); exhaustive and maximal are
-//                        the exponential searches, greedy the ablation)
+//       --mode M         knapsack|exhaustive|maximal (default knapsack:
+//                        the exact Step 2 optimum in O(messages x
+//                        width); exhaustive and maximal are the
+//                        exponential searches it is checked against)
 //       --no-packing     disable Step 3
 //       --json           machine-readable output
 //     resilience (docs/resilience.md):
@@ -224,7 +224,7 @@ int usage() {
   std::cerr << "usage:\n"
                "  tracesel inspect <spec.flow>\n"
                "  tracesel select <spec.flow> [--buffer N] [--instances K]"
-               " [--mode knapsack(default)|exhaustive|maximal|greedy]"
+               " [--mode knapsack(default)|exhaustive|maximal]"
                " [--no-packing] [--json]\n"
                "                 [--deadline-ms N]\n"
                "  tracesel serve --socket PATH [--runners N]"
@@ -293,7 +293,8 @@ int cmd_inspect(const std::string& path) {
 /// The --mode value of select and submit, parsed as the wire format does.
 selection::SearchMode search_mode_arg(const std::string& name) {
   auto mode = parse_search_mode(name);
-  if (!mode.ok()) throw std::runtime_error(mode.error().to_string());
+  if (!mode.ok())
+    throw std::runtime_error("--mode: " + mode.error().message);
   return mode.value();
 }
 

@@ -2,7 +2,7 @@
 # Keeps the metric-name documentation honest against the source tree.
 #
 # Two-way check between the instrumentation sites (every OBS_COUNT /
-# OBS_GAUGE_* / OBS_HIST literal under src/ and tools/) and the names
+# OBS_GAUGE_* literal under src/ and tools/) and the names
 # referenced in docs/observability.md, docs/service.md and DESIGN.md:
 #
 #   1. every metric name the docs mention must exist in the source, and
@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 DOCS=(docs/observability.md docs/service.md DESIGN.md)
 
-emitted=$(grep -rhoE 'OBS_(COUNT|GAUGE_MAX|GAUGE_SET|HIST)\("[a-z0-9._]+"' \
+emitted=$(grep -rhoE 'OBS_(COUNT|GAUGE_MAX|GAUGE_SET)\("[a-z0-9._]+"' \
               src tools |
           sed -E 's/.*\("([a-z0-9._]+)".*/\1/' | sort -u)
 [ -n "$emitted" ] || { echo "FAIL: found no OBS_* sites under src/"; exit 1; }
@@ -38,12 +38,13 @@ prefixes='^(flow|parse|interleave|selection|store|session|debug|soc|pool|process
 for name in $doc_names; do
   echo "$name" | grep -qE "$prefixes" || continue
   # Family rows (`svc.`), file paths, derived/service-computed keys and
-  # span mirrors are not OBS_* sites.
+  # span names are not OBS_* sites.
   case "$name" in
     *.) continue ;;
     *.md|*.hpp|*.cpp|*.sh|*.json|*.yml|*.flow) continue ;;
-    span.*|process.*|jobs.*|queue.*|store.*.entries) continue ;;
-    selection.step*|selection.search.*|session.*|flow.parse|\
+    process.*|jobs.*|queue.*|store.*.entries) continue ;;
+    selection.step*|selection.search.*|selection.coverage|report.serialize|\
+    session.*|flow.parse|\
     interleave.stats|interleave.build|interleave.graph|interleave.grid|\
     interleave.consistent_paths|debug.case_study|debug.setup|\
     debug.workbench|debug.select|debug.simulate|debug.trace_buffer|\

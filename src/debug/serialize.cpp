@@ -1,5 +1,7 @@
 #include "debug/serialize.hpp"
 
+#include "util/obs.hpp"
+
 namespace tracesel::selection {
 
 namespace {
@@ -48,6 +50,12 @@ util::Json to_json(const flow::MessageCatalog& catalog,
   obj.set("explored_fraction", util::Json::number(result.explored_fraction));
   obj.set("degradation", util::Json::string(""));
   return obj;
+}
+
+std::string report_text(const flow::MessageCatalog& catalog,
+                        const SelectionResult& result) {
+  OBS_SPAN("report.serialize");
+  return to_json(catalog, result).dump(2);
 }
 
 util::Json to_json(const flow::MessageCatalog& catalog,
@@ -156,6 +164,12 @@ util::Json to_json(const flow::MessageCatalog& catalog,
   capture.set("injected_faults", std::move(injected));
   obj.set("capture", std::move(capture));
   return obj;
+}
+
+std::string report_text(const flow::MessageCatalog& catalog,
+                        const WorkbenchResult& result) {
+  OBS_SPAN("report.serialize");
+  return to_json(catalog, result).dump(2);
 }
 
 }  // namespace tracesel::debug

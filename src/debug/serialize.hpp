@@ -13,6 +13,11 @@ namespace tracesel::selection {
 util::Json to_json(const flow::MessageCatalog& catalog,
                    const SelectionResult& result);
 
+/// to_json(catalog, result).dump(2) inside a report.serialize span: the
+/// bytes `tracesel select --json` prints and traceseld answers with.
+std::string report_text(const flow::MessageCatalog& catalog,
+                        const SelectionResult& result);
+
 /// Adds per-scenario coverage and the weighted gain.
 util::Json to_json(const flow::MessageCatalog& catalog,
                    const MultiScenarioResult& result);
@@ -25,5 +30,10 @@ namespace tracesel::debug {
 /// investigation steps, surviving causes, localization.
 util::Json to_json(const flow::MessageCatalog& catalog,
                    const WorkbenchResult& result);
+
+/// to_json(catalog, result).dump(2) inside a report.serialize span: the
+/// bytes `tracesel debug --json` prints.
+std::string report_text(const flow::MessageCatalog& catalog,
+                        const WorkbenchResult& result);
 
 }  // namespace tracesel::debug

@@ -121,8 +121,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
     const auto delay = recapture_backoff.next();
     result.recapture_delays_ms.push_back(
         static_cast<std::uint64_t>(delay.count()));
-    OBS_HIST("debug.recapture.backoff_ms",
-             static_cast<double>(delay.count()));
+    OBS_COUNT("debug.recapture.backoff_ms", delay.count());
     if (delay.count() > 0) std::this_thread::sleep_for(delay);
   }
   OBS_COUNT("debug.faults.injected", result.fault_stats.total_injected());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/obs.hpp"
+
 namespace tracesel::selection {
 
 std::vector<flow::NodeId> visible_states(
@@ -28,6 +30,7 @@ double flow_spec_coverage(const flow::InterleavedFlow& u,
 
 double flow_spec_coverage(const flow::ProductStats& stats,
                           std::span<const flow::MessageId> selected) {
+  OBS_SPAN("selection.coverage");
   if (stats.num_product_states() == 0) return 0.0;
   return static_cast<double>(stats.covered_states(selected)) /
          static_cast<double>(stats.num_product_states());

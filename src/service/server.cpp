@@ -268,6 +268,7 @@ Server::Admission Server::admit(JobRequest request) {
       out.report_json = std::move(*cached);
       out.cache_hit = true;
       out.status = "ok";
+      return rkey;
     });
     return a;
   }
@@ -412,6 +413,10 @@ void Server::run_job(Job& job) {
   job.cancel.set_timeout_ms(job.request.deadline_ms);
 
   JobOutcome done = execute(job.request, job.id, &job, [&](JobOutcome& out) {
+    // The key of the bytes QueryCore::run compiled, not of the admission's
+    // read: a spec file rewritten in between must not index its report
+    // under the old bytes' key.
+    std::uint64_t key = job.rkey;
     try {
       auto run = QueryCore::run(job.request, &store_, job.cancel);
       if (!run.ok()) {
@@ -419,11 +424,12 @@ void Server::run_job(Job& job) {
         out.error = run.error().to_string();
       } else {
         const QueryCore::Outcome& o = run.value();
+        key = job.request.canonical_hash(o.workload->source_hash);
         out.workload_cache_hit = o.workload_cache_hit;
         // The exact bytes `tracesel select --json` prints, so clients can
         // diff daemon answers against the single-process CLI.
         out.report_json =
-            selection::to_json(*o.workload->catalog, *o.result).dump(2);
+            selection::report_text(*o.workload->catalog, *o.result);
         out.status = !o.result->partial
                          ? "ok"
                          : (job.client_cancelled.load(std::memory_order_relaxed)
@@ -440,6 +446,7 @@ void Server::run_job(Job& job) {
       out.status = "error";
       out.error = e.what();
     }
+    return key;
   });
   {
     std::lock_guard<std::mutex> lk(job.mu);
@@ -449,9 +456,9 @@ void Server::run_job(Job& job) {
   job.cv.notify_all();
 }
 
-JobOutcome Server::execute(const JobRequest& request, std::uint64_t id,
-                           const Job* computed,
-                           const std::function<void(JobOutcome&)>& body) {
+JobOutcome Server::execute(
+    const JobRequest& request, std::uint64_t id, const Job* computed,
+    const std::function<std::uint64_t(JobOutcome&)>& body) {
   // A tracing client stamped its TraceContext into the request: enable
   // the obs layer (one-way — stats-only daemons stay zero-cost) so the
   // job's spans and counter deltas can ride back in the result frame.
@@ -464,13 +471,14 @@ JobOutcome Server::execute(const JobRequest& request, std::uint64_t id,
 
   JobOutcome out;
   out.job_id = id;
+  std::uint64_t rkey = 0;
   {
     // The job span parents under the *client's* submit span (explicit
     // parent: threads serve concurrent jobs with distinct parents, so the
     // process-global context cannot carry it).
     obs::Span job_span("svc.job", request.parent_span_id);
     OBS_COUNT("svc.jobs", 1);
-    body(out);
+    rkey = body(out);
   }
 
   Counters delta =
@@ -511,10 +519,10 @@ JobOutcome Server::execute(const JobRequest& request, std::uint64_t id,
   if (computed) {
     if (out.status == "cancelled")
       wal_.cancelled(id);
-    else if (out.status == "ok" && computed->rkey != 0)
-      wal_.completed(id, computed->rkey, request, out.report_json);
+    else if (out.status == "ok" && rkey != 0)
+      wal_.completed(id, rkey, request, out.report_json);
     else
-      wal_.completed(id, computed->rkey);
+      wal_.completed(id, rkey);
   }
 
   {

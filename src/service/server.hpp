@@ -165,8 +165,10 @@ class Server {
     JobRequest request;
     util::CancelToken cancel = util::CancelToken::make();
     std::atomic<bool> client_cancelled{false};
-    /// Canonical result key (canonical_hash over the resolved source);
-    /// 0 when the source could not be resolved at admission time.
+    /// Canonical result key (canonical_hash over the source as admission
+    /// read it), which resubmissions attach by; 0 when the source could
+    /// not be resolved then. The result is indexed under the key of the
+    /// bytes the runner compiled.
     std::uint64_t rkey = 0;
     /// Replayed from the WAL on restart: no originating connection, so a
     /// watcher disconnect must not cancel it.
@@ -224,13 +226,14 @@ class Server {
   std::shared_ptr<Job> pop_job();
   void run_job(Job& job);
   /// Runs job `id` on this thread (a runner; a connection for a hit, with
-  /// `computed` null): `body` fills the outcome in the svc.job span; then
-  /// come the metrics and traced telemetry, a computed job's WAL terminal
-  /// record and queue-slot release, and the stats, tenant, ring and
+  /// `computed` null): `body` fills the outcome in the svc.job span and
+  /// returns its result key; then come the metrics and traced telemetry, a
+  /// computed job's WAL terminal record (an ok report indexed under that
+  /// key) and queue-slot release, and the stats, tenant, ring and
   /// slow-job accounting.
   JobOutcome execute(const JobRequest& request, std::uint64_t id,
                      const Job* computed,
-                     const std::function<void(JobOutcome&)>& body);
+                     const std::function<std::uint64_t(JobOutcome&)>& body);
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
   void begin_drain();
 

@@ -5,11 +5,10 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cctype>
 #include <charconv>
 #include <chrono>
-#include <fstream>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -30,10 +29,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Hard cap on buffered events per thread: past it spans are dropped (and
-/// counted in the snapshot) instead of growing memory without bound.
+/// reported as metrics_json()'s "spans_dropped") instead of growing memory
+/// without bound.
 constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 20;
-
-constexpr std::uint64_t kNoMin = ~std::uint64_t{0};
 
 std::int64_t clock_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -48,20 +46,11 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-struct HistShard {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> min{kNoMin};
-  std::atomic<std::uint64_t> max{0};
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-};
-
 /// One thread's private metric block. The owner thread is the only writer
 /// of the atomics (relaxed), snapshot readers merge them concurrently;
 /// the event vector is guarded by its own mutex because it reallocates.
 struct ThreadShard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<HistShard, kMaxHistograms> hists{};
   std::mutex events_mu;
   std::vector<TraceEvent> events;
   std::uint64_t events_dropped = 0;  // guarded by events_mu
@@ -73,14 +62,6 @@ struct ThreadShard {
   std::vector<std::uint64_t> span_stack;
 };
 
-struct HistTotals {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = kNoMin;
-  std::uint64_t max = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-};
-
 /// The backing store behind the MetricsRegistry facade. Lock order:
 /// state.mu before any shard's events_mu.
 struct State {
@@ -90,10 +71,8 @@ struct State {
   // lifetime (reset() clears values, never names).
   std::unordered_map<std::string, std::uint32_t> counter_ids;
   std::unordered_map<std::string, std::uint32_t> gauge_ids;
-  std::unordered_map<std::string, std::uint32_t> hist_ids;
   std::vector<std::string> counter_names;
   std::vector<std::string> gauge_names;
-  std::vector<std::string> hist_names;
 
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges{};
 
@@ -102,7 +81,6 @@ struct State {
 
   // Folded-in contributions of exited threads (guarded by mu).
   std::array<std::uint64_t, kMaxCounters> retired_counters{};
-  std::array<HistTotals, kMaxHistograms> retired_hists{};
   std::vector<TraceEvent> retired_events;
   std::uint64_t retired_events_dropped = 0;
 
@@ -139,8 +117,6 @@ struct State {
     std::lock_guard<std::mutex> lk(mu);
     for (std::size_t i = 0; i < kMaxCounters; ++i)
       retired_counters[i] += shard->counters[i].load(std::memory_order_relaxed);
-    for (std::size_t h = 0; h < kMaxHistograms; ++h)
-      merge_hist(retired_hists[h], shard->hists[h]);
     {
       std::lock_guard<std::mutex> elk(shard->events_mu);
       retired_events.insert(retired_events.end(), shard->events.begin(),
@@ -149,15 +125,6 @@ struct State {
     }
     shards.erase(std::find(shards.begin(), shards.end(), shard));
     delete shard;
-  }
-
-  static void merge_hist(HistTotals& into, const HistShard& from) {
-    into.count += from.count.load(std::memory_order_relaxed);
-    into.sum += from.sum.load(std::memory_order_relaxed);
-    into.min = std::min(into.min, from.min.load(std::memory_order_relaxed));
-    into.max = std::max(into.max, from.max.load(std::memory_order_relaxed));
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b)
-      into.buckets[b] += from.buckets[b].load(std::memory_order_relaxed);
   }
 };
 
@@ -209,10 +176,6 @@ void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-std::uint32_t histogram_bucket(std::uint64_t value) {
-  return value == 0 ? 0u : static_cast<std::uint32_t>(std::bit_width(value));
-}
-
 MetricsRegistry& registry() {
   static MetricsRegistry facade;
   state();  // make sure the backing store outlives any first use
@@ -233,13 +196,6 @@ GaugeId MetricsRegistry::gauge(std::string_view name) {
       register_name(s.gauge_ids, s.gauge_names, kMaxGauges, name, "gauge")};
 }
 
-HistogramId MetricsRegistry::histogram(std::string_view name) {
-  State& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return HistogramId{register_name(s.hist_ids, s.hist_names, kMaxHistograms,
-                                   name, "histogram")};
-}
-
 void MetricsRegistry::add(CounterId id, std::uint64_t delta) {
   local_shard().counters[id.index].fetch_add(delta,
                                              std::memory_order_relaxed);
@@ -256,18 +212,6 @@ void MetricsRegistry::set_max(GaugeId id, std::int64_t value) {
          !gauge.compare_exchange_weak(seen, value,
                                       std::memory_order_relaxed)) {
   }
-}
-
-void MetricsRegistry::observe(HistogramId id, std::uint64_t value) {
-  HistShard& h = local_shard().hists[id.index];
-  h.count.fetch_add(1, std::memory_order_relaxed);
-  h.sum.fetch_add(value, std::memory_order_relaxed);
-  // The owner thread is the only writer, so load-compare-store is enough.
-  if (value < h.min.load(std::memory_order_relaxed))
-    h.min.store(value, std::memory_order_relaxed);
-  if (value > h.max.load(std::memory_order_relaxed))
-    h.max.store(value, std::memory_order_relaxed);
-  h.buckets[histogram_bucket(value)].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -288,53 +232,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lk(s.mu);
 
-  std::vector<std::uint64_t> counter_totals(s.counter_names.size(), 0);
-  for (std::size_t i = 0; i < counter_totals.size(); ++i)
-    counter_totals[i] = s.retired_counters[i];
-
-  auto split_of = [&](std::string label,
-                      const auto& value_at) {
-    std::vector<std::pair<std::string, std::uint64_t>> values;
-    for (std::size_t i = 0; i < s.counter_names.size(); ++i) {
-      const std::uint64_t v = value_at(i);
-      if (v != 0) values.emplace_back(s.counter_names[i], v);
-    }
-    if (!values.empty())
-      snap.per_thread_counters.emplace_back(std::move(label),
-                                            std::move(values));
-  };
-
-  for (const ThreadShard* shard : s.shards) {
-    std::string label = "t";
-    label += std::to_string(shard->tid);
-    split_of(std::move(label), [&](std::size_t i) {
-      return shard->counters[i].load(std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < counter_totals.size(); ++i)
-      counter_totals[i] +=
-          shard->counters[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < s.counter_names.size(); ++i) {
+    std::uint64_t total = s.retired_counters[i];
+    for (const ThreadShard* shard : s.shards)
+      total += shard->counters[i].load(std::memory_order_relaxed);
+    snap.counters.emplace_back(s.counter_names[i], total);
   }
-  split_of("retired", [&](std::size_t i) { return s.retired_counters[i]; });
-
-  for (std::size_t i = 0; i < s.counter_names.size(); ++i)
-    snap.counters.emplace_back(s.counter_names[i], counter_totals[i]);
   for (std::size_t i = 0; i < s.gauge_names.size(); ++i)
     snap.gauges.emplace_back(s.gauge_names[i],
                              s.gauges[i].load(std::memory_order_relaxed));
-
-  for (std::size_t h = 0; h < s.hist_names.size(); ++h) {
-    HistTotals totals = s.retired_hists[h];
-    for (const ThreadShard* shard : s.shards)
-      State::merge_hist(totals, shard->hists[h]);
-    HistogramSnapshot hs;
-    hs.name = s.hist_names[h];
-    hs.count = totals.count;
-    hs.sum = totals.sum;
-    hs.min = totals.count == 0 ? 0 : totals.min;
-    hs.max = totals.max;
-    hs.buckets.assign(totals.buckets.begin(), totals.buckets.end());
-    snap.histograms.push_back(std::move(hs));
-  }
   return snap;
 }
 
@@ -352,31 +258,15 @@ std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
   return 0;
 }
 
-std::optional<HistogramSnapshot> MetricsRegistry::histogram_snapshot(
-    std::string_view name) const {
-  MetricsSnapshot snap = snapshot();
-  for (auto& h : snap.histograms)
-    if (h.name == name) return std::move(h);
-  return std::nullopt;
-}
-
 void reset() {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
   s.retired_counters.fill(0);
-  s.retired_hists.fill(HistTotals{});
   s.retired_events.clear();
   s.retired_events_dropped = 0;
   for (auto& g : s.gauges) g.store(0, std::memory_order_relaxed);
   for (ThreadShard* shard : s.shards) {
     for (auto& c : shard->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : shard->hists) {
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0, std::memory_order_relaxed);
-      h.min.store(kNoMin, std::memory_order_relaxed);
-      h.max.store(0, std::memory_order_relaxed);
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-    }
     std::lock_guard<std::mutex> elk(shard->events_mu);
     shard->events.clear();
     shard->events_dropped = 0;
@@ -472,26 +362,13 @@ void Span::end() {
   const std::uint64_t dur =
       now_ns >= start_ns_ ? now_ns - start_ns_ : 0;
 
-  TraceEvent event;
-  event.name = name_;
-  event.ts_ns = now_ns - dur;
-  event.dur_ns = dur;
-  event.tid = shard.tid;
-  event.depth = depth_;
-  event.span_id = span_id_;
-  event.parent_id = parent_id_;
-  {
-    std::lock_guard<std::mutex> lk(shard.events_mu);
-    if (shard.events.size() < kMaxEventsPerThread)
-      shard.events.push_back(event);
-    else
-      ++shard.events_dropped;
-  }
-
-  // Mirror the latency into "span.<name>" so the metrics JSON carries the
-  // distribution without re-parsing the trace.
-  registry().observe(
-      registry().histogram(std::string("span.") + name_), dur);
+  const TraceEvent event{name_, now_ns - dur, dur, shard.tid,
+                         depth_, span_id_, parent_id_};
+  std::lock_guard<std::mutex> lk(shard.events_mu);
+  if (shard.events.size() < kMaxEventsPerThread)
+    shard.events.push_back(event);
+  else
+    ++shard.events_dropped;
 }
 
 std::vector<TraceEvent> trace_events() {
@@ -534,19 +411,6 @@ std::vector<TraceEvent> thread_events_since(std::size_t mark) {
 
 // --- cross-process telemetry ------------------------------------------
 
-void merge_histogram(HistogramSnapshot& into, const HistogramSnapshot& from) {
-  if (into.buckets.size() < from.buckets.size())
-    into.buckets.resize(from.buckets.size(), 0);
-  for (std::size_t b = 0; b < from.buckets.size(); ++b)
-    into.buckets[b] += from.buckets[b];
-  if (from.count == 0) return;  // an empty side's reported-0 min is a
-                                // sentinel, not a sample
-  into.min = into.count == 0 ? from.min : std::min(into.min, from.min);
-  into.max = std::max(into.max, from.max);
-  into.count += from.count;
-  into.sum += from.sum;
-}
-
 void merge_metrics(MetricsSnapshot& into, const MetricsSnapshot& from) {
   for (const auto& [name, value] : from.counters) {
     bool found = false;
@@ -570,18 +434,6 @@ void merge_metrics(MetricsSnapshot& into, const MetricsSnapshot& from) {
       }
     if (!found) into.gauges.emplace_back(name, value);
   }
-  for (const HistogramSnapshot& h : from.histograms) {
-    bool found = false;
-    for (HistogramSnapshot& target : into.histograms)
-      if (target.name == h.name) {
-        merge_histogram(target, h);
-        found = true;
-        break;
-      }
-    if (!found) into.histograms.push_back(h);
-  }
-  // per_thread_counters stay process-local: thread ids from different
-  // processes are unrelated namespaces.
 }
 
 std::int64_t trace_epoch_ns() {
@@ -594,7 +446,6 @@ ProcessTelemetry capture_telemetry() {
   t.pid = static_cast<std::uint64_t>(::getpid());
   t.epoch_ns = state().epoch_ns.load(std::memory_order_relaxed);
   t.metrics = registry().snapshot();
-  t.metrics.per_thread_counters.clear();  // does not travel
   for (const TraceEvent& e : trace_events()) {
     WireTraceEvent w;
     w.name = e.name;
@@ -653,27 +504,6 @@ std::string serialize_telemetry(const ProcessTelemetry& telemetry) {
     body += wire_name(name);
     body += ' ';
     body += std::to_string(value);
-    body += '\n';
-  }
-  for (const HistogramSnapshot& h : telemetry.metrics.histograms) {
-    if (h.count == 0) continue;
-    body += "hist ";
-    body += wire_name(h.name);
-    body += ' ';
-    body += std::to_string(h.count);
-    body += ' ';
-    body += std::to_string(h.sum);
-    body += ' ';
-    body += std::to_string(h.min);
-    body += ' ';
-    body += std::to_string(h.max);
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      body += ' ';
-      body += std::to_string(b);
-      body += ':';
-      body += std::to_string(h.buckets[b]);
-    }
     body += '\n';
   }
   for (const WireTraceEvent& e : telemetry.events) {
@@ -745,28 +575,6 @@ util::Result<ProcessTelemetry> parse_telemetry(std::string_view wire) {
       if (f.size() != 3 || !util::parse_number(f[2], value))
         return telemetry_error(line_no, "bad 'gauge'");
       out.metrics.gauges.emplace_back(std::string(f[1]), value);
-    } else if (key == "hist") {
-      if (f.size() < 6) return telemetry_error(line_no, "bad 'hist'");
-      HistogramSnapshot h;
-      h.name = std::string(f[1]);
-      if (!util::parse_number(f[2], h.count) ||
-          !util::parse_number(f[3], h.sum) ||
-          !util::parse_number(f[4], h.min) ||
-          !util::parse_number(f[5], h.max))
-        return telemetry_error(line_no, "bad 'hist' numbers");
-      h.buckets.assign(kHistogramBuckets, 0);
-      for (std::size_t i = 6; i < f.size(); ++i) {
-        const std::size_t colon = f[i].find(':');
-        std::uint64_t idx = 0;
-        std::uint64_t count = 0;
-        if (colon == std::string_view::npos ||
-            !util::parse_number(f[i].substr(0, colon), idx) ||
-            !util::parse_number(f[i].substr(colon + 1), count) ||
-            idx >= kHistogramBuckets)
-          return telemetry_error(line_no, "bad 'hist' bucket");
-        h.buckets[idx] += count;
-      }
-      out.metrics.histograms.push_back(std::move(h));
     } else if (key == "event") {
       // Six numbers, then the name: the rest of the line, spaces and all.
       if (f.size() < 8) return telemetry_error(line_no, "bad 'event'");
@@ -911,7 +719,7 @@ util::Json metrics_json() {
   update_process_gauges();
   MetricsSnapshot snap = registry().snapshot();
 
-  // With adopted remote telemetry the top-level blocks become the
+  // With adopted remote telemetry the counters and gauges become the
   // cross-process aggregate; "per_process" keeps the per-lane counters.
   const std::vector<ProcessTelemetry> remote = adopted_telemetry();
   util::Json per_process = util::Json::object();
@@ -939,51 +747,47 @@ util::Json metrics_json() {
   for (const auto& [name, value] : snap.gauges)
     gauges.set(name, util::Json::number(value));
 
-  util::Json hists = util::Json::object();
-  for (const HistogramSnapshot& h : snap.histograms) {
-    util::Json jh = util::Json::object();
-    jh.set("count", util::Json::number(h.count));
-    jh.set("sum", util::Json::number(h.sum));
-    jh.set("min", util::Json::number(h.min));
-    jh.set("max", util::Json::number(h.max));
-    jh.set("mean", util::Json::number(
-                       h.count == 0 ? 0.0
-                                    : static_cast<double>(h.sum) /
-                                          static_cast<double>(h.count)));
-    util::Json buckets = util::Json::array();
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      util::Json jb = util::Json::object();
-      // Bucket b >= 1 holds values in [2^(b-1), 2^b); report the upper
-      // bound, log-scale.
-      jb.set("lt", util::Json::number(
-                       b == 0 ? std::uint64_t{1} : std::uint64_t{1} << b));
-      jb.set("count", util::Json::number(h.buckets[b]));
-      buckets.push_back(std::move(jb));
-    }
-    jh.set("buckets", std::move(buckets));
-    hists.set(h.name, std::move(jh));
+  // Span totals per name over the events chrome_trace_json() writes.
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> totals;
+  const auto add = [&totals](const std::string& name, std::uint64_t dur_ns) {
+    auto& [count, ns] = totals[name];
+    ++count;
+    ns += dur_ns;
+  };
+  for (const TraceEvent& e : trace_events()) add(e.name, e.dur_ns);
+  for (const ProcessTelemetry& lane : remote)
+    for (const WireTraceEvent& e : lane.events) add(e.name, e.dur_ns);
+  util::Json spans = util::Json::object();
+  for (const auto& [name, total] : totals) {
+    util::Json js = util::Json::object();
+    js.set("count", util::Json::number(total.first));
+    js.set("total_ms", util::Json::number(static_cast<double>(total.second) /
+                                          1e6));
+    spans.set(name, std::move(js));
   }
 
-  util::Json per_thread = util::Json::object();
-  for (const auto& [label, values] : snap.per_thread_counters) {
-    util::Json jt = util::Json::object();
-    for (const auto& [name, value] : values)
-      jt.set(name, util::Json::number(value));
-    per_thread.set(label, std::move(jt));
+  std::uint64_t dropped = 0;
+  {
+    State& s = state();
+    std::lock_guard<std::mutex> lk(s.mu);
+    dropped = s.retired_events_dropped;
+    for (ThreadShard* shard : s.shards) {
+      std::lock_guard<std::mutex> elk(shard->events_mu);
+      dropped += shard->events_dropped;
+    }
   }
 
   util::Json process = util::Json::object();
   process.set("peak_rss_kb",
               util::Json::number(static_cast<std::int64_t>(peak_rss_kb())));
   process.set("wall_ms", util::Json::number(process_wall_ms()));
+  process.set("spans_dropped", util::Json::number(dropped));
 
   util::Json out = util::Json::object();
   out.set("process", std::move(process));
   out.set("counters", std::move(counters));
   out.set("gauges", std::move(gauges));
-  out.set("histograms", std::move(hists));
-  out.set("per_thread_counters", std::move(per_thread));
+  out.set("spans", std::move(spans));
   if (!remote.empty()) out.set("per_process", std::move(per_process));
   return out;
 }
@@ -1011,25 +815,6 @@ std::string prometheus_text() {
     const std::string n = prom_name(name);
     text += "# TYPE " + n + " gauge\n";
     text += n + ' ' + std::to_string(value) + '\n';
-  }
-  for (const HistogramSnapshot& h : snap.histograms) {
-    const std::string n = prom_name(h.name);
-    text += "# TYPE " + n + " histogram\n";
-    // Our buckets are log-scale and exclusive upper ([2^(b-1), 2^b));
-    // Prometheus buckets are cumulative with inclusive le, so le = 2^b - 1
-    // holds exactly our buckets 0..b.
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      cumulative += h.buckets[b];
-      const std::uint64_t le =
-          b == 0 ? 0 : (b >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << b) - 1);
-      text += n + "_bucket{le=\"" + std::to_string(le) + "\"} " +
-              std::to_string(cumulative) + '\n';
-    }
-    text += n + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + '\n';
-    text += n + "_sum " + std::to_string(h.sum) + '\n';
-    text += n + "_count " + std::to_string(h.count) + '\n';
   }
   return text;
 }

@@ -14,11 +14,13 @@
 //     thresholds.
 //
 //  2. Race-free across threads (the daemon's connection and runner
-//     threads). Counters and histograms are sharded per thread: each
-//     thread owns a fixed-capacity block of relaxed atomics it alone
-//     writes, and readers merge the shards at snapshot time. Shards of exited threads are folded into a retired
-//     accumulator, so totals never lose increments. Gauges (rare writes)
-//     are process-global atomics.
+//     threads). Counters are sharded per thread: each thread owns a
+//     fixed-capacity block of relaxed atomics it alone writes, and readers
+//     merge the shards at snapshot time. Shards of exited threads are
+//     folded into a retired accumulator, so totals never lose increments.
+//     Gauges (rare writes) are process-global atomics. A span appends one
+//     trace event to its own thread's buffer, under that buffer's lock
+//     only.
 //
 //  3. Stable handles. Metric names map to small dense ids on first use;
 //     ids stay valid for the process lifetime (obs::reset() clears values,
@@ -31,8 +33,8 @@
 //
 // Naming scheme (docs/observability.md): dot-separated
 // <subsystem>.<noun>[.<detail>] — e.g. "interleave.interner.probes",
-// "selection.gain.evals", "svc.queue.peak_depth". Span latencies are automatically
-// mirrored into a histogram named "span.<span name>".
+// "selection.gain.evals", "svc.queue.peak_depth". Span totals are not a
+// metric of their own: metrics_json() sums the trace events per name.
 //
 // Distributed tracing (DESIGN.md §15): every span carries a process-unique
 // span id and the id of its parent (the innermost open span on the same
@@ -50,7 +52,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,10 +65,6 @@ namespace tracesel::obs {
 // walk them concurrently), so registration past a cap throws.
 inline constexpr std::size_t kMaxCounters = 256;
 inline constexpr std::size_t kMaxGauges = 64;
-inline constexpr std::size_t kMaxHistograms = 96;
-/// Log-scale buckets: value v lands in bucket bit_width(v) (0 for v == 0),
-/// i.e. bucket b >= 1 holds values in [2^(b-1), 2^b).
-inline constexpr std::size_t kHistogramBuckets = 65;
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -111,30 +108,11 @@ std::string process_label();
 
 struct CounterId { std::uint32_t index = 0; };
 struct GaugeId { std::uint32_t index = 0; };
-struct HistogramId { std::uint32_t index = 0; };
-
-/// Bucket index of a histogram value (exposed for tests).
-std::uint32_t histogram_bucket(std::uint64_t value);
-
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  ///< 0 when count == 0
-  std::uint64_t max = 0;
-  std::vector<std::uint64_t> buckets;  ///< kHistogramBuckets entries
-};
 
 /// A merged, point-in-time view of every registered metric.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<HistogramSnapshot> histograms;
-  /// Per-thread counter split (live shards plus one "retired" pseudo
-  /// shard), for shard-balance analysis: {tid, {name, value}...}.
-  std::vector<std::pair<std::string,
-                        std::vector<std::pair<std::string, std::uint64_t>>>>
-      per_thread_counters;
 };
 
 /// One completed span, timestamped on the steady clock relative to the
@@ -164,12 +142,10 @@ class MetricsRegistry {
   /// capacity caps.
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
-  HistogramId histogram(std::string_view name);
 
   void add(CounterId id, std::uint64_t delta = 1);
   void set(GaugeId id, std::int64_t value);
   void set_max(GaugeId id, std::int64_t value);  ///< monotone high-water
-  void observe(HistogramId id, std::uint64_t value);
 
   MetricsSnapshot snapshot() const;
   /// The calling thread's own counter shard, named (zero entries elided).
@@ -181,8 +157,6 @@ class MetricsRegistry {
   /// Merged value lookups by name (0 / nullopt when unregistered).
   std::uint64_t counter_value(std::string_view name) const;
   std::int64_t gauge_value(std::string_view name) const;
-  std::optional<HistogramSnapshot> histogram_snapshot(
-      std::string_view name) const;
 
  private:
   friend MetricsRegistry& registry();
@@ -196,8 +170,8 @@ MetricsRegistry& registry();
 
 /// RAII span timer. Construction snapshots steady_clock and bumps the
 /// thread's nesting depth; destruction records a TraceEvent into the
-/// thread's shard and mirrors the duration into histogram "span.<name>".
-/// No-op (one branch) when the layer is disabled at construction.
+/// thread's shard. No-op (one branch) when the layer is disabled at
+/// construction.
 class Span {
  public:
   explicit Span(const char* name) {
@@ -245,8 +219,6 @@ struct WireTraceEvent {
 
 /// One process's contribution to a distributed trace: its metrics snapshot
 /// plus its trace events, timestamped against its own steady-clock epoch.
-/// The per-thread counter split does not travel (it is a process-local
-/// shard-balance diagnostic).
 struct ProcessTelemetry {
   std::string label = "tracesel";
   std::uint64_t pid = 0;
@@ -255,7 +227,8 @@ struct ProcessTelemetry {
   std::vector<WireTraceEvent> events;
 };
 
-inline constexpr std::uint32_t kTelemetryVersion = 1;
+/// Version 2 dropped the "hist" line; a version-1 blob fails to parse.
+inline constexpr std::uint32_t kTelemetryVersion = 2;
 
 /// This process's trace epoch (steady-clock ns at process start or the
 /// last reset()) — the timestamp base of every TraceEvent.
@@ -271,12 +244,8 @@ ProcessTelemetry capture_telemetry();
 std::string serialize_telemetry(const ProcessTelemetry& telemetry);
 util::Result<ProcessTelemetry> parse_telemetry(std::string_view wire);
 
-/// Exact merge of two histogram snapshots: bucket counts and count/sum
-/// add; min/max are recomputed exactly (an empty side contributes nothing,
-/// so its sentinel 0 min never leaks into the merge).
-void merge_histogram(HistogramSnapshot& into, const HistogramSnapshot& from);
-/// Merges `from` into `into`: counters and histograms add, gauges keep the
-/// max (high-water semantics). Names absent from `into` are appended.
+/// Merges `from` into `into`: counters add, gauges keep the max
+/// (high-water semantics). Names absent from `into` are appended.
 void merge_metrics(MetricsSnapshot& into, const MetricsSnapshot& from);
 
 /// Folds a remote process's telemetry into this process's export paths:
@@ -294,14 +263,15 @@ std::vector<ProcessTelemetry> adopted_telemetry();
 /// lane (pid) per process: pid 1 is this process, adopted remote
 /// processes follow in adoption order. Event args carry span/parent ids.
 util::Json chrome_trace_json();
-/// Flat metrics JSON: process stats, counters, gauges, histograms and the
-/// per-thread counter split. With adopted telemetry the top-level blocks
-/// are the cross-process aggregate and "per_process" breaks them out.
+/// Flat metrics JSON: process stats (with "spans_dropped"), counters,
+/// gauges, and "spans": {name: {count, total_ms}} summed over the events
+/// chrome_trace_json() writes, local and adopted lanes alike. With adopted
+/// telemetry the counters and gauges are the cross-process aggregate and
+/// "per_process" breaks the counters out.
 util::Json metrics_json();
 
-/// Prometheus text exposition of the (aggregated) registry: counters,
-/// gauges, and histograms as cumulative le-buckets. Metric names have
-/// '.' mapped to '_' and a "tracesel_" prefix.
+/// Prometheus text exposition of the (aggregated) registry: counters and
+/// gauges. Metric names have '.' mapped to '_' and a "tracesel_" prefix.
 std::string prometheus_text();
 
 /// Convenience writers; false (plus a log line) when the file cannot be
@@ -357,15 +327,5 @@ void update_process_gauges();
           ::tracesel::obs::registry().gauge(name);                    \
       ::tracesel::obs::registry().set_max(                            \
           obs_metric_id, static_cast<std::int64_t>(value));           \
-    }                                                                 \
-  } while (0)
-
-#define OBS_HIST(name, value)                                         \
-  do {                                                                \
-    if (::tracesel::obs::enabled()) {                                 \
-      static const ::tracesel::obs::HistogramId obs_metric_id =       \
-          ::tracesel::obs::registry().histogram(name);                \
-      ::tracesel::obs::registry().observe(                            \
-          obs_metric_id, static_cast<std::uint64_t>(value));          \
     }                                                                 \
   } while (0)

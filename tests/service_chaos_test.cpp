@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -879,6 +880,14 @@ TEST(ServiceChaos, SyncsPerJob) {
   obs::set_enabled(was_enabled);
 }
 
+/// The recorded trace events named `name`, over every thread.
+std::uint64_t span_events(std::string_view name) {
+  std::uint64_t n = 0;
+  for (const obs::TraceEvent& e : obs::trace_events())
+    if (name == e.name) ++n;
+  return n;
+}
+
 TEST(ServiceChaos, EveryJournalSyncIsSpanned) {
   // Each journal fsync runs inside an svc.journal.sync span, so the span
   // count matches the syncs counter: two per cold job.
@@ -888,10 +897,7 @@ TEST(ServiceChaos, EveryJournalSyncIsSpanned) {
   const auto syncs = [] {
     return obs::registry().counter_value("svc.journal.syncs");
   };
-  const auto spans = [] {
-    const auto h = obs::registry().histogram_snapshot("span.svc.journal.sync");
-    return h ? h->count : 0u;
-  };
+  const auto spans = [] { return span_events("svc.journal.sync"); };
   ServerOptions opt;
   opt.journal_dir = tmp.sub("wal");
   Daemon daemon{std::move(opt)};
@@ -919,28 +925,24 @@ TEST(ServiceChaos, EveryCompactionSyncIsSpanned) {
   const auto syncs = [] {
     return obs::registry().counter_value("svc.journal.syncs");
   };
-  const auto spans = [](const char* name) {
-    const auto h = obs::registry().histogram_snapshot(name);
-    return h ? h->count : 0u;
-  };
   ServerOptions opt;
   opt.journal_dir = tmp.sub("wal");
   opt.journal_rotate_bytes = 256;
   Daemon daemon{std::move(opt)};
   Client client = daemon.connect();
   const std::uint64_t syncs_before = syncs();
-  const std::uint64_t sync_spans_before = spans("span.svc.journal.sync");
-  const std::uint64_t compact_spans_before = spans("span.svc.journal.compact");
+  const std::uint64_t sync_spans_before = span_events("svc.journal.sync");
+  const std::uint64_t compact_spans_before = span_events("svc.journal.compact");
   for (std::uint32_t width = 2; width < 6; ++width) {
     const auto out = client.submit(fig2_request(width));
     ASSERT_TRUE(out.ok()) << out.error().to_string();
     EXPECT_FALSE(out.value().cache_hit);
   }
   const std::uint64_t compactions =
-      spans("span.svc.journal.compact") - compact_spans_before;
+      span_events("svc.journal.compact") - compact_spans_before;
   EXPECT_GE(compactions, 1u) << "the log never rotated";
   EXPECT_EQ(syncs() - syncs_before,
-            spans("span.svc.journal.sync") - sync_spans_before +
+            span_events("svc.journal.sync") - sync_spans_before +
                 2 * compactions);
   obs::set_enabled(was_enabled);
 }
@@ -971,6 +973,56 @@ struct RunnerGate {
   int entered = 0;
   bool open = false;
 };
+
+TEST(ServiceChaos, ResultIsKeyedByTheBytesTheRunnerCompiled) {
+  // Admission keys a path spec from one read of the file, and the runner
+  // compiles a later read. A file rewritten in between (bytes A at
+  // admission, B at the run) must index B's report under B's key: a later
+  // submit of A then computes A rather than being served B's report.
+  TempDir tmp;
+  const std::string path = tmp.sub("spec.flow");
+  const std::string bytes_a =
+      slurp(std::string(TRACESEL_DATA_DIR) + "/fig2.flow");
+  // B renames ReqE and GntE to ReqB and GntB, so its report differs.
+  std::string bytes_b = bytes_a;
+  for (const char* name : {"ReqE", "GntE"})
+    for (std::size_t at = bytes_b.find(name); at != std::string::npos;
+         at = bytes_b.find(name, at))
+      bytes_b[at + 3] = 'B';
+  spill(path, bytes_a);
+  JobRequest req;
+  req.spec = path;
+  req.instances = 2;
+  req.buffer_width = 2;
+
+  RunnerGate gate;
+  ServerOptions opt;
+  opt.runners = 1;
+  opt.on_job_start = [&](const JobRequest&) { gate.wait_in_job(); };
+  Daemon daemon{std::move(opt)};
+  std::string first_report;
+  std::thread first([&] {
+    Client c = daemon.connect();
+    const auto out = c.submit(req);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    first_report = out.value().report_json;
+  });
+  gate.await_entered(1);
+  spill(path, bytes_b);
+  const std::string report_b = reference_report(req);
+  gate.release();
+  first.join();
+  EXPECT_EQ(first_report, report_b);
+
+  spill(path, bytes_a);
+  const std::string report_a = reference_report(req);
+  ASSERT_NE(report_a, report_b);
+  Client client = daemon.connect();
+  const auto again = client.submit(req);
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_FALSE(again.value().cache_hit);
+  EXPECT_EQ(again.value().report_json, report_a);
+}
 
 TEST(ServiceChaos, QueueFullShedsWithTypedRetryAfterAndHintedRetrySucceeds) {
   RunnerGate gate;

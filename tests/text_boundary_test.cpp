@@ -285,15 +285,6 @@ TEST(TextBoundaryFuzz, TelemetryParsesOrFailsTyped) {
   t.epoch_ns = -17;
   t.metrics.counters = {{"svc.jobs", 3}};
   t.metrics.gauges = {{"svc.queue.depth", -2}};
-  obs::HistogramSnapshot h;
-  h.name = "svc.job_ms";
-  h.count = 2;
-  h.sum = 9;
-  h.min = 4;
-  h.max = 5;
-  h.buckets.assign(obs::kHistogramBuckets, 0);
-  h.buckets[3] = 2;
-  t.metrics.histograms = {h};
   obs::WireTraceEvent e;
   e.name = "svc.job with spaces";
   e.ts_ns = 10;

@@ -1,14 +1,17 @@
 // tracesel::obs unit tests (DESIGN.md §10): registry merge correctness
-// under multi-thread contention, span nesting/ordering, histogram
-// bucketing, the disabled fast path, and a round-trip through QueryCore
-// that checks the written trace and metrics files are well-formed JSON
-// carrying the expected top-level span names. The contention tests are the
-// ones scripts/check.sh re-runs under ThreadSanitizer.
+// under multi-thread contention, span nesting/ordering, the metrics JSON's
+// span totals against the trace events, the disabled fast path, and a
+// round-trip through QueryCore that checks the written trace and metrics
+// files are well-formed JSON carrying the expected top-level span names.
+// The contention tests are the ones scripts/check.sh re-runs under
+// ThreadSanitizer.
 
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "debug/serialize.hpp"
 #include "tracesel/tracesel.hpp"
 #include "util/framing.hpp"
 #include "util/obs.hpp"
@@ -40,43 +44,56 @@ class ObsTest : public ::testing::Test {
   }
 };
 
-TEST_F(ObsTest, HistogramBucketingIsLogScale) {
-  // Bucket b >= 1 holds [2^(b-1), 2^b); zero gets its own bucket 0.
-  EXPECT_EQ(obs::histogram_bucket(0), 0u);
-  EXPECT_EQ(obs::histogram_bucket(1), 1u);
-  EXPECT_EQ(obs::histogram_bucket(2), 2u);
-  EXPECT_EQ(obs::histogram_bucket(3), 2u);
-  EXPECT_EQ(obs::histogram_bucket(4), 3u);
-  EXPECT_EQ(obs::histogram_bucket(7), 3u);
-  EXPECT_EQ(obs::histogram_bucket(8), 4u);
-  EXPECT_EQ(obs::histogram_bucket(1023), 10u);
-  EXPECT_EQ(obs::histogram_bucket(1024), 11u);
-  EXPECT_EQ(obs::histogram_bucket(~std::uint64_t{0}), 64u);
+struct SpanTotal {
+  std::uint64_t count = 0;
+  double total_ms = -1;  ///< -1 when the name is absent
+};
+
+/// The entry of span `name` in a metrics JSON's "spans" block.
+SpanTotal span_entry(const std::string& metrics, const std::string& name) {
+  const std::size_t block = metrics.find("\"spans\": {");
+  if (block == std::string::npos) return {};
+  const std::size_t at = metrics.find("\"" + name + "\": {", block);
+  if (at == std::string::npos) return {};
+  const std::size_t count = metrics.find("\"count\": ", at);
+  const std::size_t total = metrics.find("\"total_ms\": ", at);
+  return {std::strtoull(metrics.c_str() + count + 9, nullptr, 10),
+          std::strtod(metrics.c_str() + total + 12, nullptr)};
 }
 
-TEST_F(ObsTest, HistogramSnapshotTracksCountSumMinMax) {
-  const auto id = obs::registry().histogram("test.hist");
-  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
-                                std::uint64_t{3}, std::uint64_t{1000}})
-    obs::registry().observe(id, v);
+/// Per-name count and summed duration of the events the Chrome trace
+/// writes: this process's and every adopted lane's.
+std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+trace_span_totals() {
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> totals;
+  for (const obs::TraceEvent& e : obs::trace_events()) {
+    ++totals[e.name].first;
+    totals[e.name].second += e.dur_ns;
+  }
+  for (const obs::ProcessTelemetry& lane : obs::adopted_telemetry())
+    for (const obs::WireTraceEvent& e : lane.events) {
+      ++totals[e.name].first;
+      totals[e.name].second += e.dur_ns;
+    }
+  return totals;
+}
 
-  const auto snap = obs::registry().histogram_snapshot("test.hist");
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->count, 4u);
-  EXPECT_EQ(snap->sum, 1004u);
-  EXPECT_EQ(snap->min, 0u);
-  EXPECT_EQ(snap->max, 1000u);
-  ASSERT_EQ(snap->buckets.size(), obs::kHistogramBuckets);
-  EXPECT_EQ(snap->buckets[0], 1u);   // 0
-  EXPECT_EQ(snap->buckets[1], 1u);   // 1
-  EXPECT_EQ(snap->buckets[2], 1u);   // 3
-  EXPECT_EQ(snap->buckets[10], 1u);  // 1000 in [512, 1024)
-  std::uint64_t total = 0;
-  for (const auto b : snap->buckets) total += b;
-  EXPECT_EQ(total, snap->count);
-
-  EXPECT_FALSE(
-      obs::registry().histogram_snapshot("test.never_registered").has_value());
+/// The "spans" block has one entry per traced name, equal to its totals.
+void expect_spans_match_trace(const std::string& metrics) {
+  const auto totals = trace_span_totals();
+  ASSERT_FALSE(totals.empty());
+  std::size_t entries = 0;
+  for (std::size_t at = metrics.find("\"total_ms\""); at != std::string::npos;
+       at = metrics.find("\"total_ms\"", at + 1))
+    ++entries;
+  EXPECT_EQ(entries, totals.size()) << metrics;
+  for (const auto& [name, total] : totals) {
+    const SpanTotal got = span_entry(metrics, name);
+    EXPECT_EQ(got.count, total.first) << name << " in " << metrics;
+    EXPECT_NEAR(got.total_ms, static_cast<double>(total.second) / 1e6,
+                1e-9 + static_cast<double>(total.second) * 1e-18)
+        << name;
+  }
 }
 
 TEST_F(ObsTest, CounterIdsSurviveReset) {
@@ -113,34 +130,17 @@ TEST_F(ObsTest, CounterMergeExactUnderThreadContention) {
   constexpr std::size_t kTasks = 64;
   constexpr std::uint64_t kPerTask = 100;
   const auto id = obs::registry().counter("test.contended");
-  const auto hist = obs::registry().histogram("test.contended_hist");
   {
     std::vector<std::thread> workers;
     for (std::size_t w = 0; w < kWorkers; ++w)
-      workers.emplace_back([id, hist] {
+      workers.emplace_back([id] {
         for (std::size_t t = 0; t < kTasks / kWorkers; ++t)
-          for (std::uint64_t i = 0; i < kPerTask; ++i) {
+          for (std::uint64_t i = 0; i < kPerTask; ++i)
             obs::registry().add(id, 1);
-            obs::registry().observe(hist, i);
-          }
       });
     for (std::thread& t : workers) t.join();
   }
   EXPECT_EQ(obs::registry().counter_value("test.contended"), kTasks * kPerTask);
-
-  const auto snap = obs::registry().histogram_snapshot("test.contended_hist");
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->count, kTasks * kPerTask);
-  EXPECT_EQ(snap->max, kPerTask - 1);
-
-  // The per-thread split must account for every increment: worker shards
-  // plus the "retired" accumulator (the workers have exited by now).
-  const auto full = obs::registry().snapshot();
-  std::uint64_t split_total = 0;
-  for (const auto& [tid, counters] : full.per_thread_counters)
-    for (const auto& [name, value] : counters)
-      if (name == "test.contended") split_total += value;
-  EXPECT_EQ(split_total, kTasks * kPerTask);
 }
 
 TEST_F(ObsTest, SpanNestingRecordsDepthAndContainment) {
@@ -173,11 +173,9 @@ TEST_F(ObsTest, SpanNestingRecordsDepthAndContainment) {
   // The two sibling inner spans are disjoint and ordered.
   EXPECT_LE(inner[0]->ts_ns + inner[0]->dur_ns, inner[1]->ts_ns);
 
-  // Span durations are mirrored into "span.<name>" histograms.
-  const auto mirrored = obs::registry().histogram_snapshot(
-      "span.obs_test.inner");
-  ASSERT_TRUE(mirrored.has_value());
-  EXPECT_EQ(mirrored->count, 2u);
+  // The metrics JSON counts both inner spans under their name.
+  EXPECT_EQ(span_entry(obs::metrics_json().dump(2), "obs_test.inner").count,
+            2u);
 }
 
 TEST_F(ObsTest, SpansFromPoolWorkersCarryDistinctThreadIds) {
@@ -204,13 +202,10 @@ TEST_F(ObsTest, DisabledPathRecordsNothing) {
   obs::set_enabled(false);
   OBS_COUNT("test.disabled_counter", 5);
   OBS_GAUGE_SET("test.disabled_gauge", 5);
-  OBS_HIST("test.disabled_hist", 5);
   { OBS_SPAN("obs_test.disabled"); }
 
   EXPECT_EQ(obs::registry().counter_value("test.disabled_counter"), 0u);
   EXPECT_EQ(obs::registry().gauge_value("test.disabled_gauge"), 0);
-  EXPECT_FALSE(
-      obs::registry().histogram_snapshot("test.disabled_hist").has_value());
   EXPECT_TRUE(obs::trace_events().empty());
 }
 
@@ -377,6 +372,7 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   QueryCore::interleave(*w, 2, {});
   const auto result = QueryCore::select(*w, cfg, false);
   EXPECT_FALSE(result.combination.messages.empty());
+  EXPECT_FALSE(selection::report_text(*w->catalog, result).empty());
   obs::update_process_gauges();
   ASSERT_TRUE(obs::write_chrome_trace(trace_path));
   ASSERT_TRUE(obs::write_metrics(metrics_path));
@@ -393,13 +389,13 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   for (const char* span :
        {"interleave.stats", "session.interleave",
         "selection.step1.enumerate", "selection.step2.score",
-        "session.select"})
+        "session.select", "selection.coverage", "report.serialize"})
     EXPECT_NE(trace.find(std::string("\"name\": \"") + span + "\""),
               std::string::npos)
         << "missing span " << span << " in " << trace;
 
   EXPECT_NE(metrics.find("\"counters\""), std::string::npos);
-  EXPECT_NE(metrics.find("\"span.interleave.stats\""), std::string::npos);
+  EXPECT_EQ(span_entry(metrics, "interleave.stats").count, 1u);
   EXPECT_NE(metrics.find("\"selection.combinations\""), std::string::npos);
 
   std::remove(trace_path.c_str());
@@ -432,89 +428,16 @@ TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
   EXPECT_EQ(count("selection.combinations"), 0u);
 }
 
-TEST_F(ObsTest, MetricsJsonContainsPerThreadSplit) {
-  OBS_COUNT("test.split", 2);
-  const auto json = obs::metrics_json().dump(2);
-  EXPECT_TRUE(JsonScanner(json).valid()) << json;
-  EXPECT_NE(json.find("\"per_thread_counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.split\""), std::string::npos);
-}
-
 // --- cross-process telemetry ------------------------------------------
-
-obs::HistogramSnapshot make_hist(const std::string& name,
-                                 std::vector<std::uint64_t> values) {
-  obs::HistogramSnapshot h;
-  h.name = name;
-  h.buckets.assign(obs::kHistogramBuckets, 0);
-  h.min = ~std::uint64_t{0};
-  for (const std::uint64_t v : values) {
-    ++h.count;
-    h.sum += v;
-    h.min = std::min(h.min, v);
-    h.max = std::max(h.max, v);
-    ++h.buckets[obs::histogram_bucket(v)];
-  }
-  if (h.count == 0) h.min = 0;  // snapshot convention: 0 when empty
-  return h;
-}
-
-TEST_F(ObsTest, MergeHistogramEmptyPlusNonEmptyKeepsExactMinMax) {
-  // The empty side's sentinel min (0 in the snapshot convention) must not
-  // leak: empty ⊕ {5, 9} has min 5, not 0 — in both merge directions.
-  obs::HistogramSnapshot empty = make_hist("h", {});
-  const obs::HistogramSnapshot filled = make_hist("h", {5, 9});
-
-  obs::HistogramSnapshot into = empty;
-  obs::merge_histogram(into, filled);
-  EXPECT_EQ(into.count, 2u);
-  EXPECT_EQ(into.sum, 14u);
-  EXPECT_EQ(into.min, 5u);
-  EXPECT_EQ(into.max, 9u);
-
-  into = filled;
-  obs::merge_histogram(into, empty);
-  EXPECT_EQ(into.count, 2u);
-  EXPECT_EQ(into.min, 5u);
-  EXPECT_EQ(into.max, 9u);
-
-  // empty ⊕ empty stays the empty snapshot.
-  into = empty;
-  obs::merge_histogram(into, empty);
-  EXPECT_EQ(into.count, 0u);
-  EXPECT_EQ(into.min, 0u);
-  EXPECT_EQ(into.max, 0u);
-}
-
-TEST_F(ObsTest, MergeHistogramSumsBucketsIncludingOverflow) {
-  // Values at the top of the range land in the final (overflow) bucket 64
-  // and must merge by addition like every other bucket.
-  const std::uint64_t huge = ~std::uint64_t{0};
-  obs::HistogramSnapshot a = make_hist("h", {0, 1, huge});
-  const obs::HistogramSnapshot b = make_hist("h", {3, huge, huge - 1});
-  obs::merge_histogram(a, b);
-  EXPECT_EQ(a.count, 6u);
-  EXPECT_EQ(a.min, 0u);
-  EXPECT_EQ(a.max, huge);
-  EXPECT_EQ(a.buckets[0], 1u);                            // 0
-  EXPECT_EQ(a.buckets[1], 1u);                            // 1
-  EXPECT_EQ(a.buckets[2], 1u);                            // 3
-  EXPECT_EQ(a.buckets[obs::kHistogramBuckets - 1], 3u);   // huge x3
-  std::uint64_t total = 0;
-  for (const auto c : a.buckets) total += c;
-  EXPECT_EQ(total, a.count);
-}
 
 TEST_F(ObsTest, MergeMetricsSumsCountersMaxesGauges) {
   obs::MetricsSnapshot into;
   into.counters = {{"c.shared", 3}, {"c.only_into", 1}};
   into.gauges = {{"g.shared", 10}};
-  into.histograms = {make_hist("h.shared", {2})};
 
   obs::MetricsSnapshot from;
   from.counters = {{"c.shared", 4}, {"c.only_from", 9}};
   from.gauges = {{"g.shared", 7}, {"g.only_from", -2}};
-  from.histograms = {make_hist("h.shared", {8}), make_hist("h.new", {1})};
 
   obs::merge_metrics(into, from);
   auto counter = [&](std::string_view name) -> std::uint64_t {
@@ -528,10 +451,6 @@ TEST_F(ObsTest, MergeMetricsSumsCountersMaxesGauges) {
   // Gauges merge by max (high-water semantics across processes).
   EXPECT_EQ(into.gauges[0].second, 10);
   EXPECT_EQ(into.gauges[1].second, -2);
-  ASSERT_EQ(into.histograms.size(), 2u);
-  EXPECT_EQ(into.histograms[0].count, 2u);
-  EXPECT_EQ(into.histograms[0].min, 2u);
-  EXPECT_EQ(into.histograms[0].max, 8u);
 }
 
 TEST_F(ObsTest, TelemetryNumbersMustFitTheirFields) {
@@ -563,7 +482,6 @@ TEST_F(ObsTest, TelemetryNumbersMustFitTheirFields) {
 TEST_F(ObsTest, TelemetryWireRoundTripPreservesEverything) {
   OBS_COUNT("test.rt_counter", 11);
   OBS_GAUGE_SET("test.rt_gauge", -4);
-  OBS_HIST("test.rt_hist", 1000);
   {
     OBS_SPAN("obs_test.rt_outer");
     OBS_SPAN("obs_test.rt_inner");
@@ -595,19 +513,6 @@ TEST_F(ObsTest, TelemetryWireRoundTripPreservesEverything) {
     }
   EXPECT_TRUE(found_gauge);
 
-  bool found_hist = false;
-  for (const auto& h : got.metrics.histograms)
-    if (h.name == "test.rt_hist") {
-      found_hist = true;
-      EXPECT_EQ(h.count, 1u);
-      EXPECT_EQ(h.sum, 1000u);
-      EXPECT_EQ(h.min, 1000u);
-      EXPECT_EQ(h.max, 1000u);
-      ASSERT_EQ(h.buckets.size(), obs::kHistogramBuckets);
-      EXPECT_EQ(h.buckets[obs::histogram_bucket(1000)], 1u);
-    }
-  EXPECT_TRUE(found_hist);
-
   ASSERT_EQ(got.events.size(), sent.events.size());
   for (std::size_t i = 0; i < got.events.size(); ++i) {
     EXPECT_EQ(got.events[i].name, std::string(sent.events[i].name));
@@ -630,9 +535,12 @@ TEST_F(ObsTest, TelemetryParserRejectsMalformedInputWithTypedErrors) {
 
   // Version skew: a future version must be rejected, not misparsed.
   std::string skewed = wire;
-  const std::size_t vpos = skewed.find(" 1 ");
+  const std::string version =
+      " " + std::to_string(obs::kTelemetryVersion) + " ";
+  const std::size_t vpos = skewed.find(version);
   ASSERT_NE(vpos, std::string::npos);
-  skewed.replace(vpos, 3, " 2 ");
+  skewed.replace(vpos, version.size(),
+                 " " + std::to_string(obs::kTelemetryVersion + 1) + " ");
   EXPECT_FALSE(obs::parse_telemetry(skewed).ok());
 
   // Checksum corruption (flip a payload byte).
@@ -744,20 +652,92 @@ TEST_F(ObsTest, TraceContextParentsThreadRootSpans) {
 TEST_F(ObsTest, PrometheusTextExposesCountersAndCumulativeBuckets) {
   OBS_COUNT("test.prom_counter", 3);
   OBS_GAUGE_SET("test.prom_gauge", 9);
-  OBS_HIST("test.prom_hist", 4);
-  OBS_HIST("test.prom_hist", 90);
   const std::string text = obs::prometheus_text();
-  EXPECT_NE(text.find("tracesel_test_prom_counter 3"), std::string::npos)
+  EXPECT_NE(text.find("# TYPE tracesel_test_prom_counter counter"),
+            std::string::npos)
       << text;
-  EXPECT_NE(text.find("tracesel_test_prom_gauge 9"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE tracesel_test_prom_hist histogram"),
+  EXPECT_NE(text.find("tracesel_test_prom_counter 3"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE tracesel_test_prom_gauge gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("tracesel_test_prom_hist_count 2"), std::string::npos);
-  EXPECT_NE(text.find("tracesel_test_prom_hist_sum 94"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\"} 2"), std::string::npos);
-  // Cumulative le buckets: the bucket holding 4 ([4,8) -> le 7) already
-  // counts it, and every later bucket includes it too.
-  EXPECT_NE(text.find("le=\"7\"} 1"), std::string::npos) << text;
+  EXPECT_NE(text.find("tracesel_test_prom_gauge 9"), std::string::npos);
+}
+
+TEST_F(ObsTest, SpansBlockEqualsTheTraceEventsPerName) {
+  {
+    OBS_SPAN("obs_test.outer");
+    { OBS_SPAN("obs_test.inner"); }
+    { OBS_SPAN("obs_test.inner"); }
+  }
+  // A worker's events are folded into the retired buffer when it exits.
+  std::thread([] {
+    for (int i = 0; i < 3; ++i) { OBS_SPAN("obs_test.worker"); }
+  }).join();
+  const std::string metrics = obs::metrics_json().dump(2);
+  EXPECT_TRUE(JsonScanner(metrics).valid()) << metrics;
+  expect_spans_match_trace(metrics);
+  EXPECT_EQ(span_entry(metrics, "obs_test.worker").count, 3u);
+  EXPECT_EQ(span_entry(metrics, "obs_test.never").total_ms, -1);
+  EXPECT_NE(metrics.find("\"spans_dropped\": 0"), std::string::npos);
+}
+
+TEST_F(ObsTest, SpansBlockCountsAdoptedLanes) {
+  { OBS_SPAN("obs_test.shared"); }
+  obs::ProcessTelemetry remote;
+  remote.label = "fake-worker";
+  remote.pid = 4242;
+  remote.epoch_ns = obs::trace_epoch_ns();
+  obs::WireTraceEvent ev;
+  ev.name = "obs_test.shared";
+  ev.ts_ns = 100;
+  ev.dur_ns = 2'500'000;
+  remote.events = {ev};
+  ev.name = "remote.unit";
+  ev.dur_ns = 700;
+  remote.events.push_back(ev);
+  obs::adopt_remote_telemetry(remote);
+  remote.pid = 4343;  // a second lane
+  obs::adopt_remote_telemetry(remote);
+
+  const std::string metrics = obs::metrics_json().dump(2);
+  EXPECT_TRUE(JsonScanner(metrics).valid()) << metrics;
+  expect_spans_match_trace(metrics);
+  EXPECT_EQ(span_entry(metrics, "obs_test.shared").count, 3u);
+  EXPECT_EQ(span_entry(metrics, "remote.unit").count, 2u);
+  EXPECT_NEAR(span_entry(metrics, "remote.unit").total_ms, 0.0014, 1e-12);
+}
+
+TEST_F(ObsTest, SpansPastThePerThreadCapAreReportedAsDropped) {
+  // The buffer keeps 2^20 events per thread; the three past it are
+  // dropped and counted, never recorded.
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 20;
+  std::thread([] {
+    for (std::uint64_t i = 0; i < kCap + 3; ++i) { OBS_SPAN("obs_test.flood"); }
+  }).join();
+  const std::string metrics = obs::metrics_json().dump(2);
+  EXPECT_NE(metrics.find("\"spans_dropped\": 3"), std::string::npos)
+      << metrics;
+  EXPECT_EQ(span_entry(metrics, "obs_test.flood").count, kCap);
+}
+
+TEST_F(ObsTest, VersionOneTelemetryWithAHistLineFailsTyped) {
+  // Version 1 carried span histograms on "hist" lines; version 2 has no
+  // such line, so the old blob is refused by version, and its hist line
+  // is refused by key under the current version.
+  const std::string body =
+      "process traceseld 1 0\nhist span.svc.job 1 5 5 5 3:1\nend\n";
+  const auto v1 = obs::parse_telemetry(
+      util::encode_envelope("tracesel-telemetry", 1, body));
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.error().code, util::ErrorCode::kParse);
+  EXPECT_NE(v1.error().message.find("version 1"), std::string::npos)
+      << v1.error().to_string();
+  const auto current = obs::parse_telemetry(util::encode_envelope(
+      "tracesel-telemetry", obs::kTelemetryVersion, body));
+  ASSERT_FALSE(current.ok());
+  EXPECT_EQ(current.error().code, util::ErrorCode::kParse);
+  EXPECT_NE(current.error().message.find("unknown key 'hist'"),
+            std::string::npos)
+      << current.error().to_string();
 }
 
 }  // namespace

@@ -338,7 +338,7 @@ int cmd_select(int argc, char** argv) {
   }
   const flow::MessageCatalog& catalog = *w->catalog;
   if (json) {
-    std::cout << selection::to_json(catalog, r).dump(2) << '\n';
+    std::cout << selection::report_text(catalog, r) << '\n';
     return rc;
   }
   const flow::ProductStats& stats = w->selector->stats();
@@ -740,7 +740,7 @@ int cmd_debug(int argc, char** argv) {
   const soc::T2Design design;
   const auto r = debug::run_case_study(design, cases[case_id - 1], opt);
   if (json) {
-    std::cout << debug::to_json(design.catalog(), r).dump(2) << '\n';
+    std::cout << debug::report_text(design.catalog(), r) << '\n';
     return 0;
   }
   std::cout << "Case study " << case_id << " (" << r.scenario.name

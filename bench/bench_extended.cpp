@@ -20,9 +20,9 @@ int main() {
 
   soc::T2ExtendedDesign design;
   const auto causes = debug::extended_root_causes(design);
-  const debug::Workbench bench(
-      design.catalog(), {&design.mondo_nack(), &design.pior_retry()},
-      causes);
+  const soc::ScenarioModel model(
+      design.catalog(), {&design.mondo_nack(), &design.pior_retry()}, 2);
+  const debug::Workbench bench(model, causes);
 
   struct ExtendedCase {
     const char* name;

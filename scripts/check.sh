@@ -13,8 +13,9 @@
 #     LogTest), cancellation (MonteCarlo, Resilience, CancelToken, the
 #     latter two with cross-thread cancel races), the query layer's shared ArtifactStore and the
 #     traceseld daemon's connection and runner threads (QueryCore, Kernel,
-#     Service, Framing). Every filter term must match at least one test, so
-#     a rename cannot silently drop TSan coverage.
+#     Service, Framing), and case studies sharing one design's scenario
+#     models (SharedScenarioModel). Every filter term must match at least
+#     one test, so a rename cannot silently drop TSan coverage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +31,8 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
     ./bench/bench_kernels)
 
 TSAN_TERMS=(Obs LogTest MonteCarlo Resilience CancelToken ArtifactStore
-            QueryCore ProductDifferential Version2 Service Framing)
+            QueryCore ProductDifferential Version2 Service Framing
+            SharedScenarioModel)
 cmake -B "$TSAN_BUILD_DIR" -S . -DTRACESEL_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j
 for term in "${TSAN_TERMS[@]}"; do

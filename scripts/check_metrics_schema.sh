@@ -49,7 +49,7 @@ for name in $doc_names; do
     interleave.consistent_paths|debug.case_study|debug.setup|\
     debug.workbench|debug.select|debug.simulate|debug.trace_buffer|\
     debug.capture|debug.root_cause|debug.localize|svc.job|svc.journal.sync|\
-    svc.journal.compact)
+    svc.journal.compact|svc.journal.append|svc.frame.encode|svc.frame.decode)
       continue ;;  # span names
   esac
   if ! echo "$emitted" | grep -qxF "$name"; then

@@ -12,11 +12,10 @@ namespace {
 struct CaseSetup {
   std::vector<bug::Bug> bugs;
   RootCauseCatalog causes;
-  std::vector<const flow::Flow*> flows;
+  const soc::ScenarioModel* model;
 };
 
 CaseSetup set_up(const soc::T2Design& design, const soc::CaseStudy& case_study,
-                 const soc::Scenario& scenario,
                  const CaseStudyOptions& options) {
   OBS_SPAN("debug.setup");
   // The injected-bug set: the active bug armed at the configured session,
@@ -40,7 +39,7 @@ CaseSetup set_up(const soc::T2Design& design, const soc::CaseStudy& case_study,
   return CaseSetup{
       std::move(bugs),
       RootCauseCatalog::for_scenario(design, case_study.scenario_id),
-      soc::scenario_flows(design, scenario)};
+      &design.scenario_model(case_study.scenario_id)};
 }
 
 }  // namespace
@@ -53,12 +52,9 @@ CaseStudyResult run_case_study(const soc::T2Design& design,
   result.case_study = case_study;
   result.scenario = soc::scenario_by_id(case_study.scenario_id);
 
-  const CaseSetup setup =
-      set_up(design, case_study, result.scenario, options);
-  const Workbench workbench(design.catalog(), setup.flows, setup.causes);
-  WorkbenchConfig config = options;
-  config.instances_per_flow = result.scenario.instances_per_flow;
-  static_cast<WorkbenchResult&>(result) = workbench.run(setup.bugs, config);
+  const CaseSetup setup = set_up(design, case_study, options);
+  const Workbench workbench(*setup.model, setup.causes);
+  static_cast<WorkbenchResult&>(result) = workbench.run(setup.bugs, options);
   return result;
 }
 

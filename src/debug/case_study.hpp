@@ -12,9 +12,7 @@
 
 namespace tracesel::debug {
 
-/// The workbench knobs of a case study. run_case_study takes
-/// instances_per_flow from the case study's scenario and ignores the
-/// inherited field.
+/// The workbench knobs of a case study.
 struct CaseStudyOptions : WorkbenchConfig {
   /// Ignored: the case study's selection step is serial. Kept only so
   /// callers that still set it (the benchmark) compile.
@@ -30,7 +28,9 @@ struct CaseStudyResult : WorkbenchResult {
   soc::Scenario scenario;
 };
 
-/// Runs one full case study. Deterministic given the options.
+/// Runs one full case study on the design's model of its scenario
+/// (T2Design::scenario_model), which the first run of a scenario builds
+/// and later runs share. Deterministic given the options.
 CaseStudyResult run_case_study(const soc::T2Design& design,
                                const soc::CaseStudy& case_study,
                                const CaseStudyOptions& options = {});

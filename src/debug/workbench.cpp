@@ -1,6 +1,5 @@
 #include "debug/workbench.hpp"
 
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -9,35 +8,26 @@
 
 namespace tracesel::debug {
 
-Workbench::Workbench(const flow::MessageCatalog& catalog,
-                     std::vector<const flow::Flow*> flows,
+Workbench::Workbench(const soc::ScenarioModel& model,
                      const RootCauseCatalog& causes)
-    : catalog_(&catalog), flows_(std::move(flows)), causes_(&causes) {
-  if (flows_.empty()) throw std::invalid_argument("Workbench: no flows");
-}
+    : model_(&model), causes_(&causes) {}
 
 WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
                                const WorkbenchConfig& config) const {
   OBS_SPAN("debug.workbench");
   WorkbenchResult result;
+  const flow::MessageCatalog& catalog = model_->catalog();
+  const std::vector<const flow::Flow*>& flows = model_->flows();
 
   // --- Message selection over the interleaving's statistics ---
-  const auto instances =
-      flow::make_instances(flows_, config.instances_per_flow);
   {
     OBS_SPAN("debug.select");
-    const selection::MessageSelector selector(
-        *catalog_, flow::ProductStats::build(instances));
-    selection::SelectorConfig sel_cfg;
-    sel_cfg.buffer_width = config.buffer_width;
-    sel_cfg.packing = config.packing;
-    result.selection = selector.select(sel_cfg);
+    result.selection = model_->select(config.buffer_width, config.packing);
   }
 
   // --- Golden and buggy simulations with identical seeds ---
-  soc::SocSimulator golden_sim(*catalog_, flows_,
-                               config.instances_per_flow);
-  soc::SocSimulator buggy_sim(*catalog_, flows_, config.instances_per_flow);
+  soc::SocSimulator golden_sim(catalog, flows, model_->instances_per_flow());
+  soc::SocSimulator buggy_sim(catalog, flows, model_->instances_per_flow());
   for (const bug::Bug& b : bugs) buggy_sim.inject(b);
   soc::SimOptions sim_opts;
   sim_opts.sessions = config.sessions;
@@ -56,7 +46,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   {
     OBS_SPAN("debug.trace_buffer");
     soc::TraceBuffer golden_buffer(tb_cfg);
-    golden_buffer.configure(*catalog_, result.selection);
+    golden_buffer.configure(catalog, result.selection);
     for (const soc::TimedMessage& tm : result.golden.messages)
       golden_buffer.record(tm);
     result.golden_records = golden_buffer.records();
@@ -64,7 +54,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
 
   // --- Buggy-side capture through the (possibly faulty) channel ---
   const bool faulty = config.faults.enabled();
-  const soc::FaultInjector injector(*catalog_, config.faults);
+  const soc::FaultInjector injector(catalog, config.faults);
   const std::vector<flow::MessageId> traced = result.selection.observable();
   ObserveOptions obs_opts;
   obs_opts.unusable_threshold = config.unusable_threshold;
@@ -78,7 +68,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
     result.capture_attempts = attempt + 1;
     OBS_COUNT("debug.capture.attempts", 1);
     if (attempt > 0) OBS_COUNT("debug.capture.retries", 1);
-    buggy_buffer.configure(*catalog_, result.selection);  // reset the ring
+    buggy_buffer.configure(catalog, result.selection);  // reset the ring
     // A perfect channel delivers the run itself: record it without a copy.
     std::vector<soc::TimedMessage> faulted;
     if (faulty) {
@@ -95,12 +85,12 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
 
     if (!faulty) {
       // Perfect channel: the original exact decode.
-      result.observation = observe(*catalog_, traced, result.golden_records,
+      result.observation = observe(catalog, traced, result.golden_records,
                                    result.buggy_records);
       break;
     }
     util::Result<Observation> checked =
-        observe_checked(*catalog_, traced, result.golden_records,
+        observe_checked(catalog, traced, result.golden_records,
                         result.buggy_records, obs_opts);
     if (checked.ok()) {
       result.observation = std::move(checked).value();
@@ -111,7 +101,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
       // rather than crash — statuses fall to kUnknown where evidence is
       // gone, and every consumer below weighs that accordingly.
       result.observation = observe_lenient(
-          *catalog_, traced, result.golden_records, result.buggy_records);
+          catalog, traced, result.golden_records, result.buggy_records);
       result.capture_degraded = true;
       OBS_COUNT("debug.capture.degraded", 1);
       break;
@@ -129,7 +119,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   // --- Root-cause pruning: exact walk plus the weighted verdict ---
   {
     OBS_SPAN("debug.root_cause");
-    const Debugger debugger(*catalog_, flows_, *causes_);
+    const Debugger debugger(catalog, flows, *causes_);
     result.report =
         debugger.debug(result.observation, result.buggy_records, config.seed);
     result.ranked_causes = prune_weighted(*causes_, result.observation,
@@ -143,7 +133,7 @@ WorkbenchResult Workbench::run(const std::vector<bug::Bug>& bugs,
   // use a TraceTrigger to spend depth on the failing region.
   // Paths are counted on the component flows' state grid (DESIGN.md §14).
   OBS_SPAN("debug.localize");
-  const auto grid = flow::ProductGrid::build(instances);
+  const flow::ProductGrid& grid = model_->grid();
   std::vector<flow::IndexedMessage> observed;
   for (const soc::TraceRecord& r : result.buggy_records) {
     if (r.session == result.buggy.fail_session) observed.push_back(r.msg);

@@ -1,10 +1,11 @@
 #pragma once
 // The debug workbench: the full selection -> simulation -> capture ->
 // observation -> localization -> root-cause-pruning pipeline for *any*
-// design expressed as a message catalog, a flow set, and a root-cause
-// catalog. The T2 case studies (case_study.hpp) are thin wrappers over
-// this; downstream users run their own SoCs (e.g. flows parsed from a
-// .flow spec) through the same machinery.
+// design expressed as a scenario model (a message catalog and a flow set,
+// with their statistics, state grid and selections; soc/scenario_model.hpp)
+// and a root-cause catalog. The T2 case studies (case_study.hpp) are thin
+// wrappers over this; downstream users run their own SoCs (e.g. flows
+// parsed from a .flow spec) through the same machinery.
 //
 // The capture channel may be faulty (WorkbenchConfig::faults): the buggy
 // silicon's message stream then passes through a FaultInjector before the
@@ -23,6 +24,7 @@
 #include "selection/localization.hpp"
 #include "selection/selector.hpp"
 #include "soc/fault_injector.hpp"
+#include "soc/scenario_model.hpp"
 #include "soc/simulator.hpp"
 #include "soc/trace_buffer.hpp"
 #include "util/backoff.hpp"
@@ -32,7 +34,6 @@ namespace tracesel::debug {
 struct WorkbenchConfig {
   std::uint32_t buffer_width = 32;
   bool packing = true;
-  std::uint32_t instances_per_flow = 2;
   std::uint32_t sessions = 4;
   std::uint64_t seed = 2018;
   std::size_t buffer_depth = 1u << 16;
@@ -85,19 +86,18 @@ struct WorkbenchResult {
 
 class Workbench {
  public:
-  /// The catalog, flows and cause catalog must outlive the workbench.
-  Workbench(const flow::MessageCatalog& catalog,
-            std::vector<const flow::Flow*> flows,
-            const RootCauseCatalog& causes);
+  /// The model and the cause catalog must outlive the workbench.
+  Workbench(const soc::ScenarioModel& model, const RootCauseCatalog& causes);
 
   /// Runs the full pipeline with the given bugs injected into the buggy
   /// simulation (the golden run is bug-free, same seed). Deterministic.
+  /// Reads the selection and the state grid from the model, which builds
+  /// each once; the model's instances_per_flow sets the simulations'.
   WorkbenchResult run(const std::vector<bug::Bug>& bugs,
                       const WorkbenchConfig& config = {}) const;
 
  private:
-  const flow::MessageCatalog* catalog_;
-  std::vector<const flow::Flow*> flows_;
+  const soc::ScenarioModel* model_;
   const RootCauseCatalog* causes_;
 };
 

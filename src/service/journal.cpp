@@ -308,6 +308,7 @@ util::Result<JournalRecovery> JobJournal::open(JournalOptions options) {
 void JobJournal::append(std::uint64_t job_id, const std::string& payload,
                         Kind kind, std::uint64_t result_key,
                         StoredResult* result) {
+  OBS_SPAN("svc.journal.append");
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) {
     // Never opened: the index alone, with nothing to write.

@@ -184,6 +184,8 @@ class JobJournal {
 
   /// Writes one record (fsync'd unless `kind` is kStarted) and updates the
   /// live set; `result`, when given, enters the index after the write.
+  /// Runs inside an svc.journal.append span, which holds the record's
+  /// svc.journal.sync and any svc.journal.compact.
   void append(std::uint64_t job_id, const std::string& payload, Kind kind,
               std::uint64_t result_key = 0, StoredResult* result = nullptr);
   void sync_locked();

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/framing.hpp"
+#include "util/obs.hpp"
 
 namespace tracesel::service {
 
@@ -46,12 +47,17 @@ std::string_view to_string(MessageType type) {
 }
 
 std::string encode_submit(const JobRequest& request) {
+  OBS_SPAN("svc.frame.encode");
   return header(MessageType::kSubmit) + serialize_job_request(request);
 }
 
-std::string encode_simple(MessageType type) { return header(type); }
+std::string encode_simple(MessageType type) {
+  OBS_SPAN("svc.frame.encode");
+  return header(type);
+}
 
 std::string encode_event(std::string_view status, std::uint64_t position) {
+  OBS_SPAN("svc.frame.encode");
   std::string out = header(MessageType::kEvent);
   out += "status ";
   out += status;
@@ -62,6 +68,7 @@ std::string encode_event(std::string_view status, std::uint64_t position) {
 }
 
 std::string encode_result(const JobOutcome& outcome) {
+  OBS_SPAN("svc.frame.encode");
   std::string out = header(MessageType::kResult);
   out += "status " + outcome.status + '\n';
   out += "job_id " + std::to_string(outcome.job_id) + '\n';
@@ -80,18 +87,21 @@ std::string encode_result(const JobOutcome& outcome) {
 }
 
 std::string encode_stats_result(std::string_view stats_json) {
+  OBS_SPAN("svc.frame.encode");
   std::string out = header(MessageType::kStatsResult);
   util::append_block(out, "stats", stats_json);
   return out;
 }
 
 std::string encode_telemetry_result(std::string_view telemetry_json) {
+  OBS_SPAN("svc.frame.encode");
   std::string out = header(MessageType::kTelemetryResult);
   util::append_block(out, "telemetry", telemetry_json);
   return out;
 }
 
 std::string encode_error(std::string_view message) {
+  OBS_SPAN("svc.frame.encode");
   std::string out = header(MessageType::kError);
   util::append_block(out, "message", message);
   return out;
@@ -99,6 +109,7 @@ std::string encode_error(std::string_view message) {
 
 std::string encode_retry_after(std::uint64_t retry_after_ms,
                                std::string_view reason) {
+  OBS_SPAN("svc.frame.encode");
   std::string out = header(MessageType::kRetryAfter);
   out += "retry_after_ms " + std::to_string(retry_after_ms) + '\n';
   util::append_block(out, "reason", reason);
@@ -106,6 +117,7 @@ std::string encode_retry_after(std::uint64_t retry_after_ms,
 }
 
 util::Result<Message> parse_message(std::string_view payload) {
+  OBS_SPAN("svc.frame.decode");
   std::string_view body = payload;
   std::string_view head;
   if (!util::take_line(body, head)) head = std::exchange(body, {});

@@ -94,6 +94,8 @@ struct Message {
 };
 
 // --- encoders (frame payloads; wrap with util::encode_frame to send) ---
+// Each encoder runs inside an svc.frame.encode span, and parse_message
+// inside an svc.frame.decode span.
 std::string encode_submit(const JobRequest& request);
 /// cancel / stats / stop / ping / pong / ok — verbs with no body.
 std::string encode_simple(MessageType type);

@@ -464,10 +464,18 @@ JobOutcome Server::execute(
   // job's spans and counter deltas can ride back in the result frame.
   const bool tracing = request.trace_id != 0;
   if (tracing) obs::set_enabled(true);
+  // Decided once, at job start: an unmetered job takes no counter
+  // snapshot (each locks the registry and copies every name) and ships no
+  // metrics or spans, even if another job turns the layer on meanwhile.
+  const bool metered = obs::enabled();
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto before = obs::registry().thread_counter_values();
-  const std::size_t events_mark = obs::thread_events_mark();
+  Counters before;
+  std::size_t events_mark = 0;
+  if (metered) {
+    before = obs::registry().thread_counter_values();
+    events_mark = obs::thread_events_mark();
+  }
 
   JobOutcome out;
   out.job_id = id;
@@ -481,9 +489,10 @@ JobOutcome Server::execute(
     rkey = body(out);
   }
 
-  Counters delta =
-      metrics_delta_pairs(before, obs::registry().thread_counter_values());
-  if (obs::enabled()) {
+  Counters delta;
+  if (metered) {
+    delta =
+        metrics_delta_pairs(before, obs::registry().thread_counter_values());
     util::Json j = util::Json::object();
     for (const auto& [name, value] : delta)
       j.set(name, util::Json::number(value));
@@ -497,8 +506,8 @@ JobOutcome Server::execute(
   // The per-job window of this thread's event buffer: the job's own spans
   // (svc.job and everything under it), not the whole process.
   std::vector<obs::TraceEvent> job_events =
-      obs::enabled() ? obs::thread_events_since(events_mark)
-                     : std::vector<obs::TraceEvent>{};
+      metered ? obs::thread_events_since(events_mark)
+              : std::vector<obs::TraceEvent>{};
   if (tracing) {
     obs::ProcessTelemetry t;
     t.label = "traceseld";

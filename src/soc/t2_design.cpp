@@ -1,8 +1,11 @@
 #include "soc/t2_design.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "flow/flow_builder.hpp"
+#include "soc/scenario.hpp"
+#include "soc/scenario_model.hpp"
 
 namespace tracesel::soc {
 
@@ -164,6 +167,8 @@ T2Design::T2Design()
       dmar_(build_dmar(*this)),
       dmaw_(build_dmaw(*this)) {}
 
+T2Design::~T2Design() = default;
+
 const flow::Flow& T2Design::flow_by_name(std::string_view name) const {
   if (name == "PIOR") return pior_;
   if (name == "PIOW") return piow_;
@@ -174,6 +179,20 @@ const flow::Flow& T2Design::flow_by_name(std::string_view name) const {
   if (name == "DMAW") return dmaw_;
   throw std::out_of_range("T2Design: unknown flow '" + std::string(name) +
                           "'");
+}
+
+const ScenarioModel& T2Design::scenario_model(int scenario_id) const {
+  if (scenario_id < 1 || scenario_id > static_cast<int>(models_.size()))
+    throw std::out_of_range("T2Design: no scenario " +
+                            std::to_string(scenario_id));
+  ModelSlot& slot = models_[static_cast<std::size_t>(scenario_id - 1)];
+  std::call_once(slot.built, [&] {
+    const Scenario scenario = scenario_by_id(scenario_id);
+    slot.model = std::make_unique<ScenarioModel>(
+        catalog_, scenario_flows(*this, scenario),
+        scenario.instances_per_flow);
+  });
+  return *slot.model;
 }
 
 }  // namespace tracesel::soc

@@ -15,16 +15,27 @@
 // selection algorithm consumes only the DAGs and the widths, so these
 // stand in faithfully for the RTL signals the authors monitored.
 
+#include <array>
+#include <memory>
+#include <mutex>
+
 #include "flow/flow.hpp"
 #include "flow/message.hpp"
 #include "soc/ip.hpp"
 
 namespace tracesel::soc {
 
-/// Immutable bundle of the T2 message catalog and the five flows.
+class ScenarioModel;
+
+/// Immutable bundle of the T2 message catalog and the five flows, plus one
+/// lazily built ScenarioModel per usage scenario. Neither copyable nor
+/// movable: the models point into the design's flows.
 class T2Design {
  public:
   T2Design();
+  ~T2Design();
+  T2Design(const T2Design&) = delete;
+  T2Design& operator=(const T2Design&) = delete;
 
   const flow::MessageCatalog& catalog() const { return catalog_; }
 
@@ -43,6 +54,12 @@ class T2Design {
   /// Flow lookup by Table 1 short name ("PIOR", "PIOW", "NCUU", "NCUD",
   /// "Mon"); throws std::out_of_range otherwise.
   const flow::Flow& flow_by_name(std::string_view name) const;
+
+  /// The model of usage scenario `scenario_id` (scenario_by_id's 1..4):
+  /// built on the first call, from whichever thread makes it, and shared
+  /// by every later call for the design's lifetime. Throws
+  /// std::out_of_range for other ids.
+  const ScenarioModel& scenario_model(int scenario_id) const;
 
   // --- message ids, grouped by flow ---
   // PIO read
@@ -73,6 +90,12 @@ class T2Design {
 
   flow::MessageCatalog catalog_;
   flow::Flow pior_, piow_, ncuu_, ncud_, mondo_, dmar_, dmaw_;
+
+  struct ModelSlot {
+    std::once_flag built;
+    std::unique_ptr<ScenarioModel> model;
+  };
+  mutable std::array<ModelSlot, 4> models_;  ///< by scenario id - 1
 };
 
 }  // namespace tracesel::soc

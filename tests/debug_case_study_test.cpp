@@ -67,6 +67,51 @@ TEST_F(CaseStudyTest, SetUpAndWorkbenchStepsNestUnderTheCaseSpan) {
     EXPECT_EQ(only(step).parent_id, workbench.span_id) << step;
 }
 
+TEST_F(CaseStudyTest, WarmRunReadsItsScenarioModel) {
+  // A second run of a case on the same design reads the model the first
+  // run built: selection and localization still run inside the workbench
+  // span, and neither the statistics nor the state grid is rebuilt.
+  const soc::CaseStudy cs = soc::standard_case_studies()[0];
+  (void)run_case_study(design_, cs);
+  obs::set_enabled(true);
+  obs::reset();
+  (void)run_case_study(design_, cs);
+  const std::vector<obs::TraceEvent> events = obs::trace_events();
+  obs::set_enabled(false);
+  obs::reset();
+  std::uint64_t workbench = 0;
+  for (const obs::TraceEvent& e : events)
+    if (std::string_view(e.name) == "debug.workbench") workbench = e.span_id;
+  ASSERT_NE(workbench, 0u);
+  std::size_t steps = 0;
+  for (const obs::TraceEvent& e : events) {
+    const std::string_view name = e.name;
+    EXPECT_NE(name, "interleave.stats");
+    EXPECT_NE(name, "interleave.grid");
+    if (name != "debug.select" && name != "debug.localize") continue;
+    EXPECT_EQ(e.parent_id, workbench) << name;
+    ++steps;
+  }
+  EXPECT_EQ(steps, 2u);
+}
+
+TEST_F(CaseStudyTest, EachScenarioModelIsBuiltOncePerDesign) {
+  // Cases 1-5 cover scenarios 1-3; over three trial seeds each, one
+  // design builds three models.
+  obs::set_enabled(true);
+  obs::reset();
+  for (const soc::CaseStudy& cs : soc::standard_case_studies()) {
+    for (const std::uint64_t seed : {2018u, 7u, 42u}) {
+      CaseStudyOptions options;
+      options.seed = seed;
+      (void)run_case_study(design_, cs, options);
+    }
+  }
+  EXPECT_EQ(obs::registry().counter_value("debug.scenario.builds"), 3u);
+  obs::set_enabled(false);
+  obs::reset();
+}
+
 TEST_F(CaseStudyTest, PruningIsSubstantial) {
   // Fig. 7: average 78.89% of candidate root causes pruned, max 88.89%.
   double total = 0.0;

@@ -14,8 +14,9 @@ class WorkbenchExtendedTest : public ::testing::Test {
  protected:
   WorkbenchExtendedTest()
       : causes_(extended_root_causes(design_)),
-        bench_(design_.catalog(),
-               {&design_.mondo_nack(), &design_.pior_retry()}, causes_) {}
+        model_(design_.catalog(),
+               {&design_.mondo_nack(), &design_.pior_retry()}, 2),
+        bench_(model_, causes_) {}
 
   bug::Bug make_bug(int id, bug::BugEffect effect, flow::MessageId target,
                     std::string symptom) {
@@ -30,6 +31,7 @@ class WorkbenchExtendedTest : public ::testing::Test {
 
   soc::T2ExtendedDesign design_;
   RootCauseCatalog causes_;
+  soc::ScenarioModel model_;
   Workbench bench_;
 };
 
@@ -105,7 +107,7 @@ TEST_F(WorkbenchExtendedTest, CleanRunObservesHealthyTrace) {
 }
 
 TEST_F(WorkbenchExtendedTest, RejectsEmptyFlows) {
-  EXPECT_THROW(Workbench(design_.catalog(), {}, causes_),
+  EXPECT_THROW(soc::ScenarioModel(design_.catalog(), {}, 2),
                std::invalid_argument);
 }
 
@@ -141,7 +143,8 @@ flow Job {
       MsgStatus::kPresentCorrupt;
   const RootCauseCatalog causes({stuck, corrupt});
 
-  const Workbench bench(spec.catalog, {&spec.flows[0]}, causes);
+  const soc::ScenarioModel model(spec.catalog, {&spec.flows[0]}, 2);
+  const Workbench bench(model, causes);
   bug::Bug b;
   b.id = 7;
   b.effect = bug::BugEffect::kDropMessage;
@@ -196,8 +199,10 @@ TEST(WorkbenchT2Parity, CaseStudyWrapperMatchesDirectWorkbench) {
   const auto catalog =
       RootCauseCatalog::for_scenario(design, cs.scenario_id);
   const auto scenario = soc::scenario_by_id(cs.scenario_id);
-  const Workbench bench(design.catalog(),
-                        soc::scenario_flows(design, scenario), catalog);
+  const soc::ScenarioModel model(design.catalog(),
+                                 soc::scenario_flows(design, scenario),
+                                 scenario.instances_per_flow);
+  const Workbench bench(model, catalog);
   const auto direct = bench.run(bugs, {});
 
   EXPECT_EQ(direct.selection.combination.messages,

@@ -947,6 +947,41 @@ TEST(ServiceChaos, EveryCompactionSyncIsSpanned) {
   obs::set_enabled(was_enabled);
 }
 
+TEST(ServiceChaos, EveryFrameCodecAndJournalAppendIsSpanned) {
+  // The daemon's time outside svc.job splits into named layers. Client and
+  // daemon share this process, so each frame of a cold job (submit,
+  // queued, started, result) counts one svc.frame.encode span where it is
+  // sent and one svc.frame.decode span where it is read; each journal
+  // record (accepted, started, completed) is written inside one
+  // svc.journal.append span.
+  TempDir tmp;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto records = [] {
+    return obs::registry().counter_value("svc.journal.records");
+  };
+  ServerOptions opt;
+  opt.journal_dir = tmp.sub("wal");
+  Daemon daemon{std::move(opt)};
+  Client client = daemon.connect();
+  constexpr std::uint64_t kJobs = 4;
+  const std::uint64_t records_before = records();
+  const std::uint64_t appends_before = span_events("svc.journal.append");
+  const std::uint64_t encodes_before = span_events("svc.frame.encode");
+  const std::uint64_t decodes_before = span_events("svc.frame.decode");
+  for (std::uint32_t width = 2; width < 2 + kJobs; ++width) {
+    const auto out = client.submit(fig2_request(width));
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_FALSE(out.value().cache_hit);
+  }
+  EXPECT_EQ(records() - records_before, 3 * kJobs);
+  EXPECT_EQ(span_events("svc.journal.append") - appends_before,
+            records() - records_before);
+  EXPECT_EQ(span_events("svc.frame.encode") - encodes_before, 4 * kJobs);
+  EXPECT_EQ(span_events("svc.frame.decode") - decodes_before, 4 * kJobs);
+  obs::set_enabled(was_enabled);
+}
+
 // --- admission control under load ---------------------------------------
 
 /// Blocks every runner inside on_job_start until release() — the

@@ -342,6 +342,29 @@ TEST(Service, TracedJobShipsTelemetryParentedUnderClientSpan) {
   obs::reset();
 }
 
+TEST(Service, AJobIsMeteredOnlyWhenTheObsLayerIsOnAtItsStart) {
+  // A metered job ships its own counter deltas; with the layer off the
+  // daemon takes no counter snapshot and the job's metrics stay empty.
+  const bool was_enabled = obs::enabled();
+  Daemon daemon;
+  Client client = daemon.connect();
+  obs::set_enabled(false);
+  const auto dark = client.submit(fig2_request(2));
+  ASSERT_TRUE(dark.ok()) << dark.error().to_string();
+  EXPECT_EQ(dark.value().status, "ok");
+  EXPECT_TRUE(dark.value().metrics_json.empty()) << dark.value().metrics_json;
+
+  obs::set_enabled(true);
+  const auto lit = client.submit(fig2_request(3));
+  ASSERT_TRUE(lit.ok()) << lit.error().to_string();
+  EXPECT_EQ(lit.value().status, "ok");
+  EXPECT_NE(lit.value().metrics_json.find("\"svc.jobs\":1"),
+            std::string::npos)
+      << lit.value().metrics_json;
+  obs::set_enabled(was_enabled);
+  obs::reset();
+}
+
 TEST(Service, MalformedTelemetryFramesRejectedWithoutKillingConnection) {
   Daemon daemon;
   const int fd = raw_connect(daemon.path);

@@ -6,13 +6,12 @@
 // specification coverage, and a localization query — reproducing every
 // number the paper works out by hand (I = 1.073, coverage = 0.7333).
 //
-// Uses the query API: QueryCore turns a Workload + JobRequest into a
-// selection with no hidden state. Long-lived embedders that run many
-// queries share an ArtifactStore so repeated requests reuse the parsed
-// spec and its interleaving statistics.
+// The spec is built in code, so this example drives the selection layer
+// directly: a MessageSelector over the interleaving's closed-form
+// statistics. A spec on disk or a builtin design goes through
+// QueryCore::run instead, as the CLI, the daemon and usb_selection.cpp do.
 
 #include <iostream>
-#include <utility>
 
 #include "flow/dot.hpp"
 #include "tracesel/tracesel.hpp"
@@ -36,11 +35,8 @@ int main() {
       .transition("GntW", ack, "Done");
   spec.flows.push_back(builder.build(spec.catalog));
 
-  // The Workload owns the spec from here on; QueryCore's stateless
-  // functions do the rest.
-  auto workload = QueryCore::workload_from_spec(std::move(spec));
-  const flow::MessageCatalog& catalog = *workload->catalog;
-  const flow::Flow& coherence = workload->spec->flow("CacheCoherence");
+  const flow::MessageCatalog& catalog = spec.catalog;
+  const flow::Flow& coherence = spec.flow("CacheCoherence");
   std::cout << "Flow '" << coherence.name() << "': "
             << coherence.num_states() << " states, "
             << coherence.messages().size() << " messages\n";
@@ -48,19 +44,19 @@ int main() {
   // --- 2. Interleave two legally indexed instances (Fig. 2) ---
   // Selection reads the interleaving's closed-form statistics; no product
   // is materialized for it.
-  QueryCore::interleave(*workload, 2);
-  const flow::ProductStats& stats = workload->selector->stats();
+  const selection::MessageSelector selector(
+      catalog,
+      flow::ProductStats::build(flow::make_instances({&coherence}, 2)));
+  const flow::ProductStats& stats = selector.stats();
   std::cout << "Interleaved flow: " << stats.num_product_states()
             << " states, " << stats.num_product_edges()
             << " indexed-message occurrences (paper: 15 states, 18 "
                "occurrences)\n";
 
   // --- 3. Select messages for a 2-bit trace buffer (Sec. 3.1-3.2) ---
-  // One versioned JobRequest carries every selection knob; the same
-  // request submitted to a traceseld daemon returns the same answer.
-  JobRequest request;
-  request.buffer_width = 2;
-  const auto result = QueryCore::select(*workload, request, {});
+  selection::SelectorConfig config;
+  config.buffer_width = 2;
+  const auto result = selector.select(config);
 
   std::cout << "Selected combination:";
   for (const auto m : result.combination.messages)

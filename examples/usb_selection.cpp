@@ -12,10 +12,20 @@
 
 int main() {
   using namespace tracesel;
-  // The workload owns the design: the gate-level baselines read its
-  // netlist, the application-level selection its flows.
-  const auto workload = QueryCore::workload_usb();
-  const netlist::UsbDesign& usb = *workload->usb;
+  // One request for the builtin USB design: two instances of each flow
+  // at the paper's default 32-bit buffer. The workload owns the design:
+  // the gate-level baselines read its netlist, the application-level
+  // selection its flows.
+  JobRequest request;
+  request.spec = "usb";
+  request.instances = 2;
+  const auto run = QueryCore::run(request, nullptr, {});
+  if (!run.ok()) {
+    std::cerr << "error: " << run.error().to_string() << '\n';
+    return 2;
+  }
+  const Workload& workload = *run.value().workload;
+  const netlist::UsbDesign& usb = *workload.usb;
   std::cout << "USB design: " << usb.netlist().num_nets() << " nets, "
             << usb.netlist().flops().size() << " flip-flops, "
             << usb.interface_signals().size() << " interface signals\n\n";
@@ -34,10 +44,8 @@ int main() {
   std::cout << "\n\n";
 
   // --- Application-level selection on the rx/tx flows ---
-  // A default JobRequest is the paper's 32-bit selection.
-  QueryCore::interleave(*workload, 2, {});
-  const flow::ProductStats& stats = workload->selector->stats();
-  const auto infogain = QueryCore::select(*workload, JobRequest{}, {});
+  const flow::ProductStats& stats = workload.selector->stats();
+  const selection::SelectionResult& infogain = *run.value().result;
   std::cout << "InfoGain (message selection on UsbRx ||| UsbTx):\n  ";
   for (const auto m : infogain.combination.messages)
     std::cout << usb.catalog().get(m).name << ' ';

@@ -88,19 +88,12 @@ std::string serialize_job_request(const JobRequest& req) {
        << '\n';
   body << "spec " << (req.spec.empty() ? "-" : req.spec) << '\n';
   body << "instances " << req.instances << '\n';
-  // Version 1 carried two engine lines; they are written back at their
-  // defaults so version-1 records re-serialize unchanged.
-  if (req.version == 1) body << "symmetry_reduction 1\n";
   body << "max_nodes " << req.max_nodes << '\n';
   body << "buffer_width " << req.buffer_width << '\n';
   body << "mode " << to_string(req.mode) << '\n';
   body << "packing " << (req.packing ? 1 : 0) << '\n';
   body << "max_combinations " << req.max_combinations << '\n';
-  if (req.version == 1) body << "mem_budget_mb 0\n";
   body << "deadline_ms " << req.deadline_ms << '\n';
-  // Versions 1 and 2 carried the retired kernel line; it is written back
-  // at its default so their records re-serialize unchanged.
-  if (req.version < 3) body << "kernel compiled\n";
   body << "trace_id " << req.trace_id << '\n';
   body << "parent_span_id " << req.parent_span_id << '\n';
   // Tenant labels are single tokens on the wire ("-" = none); spaces would
@@ -114,24 +107,17 @@ std::string serialize_job_request(const JobRequest& req) {
   body << "spec_text " << req.spec_text.size() << '\n';
   body << req.spec_text;
   body << "\nend\n";
-  return util::encode_envelope(kJobTag, req.version, body.str());
+  return util::encode_envelope(kJobTag, JobRequest::kVersion, body.str());
 }
 
 util::Result<JobRequest> parse_job_request(std::string_view text) {
-  // Version-1 and -2 envelopes still parse; their retired lines are
-  // dropped below.
-  std::uint32_t version = JobRequest::kVersion;
-  for (const std::uint32_t old : {1u, 2u})
-    if (text.starts_with(std::string(kJobTag) + " " + std::to_string(old) +
-                         " "))
-      version = old;
-  const auto payload =
-      util::decode_envelope(text, kJobTag, version, "job request");
+  const auto payload = util::decode_envelope(text, kJobTag,
+                                             JobRequest::kVersion,
+                                             "job request");
   if (!payload.ok()) return payload.error();
   std::string_view body = payload.value();
 
   JobRequest req;
-  req.version = version;
   // Reset string defaults: an omitted "spec" line must read back as empty,
   // not as the struct's convenience default.
   req.spec.clear();
@@ -167,12 +153,6 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
       auto mode = parse_search_mode(value);
       if (!mode.ok()) return mode.error();
       req.mode = mode.value();
-    } else if (key == "kernel") {
-      // No longer a knob (both engines gave the same bits, and one is
-      // left); accepted and dropped so older records still parse.
-      if (value != "compiled" && value != "generic")
-        return malformed("unknown kernel '" + std::string(value) +
-                         "' (expected compiled|generic)");
     } else if (key == "spec_text") {
       // The inline spec is one length-prefixed block, "end" follows it.
       body = block;
@@ -196,10 +176,6 @@ util::Result<JobRequest> parse_job_request(std::string_view text) {
         req.packing = v != 0;
       } else if (key == "max_combinations") {
         req.max_combinations = v;
-      } else if (key == "jobs" || key == "symmetry_reduction" ||
-                 key == "mem_budget_mb") {
-        // No longer knobs; accepted and dropped so records written by
-        // older clients and journals still parse.
       } else if (key == "deadline_ms") {
         req.deadline_ms = v;
       } else if (key == "trace_id") {

@@ -37,13 +37,11 @@
 namespace tracesel {
 
 struct JobRequest {
-  /// 2: version 1's two interleave-engine lines are gone.
-  /// 3: the "kernel" line is gone.
+  /// The one envelope version read and written. Versions 1 and 2 carried
+  /// retired engine lines ("symmetry_reduction", "mem_budget_mb",
+  /// "kernel"); their records fail to parse with kParse, and journal
+  /// replay drops and counts them.
   static constexpr std::uint32_t kVersion = 3;
-  /// The envelope version this request was parsed from; serialization
-  /// writes the same one, so version-1 and -2 records round-trip byte for
-  /// byte.
-  std::uint32_t version = kVersion;
 
   /// Which selection entry point runs. kSelectFlowConstraint adds the
   /// every-flow-represented repair (MessageSelector::
@@ -115,12 +113,10 @@ struct JobRequest {
 std::string_view to_string(selection::SearchMode mode);
 util::Result<selection::SearchMode> parse_search_mode(std::string_view name);
 
-/// Wire encoding: a "tracesel-job <version> <checksum>" envelope (the
+/// Wire encoding: a "tracesel-job <kVersion> <checksum>" envelope (the
 /// shared util codec) over "key value" lines, with the inline spec text as
-/// a trailing length-prefixed block. parse_job_request still accepts
-/// version-1 and -2 envelopes and the retired "jobs N", interleave-engine
-/// and "kernel" lines, which it drops, so records written by older clients
-/// and journals replay.
+/// a trailing length-prefixed block. parse_job_request reads kVersion
+/// only, and an unknown line is a kParse error.
 std::string serialize_job_request(const JobRequest& req);
 util::Result<JobRequest> parse_job_request(std::string_view text);
 

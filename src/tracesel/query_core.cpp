@@ -1,7 +1,7 @@
 #include "tracesel/query_core.hpp"
 
-#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "flow/indexed_flow.hpp"
 #include "soc/scenario.hpp"
@@ -27,6 +27,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 /// were actually compiled.
 struct ResolvedSpec {
   std::string text;
+  std::string file;     ///< the spec path parse errors name; empty inline
   std::string builtin;  ///< "t2", "usb" or empty
   std::uint64_t hash = 0;
 };
@@ -45,88 +46,58 @@ util::Result<ResolvedSpec> resolve_spec(const JobRequest& req) {
     auto bytes = util::read_file_capped(req.spec, kMaxSpecBytes);
     if (!bytes.ok()) return bytes.error();
     out.text = std::move(bytes).value();
+    out.file = req.spec;
   }
   out.hash = out.builtin.empty() ? util::fnv1a64(out.text)
                                  : util::fnv1a64("builtin:" + out.builtin);
   return out;
 }
 
-}  // namespace
+/// Parses or instantiates `spec`, then computes the statistics of its
+/// interleaving (spec/usb: `instances` indexed instances per flow; t2:
+/// scenario id) in closed form and the selector over them. Throws
+/// util::CancelledError when `cancel` has fired before the statistics.
+std::shared_ptr<const Workload> build_workload(
+    const ResolvedSpec& spec, std::uint32_t instances,
+    const util::CancelToken& cancel) {
+  auto w = std::make_shared<Workload>();
+  w->source_hash = spec.hash;
+  if (spec.builtin == "t2") {
+    w->t2 = std::make_unique<soc::T2Design>();
+    w->catalog = &w->t2->catalog();
+  } else if (spec.builtin == "usb") {
+    w->usb = std::make_unique<netlist::UsbDesign>();
+    w->catalog = &w->usb->catalog();
+  } else {
+    w->spec = std::make_unique<flow::ParsedSpec>(
+        flow::parse_flow_spec(spec.text, spec.file));
+    w->catalog = &w->spec->catalog;
+  }
 
-std::unique_ptr<Workload> QueryCore::workload_from_spec(flow::ParsedSpec spec) {
-  auto w = std::make_unique<Workload>();
-  w->spec = std::make_unique<flow::ParsedSpec>(std::move(spec));
-  w->catalog = &w->spec->catalog;
-  return w;
-}
-
-std::unique_ptr<Workload> QueryCore::workload_t2() {
-  auto w = std::make_unique<Workload>();
-  w->t2 = std::make_unique<soc::T2Design>();
-  w->catalog = &w->t2->catalog();
-  return w;
-}
-
-std::unique_ptr<Workload> QueryCore::workload_usb() {
-  auto w = std::make_unique<Workload>();
-  w->usb = std::make_unique<netlist::UsbDesign>();
-  w->catalog = &w->usb->catalog();
-  return w;
-}
-
-void QueryCore::interleave(Workload& w, std::uint32_t instances,
-                           const util::CancelToken& cancel) {
   OBS_SPAN("session.interleave");
   std::vector<flow::IndexedFlow> indexed;
-  if (w.t2) {
+  if (w->t2) {
     indexed = soc::scenario_instances(
-        *w.t2, soc::scenario_by_id(static_cast<int>(instances)));
-  } else if (w.usb) {
-    indexed = flow::make_instances({&w.usb->rx_flow(), &w.usb->tx_flow()},
+        *w->t2, soc::scenario_by_id(static_cast<int>(instances)));
+  } else if (w->usb) {
+    indexed = flow::make_instances({&w->usb->rx_flow(), &w->usb->tx_flow()},
                                    instances);
-  } else if (w.spec) {
-    std::vector<const flow::Flow*> flows;
-    for (const flow::Flow& f : w.spec->flows) flows.push_back(&f);
-    indexed = flow::make_instances(flows, instances);
   } else {
-    throw std::logic_error(
-        "QueryCore::interleave: workload owns no spec or design");
+    std::vector<const flow::Flow*> flows;
+    for (const flow::Flow& f : w->spec->flows) flows.push_back(&f);
+    indexed = flow::make_instances(flows, instances);
   }
-  w.u.reset();
-  w.selector = std::make_unique<selection::MessageSelector>(
-      *w.catalog, flow::ProductStats::build(std::move(indexed), cancel));
+  w->selector = std::make_unique<selection::MessageSelector>(
+      *w->catalog, flow::ProductStats::build(std::move(indexed), cancel));
+  return w;
 }
+
+}  // namespace
 
 util::Result<std::uint64_t> QueryCore::source_hash(const JobRequest& req) {
   auto spec = resolve_spec(req);
   if (!spec.ok()) return spec.error();
   return spec.value().hash;
-}
-
-std::uint64_t QueryCore::workload_key(const JobRequest& req,
-                                      std::uint64_t source_hash) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  fnv_mix(h, source_hash);
-  fnv_mix(h, req.instances);
-  return h;
-}
-
-selection::SelectionResult QueryCore::select(
-    const Workload& w, const selection::SelectorConfig& config,
-    bool flow_constraint) {
-  OBS_SPAN("session.select");
-  if (!w.selector)
-    throw std::logic_error("QueryCore::select: workload has no selector");
-  return flow_constraint ? w.selector->select_with_flow_constraint(config)
-                         : w.selector->select(config);
-}
-
-selection::SelectionResult QueryCore::select(const Workload& w,
-                                             const JobRequest& req,
-                                             util::CancelToken cancel) {
-  selection::SelectorConfig cfg = req.selector_config();
-  cfg.cancel = std::move(cancel);
-  return select(w, cfg, req.kind == JobRequest::Kind::kSelectFlowConstraint);
 }
 
 util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
@@ -137,21 +108,27 @@ util::Result<QueryCore::Outcome> QueryCore::run(const JobRequest& req,
   const ResolvedSpec& spec = resolved.value();
 
   Outcome out;
-  auto build_shared = [&]() -> std::shared_ptr<const Workload> {
-    std::unique_ptr<Workload> w;
-    if (spec.builtin == "t2") w = workload_t2();
-    else if (spec.builtin == "usb") w = workload_usb();
-    else w = workload_from_spec(flow::parse_flow_spec(spec.text));
-    w->source_hash = spec.hash;
-    interleave(*w, req.instances, cancel);
-    return w;
+  const auto build = [&] {
+    return build_workload(spec, req.instances, cancel);
   };
-  out.workload = store == nullptr
-                     ? build_shared()
-                     : store->workload(workload_key(req, spec.hash),
-                                       build_shared, &out.workload_cache_hit);
+  if (store == nullptr) {
+    out.workload = build();
+  } else {
+    // The workload key: source hash + instance count.
+    std::uint64_t key = 0xCBF29CE484222325ull;
+    fnv_mix(key, spec.hash);
+    fnv_mix(key, req.instances);
+    out.workload = store->workload(key, build, &out.workload_cache_hit);
+  }
+
+  OBS_SPAN("session.select");
+  selection::SelectorConfig cfg = req.selector_config();
+  cfg.cancel = std::move(cancel);
+  const selection::MessageSelector& selector = *out.workload->selector;
   out.result = std::make_shared<selection::SelectionResult>(
-      select(*out.workload, req, cancel));
+      req.kind == JobRequest::Kind::kSelectFlowConstraint
+          ? selector.select_with_flow_constraint(cfg)
+          : selector.select(cfg));
   return out;
 }
 

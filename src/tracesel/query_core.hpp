@@ -2,24 +2,18 @@
 // tracesel::QueryCore — the stateless compute core of the facade
 // (DESIGN.md §13).
 //
-// The compute of the facade comes in two pieces:
+// QueryCore::run is the library's one way in: the CLI's `select`, the
+// daemon, the examples and the tests all hand it a JobRequest. It is the
+// only composition of parse -> statistics -> Step 1-3, a pure function of
+// (JobRequest, spec content) with no hidden state, so the traceseld daemon
+// runs jobs through it concurrently. The expensive middle product, the
+// Workload, is built through a caller-owned ArtifactStore
+// (artifact_store.hpp) or, without one, privately per call.
 //
-//   QueryCore      pure functions of (JobRequest, spec content): resolve
-//                  the workload, compute the interleaving's statistics,
-//                  run Step 1-3. No hidden
-//                  state, no ordering constraints — safe to call from any
-//                  thread, which is what lets the traceseld daemon run
-//                  jobs concurrently.
-//   ArtifactStore  the shared immutable workload cache run() builds
-//                  through (artifact_store.hpp).
-//
-// QueryCore is the library's one way in: the CLI, the daemon, the examples
-// and the tests all call it directly.
-//
-// A Workload is the resolved middle product: the owned spec (or builtin
-// design), its message catalog, and the selector over the interleaving's
-// closed-form statistics. No selection request builds the product. Once
-// built a Workload is immutable and safely shared by concurrent jobs.
+// A Workload is the owned spec (or builtin design), its message catalog,
+// and the selector over the interleaving's closed-form statistics. No
+// selection request builds the product. Once built a Workload is
+// immutable and safely shared by concurrent jobs.
 
 #include <cstdint>
 #include <memory>
@@ -68,47 +62,20 @@ class QueryCore {
     bool workload_cache_hit = false;
   };
 
-  // --- workload construction (the CLI and the daemon both build through
-  //     these, so the two surfaces cannot drift) ---
-  static std::unique_ptr<Workload> workload_from_spec(flow::ParsedSpec spec);
-  static std::unique_ptr<Workload> workload_t2();
-  static std::unique_ptr<Workload> workload_usb();
-
-  /// Computes the statistics of the workload's interleaving (spec/usb:
-  /// `instances` indexed instances per flow; t2: scenario id) in closed
-  /// form and the selector over them, dropping any stale product. Throws
-  /// util::CancelledError when `cancel` has fired on entry.
-  static void interleave(Workload& w, std::uint32_t instances,
-                         const util::CancelToken& cancel = {});
-
-  // --- content addressing ---
   /// FNV-1a over the spec content the request resolves to: inline text,
   /// "builtin:t2"/"builtin:usb", or the spec file's bytes (a typed error
   /// when the file cannot be read).
   static util::Result<std::uint64_t> source_hash(const JobRequest& req);
-  /// The ArtifactStore workload key: source hash + instance count.
-  static std::uint64_t workload_key(const JobRequest& req,
-                                    std::uint64_t source_hash);
-
-  /// Step 1-3 over an existing workload. The low-level entry point the CLI
-  /// and the request path share: honours every SelectorConfig field
-  /// (including cancel) and picks the plain or the flow-constraint path.
-  static selection::SelectionResult select(
-      const Workload& w, const selection::SelectorConfig& config,
-      bool flow_constraint);
-
-  /// The request-level wrapper: derives the SelectorConfig from `req`,
-  /// arms `cancel`, and runs select().
-  static selection::SelectionResult select(const Workload& w,
-                                           const JobRequest& req,
-                                           util::CancelToken cancel);
 
   /// The full pipeline: resolve -> workload (cached in `store`; null
-  /// builds it privately) -> select. Results are not cached here: the
+  /// builds it privately) -> Step 1-3, the plain or the flow-constraint
+  /// selection as `req.kind` says. Results are not cached here: the
   /// daemon keeps them in its journal's result index. A typed error when
-  /// the spec file cannot be read; parse and engine failures throw,
-  /// including util::CancelledError when `cancel` has fired before the
-  /// statistics are built.
+  /// the spec file cannot be read; parse errors (which name a spec file
+  /// as "spec.flow:LINE:") and engine failures throw, including
+  /// util::CancelledError when `cancel` has fired before the statistics
+  /// are built. A deadline or cancel during the search yields a partial
+  /// result instead.
   static util::Result<Outcome> run(const JobRequest& req, ArtifactStore* store,
                                    util::CancelToken cancel);
 };

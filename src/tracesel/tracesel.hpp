@@ -3,30 +3,26 @@
 //
 //   #include "tracesel/tracesel.hpp"
 //
-// The primary entry point is the stateless query API (PR 7):
+// The one entry point is the stateless query API, QueryCore::run (the
+// path the `tracesel select` CLI and the traceseld daemon both take):
 //
 //   tracesel::JobRequest req;           // one versioned request object
 //   req.spec = "soc.flow";              // or "t2" / "usb" builtins
 //   req.instances = 2;
 //   tracesel::ArtifactStore store;      // shared workload cache
-//   auto out = tracesel::QueryCore::run(req, &store);
+//   auto out = tracesel::QueryCore::run(req, &store, {});
 //   if (out.ok()) use(*out.value().result);
 //
-// QueryCore (query_core.hpp) is a set of pure functions from JobRequest to
-// selection results; the expensive intermediate (the parsed spec and its
+// QueryCore (query_core.hpp) is a pure function from JobRequest to a
+// selection result; the expensive intermediate (the parsed spec and its
 // interleaving statistics) lives in the caller-owned ArtifactStore
 // (artifact_store.hpp), keyed by the spec content and instance count, so
-// concurrent and repeated queries share it safely. This is the API the
-// traceseld daemon (service/server.hpp) multiplexes jobs onto; the daemon
-// keeps whole results in its journal's bounded index.
-//
-// The same functions serve exploration without a store: build a Workload
-// once, then interleave and select on it as often as needed.
-//
-//   auto w = tracesel::QueryCore::workload_from_spec(
-//       tracesel::flow::parse_flow_spec_file("soc.flow"));
-//   tracesel::QueryCore::interleave(*w, 2, {});
-//   auto result = tracesel::QueryCore::select(*w, config, false);
+// concurrent and repeated queries share it safely. A null store builds
+// the workload privately. This is the API the traceseld daemon
+// (service/server.hpp) multiplexes jobs onto; the daemon keeps whole
+// results in its journal's bounded index. Cancellation and deadlines
+// ride in the util::CancelToken run takes (util/cancel.hpp,
+// docs/resilience.md).
 //
 // The layer headers below remain public for callers that need one
 // building block (e.g. a custom flow built with flow::FlowBuilder, or the
@@ -66,6 +62,3 @@
 #include "tracesel/artifact_store.hpp"
 #include "tracesel/job_request.hpp"
 #include "tracesel/query_core.hpp"
-
-// The resilience surface (cancellation tokens, exit-code contract).
-#include "tracesel/resilience.hpp"

@@ -3,23 +3,17 @@
 // stats_oracle.hpp): the grid's count_paths and count_consistent_paths and
 // the product's every histogram class agree bit for bit on the named
 // workloads, and the product-counted statistics select exactly what the
-// closed form selects. The retired kernel knob of
-// older job records still parses, replays to the same bytes and shares
-// their cache entries, directly and through the daemon.
+// closed form selects. Job envelopes carry no retired kernel line.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "debug/case_study.hpp"
-#include "local_daemon.hpp"
 #include "netlist/usb_design.hpp"
-#include "service/client.hpp"
-#include "service/server.hpp"
 #include "soc/scenario.hpp"
 #include "soc/t2_design.hpp"
 #include "stats_oracle.hpp"
@@ -112,6 +106,14 @@ TEST_F(ProductDifferentialTest, CountsHistogramsAndGainsBitIdentical) {
   }
 }
 
+/// T2 scenario 3 at the default 32-bit buffer.
+JobRequest t2_request() {
+  JobRequest req;
+  req.spec = "t2";
+  req.instances = 3;
+  return req;
+}
+
 TEST_F(ProductDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
   // Selection over the product's own statistics against the closed form
   // QueryCore reads, for the exact and an exponential search mode (and the
@@ -126,9 +128,11 @@ TEST_F(ProductDifferentialTest, FullSelectionBitIdenticalAcrossModesAndJobs) {
       cfg.buffer_width = 32;
       cfg.mode = mode;
       cfg.jobs = jobs;
-      const auto w = QueryCore::workload_t2();
-      QueryCore::interleave(*w, 3, {});
-      expect_identical(product.select(cfg), QueryCore::select(*w, cfg, false),
+      JobRequest req = t2_request();
+      req.mode = mode;
+      const auto run = QueryCore::run(req, nullptr, {});
+      ASSERT_TRUE(run.ok()) << run.error().to_string();
+      expect_identical(product.select(cfg), *run.value().result,
                        "mode " + std::to_string(static_cast<int>(mode)) +
                            " jobs " + std::to_string(jobs));
     }
@@ -140,33 +144,15 @@ TEST_F(ProductDifferentialTest, FlowConstraintSelectionBitIdentical) {
   cfg.buffer_width = 16;
   const flow::InterleavedFlow u = usb_.interleaving(1);
   const selection::MessageSelector product(usb_.catalog(), u);
-  const auto w = QueryCore::workload_usb();
-  QueryCore::interleave(*w, 1, {});
-  expect_identical(product.select_with_flow_constraint(cfg),
-                   QueryCore::select(*w, cfg, true), "usb flow-constraint");
-}
-
-// --- the retired kernel knob on the wire ---
-
-/// `req` as a version-2 record whose kernel line reads `kernel`.
-std::string version2_record(JobRequest req, const std::string& kernel) {
-  req.version = 2;
-  const std::string wire = serialize_job_request(req);
-  const auto body =
-      util::decode_envelope(wire, "tracesel-job", 2, "job request");
-  EXPECT_TRUE(body.ok());
-  std::string text(body.value());
-  const std::size_t at = text.find("kernel compiled\n");
-  EXPECT_NE(at, std::string::npos);
-  text.replace(at, 15, "kernel " + kernel);
-  return util::encode_envelope("tracesel-job", 2, text);
-}
-
-JobRequest t2_request() {
   JobRequest req;
-  req.spec = "t2";
-  req.instances = 3;
-  return req;
+  req.spec = "usb";
+  req.instances = 1;
+  req.buffer_width = cfg.buffer_width;
+  req.kind = JobRequest::Kind::kSelectFlowConstraint;
+  const auto run = QueryCore::run(req, nullptr, {});
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  expect_identical(product.select_with_flow_constraint(cfg),
+                   *run.value().result, "usb flow-constraint");
 }
 
 TEST(GridObservability, SweepsVisitOnlyTheSlotsTheyReach) {
@@ -250,70 +236,33 @@ TEST(GridObservability, CaseStudySweepsMatchTheOracleAndVisitPinnedSlots) {
 
 class Version2RecordTest : public ::testing::Test {};
 
-TEST_F(Version2RecordTest, QueryCoreSharesResultsAcrossModes) {
-  // Records that named either engine are the same computation as today's
-  // request: one result index entry serves all three.
-  for (const std::string kernel : {"generic", "compiled"}) {
-    SCOPED_TRACE(kernel);
-    const auto old = parse_job_request(version2_record(t2_request(), kernel));
-    ASSERT_TRUE(old.ok()) << old.error().to_string();
-    test::expect_repeat_served_from_index(t2_request(), old.value());
-  }
-}
-
 TEST_F(Version2RecordTest, WireEncodingRoundTripsKernelMode) {
-  // Today's envelope carries no kernel line.
+  // Today's envelope carries no kernel line and round-trips; a version-2
+  // record, or a kernel line in today's envelope, fails with kParse.
   const std::string wire = serialize_job_request(t2_request());
   EXPECT_EQ(wire.rfind("tracesel-job " + std::to_string(JobRequest::kVersion) +
                            " ",
                        0),
             0u);
   EXPECT_EQ(wire.find("kernel"), std::string::npos);
+  const auto parsed = parse_job_request(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(serialize_job_request(parsed.value()), wire);
+  EXPECT_TRUE(parsed.value().same_computation(t2_request()));
 
-  // A version-2 record parses under either engine name and re-serializes
-  // as version 2 with the line at its default, so journals round-trip.
-  const std::string compiled = version2_record(t2_request(), "compiled");
-  for (const std::string kernel : {"generic", "compiled"}) {
-    const auto parsed = parse_job_request(version2_record(t2_request(), kernel));
-    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-    EXPECT_EQ(parsed.value().version, 2u);
-    EXPECT_EQ(serialize_job_request(parsed.value()), compiled);
-    EXPECT_TRUE(parsed.value().same_computation(t2_request()));
+  const auto body = util::decode_envelope(wire, "tracesel-job",
+                                          JobRequest::kVersion, "job request");
+  ASSERT_TRUE(body.ok());
+  std::string with_kernel(body.value());
+  with_kernel.insert(with_kernel.find("trace_id "), "kernel compiled\n");
+  for (const std::string& record :
+       {util::encode_envelope("tracesel-job", 2, with_kernel),
+        util::encode_envelope("tracesel-job", JobRequest::kVersion,
+                              with_kernel)}) {
+    const auto old = parse_job_request(record);
+    ASSERT_FALSE(old.ok());
+    EXPECT_EQ(old.error().code, util::ErrorCode::kParse);
   }
-  EXPECT_FALSE(parse_job_request(version2_record(t2_request(), "fast")).ok());
-}
-
-TEST_F(Version2RecordTest, ServeProducesIdenticalReportsAcrossModes) {
-  const std::string socket =
-      "/tmp/tskern_" + std::to_string(::getpid()) + ".sock";
-  service::ServerOptions opt;
-  opt.socket_path = socket;
-  opt.runners = 2;
-  util::CancelToken shutdown = opt.shutdown;
-  service::Server server(std::move(opt));
-  ASSERT_TRUE(server.start().ok());
-  std::thread serve([&] { server.serve(); });
-
-  const auto submit = [&](const JobRequest& req) {
-    auto client = service::Client::connect(socket);
-    EXPECT_TRUE(client.ok());
-    auto outcome = client.value().submit(req, util::CancelToken{}, nullptr);
-    EXPECT_TRUE(outcome.ok());
-    return std::move(outcome).value();
-  };
-  const service::JobOutcome current = submit(t2_request());
-  const auto old = parse_job_request(version2_record(t2_request(), "generic"));
-  ASSERT_TRUE(old.ok());
-  const service::JobOutcome replayed = submit(old.value());
-  EXPECT_EQ(current.status, "ok");
-  EXPECT_EQ(replayed.status, "ok");
-  // Byte-identical report JSON, and the old record is answered from the
-  // entry today's request filled.
-  EXPECT_EQ(current.report_json, replayed.report_json);
-  EXPECT_TRUE(replayed.cache_hit);
-
-  shutdown.cancel();
-  serve.join();
 }
 
 }  // namespace

@@ -358,21 +358,61 @@ TEST_P(PropertyTest, GreedyNeverBeatsExhaustive) {
             selector.engine().info_gain(greedy) - 1e-12);
 }
 
-TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProduct) {
-  // ProductStats against the product over 300 generated systems at one
-  // and two instances per flow; the ones that start atomic add the closed
-  // form's prefix term and must match too.
-  std::size_t starts_atomic = 0;
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+/// ProductStats against the product over the generated systems of seeds
+/// [first, last] at one and two instances per flow; the ones that start
+/// atomic add the closed form's prefix term and must match too.
+void expect_generated_stats_match_product(std::uint64_t first,
+                                          std::uint64_t last) {
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
     const auto sys = make_random_system(seed);
     for (const std::uint32_t n : {1u, 2u}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " x" + std::to_string(n));
       const auto u = interleave(sys, n);
-      if (sys.starts_atomic) ++starts_atomic;
       test::expect_stats_match_product(u, sys.all_messages, seed * 2 + n);
-      if (HasFatalFailure()) return;
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// Seeds 1-300, split across test ids so that each stays well inside the
+// per-test TIMEOUT in a Debug+ASan build (up to 63 s a block there; all
+// 300 seeds take 475 s).
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProduct) {
+  expect_generated_stats_match_product(1, 30);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds31To60) {
+  expect_generated_stats_match_product(31, 60);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds61To90) {
+  expect_generated_stats_match_product(61, 90);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds91To120) {
+  expect_generated_stats_match_product(91, 120);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds121To150) {
+  expect_generated_stats_match_product(121, 150);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds151To180) {
+  expect_generated_stats_match_product(151, 180);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds181To210) {
+  expect_generated_stats_match_product(181, 210);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds211To240) {
+  expect_generated_stats_match_product(211, 240);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds241To270) {
+  expect_generated_stats_match_product(241, 270);
+}
+TEST(ClosedFormDifferential, GeneratedSystemsMatchTheProductSeeds271To300) {
+  expect_generated_stats_match_product(271, 300);
+}
+
+TEST(ClosedFormDifferential, GeneratedSystemsIncludeAtomicStarts) {
+  // Seeds 1-300 exercise the prefix term: some systems start atomic.
+  std::size_t starts_atomic = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed)
+    if (make_random_system(seed).starts_atomic) ++starts_atomic;
   EXPECT_GT(starts_atomic, 0u);
 }
 

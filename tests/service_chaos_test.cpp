@@ -377,6 +377,67 @@ TEST(ServiceChaos, RetiredGreedyModeRecordsAreDroppedAndTheDaemonServes) {
   EXPECT_EQ(out.value().report_json, expected);
 }
 
+TEST(ServiceChaos, VersionOneAndTwoRecordsAreDroppedAndCounted) {
+  // A journal written under job-envelope versions 1 and 2, whose retired
+  // engine lines ("symmetry_reduction", "mem_budget_mb", "kernel") the
+  // envelope no longer reads: accepted and completed records of both
+  // versions. Replay drops each alone, recovers nothing, and a daemon on
+  // the directory computes the same request and serves the reference
+  // bytes.
+  TempDir tmp;
+  const std::string dir = tmp.sub("wal");
+  std::filesystem::create_directories(dir);
+  const JobRequest req = fig2_request(2);
+  const std::string expected = reference_report(req);
+  const std::string live = serialize_job_request(req);
+  const auto body = util::decode_envelope(live, "tracesel-job",
+                                          JobRequest::kVersion, "job request");
+  ASSERT_TRUE(body.ok());
+  std::string v2(body.value());
+  v2.insert(v2.find("trace_id "), "kernel compiled\n");
+  std::string v1 = v2;
+  v1.insert(v1.find("max_nodes "), "symmetry_reduction 1\n");
+  v1.insert(v1.find("deadline_ms "), "mem_budget_mb 0\n");
+  std::string image;
+  std::uint64_t job = 0;
+  for (const auto& [version, text] : {std::pair{1u, v1}, std::pair{2u, v2}}) {
+    const std::string old =
+        util::encode_envelope("tracesel-job", version, text);
+    const auto parsed = parse_job_request(old);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kParse);
+    std::string result;
+    util::append_block(result, "request", old);
+    util::append_block(result, "report", expected);
+    image += util::encode_frame("tracesel-jrec 1 accepted " +
+                                std::to_string(++job) + "\n" + old);
+    image += util::encode_frame("tracesel-jrec 1 completed " +
+                                std::to_string(++job) + " 1f\n" + result);
+  }
+  spill(dir + "/jobs.journal", image);
+
+  {
+    JobJournal j;
+    auto rec = j.open(fast_options(dir));
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().dropped_records, 4u);
+    EXPECT_EQ(rec.value().dropped_bytes, 0u);
+    EXPECT_TRUE(rec.value().pending.empty());
+    EXPECT_EQ(rec.value().completed, 0u);
+  }
+
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  Daemon daemon{std::move(opt)};
+  EXPECT_EQ(daemon.server->stats().recovered, 0u);
+  Client client = daemon.connect();
+  const auto out = client.submit(req);
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(out.value().status, "ok");
+  EXPECT_FALSE(out.value().cache_hit);
+  EXPECT_EQ(out.value().report_json, expected);
+}
+
 TEST(ServiceChaos, DuplicateCompletedRecordsAreIdempotent) {
   // A crash between the completed append and the in-memory erase can
   // double-log the terminal record on the next life; replay must not care.

@@ -54,7 +54,6 @@ TEST(JobRequest, SerializeParseRoundTrip) {
   const JobRequest& p = parsed.value();
   EXPECT_EQ(p.spec, req.spec);
   EXPECT_EQ(p.spec_text, req.spec_text);
-  EXPECT_EQ(p.version, JobRequest::kVersion);
   EXPECT_EQ(p.instances, req.instances);
   EXPECT_EQ(p.max_nodes, req.max_nodes);
   EXPECT_EQ(p.kind, req.kind);
@@ -67,25 +66,19 @@ TEST(JobRequest, SerializeParseRoundTrip) {
 }
 
 TEST(JobRequest, OldDefaultMaximalRecordReplaysToTheSameBytes) {
-  // Journal records and wire requests written while `maximal` was the
-  // default search mode spell it out: serialize_job_request always writes
-  // the mode line, so making knapsack the default rewrites no existing
-  // record and needs no JobRequest::kVersion bump. Such a record must
-  // parse back to the maximal search and report the bytes it always did,
-  // which for this workload are also the new default's bytes. Records of
-  // that era also carry the retired "jobs N" line, which parses and is
-  // dropped: re-serializing yields the record minus that line.
-  const auto old_record = [](const std::string& jobs_line) {
-    return util::encode_envelope(
-        "tracesel-job", 1,
-        "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
-            "/fig2.flow\ninstances 2\nsymmetry_reduction 1\n"
-            "max_nodes 2000000\nbuffer_width 2\nmode maximal\npacking 1\n"
-            "max_combinations 4194304\nmem_budget_mb 0\n" +
-            jobs_line +
-            "deadline_ms 0\nkernel compiled\ntrace_id 0\nparent_span_id 0\n"
-            "tenant -\nspec_text 0\n\nend\n");
-  };
+  // Requests written while `maximal` was the default search mode spell it
+  // out: serialize_job_request always writes the mode line, so making
+  // knapsack the default rewrites no request and needs no
+  // JobRequest::kVersion bump. Such a record parses back to the maximal
+  // search, re-serializes to itself, and reports the bytes it always did,
+  // which for this workload are also the new default's bytes.
+  const std::string record = util::encode_envelope(
+      "tracesel-job", JobRequest::kVersion,
+      "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
+          "/fig2.flow\ninstances 2\nmax_nodes 2000000\nbuffer_width 2\n"
+          "mode maximal\npacking 1\nmax_combinations 4194304\n"
+          "deadline_ms 0\ntrace_id 0\nparent_span_id 0\ntenant -\n"
+          "spec_text 0\n\nend\n");
 
   JobRequest maximal = fig2_request();
   maximal.mode = selection::SearchMode::kMaximal;
@@ -98,102 +91,47 @@ TEST(JobRequest, OldDefaultMaximalRecordReplaysToTheSameBytes) {
                         .dump(2)
                   : std::string();
   };
-  for (const std::string jobs_line : {"jobs 1\n", "jobs 4\n"}) {
-    SCOPED_TRACE(jobs_line);
-    const auto parsed = parse_job_request(old_record(jobs_line));
-    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-    EXPECT_EQ(parsed.value().mode, selection::SearchMode::kMaximal);
-    EXPECT_EQ(serialize_job_request(parsed.value()), old_record(""));
-    EXPECT_TRUE(parsed.value().same_computation(maximal));
-
-    const std::string replayed = report(parsed.value());
-    EXPECT_EQ(replayed, report(maximal));
-    EXPECT_EQ(replayed, report(fig2_request()));
-  }
-}
-
-TEST(JobRequest, Version1RecordWithRetiredEngineLinesReplaysToReferenceBytes) {
-  // A version-1 record written with the symmetry-reduced engine switched
-  // off and a memory budget set: both lines are dropped on parse, and the
-  // job reports the committed reference bytes.
-  const std::string record = util::encode_envelope(
-      "tracesel-job", 1,
-      "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
-          "/fig2.flow\ninstances 2\nsymmetry_reduction 0\n"
-          "max_nodes 2000000\nbuffer_width 8\nmode knapsack\npacking 1\n"
-          "max_combinations 4194304\nmem_budget_mb 512\ndeadline_ms 0\n"
-          "kernel compiled\ntrace_id 0\nparent_span_id 0\ntenant -\n"
-          "spec_text 0\n\nend\n");
   const auto parsed = parse_job_request(record);
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().version, 1u);
-  JobRequest current = fig2_request();
-  current.buffer_width = 8;
-  EXPECT_TRUE(parsed.value().same_computation(current));
-  EXPECT_EQ(parsed.value().canonical_hash(7), current.canonical_hash(7));
+  EXPECT_EQ(parsed.value().mode, selection::SearchMode::kMaximal);
+  EXPECT_EQ(serialize_job_request(parsed.value()), record);
+  EXPECT_TRUE(parsed.value().same_computation(maximal));
 
-  const auto r = QueryCore::run(parsed.value(), nullptr, {});
-  ASSERT_TRUE(r.ok());
-  const auto reference =
-      util::read_file_capped(std::string(TRACESEL_DATA_DIR) +
-                                 "/../perfbench/refs/fig2-i2-w8.json",
-                             1u << 20);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(selection::to_json(*r.value().workload->catalog,
-                               *r.value().result)
-                .dump(2),
-            reference.value());
+  const std::string replayed = report(parsed.value());
+  EXPECT_EQ(replayed, report(maximal));
+  EXPECT_EQ(replayed, report(fig2_request()));
 }
 
 TEST(JobRequest, Version2DropsTheRetiredEngineLines) {
-  // Neither a version-2 record nor today's envelope carries the two
-  // interleave-engine lines of version 1.
-  JobRequest v2 = fig2_request();
-  v2.version = 2;
-  for (const JobRequest& req : {v2, fig2_request()}) {
-    const std::string wire = serialize_job_request(req);
-    EXPECT_EQ(wire.rfind("tracesel-job " + std::to_string(req.version) + " ",
-                         0),
-              0u);
-    EXPECT_EQ(wire.find("symmetry_reduction"), std::string::npos);
-    EXPECT_EQ(wire.find("mem_budget_mb"), std::string::npos);
+  // The envelope has one version. It carries none of the lines versions 1
+  // and 2 did; an envelope of either old version, or a retired line in
+  // today's, fails to parse with kParse.
+  const std::string wire = serialize_job_request(fig2_request());
+  EXPECT_EQ(wire.rfind("tracesel-job " + std::to_string(JobRequest::kVersion) +
+                           " ",
+                       0),
+            0u);
+  const auto body = util::decode_envelope(wire, "tracesel-job",
+                                          JobRequest::kVersion, "job request");
+  ASSERT_TRUE(body.ok());
+  for (const std::uint32_t old : {1u, 2u}) {
+    SCOPED_TRACE(old);
+    const auto parsed = parse_job_request(
+        util::encode_envelope("tracesel-job", old, std::string(body.value())));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kParse);
   }
-}
-
-TEST(JobRequest, Version2KernelGenericRecordReplaysToReferenceBytes) {
-  // A version-2 record written with the generic engine selected: the line
-  // parses and is dropped (re-serializing writes it back at its default),
-  // and the job reports the committed reference bytes.
-  const auto record = [](const std::string& kernel) {
-    return util::encode_envelope(
-        "tracesel-job", 2,
-        "kind select\nspec " + std::string(TRACESEL_DATA_DIR) +
-            "/fig2.flow\ninstances 2\nmax_nodes 2000000\nbuffer_width 8\n"
-            "mode knapsack\npacking 1\nmax_combinations 4194304\n"
-            "deadline_ms 0\nkernel " +
-            kernel +
-            "\ntrace_id 0\nparent_span_id 0\ntenant -\nspec_text 0\n\n"
-            "end\n");
-  };
-  const auto parsed = parse_job_request(record("generic"));
-  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().version, 2u);
-  EXPECT_EQ(serialize_job_request(parsed.value()), record("compiled"));
-  JobRequest current = fig2_request();
-  current.buffer_width = 8;
-  EXPECT_TRUE(parsed.value().same_computation(current));
-
-  const auto r = QueryCore::run(parsed.value(), nullptr, {});
-  ASSERT_TRUE(r.ok());
-  const auto reference =
-      util::read_file_capped(std::string(TRACESEL_DATA_DIR) +
-                                 "/../perfbench/refs/fig2-i2-w8.json",
-                             1u << 20);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(selection::to_json(*r.value().workload->catalog,
-                               *r.value().result)
-                .dump(2),
-            reference.value());
+  for (const std::string line : {"symmetry_reduction 1", "mem_budget_mb 0",
+                                 "kernel compiled", "jobs 4"}) {
+    SCOPED_TRACE(line);
+    EXPECT_EQ(wire.find("\n" + line.substr(0, line.find(' ')) + " "),
+              std::string::npos);
+    const auto parsed = parse_job_request(util::encode_envelope(
+        "tracesel-job", JobRequest::kVersion,
+        line + "\n" + std::string(body.value())));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kParse);
+  }
 }
 
 TEST(JobRequest, CanonicalHashIgnoresRuntimeKnobsOnly) {
@@ -417,22 +355,6 @@ TEST(QueryCore, CacheHitBitIdenticalUsbBuiltin) {
   expect_cached_run_bit_identical(req);
 }
 
-TEST(QueryCore, JobsKnobSharesTheCacheEntry) {
-  // A request from an older client still carries the retired "jobs N"
-  // line; it parses to the same computation, so a repeat without the line
-  // is answered from the cache entry the old request filled.
-  const JobRequest req = fig2_request();
-  const std::string wire = serialize_job_request(req);
-  const auto body = util::decode_envelope(wire, "tracesel-job",
-                                          JobRequest::kVersion, "job request");
-  ASSERT_TRUE(body.ok());
-  const auto old = parse_job_request(util::encode_envelope(
-      "tracesel-job", JobRequest::kVersion,
-      "jobs 4\n" + std::string(body.value())));
-  ASSERT_TRUE(old.ok()) << old.error().to_string();
-  test::expect_repeat_served_from_index(old.value(), req);
-}
-
 TEST(QueryCore, MissingSpecFileIsATypedError) {
   JobRequest req;
   req.spec = "/no/such/spec.flow";
@@ -469,7 +391,7 @@ TEST(QueryCore, CancelledBuildDoesNotPoisonTheStore) {
   EXPECT_FALSE(ok.value().workload_cache_hit);
 }
 
-// --- direct QueryCore calls (the CLI's select path) ----------------------
+// --- QueryCore::run against the product path ---------------------------
 
 TEST(QueryCore, SpecWorkloadSelectsLikeTheProductPath) {
   test::CoherenceFixture fx;
@@ -479,16 +401,16 @@ TEST(QueryCore, SpecWorkloadSelectsLikeTheProductPath) {
   cfg.mode = selection::SearchMode::kMaximal;
   const auto reference = selection::MessageSelector(fx.catalog, u).select(cfg);
 
-  // The same Fig. 2 pipeline through QueryCore's closed-form statistics.
-  flow::ParsedSpec spec;
-  const auto reqE = spec.catalog.add("ReqE", 1, "IP1", "Dir");
-  const auto gntE = spec.catalog.add("GntE", 1, "Dir", "IP1");
-  const auto ack = spec.catalog.add("Ack", 1, "IP1", "Dir");
-  spec.flows.push_back(
-      test::CoherenceFixture::make_flow(spec.catalog, reqE, gntE, ack));
-  const auto w = QueryCore::workload_from_spec(std::move(spec));
-  QueryCore::interleave(*w, 2, {});
-  const auto got = QueryCore::select(*w, cfg, false);
+  // The same Fig. 2 pipeline through QueryCore's closed-form statistics;
+  // data/fig2.flow declares the fixture's messages in the fixture's order.
+  JobRequest req = fig2_request();
+  req.mode = cfg.mode;
+  const auto run = QueryCore::run(req, nullptr, {});
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const Workload& w = *run.value().workload;
+  const selection::SelectionResult& got = *run.value().result;
+  EXPECT_EQ(w.catalog->get(fx.reqE).name, "ReqE");
+  EXPECT_EQ(w.catalog->get(fx.gntE).name, "GntE");
   EXPECT_EQ(got.combination.messages, reference.combination.messages);
   EXPECT_EQ(got.packed, reference.packed);
   EXPECT_EQ(got.gain, reference.gain);
@@ -497,23 +419,27 @@ TEST(QueryCore, SpecWorkloadSelectsLikeTheProductPath) {
 
   // Localization counts on the grid of the same instances.
   const std::vector<flow::IndexedMessage> observed{
-      {reqE, 1}, {gntE, 1}, {reqE, 2}};
+      {fx.reqE, 1}, {fx.gntE, 1}, {fx.reqE, 2}};
   const auto loc = selection::localize(
-      flow::ProductGrid::build(w->selector->stats().instances()),
+      flow::ProductGrid::build(w.selector->stats().instances()),
       got.observable(), observed);
   EXPECT_EQ(loc.consistent_paths, 1.0);
 }
 
 TEST(QueryCore, T2WorkloadSelectsPerScenarioAndRejectsMisuse) {
-  const auto w = QueryCore::workload_t2();
-  EXPECT_THROW((void)QueryCore::select(*w, {}, false), std::logic_error);
-  EXPECT_THROW(QueryCore::interleave(*w, 99, {}), std::out_of_range);
-  QueryCore::interleave(*w, 1, {});
-  const auto first = QueryCore::select(*w, {}, false);
-  EXPECT_FALSE(first.combination.messages.empty());
-  const auto again = QueryCore::select(*w, {}, false);
-  EXPECT_EQ(first.combination.messages, again.combination.messages);
-  EXPECT_EQ(first.gain, again.gain);
+  JobRequest req;
+  req.spec = "t2";
+  req.instances = 99;  // no such scenario
+  EXPECT_THROW((void)QueryCore::run(req, nullptr, {}), std::out_of_range);
+  req.instances = 1;
+  const auto first = QueryCore::run(req, nullptr, {});
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first.value().result->combination.messages.empty());
+  const auto again = QueryCore::run(req, nullptr, {});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(first.value().result->combination.messages,
+            again.value().result->combination.messages);
+  EXPECT_EQ(first.value().result->gain, again.value().result->gain);
 }
 
 }  // namespace

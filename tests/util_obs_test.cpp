@@ -365,14 +365,16 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
   const std::string trace_path = ::testing::TempDir() + "/obs_trace.json";
   const std::string metrics_path = ::testing::TempDir() + "/obs_metrics.json";
 
-  const auto w = QueryCore::workload_from_spec(flow::parse_flow_spec(kFig2Spec));
-  selection::SelectorConfig cfg;
-  cfg.buffer_width = 2;
-  cfg.mode = selection::SearchMode::kMaximal;  // the step1/step2 spans
-  QueryCore::interleave(*w, 2, {});
-  const auto result = QueryCore::select(*w, cfg, false);
+  JobRequest req;
+  req.spec_text = kFig2Spec;
+  req.buffer_width = 2;
+  req.mode = selection::SearchMode::kMaximal;  // the step1/step2 spans
+  const auto run = QueryCore::run(req, nullptr, {});
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const selection::SelectionResult& result = *run.value().result;
   EXPECT_FALSE(result.combination.messages.empty());
-  EXPECT_FALSE(selection::report_text(*w->catalog, result).empty());
+  EXPECT_FALSE(
+      selection::report_text(*run.value().workload->catalog, result).empty());
   obs::update_process_gauges();
   ASSERT_TRUE(obs::write_chrome_trace(trace_path));
   ASSERT_TRUE(obs::write_metrics(metrics_path));
@@ -403,9 +405,11 @@ TEST_F(ObsTest, SessionRoundTripEmitsValidTraceAndMetricsJson) {
 }
 
 TEST_F(ObsTest, SearchCountersMatchTheWorkDone) {
-  const auto w = QueryCore::workload_from_spec(flow::parse_flow_spec(kFig2Spec));
-  QueryCore::interleave(*w, 2, {});
-  const selection::MessageSelector& selector = *w->selector;
+  JobRequest req;
+  req.spec_text = kFig2Spec;
+  const auto run = QueryCore::run(req, nullptr, {});
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const selection::MessageSelector& selector = *run.value().workload->selector;
   const auto count = [](const char* name) {
     return obs::registry().counter_value(name);
   };
